@@ -187,9 +187,9 @@ class PscVerdict:
             raise ValueError("violation must be present exactly when unsatisfied")
 
 
-def _weak_prefixes(p: PreferenceProfile, x: int) -> list[frozenset[int]]:
-    pos = p.positions()
-    return [frozenset(p.rankings[i][: pos[i][x] + 1]) for i in range(p.n)]
+def _weak_prefixes(p: PreferenceProfile, x: int) -> tuple[frozenset[int], ...]:
+    """Voter i's candidates down to x; one shared set per ballot type."""
+    return p.per_voter([frozenset(r[: r.index(x) + 1]) for r, _ in p.ballot_types()])
 
 
 def weak_psc_satisfied(
@@ -233,12 +233,10 @@ def weak_psc_satisfied(
         if x in W:
             continue
         prefixes = _weak_prefixes(p, x)
-        net = FlowNetwork(p.n, p.m, tuple(prefixes), left_supply=k + 1, right_cap=p.n)
-        value, dinic = net.solve()
+        net = FlowNetwork(p.n, p.m, prefixes, left_supply=k + 1, right_cap=p.n)
+        value, flow = net.solve()
         if value < p.n * (k + 1):
-            reachable = dinic.reachable_in_residual(0)
-            voters = frozenset(i for i in range(p.n) if 1 + i in reachable)
-            viol = violation_from(voters, x)
+            viol = violation_from(flow.source_side(), x)
             viol.validate(p, W, k)
             return PscVerdict(False, W, k, viol)
     return PscVerdict(True, W, k, None)

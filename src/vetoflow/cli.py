@@ -33,6 +33,7 @@ from .eating import phragmen_committee, probabilistic_serial, veto_by_consumptio
 from .matching import build_domination_graph, extract_deficiency_witness, has_fractional_perfect_matching
 from .profiles import PreferenceProfile, all_profiles, clone_expand, plurality_scores
 from .profile_io import (
+    ProfileSizeError,
     format_rational,
     gen_euclidean,
     gen_impartial_culture,
@@ -389,7 +390,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code = args.func(args)
-    except LpSizeError as exc:
+    except (LpSizeError, ProfileSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RESOURCE
     except (OSError, ValueError, KeyError) as exc:

@@ -12,6 +12,7 @@ probabilistic serial assignment are all thin drivers over this loop.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -107,17 +108,20 @@ def run_eating(p: PreferenceProfile, cfg: EatingConfig) -> EatingTrace:
     elimination bound k the run stops as soon as at least k candidates are
     gone; a simultaneous batch is never split, so more than k can fall.
     """
-    n, m = p.n, p.m
+    m = p.m
     if cfg.stop_eliminations is not None and cfg.stop_eliminations > m:
         raise ValueError("cannot eliminate more candidates than exist")
     key = _batch_key(cfg, m)
     best_first = cfg.direction == "eat-best"
-    # per-voter cursor into the ranking, advanced past eliminated entries
-    order = [list(r) if best_first else list(reversed(r)) for r in p.rankings]
-    cursor = [0] * n
+    # identical voters always eat the same candidate, so the loop runs per
+    # ballot type: one cursor and one consumption row, weighted by its voters
+    types = p.ballot_types()
+    order = [bt.ranking if best_first else bt.ranking[::-1] for bt in types]
+    weight = [len(bt.voters) for bt in types]
+    cursor = [0] * len(types)
     alive = [True] * m
     absorbed = [Fraction(0)] * m
-    consumption = [[Fraction(0)] * m for _ in range(n)]
+    consumption = [[Fraction(0)] * m for _ in types]
     events: list[tuple[Fraction, tuple[int, ...]]] = []
     eliminated = 0
     t = Fraction(0)
@@ -136,23 +140,23 @@ def run_eating(p: PreferenceProfile, cfg: EatingConfig) -> EatingTrace:
             break
 
         eaters: dict[int, list[int]] = {}
-        for i in range(n):
-            row = order[i]
-            j = cursor[i]
+        for b, row in enumerate(order):
+            j = cursor[b]
             while not alive[row[j]]:
                 j += 1
-            cursor[i] = j
-            eaters.setdefault(row[j], []).append(i)
+            cursor[b] = j
+            eaters.setdefault(row[j], []).append(b)
+        count = {c: sum(weight[b] for b in bs) for c, bs in eaters.items()}
 
-        dt = min((cfg.capacity - absorbed[c]) / len(vs) for c, vs in eaters.items())
+        dt = min((cfg.capacity - absorbed[c]) / count[c] for c in eaters)
         if cfg.stop_time is not None and t + dt > cfg.stop_time:
             dt = cfg.stop_time - t
         t += dt
         batch = []
-        for c, vs in eaters.items():
-            absorbed[c] += dt * len(vs)
-            for i in vs:
-                consumption[i][c] += dt
+        for c, bs in eaters.items():
+            absorbed[c] += dt * count[c]
+            for b in bs:
+                consumption[b][c] += dt
             if absorbed[c] == cfg.capacity:
                 batch.append(c)
         if batch:
@@ -164,7 +168,7 @@ def run_eating(p: PreferenceProfile, cfg: EatingConfig) -> EatingTrace:
 
     return EatingTrace(
         events=tuple(events),
-        consumption=tuple(tuple(row) for row in consumption),
+        consumption=p.per_voter([tuple(row) for row in consumption]),
         survivors=frozenset(c for c in range(m) if alive[c]),
         elapsed=t,
     )
@@ -218,15 +222,26 @@ class FractionalAssignment:
 
     def column_sums(self) -> tuple[Fraction, ...]:
         m = len(self.shares[0])
-        return tuple(sum(row[c] for row in self.shares) for c in range(m))
+        rows = _distinct_rows(self.shares)
+        return tuple(sum(row[c] * mult for row, mult in rows) for c in range(m))
 
     def validate(self, row_sum: Fraction, column_cap: Fraction = Fraction(1)) -> None:
-        for i, total in enumerate(self.row_sums()):
+        for row, _ in _distinct_rows(self.shares):
+            total = sum(row)
             if total != row_sum:
+                i = self.shares.index(row)
                 raise ValueError(f"row {i} sums to {total}, expected {row_sum}")
         for c, total in enumerate(self.column_sums()):
             if total > column_cap:
                 raise ValueError(f"column {c} exceeds {column_cap}")
+
+
+def _distinct_rows(rows: Sequence[tuple]) -> list[tuple[tuple, int]]:
+    """Each distinct row object with its multiplicity, in order of first
+    appearance.  Voters of one ballot type share one row object."""
+    counts = Counter(map(id, rows))
+    objects = dict(zip(map(id, rows), rows))
+    return [(objects[key], mult) for key, mult in counts.items()]
 
 
 def probabilistic_serial(p: PreferenceProfile, k: int | None = None) -> FractionalAssignment:

@@ -5,7 +5,8 @@ matched to candidates so that every voter only uses candidates they rank
 weakly below c, every voter hands out total weight 1, and every candidate
 receives exactly n/m?  Scaling by m turns this into an integral max-flow
 problem: voter supply m, candidate capacity n, and a perfect matching exists
-iff the max flow is n*m.
+iff the max flow is n*m.  Voters with the same edge set are interchangeable,
+so they share one network node carrying their joint supply.
 
 When no matching exists, a Hall-style deficiency witness falls out of the
 min cut: a voter set N' whose jointly dominated candidates D satisfy
@@ -14,7 +15,7 @@ min cut: a voter set N' whose jointly dominated candidates D satisfy
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -97,19 +98,60 @@ class DominationGraph:
     def __post_init__(self) -> None:
         if len(self.edges) != self.n:
             raise ValueError("need one edge set per voter")
-        for i, adj in enumerate(self.edges):
+        # each distinct edge set once, in order of its first voter
+        for adj in dict.fromkeys(self.edges):
             if self.candidate not in adj:
+                i = self.edges.index(adj)
                 raise ValueError(f"voter {i} must be adjacent to the pivot candidate")
             if any(c < 0 or c >= self.m for c in adj):
                 raise ValueError("edge endpoint out of range")
 
 
 def build_domination_graph(p: PreferenceProfile, c: int) -> DominationGraph:
-    pos = p.positions()
-    edges = tuple(
-        frozenset(p.rankings[i][pos[i][c]:]) for i in range(p.n)
-    )
+    edges = p.per_voter([frozenset(r[r.index(c):]) for r, _ in p.ballot_types()])
     return DominationGraph(c, p.n, p.m, edges)
+
+
+@dataclass(frozen=True)
+class FlowResult:
+    """A solved network, read back per original left node.
+
+    Left nodes with equal edge sets share one Dinic node: ``groups`` maps
+    each distinct edge set to its number of left nodes, and the g-th key is
+    node ``1 + g`` of ``dinic``.
+    """
+
+    dinic: Dinic
+    edges: tuple[frozenset[int], ...]
+    groups: dict[frozenset[int], int]
+    num_right: int
+    left_supply: int
+
+    def source_side(self) -> frozenset[int]:
+        """Left nodes reachable from the source in the residual network: the
+        source side of the inclusion-minimal min cut.  That set is unique and
+        invariant under swapping interchangeable left nodes, so it is a union
+        of whole groups."""
+        reachable = self.dinic.reachable_in_residual(0)
+        sides = {adj: 1 + g in reachable for g, adj in enumerate(self.groups)}
+        return frozenset(i for i, adj in enumerate(self.edges) if sides[adj])
+
+    def shares(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Row i: the fraction of left node i's supply sent to each right
+        node.  A group's flow is split evenly over its members, which share
+        one row."""
+        first_right = 1 + len(self.groups)
+        rows: dict[frozenset[int], tuple[Fraction, ...]] = {}
+        for g, (adj, size) in enumerate(self.groups.items()):
+            row = [Fraction(0)] * self.num_right
+            scale = size * self.left_supply
+            for v, cap, _ in self.dinic.graph[1 + g]:
+                if first_right <= v < first_right + self.num_right:
+                    sent = scale - cap  # original capacity minus residual
+                    if sent > 0:
+                        row[v - first_right] = Fraction(sent, scale)
+            rows[adj] = tuple(row)
+        return tuple(rows[adj] for adj in self.edges)
 
 
 @dataclass(frozen=True)
@@ -123,20 +165,26 @@ class FlowNetwork:
     left_supply: int
     right_cap: int
 
-    def solve(self) -> tuple[int, Dinic]:
+    def solve(self) -> tuple[int, FlowResult]:
+        """Max flow value and the solved network.
+
+        Left nodes with equal edge sets are interchangeable, so each such
+        group becomes one node carrying the group's total supply.  The flow
+        value and the minimal min cut are those of the one-node-per-left
+        network."""
+        groups = Counter(self.edges)
         source = 0
-        sink = self.num_left + self.num_right + 1
+        sink = len(groups) + self.num_right + 1
         dinic = Dinic(sink + 1)
-        big = self.left_supply
-        for i in range(self.num_left):
-            dinic.add_edge(source, 1 + i, self.left_supply)
-        for i in range(self.num_left):
-            for c in sorted(self.edges[i]):
-                dinic.add_edge(1 + i, 1 + self.num_left + c, big)
+        for g, size in enumerate(groups.values()):
+            dinic.add_edge(source, 1 + g, self.left_supply * size)
+        for g, (adj, size) in enumerate(groups.items()):
+            for c in sorted(adj):
+                dinic.add_edge(1 + g, 1 + len(groups) + c, self.left_supply * size)
         for c in range(self.num_right):
-            dinic.add_edge(1 + self.num_left + c, sink, self.right_cap)
+            dinic.add_edge(1 + len(groups) + c, sink, self.right_cap)
         value = dinic.max_flow(source, sink)
-        return value, dinic
+        return value, FlowResult(dinic, self.edges, dict(groups), self.num_right, self.left_supply)
 
 
 def domination_flow_network(g: DominationGraph) -> FlowNetwork:
@@ -152,21 +200,13 @@ def has_fractional_perfect_matching(g: DominationGraph) -> bool:
 
 
 def fractional_matching(g: DominationGraph) -> tuple[tuple[Fraction, ...], ...] | None:
-    """The matching itself, row i giving voter i's weights, or None if infeasible."""
+    """A matching, row i giving voter i's weights, or None if infeasible.
+    Voters with the same edge set get the same row."""
     net = domination_flow_network(g)
-    value, dinic = net.solve()
+    value, flow = net.solve()
     if value != g.n * g.m:
         return None
-    rows = []
-    for i in range(g.n):
-        row = [Fraction(0)] * g.m
-        for v, cap, _ in dinic.graph[1 + i]:
-            if 1 + g.n <= v < 1 + g.n + g.m:
-                sent = g.m - cap  # original capacity minus residual
-                if sent > 0:
-                    row[v - 1 - g.n] = Fraction(sent, g.m)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return flow.shares()
 
 
 @dataclass(frozen=True)
@@ -195,11 +235,10 @@ def extract_deficiency_witness(p: PreferenceProfile, c: int) -> CutWitness | Non
     """
     g = build_domination_graph(p, c)
     net = domination_flow_network(g)
-    value, dinic = net.solve()
+    value, flow = net.solve()
     if value == g.n * g.m:
         return None
-    reachable = dinic.reachable_in_residual(0)
-    voters = frozenset(i for i in range(g.n) if 1 + i in reachable)
+    voters = flow.source_side()
     witness = CutWitness(voters, dominated_set(p, c, voters))
     witness.validate(p, c)
     return witness

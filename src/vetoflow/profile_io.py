@@ -6,7 +6,8 @@ Two text formats are understood:
   candidate names, then one ``a>b>c`` ballot line per voter;
 * count-prefixed ranking lines in the style of preference-data archives,
   ``3: 1,2,4,3`` meaning three voters share the ranking, candidates 1-based.
-  Metadata comments like ``# ALTERNATIVE NAME 2: b`` supply names.
+  Metadata comments like ``# ALTERNATIVE NAME 2: b`` supply names.  Counts
+  adding up to more than ``MAX_VOTERS`` raise ``ProfileSizeError``.
 
 ``parse_profile`` sniffs the format, ``serialize_profile`` always emits the
 native one, and the two round-trip exactly.
@@ -22,6 +23,9 @@ from typing import Sequence
 
 from .profiles import PreferenceProfile
 
+# count lines expand into one entry per voter; cap the total before expanding
+MAX_VOTERS = 1_000_000
+
 _COUNT_LINE = re.compile(r"^\s*\d+\s*:")
 _ALT_NAME = re.compile(r"^#\s*ALTERNATIVE\s+NAME\s+(\d+)\s*:\s*(.+?)\s*$", re.IGNORECASE)
 
@@ -29,6 +33,10 @@ _ALT_NAME = re.compile(r"^#\s*ALTERNATIVE\s+NAME\s+(\d+)\s*:\s*(.+?)\s*$", re.IG
 def format_rational(x: Fraction) -> str:
     """Render exactly, always with an explicit denominator: 3 -> ``3/1``."""
     return f"{x.numerator}/{x.denominator}"
+
+
+class ProfileSizeError(ValueError):
+    """The input declares more voters than ``MAX_VOTERS``."""
 
 
 def parse_rational(text: str) -> Fraction:
@@ -120,6 +128,8 @@ def _parse_count_lines(text: str) -> PreferenceProfile:
             width = len(ids)
         elif len(ids) != width:
             raise ValueError(f"expected {width} candidates, got {len(ids)}, line {no}")
+        if len(rankings) + count > MAX_VOTERS:
+            raise ProfileSizeError(f"more than {MAX_VOTERS} voters, line {no}")
         ranking = tuple(c - 1 for c in ids)
         rankings.extend([ranking] * count)
     if not rankings or width is None:

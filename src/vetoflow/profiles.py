@@ -9,7 +9,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence, TypeVar
+
+T = TypeVar("T")
+
+
+class BallotType(NamedTuple):
+    """One distinct ranking and the indices of the voters who cast it."""
+
+    ranking: tuple[int, ...]
+    voters: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -36,8 +45,10 @@ class PreferenceProfile:
         if len(set(self.candidate_names)) != m:
             raise ValueError("duplicate candidate names")
         full = frozenset(range(m))
-        for i, ranking in enumerate(self.rankings):
+        # each distinct ranking once, in order of its first voter
+        for ranking in dict.fromkeys(self.rankings):
             if len(ranking) != m or frozenset(ranking) != full:
+                i = self.rankings.index(ranking)
                 raise ValueError(f"ranking of voter {i} is not a permutation of 0..{m - 1}")
 
     @classmethod
@@ -61,17 +72,40 @@ class PreferenceProfile:
     def m(self) -> int:
         return len(self.candidate_names)
 
+    def ballot_types(self) -> tuple[BallotType, ...]:
+        """The distinct rankings in first-appearance order, each with the
+        voters who cast it.  Identical voters are interchangeable for every
+        checker and eating rule, so those work per type."""
+        cached = self.__dict__.get("_ballot_types")
+        if cached is None:
+            voters: dict[tuple[int, ...], list[int]] = {}
+            for i, ranking in enumerate(self.rankings):
+                voters.setdefault(ranking, []).append(i)
+            cached = tuple(BallotType(r, tuple(vs)) for r, vs in voters.items())
+            object.__setattr__(self, "_ballot_types", cached)
+        return cached
+
+    def per_voter(self, values: Sequence[T]) -> tuple[T, ...]:
+        """Spread ``values[t]``, one per ballot type, to every voter of type t;
+        the voters of a type share the object."""
+        out: list = [None] * self.n
+        for bt, value in zip(self.ballot_types(), values, strict=True):
+            for i in bt.voters:
+                out[i] = value
+        return tuple(out)
+
     def positions(self) -> tuple[tuple[int, ...], ...]:
-        """``positions()[i][c]`` is the rank of candidate c for voter i, 0 = best."""
+        """``positions()[i][c]`` is the rank of candidate c for voter i, 0 = best.
+        Voters with the same ranking share one row."""
         cached = self.__dict__.get("_positions")
         if cached is None:
-            pos = []
-            for ranking in self.rankings:
+            rows = []
+            for bt in self.ballot_types():
                 row = [0] * self.m
-                for rank, c in enumerate(ranking):
+                for rank, c in enumerate(bt.ranking):
                     row[c] = rank
-                pos.append(tuple(row))
-            cached = tuple(pos)
+                rows.append(tuple(row))
+            cached = self.per_voter(rows)
             object.__setattr__(self, "_positions", cached)
         return cached
 
@@ -101,23 +135,6 @@ def plurality_scores(p: PreferenceProfile) -> tuple[int, ...]:
     for ranking in p.rankings:
         scores[ranking[0]] += 1
     return tuple(scores)
-
-
-def top_choice(p: PreferenceProfile, voter: int) -> int:
-    return p.rankings[voter][0]
-
-
-def bottom_choice(p: PreferenceProfile, voter: int, remaining: frozenset[int] | None = None) -> int:
-    """Voter's least preferred candidate, restricted to ``remaining`` if given."""
-    ranking = p.rankings[voter]
-    if remaining is None:
-        return ranking[-1]
-    if not remaining:
-        raise ValueError("remaining set is empty")
-    for c in reversed(ranking):
-        if c in remaining:
-            return c
-    raise ValueError("remaining contains no candidate of the profile")
 
 
 @dataclass(frozen=True)
@@ -194,16 +211,15 @@ class SolidCoalition:
 
 def solid_coalitions(p: PreferenceProfile) -> tuple[SolidCoalition, ...]:
     """All candidate prefixes with their maximal supporter set, in first-appearance order."""
-    supporters: dict[frozenset[int], set[int]] = {}
-    order: list[frozenset[int]] = []
-    for i, ranking in enumerate(p.rankings):
+    supporters: dict[frozenset[int], list[int]] = {}
+    for bt in p.ballot_types():
         for r in range(1, p.m + 1):
-            prefix = frozenset(ranking[:r])
-            if prefix not in supporters:
-                supporters[prefix] = set()
-                order.append(prefix)
-            supporters[prefix].add(i)
-    return tuple(SolidCoalition(pref, frozenset(supporters[pref])) for pref in order)
+            supporters.setdefault(frozenset(bt.ranking[:r]), []).extend(bt.voters)
+    # filled in ascending voter order, so the iteration order of each supporter
+    # set does not depend on the order in which the types were visited
+    return tuple(
+        SolidCoalition(pref, frozenset(set(sorted(vs)))) for pref, vs in supporters.items()
+    )
 
 
 def all_profiles(n: int, m: int, candidate_names: Sequence[str] | None = None) -> Iterable[PreferenceProfile]:

@@ -1,0 +1,121 @@
+"""Identical voters are interchangeable: the max-flow checkers and the eating
+rules work per ballot type, and must agree with one-node-per-voter oracles
+and with profiles whose ballots were duplicated and shuffled."""
+
+import random
+
+import pytest
+from hypothesis import given, strategies as st
+
+from vetoflow.axioms import veto_core, veto_core_member, weak_psc_satisfied
+from vetoflow.eating import phragmen_committee, veto_by_consumption_winners
+from vetoflow.matching import Dinic, FlowNetwork, build_domination_graph, extract_deficiency_witness
+from vetoflow.profiles import PreferenceProfile
+from tests_support_random import profiles_strategy
+
+
+def test_ballot_types_in_first_appearance_order(fix_p):
+    p = PreferenceProfile.of([(1, 0), (0, 1), (1, 0), (1, 0)])
+    assert p.ballot_types() == (((1, 0), (0, 2, 3)), ((0, 1), (1,)))
+    assert p.ballot_types() is p.ballot_types()
+    assert [bt.voters for bt in fix_p.ballot_types()] == [(0, 1), (2, 3)]
+    # voters of one type share their position row
+    pos = p.positions()
+    assert pos[0] is pos[2] and pos[0] == (1, 0) and pos[1] == (0, 1)
+
+
+def repeated_profiles(count: int, seed: int):
+    """Profiles of up to 40 voters drawing from at most four distinct ballots."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m, types, n = rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 40)
+        ballots = [tuple(rng.sample(range(m), m)) for _ in range(types)]
+        out.append(PreferenceProfile.of([rng.choice(ballots) for _ in range(n)]))
+    return out
+
+
+def networks(p: PreferenceProfile):
+    """The domination network of every candidate and the PSC network of
+    every candidate and committee size, as FlowNetwork instances."""
+    for c in range(p.m):
+        yield FlowNetwork(p.n, p.m, build_domination_graph(p, c).edges, p.m, p.n)
+        prefixes = tuple(frozenset(r[: r.index(c) + 1]) for r in p.rankings)
+        for k in range(p.m):
+            yield FlowNetwork(p.n, p.m, prefixes, k + 1, p.n)
+
+
+def per_voter_flow(net: FlowNetwork) -> tuple[int, frozenset[int]]:
+    """Max flow and residual-reachable left nodes, one Dinic node per left node."""
+    sink = net.num_left + net.num_right + 1
+    d = Dinic(sink + 1)
+    for i in range(net.num_left):
+        d.add_edge(0, 1 + i, net.left_supply)
+    for i, adj in enumerate(net.edges):
+        for c in sorted(adj):
+            d.add_edge(1 + i, 1 + net.num_left + c, net.left_supply)
+    for c in range(net.num_right):
+        d.add_edge(1 + net.num_left + c, sink, net.right_cap)
+    value = d.max_flow(0, sink)
+    reachable = d.reachable_in_residual(0)
+    return value, frozenset(i for i in range(net.num_left) if 1 + i in reachable)
+
+
+def test_merged_flow_matches_the_per_voter_network():
+    checked = deficient = 0
+    for p in repeated_profiles(150, seed=4242):
+        for net in networks(p):
+            value, flow = net.solve()
+            expect_value, expect_side = per_voter_flow(net)
+            assert value == expect_value, (p.rankings, net)
+            assert flow.source_side() == expect_side, (p.rankings, net)
+            checked += 1
+            deficient += value < net.num_left * net.left_supply
+    # the family must exercise min cuts, not only perfect flows
+    assert deficient > checked // 10
+
+
+def test_merged_flow_value_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for p in repeated_profiles(60, seed=99):
+        for net in networks(p):
+            g = nx.DiGraph()
+            for i, adj in enumerate(net.edges):
+                g.add_edge("s", ("v", i), capacity=net.left_supply)
+                for c in adj:
+                    g.add_edge(("v", i), ("c", c), capacity=net.left_supply)
+            for c in range(net.num_right):
+                g.add_edge(("c", c), "t", capacity=net.right_cap)
+            expect, _ = nx.maximum_flow(g, "s", "t")
+            assert net.solve()[0] == expect, (p.rankings, net)
+
+
+@given(profiles_strategy, st.sampled_from([2, 3]), st.randoms(use_true_random=False))
+def test_duplicating_and_shuffling_ballots_changes_nothing(p, k, rnd):
+    # voter j of q casts the ballot of voter origin[j] of p
+    origin = [i for i in range(p.n) for _ in range(k)]
+    rnd.shuffle(origin)
+    q = PreferenceProfile(tuple(p.rankings[i] for i in origin), p.candidate_names)
+
+    def lift(voters):
+        return frozenset(j for j, i in enumerate(origin) if i in voters)
+
+    assert veto_core(q) == veto_core(p)
+    for c in range(p.m):
+        a, b = veto_core_member(p, c), veto_core_member(q, c)
+        assert a.member == b.member
+        if a.witness is not None:
+            assert b.witness.voters == lift(a.witness.voters)
+            assert b.witness.blocked_by == a.witness.blocked_by
+            cut_a, cut_b = extract_deficiency_witness(p, c), extract_deficiency_witness(q, c)
+            assert cut_b.voters == lift(cut_a.voters)
+            assert cut_b.dominated == cut_a.dominated
+
+    assert veto_by_consumption_winners(q) == veto_by_consumption_winners(p)
+    for size in range(p.m + 1):
+        committee = phragmen_committee(p, size)
+        assert phragmen_committee(q, size) == committee
+        verdict_p, verdict_q = weak_psc_satisfied(p, committee), weak_psc_satisfied(q, committee)
+        assert verdict_q.satisfied == verdict_p.satisfied
+        if verdict_q.violation is not None:
+            verdict_q.violation.validate(q, frozenset(committee), size)

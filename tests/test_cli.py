@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -169,6 +170,18 @@ def test_distortion_size_cap(prof, capsys):
         "distortion", "--profile", prof(P), "--candidate", "c1", "--size-cap", "5",
     ])
     assert code == 4 and "12 LP variables, cap is 5" in err
+
+
+def test_hostile_count_line_is_a_resource_limit(prof, capsys):
+    path = prof("1000000000: 1,2,3\n")
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, ["rule", "--rule", "veto-consumption", "--profile", path])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 4 and "more than 1000000 voters, line 1" in err
+    assert peak < 1 << 20
 
 
 def test_unknown_candidate_name(prof, capsys):

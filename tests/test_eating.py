@@ -186,3 +186,11 @@ def test_fractional_assignment_helpers(fix_u):
     mu = probabilistic_serial(fix_u)
     assert mu.row_sums() == (Fraction(1), Fraction(1))
     assert mu.column_sums() == (Fraction(1), Fraction(1))
+    # shared row objects count once per voter holding them
+    half = (Fraction(1, 2), Fraction(1, 2))
+    heavy = (Fraction(1), Fraction(1, 2))
+    assert FractionalAssignment((half, half, half)).column_sums() == (Fraction(3, 2),) * 2
+    with pytest.raises(ValueError, match="column 0 exceeds 1"):
+        FractionalAssignment((half, half, half)).validate(row_sum=Fraction(1))
+    with pytest.raises(ValueError, match="row 1 sums to 3/2"):
+        FractionalAssignment((half, heavy, heavy)).validate(row_sum=Fraction(1))

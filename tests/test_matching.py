@@ -45,6 +45,10 @@ def test_domination_graph_validation():
         DominationGraph(0, 2, 2, (frozenset({0}),))
     with pytest.raises(ValueError):
         DominationGraph(0, 1, 2, (frozenset({1}),))
+    # the first offending voter is named, also when later voters share the set
+    good, bad = frozenset({0}), frozenset({1})
+    with pytest.raises(ValueError, match="voter 1 "):
+        DominationGraph(0, 4, 2, (good, bad, good, bad))
     with pytest.raises(ValueError):
         DominationGraph(0, 1, 2, (frozenset({0, 5}),))
 

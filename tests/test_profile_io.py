@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from vetoflow import profile_io
 from vetoflow.profile_io import (
     MetricInstance,
+    ProfileSizeError,
     empirical_social_cost,
     format_rational,
     gen_euclidean,
@@ -81,6 +83,13 @@ def test_parse_count_line_errors():
         parse_profile("1: 1,3\n")
     with pytest.raises(ValueError, match="line 2"):
         parse_profile("1: 1,2\n1: 1,2,3\n")
+
+
+def test_count_lines_are_capped_by_their_running_total(monkeypatch):
+    monkeypatch.setattr(profile_io, "MAX_VOTERS", 5)
+    assert parse_profile("3: 1,2\n2: 2,1\n").n == 5
+    with pytest.raises(ProfileSizeError, match="more than 5 voters, line 3"):
+        parse_profile("3: 1,2\n# comment\n3: 2,1\n")
 
 
 def test_rational_round_trip():

@@ -4,13 +4,11 @@ from hypothesis import given
 from vetoflow.profiles import (
     PreferenceProfile,
     all_profiles,
-    bottom_choice,
     clone_expand,
     dominated_set,
     plurality_scores,
     reverse_profile,
     solid_coalitions,
-    top_choice,
 )
 from tests_support_random import profiles_strategy
 
@@ -73,19 +71,6 @@ def test_plurality_scores(fix_p, fix_t, fix_c):
 @given(profiles_strategy)
 def test_plurality_scores_sum_to_n(p):
     assert sum(plurality_scores(p)) == p.n
-
-
-def test_top_and_bottom_choice(fix_t):
-    assert top_choice(fix_t, 0) == 0
-    assert bottom_choice(fix_t, 0) == 2
-    assert bottom_choice(fix_t, 2) == 0
-    # restricted to {a, b}, voter 3 (c>b>a) hates a most
-    assert bottom_choice(fix_t, 2, frozenset({0, 1})) == 0
-    assert bottom_choice(fix_t, 0, frozenset({1, 2})) == 2
-    with pytest.raises(ValueError):
-        bottom_choice(fix_t, 0, frozenset())
-    with pytest.raises(ValueError):
-        bottom_choice(fix_t, 0, frozenset({9}))
 
 
 def test_clone_expand_by_plurality(fix_c):
