@@ -417,9 +417,7 @@ class AuditReport:
         }
 
 
-def equivalence_audit(
-    instances: Iterable[PreferenceProfile], check_pareto: bool = True
-) -> AuditReport:
+def equivalence_audit(instances: Iterable[PreferenceProfile]) -> AuditReport:
     """Check, on every instance and candidate, that three predicates agree:
     fractional-matching existence, brute-force core membership, and weak
     proportionality of the committee of all other candidates in the reversed
@@ -459,14 +457,13 @@ def equivalence_audit(
                 record.update(matching=flow, bruteforce=brute, psc=psc)
                 report.discrepancies.append(record)
                 continue
-            if check_pareto:
-                criterion, _ = pareto_matching_criterion(p, c)
-                if criterion != flow:
-                    record.update(matching=flow, criterion=criterion)
-                    if p.n == p.m:
-                        report.discrepancies.append(record)
-                    else:
-                        report.expected_pareto_divergences.append(record)
+            criterion, _ = pareto_matching_criterion(p, c)
+            if criterion != flow:
+                record.update(matching=flow, criterion=criterion)
+                if p.n == p.m:
+                    report.discrepancies.append(record)
+                else:
+                    report.expected_pareto_divergences.append(record)
         if not members:
             report.empty_core_instances.append({"profile": serialize_profile(p)})
     return report

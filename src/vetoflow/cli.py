@@ -19,7 +19,6 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .axioms import (
@@ -33,6 +32,7 @@ from .eating import phragmen_committee, probabilistic_serial, veto_by_consumptio
 from .matching import build_domination_graph, extract_deficiency_witness, has_fractional_perfect_matching
 from .profiles import PreferenceProfile, all_profiles, clone_expand, plurality_scores
 from .profile_io import (
+    MAX_VOTERS,
     ProfileSizeError,
     format_rational,
     gen_euclidean,
@@ -59,14 +59,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(BAD_USAGE)
 
 
-def _load_profile(path: str) -> tuple[PreferenceProfile, str]:
-    with open(path, "r", encoding="utf-8") as fh:
+def _load_profile(args) -> PreferenceProfile:
+    """Parse ``args.profile``; the JSON record carries the file's digest."""
+    with open(args.profile, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return parse_profile(text), hashlib.sha256(text.encode()).hexdigest()
+    args.digest = hashlib.sha256(text.encode()).hexdigest()
+    return parse_profile(text)
 
 
-def _candidate(p: PreferenceProfile, name: str) -> int:
-    return p.name_index(name)
+def _voter_bound(flag: str, n: int) -> int:
+    """Reject a generated electorate larger than a parsed one may be."""
+    if n > MAX_VOTERS:
+        raise ProfileSizeError(f"{flag} {n} asks for more than {MAX_VOTERS} voters")
+    return n
 
 
 def _voter_order(p: PreferenceProfile, raw: str | None) -> list[int] | None:
@@ -89,277 +94,238 @@ def _voter_names(voters) -> list[str]:
     return [f"v{i + 1}" for i in sorted(voters)]
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
-    if args.json:
-        record = {
-            "command": args.command_echo,
-            "seed": getattr(args, "seed", None),
-            "digest": getattr(args, "digest", None),
-            "payload": payload,
-        }
-        print(json.dumps(record, sort_keys=True))
-    else:
-        for ln in lines:
-            print(ln)
+def _pairs(p: PreferenceProfile, matching: dict[int, int]) -> dict[str, str]:
+    return {f"v{i + 1}": p.candidate_names[c] for i, c in sorted(matching.items())}
 
 
-def cmd_rule(args) -> int:
-    p, args.digest = _load_profile(args.profile)
-    order = _voter_order(p, args.order)
-    tie = _tie_break(p, args.tie_break)
+def _value_text(value) -> str:
+    return "inf" if value == INFINITE else format_rational(value)
+
+
+# rule name -> handler (profile, voter order, tie-break, k) returning the
+# payload key and the raw result, which cmd_rule renders by that key
+RULES = {
+    "plurality-veto": lambda p, order, tie, k: ("winner", plurality_veto(p, order)),
+    "veto-consumption": lambda p, order, tie, k: (
+        "winners", sorted(veto_by_consumption_winners(p))),
+    "phragmen": lambda p, order, tie, k: (
+        "committee", phragmen_committee(p, p.m if k is None else k, tie)),
+    "ps": lambda p, order, tie, k: ("assignment", probabilistic_serial(p, k).shares),
+    "serial-dictatorship": lambda p, order, tie, k: (
+        "matching", serial_dictatorship(p, order, k)),
+    "composite": lambda p, order, tie, k: ("winner", composite_distortion_rule(p, tie)),
+}
+
+
+def _check_veto_core(p, args):
     names = p.candidate_names
-    if args.rule == "plurality-veto":
-        w = plurality_veto(p, order)
-        payload, lines = {"rule": args.rule, "winner": names[w]}, [f"winner: {names[w]}"]
-    elif args.rule == "veto-consumption":
-        ws = sorted(veto_by_consumption_winners(p))
-        payload = {"rule": args.rule, "winners": [names[w] for w in ws]}
-        lines = ["winners: " + " ".join(names[w] for w in ws)]
-    elif args.rule == "composite":
-        w = composite_distortion_rule(p, tie)
-        payload, lines = {"rule": args.rule, "winner": names[w]}, [f"winner: {names[w]}"]
-    elif args.rule == "phragmen":
-        k = p.m if args.k is None else args.k
-        committee = phragmen_committee(p, k, tie)
-        payload = {"rule": args.rule, "committee": [names[c] for c in committee]}
-        lines = ["committee: " + " ".join(names[c] for c in committee)]
-    elif args.rule == "ps":
-        assignment = probabilistic_serial(p, args.k)
-        shares = [[format_rational(x) for x in row] for row in assignment.shares]
-        payload = {"rule": args.rule, "assignment": shares}
-        lines = [f"v{i + 1}: " + " ".join(row) for i, row in enumerate(shares)]
-    else:  # serial-dictatorship
-        matching = serial_dictatorship(p, order, args.k)
-        pairs = {f"v{i + 1}": names[c] for i, c in sorted(matching.items())}
-        payload = {"rule": args.rule, "matching": pairs}
-        lines = [f"{v} -> {c}" for v, c in pairs.items()]
-    _emit(args, payload, lines)
-    return HOLDS
+    c = p.name_index(args.candidate)
+    verdict = veto_core_member(p, c)
+    if verdict.member:
+        return HOLDS, {"candidate": names[c], "member": True, "witness": None}, [
+            f"{names[c]}: member"]
+    voters = _voter_names(verdict.witness.voters)
+    blocked_by = sorted(names[b] for b in verdict.witness.blocked_by)
+    return VIOLATED, {
+        "candidate": names[c], "member": False,
+        "witness": {"voters": voters, "blocked_by": blocked_by},
+    }, [f"{names[c]}: vetoed",
+        f"  by voters {','.join(voters)} ranking {','.join(blocked_by)} above it"]
 
 
-def cmd_check(args) -> int:
-    if args.check != "psc" and not args.candidate:
-        print(f"error: --candidate is required for {args.check}", file=sys.stderr)
-        return BAD_USAGE
-    if args.check == "psc" and not args.committee:
-        print("error: --committee is required for psc", file=sys.stderr)
-        return BAD_USAGE
-    p, args.digest = _load_profile(args.profile)
+def _check_psc(p, args):
     names = p.candidate_names
+    committee = frozenset(p.name_index(tok) for tok in args.committee.split(","))
+    verdict = weak_psc_satisfied(p, committee, len(committee) if args.k is None else args.k)
+    if verdict.satisfied:
+        return HOLDS, {"satisfied": True, "violation": None}, ["satisfied"]
+    v = verdict.violation
+    supporters = _voter_names(v.supporters)
+    prefix_set = sorted(names[c] for c in v.prefix_set)
+    return VIOLATED, {
+        "satisfied": False,
+        "violation": {"supporters": supporters, "prefix_set": prefix_set,
+                      "alternative": names[v.alternative]},
+    }, ["violated",
+        f"  voters {','.join(supporters)} deserve {names[v.alternative]}"
+        f" from {{{','.join(prefix_set)}}}"]
 
-    if args.check == "veto-core":
-        c = _candidate(p, args.candidate)
-        verdict = veto_core_member(p, c)
-        if verdict.member:
-            _emit(args, {"check": args.check, "candidate": names[c], "member": True,
-                         "witness": None}, [f"{names[c]}: member"])
-            return HOLDS
-        w = verdict.witness
-        payload = {
-            "check": args.check, "candidate": names[c], "member": False,
-            "witness": {"voters": _voter_names(w.voters),
-                        "blocked_by": sorted(names[b] for b in w.blocked_by)},
-        }
-        lines = [f"{names[c]}: vetoed",
-                 "  by voters " + ",".join(_voter_names(w.voters))
-                 + " ranking " + ",".join(sorted(names[b] for b in w.blocked_by))
-                 + " above it"]
-        _emit(args, payload, lines)
-        return VIOLATED
 
-    if args.check == "psc":
-        committee = frozenset(p.name_index(tok) for tok in args.committee.split(","))
-        k = len(committee) if args.k is None else args.k
-        verdict = weak_psc_satisfied(p, committee, k)
-        if verdict.satisfied:
-            _emit(args, {"check": args.check, "satisfied": True, "violation": None},
-                  ["satisfied"])
-            return HOLDS
-        v = verdict.violation
-        payload = {
-            "check": args.check, "satisfied": False,
-            "violation": {"supporters": _voter_names(v.supporters),
-                          "prefix_set": sorted(names[c] for c in v.prefix_set),
-                          "alternative": names[v.alternative]},
-        }
-        lines = ["violated",
-                 "  voters " + ",".join(_voter_names(v.supporters))
-                 + " deserve " + names[v.alternative]
-                 + " from {" + ",".join(sorted(names[c] for c in v.prefix_set)) + "}"]
-        _emit(args, payload, lines)
-        return VIOLATED
+def _check_domination(p, args):
+    name = args.candidate
+    q, targets = p, [p.name_index(name)]
+    if args.clone_plurality:
+        ce = clone_expand(p, plurality_scores(p))
+        q, targets = ce.expanded, ce.clones[targets[0]]
+        if not targets:
+            return VIOLATED, {"candidate": name, "matching": False,
+                              "note": "no clones (plurality zero)"}, [
+                f"{name}: no clones (plurality score 0), no matching"]
+    if any(has_fractional_perfect_matching(build_domination_graph(q, e)) for e in targets):
+        return HOLDS, {"candidate": name, "matching": True}, [
+            f"{name}: fractional perfect matching exists"]
+    witness = extract_deficiency_witness(q, targets[0])
+    voters = _voter_names(witness.voters)
+    return VIOLATED, {
+        "candidate": name, "matching": False,
+        "witness": {"voters": voters,
+                    "dominated": sorted(q.candidate_names[c] for c in witness.dominated)},
+    }, [f"{name}: no fractional perfect matching", "  deficient voters " + ",".join(voters)]
 
-    if args.check == "domination":
-        if args.clone_plurality:
-            ce = clone_expand(p, plurality_scores(p))
-            target = _candidate(p, args.candidate)
-            clones = ce.clones[target]
-            if not clones:
-                _emit(args, {"check": args.check, "candidate": args.candidate,
-                             "matching": False, "note": "no clones (plurality zero)"},
-                      [f"{args.candidate}: no clones (plurality score 0), no matching"])
-                return VIOLATED
-            ok = any(
-                has_fractional_perfect_matching(build_domination_graph(ce.expanded, e))
-                for e in clones
-            )
-            q = ce.expanded
-        else:
-            target = _candidate(p, args.candidate)
-            ok = has_fractional_perfect_matching(build_domination_graph(p, target))
-            q = p
-        if ok:
-            _emit(args, {"check": args.check, "candidate": args.candidate, "matching": True},
-                  [f"{args.candidate}: fractional perfect matching exists"])
-            return HOLDS
-        witness = extract_deficiency_witness(q, target if not args.clone_plurality else ce.clones[target][0])
-        payload = {"check": args.check, "candidate": args.candidate, "matching": False,
-                   "witness": {"voters": _voter_names(witness.voters),
-                               "dominated": sorted(q.candidate_names[c] for c in witness.dominated)}}
-        lines = [f"{args.candidate}: no fractional perfect matching",
-                 "  deficient voters " + ",".join(_voter_names(witness.voters))]
-        _emit(args, payload, lines)
-        return VIOLATED
 
-    # pareto-matching
-    c = _candidate(p, args.candidate)
+def _check_pareto_matching(p, args):
+    c = p.name_index(args.candidate)
+    name = p.candidate_names[c]
     ok, matching = pareto_matching_criterion(p, c)
-    if ok:
-        pairs = {f"v{i + 1}": names[x] for i, x in sorted(matching.items())}
-        _emit(args, {"check": args.check, "candidate": names[c], "criterion": True,
-                     "matching": pairs},
-              [f"{names[c]}: criterion holds",
-               *(f"  {v} -> {x}" for v, x in pairs.items())])
-        return HOLDS
-    _emit(args, {"check": args.check, "candidate": names[c], "criterion": False,
-                 "matching": None}, [f"{names[c]}: criterion fails"])
-    return VIOLATED
+    if not ok:
+        return VIOLATED, {"candidate": name, "criterion": False, "matching": None}, [
+            f"{name}: criterion fails"]
+    pairs = _pairs(p, matching)
+    return HOLDS, {"candidate": name, "criterion": True, "matching": pairs}, [
+        f"{name}: criterion holds", *(f"  {v} -> {x}" for v, x in pairs.items())]
 
 
-def cmd_distortion(args) -> int:
-    p, args.digest = _load_profile(args.profile)
-    c = _candidate(p, args.candidate)
-    result = distortion_of_candidate(p, c, size_cap=args.size_cap)
-    if result.value == INFINITE:
-        value_text = "inf"
+# check name -> (the option it cannot run without, handler); a handler takes
+# (profile, args) and returns the exit code, the payload beyond its "check"
+# key and the text lines
+CHECKS = {
+    "veto-core": ("candidate", _check_veto_core),
+    "psc": ("committee", _check_psc),
+    "domination": ("candidate", _check_domination),
+    "pareto-matching": ("candidate", _check_pareto_matching),
+}
+
+
+def cmd_rule(args):
+    p = _load_profile(args)
+    names = p.candidate_names
+    order, tie = _voter_order(p, args.order), _tie_break(p, args.tie_break)
+    key, result = RULES[args.rule](p, order, tie, args.k)
+    if key == "winner":
+        value, lines = names[result], [f"winner: {names[result]}"]
+    elif key == "assignment":
+        value = [[format_rational(x) for x in row] for row in result]
+        lines = [f"v{i + 1}: " + " ".join(row) for i, row in enumerate(value)]
+    elif key == "matching":
+        value = _pairs(p, result)
+        lines = [f"{v} -> {c}" for v, c in value.items()]
     else:
-        value_text = format_rational(result.value)
+        value = [names[c] for c in result]
+        lines = [f"{key}: " + " ".join(value)]
+    return HOLDS, {"rule": args.rule, key: value}, lines
+
+
+def cmd_check(args):
+    option, handler = CHECKS[args.check]
+    if not getattr(args, option):
+        raise argparse.ArgumentError(None, f"--{option} is required for {args.check}")
+    code, payload, lines = handler(_load_profile(args), args)
+    return code, {"check": args.check, **payload}, lines
+
+
+def cmd_distortion(args):
+    p = _load_profile(args)
+    c = p.name_index(args.candidate)
+    result = distortion_of_candidate(p, c, size_cap=args.size_cap)
+    value = _value_text(result.value)
     payload = {
         "candidate": p.candidate_names[c],
-        "value": value_text,
+        "value": value,
         "reference": None if result.reference is None else p.candidate_names[result.reference],
     }
-    lines = [value_text]
+    lines = [value]
     if args.certificate and result.certificate is not None:
         with open(args.certificate, "w", encoding="utf-8") as fh:
             fh.write(result.certificate.to_text())
         payload["certificate"] = args.certificate
         lines.append(f"certificate written to {args.certificate}")
-    _emit(args, payload, lines)
-    return HOLDS
+    return HOLDS, payload, lines
 
 
-def _random_instances(trials: int, nmax: int, mmax: int, seed: int):
-    rng = random.Random(seed)
-    for t in range(trials):
+def _random_instances(args):
+    nmax = _voter_bound("--nmax", args.nmax)
+    rng = random.Random(args.seed)
+    for _ in range(args.trials):
         n = rng.randint(1, nmax)
-        m = rng.randint(1, mmax)
+        m = rng.randint(1, args.mmax)
         yield gen_impartial_culture(n, m, seed=rng.randrange(1 << 30))
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args):
     if args.kind == "equivalence":
         if args.profile:
-            instances = [_load_profile(args.profile)[0]]
+            instances = [_load_profile(args)]
         elif args.exhaustive:
-            instances = all_profiles(args.n, args.m)
+            instances = all_profiles(_voter_bound("--n", args.n), args.m)
         else:
-            instances = _random_instances(args.trials, args.nmax, args.mmax, args.seed)
+            instances = _random_instances(args)
         report = equivalence_audit(instances)
-        _emit(args, report.to_json(), report.lines())
-        return HOLDS if report.ok else VIOLATED
+        return HOLDS if report.ok else VIOLATED, report.to_json(), report.lines()
 
     # distortion3: every distortion-motivated winner stays within the bound
     failures = []
     checked = 0
-    bound = Fraction(3)
-    for p in _random_instances(args.trials, args.nmax, args.mmax, args.seed):
-        winners = set(plurality_matching_winners(p))
-        winners.add(plurality_veto(p))
-        winners.add(composite_distortion_rule(p))
+    for p in _random_instances(args):
+        winners = {*plurality_matching_winners(p), plurality_veto(p), composite_distortion_rule(p)}
         for c in sorted(winners):
             checked += 1
             value = distortion_of_candidate(p, c).value
-            if not value <= bound:
+            if value > 3:
                 failures.append({"profile": serialize_profile(p),
                                  "candidate": p.candidate_names[c],
-                                 "value": "inf" if value == INFINITE else format_rational(value)})
-    payload = {"checked": checked, "failures": failures, "ok": not failures}
-    lines = [f"checked={checked} failures={len(failures)}"]
-    for f in failures:
-        lines.append(f"FAILURE {f}")
-    _emit(args, payload, lines)
-    return HOLDS if not failures else VIOLATED
+                                 "value": _value_text(value)})
+    lines = [f"checked={checked} failures={len(failures)}", *(f"FAILURE {f}" for f in failures)]
+    return HOLDS if not failures else VIOLATED, {
+        "checked": checked, "failures": failures, "ok": not failures}, lines
 
 
-def cmd_gen(args) -> int:
-    written = []
+def cmd_gen(args):
+    n = _voter_bound("--n", args.n)
     if args.model == "ic":
-        p = gen_impartial_culture(args.n, args.m, args.seed)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_profile(p))
-        written.append(args.out)
+        files = {args.out: serialize_profile(gen_impartial_culture(n, args.m, args.seed))}
     else:
-        inst = gen_euclidean(args.n, args.m, args.seed)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_profile(inst.profile))
-        written.append(args.out)
-        sidecar = args.out + ".metric"
-        with open(sidecar, "w", encoding="utf-8") as fh:
-            fh.write(serialize_metric(inst))
-        written.append(sidecar)
-    _emit(args, {"files": written}, [f"wrote {path}" for path in written])
-    return HOLDS
+        inst = gen_euclidean(n, args.m, args.seed)
+        files = {args.out: serialize_profile(inst.profile),
+                 args.out + ".metric": serialize_metric(inst)}
+    for path, text in files.items():
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return HOLDS, {"files": list(files)}, [f"wrote {path}" for path in files]
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="vetoflow", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"vetoflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true")
+    reads_profile = argparse.ArgumentParser(add_help=False, parents=[common])
+    reads_profile.add_argument("--profile", required=True)
 
-    rule = sub.add_parser("rule", help="run a voting or assignment rule")
-    rule.add_argument("--rule", required=True, choices=[
-        "plurality-veto", "veto-consumption", "phragmen", "ps",
-        "serial-dictatorship", "composite"])
-    rule.add_argument("--profile", required=True)
+    rule = sub.add_parser("rule", parents=[reads_profile], help="run a voting or assignment rule")
+    rule.add_argument("--rule", required=True, choices=RULES)
     rule.add_argument("--order", help="1-based voter order, e.g. 2,1,3")
     rule.add_argument("--tie-break", help="candidate names best first, e.g. b,a,c")
     rule.add_argument("--k", type=int, help="committee or matching size")
-    rule.add_argument("--json", action="store_true")
-    rule.set_defaults(func=cmd_rule)
 
-    check = sub.add_parser("check", help="check an axiom or matching property")
-    check.add_argument("--check", required=True, dest="check",
-                       choices=["veto-core", "psc", "domination", "pareto-matching"])
-    check.add_argument("--profile", required=True)
+    check = sub.add_parser("check", parents=[reads_profile],
+                           help="check an axiom or matching property")
+    check.add_argument("--check", required=True, choices=CHECKS)
     check.add_argument("--candidate", help="candidate name")
     check.add_argument("--committee", help="comma-separated candidate names")
     check.add_argument("--k", type=int)
     check.add_argument("--clone-plurality", action="store_true",
                        help="check in the plurality-cloned instance")
-    check.add_argument("--json", action="store_true")
-    check.set_defaults(func=cmd_check)
 
-    dist = sub.add_parser("distortion", help="exact metric distortion of a candidate")
+    dist = sub.add_parser("distortion", parents=[reads_profile],
+                          help="exact metric distortion of a candidate")
     dist.add_argument("--candidate", required=True)
-    dist.add_argument("--profile", required=True)
     dist.add_argument("--certificate", help="write the optimal distance matrix here")
     dist.add_argument("--size-cap", type=int, default=100,
                       help="maximum n*m LP variables (default 100)")
-    dist.add_argument("--json", action="store_true")
-    dist.set_defaults(func=cmd_distortion)
 
-    audit = sub.add_parser("audit", help="run the equivalence or distortion sweeps")
+    audit = sub.add_parser("audit", parents=[common],
+                           help="run the equivalence or distortion sweeps")
     audit.add_argument("kind", choices=["equivalence", "distortion3"])
     audit.add_argument("--profile", help="audit a single profile file")
     audit.add_argument("--exhaustive", action="store_true")
@@ -369,37 +335,49 @@ def build_parser() -> _Parser:
     audit.add_argument("--nmax", type=int, default=5)
     audit.add_argument("--mmax", type=int, default=4)
     audit.add_argument("--seed", type=int, default=0)
-    audit.add_argument("--json", action="store_true")
-    audit.set_defaults(func=cmd_audit)
 
-    gen = sub.add_parser("gen", help="generate instances")
+    gen = sub.add_parser("gen", parents=[common], help="generate instances")
     gen.add_argument("--model", required=True, choices=["ic", "euclidean"])
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--out", required=True)
-    gen.add_argument("--json", action="store_true")
-    gen.set_defaults(func=cmd_gen)
     return parser
 
 
+# subcommand -> handler returning (exit code, JSON payload, text lines)
+COMMANDS = {"rule": cmd_rule, "check": cmd_check, "distortion": cmd_distortion,
+            "audit": cmd_audit, "gen": cmd_gen}
+
+
+def _fail(code: int, message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.command_echo = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        code = args.func(args)
+        code, payload, lines = COMMANDS[args.command](args)
     except (LpSizeError, ProfileSizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RESOURCE
+        return _fail(RESOURCE, exc)
+    except argparse.ArgumentError as exc:
+        return _fail(BAD_USAGE, exc)
     except (OSError, ValueError, KeyError) as exc:
-        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {msg}", file=sys.stderr)
-        return BAD_INPUT
+        return _fail(BAD_INPUT, exc.args[0] if isinstance(exc, KeyError) and exc.args else exc)
     finally:
         elapsed = (time.monotonic() - started) * 1000
         print(f"elapsed: {elapsed:.1f} ms", file=sys.stderr)
+    if args.json:
+        lines = [json.dumps({
+            "command": list(sys.argv[1:] if argv is None else argv),
+            "seed": getattr(args, "seed", None),
+            "digest": getattr(args, "digest", None),
+            "payload": payload,
+        }, sort_keys=True)]
+    for ln in lines:
+        print(ln)
     return code
 
 

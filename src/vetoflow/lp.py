@@ -92,6 +92,8 @@ class LpSolution:
 
 
 _DEGENERATE_STREAK_LIMIT = 40
+_DENSE_THRESHOLD = 2  # see solve_lp
+_MAX_NEW_ROWS = 100
 
 
 def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -372,17 +374,12 @@ def _excesses(rows: list[tuple[_Row, int]], indices: Iterable[int], point: list[
         yield i, sum(map(mul, row.values(), map(at, row)))
 
 
-def solve_lp(
-    lp: LinearProgram,
-    feasible_point: Sequence[Fraction] | None = None,
-    dense_threshold: int = 2,
-    max_new_rows: int = 100,
-) -> LpSolution:
+def solve_lp(lp: LinearProgram, feasible_point: Sequence[Fraction] | None = None) -> LpSolution:
     """Solve with lazy constraint activation.
 
-    Rows with at most ``dense_threshold`` nonzeros and all equalities start
+    Rows with at most ``_DENSE_THRESHOLD`` nonzeros and all equalities start
     active; after each solve the most violated inactive rows (up to
-    ``max_new_rows``) are added.  An unbounded result is only returned when
+    ``_MAX_NEW_ROWS``) are added.  An unbounded result is only returned when
     the ray violates no inactive row and, if a ``feasible_point`` is given,
     that point satisfies every constraint.
     """
@@ -397,7 +394,7 @@ def solve_lp(
 
     active = [
         i for i, r in enumerate(lp.constraints)
-        if r.kind == "eq" or len(r.coeffs) <= dense_threshold
+        if r.kind == "eq" or len(r.coeffs) <= _DENSE_THRESHOLD
     ]
     active_set = set(active)
     # every equality starts active, so the scans below only meet "le" rows
@@ -434,7 +431,7 @@ def solve_lp(
             violated.sort()
             # the basis stays dual feasible at an optimum, so new rows are
             # absorbed by dual pivots instead of a solve from scratch
-            activate([i for _, i in violated[:max_new_rows]])
+            activate([i for _, i in violated[:_MAX_NEW_ROWS]])
             simplex.dual_restore()
             continue
 
@@ -445,7 +442,7 @@ def solve_lp(
         drift.append(0)  # a direction ignores the right-hand sides
         blockers = [i for i, e in _excesses(rows, inactive, drift) if e > 0]
         if blockers:
-            activate(blockers[:max_new_rows])
+            activate(blockers[:_MAX_NEW_ROWS])
             if simplex.has_negative_rhs():
                 # mid-flight the reduced costs are not dual feasible, so a
                 # violated new row forces a restart on the enlarged set

@@ -245,22 +245,34 @@ def extract_deficiency_witness(p: PreferenceProfile, c: int) -> CutWitness | Non
 
 
 def max_bipartite_matching(adjacency: Sequence[Iterable[int]]) -> dict[int, int]:
-    """Maximum one-to-one matching, left index -> right index, by augmenting paths."""
+    """Maximum one-to-one matching, left index -> right index, by augmenting paths.
+
+    Each search is a depth-first walk on an explicit stack, so a path may be
+    as long as the graph.  Right vertices are tried in increasing order.
+    """
     adj = [sorted(set(row)) for row in adjacency]
     match_right: dict[int, int] = {}
-
-    def try_assign(i: int, visited: set[int]) -> bool:
-        for c in adj[i]:
-            if c in visited:
+    for root in range(len(adj)):
+        visited: set[int] = set()
+        # stack[k] is a left vertex with its untried neighbours; path[k] is
+        # the right vertex through which stack[k + 1] was reached
+        stack = [(root, iter(adj[root]))]
+        path: list[int] = []
+        while stack:
+            c = next((c for c in stack[-1][1] if c not in visited), None)
+            if c is None:
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
             visited.add(c)
-            if c not in match_right or try_assign(match_right[c], visited):
-                match_right[c] = i
-                return True
-        return False
-
-    for i in range(len(adj)):
-        try_assign(i, set())
+            path.append(c)
+            if c in match_right:
+                stack.append((match_right[c], iter(adj[match_right[c]])))
+                continue
+            for (i, _), d in zip(stack, path):
+                match_right[d] = i
+            break
     return {i: c for c, i in match_right.items()}
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -299,3 +300,111 @@ def test_json_witness_payload(prof, capsys):
 def test_timing_goes_to_stderr_only(prof, capsys):
     _, out, err = run(capsys, ["rule", "--rule", "plurality-veto", "--profile", prof(T)])
     assert "elapsed:" in err and "elapsed:" not in out
+
+
+C = "3 3\na b c\na>b>c\na>c>b\nb>a>c\n"
+
+
+def run_json(capsys, argv):
+    code, out, _ = run(capsys, [*argv, "--json"])
+    return code, json.loads(out)["payload"]
+
+
+def test_json_rule_payloads(prof, capsys):
+    assert run_json(capsys, ["rule", "--rule", "veto-consumption", "--profile", prof(P)]) == (
+        0, {"rule": "veto-consumption", "winners": ["c2"]})
+    assert run_json(capsys, ["rule", "--rule", "phragmen", "--profile", prof(P), "--k", "2"]) == (
+        0, {"rule": "phragmen", "committee": ["c1", "c3"]})
+    assert run_json(capsys, ["rule", "--rule", "serial-dictatorship", "--profile", prof(S)]) == (
+        0, {"rule": "serial-dictatorship", "matching": {"v1": "a", "v2": "b"}})
+
+
+def test_json_psc_payloads(prof, capsys):
+    argv = ["check", "--check", "psc", "--profile"]
+    assert run_json(capsys, [*argv, prof(P_REV), "--committee", "c1,c3"]) == (
+        0, {"check": "psc", "satisfied": True, "violation": None})
+    assert run_json(capsys, [*argv, prof(T_REV), "--committee", "a,b"]) == (
+        1, {"check": "psc", "satisfied": False,
+            "violation": {"supporters": ["v1", "v2"], "prefix_set": ["c"], "alternative": "c"}})
+
+
+def test_json_domination_payloads(prof, capsys):
+    argv = ["check", "--check", "domination", "--profile"]
+    assert run_json(capsys, [*argv, prof(T), "--candidate", "a"]) == (
+        0, {"check": "domination", "candidate": "a", "matching": True})
+    assert run_json(capsys, [*argv, prof(T), "--candidate", "c"]) == (
+        1, {"check": "domination", "candidate": "c", "matching": False,
+            "witness": {"voters": ["v1", "v2"], "dominated": ["c"]}})
+    assert run_json(capsys, [*argv, prof(T), "--candidate", "a", "--clone-plurality"]) == (
+        0, {"check": "domination", "candidate": "a", "matching": True})
+    assert run_json(capsys, [*argv, prof(C), "--candidate", "b", "--clone-plurality"]) == (
+        1, {"check": "domination", "candidate": "b", "matching": False,
+            "witness": {"voters": ["v1", "v2"], "dominated": ["b#1"]}})
+    assert run_json(capsys, [*argv, prof(P), "--candidate", "c2", "--clone-plurality"]) == (
+        1, {"check": "domination", "candidate": "c2", "matching": False,
+            "note": "no clones (plurality zero)"})
+
+
+def test_json_pareto_payloads(prof, capsys):
+    argv = ["check", "--check", "pareto-matching", "--profile"]
+    assert run_json(capsys, [*argv, prof(P), "--candidate", "c1"]) == (
+        0, {"check": "pareto-matching", "candidate": "c1", "criterion": True,
+            "matching": {"v1": "c3", "v2": "c2"}})
+    assert run_json(capsys, [*argv, prof(T), "--candidate", "c"]) == (
+        1, {"check": "pareto-matching", "candidate": "c", "criterion": False, "matching": None})
+
+
+def test_json_distortion_payloads(prof, capsys, tmp_path):
+    cert = str(tmp_path / "cert.txt")
+    assert run_json(capsys, [
+        "distortion", "--profile", prof(S), "--candidate", "a", "--certificate", cert,
+    ]) == (0, {"candidate": "a", "value": "3/1", "reference": "b", "certificate": cert})
+    unused = tmp_path / "unused.txt"
+    assert run_json(capsys, [
+        "distortion", "--profile", prof(U), "--candidate", "b", "--certificate", str(unused),
+    ]) == (0, {"candidate": "b", "value": "inf", "reference": "a"})
+    assert not unused.exists()
+
+
+def test_json_audit_distortion3_and_gen_payloads(capsys, tmp_path):
+    code, out, _ = run(capsys, [
+        "audit", "distortion3", "--trials", "5", "--nmax", "4", "--mmax", "3", "--json",
+    ])
+    record = json.loads(out)
+    assert code == 0 and record["seed"] == 0 and record["digest"] is None
+    assert record["payload"] == {"checked": 8, "failures": [], "ok": True}
+    out_path = str(tmp_path / "points.prof")
+    code, out, _ = run(capsys, [
+        "gen", "--model", "euclidean", "--n", "3", "--m", "3", "--seed", "1", "-o", out_path,
+        "--json",
+    ])
+    record = json.loads(out)
+    assert code == 0 and record["seed"] == 1 and record["digest"] is None
+    assert record["payload"] == {"files": [out_path, out_path + ".metric"]}
+
+
+def test_json_audit_profile_carries_the_digest(prof, capsys):
+    path = prof(P)
+    code, out, _ = run(capsys, ["audit", "equivalence", "--profile", path, "--json"])
+    assert code == 0
+    assert json.loads(out)["digest"] == hashlib.sha256(P.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--model", "ic", "--n", "1000000000", "--m", "3", "-o", "unused.prof"],
+    ["gen", "--model", "euclidean", "--n", "1000000000", "--m", "3", "-o", "unused.prof"],
+    ["audit", "equivalence", "--exhaustive", "--n", "1000000000", "--m", "2"],
+    ["audit", "equivalence", "--nmax", "1000000000"],
+    ["audit", "distortion3", "--nmax", "1000000000"],
+], ids=["gen-ic", "gen-euclidean", "audit-exhaustive", "audit-equivalence", "audit-distortion3"])
+def test_hostile_generated_size_is_a_resource_limit(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 4 and "1000000000 asks for more than 1000000 voters" in err
+    assert peak < 1 << 20
+    assert not (tmp_path / "unused.prof").exists()

@@ -82,27 +82,24 @@ def test_feasible_point_is_checked():
         solve_lp(lp, feasible_point=(F(2),))
 
 
-def triple_cover_lp() -> LinearProgram:
-    # every 3-subset of 5 variables sums to at most 1; summing the ten rows
-    # shows 6 * sum(x) <= 10, and x == 1/3 meets that bound
+def triple_cover_lp(n: int) -> LinearProgram:
+    # every 3-subset of n variables sums to at most 1; summing the rows shows
+    # C(n-1, 2) * sum(x) <= C(n, 3), and x == 1/3 meets that bound
     rows = tuple(
-        le({i: 1, j: 1, k: 1}, 1) for i, j, k in itertools.combinations(range(5), 3)
+        le({i: 1, j: 1, k: 1}, 1) for i, j, k in itertools.combinations(range(n), 3)
     )
-    return LinearProgram(5, tuple([F(1)] * 5), rows)
+    return LinearProgram(n, tuple([F(1)] * n), rows)
 
 
 def test_lazy_activation_reaches_the_true_optimum():
-    sol = solve_lp(triple_cover_lp())
-    assert sol.status == "optimal"
-    assert sol.value == F(5, 3)
-    for row in triple_cover_lp().constraints:
-        assert row.satisfied_by(sol.x)
-
-
-def test_row_budget_does_not_change_the_answer():
-    for budget in (1, 3, 100):
-        sol = solve_lp(triple_cover_lp(), max_new_rows=budget)
-        assert sol.value == F(5, 3)
+    # with 10 variables the 120 rows outnumber one round's activation budget
+    for n in (5, 10):
+        lp = triple_cover_lp(n)
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert sol.value == F(n, 3)
+        for row in lp.constraints:
+            assert row.satisfied_by(sol.x)
 
 
 def test_unbounded_relaxation_recovers():

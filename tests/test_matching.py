@@ -148,3 +148,12 @@ def test_max_bipartite_matching_respects_adjacency():
         assert len(set(mu.values())) == len(mu)
         for i, j in mu.items():
             assert j in adjacency[i]
+
+
+def test_max_bipartite_matching_follows_long_augmenting_paths():
+    # the last left vertex displaces the whole chain of 3000 before it, far
+    # deeper than Python's default recursion limit
+    adjacency = [[i, i + 1] for i in range(3000)] + [[0]]
+    mu = max_bipartite_matching(adjacency)
+    assert len(mu) == 3001
+    assert mu[3000] == 0 and mu[0] == 1 and mu[2999] == 3000
