@@ -93,8 +93,49 @@ def _var(i: int, a: int, m: int) -> int:
     return i * m + a
 
 
+class _Quadrangles:
+    """The quadrangle rows d(i,a) - d(i,b) - d(j,b) - d(j,a) <= 0 for voters
+    i != j and candidates a != b, keyed (i, j, a, b) and found by
+    separation; the other (i, j, a, b) only restate d >= 0.
+
+    At an integer vector x, the row (i, j, a, b) has excess u_a - v_b with
+    u_a = x_ia - x_ja and v_b = x_ib + x_jb, so a pair with max u <= min v
+    violates none of its rows.  For a nonnegative point that test is exact:
+    u_a - v_a = -2 x_ja is never positive, so max u > min v means a
+    violated row with a != b."""
+
+    def __init__(self, n: int, m: int) -> None:
+        self.n = n
+        self.m = m
+
+    def violated(self, vector: Sequence[int]) -> list[tuple[int, tuple[int, int, int, int]]]:
+        m = self.m
+        cells = [vector[i * m:(i + 1) * m] for i in range(self.n)]
+        out = []
+        for i, xi in enumerate(cells):
+            for j, xj in enumerate(cells):
+                if i == j:
+                    continue
+                u = [p - q for p, q in zip(xi, xj)]
+                v = [p + q for p, q in zip(xi, xj)]
+                if max(u) <= min(v):
+                    continue
+                for a, ua in enumerate(u):
+                    for b, vb in enumerate(v):
+                        if ua > vb and a != b:
+                            out.append((vb - ua, (i, j, a, b)))
+        return out
+
+    def row(self, key: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
+        i, j, a, b = key
+        m = self.m
+        return {_var(i, a, m): 1, _var(i, b, m): -1, _var(j, b, m): -1, _var(j, a, m): -1}, 1
+
+
 def build_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
-    """The LP whose optimum is the worst cost ratio of c against cref."""
+    """The LP whose optimum is the worst cost ratio of c against cref: the
+    ballot rows and the normalization row explicitly, the quadrangle rows
+    as an implicit family."""
     n, m = p.n, p.m
     rows: list[LinearConstraint] = []
     for i, ranking in enumerate(p.rankings):
@@ -103,29 +144,11 @@ def build_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
                 {_var(i, a, m): Fraction(1), _var(i, b, m): Fraction(-1)},
                 Fraction(0),
             ))
-    for i in range(n):
-        for j in range(n):
-            for a in range(m):
-                for b in range(m):
-                    coeffs: dict[int, Fraction] = {}
-                    for var, delta in (
-                        (_var(i, a, m), Fraction(1)),
-                        (_var(i, b, m), Fraction(-1)),
-                        (_var(j, b, m), Fraction(-1)),
-                        (_var(j, a, m), Fraction(-1)),
-                    ):
-                        coeffs[var] = coeffs.get(var, Fraction(0)) + delta
-                    coeffs = {v: x for v, x in coeffs.items() if x != 0}
-                    # i=j and a=b rows collapse to consequences of d >= 0;
-                    # dropping them keeps the solver's active set small
-                    if all(x < 0 for x in coeffs.values()):
-                        continue
-                    rows.append(LinearConstraint(coeffs, Fraction(0)))
     rows.append(_normalization(p, cref))
     objective = [Fraction(0)] * (n * m)
     for i in range(n):
         objective[_var(i, c, m)] = Fraction(1)
-    return LinearProgram(n * m, tuple(objective), tuple(rows))
+    return LinearProgram(n * m, tuple(objective), tuple(rows), _Quadrangles(n, m))
 
 
 def _normalization(p: PreferenceProfile, cref: int) -> LinearConstraint:
@@ -170,9 +193,7 @@ def distortion_of_candidate(
                 "which the uniform distances already achieve"
             )
         if best is None or sol.value > best.value:
-            matrix = DistanceMatrix(
-                tuple(tuple(sol.x[_var(i, a, p.m)] for a in range(p.m)) for i in range(p.n))
-            )
+            matrix = DistanceMatrix(tuple([sol.x[i * p.m:(i + 1) * p.m] for i in range(p.n)]))
             best = DistortionResult(c, sol.value, cref, matrix, None)
     return best
 

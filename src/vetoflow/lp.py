@@ -11,7 +11,9 @@ n^2 m^2), so rows are activated lazily: solve with a small active set,
 then add violated rows and repeat.  An optimum with no violated inactive
 row is globally optimal.  An unbounded ray is only trusted once no
 inactive row blocks it and a caller-supplied feasible point certifies the
-full system.
+full system.  Inactive rows come from row families: the explicit rows too
+wide to start active, and optionally an implicit family that finds its
+violated rows by separation instead of storing them.
 
 Arithmetic is exact and Fraction-free inside the solver: every tableau row
 is a sparse map from column to Python int over one positive denominator,
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Protocol, Sequence
 
 # Key of the right-hand side in a sparse row; every other key is a column.
 # A point vector with -denominator in its last cell therefore evaluates
@@ -61,20 +63,38 @@ class LinearConstraint:
     def integer_row(self) -> tuple[_Row, int]:
         """The row as integer numerators over one positive denominator,
         computed once per constraint; callers must not mutate it."""
-        den = lcm(self.rhs.denominator, *(c.denominator for c in self.coeffs.values()))
+        den = lcm(self.rhs.denominator, *[c.denominator for c in self.coeffs.values()])
         row = {j: c.numerator * (den // c.denominator) for j, c in self.coeffs.items() if c}
         if self.rhs:
             row[_RHS] = self.rhs.numerator * (den // self.rhs.denominator)
         return row, den
 
 
+class RowFamily(Protocol):
+    """"le" rows found by separation instead of stored.
+
+    A vector holds integer numerators with its right-hand-side cell last
+    (see _RHS): minus the denominator for a point, 0 for a direction.  The
+    excess of a row (numerators r over denominator d) at a vector is
+    r . vector / d."""
+
+    def violated(self, vector: Sequence[int]) -> list[tuple[int | Fraction, Hashable]]:
+        """(-excess, key) of every row with positive excess, keys ascending."""
+
+    def row(self, key: Hashable) -> tuple[_Row, int]:
+        """The row of a key as (numerators, positive denominator); callers
+        must not mutate it."""
+
+
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective . x  subject to the constraints and x >= 0."""
+    """maximize objective . x  subject to the constraints, the rows of the
+    implicit family, and x >= 0."""
 
     num_vars: int
     objective: tuple[Fraction, ...]
     constraints: tuple[LinearConstraint, ...]
+    implicit: RowFamily | None = None
 
     def __post_init__(self) -> None:
         if len(self.objective) != self.num_vars:
@@ -97,7 +117,7 @@ _MAX_NEW_ROWS = 100
 
 
 def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    den = lcm(*(v.denominator for v in values))
+    den = lcm(*[v.denominator for v in values])
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
@@ -287,7 +307,7 @@ class _Simplex:
         """Cells tab[r][key] of the rows whose basic column is below limit,
         placed at that column, as integers over one common denominator."""
         basic = [(bv, r) for r, bv in enumerate(self.basis) if bv < limit and key in self.tab[r]]
-        common = lcm(*(self.den[r] for _, r in basic))
+        common = lcm(*[self.den[r] for _, r in basic])
         out = [0] * limit
         for bv, r in basic:
             out[bv] = self.tab[r][key] * (common // self.den[r])
@@ -374,14 +394,38 @@ def _excesses(rows: list[tuple[_Row, int]], indices: Iterable[int], point: list[
         yield i, sum(map(mul, row.values(), map(at, row)))
 
 
+class _WideRows:
+    """The explicit rows that do not start active, as a row family keyed by
+    their position among the constraints."""
+
+    def __init__(self, rows: list[tuple[_Row, int]], positions: list[int]) -> None:
+        self.rows = rows
+        self.positions = positions
+
+    def violated(self, vector: Sequence[int]) -> list[tuple[int | Fraction, int]]:
+        out = []
+        for i, e in _excesses(self.rows, self.positions, vector):
+            if e > 0:
+                den = self.rows[i][1]
+                out.append((-e if den == 1 else -Fraction(e, den), i))
+        return out
+
+    def row(self, key: int) -> tuple[_Row, int]:
+        return self.rows[key]
+
+
 def solve_lp(lp: LinearProgram, feasible_point: Sequence[Fraction] | None = None) -> LpSolution:
     """Solve with lazy constraint activation.
 
     Rows with at most ``_DENSE_THRESHOLD`` nonzeros and all equalities start
-    active; after each solve the most violated inactive rows (up to
-    ``_MAX_NEW_ROWS``) are added.  An unbounded result is only returned when
-    the ray violates no inactive row and, if a ``feasible_point`` is given,
-    that point satisfies every constraint.
+    active.  The other explicit rows and the implicit family are inactive;
+    after each solve the most violated of them (up to ``_MAX_NEW_ROWS``) are
+    added.  An unbounded result is only returned when the ray violates no
+    inactive row and, if a ``feasible_point`` is given, that point
+    satisfies every constraint.
+
+    Active rows never come back from a family: they hold at every optimum
+    of the active set and never block its rays.
     """
     n = lp.num_vars
     rows = [r.integer_row for r in lp.constraints]
@@ -391,24 +435,40 @@ def solve_lp(lp: LinearProgram, feasible_point: Sequence[Fraction] | None = None
         for i, e in _excesses(rows, range(len(rows)), point):
             if e > 0 or (e and lp.constraints[i].kind == "eq"):
                 raise ValueError("feasible_point violates the constraints")
+        if lp.implicit is not None and lp.implicit.violated(point):
+            raise ValueError("feasible_point violates the constraints")
 
-    active = [
-        i for i, r in enumerate(lp.constraints)
-        if r.kind == "eq" or len(r.coeffs) <= _DENSE_THRESHOLD
-    ]
-    active_set = set(active)
-    # every equality starts active, so the scans below only meet "le" rows
-    inactive = [i for i in range(len(rows)) if i not in active_set]
+    active: list[tuple[_Row, int, str]] = []
+    wide: list[int] = []
+    for i, r in enumerate(lp.constraints):
+        if r.kind == "eq" or len(r.coeffs) <= _DENSE_THRESHOLD:
+            active.append((*rows[i], r.kind))
+        else:
+            wide.append(i)
+    # every equality starts active, so the families only hold "le" rows
+    families: list[RowFamily] = [_WideRows(rows, wide)]
+    if lp.implicit is not None:
+        families.append(lp.implicit)
+    taken: set[tuple[int, Hashable]] = set()
 
-    def activate(indices: list[int]) -> None:
-        for i in indices:
-            active.append(i)
-            active_set.add(i)
-            simplex.add_row(*rows[i], lp.constraints[i].kind)
-        inactive[:] = [i for i in inactive if i not in active_set]
+    def offers(vector: list[int]) -> list[tuple[int | Fraction, int, Hashable]]:
+        """(-excess, family, key) of every inactive row with positive excess,
+        in position order: family by family, keys ascending."""
+        return [
+            (e, f, key) for f, family in enumerate(families) for e, key in family.violated(vector)
+        ]
+
+    def activate(picked: list[tuple[int | Fraction, int, Hashable]]) -> None:
+        for _, f, key in picked:
+            if (f, key) in taken:
+                raise RuntimeError(f"row {key!r} is active but reported as violated")
+            taken.add((f, key))
+            row = (*families[f].row(key), "le")
+            active.append(row)
+            simplex.add_row(*row)
 
     def fresh() -> _Simplex:
-        s = _Simplex(n, [(*rows[i], lp.constraints[i].kind) for i in active])
+        s = _Simplex(n, active)
         s.prepare()
         s.set_objective(lp.objective)
         return s
@@ -420,18 +480,14 @@ def solve_lp(lp: LinearProgram, feasible_point: Sequence[Fraction] | None = None
         if col is None:
             point, den = simplex.column(_RHS, n)
             point.append(-den)
-            violated = []
-            for i, e in _excesses(rows, inactive, point):
-                if e > 0:
-                    row_den = rows[i][1]
-                    violated.append((-e if row_den == 1 else -Fraction(e, row_den), i))
+            violated = offers(point)
             if not violated:
-                x = tuple(Fraction(v, den) for v in point[:n])
+                x = tuple([Fraction(v, den) for v in point[:n]])
                 return LpSolution("optimal", simplex.objective_value(), x, None)
             violated.sort()
             # the basis stays dual feasible at an optimum, so new rows are
             # absorbed by dual pivots instead of a solve from scratch
-            activate([i for _, i in violated[:_MAX_NEW_ROWS]])
+            activate(violated[:_MAX_NEW_ROWS])
             simplex.dual_restore()
             continue
 
@@ -440,7 +496,7 @@ def solve_lp(lp: LinearProgram, feasible_point: Sequence[Fraction] | None = None
         if col < n:
             drift[col] = den
         drift.append(0)  # a direction ignores the right-hand sides
-        blockers = [i for i, e in _excesses(rows, inactive, drift) if e > 0]
+        blockers = offers(drift)
         if blockers:
             activate(blockers[:_MAX_NEW_ROWS])
             if simplex.has_negative_rhs():
@@ -448,7 +504,7 @@ def solve_lp(lp: LinearProgram, feasible_point: Sequence[Fraction] | None = None
                 # violated new row forces a restart on the enlarged set
                 simplex = fresh()
             continue
-        ray = tuple(Fraction(v, den) for v in drift[:n])
+        ray = tuple([Fraction(v, den) for v in drift[:n]])
         if any(v < 0 for v in ray):
             raise AssertionError("unbounded ray leaves the nonnegative orthant")
         if sum(c * v for c, v in zip(lp.objective, ray)) <= 0:

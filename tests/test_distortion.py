@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vetoflow.distortion import (
     INFINITE,
@@ -16,8 +18,48 @@ from vetoflow.distortion import (
     triangle_violations,
     verify_certificate,
 )
+from vetoflow.lp import LinearConstraint, LinearProgram, solve_lp
 from vetoflow.profiles import PreferenceProfile
-from tests_support_random import random_profiles
+from tests_support_random import random_profile, random_profiles
+
+
+def materialized_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
+    """The distortion LP with every quadrangle row stored explicitly: the
+    ballot rows, the quadrangle rows in (i, j, a, b) order, then the
+    normalization row.  The reference for ``build_lp``'s implicit family."""
+    n, m = p.n, p.m
+    rows = []
+    for i, ranking in enumerate(p.rankings):
+        for a, b in zip(ranking, ranking[1:]):
+            rows.append(LinearConstraint({i * m + a: F(1), i * m + b: F(-1)}, F(0)))
+    for i, j, a, b in itertools.product(range(n), range(n), range(m), range(m)):
+        coeffs: dict[int, F] = {}
+        for var, delta in ((i * m + a, 1), (i * m + b, -1), (j * m + b, -1), (j * m + a, -1)):
+            coeffs[var] = coeffs.get(var, F(0)) + delta
+        coeffs = {v: x for v, x in coeffs.items() if x != 0}
+        # i=j and a=b rows collapse to consequences of d >= 0
+        if all(x < 0 for x in coeffs.values()):
+            continue
+        rows.append(LinearConstraint(coeffs, F(0)))
+    rows.append(LinearConstraint({i * m + cref: F(1) for i in range(n)}, F(1), "eq"))
+    objective = tuple(F(int(a == c)) for i in range(n) for a in range(m))
+    return LinearProgram(n * m, objective, tuple(rows))
+
+
+def materialized_distortion(p: PreferenceProfile, c: int) -> DistortionResult:
+    """``distortion_of_candidate`` for m > 1, solving ``materialized_lp``."""
+    uniform = [F(1, p.n)] * (p.n * p.m)
+    best = None
+    for cref in range(p.m):
+        if cref == c:
+            continue
+        sol = solve_lp(materialized_lp(p, c, cref), feasible_point=uniform)
+        if sol.status == "unbounded":
+            return DistortionResult(c, INFINITE, cref, None, sol.ray)
+        if best is None or sol.value > best.value:
+            rows = tuple(tuple(sol.x[i * p.m + a] for a in range(p.m)) for i in range(p.n))
+            best = DistortionResult(c, sol.value, cref, DistanceMatrix(rows), None)
+    return best
 
 
 def test_split_profile_both_candidates_hit_three(fix_s):
@@ -60,18 +102,90 @@ def test_single_voter():
 def test_lp_shape_on_split_profile(fix_s):
     lp = build_lp(fix_s, 0, 1)
     assert lp.num_vars == 4
-    # 2 adjacency rows, 4 surviving quadrangle rows, 1 normalization
-    assert len(lp.constraints) == 7
+    # 2 adjacency rows and the normalization row; the quadrangles are implicit
+    assert len(lp.constraints) == 3
     norm = lp.constraints[-1]
     assert norm.kind == "eq" and norm.rhs == F(1)
     assert norm.coeffs == {1: F(1), 3: F(1)}
     assert lp.objective == (F(1), F(0), F(1), F(0))
+    # at x = -1 everywhere each quadrangle row has excess 2, so the family
+    # lists all of its rows
+    listed = lp.implicit.violated([-1] * 4 + [0])
+    assert [key for _, key in listed] == [(0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)]
+    assert all(e == -2 for e, _ in listed)
+    reference = materialized_lp(fix_s, 0, 1)
+    # 2 adjacency rows, 4 surviving quadrangle rows, 1 normalization
+    assert len(reference.constraints) == 7
+    assert reference.constraints[:2] + reference.constraints[-1:] == lp.constraints
+    assert reference.objective == lp.objective
+    assert [lp.implicit.row(key) for _, key in listed] == [
+        row.integer_row for row in reference.constraints[2:-1]
+    ]
 
 
 def test_vacuous_quadrangle_rows_are_dropped(fix_s):
-    for row in build_lp(fix_s, 0, 1).constraints:
+    for row in materialized_lp(fix_s, 0, 1).constraints:
         if row.kind == "le":
             assert any(x > 0 for x in row.coeffs.values())
+
+
+def test_quadrangle_separation_matches_the_reference():
+    # points are nonnegative numerators over a denominator; directions have
+    # signed cells and a zero right-hand side
+    rng = random.Random(8)
+    for p in random_profiles(80, seed=123, nmax=5, mmax=5):
+        lp = build_lp(p, 0, p.m - 1)
+        quadrangles = materialized_lp(p, 0, p.m - 1).constraints[p.n * (p.m - 1):-1]
+        for _ in range(6):
+            if rng.random() < 0.5:
+                vector = [rng.randint(0, 6) for _ in range(p.n * p.m)] + [-rng.randint(1, 4)]
+            else:
+                vector = [rng.randint(-4, 4) for _ in range(p.n * p.m)] + [0]
+            expected = []
+            for row in quadrangles:
+                coeffs, den = row.integer_row
+                excess = sum(v * vector[j] for j, v in coeffs.items())
+                if excess > 0:
+                    expected.append((-F(excess, den), coeffs))
+            got = lp.implicit.violated(vector)
+            assert [(e, lp.implicit.row(key)[0]) for e, key in got] == expected
+            assert all(lp.implicit.row(key)[1] == 1 for _, key in got)
+            keys = [key for _, key in got]
+            assert keys == sorted(set(keys))
+
+
+def test_separated_lp_matches_the_materialized_lp():
+    # same value, reference, certificate and ray: the solver takes the same
+    # rows in the same order whether they are stored or separated
+    exhaustive = [
+        PreferenceProfile.of(rankings)
+        for rankings in itertools.product(itertools.permutations(range(3)), repeat=3)
+    ]
+    assert len(exhaustive) == 216
+    for p in exhaustive:
+        for c in range(3):
+            assert distortion_of_candidate(p, c) == materialized_distortion(p, c)
+    rng = random.Random(3)
+    for p in random_profiles(60, seed=606, nmax=4, mmax=4):
+        if p.m == 1:
+            continue
+        c = rng.randrange(p.m)
+        assert distortion_of_candidate(p, c) == materialized_distortion(p, c), p.rankings
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.randoms(use_true_random=False))
+def test_distortion_ignores_voter_order_and_ballot_copies(seed, rnd):
+    p = random_profile(random.Random(seed), nmax=3, mmax=3)
+    shuffled = list(p.rankings)
+    rnd.shuffle(shuffled)
+    doubled = [r for r in p.rankings for _ in range(2)]
+    rnd.shuffle(doubled)
+    for c in range(p.m):
+        value = distortion_of_candidate(p, c).value
+        for rankings in (shuffled, doubled):
+            q = PreferenceProfile.of(rankings, p.candidate_names)
+            assert distortion_of_candidate(q, c).value == value
 
 
 def test_size_cap(fix_p):
@@ -157,11 +271,11 @@ def test_result_value_types(fix_s, fix_u):
 
 
 def _highs_reference_value(p: PreferenceProfile, c: int, cref: int) -> float:
-    """The optimum of ``build_lp`` in floating point, or inf when unbounded."""
+    """The optimum of ``materialized_lp`` in floating point, or inf when unbounded."""
     import numpy as np
     from scipy.optimize import linprog
 
-    lp = build_lp(p, c, cref)
+    lp = materialized_lp(p, c, cref)
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for row in lp.constraints:
         dense = [0.0] * lp.num_vars

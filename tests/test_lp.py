@@ -102,6 +102,53 @@ def test_lazy_activation_reaches_the_true_optimum():
             assert row.satisfied_by(sol.x)
 
 
+class ListedRows:
+    """A row family over stored "le" rows, keyed by their list index."""
+
+    def __init__(self, rows) -> None:
+        self.rows = [r.integer_row for r in rows]
+
+    def violated(self, vector):
+        # the right-hand side sits in the vector's last cell, under key -1
+        out = []
+        for key, (coeffs, den) in enumerate(self.rows):
+            excess = F(sum(v * vector[j] for j, v in coeffs.items()), den)
+            if excess > 0:
+                out.append((-excess, key))
+        return out
+
+    def row(self, key):
+        return self.rows[key]
+
+
+def test_implicit_rows_reach_the_explicit_optimum():
+    # the family sits after the explicit rows in position order, so moving a
+    # suffix of the rows into it changes no pivot
+    for n in (5, 10):
+        explicit = triple_cover_lp(n)
+        rows = explicit.constraints
+        for split in (0, len(rows) // 2):
+            lp = LinearProgram(n, explicit.objective, rows[:split], ListedRows(rows[split:]))
+            assert solve_lp(lp) == solve_lp(explicit)
+
+
+def test_feasible_point_is_checked_against_implicit_rows():
+    lp = LinearProgram(3, (F(1),) * 3, (), ListedRows([le({0: 1, 1: 1, 2: 1}, 1)]))
+    with pytest.raises(ValueError, match="feasible_point"):
+        solve_lp(lp, feasible_point=(F(1), F(1), F(0)))
+    assert solve_lp(lp, feasible_point=(F(0),) * 3).value == F(1)
+
+
+def test_a_family_that_reports_an_active_row_raises():
+    class Stuck(ListedRows):
+        def violated(self, vector):
+            return [(-1, 0)]
+
+    lp = LinearProgram(3, (F(1),) * 3, (), Stuck([le({0: 1, 1: 1, 2: 1}, 1)]))
+    with pytest.raises(RuntimeError, match="active"):
+        solve_lp(lp)
+
+
 def test_unbounded_relaxation_recovers():
     # the only row is too wide to start active, so the first relaxation is
     # unbounded and the blocker has to be pulled in mid-flight
