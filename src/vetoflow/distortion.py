@@ -47,11 +47,13 @@ class DistanceMatrix:
         ) + "\n"
 
     def check(self, p: PreferenceProfile) -> list[str]:
-        """All invariant violations, as human-readable strings."""
+        """All invariant violations, as human-readable strings; the checks
+        compare integer numerators over one common denominator."""
         bad: list[str] = []
         if len(self.values) != p.n or any(len(r) != p.m for r in self.values):
             return ["matrix shape is not voters x candidates"]
-        d = self.values
+        den = math.lcm(*[v.denominator for row in self.values for v in row])
+        d = [[v.numerator * (den // v.denominator) for v in row] for row in self.values]
         for i in range(p.n):
             for a in range(p.m):
                 if d[i][a] < 0:

@@ -3,7 +3,7 @@
 All voters consume candidates at unit speed.  Under ``eat-best`` each voter
 eats their favourite candidate still available, under ``eat-worst`` their
 least favourite.  A candidate is eliminated the moment its absorbed total
-reaches the capacity; eliminations are simultaneous, so several candidates
+reaches 1; eliminations are simultaneous, so several candidates
 can fall in one batch.  Everything runs on exact rationals.
 
 Veto by consumption, Phragmen-style sequential committees, and the
@@ -22,12 +22,11 @@ from .profiles import PreferenceProfile
 
 @dataclass(frozen=True)
 class EatingConfig:
-    """Run parameters.  At least one stopping condition must be set; when both
-    are, the time bound wins.  ``tie_break`` orders candidates inside an
-    elimination batch and defaults to ascending index."""
+    """Run parameters.  Exactly one stopping condition must be set.
+    ``tie_break`` orders candidates inside an elimination batch and defaults
+    to ascending index."""
 
     direction: str = "eat-best"
-    capacity: Fraction = Fraction(1)
     stop_time: Fraction | None = None
     stop_eliminations: int | None = None
     tie_break: tuple[int, ...] | None = None
@@ -35,10 +34,8 @@ class EatingConfig:
     def __post_init__(self) -> None:
         if self.direction not in ("eat-best", "eat-worst"):
             raise ValueError(f"unknown direction {self.direction!r}")
-        if self.capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if self.stop_time is None and self.stop_eliminations is None:
-            raise ValueError("need a stopping condition")
+        if (self.stop_time is None) == (self.stop_eliminations is None):
+            raise ValueError("need exactly one stopping condition")
         if self.stop_time is not None and self.stop_time < 0:
             raise ValueError("stop_time must be nonnegative")
         if self.stop_eliminations is not None and self.stop_eliminations < 0:
@@ -67,7 +64,7 @@ class EatingTrace:
             out.append(f"({t}, {label})")
         return "\n".join(out)
 
-    def validate(self, p: PreferenceProfile, cfg: EatingConfig) -> None:
+    def validate(self, p: PreferenceProfile) -> None:
         times = [t for t, _ in self.events]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("event times must be strictly increasing")
@@ -84,10 +81,10 @@ class EatingTrace:
         for c in range(p.m):
             total = sum(row[c] for row in self.consumption)
             if c in self.survivors:
-                if total >= cfg.capacity:
-                    raise ValueError(f"survivor {c} reached the capacity")
-            elif total != cfg.capacity:
-                raise ValueError(f"eliminated candidate {c} absorbed {total}, not the capacity")
+                if total >= 1:
+                    raise ValueError(f"survivor {c} was fully consumed")
+            elif total != 1:
+                raise ValueError(f"eliminated candidate {c} absorbed {total}, not 1")
 
 
 def _batch_key(cfg: EatingConfig, m: int):
@@ -114,11 +111,13 @@ def run_eating(p: PreferenceProfile, cfg: EatingConfig) -> EatingTrace:
     key = _batch_key(cfg, m)
     best_first = cfg.direction == "eat-best"
     # identical voters always eat the same candidate, so the loop runs per
-    # ballot type: one cursor and one consumption row, weighted by its voters
+    # ballot type: one cursor and one consumption row, weighted by its voters;
+    # a row gains t - start[b] when its cursor moves on, and once at the end
     types = p.ballot_types()
     order = [bt.ranking if best_first else bt.ranking[::-1] for bt in types]
     weight = [len(bt.voters) for bt in types]
     cursor = [0] * len(types)
+    start = [Fraction(0)] * len(types)
     alive = [True] * m
     absorbed = [Fraction(0)] * m
     consumption = [[Fraction(0)] * m for _ in types]
@@ -129,35 +128,33 @@ def run_eating(p: PreferenceProfile, cfg: EatingConfig) -> EatingTrace:
     while True:
         if cfg.stop_time is not None and t == cfg.stop_time:
             break
-        if cfg.stop_time is None and cfg.stop_eliminations is not None \
-                and eliminated >= cfg.stop_eliminations:
+        if cfg.stop_eliminations is not None and eliminated >= cfg.stop_eliminations:
             break
         if eliminated == m:
-            if cfg.stop_time is not None and t < cfg.stop_time:
-                raise ValueError(
-                    f"all candidates consumed at time {t}, before the bound {cfg.stop_time}"
-                )
-            break
+            # only a time bound can still be pending once everything is gone
+            raise ValueError(
+                f"all candidates consumed at time {t}, before the bound {cfg.stop_time}"
+            )
 
-        eaters: dict[int, list[int]] = {}
+        count: dict[int, int] = {}
         for b, row in enumerate(order):
             j = cursor[b]
-            while not alive[row[j]]:
-                j += 1
-            cursor[b] = j
-            eaters.setdefault(row[j], []).append(b)
-        count = {c: sum(weight[b] for b in bs) for c, bs in eaters.items()}
+            if not alive[row[j]]:
+                consumption[b][row[j]] += t - start[b]
+                start[b] = t
+                while not alive[row[j]]:
+                    j += 1
+                cursor[b] = j
+            count[row[j]] = count.get(row[j], 0) + weight[b]
 
-        dt = min((cfg.capacity - absorbed[c]) / count[c] for c in eaters)
+        dt = min((1 - absorbed[c]) / k for c, k in count.items())
         if cfg.stop_time is not None and t + dt > cfg.stop_time:
             dt = cfg.stop_time - t
         t += dt
         batch = []
-        for c, bs in eaters.items():
-            absorbed[c] += dt * count[c]
-            for b in bs:
-                consumption[b][c] += dt
-            if absorbed[c] == cfg.capacity:
+        for c, n_eating in count.items():
+            absorbed[c] += dt * n_eating
+            if absorbed[c] == 1:
                 batch.append(c)
         if batch:
             batch.sort(key=key)
@@ -166,6 +163,8 @@ def run_eating(p: PreferenceProfile, cfg: EatingConfig) -> EatingTrace:
                 alive[c] = False
             eliminated += len(batch)
 
+    for b, row in enumerate(order):
+        consumption[b][row[cursor[b]]] += t - start[b]
     return EatingTrace(
         events=tuple(events),
         consumption=p.per_voter([tuple(row) for row in consumption]),

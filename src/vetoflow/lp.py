@@ -6,14 +6,13 @@ largest-reduced-cost rule and switches permanently to Bland's rule after a
 run of degenerate pivots, so termination is guaranteed while typical
 instances stay fast.
 
-Constraint sets here are huge but mostly slack (quadrangle rows grow as
-n^2 m^2), so rows are activated lazily: solve with a small active set,
-then add violated rows and repeat.  An optimum with no violated inactive
-row is globally optimal.  An unbounded ray is only trusted once no
-inactive row blocks it and a caller-supplied feasible point certifies the
-full system.  Inactive rows come from row families: the explicit rows too
-wide to start active, and optionally an implicit family that finds its
-violated rows by separation instead of storing them.
+Every explicit constraint is active from the start.  A program may also
+carry an implicit row family that is too large to store (quadrangle rows
+grow as n^2 m^2) and finds its violated rows by separation instead; those
+rows are activated lazily: solve with the active set, then add violated
+rows and repeat.  An optimum with no violated inactive row is globally
+optimal.  An unbounded ray is only trusted once no inactive row blocks it
+and a caller-supplied feasible point certifies the full system.
 
 Arithmetic is exact and Fraction-free inside the solver: every tableau row
 is a sparse map from column to Python int over one positive denominator,
@@ -28,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Hashable, Iterable, Protocol, Sequence
+from typing import Hashable, Protocol, Sequence
 
 # Key of the right-hand side in a sparse row; every other key is a column.
 # A point vector with -denominator in its last cell therefore evaluates
@@ -51,13 +50,6 @@ class LinearConstraint:
     def __post_init__(self) -> None:
         if self.kind not in ("le", "eq"):
             raise ValueError(f"unknown constraint kind {self.kind!r}")
-
-    def value_at(self, x: Sequence) -> Fraction:
-        return sum((c * x[j] for j, c in self.coeffs.items()), Fraction(0))
-
-    def satisfied_by(self, x: Sequence) -> bool:
-        v = self.value_at(x)
-        return v == self.rhs if self.kind == "eq" else v <= self.rhs
 
     @cached_property
     def integer_row(self) -> tuple[_Row, int]:
@@ -112,7 +104,6 @@ class LpSolution:
 
 
 _DEGENERATE_STREAK_LIMIT = 40
-_DENSE_THRESHOLD = 2  # see solve_lp
 _MAX_NEW_ROWS = 100
 
 
@@ -313,11 +304,11 @@ class _Simplex:
             out[bv] = self.tab[r][key] * (common // self.den[r])
         return out, common
 
-    def add_row(self, row: _Row, den: int, kind: str) -> None:
+    def add_row(self, row: _Row, den: int) -> None:
         """Append a "le" row, priced against the current basis, with its slack
         basic.  The slack may come out negative; dual_restore fixes that."""
-        if kind != "le" or self.art_cols:
-            raise RuntimeError("only \"le\" rows can be added, and only after phase 1")
+        if self.art_cols:
+            raise RuntimeError("rows can only be added after phase 1")
         for r, bv in enumerate(self.basis):
             if bv in row:
                 row, den = _eliminate(row, den, self.tab[r], self.den[r], bv)
@@ -385,87 +376,46 @@ class _Simplex:
             self._pivot(r, col)
 
 
-def _excesses(rows: list[tuple[_Row, int]], indices: Iterable[int], point: list[int]):
-    """(i, coeffs . x - rhs) for each row i, scaled by the point's and the
-    row's denominators; ``point`` ends with minus its denominator (see _RHS)."""
-    at = point.__getitem__
-    for i in indices:
-        row = rows[i][0]
-        yield i, sum(map(mul, row.values(), map(at, row)))
-
-
-class _WideRows:
-    """The explicit rows that do not start active, as a row family keyed by
-    their position among the constraints."""
-
-    def __init__(self, rows: list[tuple[_Row, int]], positions: list[int]) -> None:
-        self.rows = rows
-        self.positions = positions
-
-    def violated(self, vector: Sequence[int]) -> list[tuple[int | Fraction, int]]:
-        out = []
-        for i, e in _excesses(self.rows, self.positions, vector):
-            if e > 0:
-                den = self.rows[i][1]
-                out.append((-e if den == 1 else -Fraction(e, den), i))
-        return out
-
-    def row(self, key: int) -> tuple[_Row, int]:
-        return self.rows[key]
-
-
 def solve_lp(lp: LinearProgram, feasible_point: Sequence[Fraction] | None = None) -> LpSolution:
     """Solve with lazy constraint activation.
 
-    Rows with at most ``_DENSE_THRESHOLD`` nonzeros and all equalities start
-    active.  The other explicit rows and the implicit family are inactive;
-    after each solve the most violated of them (up to ``_MAX_NEW_ROWS``) are
-    added.  An unbounded result is only returned when the ray violates no
-    inactive row and, if a ``feasible_point`` is given, that point
-    satisfies every constraint.
+    Every explicit constraint starts active; only the rows of
+    ``lp.implicit`` are inactive.  After each solve the most violated of
+    them (up to ``_MAX_NEW_ROWS``) are added.  An unbounded result is only
+    returned when the ray violates no inactive row and, if a
+    ``feasible_point`` is given, that point satisfies every constraint.
 
-    Active rows never come back from a family: they hold at every optimum
+    Active rows never come back from the family: they hold at every optimum
     of the active set and never block its rays.
     """
     n = lp.num_vars
-    rows = [r.integer_row for r in lp.constraints]
+    family = lp.implicit
+    active = [(*r.integer_row, r.kind) for r in lp.constraints]
     if feasible_point is not None:
         point, den = _common_denominator(feasible_point)
         point.append(-den)
-        for i, e in _excesses(rows, range(len(rows)), point):
-            if e > 0 or (e and lp.constraints[i].kind == "eq"):
+        at = point.__getitem__
+        for row, _, kind in active:
+            # coeffs . x - rhs, scaled by both denominators (see _RHS)
+            e = sum(map(mul, row.values(), map(at, row)))
+            if e > 0 or (e and kind == "eq"):
                 raise ValueError("feasible_point violates the constraints")
-        if lp.implicit is not None and lp.implicit.violated(point):
+        if family is not None and family.violated(point):
             raise ValueError("feasible_point violates the constraints")
 
-    active: list[tuple[_Row, int, str]] = []
-    wide: list[int] = []
-    for i, r in enumerate(lp.constraints):
-        if r.kind == "eq" or len(r.coeffs) <= _DENSE_THRESHOLD:
-            active.append((*rows[i], r.kind))
-        else:
-            wide.append(i)
-    # every equality starts active, so the families only hold "le" rows
-    families: list[RowFamily] = [_WideRows(rows, wide)]
-    if lp.implicit is not None:
-        families.append(lp.implicit)
-    taken: set[tuple[int, Hashable]] = set()
+    taken: set[Hashable] = set()
 
-    def offers(vector: list[int]) -> list[tuple[int | Fraction, int, Hashable]]:
-        """(-excess, family, key) of every inactive row with positive excess,
-        in position order: family by family, keys ascending."""
-        return [
-            (e, f, key) for f, family in enumerate(families) for e, key in family.violated(vector)
-        ]
+    def offers(vector: list[int]) -> list[tuple[int | Fraction, Hashable]]:
+        return [] if family is None else family.violated(vector)
 
-    def activate(picked: list[tuple[int | Fraction, int, Hashable]]) -> None:
-        for _, f, key in picked:
-            if (f, key) in taken:
+    def activate(picked: list[tuple[int | Fraction, Hashable]]) -> None:
+        for _, key in picked:
+            if key in taken:
                 raise RuntimeError(f"row {key!r} is active but reported as violated")
-            taken.add((f, key))
-            row = (*families[f].row(key), "le")
-            active.append(row)
-            simplex.add_row(*row)
+            taken.add(key)
+            row, den = family.row(key)
+            active.append((row, den, "le"))
+            simplex.add_row(row, den)
 
     def fresh() -> _Simplex:
         s = _Simplex(n, active)

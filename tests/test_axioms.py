@@ -3,6 +3,7 @@ import random
 from math import ceil
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vetoflow.axioms import (
     PscViolation,
@@ -19,9 +20,10 @@ from vetoflow.axioms import (
     weak_psc_bruteforce,
     weak_psc_satisfied,
 )
+from vetoflow.distortion import distortion_of_candidate
 from vetoflow.profiles import PreferenceProfile, all_profiles, reverse_profile
 from vetoflow.rules import serial_dictatorship
-from tests_support_random import random_profiles
+from tests_support_random import random_profile, random_profiles
 
 
 def test_veto_power_formula():
@@ -251,3 +253,31 @@ def test_audit_report_serializes():
     payload = json.loads(json.dumps(report.to_json()))
     assert payload["ok"] is True
     assert payload["instances"] == 4
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.randoms(use_true_random=False))
+def test_candidate_relabeling_commutes(seed, rnd):
+    # candidate a of p is candidate sigma[a] of its relabeled copy
+    def relabeled(p):
+        sigma = list(range(p.m))
+        rnd.shuffle(sigma)
+        q = PreferenceProfile.of([tuple(sigma[a] for a in r) for r in p.rankings])
+        return q, sigma
+
+    rng = random.Random(seed)
+    p = random_profile(rng, nmax=5, mmax=4)
+    q, sigma = relabeled(p)
+    assert veto_core(q) == {sigma[c] for c in veto_core(p)}
+    for size in range(p.m + 1):
+        for committee in itertools.combinations(range(p.m), size):
+            image = frozenset(sigma[c] for c in committee)
+            verdict = weak_psc_satisfied(q, image)
+            assert verdict.satisfied == weak_psc_satisfied(p, committee).satisfied
+            if verdict.violation is not None:
+                verdict.violation.validate(q, image, size)
+
+    small = random_profile(rng, nmax=3, mmax=3)
+    q, sigma = relabeled(small)
+    for c in range(small.m):
+        assert distortion_of_candidate(q, sigma[c]).value == distortion_of_candidate(small, c).value

@@ -20,15 +20,18 @@ from vetoflow.distortion import (
 )
 from vetoflow.lp import LinearConstraint, LinearProgram, solve_lp
 from vetoflow.profiles import PreferenceProfile
+from tests_support_lp import ListedRows
 from tests_support_random import random_profile, random_profiles
 
 
 def materialized_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
-    """The distortion LP with every quadrangle row stored explicitly: the
-    ballot rows, the quadrangle rows in (i, j, a, b) order, then the
-    normalization row.  The reference for ``build_lp``'s implicit family."""
+    """The distortion LP with every quadrangle row stored: the ballot rows
+    and the normalization row, then the quadrangle rows in (i, j, a, b)
+    order as a listed family.  The reference for ``build_lp``'s implicit
+    family."""
     n, m = p.n, p.m
     rows = []
+    quadrangles = []
     for i, ranking in enumerate(p.rankings):
         for a, b in zip(ranking, ranking[1:]):
             rows.append(LinearConstraint({i * m + a: F(1), i * m + b: F(-1)}, F(0)))
@@ -40,10 +43,10 @@ def materialized_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
         # i=j and a=b rows collapse to consequences of d >= 0
         if all(x < 0 for x in coeffs.values()):
             continue
-        rows.append(LinearConstraint(coeffs, F(0)))
+        quadrangles.append(LinearConstraint(coeffs, F(0)))
     rows.append(LinearConstraint({i * m + cref: F(1) for i in range(n)}, F(1), "eq"))
     objective = tuple(F(int(a == c)) for i in range(n) for a in range(m))
-    return LinearProgram(n * m, objective, tuple(rows))
+    return LinearProgram(n * m, objective, tuple(rows), ListedRows(quadrangles))
 
 
 def materialized_distortion(p: PreferenceProfile, c: int) -> DistortionResult:
@@ -114,19 +117,16 @@ def test_lp_shape_on_split_profile(fix_s):
     assert [key for _, key in listed] == [(0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)]
     assert all(e == -2 for e, _ in listed)
     reference = materialized_lp(fix_s, 0, 1)
-    # 2 adjacency rows, 4 surviving quadrangle rows, 1 normalization
-    assert len(reference.constraints) == 7
-    assert reference.constraints[:2] + reference.constraints[-1:] == lp.constraints
+    # 2 adjacency rows and 1 normalization, then 4 surviving quadrangle rows
+    assert reference.constraints == lp.constraints
     assert reference.objective == lp.objective
-    assert [lp.implicit.row(key) for _, key in listed] == [
-        row.integer_row for row in reference.constraints[2:-1]
-    ]
+    assert len(reference.implicit.constraints) == 4
+    assert [lp.implicit.row(key) for _, key in listed] == reference.implicit.rows
 
 
 def test_vacuous_quadrangle_rows_are_dropped(fix_s):
-    for row in materialized_lp(fix_s, 0, 1).constraints:
-        if row.kind == "le":
-            assert any(x > 0 for x in row.coeffs.values())
+    for row in materialized_lp(fix_s, 0, 1).implicit.constraints:
+        assert any(x > 0 for x in row.coeffs.values())
 
 
 def test_quadrangle_separation_matches_the_reference():
@@ -135,21 +135,15 @@ def test_quadrangle_separation_matches_the_reference():
     rng = random.Random(8)
     for p in random_profiles(80, seed=123, nmax=5, mmax=5):
         lp = build_lp(p, 0, p.m - 1)
-        quadrangles = materialized_lp(p, 0, p.m - 1).constraints[p.n * (p.m - 1):-1]
+        reference = materialized_lp(p, 0, p.m - 1).implicit
         for _ in range(6):
             if rng.random() < 0.5:
                 vector = [rng.randint(0, 6) for _ in range(p.n * p.m)] + [-rng.randint(1, 4)]
             else:
                 vector = [rng.randint(-4, 4) for _ in range(p.n * p.m)] + [0]
-            expected = []
-            for row in quadrangles:
-                coeffs, den = row.integer_row
-                excess = sum(v * vector[j] for j, v in coeffs.items())
-                if excess > 0:
-                    expected.append((-F(excess, den), coeffs))
+            expected = [(e, reference.row(key)) for e, key in reference.violated(vector)]
             got = lp.implicit.violated(vector)
-            assert [(e, lp.implicit.row(key)[0]) for e, key in got] == expected
-            assert all(lp.implicit.row(key)[1] == 1 for _, key in got)
+            assert [(e, lp.implicit.row(key)) for e, key in got] == expected
             keys = [key for _, key in got]
             assert keys == sorted(set(keys))
 
@@ -223,6 +217,55 @@ def test_matrix_check_catches_each_failure_mode(fix_s):
         DistanceMatrix(((F(0), F(5)), (F(1), F(0)))).validate(fix_s)
 
 
+def fraction_check(dm: DistanceMatrix, p: PreferenceProfile) -> list[str]:
+    """``DistanceMatrix.check`` over Fractions, cell by cell; the reference
+    for the integer check."""
+    if len(dm.values) != p.n or any(len(r) != p.m for r in dm.values):
+        return ["matrix shape is not voters x candidates"]
+    d = dm.values
+    bad = []
+    for i, a in itertools.product(range(p.n), range(p.m)):
+        if d[i][a] < 0:
+            bad.append(f"negative distance at voter {i}, candidate {a}")
+    pos = p.positions()
+    for i, a, b in itertools.product(range(p.n), range(p.m), range(p.m)):
+        if pos[i][a] < pos[i][b] and d[i][a] > d[i][b]:
+            bad.append(f"voter {i} ranks {a} above {b} but sits closer to {b}")
+    for i, j, a, b in itertools.product(range(p.n), range(p.n), range(p.m), range(p.m)):
+        if d[i][a] > d[i][b] + d[j][b] + d[j][a]:
+            bad.append(f"quadrangle violated at ({i},{j},{a},{b})")
+    return bad
+
+
+def test_integer_check_matches_the_fraction_check():
+    # certificates, each broken once per kind of row, and random matrices
+    rng = random.Random(11)
+
+    def cell() -> F:
+        return F(rng.randint(-2, 9), rng.randint(1, 6))
+
+    for p in random_profiles(60, seed=515, nmax=4, mmax=4):
+        r = distortion_of_candidate(p, rng.randrange(p.m))
+        matrices = [DistanceMatrix(tuple(tuple(cell() for _ in range(p.m)) for _ in range(p.n)))]
+        if r.certificate is not None:
+            base = r.certificate.values
+            i = rng.randrange(p.n)
+            top, bottom = p.rankings[i][0], p.rankings[i][-1]
+            for a, value, kind in (
+                (top, F(-1, 3), "negative"),
+                (top, base[i][bottom] + F(1, 7), "ranks"),
+                (bottom, base[i][bottom] + 5 * r.value + 1, "quadrangle"),
+            ):
+                rows = [list(row) for row in base]
+                rows[i][a] = value
+                matrices.append(DistanceMatrix(tuple(map(tuple, rows))))
+                if kind != "quadrangle" or p.n > 1:
+                    assert any(kind in msg for msg in matrices[-1].check(p)), (p.rankings, kind)
+            matrices.append(r.certificate)
+        for dm in matrices:
+            assert dm.check(p) == fraction_check(dm, p)
+
+
 def test_uniform_matrix_extends_cleanly(fix_s):
     dm = DistanceMatrix(((F(1), F(1)), (F(1), F(1))))
     full = extend_to_full_pseudometric(dm, fix_s)
@@ -277,7 +320,7 @@ def _highs_reference_value(p: PreferenceProfile, c: int, cref: int) -> float:
 
     lp = materialized_lp(p, c, cref)
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for row in lp.constraints:
+    for row in lp.constraints + lp.implicit.constraints:
         dense = [0.0] * lp.num_vars
         for j, coef in row.coeffs.items():
             dense[j] = float(coef)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from vetoflow.lp import LinearConstraint, LinearProgram, LpSolution, solve_lp
+from tests_support_lp import ListedRows, satisfied_by, value_at
 
 
 def le(coeffs: dict[int, int], rhs) -> LinearConstraint:
@@ -25,11 +26,11 @@ def test_constraint_shapes_are_validated():
 
 def test_constraint_evaluation():
     row = le({0: 2, 2: -1}, 3)
-    assert row.value_at((F(1), F(99), F(4))) == F(-2)
-    assert row.satisfied_by((F(2), F(0), F(1)))
-    assert not row.satisfied_by((F(2), F(0), F(0)))
+    assert value_at(row, (F(1), F(99), F(4))) == F(-2)
+    assert satisfied_by(row, (F(2), F(0), F(1)))
+    assert not satisfied_by(row, (F(2), F(0), F(0)))
     row = eq({0: 1}, 1)
-    assert row.satisfied_by((F(1),)) and not row.satisfied_by((F(2),))
+    assert satisfied_by(row, (F(1),)) and not satisfied_by(row, (F(2),))
 
 
 def test_one_variable_box():
@@ -94,36 +95,17 @@ def triple_cover_lp(n: int) -> LinearProgram:
 def test_lazy_activation_reaches_the_true_optimum():
     # with 10 variables the 120 rows outnumber one round's activation budget
     for n in (5, 10):
-        lp = triple_cover_lp(n)
-        sol = solve_lp(lp)
+        explicit = triple_cover_lp(n)
+        sol = solve_lp(LinearProgram(n, explicit.objective, (), ListedRows(explicit.constraints)))
         assert sol.status == "optimal"
         assert sol.value == F(n, 3)
-        for row in lp.constraints:
-            assert row.satisfied_by(sol.x)
-
-
-class ListedRows:
-    """A row family over stored "le" rows, keyed by their list index."""
-
-    def __init__(self, rows) -> None:
-        self.rows = [r.integer_row for r in rows]
-
-    def violated(self, vector):
-        # the right-hand side sits in the vector's last cell, under key -1
-        out = []
-        for key, (coeffs, den) in enumerate(self.rows):
-            excess = F(sum(v * vector[j] for j, v in coeffs.items()), den)
-            if excess > 0:
-                out.append((-excess, key))
-        return out
-
-    def row(self, key):
-        return self.rows[key]
+        for row in explicit.constraints:
+            assert satisfied_by(row, sol.x)
 
 
 def test_implicit_rows_reach_the_explicit_optimum():
-    # the family sits after the explicit rows in position order, so moving a
-    # suffix of the rows into it changes no pivot
+    # the optimum x == 1/3 is unique, so active and lazy rows give the same
+    # solution whichever part of the rows starts active
     for n in (5, 10):
         explicit = triple_cover_lp(n)
         rows = explicit.constraints
@@ -150,9 +132,9 @@ def test_a_family_that_reports_an_active_row_raises():
 
 
 def test_unbounded_relaxation_recovers():
-    # the only row is too wide to start active, so the first relaxation is
-    # unbounded and the blocker has to be pulled in mid-flight
-    lp = LinearProgram(3, (F(1), F(1), F(1)), (le({0: 1, 1: 1, 2: 1}, 5),))
+    # the only row is lazy, so the first relaxation is unbounded and the
+    # blocker has to be pulled in mid-flight
+    lp = LinearProgram(3, (F(1), F(1), F(1)), (), ListedRows([le({0: 1, 1: 1, 2: 1}, 5)]))
     sol = solve_lp(lp, feasible_point=(F(0), F(0), F(0)))
     assert sol.status == "optimal"
     assert sol.value == F(5)
@@ -172,7 +154,7 @@ def test_degenerate_vertex_terminates():
     sol = solve_lp(lp)
     assert sol.value == F(1)
     for row in lp.constraints:
-        assert row.satisfied_by(sol.x)
+        assert satisfied_by(row, sol.x)
 
 
 def test_solution_is_a_plain_record():

@@ -1,0 +1,39 @@
+"""LP helpers shared across the test modules: a row family over stored
+rows, and exact evaluation of a constraint at a point."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from vetoflow.lp import LinearConstraint
+
+
+def value_at(row: LinearConstraint, x: Sequence[Fraction]) -> Fraction:
+    return sum((c * x[j] for j, c in row.coeffs.items()), Fraction(0))
+
+
+def satisfied_by(row: LinearConstraint, x: Sequence[Fraction]) -> bool:
+    v = value_at(row, x)
+    return v == row.rhs if row.kind == "eq" else v <= row.rhs
+
+
+class ListedRows:
+    """A row family over stored "le" rows, keyed by their list index; the
+    oracle for families that separate instead of storing."""
+
+    def __init__(self, rows: Sequence[LinearConstraint]) -> None:
+        self.constraints = tuple(rows)
+        self.rows = [r.integer_row for r in rows]
+
+    def violated(self, vector: Sequence[int]) -> list[tuple[int | Fraction, int]]:
+        # the right-hand side sits in the vector's last cell, under key -1
+        out = []
+        for key, (coeffs, den) in enumerate(self.rows):
+            excess = sum(v * vector[j] for j, v in coeffs.items())
+            if excess > 0:
+                out.append((-excess if den == 1 else -Fraction(excess, den), key))
+        return out
+
+    def row(self, key: int) -> tuple[dict[int, int], int]:
+        return self.rows[key]
