@@ -29,7 +29,7 @@ from .axioms import (
 )
 from .distortion import INFINITE, LpSizeError, distortion_of_candidate
 from .eating import phragmen_committee, probabilistic_serial, veto_by_consumption_winners
-from .matching import build_domination_graph, extract_deficiency_witness, has_fractional_perfect_matching
+from .matching import extract_deficiency_witness
 from .profiles import PreferenceProfile, all_profiles, clone_expand, plurality_scores
 from .profile_io import (
     MAX_VOTERS,
@@ -161,10 +161,11 @@ def _check_domination(p, args):
             return VIOLATED, {"candidate": name, "matching": False,
                               "note": "no clones (plurality zero)"}, [
                 f"{name}: no clones (plurality score 0), no matching"]
-    if any(has_fractional_perfect_matching(build_domination_graph(q, e)) for e in targets):
+    # one flow per target; a matching for any clone settles it
+    witness = extract_deficiency_witness(q, targets[0])
+    if witness is None or any(extract_deficiency_witness(q, e) is None for e in targets[1:]):
         return HOLDS, {"candidate": name, "matching": True}, [
             f"{name}: fractional perfect matching exists"]
-    witness = extract_deficiency_witness(q, targets[0])
     voters = _voter_names(witness.voters)
     return VIOLATED, {
         "candidate": name, "matching": False,

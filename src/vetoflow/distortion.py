@@ -7,7 +7,11 @@ ratio into a linear objective: maximize the cost of c subject to
 
 * nonnegativity and ballot consistency (a above b means d(i,a) <= d(i,b)),
 * quadrangle inequalities d(i,a) <= d(i,b) + d(j,b) + d(j,a),
-* the normalization sum_i d(i, cref) = 1.
+* the normalization sum_i d(i, cref) <= 1.
+
+Relaxing the normalization from = 1 to <= 1 (Charnes and Cooper) loses
+nothing: every other row is homogeneous and the objective nonnegative, so an
+optimum below the bound scales up to it.  Every row then holds at the origin.
 
 Quadrangle rows are exactly what makes a voter-candidate matrix extendable
 to a pseudometric on all points; ``extend_to_full_pseudometric`` performs
@@ -154,14 +158,10 @@ def build_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
 
 
 def _normalization(p: PreferenceProfile, cref: int) -> LinearConstraint:
-    """sum_i d(i, cref) = 1, the last row of ``build_lp``."""
+    """sum_i d(i, cref) <= 1, the last row of ``build_lp``."""
     return LinearConstraint(
-        {_var(i, cref, p.m): Fraction(1) for i in range(p.n)}, Fraction(1), "eq"
+        {_var(i, cref, p.m): Fraction(1) for i in range(p.n)}, Fraction(1)
     )
-
-
-def _uniform_point(p: PreferenceProfile) -> list[Fraction]:
-    return [Fraction(1, p.n)] * (p.n * p.m)
 
 
 def distortion_of_candidate(
@@ -175,7 +175,6 @@ def distortion_of_candidate(
         raise LpSizeError(
             f"instance has {p.n * p.m} LP variables, cap is {size_cap}"
         )
-    uniform = _uniform_point(p)
     best: DistortionResult | None = None
     lp: LinearProgram | None = None
     for cref in range(p.m):
@@ -186,7 +185,7 @@ def distortion_of_candidate(
             lp = build_lp(p, c, cref)
         else:
             lp = replace(lp, constraints=lp.constraints[:-1] + (_normalization(p, cref),))
-        sol = solve_lp(lp, feasible_point=uniform)
+        sol = solve_lp(lp)
         if sol.status == "unbounded":
             return DistortionResult(c, INFINITE, cref, None, sol.ray)
         if sol.value < 1:

@@ -1,18 +1,19 @@
 """An exact rational LP solver, sized for the distortion computations.
 
-Maximization over nonnegative variables with sparse "le"/"eq" constraints.
-The solver is a sparse two-phase tableau simplex.  Pivoting starts with the
-largest-reduced-cost rule and switches permanently to Bland's rule after a
-run of degenerate pivots, so termination is guaranteed while typical
-instances stay fast.
+Maximization over nonnegative variables subject to sparse rows
+coeffs . x <= rhs with rhs >= 0, so the origin is always feasible and the
+sparse tableau simplex starts from the slack basis without a phase 1.
+Pivoting starts with the largest-reduced-cost rule and switches permanently
+to Bland's rule after a run of degenerate pivots, so termination is
+guaranteed while typical instances stay fast.
 
 Every explicit constraint is active from the start.  A program may also
 carry an implicit row family that is too large to store (quadrangle rows
 grow as n^2 m^2) and finds its violated rows by separation instead; those
 rows are activated lazily: solve with the active set, then add violated
 rows and repeat.  An optimum with no violated inactive row is globally
-optimal.  An unbounded ray is only trusted once no inactive row blocks it
-and a caller-supplied feasible point certifies the full system.
+optimal.  An unbounded ray is only trusted once no inactive row blocks it;
+the family must hold at the origin, which keeps the full system feasible.
 
 Arithmetic is exact and Fraction-free inside the solver: every tableau row
 is a sparse map from column to Python int over one positive denominator,
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
 from typing import Hashable, Protocol, Sequence
 
 # Key of the right-hand side in a sparse row; every other key is a column.
@@ -41,15 +41,14 @@ _Row = dict[int, int]
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """Sparse row: sum of coeffs[j] * x[j] (<= or ==) rhs."""
+    """Sparse row: sum of coeffs[j] * x[j] <= rhs, with rhs >= 0."""
 
     coeffs: dict[int, Fraction]
     rhs: Fraction
-    kind: str = "le"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("le", "eq"):
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
+        if self.rhs < 0:
+            raise ValueError(f"negative right-hand side {self.rhs}; the origin must be feasible")
 
     @cached_property
     def integer_row(self) -> tuple[_Row, int]:
@@ -63,7 +62,8 @@ class LinearConstraint:
 
 
 class RowFamily(Protocol):
-    """"le" rows found by separation instead of stored.
+    """Rows coeffs . x <= rhs found by separation instead of stored; every
+    one must hold at the origin.
 
     A vector holds integer numerators with its right-hand-side cell last
     (see _RHS): minus the denominator for a point, 0 for a direction.  The
@@ -142,47 +142,32 @@ def _eliminate(row: _Row, den: int, prow: _Row, pden: int, col: int) -> tuple[_R
 
 class _Simplex:
     """Sparse tableau over the active rows; columns are the original variables
-    followed by one slack per "le" row, then artificials during phase 1.
+    followed by one slack per row, in row order.
 
     Row r holds tab[r] / den[r] and the objective row obj / obj_den, with
     the (negated) objective value under _RHS.  Each basic column is 1 in
-    its own row and absent from every other row."""
+    its own row and absent from every other row.  Every right-hand side is
+    nonnegative, so the slack basis is feasible from the start."""
 
-    def __init__(self, num_vars: int, rows: list[tuple[_Row, int, str]]) -> None:
+    def __init__(self, num_vars: int, rows: list[tuple[_Row, int]]) -> None:
         self.bland = False
         self.degenerate_streak = 0
-        num_slacks = sum(1 for _, _, kind in rows if kind == "le")
-        self.total = num_vars + num_slacks
+        self.total = num_vars
         self.tab: list[_Row] = []
         self.den: list[int] = []
         self.basis: list[int] = []
-        self.art_cols: list[int] = []
         self.obj: _Row = {}
         self.obj_den = 1
+        for row, den in rows:
+            self._append(row, den)
 
-        slack_at = num_vars
-        art_at = self.total
-        for row, den, kind in rows:
-            if row.get(_RHS, 0) < 0:
-                row = {j: -v for j, v in row.items()}
-                flipped = True
-            else:
-                row = dict(row)
-                flipped = False
-            if kind == "le":
-                # a flipped row reads >=: surplus column, artificial basis
-                row[slack_at] = -den if flipped else den
-                slack_at += 1
-            if kind == "le" and not flipped:
-                self.basis.append(slack_at - 1)
-            else:
-                row[art_at] = den
-                self.art_cols.append(art_at)
-                self.basis.append(art_at)
-                art_at += 1
-            self.tab.append(row)
-            self.den.append(den)
-        self.width = art_at
+    def _append(self, row: _Row, den: int) -> None:
+        """Add a row whose basic columns are already priced out, with its
+        slack basic."""
+        self.tab.append({**row, self.total: den})
+        self.den.append(den)
+        self.basis.append(self.total)
+        self.total += 1
 
     def _pivot(self, r: int, c: int) -> None:
         prow = self.tab[r]
@@ -261,32 +246,6 @@ class _Simplex:
                 return col
             self._pivot(row, col)
 
-    def prepare(self) -> None:
-        """Phase 1, then drop artificial columns and redundant rows."""
-        if not self.art_cols:
-            return
-        self._price_out({c: -1 for c in self.art_cols}, 1)
-        if self.primal() is not None:
-            raise RuntimeError("phase 1 cannot be unbounded")
-        if self.obj.get(_RHS, 0) != 0:
-            raise AssertionError("LP infeasible; the caller promised feasibility")
-        # pivot lingering zero-level artificials out of the basis
-        redundant = []
-        for r, bv in enumerate(self.basis):
-            if bv >= self.total:
-                cols = [j for j in self.tab[r] if 0 <= j < self.total]
-                if cols:
-                    self._pivot(r, min(cols))
-                else:
-                    redundant.append(r)
-        for r in reversed(redundant):
-            del self.tab[r]
-            del self.den[r]
-            del self.basis[r]
-        self.tab = [{j: v for j, v in row.items() if j < self.total} for row in self.tab]
-        self.art_cols = []
-        self.width = self.total
-
     def set_objective(self, objective: Sequence[Fraction]) -> None:
         nums, den = _common_denominator(objective)
         self._price_out({j: v for j, v in enumerate(nums) if v}, den)
@@ -305,20 +264,12 @@ class _Simplex:
         return out, common
 
     def add_row(self, row: _Row, den: int) -> None:
-        """Append a "le" row, priced against the current basis, with its slack
+        """Append a row, priced against the current basis, with its slack
         basic.  The slack may come out negative; dual_restore fixes that."""
-        if self.art_cols:
-            raise RuntimeError("rows can only be added after phase 1")
         for r, bv in enumerate(self.basis):
             if bv in row:
                 row, den = _eliminate(row, den, self.tab[r], self.den[r], bv)
-        row = dict(row)
-        row[self.width] = den
-        self.tab.append(row)
-        self.den.append(den)
-        self.basis.append(self.width)
-        self.total += 1
-        self.width += 1
+        self._append(row, den)
 
     def has_negative_rhs(self) -> bool:
         return any(row.get(_RHS, 0) < 0 for row in self.tab)
@@ -376,32 +327,34 @@ class _Simplex:
             self._pivot(r, col)
 
 
-def solve_lp(lp: LinearProgram, feasible_point: Sequence[Fraction] | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve with lazy constraint activation.
 
     Every explicit constraint starts active; only the rows of
     ``lp.implicit`` are inactive.  After each solve the most violated of
     them (up to ``_MAX_NEW_ROWS``) are added.  An unbounded result is only
-    returned when the ray violates no inactive row and, if a
-    ``feasible_point`` is given, that point satisfies every constraint.
+    returned when the ray violates no inactive row; the origin satisfies
+    every row, so the full system is feasible and the ray proves it unbounded.
+
+    Each solve from scratch starts at the origin and first maximizes the
+    sum of the explicit rows with a positive right-hand side, which is
+    bounded by the sum of those right-hand sides, then switches to the
+    objective.  For the distortion LP that warm-up pushes the normalization
+    row to its bound along the path a phase 1 would take.
 
     Active rows never come back from the family: they hold at every optimum
     of the active set and never block its rays.
     """
     n = lp.num_vars
     family = lp.implicit
-    active = [(*r.integer_row, r.kind) for r in lp.constraints]
-    if feasible_point is not None:
-        point, den = _common_denominator(feasible_point)
-        point.append(-den)
-        at = point.__getitem__
-        for row, _, kind in active:
-            # coeffs . x - rhs, scaled by both denominators (see _RHS)
-            e = sum(map(mul, row.values(), map(at, row)))
-            if e > 0 or (e and kind == "eq"):
-                raise ValueError("feasible_point violates the constraints")
-        if family is not None and family.violated(point):
-            raise ValueError("feasible_point violates the constraints")
+    if family is not None and family.violated([0] * n + [-1]):
+        raise ValueError("an implicit row is violated at the origin")
+    active = [r.integer_row for r in lp.constraints]
+    warm_up = [Fraction(0)] * n
+    for r in lp.constraints:
+        if r.rhs > 0:
+            for j, c in r.coeffs.items():
+                warm_up[j] += c
 
     taken: set[Hashable] = set()
 
@@ -414,12 +367,14 @@ def solve_lp(lp: LinearProgram, feasible_point: Sequence[Fraction] | None = None
                 raise RuntimeError(f"row {key!r} is active but reported as violated")
             taken.add(key)
             row, den = family.row(key)
-            active.append((row, den, "le"))
+            active.append((row, den))
             simplex.add_row(row, den)
 
     def fresh() -> _Simplex:
         s = _Simplex(n, active)
-        s.prepare()
+        s.set_objective(warm_up)
+        if s.primal() is not None:
+            raise RuntimeError("warm-up reported unbounded; the right-hand sides bound it")
         s.set_objective(lp.objective)
         return s
 

@@ -39,8 +39,10 @@ class PreferenceProfile:
         if len(self.rankings) == 0:
             raise ValueError("profile needs at least one voter")
         for name in self.candidate_names:
-            # names must survive a round trip through the text format
-            if not name or any(ch.isspace() for ch in name) or ">" in name or "," in name:
+            # names must survive a round trip through the text format: a
+            # leading "#" would read as a comment, a ":" as a count line
+            if (not name or any(ch.isspace() for ch in name) or name.startswith("#")
+                    or any(ch in name for ch in ">,:")):
                 raise ValueError(f"bad candidate name: {name!r}")
         if len(set(self.candidate_names)) != m:
             raise ValueError("duplicate candidate names")

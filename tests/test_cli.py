@@ -205,6 +205,12 @@ def test_malformed_profile(prof, capsys):
         "--profile", prof("2 1\na a\na>a\n"),
     ])
     assert code == 2 and "line 2" in err
+    # the name would turn into a comment line when written back out
+    code, _, err = run(capsys, [
+        "rule", "--rule", "plurality-veto",
+        "--profile", prof("# ALTERNATIVE NAME 1: #x\n2: 1,2\n"),
+    ])
+    assert code == 2 and "bad candidate name: '#x'" in err
 
 
 def test_usage_exit_code():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -44,19 +45,18 @@ def materialized_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
         if all(x < 0 for x in coeffs.values()):
             continue
         quadrangles.append(LinearConstraint(coeffs, F(0)))
-    rows.append(LinearConstraint({i * m + cref: F(1) for i in range(n)}, F(1), "eq"))
+    rows.append(LinearConstraint({i * m + cref: F(1) for i in range(n)}, F(1)))
     objective = tuple(F(int(a == c)) for i in range(n) for a in range(m))
     return LinearProgram(n * m, objective, tuple(rows), ListedRows(quadrangles))
 
 
 def materialized_distortion(p: PreferenceProfile, c: int) -> DistortionResult:
     """``distortion_of_candidate`` for m > 1, solving ``materialized_lp``."""
-    uniform = [F(1, p.n)] * (p.n * p.m)
     best = None
     for cref in range(p.m):
         if cref == c:
             continue
-        sol = solve_lp(materialized_lp(p, c, cref), feasible_point=uniform)
+        sol = solve_lp(materialized_lp(p, c, cref))
         if sol.status == "unbounded":
             return DistortionResult(c, INFINITE, cref, None, sol.ray)
         if best is None or sol.value > best.value:
@@ -107,9 +107,8 @@ def test_lp_shape_on_split_profile(fix_s):
     assert lp.num_vars == 4
     # 2 adjacency rows and the normalization row; the quadrangles are implicit
     assert len(lp.constraints) == 3
-    norm = lp.constraints[-1]
-    assert norm.kind == "eq" and norm.rhs == F(1)
-    assert norm.coeffs == {1: F(1), 3: F(1)}
+    # d(0, b) + d(1, b) <= 1, a row like every other
+    assert lp.constraints[-1] == LinearConstraint({1: F(1), 3: F(1)}, F(1))
     assert lp.objective == (F(1), F(0), F(1), F(0))
     # at x = -1 everywhere each quadrangle row has excess 2, so the family
     # lists all of its rows
@@ -148,23 +147,51 @@ def test_quadrangle_separation_matches_the_reference():
             assert keys == sorted(set(keys))
 
 
-def test_separated_lp_matches_the_materialized_lp():
-    # same value, reference, certificate and ray: the solver takes the same
-    # rows in the same order whether they are stored or separated
-    exhaustive = [
+@pytest.fixture(scope="module")
+def exhaustive_results() -> list[tuple[PreferenceProfile, DistortionResult]]:
+    """The distortion of every candidate of every 3x3 profile."""
+    profiles = [
         PreferenceProfile.of(rankings)
         for rankings in itertools.product(itertools.permutations(range(3)), repeat=3)
     ]
-    assert len(exhaustive) == 216
-    for p in exhaustive:
-        for c in range(3):
-            assert distortion_of_candidate(p, c) == materialized_distortion(p, c)
+    assert len(profiles) == 216
+    return [(p, distortion_of_candidate(p, c)) for p in profiles for c in range(3)]
+
+
+def test_separated_lp_matches_the_materialized_lp(exhaustive_results):
+    # same value, reference, certificate and ray: the solver takes the same
+    # rows in the same order whether they are stored or separated
+    for p, r in exhaustive_results:
+        assert r == materialized_distortion(p, r.candidate)
     rng = random.Random(3)
     for p in random_profiles(60, seed=606, nmax=4, mmax=4):
         if p.m == 1:
             continue
         c = rng.randrange(p.m)
         assert distortion_of_candidate(p, c) == materialized_distortion(p, c), p.rankings
+
+
+# SHA-256 over ``result_line`` of the results of ``exhaustive_results``, then
+# of every candidate of random_profiles(200, seed=4242, nmax=5, mmax=5).  A
+# change of pivot path changes certificates and rays, so it shows up here;
+# such a change has to update this value on purpose.
+RESULTS_SHA256 = "e39ca1c60573f41adfbf9e5fd03de6fdcd4040dd37d87dc332b6f20d00de6e7d"
+
+
+def result_line(r: DistortionResult) -> str:
+    rows = r.certificate.values if r.certificate else ()
+    cells = ";".join(",".join(map(str, row)) for row in rows) or "-"
+    ray = ",".join(map(str, r.ray)) if r.ray else "-"
+    return f"{r.candidate} {r.value} {r.reference} {cells} {ray}\n"
+
+
+def test_results_are_pinned(exhaustive_results):
+    results = [r for _, r in exhaustive_results]
+    for p in random_profiles(200, seed=4242, nmax=5, mmax=5):
+        results += [distortion_of_candidate(p, c) for c in range(p.m)]
+    assert len(results) == 648 + 593
+    digest = hashlib.sha256("".join(map(result_line, results)).encode())
+    assert digest.hexdigest() == RESULTS_SHA256
 
 
 @settings(deadline=None)
@@ -314,19 +341,23 @@ def test_result_value_types(fix_s, fix_u):
 
 
 def _highs_reference_value(p: PreferenceProfile, c: int, cref: int) -> float:
-    """The optimum of ``materialized_lp`` in floating point, or inf when unbounded."""
+    """The optimum of ``materialized_lp`` in floating point, or inf when
+    unbounded, with the normalization also posed as the equality
+    sum_i d(i, cref) = 1, so HiGHS checks that the relaxation to <= 1 loses
+    no value."""
     import numpy as np
     from scipy.optimize import linprog
 
     lp = materialized_lp(p, c, cref)
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    a_ub, b_ub = [], []
     for row in lp.constraints + lp.implicit.constraints:
         dense = [0.0] * lp.num_vars
         for j, coef in row.coeffs.items():
             dense[j] = float(coef)
-        (a_eq if row.kind == "eq" else a_ub).append(dense)
-        (b_eq if row.kind == "eq" else b_ub).append(float(row.rhs))
-    args = dict(A_ub=np.array(a_ub), b_ub=b_ub, A_eq=np.array(a_eq), b_eq=b_eq, bounds=(0, None))
+        a_ub.append(dense)
+        b_ub.append(float(row.rhs))
+    a_eq = [[float(a == cref) for i in range(p.n) for a in range(p.m)]]
+    args = dict(A_ub=np.array(a_ub), b_ub=b_ub, A_eq=np.array(a_eq), b_eq=[1.0], bounds=(0, None))
     objective = [-float(v) for v in lp.objective]
     res = linprog(objective, method="highs", **args)
     if res.status not in (0, 3):

@@ -11,13 +11,9 @@ def le(coeffs: dict[int, int], rhs) -> LinearConstraint:
     return LinearConstraint({j: F(c) for j, c in coeffs.items()}, F(rhs))
 
 
-def eq(coeffs: dict[int, int], rhs) -> LinearConstraint:
-    return LinearConstraint({j: F(c) for j, c in coeffs.items()}, F(rhs), kind="eq")
-
-
 def test_constraint_shapes_are_validated():
-    with pytest.raises(ValueError):
-        LinearConstraint({0: F(1)}, F(0), kind="ge")
+    with pytest.raises(ValueError, match="negative right-hand side"):
+        LinearConstraint({0: F(1)}, F(-1, 2))
     with pytest.raises(ValueError):
         LinearProgram(2, (F(1),), (le({0: 1}, 1),))
     with pytest.raises(ValueError):
@@ -29,8 +25,6 @@ def test_constraint_evaluation():
     assert value_at(row, (F(1), F(99), F(4))) == F(-2)
     assert satisfied_by(row, (F(2), F(0), F(1)))
     assert not satisfied_by(row, (F(2), F(0), F(0)))
-    row = eq({0: 1}, 1)
-    assert satisfied_by(row, (F(1),)) and not satisfied_by(row, (F(2),))
 
 
 def test_one_variable_box():
@@ -56,11 +50,13 @@ def test_two_variable_vertex():
     assert sol.x == (F(1, 10), F(1, 10))
 
 
-def test_equality_row():
-    lp = LinearProgram(2, (F(1), F(0)), (eq({0: 1, 1: 1}, 1),))
+def test_normalization_row_binds():
+    # maximize x0 over x0 <= x1 and x0 + x1 <= 1: as in the distortion LP,
+    # the only row with a positive right-hand side holds with equality
+    lp = LinearProgram(2, (F(1), F(0)), (le({0: 1, 1: -1}, 0), le({0: 1, 1: 1}, 1)))
     sol = solve_lp(lp)
-    assert sol.value == F(1)
-    assert sol.x == (F(1), F(0))
+    assert sol.value == F(1, 2)
+    assert sol.x == (F(1, 2), F(1, 2))
 
 
 def test_unbounded_reports_a_ray():
@@ -72,15 +68,10 @@ def test_unbounded_reports_a_ray():
 
 
 def test_infeasible_active_rows_raise():
-    lp = LinearProgram(1, (F(0),), (le({0: -1}, -1), le({0: 1}, 0)))
-    with pytest.raises(AssertionError):
-        solve_lp(lp)
-
-
-def test_feasible_point_is_checked():
-    lp = LinearProgram(1, (F(1),), (le({0: 1}, 1),))
-    with pytest.raises(ValueError, match="feasible_point"):
-        solve_lp(lp, feasible_point=(F(2),))
+    # x >= 1 and x <= 0 cannot be posed: x >= 1 reads -x <= -1, and a
+    # negative right-hand side would cut the origin off
+    with pytest.raises(ValueError, match="negative right-hand side"):
+        LinearProgram(1, (F(0),), (le({0: -1}, -1), le({0: 1}, 0)))
 
 
 def triple_cover_lp(n: int) -> LinearProgram:
@@ -114,17 +105,21 @@ def test_implicit_rows_reach_the_explicit_optimum():
             assert solve_lp(lp) == solve_lp(explicit)
 
 
-def test_feasible_point_is_checked_against_implicit_rows():
+def test_a_family_that_excludes_the_origin_raises():
+    # x0 >= 1 as the raw row -x0 <= -1, which LinearConstraint would refuse
+    family = ListedRows([])
+    family.rows = [({0: -1, -1: -1}, 1)]
+    with pytest.raises(ValueError, match="origin"):
+        solve_lp(LinearProgram(3, (F(1),) * 3, (), family))
     lp = LinearProgram(3, (F(1),) * 3, (), ListedRows([le({0: 1, 1: 1, 2: 1}, 1)]))
-    with pytest.raises(ValueError, match="feasible_point"):
-        solve_lp(lp, feasible_point=(F(1), F(1), F(0)))
-    assert solve_lp(lp, feasible_point=(F(0),) * 3).value == F(1)
+    assert solve_lp(lp).value == F(1)
 
 
 def test_a_family_that_reports_an_active_row_raises():
     class Stuck(ListedRows):
         def violated(self, vector):
-            return [(-1, 0)]
+            # silent at the origin, so the solve starts
+            return [(-1, 0)] if any(vector[:-1]) else []
 
     lp = LinearProgram(3, (F(1),) * 3, (), Stuck([le({0: 1, 1: 1, 2: 1}, 1)]))
     with pytest.raises(RuntimeError, match="active"):
@@ -135,7 +130,7 @@ def test_unbounded_relaxation_recovers():
     # the only row is lazy, so the first relaxation is unbounded and the
     # blocker has to be pulled in mid-flight
     lp = LinearProgram(3, (F(1), F(1), F(1)), (), ListedRows([le({0: 1, 1: 1, 2: 1}, 5)]))
-    sol = solve_lp(lp, feasible_point=(F(0), F(0), F(0)))
+    sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.value == F(5)
 

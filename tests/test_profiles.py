@@ -28,6 +28,12 @@ def test_validation_rejects_bad_input():
         PreferenceProfile(((0,),), ("a>b",))
     with pytest.raises(ValueError):
         PreferenceProfile(((0,),), ("",))
+    with pytest.raises(ValueError):
+        PreferenceProfile(((0,),), ("#x",))
+    with pytest.raises(ValueError):
+        PreferenceProfile(((0,),), ("1:x",))
+    # clone names carry a "#" inside
+    assert PreferenceProfile(((0,),), ("a#1",)).candidate_names == ("a#1",)
 
 
 def test_of_defaults_names():

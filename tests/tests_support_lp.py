@@ -14,12 +14,11 @@ def value_at(row: LinearConstraint, x: Sequence[Fraction]) -> Fraction:
 
 
 def satisfied_by(row: LinearConstraint, x: Sequence[Fraction]) -> bool:
-    v = value_at(row, x)
-    return v == row.rhs if row.kind == "eq" else v <= row.rhs
+    return value_at(row, x) <= row.rhs
 
 
 class ListedRows:
-    """A row family over stored "le" rows, keyed by their list index; the
+    """A row family over stored rows, keyed by their list index; the
     oracle for families that separate instead of storing."""
 
     def __init__(self, rows: Sequence[LinearConstraint]) -> None:
