@@ -283,18 +283,14 @@ def pareto_matching_criterion(
 
     True iff the bipartite graph with an edge (i, c') whenever voter i ranks
     c above c' has a matching of size m - 1.  On success the matching is
-    returned as a voter -> candidate map.
+    returned as a voter -> candidate map.  Voters of one ballot type share
+    one edge set, and so one flow node.
     """
-    pos = p.positions()
-    others = [x for x in range(p.m) if x != c]
-    # left side: the m-1 other candidates; all must be matched
-    adjacency = [
-        [i for i in range(p.n) if pos[i][c] < pos[i][x]] for x in others
-    ]
-    matched = max_bipartite_matching(adjacency)
-    if len(matched) < p.m - 1:
+    below = p.per_voter([frozenset(r[r.index(c) + 1:]) for r, _ in p.ballot_types()])
+    matching = max_bipartite_matching(below)
+    if len(matching) < p.m - 1:
         return False, None
-    return True, {voter: others[j] for j, voter in matched.items()}
+    return True, matching
 
 
 def pareto_improve(p: PreferenceProfile, matching: dict[int, int]) -> dict[int, int]:

@@ -67,11 +67,14 @@ def _load_profile(args) -> PreferenceProfile:
     return parse_profile(text)
 
 
-def _voter_bound(flag: str, n: int) -> int:
-    """Reject a generated electorate larger than a parsed one may be."""
-    if n > MAX_VOTERS:
-        raise ProfileSizeError(f"{flag} {n} asks for more than {MAX_VOTERS} voters")
-    return n
+def _count(flag: str, value: int) -> int:
+    """Reject a count flag below 1, and a generated electorate larger than a
+    parsed one may be."""
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
+    if flag in ("--n", "--nmax") and value > MAX_VOTERS:
+        raise ProfileSizeError(f"{flag} {value} asks for more than {MAX_VOTERS} voters")
+    return value
 
 
 def _voter_order(p: PreferenceProfile, raw: str | None) -> list[int] | None:
@@ -244,11 +247,11 @@ def cmd_distortion(args):
 
 
 def _random_instances(args):
-    nmax = _voter_bound("--nmax", args.nmax)
+    nmax, mmax = _count("--nmax", args.nmax), _count("--mmax", args.mmax)
     rng = random.Random(args.seed)
-    for _ in range(args.trials):
+    for _ in range(_count("--trials", args.trials)):
         n = rng.randint(1, nmax)
-        m = rng.randint(1, args.mmax)
+        m = rng.randint(1, mmax)
         yield gen_impartial_culture(n, m, seed=rng.randrange(1 << 30))
 
 
@@ -257,7 +260,7 @@ def cmd_audit(args):
         if args.profile:
             instances = [_load_profile(args)]
         elif args.exhaustive:
-            instances = all_profiles(_voter_bound("--n", args.n), args.m)
+            instances = all_profiles(_count("--n", args.n), _count("--m", args.m))
         else:
             instances = _random_instances(args)
         report = equivalence_audit(instances)
@@ -281,11 +284,11 @@ def cmd_audit(args):
 
 
 def cmd_gen(args):
-    n = _voter_bound("--n", args.n)
+    n, m = _count("--n", args.n), _count("--m", args.m)
     if args.model == "ic":
-        files = {args.out: serialize_profile(gen_impartial_culture(n, args.m, args.seed))}
+        files = {args.out: serialize_profile(gen_impartial_culture(n, m, args.seed))}
     else:
-        inst = gen_euclidean(n, args.m, args.seed)
+        inst = gen_euclidean(n, m, args.seed)
         files = {args.out: serialize_profile(inst.profile),
                  args.out + ".metric": serialize_metric(inst)}
     for path, text in files.items():

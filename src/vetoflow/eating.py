@@ -224,15 +224,16 @@ class FractionalAssignment:
         rows = _distinct_rows(self.shares)
         return tuple(sum(row[c] * mult for row, mult in rows) for c in range(m))
 
-    def validate(self, row_sum: Fraction, column_cap: Fraction = Fraction(1)) -> None:
+    def validate(self, row_sum: Fraction) -> None:
+        """Every row sums to ``row_sum`` and no column exceeds 1."""
         for row, _ in _distinct_rows(self.shares):
             total = sum(row)
             if total != row_sum:
                 i = self.shares.index(row)
                 raise ValueError(f"row {i} sums to {total}, expected {row_sum}")
         for c, total in enumerate(self.column_sums()):
-            if total > column_cap:
-                raise ValueError(f"column {c} exceeds {column_cap}")
+            if total > 1:
+                raise ValueError(f"column {c} exceeds 1")
 
 
 def _distinct_rows(rows: Sequence[tuple]) -> list[tuple[tuple, int]]:

@@ -10,7 +10,8 @@ so they share one network node carrying their joint supply.
 
 When no matching exists, a Hall-style deficiency witness falls out of the
 min cut: a voter set N' whose jointly dominated candidates D satisfy
-|D| < m*|N'|/n.
+|D| < m*|N'|/n.  The same Dinic engine, at unit capacities, finds the
+one-to-one matchings of the Pareto-matching criterion.
 """
 
 from __future__ import annotations
@@ -46,43 +47,41 @@ class Dinic:
                     queue.append(v)
         return self.level[t] >= 0
 
-    def _dfs(self, u: int, t: int, pushed: int) -> int:
-        if u == t:
-            return pushed
-        while self.it[u] < len(self.graph[u]):
-            edge = self.graph[u][self.it[u]]
-            v, cap, rev = edge
-            if cap > 0 and self.level[v] == self.level[u] + 1:
-                flowed = self._dfs(v, t, min(pushed, cap))
-                if flowed > 0:
-                    edge[1] -= flowed
-                    self.graph[v][rev][1] += flowed
-                    return flowed
-            self.it[u] += 1
-        return 0
-
     def max_flow(self, s: int, t: int) -> int:
+        """The max flow value from s to t.  Each phase walks the level graph
+        depth-first on an explicit stack of edges; a node's edge pointer only
+        passes saturated edges and dead ends, and an augmentation resumes the
+        walk at the tail of its first saturated edge.  The last BFS misses t,
+        so ``level[v] >= 0`` then marks the minimal min cut's source side."""
+        graph = self.graph
         total = 0
         while self._bfs(s, t):
-            self.it = [0] * len(self.graph)
+            level = self.level
+            it = [0] * len(graph)
+            path: list[list[int]] = []  # edges from s to u
+            u = s
             while True:
-                pushed = self._dfs(s, t, 1 << 62)
-                if pushed == 0:
+                if u == t:
+                    pushed = min(edge[1] for edge in path)
+                    for edge in path:
+                        edge[1] -= pushed
+                        graph[edge[0]][edge[2]][1] += pushed
+                    total += pushed
+                    del path[[edge[1] for edge in path].index(0):]
+                elif it[u] < len(graph[u]):
+                    edge = graph[u][it[u]]
+                    if edge[1] > 0 and level[edge[0]] == level[u] + 1:
+                        path.append(edge)
+                    else:
+                        it[u] += 1
+                elif path:
+                    # dead end: retreat and skip the edge that led here
+                    path.pop()
+                    it[path[-1][0] if path else s] += 1
+                else:
                     break
-                total += pushed
+                u = path[-1][0] if path else s
         return total
-
-    def reachable_in_residual(self, s: int) -> frozenset[int]:
-        """Nodes reachable from s using edges with leftover capacity."""
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v, cap, _ in self.graph[u]:
-                if cap > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return frozenset(seen)
 
 
 @dataclass(frozen=True)
@@ -132,24 +131,30 @@ class FlowResult:
         source side of the inclusion-minimal min cut.  That set is unique and
         invariant under swapping interchangeable left nodes, so it is a union
         of whole groups."""
-        reachable = self.dinic.reachable_in_residual(0)
-        sides = {adj: 1 + g in reachable for g, adj in enumerate(self.groups)}
+        level = self.dinic.level
+        sides = {adj: level[1 + g] >= 0 for g, adj in enumerate(self.groups)}
         return frozenset(i for i, adj in enumerate(self.edges) if sides[adj])
+
+    def units_sent(self) -> dict[frozenset[int], dict[int, int]]:
+        """Per group, keyed by its edge set: the units (original capacity minus
+        residual) sent to each right node it reaches, right nodes ascending."""
+        first_right = 1 + len(self.groups)
+        sent = {}
+        for g, (adj, size) in enumerate(self.groups.items()):
+            arc_cap = size * self.left_supply
+            sent[adj] = {v - first_right: arc_cap - cap  # v = 0 is the source
+                         for v, cap, _ in self.dinic.graph[1 + g] if v and cap < arc_cap}
+        return sent
 
     def shares(self) -> tuple[tuple[Fraction, ...], ...]:
         """Row i: the fraction of left node i's supply sent to each right
         node.  A group's flow is split evenly over its members, which share
         one row."""
-        first_right = 1 + len(self.groups)
         rows: dict[frozenset[int], tuple[Fraction, ...]] = {}
-        for g, (adj, size) in enumerate(self.groups.items()):
+        for adj, sent in self.units_sent().items():
             row = [Fraction(0)] * self.num_right
-            scale = size * self.left_supply
-            for v, cap, _ in self.dinic.graph[1 + g]:
-                if first_right <= v < first_right + self.num_right:
-                    sent = scale - cap  # original capacity minus residual
-                    if sent > 0:
-                        row[v - first_right] = Fraction(sent, scale)
+            for c, units in sent.items():
+                row[c] = Fraction(units, self.groups[adj] * self.left_supply)
             rows[adj] = tuple(row)
         return tuple(rows[adj] for adj in self.edges)
 
@@ -176,9 +181,8 @@ class FlowNetwork:
         source = 0
         sink = len(groups) + self.num_right + 1
         dinic = Dinic(sink + 1)
-        for g, size in enumerate(groups.values()):
-            dinic.add_edge(source, 1 + g, self.left_supply * size)
         for g, (adj, size) in enumerate(groups.items()):
+            dinic.add_edge(source, 1 + g, self.left_supply * size)
             for c in sorted(adj):
                 dinic.add_edge(1 + g, 1 + len(groups) + c, self.left_supply * size)
         for c in range(self.num_right):
@@ -245,35 +249,25 @@ def extract_deficiency_witness(p: PreferenceProfile, c: int) -> CutWitness | Non
 
 
 def max_bipartite_matching(adjacency: Sequence[Iterable[int]]) -> dict[int, int]:
-    """Maximum one-to-one matching, left index -> right index, by augmenting paths.
+    """Maximum one-to-one matching, left index -> right index, by unit-capacity
+    max flow.
 
-    Each search is a depth-first walk on an explicit stack, so a path may be
-    as long as the graph.  Right vertices are tried in increasing order.
+    Left nodes with equal adjacency share one flow node.  Each unit that node
+    sends goes, right nodes ascending, to its lowest-index member that is
+    still unmatched.
     """
-    adj = [sorted(set(row)) for row in adjacency]
-    match_right: dict[int, int] = {}
-    for root in range(len(adj)):
-        visited: set[int] = set()
-        # stack[k] is a left vertex with its untried neighbours; path[k] is
-        # the right vertex through which stack[k + 1] was reached
-        stack = [(root, iter(adj[root]))]
-        path: list[int] = []
-        while stack:
-            c = next((c for c in stack[-1][1] if c not in visited), None)
-            if c is None:
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            visited.add(c)
-            path.append(c)
-            if c in match_right:
-                stack.append((match_right[c], iter(adj[match_right[c]])))
-                continue
-            for (i, _), d in zip(stack, path):
-                match_right[d] = i
-            break
-    return {i: c for c, i in match_right.items()}
+    edges = tuple(frozenset(row) for row in adjacency)
+    num_right = 1 + max((max(row) for row in set(edges) if row), default=-1)
+    value, flow = FlowNetwork(len(edges), num_right, edges, left_supply=1, right_cap=1).solve()
+    targets = {adj: iter(sent) for adj, sent in flow.units_sent().items()}
+    matching: dict[int, int] = {}
+    for i, adj in enumerate(edges):
+        c = next(targets[adj], None)
+        if c is not None:
+            matching[i] = c
+            if len(matching) == value:
+                break
+    return matching
 
 
 def hall_check_bruteforce(g: DominationGraph) -> bool:

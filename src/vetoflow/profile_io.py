@@ -19,7 +19,6 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .profiles import PreferenceProfile
 
@@ -145,9 +144,7 @@ def serialize_profile(p: PreferenceProfile) -> str:
     return "\n".join(out) + "\n"
 
 
-def gen_impartial_culture(
-    n: int, m: int, seed: int, candidate_names: Sequence[str] | None = None
-) -> PreferenceProfile:
+def gen_impartial_culture(n: int, m: int, seed: int) -> PreferenceProfile:
     """n independent uniform rankings over m candidates."""
     rng = random.Random(seed)
     rankings = []
@@ -155,7 +152,7 @@ def gen_impartial_culture(
         ballot = list(range(m))
         rng.shuffle(ballot)
         rankings.append(tuple(ballot))
-    return PreferenceProfile.of(rankings, candidate_names)
+    return PreferenceProfile.of(rankings)
 
 
 @dataclass(frozen=True)
@@ -182,23 +179,17 @@ class MetricInstance:
                     raise ValueError(f"voter {i} ranking disagrees with distances")
 
 
-def gen_euclidean(
-    n: int,
-    m: int,
-    seed: int,
-    grid: int = 1000,
-    candidate_names: Sequence[str] | None = None,
-) -> MetricInstance:
+def gen_euclidean(n: int, m: int, seed: int) -> MetricInstance:
     """Voters and candidates on a rational grid in the plane, Chebyshev distance.
 
-    Coordinates are multiples of 1/grid in [0, 1], so all distances are exact
+    Coordinates are multiples of 1/1000 in [0, 1], so all distances are exact
     rationals.  Each voter ranks by increasing distance, ties by candidate
     index.
     """
     rng = random.Random(seed)
 
     def point() -> tuple[Fraction, Fraction]:
-        return Fraction(rng.randrange(grid + 1), grid), Fraction(rng.randrange(grid + 1), grid)
+        return Fraction(rng.randrange(1001), 1000), Fraction(rng.randrange(1001), 1000)
 
     voters = [point() for _ in range(n)]
     cands = [point() for _ in range(m)]
@@ -208,8 +199,7 @@ def gen_euclidean(
     rankings = tuple(
         tuple(sorted(range(m), key=lambda c: (dist[i][c], c))) for i in range(n)
     )
-    profile = PreferenceProfile.of(rankings, candidate_names)
-    return MetricInstance(profile, dist)
+    return MetricInstance(PreferenceProfile.of(rankings), dist)
 
 
 def empirical_social_cost(inst: MetricInstance, c: int) -> Fraction:

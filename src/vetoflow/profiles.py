@@ -33,11 +33,12 @@ class PreferenceProfile:
     candidate_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        # an empty profile infers no candidates, so voters are checked first
+        if len(self.rankings) == 0:
+            raise ValueError("profile needs at least one voter")
         m = len(self.candidate_names)
         if m == 0:
             raise ValueError("profile needs at least one candidate")
-        if len(self.rankings) == 0:
-            raise ValueError("profile needs at least one voter")
         for name in self.candidate_names:
             # names must survive a round trip through the text format: a
             # leading "#" would read as a comment, a ":" as a count line

@@ -176,19 +176,46 @@ def test_psc_verdict_carries_validated_witnesses():
 
 
 def test_pareto_matching_criterion_fixtures(fix_p, fix_t):
-    ok, mu = pareto_matching_criterion(fix_p, 0)
-    assert ok and mu == {0: 2, 1: 1}
-    assert pareto_matching_criterion(fix_p, 1) == (True, {2: 0, 0: 2})
-    assert pareto_matching_criterion(fix_p, 2) == (True, {2: 1, 3: 0})
-    ok, _ = pareto_matching_criterion(fix_t, 1)
-    assert ok
-    ok, mu = pareto_matching_criterion(fix_t, 2)
-    assert not ok and mu is None
+    # a ballot type's matched candidates, ascending, go to its voters in index order
+    assert pareto_matching_criterion(fix_p, 0) == (True, {0: 1, 1: 2})
+    assert pareto_matching_criterion(fix_p, 1) == (True, {0: 2, 2: 0})
+    assert pareto_matching_criterion(fix_p, 2) == (True, {2: 0, 3: 1})
+    assert pareto_matching_criterion(fix_t, 1) == (True, {0: 2, 1: 0})
+    assert pareto_matching_criterion(fix_t, 2) == (False, None)
 
 
 def test_pareto_matching_criterion_single_candidate():
     p = PreferenceProfile.of([(0,)])
     assert pareto_matching_criterion(p, 0) == (True, {})
+
+
+def pareto_hall_bruteforce(p: PreferenceProfile, c: int) -> bool:
+    """Hall's condition for matching every other candidate to a distinct voter
+    who ranks c above it, over every subset of the other candidates."""
+    pos = p.positions()
+    others = [x for x in range(p.m) if x != c]
+    for size in range(1, len(others) + 1):
+        for subset in itertools.combinations(others, size):
+            voters = sum(any(pos[i][c] < pos[i][x] for x in subset) for i in range(p.n))
+            if voters < size:
+                return False
+    return True
+
+
+def test_pareto_matching_criterion_agrees_with_hall_bruteforce():
+    outcomes = set()
+    for p in [*all_profiles(3, 3), *random_profiles(300, seed=1312, nmax=8, mmax=6)]:
+        pos = p.positions()
+        for c in range(p.m):
+            ok, mu = pareto_matching_criterion(p, c)
+            assert ok == pareto_hall_bruteforce(p, c), (p.rankings, c)
+            outcomes.add(ok)
+            if not ok:
+                assert mu is None
+                continue
+            assert len(mu) == p.m - 1 and len(set(mu.values())) == p.m - 1, (p.rankings, c, mu)
+            assert all(pos[i][c] < pos[i][x] for i, x in mu.items()), (p.rankings, c, mu)
+    assert outcomes == {True, False}
 
 
 def test_pareto_improve_fixes_a_bad_matching(fix_s, fix_t):

@@ -2,6 +2,8 @@
 rules work per ballot type, and must agree with one-node-per-voter oracles
 and with profiles whose ballots were duplicated and shuffled."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -9,8 +11,14 @@ from hypothesis import given, strategies as st
 
 from vetoflow.axioms import veto_core, veto_core_member, weak_psc_satisfied
 from vetoflow.eating import phragmen_committee, veto_by_consumption_winners
-from vetoflow.matching import Dinic, FlowNetwork, build_domination_graph, extract_deficiency_witness
-from vetoflow.profiles import PreferenceProfile
+from vetoflow.matching import (
+    Dinic,
+    FlowNetwork,
+    build_domination_graph,
+    extract_deficiency_witness,
+    fractional_matching,
+)
+from vetoflow.profiles import PreferenceProfile, all_profiles
 from tests_support_random import profiles_strategy
 
 
@@ -57,8 +65,7 @@ def per_voter_flow(net: FlowNetwork) -> tuple[int, frozenset[int]]:
     for c in range(net.num_right):
         d.add_edge(1 + net.num_left + c, sink, net.right_cap)
     value = d.max_flow(0, sink)
-    reachable = d.reachable_in_residual(0)
-    return value, frozenset(i for i in range(net.num_left) if 1 + i in reachable)
+    return value, frozenset(i for i in range(net.num_left) if d.level[1 + i] >= 0)
 
 
 def test_merged_flow_matches_the_per_voter_network():
@@ -73,6 +80,37 @@ def test_merged_flow_matches_the_per_voter_network():
             deficient += value < net.num_left * net.left_supply
     # the family must exercise min cuts, not only perfect flows
     assert deficient > checked // 10
+
+
+def flow_outputs(p: PreferenceProfile):
+    """Every max-flow result on p, one text line each: core verdicts with
+    their witnesses, fractional matching rows, and PSC verdicts with their
+    violations for every committee of 1..m-1 candidates."""
+    for c in range(p.m):
+        v = veto_core_member(p, c)
+        w = v.witness
+        yield repr((c, v.member, None if w is None else (sorted(w.voters), sorted(w.blocked_by))))
+        yield repr(fractional_matching(build_domination_graph(p, c)))
+    for k in range(1, p.m):
+        for committee in itertools.combinations(range(p.m), k):
+            v = weak_psc_satisfied(p, committee)
+            x = v.violation
+            yield repr((committee, v.satisfied, None if x is None
+                        else (sorted(x.supporters), sorted(x.prefix_set), x.alternative)))
+
+
+# SHA-256 of flow_outputs over the family below; a change to the max-flow
+# engine must leave every flow, minimal cut and witness, and so this, alone
+FLOW_PIN = "0a151fb56f00ee579e852b09ae5aabe12437f0fcfbcb95f3d5c271b0cdf09463"
+
+
+def test_flow_outputs_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for p in [*all_profiles(3, 3), *repeated_profiles(80, seed=2718)]:
+        digest.update(repr(p.rankings).encode())
+        for line in flow_outputs(p):
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == FLOW_PIN
 
 
 def test_merged_flow_value_matches_networkx():

@@ -144,7 +144,7 @@ def test_pareto_matching_check(prof, capsys):
         "check", "--check", "pareto-matching", "--profile", prof(P), "--candidate", "c1",
     ])
     assert code == 0
-    assert out == "c1: criterion holds\n  v1 -> c3\n  v2 -> c2\n"
+    assert out == "c1: criterion holds\n  v1 -> c2\n  v2 -> c3\n"
     code, out, _ = run(capsys, [
         "check", "--check", "pareto-matching", "--profile", prof(T), "--candidate", "c",
     ])
@@ -355,7 +355,7 @@ def test_json_pareto_payloads(prof, capsys):
     argv = ["check", "--check", "pareto-matching", "--profile"]
     assert run_json(capsys, [*argv, prof(P), "--candidate", "c1"]) == (
         0, {"check": "pareto-matching", "candidate": "c1", "criterion": True,
-            "matching": {"v1": "c3", "v2": "c2"}})
+            "matching": {"v1": "c2", "v2": "c3"}})
     assert run_json(capsys, [*argv, prof(T), "--candidate", "c"]) == (
         1, {"check": "pareto-matching", "candidate": "c", "criterion": False, "matching": None})
 
@@ -394,6 +394,26 @@ def test_json_audit_profile_carries_the_digest(prof, capsys):
     code, out, _ = run(capsys, ["audit", "equivalence", "--profile", path, "--json"])
     assert code == 0
     assert json.loads(out)["digest"] == hashlib.sha256(P.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--n", ["gen", "--model", "ic", "--n", "0", "--m", "3", "-o", "unused.prof"]),
+    ("--n", ["gen", "--model", "euclidean", "--n", "-3", "--m", "3", "-o", "unused.prof"]),
+    ("--m", ["gen", "--model", "ic", "--n", "3", "--m", "0", "-o", "unused.prof"]),
+    ("--n", ["audit", "equivalence", "--exhaustive", "--n", "0"]),
+    ("--m", ["audit", "equivalence", "--exhaustive", "--m", "-1"]),
+    ("--nmax", ["audit", "equivalence", "--nmax", "0"]),
+    ("--mmax", ["audit", "equivalence", "--mmax", "-2"]),
+    ("--trials", ["audit", "distortion3", "--trials", "-5"]),
+    ("--trials", ["audit", "equivalence", "--trials", "0"]),
+], ids=["gen-n", "gen-negative-n", "gen-m", "audit-n", "audit-m", "audit-nmax", "audit-mmax",
+        "audit-trials", "audit-zero-trials"])
+def test_count_flags_below_one_are_bad_input(flag, argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"{flag} must be at least 1" in err
+    assert not (tmp_path / "unused.prof").exists()
 
 
 @pytest.mark.parametrize("argv", [

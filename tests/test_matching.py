@@ -7,6 +7,7 @@ from vetoflow.matching import (
     CutWitness,
     Dinic,
     DominationGraph,
+    FlowNetwork,
     build_domination_graph,
     extract_deficiency_witness,
     fractional_matching,
@@ -27,7 +28,7 @@ def test_dinic_on_a_small_network():
     d.add_edge(2, 3, 2)
     assert d.max_flow(0, 3) == 3
     # saturated arcs cut 1 off; 0 and 1 stay connected through the residual
-    assert d.reachable_in_residual(0) == frozenset({0, 1})
+    assert [u for u, level in enumerate(d.level) if level >= 0] == [0, 1]
 
 
 def test_domination_graph_edges(fix_p):
@@ -157,3 +158,20 @@ def test_max_bipartite_matching_follows_long_augmenting_paths():
     mu = max_bipartite_matching(adjacency)
     assert len(mu) == 3001
     assert mu[3000] == 0 and mu[0] == 1 and mu[2999] == 3000
+
+
+def test_flow_network_follows_long_augmenting_paths():
+    # the last phase augments along one path through every left node, far
+    # deeper than Python's default recursion limit
+    edges = tuple(frozenset({i, i + 1}) for i in range(3000)) + (frozenset({0}),)
+    value, flow = FlowNetwork(3001, 3001, edges, left_supply=1, right_cap=1).solve()
+    assert value == 3001
+    assert flow.source_side() == frozenset()
+    assert flow.units_sent()[frozenset({0})] == {0: 1}
+    assert flow.units_sent()[frozenset({0, 1})] == {1: 1}
+
+
+def test_max_bipartite_matching_splits_shared_rows_by_index():
+    # rows 0, 2 and 3 are equal and share a flow node: its two matched right
+    # nodes go, ascending, to the two lowest-index rows
+    assert max_bipartite_matching([[2, 1], [0], [1, 2], [2, 1]]) == {0: 1, 1: 0, 2: 2}

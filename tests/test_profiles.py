@@ -14,8 +14,15 @@ from tests_support_random import profiles_strategy
 
 
 def test_validation_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one voter"):
         PreferenceProfile((), ("a",))
+    # no rankings means no inferred candidates either; the voters are named
+    with pytest.raises(ValueError, match="at least one voter"):
+        PreferenceProfile.of([])
+    with pytest.raises(ValueError, match="at least one voter"):
+        PreferenceProfile((), ())
+    with pytest.raises(ValueError, match="at least one candidate"):
+        PreferenceProfile(((),), ())
     with pytest.raises(ValueError):
         PreferenceProfile(((0,),), ())
     with pytest.raises(ValueError):
