@@ -32,6 +32,7 @@ from .eating import phragmen_committee, probabilistic_serial, veto_by_consumptio
 from .matching import extract_deficiency_witness
 from .profiles import PreferenceProfile, all_profiles, clone_expand, plurality_scores
 from .profile_io import (
+    MAX_CELLS,
     MAX_VOTERS,
     ProfileSizeError,
     format_rational,
@@ -75,6 +76,13 @@ def _count(flag: str, value: int) -> int:
     if flag in ("--n", "--nmax") and value > MAX_VOTERS:
         raise ProfileSizeError(f"{flag} {value} asks for more than {MAX_VOTERS} voters")
     return value
+
+
+def _cap_cells(flags: str, rankings: int, m: int) -> None:
+    """Reject generating ``rankings`` rankings of m candidates when they
+    would hold more than MAX_CELLS cells."""
+    if rankings * m > MAX_CELLS:
+        raise ProfileSizeError(f"{flags} asks for more than {MAX_CELLS} ranking cells")
 
 
 def _voter_order(p: PreferenceProfile, raw: str | None) -> list[int] | None:
@@ -248,6 +256,7 @@ def cmd_distortion(args):
 
 def _random_instances(args):
     nmax, mmax = _count("--nmax", args.nmax), _count("--mmax", args.mmax)
+    _cap_cells(f"--nmax {nmax} --mmax {mmax}", nmax, mmax)
     rng = random.Random(args.seed)
     for _ in range(_count("--trials", args.trials)):
         n = rng.randint(1, nmax)
@@ -260,7 +269,15 @@ def cmd_audit(args):
         if args.profile:
             instances = [_load_profile(args)]
         elif args.exhaustive:
-            instances = all_profiles(_count("--n", args.n), _count("--m", args.m))
+            n, m = _count("--n", args.n), _count("--m", args.m)
+            # all m! rankings are listed up front; stop multiplying past the cap
+            perms = 1
+            for k in range(2, m + 1):
+                perms *= k
+                if perms * m > MAX_CELLS:
+                    break
+            _cap_cells(f"--m {m}", perms, m)
+            instances = all_profiles(n, m)
         else:
             instances = _random_instances(args)
         report = equivalence_audit(instances)
@@ -285,6 +302,7 @@ def cmd_audit(args):
 
 def cmd_gen(args):
     n, m = _count("--n", args.n), _count("--m", args.m)
+    _cap_cells(f"--n {n} --m {m}", n, m)
     if args.model == "ic":
         files = {args.out: serialize_profile(gen_impartial_culture(n, m, args.seed))}
     else:

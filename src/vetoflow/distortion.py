@@ -132,10 +132,12 @@ class _Quadrangles:
                             out.append((vb - ua, (i, j, a, b)))
         return out
 
-    def row(self, key: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
+    def row(self, key: tuple[int, int, int, int]) -> LinearConstraint:
         i, j, a, b = key
         m = self.m
-        return {_var(i, a, m): 1, _var(i, b, m): -1, _var(j, b, m): -1, _var(j, a, m): -1}, 1
+        return LinearConstraint(
+            {_var(i, a, m): 1, _var(i, b, m): -1, _var(j, b, m): -1, _var(j, a, m): -1}, 0
+        )
 
 
 def build_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
@@ -146,22 +148,17 @@ def build_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
     rows: list[LinearConstraint] = []
     for i, ranking in enumerate(p.rankings):
         for a, b in zip(ranking, ranking[1:]):
-            rows.append(LinearConstraint(
-                {_var(i, a, m): Fraction(1), _var(i, b, m): Fraction(-1)},
-                Fraction(0),
-            ))
+            rows.append(LinearConstraint({_var(i, a, m): 1, _var(i, b, m): -1}, 0))
     rows.append(_normalization(p, cref))
-    objective = [Fraction(0)] * (n * m)
+    objective = [0] * (n * m)
     for i in range(n):
-        objective[_var(i, c, m)] = Fraction(1)
+        objective[_var(i, c, m)] = 1
     return LinearProgram(n * m, tuple(objective), tuple(rows), _Quadrangles(n, m))
 
 
 def _normalization(p: PreferenceProfile, cref: int) -> LinearConstraint:
     """sum_i d(i, cref) <= 1, the last row of ``build_lp``."""
-    return LinearConstraint(
-        {_var(i, cref, p.m): Fraction(1) for i in range(p.n)}, Fraction(1)
-    )
+    return LinearConstraint({_var(i, cref, p.m): 1 for i in range(p.n)}, 1)
 
 
 def distortion_of_candidate(
@@ -169,6 +166,8 @@ def distortion_of_candidate(
 ) -> DistortionResult:
     """Maximize over reference candidates; m = 1 has distortion 1 by
     convention (the ratio space is empty)."""
+    if not 0 <= c < p.m:
+        raise ValueError(f"candidate {c} is not in 0..{p.m - 1}")
     if p.m == 1:
         return DistortionResult(c, Fraction(1), None, None, None)
     if p.n * p.m > size_cap:

@@ -15,17 +15,16 @@ rows and repeat.  An optimum with no violated inactive row is globally
 optimal.  An unbounded ray is only trusted once no inactive row blocks it;
 the family must hold at the origin, which keeps the full system feasible.
 
-Arithmetic is exact and Fraction-free inside the solver: every tableau row
-is a sparse map from column to Python int over one positive denominator,
-so pivots touch only the few nonzero cells of each row.  The API boundary
-is always Fraction.
+Integer rows in, Fractions out: rows, the objective and family rows carry
+Python ints, and only the solution's value, point and ray are Fractions.
+Inside, every tableau row is a sparse map from column to int over one
+positive denominator, so pivots touch only the few nonzero cells of a row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Hashable, Protocol, Sequence
 
@@ -41,41 +40,39 @@ _Row = dict[int, int]
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """Sparse row: sum of coeffs[j] * x[j] <= rhs, with rhs >= 0."""
+    """Sparse integer row: sum of coeffs[j] * x[j] <= rhs, with rhs >= 0."""
 
-    coeffs: dict[int, Fraction]
-    rhs: Fraction
+    coeffs: dict[int, int]
+    rhs: int
 
     def __post_init__(self) -> None:
+        if any(type(v) is not int for v in (*self.coeffs.values(), self.rhs)):
+            raise TypeError(f"row cells must be ints: {self.coeffs} <= {self.rhs!r}")
         if self.rhs < 0:
             raise ValueError(f"negative right-hand side {self.rhs}; the origin must be feasible")
 
-    @cached_property
-    def integer_row(self) -> tuple[_Row, int]:
-        """The row as integer numerators over one positive denominator,
-        computed once per constraint; callers must not mutate it."""
-        den = lcm(self.rhs.denominator, *[c.denominator for c in self.coeffs.values()])
-        row = {j: c.numerator * (den // c.denominator) for j, c in self.coeffs.items() if c}
-        if self.rhs:
-            row[_RHS] = self.rhs.numerator * (den // self.rhs.denominator)
-        return row, den
+
+def _cells(row: LinearConstraint) -> _Row:
+    """The tableau row of a constraint, over denominator 1."""
+    cells = {j: c for j, c in row.coeffs.items() if c}
+    if row.rhs:
+        cells[_RHS] = row.rhs
+    return cells
 
 
 class RowFamily(Protocol):
-    """Rows coeffs . x <= rhs found by separation instead of stored; every
-    one must hold at the origin.
+    """Integer rows found by separation instead of stored; every one must
+    hold at the origin.
 
-    A vector holds integer numerators with its right-hand-side cell last
-    (see _RHS): minus the denominator for a point, 0 for a direction.  The
-    excess of a row (numerators r over denominator d) at a vector is
-    r . vector / d."""
+    A vector is an integer point or direction with one extra cell last:
+    minus the denominator for a point, 0 for a direction.  The excess of a
+    row at a vector is coeffs . vector + rhs * (last cell), an int."""
 
-    def violated(self, vector: Sequence[int]) -> list[tuple[int | Fraction, Hashable]]:
+    def violated(self, vector: Sequence[int]) -> list[tuple[int, Hashable]]:
         """(-excess, key) of every row with positive excess, keys ascending."""
 
-    def row(self, key: Hashable) -> tuple[_Row, int]:
-        """The row of a key as (numerators, positive denominator); callers
-        must not mutate it."""
+    def row(self, key: Hashable) -> LinearConstraint:
+        """The row of a key."""
 
 
 @dataclass(frozen=True)
@@ -84,11 +81,13 @@ class LinearProgram:
     implicit family, and x >= 0."""
 
     num_vars: int
-    objective: tuple[Fraction, ...]
+    objective: tuple[int, ...]
     constraints: tuple[LinearConstraint, ...]
     implicit: RowFamily | None = None
 
     def __post_init__(self) -> None:
+        if any(type(v) is not int for v in self.objective):
+            raise TypeError(f"objective cells must be ints: {self.objective}")
         if len(self.objective) != self.num_vars:
             raise ValueError("objective length must equal num_vars")
         if any(j < 0 or j >= self.num_vars for row in self.constraints for j in row.coeffs):
@@ -105,11 +104,6 @@ class LpSolution:
 
 _DEGENERATE_STREAK_LIMIT = 40
 _MAX_NEW_ROWS = 100
-
-
-def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    den = lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _eliminate(row: _Row, den: int, prow: _Row, pden: int, col: int) -> tuple[_Row, int]:
@@ -149,7 +143,7 @@ class _Simplex:
     its own row and absent from every other row.  Every right-hand side is
     nonnegative, so the slack basis is feasible from the start."""
 
-    def __init__(self, num_vars: int, rows: list[tuple[_Row, int]]) -> None:
+    def __init__(self, num_vars: int, rows: list[_Row]) -> None:
         self.bland = False
         self.degenerate_streak = 0
         self.total = num_vars
@@ -158,8 +152,8 @@ class _Simplex:
         self.basis: list[int] = []
         self.obj: _Row = {}
         self.obj_den = 1
-        for row, den in rows:
-            self._append(row, den)
+        for row in rows:
+            self._append(row, 1)
 
     def _append(self, row: _Row, den: int) -> None:
         """Add a row whose basic columns are already priced out, with its
@@ -189,11 +183,13 @@ class _Simplex:
             self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, prow, p, c)
         self.basis[r] = c
 
-    def _price_out(self, objective: _Row, den: int) -> None:
+    def _priced(self, row: _Row) -> tuple[_Row, int]:
+        """An integer row with its basic columns eliminated, over its denominator."""
+        den = 1
         for r, bv in enumerate(self.basis):
-            if bv in objective:
-                objective, den = _eliminate(objective, den, self.tab[r], self.den[r], bv)
-        self.obj, self.obj_den = objective, den
+            if bv in row:
+                row, den = _eliminate(row, den, self.tab[r], self.den[r], bv)
+        return row, den
 
     def _choose_entering(self) -> int | None:
         """Largest reduced cost, ties to the smallest column; in Bland mode
@@ -246,9 +242,8 @@ class _Simplex:
                 return col
             self._pivot(row, col)
 
-    def set_objective(self, objective: Sequence[Fraction]) -> None:
-        nums, den = _common_denominator(objective)
-        self._price_out({j: v for j, v in enumerate(nums) if v}, den)
+    def set_objective(self, objective: Sequence[int]) -> None:
+        self.obj, self.obj_den = self._priced({j: v for j, v in enumerate(objective) if v})
 
     def objective_value(self) -> Fraction:
         return Fraction(-self.obj.get(_RHS, 0), self.obj_den)
@@ -263,13 +258,10 @@ class _Simplex:
             out[bv] = self.tab[r][key] * (common // self.den[r])
         return out, common
 
-    def add_row(self, row: _Row, den: int) -> None:
-        """Append a row, priced against the current basis, with its slack
-        basic.  The slack may come out negative; dual_restore fixes that."""
-        for r, bv in enumerate(self.basis):
-            if bv in row:
-                row, den = _eliminate(row, den, self.tab[r], self.den[r], bv)
-        self._append(row, den)
+    def add_row(self, row: _Row) -> None:
+        """Append an integer row, priced against the current basis, with its
+        slack basic.  The slack may come out negative; dual_restore fixes it."""
+        self._append(*self._priced(row))
 
     def has_negative_rhs(self) -> bool:
         return any(row.get(_RHS, 0) < 0 for row in self.tab)
@@ -328,7 +320,7 @@ class _Simplex:
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve with lazy constraint activation.
+    """Solve with lazy constraint activation: integer rows in, Fractions out.
 
     Every explicit constraint starts active; only the rows of
     ``lp.implicit`` are inactive.  After each solve the most violated of
@@ -349,8 +341,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     family = lp.implicit
     if family is not None and family.violated([0] * n + [-1]):
         raise ValueError("an implicit row is violated at the origin")
-    active = [r.integer_row for r in lp.constraints]
-    warm_up = [Fraction(0)] * n
+    active = [_cells(r) for r in lp.constraints]
+    warm_up = [0] * n
     for r in lp.constraints:
         if r.rhs > 0:
             for j, c in r.coeffs.items():
@@ -358,17 +350,16 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     taken: set[Hashable] = set()
 
-    def offers(vector: list[int]) -> list[tuple[int | Fraction, Hashable]]:
+    def offers(vector: list[int]) -> list[tuple[int, Hashable]]:
         return [] if family is None else family.violated(vector)
 
-    def activate(picked: list[tuple[int | Fraction, Hashable]]) -> None:
+    def activate(picked: list[tuple[int, Hashable]]) -> None:
         for _, key in picked:
             if key in taken:
                 raise RuntimeError(f"row {key!r} is active but reported as violated")
             taken.add(key)
-            row, den = family.row(key)
-            active.append((row, den))
-            simplex.add_row(row, den)
+            active.append(_cells(family.row(key)))
+            simplex.add_row(active[-1])
 
     def fresh() -> _Simplex:
         s = _Simplex(n, active)

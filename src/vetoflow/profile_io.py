@@ -24,6 +24,8 @@ from .profiles import PreferenceProfile
 
 # count lines expand into one entry per voter; cap the total before expanding
 MAX_VOTERS = 1_000_000
+# generated rankings hold one cell per candidate; cap their total before generating
+MAX_CELLS = 10**7
 
 _COUNT_LINE = re.compile(r"^\s*\d+\s*:")
 _ALT_NAME = re.compile(r"^#\s*ALTERNATIVE\s+NAME\s+(\d+)\s*:\s*(.+?)\s*$", re.IGNORECASE)

@@ -47,12 +47,17 @@ class PreferenceProfile:
                 raise ValueError(f"bad candidate name: {name!r}")
         if len(set(self.candidate_names)) != m:
             raise ValueError("duplicate candidate names")
+        # group the voters by ranking, then check each distinct ranking once,
+        # in order of its first voter
+        voters: dict[tuple[int, ...], list[int]] = {}
+        for i, ranking in enumerate(self.rankings):
+            voters.setdefault(ranking, []).append(i)
         full = frozenset(range(m))
-        # each distinct ranking once, in order of its first voter
-        for ranking in dict.fromkeys(self.rankings):
+        for ranking, vs in voters.items():
             if len(ranking) != m or frozenset(ranking) != full:
-                i = self.rankings.index(ranking)
-                raise ValueError(f"ranking of voter {i} is not a permutation of 0..{m - 1}")
+                raise ValueError(f"ranking of voter {vs[0]} is not a permutation of 0..{m - 1}")
+        types = tuple(BallotType(r, tuple(vs)) for r, vs in voters.items())
+        object.__setattr__(self, "_ballot_types", types)
 
     @classmethod
     def of(
@@ -79,14 +84,7 @@ class PreferenceProfile:
         """The distinct rankings in first-appearance order, each with the
         voters who cast it.  Identical voters are interchangeable for every
         checker and eating rule, so those work per type."""
-        cached = self.__dict__.get("_ballot_types")
-        if cached is None:
-            voters: dict[tuple[int, ...], list[int]] = {}
-            for i, ranking in enumerate(self.rankings):
-                voters.setdefault(ranking, []).append(i)
-            cached = tuple(BallotType(r, tuple(vs)) for r, vs in voters.items())
-            object.__setattr__(self, "_ballot_types", cached)
-        return cached
+        return self._ballot_types
 
     def per_voter(self, values: Sequence[T]) -> tuple[T, ...]:
         """Spread ``values[t]``, one per ballot type, to every voter of type t;

@@ -26,6 +26,11 @@ def test_ballot_types_in_first_appearance_order(fix_p):
     p = PreferenceProfile.of([(1, 0), (0, 1), (1, 0), (1, 0)])
     assert p.ballot_types() == (((1, 0), (0, 2, 3)), ((0, 1), (1,)))
     assert p.ballot_types() is p.ballot_types()
+    # the types are built with the profile but are not one of its fields
+    q = PreferenceProfile.of([(1, 0), (0, 1), (1, 0), (1, 0)])
+    assert p == q and hash(p) == hash(q)
+    assert repr(p) == ("PreferenceProfile(rankings=((1, 0), (0, 1), (1, 0), (1, 0)), "
+                       "candidate_names=('c1', 'c2'))")
     assert [bt.voters for bt in fix_p.ballot_types()] == [(0, 1), (2, 3)]
     # voters of one type share their position row
     pos = p.positions()

@@ -416,14 +416,27 @@ def test_count_flags_below_one_are_bad_input(flag, argv, capsys, tmp_path, monke
     assert not (tmp_path / "unused.prof").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["gen", "--model", "ic", "--n", "1000000000", "--m", "3", "-o", "unused.prof"],
-    ["gen", "--model", "euclidean", "--n", "1000000000", "--m", "3", "-o", "unused.prof"],
-    ["audit", "equivalence", "--exhaustive", "--n", "1000000000", "--m", "2"],
-    ["audit", "equivalence", "--nmax", "1000000000"],
-    ["audit", "distortion3", "--nmax", "1000000000"],
-], ids=["gen-ic", "gen-euclidean", "audit-exhaustive", "audit-equivalence", "audit-distortion3"])
-def test_hostile_generated_size_is_a_resource_limit(argv, capsys, tmp_path, monkeypatch):
+VOTERS = "1000000000 asks for more than 1000000 voters"
+CELLS = "asks for more than 10000000 ranking cells"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--model", "ic", "--n", "1000000000", "--m", "3", "-o", "unused.prof"], VOTERS),
+    (["gen", "--model", "euclidean", "--n", "1000000000", "--m", "3", "-o", "unused.prof"],
+     VOTERS),
+    (["audit", "equivalence", "--exhaustive", "--n", "1000000000", "--m", "2"], VOTERS),
+    (["audit", "equivalence", "--nmax", "1000000000"], VOTERS),
+    (["audit", "distortion3", "--nmax", "1000000000"], VOTERS),
+    (["gen", "--model", "ic", "--n", "1", "--m", "100000000", "-o", "unused.prof"], CELLS),
+    (["gen", "--model", "euclidean", "--n", "1000000", "--m", "11", "-o", "unused.prof"], CELLS),
+    (["audit", "equivalence", "--exhaustive", "--n", "1", "--m", "10"], CELLS),
+    (["audit", "equivalence", "--exhaustive", "--n", "1", "--m", "1000000000"], CELLS),
+    (["audit", "equivalence", "--nmax", "1000000", "--mmax", "11"], CELLS),
+    (["audit", "distortion3", "--nmax", "2", "--mmax", "100000000"], CELLS),
+], ids=["gen-ic", "gen-euclidean", "audit-exhaustive", "audit-equivalence", "audit-distortion3",
+        "gen-ic-m", "gen-euclidean-cells", "audit-exhaustive-m", "audit-exhaustive-huge-m",
+        "audit-equivalence-cells", "audit-distortion3-mmax"])
+def test_hostile_generated_size_is_a_resource_limit(argv, message, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     tracemalloc.start()
     try:
@@ -431,6 +444,6 @@ def test_hostile_generated_size_is_a_resource_limit(argv, capsys, tmp_path, monk
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code == 4 and "1000000000 asks for more than 1000000 voters" in err
+    assert code == 4 and message in err
     assert peak < 1 << 20
     assert not (tmp_path / "unused.prof").exists()

@@ -35,18 +35,18 @@ def materialized_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
     quadrangles = []
     for i, ranking in enumerate(p.rankings):
         for a, b in zip(ranking, ranking[1:]):
-            rows.append(LinearConstraint({i * m + a: F(1), i * m + b: F(-1)}, F(0)))
+            rows.append(LinearConstraint({i * m + a: 1, i * m + b: -1}, 0))
     for i, j, a, b in itertools.product(range(n), range(n), range(m), range(m)):
-        coeffs: dict[int, F] = {}
+        coeffs: dict[int, int] = {}
         for var, delta in ((i * m + a, 1), (i * m + b, -1), (j * m + b, -1), (j * m + a, -1)):
-            coeffs[var] = coeffs.get(var, F(0)) + delta
+            coeffs[var] = coeffs.get(var, 0) + delta
         coeffs = {v: x for v, x in coeffs.items() if x != 0}
         # i=j and a=b rows collapse to consequences of d >= 0
         if all(x < 0 for x in coeffs.values()):
             continue
-        quadrangles.append(LinearConstraint(coeffs, F(0)))
-    rows.append(LinearConstraint({i * m + cref: F(1) for i in range(n)}, F(1)))
-    objective = tuple(F(int(a == c)) for i in range(n) for a in range(m))
+        quadrangles.append(LinearConstraint(coeffs, 0))
+    rows.append(LinearConstraint({i * m + cref: 1 for i in range(n)}, 1))
+    objective = tuple(int(a == c) for i in range(n) for a in range(m))
     return LinearProgram(n * m, objective, tuple(rows), ListedRows(quadrangles))
 
 
@@ -96,6 +96,17 @@ def test_single_candidate_is_one_by_convention():
     assert verify_certificate(p, r)
 
 
+@pytest.mark.parametrize("rankings, c", [
+    ([(0, 1, 2), (1, 0, 2), (2, 1, 0)], -1),
+    ([(0, 1, 2), (1, 0, 2), (2, 1, 0)], 3),
+    ([(0,)], 1),
+], ids=["negative", "m", "single-candidate"])
+def test_candidate_outside_the_profile_is_refused(rankings, c):
+    # a negative index would wrap to the last candidate's LP variables
+    with pytest.raises(ValueError, match=f"candidate {c} is not in 0.."):
+        distortion_of_candidate(PreferenceProfile.of(rankings), c)
+
+
 def test_single_voter():
     p = PreferenceProfile.of([(0, 1)])
     assert distortion_of_candidate(p, 0).value == F(1)
@@ -108,8 +119,8 @@ def test_lp_shape_on_split_profile(fix_s):
     # 2 adjacency rows and the normalization row; the quadrangles are implicit
     assert len(lp.constraints) == 3
     # d(0, b) + d(1, b) <= 1, a row like every other
-    assert lp.constraints[-1] == LinearConstraint({1: F(1), 3: F(1)}, F(1))
-    assert lp.objective == (F(1), F(0), F(1), F(0))
+    assert lp.constraints[-1] == LinearConstraint({1: 1, 3: 1}, 1)
+    assert lp.objective == (1, 0, 1, 0)
     # at x = -1 everywhere each quadrangle row has excess 2, so the family
     # lists all of its rows
     listed = lp.implicit.violated([-1] * 4 + [0])
@@ -120,7 +131,7 @@ def test_lp_shape_on_split_profile(fix_s):
     assert reference.constraints == lp.constraints
     assert reference.objective == lp.objective
     assert len(reference.implicit.constraints) == 4
-    assert [lp.implicit.row(key) for _, key in listed] == reference.implicit.rows
+    assert tuple(lp.implicit.row(key) for _, key in listed) == reference.implicit.constraints
 
 
 def test_vacuous_quadrangle_rows_are_dropped(fix_s):

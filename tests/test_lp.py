@@ -7,34 +7,49 @@ from vetoflow.lp import LinearConstraint, LinearProgram, LpSolution, solve_lp
 from tests_support_lp import ListedRows, satisfied_by, value_at
 
 
-def le(coeffs: dict[int, int], rhs) -> LinearConstraint:
-    return LinearConstraint({j: F(c) for j, c in coeffs.items()}, F(rhs))
-
-
 def test_constraint_shapes_are_validated():
     with pytest.raises(ValueError, match="negative right-hand side"):
-        LinearConstraint({0: F(1)}, F(-1, 2))
+        LinearConstraint({0: 1}, -1)
     with pytest.raises(ValueError):
-        LinearProgram(2, (F(1),), (le({0: 1}, 1),))
+        LinearProgram(2, (1,), (LinearConstraint({0: 1}, 1),))
     with pytest.raises(ValueError):
-        LinearProgram(2, (F(1), F(0)), (le({5: 1}, 1),))
+        LinearProgram(2, (1, 0), (LinearConstraint({5: 1}, 1),))
+
+
+@pytest.mark.parametrize("cell", [F(1), F(1, 2), 1.0, True],
+                         ids=["Fraction", "half", "float", "bool"])
+def test_rows_and_objectives_take_only_ints(cell):
+    # every coefficient of the distortion LP is an integer; a Fraction, a
+    # float or a bool is a caller's mistake, not a value to convert
+    with pytest.raises(TypeError, match="must be ints"):
+        LinearConstraint({0: cell, 1: 1}, 1)
+    with pytest.raises(TypeError, match="must be ints"):
+        LinearConstraint({0: 1}, cell)
+    with pytest.raises(TypeError, match="must be ints"):
+        LinearProgram(2, (1, cell), (LinearConstraint({0: 1}, 1),))
 
 
 def test_constraint_evaluation():
-    row = le({0: 2, 2: -1}, 3)
+    row = LinearConstraint({0: 2, 2: -1}, 3)
     assert value_at(row, (F(1), F(99), F(4))) == F(-2)
     assert satisfied_by(row, (F(2), F(0), F(1)))
     assert not satisfied_by(row, (F(2), F(0), F(0)))
 
 
 def test_one_variable_box():
-    sol = solve_lp(LinearProgram(1, (F(1),), (le({0: 1}, 2),)))
+    sol = solve_lp(LinearProgram(1, (1,), (LinearConstraint({0: 1}, 2),)))
     assert sol.status == "optimal"
     assert sol.value == F(2) and sol.x == (F(2),)
 
 
+def test_zero_cells_are_ignored():
+    # a stored zero in the pivot row would leave a zero cell behind
+    sol = solve_lp(LinearProgram(2, (1, 0), (LinearConstraint({0: 1, 1: 0}, 1),)))
+    assert sol.value == F(1) and sol.x == (F(1), F(0))
+
+
 def test_exact_rational_optimum():
-    sol = solve_lp(LinearProgram(1, (F(1),), (le({0: 3}, 1),)))
+    sol = solve_lp(LinearProgram(1, (1,), (LinearConstraint({0: 3}, 1),)))
     assert sol.value == F(1, 3)
     assert sol.x == (F(1, 3),)
 
@@ -42,8 +57,8 @@ def test_exact_rational_optimum():
 def test_two_variable_vertex():
     lp = LinearProgram(
         2,
-        (F(1), F(1)),
-        (le({0: 7, 1: 3}, 1), le({0: 1, 1: 9}, 1)),
+        (1, 1),
+        (LinearConstraint({0: 7, 1: 3}, 1), LinearConstraint({0: 1, 1: 9}, 1)),
     )
     sol = solve_lp(lp)
     assert sol.value == F(1, 5)
@@ -53,34 +68,35 @@ def test_two_variable_vertex():
 def test_normalization_row_binds():
     # maximize x0 over x0 <= x1 and x0 + x1 <= 1: as in the distortion LP,
     # the only row with a positive right-hand side holds with equality
-    lp = LinearProgram(2, (F(1), F(0)), (le({0: 1, 1: -1}, 0), le({0: 1, 1: 1}, 1)))
+    rows = (LinearConstraint({0: 1, 1: -1}, 0), LinearConstraint({0: 1, 1: 1}, 1))
+    lp = LinearProgram(2, (1, 0), rows)
     sol = solve_lp(lp)
     assert sol.value == F(1, 2)
     assert sol.x == (F(1, 2), F(1, 2))
 
 
 def test_unbounded_reports_a_ray():
-    lp = LinearProgram(2, (F(1), F(0)), (le({1: 1}, 1),))
+    lp = LinearProgram(2, (1, 0), (LinearConstraint({1: 1}, 1),))
     sol = solve_lp(lp)
     assert sol.status == "unbounded"
     assert sol.value is None and sol.x is None
-    assert sol.ray == (F(1), F(0))
+    assert sol.ray == (1, 0)
 
 
 def test_infeasible_active_rows_raise():
     # x >= 1 and x <= 0 cannot be posed: x >= 1 reads -x <= -1, and a
     # negative right-hand side would cut the origin off
     with pytest.raises(ValueError, match="negative right-hand side"):
-        LinearProgram(1, (F(0),), (le({0: -1}, -1), le({0: 1}, 0)))
+        LinearProgram(1, (0,), (LinearConstraint({0: -1}, -1), LinearConstraint({0: 1}, 0)))
 
 
 def triple_cover_lp(n: int) -> LinearProgram:
     # every 3-subset of n variables sums to at most 1; summing the rows shows
     # C(n-1, 2) * sum(x) <= C(n, 3), and x == 1/3 meets that bound
     rows = tuple(
-        le({i: 1, j: 1, k: 1}, 1) for i, j, k in itertools.combinations(range(n), 3)
+        LinearConstraint({i: 1, j: 1, k: 1}, 1) for i, j, k in itertools.combinations(range(n), 3)
     )
-    return LinearProgram(n, tuple([F(1)] * n), rows)
+    return LinearProgram(n, (1,) * n, rows)
 
 
 def test_lazy_activation_reaches_the_true_optimum():
@@ -106,12 +122,15 @@ def test_implicit_rows_reach_the_explicit_optimum():
 
 
 def test_a_family_that_excludes_the_origin_raises():
-    # x0 >= 1 as the raw row -x0 <= -1, which LinearConstraint would refuse
-    family = ListedRows([])
-    family.rows = [({0: -1, -1: -1}, 1)]
+    class AtLeastOne(ListedRows):
+        # x0 >= 1, that is -x0 <= -1, a row LinearConstraint refuses
+        def violated(self, vector):
+            excess = -vector[0] - vector[-1]
+            return [(-excess, 0)] if excess > 0 else []
+
     with pytest.raises(ValueError, match="origin"):
-        solve_lp(LinearProgram(3, (F(1),) * 3, (), family))
-    lp = LinearProgram(3, (F(1),) * 3, (), ListedRows([le({0: 1, 1: 1, 2: 1}, 1)]))
+        solve_lp(LinearProgram(3, (1,) * 3, (), AtLeastOne([])))
+    lp = LinearProgram(3, (1,) * 3, (), ListedRows([LinearConstraint({0: 1, 1: 1, 2: 1}, 1)]))
     assert solve_lp(lp).value == F(1)
 
 
@@ -121,7 +140,7 @@ def test_a_family_that_reports_an_active_row_raises():
             # silent at the origin, so the solve starts
             return [(-1, 0)] if any(vector[:-1]) else []
 
-    lp = LinearProgram(3, (F(1),) * 3, (), Stuck([le({0: 1, 1: 1, 2: 1}, 1)]))
+    lp = LinearProgram(3, (1,) * 3, (), Stuck([LinearConstraint({0: 1, 1: 1, 2: 1}, 1)]))
     with pytest.raises(RuntimeError, match="active"):
         solve_lp(lp)
 
@@ -129,21 +148,22 @@ def test_a_family_that_reports_an_active_row_raises():
 def test_unbounded_relaxation_recovers():
     # the only row is lazy, so the first relaxation is unbounded and the
     # blocker has to be pulled in mid-flight
-    lp = LinearProgram(3, (F(1), F(1), F(1)), (), ListedRows([le({0: 1, 1: 1, 2: 1}, 5)]))
+    lp = LinearProgram(3, (1, 1, 1), (), ListedRows([LinearConstraint({0: 1, 1: 1, 2: 1}, 5)]))
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.value == F(5)
 
 
 def test_degenerate_vertex_terminates():
-    # Beale's cycling example; the optimum is 1 at (1, 0, 1, 0)
+    # Beale's cycling example with its two homogeneous rows doubled to
+    # integers; the optimum is 1 at (1, 0, 1, 0)
     lp = LinearProgram(
         4,
-        (F(10), F(-57), F(-9), F(-24)),
+        (10, -57, -9, -24),
         (
-            LinearConstraint({0: F(1, 2), 1: F(-11, 2), 2: F(-5, 2), 3: F(9)}, F(0)),
-            LinearConstraint({0: F(1, 2), 1: F(-3, 2), 2: F(-1, 2), 3: F(1)}, F(0)),
-            le({0: 1}, 1),
+            LinearConstraint({0: 1, 1: -11, 2: -5, 3: 18}, 0),
+            LinearConstraint({0: 1, 1: -3, 2: -1, 3: 2}, 0),
+            LinearConstraint({0: 1}, 1),
         ),
     )
     sol = solve_lp(lp)
@@ -153,6 +173,6 @@ def test_degenerate_vertex_terminates():
 
 
 def test_solution_is_a_plain_record():
-    sol = solve_lp(LinearProgram(1, (F(1),), (le({0: 1}, 2),)))
+    sol = solve_lp(LinearProgram(1, (1,), (LinearConstraint({0: 1}, 2),)))
     assert isinstance(sol, LpSolution)
     assert all(isinstance(v, F) for v in sol.x)

@@ -29,6 +29,9 @@ def test_validation_rejects_bad_input():
         PreferenceProfile(((0, 1),), ("a", "a"))
     with pytest.raises(ValueError):
         PreferenceProfile(((0, 0),), ("a", "b"))
+    # the first voter who cast the first bad ranking is named
+    with pytest.raises(ValueError, match="ranking of voter 2 is not"):
+        PreferenceProfile.of([(0, 1), (0, 1), (1, 1), (0, 1), (1, 1), (0, 2)])
     with pytest.raises(ValueError):
         PreferenceProfile(((0,),), ("a b",))
     with pytest.raises(ValueError):

@@ -65,3 +65,24 @@ def test_no_function_in_the_package_calls_itself():
                 if direct or method:
                     found.append(f"{name}:{node.lineno} {fn.name}")
     assert found == []
+
+
+def test_no_private_name_is_imported_from_another_module():
+    # a leading underscore keeps a format, such as the LP's tableau rows,
+    # behind the module that owns it; the tests hold to that as well
+    tests = sorted(Path(__file__).resolve().parent.glob("*.py"))
+    trees = package_trees() + [(path.name, ast.parse(path.read_text(encoding="utf-8")))
+                               for path in tests]
+    found = []
+    for name, tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "vetoflow":
+                continue
+            found += [
+                f"{name}:{node.lineno} {alias.name}" for alias in node.names
+                if alias.name.startswith("_")
+                and not (alias.name.startswith("__") and alias.name.endswith("__"))
+            ]
+    assert found == []

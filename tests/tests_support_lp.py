@@ -23,16 +23,15 @@ class ListedRows:
 
     def __init__(self, rows: Sequence[LinearConstraint]) -> None:
         self.constraints = tuple(rows)
-        self.rows = [r.integer_row for r in rows]
 
-    def violated(self, vector: Sequence[int]) -> list[tuple[int | Fraction, int]]:
-        # the right-hand side sits in the vector's last cell, under key -1
+    def violated(self, vector: Sequence[int]) -> list[tuple[int, int]]:
+        # the vector's last cell scales the right-hand side
         out = []
-        for key, (coeffs, den) in enumerate(self.rows):
-            excess = sum(v * vector[j] for j, v in coeffs.items())
+        for key, row in enumerate(self.constraints):
+            excess = sum(c * vector[j] for j, c in row.coeffs.items()) + row.rhs * vector[-1]
             if excess > 0:
-                out.append((-excess if den == 1 else -Fraction(excess, den), key))
+                out.append((-excess, key))
         return out
 
-    def row(self, key: int) -> tuple[dict[int, int], int]:
-        return self.rows[key]
+    def row(self, key: int) -> LinearConstraint:
+        return self.constraints[key]
