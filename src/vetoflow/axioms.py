@@ -21,6 +21,7 @@ from typing import Iterable
 
 from .matching import (
     FlowNetwork,
+    ballot_groups,
     build_domination_graph,
     extract_deficiency_witness,
     has_fractional_perfect_matching,
@@ -52,11 +53,11 @@ class VetoWitness:
             raise ValueError("empty coalition")
         if c in self.blocked_by:
             raise ValueError("vetoed candidate cannot block itself")
-        pos = p.positions()
-        for i in self.voters:
-            for b in self.blocked_by:
-                if pos[i][b] >= pos[i][c]:
-                    raise ValueError(f"voter {i} does not rank {b} above {c}")
+        for r, voters in p.ballot_types_of(self.voters):
+            not_above = self.blocked_by.difference(r[:r.index(c)])
+            if not_above:
+                i = min(self.voters.intersection(voters))
+                raise ValueError(f"voter {i} does not rank {min(not_above)} above {c}")
         need = p.m - veto_power(p.n, p.m, len(self.voters))
         if len(self.blocked_by) < need:
             raise ValueError("blocking set is too small for the coalition's veto power")
@@ -163,12 +164,10 @@ class PscViolation:
             raise ValueError("the claimed alternative is already in the committee")
         if not self.prefix_set - committee:
             raise ValueError("prefix set must contain an uncommitted candidate")
-        pos = p.positions()
-        union = set()
-        for i in self.supporters:
-            cutoff = pos[i][self.alternative]
-            union.update(p.rankings[i][: cutoff + 1])
-        if frozenset(union) != self.prefix_set:
+        union: set[int] = set()
+        for r, _ in p.ballot_types_of(self.supporters):
+            union.update(r[: r.index(self.alternative) + 1])
+        if union != self.prefix_set:
             raise ValueError("prefix set is not the union of supporter prefixes")
         # Droop threshold, strict, cross-multiplied
         if len(self.supporters) * (k + 1) <= len(self.prefix_set) * p.n:
@@ -187,9 +186,9 @@ class PscVerdict:
             raise ValueError("violation must be present exactly when unsatisfied")
 
 
-def _weak_prefixes(p: PreferenceProfile, x: int) -> tuple[frozenset[int], ...]:
-    """Voter i's candidates down to x; one shared set per ballot type."""
-    return p.per_voter([frozenset(r[: r.index(x) + 1]) for r, _ in p.ballot_types()])
+def _weak_prefixes(p: PreferenceProfile, x: int) -> list[frozenset[int]]:
+    """Each ballot type's candidates down to x."""
+    return [frozenset(r[: r.index(x) + 1]) for r, _ in p.ballot_types()]
 
 
 def weak_psc_satisfied(
@@ -214,11 +213,8 @@ def weak_psc_satisfied(
         raise ValueError(f"committee has {len(W)} members, expected k = {k}")
 
     def violation_from(voters: frozenset[int], x: int) -> PscViolation:
-        prefixes = _weak_prefixes(p, x)
-        union: set[int] = set()
-        for i in voters:
-            union |= prefixes[i]
-        return PscViolation(frozenset(union), voters, x)
+        union = frozenset().union(*(r[: r.index(x) + 1] for r, _ in p.ballot_types_of(voters)))
+        return PscViolation(union, voters, x)
 
     for sc in solid_coalitions(p):
         outside = sc.prefix_set - W
@@ -232,8 +228,8 @@ def weak_psc_satisfied(
     for x in range(p.m):
         if x in W:
             continue
-        prefixes = _weak_prefixes(p, x)
-        net = FlowNetwork(p.n, p.m, prefixes, left_supply=k + 1, right_cap=p.n)
+        groups = ballot_groups(p, _weak_prefixes(p, x))
+        net = FlowNetwork(p.n, p.m, groups, left_supply=k + 1, right_cap=p.n)
         value, flow = net.solve()
         if value < p.n * (k + 1):
             viol = violation_from(flow.source_side(), x)
@@ -254,7 +250,7 @@ def weak_psc_bruteforce(
     if len(W) != k:
         raise ValueError(f"committee has {len(W)} members, expected k = {k}")
     prefix_masks = {
-        x: [_mask(pref) for pref in _weak_prefixes(p, x)]
+        x: p.per_voter([_mask(pref) for pref in _weak_prefixes(p, x)])
         for x in range(p.m) if x not in W
     }
     for sub in range(1, 1 << p.n):
@@ -286,8 +282,8 @@ def pareto_matching_criterion(
     returned as a voter -> candidate map.  Voters of one ballot type share
     one edge set, and so one flow node.
     """
-    below = p.per_voter([frozenset(r[r.index(c) + 1:]) for r, _ in p.ballot_types()])
-    matching = max_bipartite_matching(below)
+    below = [frozenset(r[r.index(c) + 1:]) for r, _ in p.ballot_types()]
+    matching = max_bipartite_matching(groups=ballot_groups(p, below))
     if len(matching) < p.m - 1:
         return False, None
     return True, matching

@@ -208,6 +208,9 @@ def verify_certificate(p: PreferenceProfile, result: DistortionResult) -> bool:
     dm = result.certificate
     if dm is None or result.reference is None or result.reference == result.candidate:
         return False
+    # a negative index would wrap around to another candidate's column
+    if not (0 <= result.candidate < p.m and 0 <= result.reference < p.m):
+        return False
     if dm.check(p):
         return False
     ref_cost = sum((row[result.reference] for row in dm.values), Fraction(0))

@@ -12,6 +12,7 @@ probabilistic serial assignment are all thin drivers over this loop.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -217,23 +218,39 @@ class FractionalAssignment:
     shares: tuple[tuple[Fraction, ...], ...]
 
     def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row) for row in self.shares)
+        den, rows = self._numerators()
+        total = {id(row): Fraction(sum(nums), den) for row, _, nums in rows}
+        return tuple(map(total.__getitem__, map(id, self.shares)))
 
     def column_sums(self) -> tuple[Fraction, ...]:
-        m = len(self.shares[0])
-        rows = _distinct_rows(self.shares)
-        return tuple(sum(row[c] * mult for row, mult in rows) for c in range(m))
+        den, rows = self._numerators()
+        totals = _column_numerators(rows, len(self.shares[0]))
+        return tuple(Fraction(total, den) for total in totals)
 
     def validate(self, row_sum: Fraction) -> None:
-        """Every row sums to ``row_sum`` and no column exceeds 1."""
-        for row, _ in _distinct_rows(self.shares):
-            total = sum(row)
-            if total != row_sum:
+        """Every row sums to ``row_sum`` and no column exceeds 1; the checks
+        compare integer numerators over one common denominator."""
+        den, rows = self._numerators()
+        for row, _, nums in rows:
+            total = sum(nums)
+            if total * row_sum.denominator != row_sum.numerator * den:
                 i = self.shares.index(row)
-                raise ValueError(f"row {i} sums to {total}, expected {row_sum}")
-        for c, total in enumerate(self.column_sums()):
-            if total > 1:
+                raise ValueError(f"row {i} sums to {Fraction(total, den)}, expected {row_sum}")
+        for c, total in enumerate(_column_numerators(rows, len(self.shares[0]))):
+            if total > den:
                 raise ValueError(f"column {c} exceeds 1")
+
+    def _numerators(self) -> tuple[int, list[tuple[tuple, int, list[int]]]]:
+        """A common denominator of all shares, and each distinct row with its
+        multiplicity and its shares as numerators over that denominator."""
+        rows = _distinct_rows(self.shares)
+        den = math.lcm(*[v.denominator for row, _ in rows for v in row])
+        return den, [(row, mult, [v.numerator * (den // v.denominator) for v in row])
+                     for row, mult in rows]
+
+
+def _column_numerators(rows: list[tuple[tuple, int, list[int]]], m: int) -> list[int]:
+    return [sum(nums[c] * mult for _, mult, nums in rows) for c in range(m)]
 
 
 def _distinct_rows(rows: Sequence[tuple]) -> list[tuple[tuple, int]]:

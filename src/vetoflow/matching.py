@@ -6,7 +6,11 @@ weakly below c, every voter hands out total weight 1, and every candidate
 receives exactly n/m?  Scaling by m turns this into an integral max-flow
 problem: voter supply m, candidate capacity n, and a perfect matching exists
 iff the max flow is n*m.  Voters with the same edge set are interchangeable,
-so they share one network node carrying their joint supply.
+so they share one network node carrying their joint supply: a network takes
+its left side as groups, each an edge set with its voters, built straight
+from the profile's ballot types.  Solving a network and reading back its cut
+therefore never walks the n voters; only outputs that are per voter (a
+witness's voter set, a matching's rows) touch them.
 
 When no matching exists, a Hall-style deficiency witness falls out of the
 min cut: a voter set N' whose jointly dominated candidates D satisfy
@@ -16,10 +20,11 @@ one-to-one matchings of the Pareto-matching criterion.
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from heapq import merge
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .profiles import PreferenceProfile, dominated_set
 
@@ -84,47 +89,86 @@ class Dinic:
         return total
 
 
+class LeftGroup(NamedTuple):
+    """Left nodes of a flow network that share one edge set.  They come as
+    ascending runs, one per ballot type with that edge set, so equal edge
+    sets merge without copying their nodes."""
+
+    edges: frozenset[int]
+    runs: tuple[tuple[int, ...], ...]
+
+    @property
+    def size(self) -> int:
+        return sum(map(len, self.runs))
+
+    def members(self) -> Iterator[int]:
+        """The group's left nodes, ascending."""
+        return merge(*self.runs)
+
+
+def left_groups(
+    edge_sets: Iterable[frozenset[int]], runs: Iterable[tuple[int, ...]]
+) -> tuple[LeftGroup, ...]:
+    """Pair each edge set with its ascending run of left nodes, merging equal
+    edge sets in order of first appearance."""
+    merged: dict[frozenset[int], list[tuple[int, ...]]] = {}
+    for adj, run in zip(edge_sets, runs, strict=True):
+        merged.setdefault(adj, []).append(run)
+    return tuple(LeftGroup(adj, tuple(rs)) for adj, rs in merged.items())
+
+
+def ballot_groups(
+    p: PreferenceProfile, edge_sets: Sequence[frozenset[int]]
+) -> tuple[LeftGroup, ...]:
+    """The voters of p as left groups, ballot type t's voters sharing
+    ``edge_sets[t]``.  Types come in first-appearance order, so the groups
+    come in order of their first voter."""
+    return left_groups(edge_sets, (bt.voters for bt in p.ballot_types()))
+
+
 @dataclass(frozen=True)
 class DominationGraph:
     """Bipartite graph for candidate c: voter i is adjacent to every candidate
-    they rank weakly below c (always including c itself)."""
+    they rank weakly below c (always including c itself).
+
+    ``groups`` lists each distinct edge set once with its voters, in order of
+    first voter.  It is derived from ``edges`` unless given; given groups must
+    cover the n voters, and each run's first voter must have the group's
+    edge set."""
 
     candidate: int
     n: int
     m: int
     edges: tuple[frozenset[int], ...]
+    groups: tuple[LeftGroup, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.edges) != self.n:
             raise ValueError("need one edge set per voter")
-        # each distinct edge set once, in order of its first voter
-        for adj in dict.fromkeys(self.edges):
-            if self.candidate not in adj:
-                i = self.edges.index(adj)
-                raise ValueError(f"voter {i} must be adjacent to the pivot candidate")
-            if any(c < 0 or c >= self.m for c in adj):
+        if not self.groups:
+            object.__setattr__(self, "groups", left_groups(self.edges, zip(range(self.n))))
+        elif sum(g.size for g in self.groups) != self.n or any(
+                self.edges[run[0]] != g.edges for g in self.groups for run in g.runs):
+            raise ValueError("groups do not match the edge sets")
+        for g in self.groups:
+            if self.candidate not in g.edges:
+                raise ValueError(f"voter {g.runs[0][0]} must be adjacent to the pivot candidate")
+            if any(c < 0 or c >= self.m for c in g.edges):
                 raise ValueError("edge endpoint out of range")
 
 
 def build_domination_graph(p: PreferenceProfile, c: int) -> DominationGraph:
-    edges = p.per_voter([frozenset(r[r.index(c):]) for r, _ in p.ballot_types()])
-    return DominationGraph(c, p.n, p.m, edges)
+    edges = [frozenset(r[r.index(c):]) for r, _ in p.ballot_types()]
+    return DominationGraph(c, p.n, p.m, p.per_voter(edges), ballot_groups(p, edges))
 
 
 @dataclass(frozen=True)
 class FlowResult:
-    """A solved network, read back per original left node.
-
-    Left nodes with equal edge sets share one Dinic node: ``groups`` maps
-    each distinct edge set to its number of left nodes, and the g-th key is
-    node ``1 + g`` of ``dinic``.
-    """
+    """A solved network, read back per original left node.  The g-th group
+    of ``network`` is node ``1 + g`` of ``dinic``."""
 
     dinic: Dinic
-    edges: tuple[frozenset[int], ...]
-    groups: dict[frozenset[int], int]
-    num_right: int
-    left_supply: int
+    network: FlowNetwork
 
     def source_side(self) -> frozenset[int]:
         """Left nodes reachable from the source in the residual network: the
@@ -132,67 +176,80 @@ class FlowResult:
         invariant under swapping interchangeable left nodes, so it is a union
         of whole groups."""
         level = self.dinic.level
-        sides = {adj: level[1 + g] >= 0 for g, adj in enumerate(self.groups)}
-        return frozenset(i for i, adj in enumerate(self.edges) if sides[adj])
+        groups = self.network.groups
+        return frozenset().union(
+            *(run for k, g in enumerate(groups) if level[1 + k] >= 0 for run in g.runs))
 
     def units_sent(self) -> dict[frozenset[int], dict[int, int]]:
         """Per group, keyed by its edge set: the units (original capacity minus
         residual) sent to each right node it reaches, right nodes ascending."""
-        first_right = 1 + len(self.groups)
+        net = self.network
+        first_right = 1 + len(net.groups)
         sent = {}
-        for g, (adj, size) in enumerate(self.groups.items()):
-            arc_cap = size * self.left_supply
-            sent[adj] = {v - first_right: arc_cap - cap  # v = 0 is the source
-                         for v, cap, _ in self.dinic.graph[1 + g] if v and cap < arc_cap}
+        for k, g in enumerate(net.groups):
+            arc_cap = g.size * net.left_supply
+            sent[g.edges] = {v - first_right: arc_cap - cap  # v = 0 is the source
+                             for v, cap, _ in self.dinic.graph[1 + k] if v and cap < arc_cap}
         return sent
 
     def shares(self) -> tuple[tuple[Fraction, ...], ...]:
         """Row i: the fraction of left node i's supply sent to each right
         node.  A group's flow is split evenly over its members, which share
         one row."""
-        rows: dict[frozenset[int], tuple[Fraction, ...]] = {}
-        for adj, sent in self.units_sent().items():
-            row = [Fraction(0)] * self.num_right
+        net = self.network
+        rows: list = [None] * net.num_left
+        for g, sent in zip(net.groups, self.units_sent().values()):
+            row = [Fraction(0)] * net.num_right
             for c, units in sent.items():
-                row[c] = Fraction(units, self.groups[adj] * self.left_supply)
-            rows[adj] = tuple(row)
-        return tuple(rows[adj] for adj in self.edges)
+                row[c] = Fraction(units, g.size * net.left_supply)
+            shared = tuple(row)
+            for run in g.runs:
+                for i in run:
+                    rows[i] = shared
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """The scaled bipartite network: every left node supplies ``left_supply``
-    units, every right node absorbs at most ``right_cap``."""
+    """The scaled bipartite network: ``num_left`` left nodes, given as
+    ``groups`` of nodes that share an edge set, each supplying
+    ``left_supply`` units; every right node absorbs at most ``right_cap``.
+
+    Left nodes of one group are interchangeable, so each group is one flow
+    node carrying the group's total supply.  The flow value and the minimal
+    min cut are those of the one-node-per-left network."""
 
     num_left: int
     num_right: int
-    edges: tuple[frozenset[int], ...]
+    groups: tuple[LeftGroup, ...]
     left_supply: int
     right_cap: int
 
-    def solve(self) -> tuple[int, FlowResult]:
-        """Max flow value and the solved network.
+    @property
+    def edges(self) -> tuple[frozenset[int], ...]:
+        """The distinct edge sets, one per flow node."""
+        return tuple(g.edges for g in self.groups)
 
-        Left nodes with equal edge sets are interchangeable, so each such
-        group becomes one node carrying the group's total supply.  The flow
-        value and the minimal min cut are those of the one-node-per-left
-        network."""
-        groups = Counter(self.edges)
+    def solve(self) -> tuple[int, FlowResult]:
+        """Max flow value and the solved network."""
+        groups = self.groups
         source = 0
-        sink = len(groups) + self.num_right + 1
+        first_right = 1 + len(groups)
+        sink = first_right + self.num_right
         dinic = Dinic(sink + 1)
-        for g, (adj, size) in enumerate(groups.items()):
-            dinic.add_edge(source, 1 + g, self.left_supply * size)
-            for c in sorted(adj):
-                dinic.add_edge(1 + g, 1 + len(groups) + c, self.left_supply * size)
+        for k, g in enumerate(groups):
+            cap = self.left_supply * g.size
+            dinic.add_edge(source, 1 + k, cap)
+            for c in sorted(g.edges):
+                dinic.add_edge(1 + k, first_right + c, cap)
         for c in range(self.num_right):
-            dinic.add_edge(1 + len(groups) + c, sink, self.right_cap)
+            dinic.add_edge(first_right + c, sink, self.right_cap)
         value = dinic.max_flow(source, sink)
-        return value, FlowResult(dinic, self.edges, dict(groups), self.num_right, self.left_supply)
+        return value, FlowResult(dinic, self)
 
 
 def domination_flow_network(g: DominationGraph) -> FlowNetwork:
-    return FlowNetwork(g.n, g.m, g.edges, left_supply=g.m, right_cap=g.n)
+    return FlowNetwork(g.n, g.m, g.groups, left_supply=g.m, right_cap=g.n)
 
 
 def has_fractional_perfect_matching(g: DominationGraph) -> bool:
@@ -248,26 +305,26 @@ def extract_deficiency_witness(p: PreferenceProfile, c: int) -> CutWitness | Non
     return witness
 
 
-def max_bipartite_matching(adjacency: Sequence[Iterable[int]]) -> dict[int, int]:
+def max_bipartite_matching(
+    adjacency: Sequence[Iterable[int]] = (), *, groups: Sequence[LeftGroup] | None = None
+) -> dict[int, int]:
     """Maximum one-to-one matching, left index -> right index, by unit-capacity
-    max flow.
+    max flow.  The left side is ``adjacency``, one row per left node, or
+    ``groups`` when given.
 
-    Left nodes with equal adjacency share one flow node.  Each unit that node
-    sends goes, right nodes ascending, to its lowest-index member that is
-    still unmatched.
+    Left nodes with equal adjacency share one flow node.  The units that node
+    sends go, right nodes ascending, to its members in ascending order.
     """
-    edges = tuple(frozenset(row) for row in adjacency)
-    num_right = 1 + max((max(row) for row in set(edges) if row), default=-1)
-    value, flow = FlowNetwork(len(edges), num_right, edges, left_supply=1, right_cap=1).solve()
-    targets = {adj: iter(sent) for adj, sent in flow.units_sent().items()}
-    matching: dict[int, int] = {}
-    for i, adj in enumerate(edges):
-        c = next(targets[adj], None)
-        if c is not None:
-            matching[i] = c
-            if len(matching) == value:
-                break
-    return matching
+    if groups is None:
+        rows = [frozenset(row) for row in adjacency]
+        groups = left_groups(rows, zip(range(len(rows))))
+    num_left = sum(g.size for g in groups)
+    num_right = 1 + max((max(g.edges) for g in groups if g.edges), default=-1)
+    _, flow = FlowNetwork(num_left, num_right, tuple(groups), left_supply=1, right_cap=1).solve()
+    pairs: list[tuple[int, int]] = []
+    for g, sent in zip(groups, flow.units_sent().values()):
+        pairs.extend(zip(g.members(), sent))
+    return dict(sorted(pairs))
 
 
 def hall_check_bruteforce(g: DominationGraph) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -58,6 +59,9 @@ class PreferenceProfile:
                 raise ValueError(f"ranking of voter {vs[0]} is not a permutation of 0..{m - 1}")
         types = tuple(BallotType(r, tuple(vs)) for r, vs in voters.items())
         object.__setattr__(self, "_ballot_types", types)
+        # _spread picks, for each voter in turn, the entry of its ballot type
+        index = {r: t for t, r in enumerate(voters)}
+        object.__setattr__(self, "_spread", itemgetter(*map(index.__getitem__, self.rankings)))
 
     @classmethod
     def of(
@@ -86,14 +90,21 @@ class PreferenceProfile:
         checker and eating rule, so those work per type."""
         return self._ballot_types
 
+    def ballot_types_of(self, voters: Iterable[int]) -> tuple[BallotType, ...]:
+        """The ballot types cast by at least one voter in ``voters``, in
+        first-appearance order.  A voter outside 0..n-1 is an error."""
+        vs = voters if isinstance(voters, (set, frozenset)) else frozenset(voters)
+        if vs and (min(vs) < 0 or max(vs) >= self.n):
+            raise ValueError(f"voter index outside 0..{self.n - 1}")
+        return tuple(bt for bt in self._ballot_types if not vs.isdisjoint(bt.voters))
+
     def per_voter(self, values: Sequence[T]) -> tuple[T, ...]:
         """Spread ``values[t]``, one per ballot type, to every voter of type t;
         the voters of a type share the object."""
-        out: list = [None] * self.n
-        for bt, value in zip(self.ballot_types(), values, strict=True):
-            for i in bt.voters:
-                out[i] = value
-        return tuple(out)
+        if len(values) != len(self._ballot_types):
+            raise ValueError(f"need one value per ballot type, got {len(values)}")
+        # itemgetter of a single index returns the bare item
+        return self._spread(values) if self.n > 1 else (self._spread(values),)
 
     def positions(self) -> tuple[tuple[int, ...], ...]:
         """``positions()[i][c]`` is the rank of candidate c for voter i, 0 = best.
@@ -190,11 +201,9 @@ def clone_expand(p: PreferenceProfile, frequency: Sequence[int]) -> CloneExpansi
 
 def dominated_set(p: PreferenceProfile, c: int, voters: Iterable[int]) -> frozenset[int]:
     """Candidates that some voter in ``voters`` ranks weakly below c (c included)."""
-    pos = p.positions()
     out: set[int] = set()
-    for i in voters:
-        cutoff = pos[i][c]
-        out.update(p.rankings[i][cutoff:])
+    for r, _ in p.ballot_types_of(voters):
+        out.update(r[r.index(c):])
     return frozenset(out)
 
 

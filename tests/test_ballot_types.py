@@ -9,14 +9,22 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from vetoflow.axioms import veto_core, veto_core_member, weak_psc_satisfied
+from vetoflow.axioms import (
+    pareto_matching_criterion,
+    veto_core,
+    veto_core_member,
+    weak_psc_satisfied,
+)
 from vetoflow.eating import phragmen_committee, veto_by_consumption_winners
 from vetoflow.matching import (
     Dinic,
     FlowNetwork,
+    ballot_groups,
     build_domination_graph,
+    domination_flow_network,
     extract_deficiency_witness,
     fractional_matching,
+    max_bipartite_matching,
 )
 from vetoflow.profiles import PreferenceProfile, all_profiles
 from tests_support_random import profiles_strategy
@@ -50,21 +58,25 @@ def repeated_profiles(count: int, seed: int):
 
 def networks(p: PreferenceProfile):
     """The domination network of every candidate and the PSC network of
-    every candidate and committee size, as FlowNetwork instances."""
+    every candidate and committee size: the grouped FlowNetwork the checkers
+    solve, each with the edge sets of its voters read off p.rankings."""
     for c in range(p.m):
-        yield FlowNetwork(p.n, p.m, build_domination_graph(p, c).edges, p.m, p.n)
+        below = tuple(frozenset(r[r.index(c):]) for r in p.rankings)
+        yield domination_flow_network(build_domination_graph(p, c)), below
         prefixes = tuple(frozenset(r[: r.index(c) + 1]) for r in p.rankings)
+        groups = ballot_groups(p, [frozenset(r[: r.index(c) + 1]) for r, _ in p.ballot_types()])
         for k in range(p.m):
-            yield FlowNetwork(p.n, p.m, prefixes, k + 1, p.n)
+            yield FlowNetwork(p.n, p.m, groups, k + 1, p.n), prefixes
 
 
-def per_voter_flow(net: FlowNetwork) -> tuple[int, frozenset[int]]:
-    """Max flow and residual-reachable left nodes, one Dinic node per left node."""
+def per_voter_flow(net: FlowNetwork, edges) -> tuple[int, frozenset[int]]:
+    """Max flow and residual-reachable left nodes, one Dinic node per left
+    node, left node i adjacent to ``edges[i]``."""
     sink = net.num_left + net.num_right + 1
     d = Dinic(sink + 1)
     for i in range(net.num_left):
         d.add_edge(0, 1 + i, net.left_supply)
-    for i, adj in enumerate(net.edges):
+    for i, adj in enumerate(edges):
         for c in sorted(adj):
             d.add_edge(1 + i, 1 + net.num_left + c, net.left_supply)
     for c in range(net.num_right):
@@ -76,15 +88,40 @@ def per_voter_flow(net: FlowNetwork) -> tuple[int, frozenset[int]]:
 def test_merged_flow_matches_the_per_voter_network():
     checked = deficient = 0
     for p in repeated_profiles(150, seed=4242):
-        for net in networks(p):
+        for net, edges in networks(p):
+            # the groups partition the voters, each voter in the group of its edge set
+            members = [list(g.members()) for g in net.groups]
+            assert sorted(sum(members, [])) == list(range(p.n)) == list(range(net.num_left))
+            assert all(ms == sorted(ms) and len(ms) == g.size for g, ms in zip(net.groups, members))
+            assert all(edges[i] == g.edges for g, ms in zip(net.groups, members) for i in ms)
+            assert len(set(net.edges)) == len(net.groups)
             value, flow = net.solve()
-            expect_value, expect_side = per_voter_flow(net)
+            expect_value, expect_side = per_voter_flow(net, edges)
             assert value == expect_value, (p.rankings, net)
             assert flow.source_side() == expect_side, (p.rankings, net)
             checked += 1
             deficient += value < net.num_left * net.left_supply
     # the family must exercise min cuts, not only perfect flows
     assert deficient > checked // 10
+
+
+def test_pareto_matching_hands_merged_types_to_voters_in_index_order():
+    # the per-voter adjacency is the reference: its equal rows merge one
+    # voter at a time, while the criterion merges whole ballot types
+    interleaved = 0
+    for p in repeated_profiles(150, seed=31):
+        for c in range(p.m):
+            below = [frozenset(r[r.index(c) + 1:]) for r in p.rankings]
+            expect = max_bipartite_matching(below)
+            ok, matching = pareto_matching_criterion(p, c)
+            assert ok == (len(expect) == p.m - 1), (p.rankings, c)
+            if ok:
+                assert list(matching.items()) == list(expect.items()), (p.rankings, c)
+            types = ballot_groups(p, [frozenset(r[r.index(c) + 1:]) for r, _ in p.ballot_types()])
+            interleaved += ok and any(
+                len(g.runs) > 1 and list(g.members()) != [i for run in g.runs for i in run]
+                for g in types)
+    assert interleaved > 20
 
 
 def flow_outputs(p: PreferenceProfile):
@@ -121,9 +158,9 @@ def test_flow_outputs_match_the_pinned_digest():
 def test_merged_flow_value_matches_networkx():
     nx = pytest.importorskip("networkx")
     for p in repeated_profiles(60, seed=99):
-        for net in networks(p):
+        for net, edges in networks(p):
             g = nx.DiGraph()
-            for i, adj in enumerate(net.edges):
+            for i, adj in enumerate(edges):
                 g.add_edge("s", ("v", i), capacity=net.left_supply)
                 for c in adj:
                     g.add_edge(("v", i), ("c", c), capacity=net.left_supply)

@@ -233,6 +233,13 @@ def test_verify_rejects_tampered_results(fix_s):
     assert not verify_certificate(fix_s, dataclasses.replace(r, reference=0))
     doubled = DistanceMatrix(tuple(tuple(2 * v for v in row) for row in r.certificate.values))
     assert not verify_certificate(fix_s, dataclasses.replace(r, certificate=doubled))
+    # candidate 2's true certificate under indices that wrap around to 2 and 0
+    p = PreferenceProfile.of([(0, 1, 2), (1, 0, 2), (2, 1, 0)])
+    true = distortion_of_candidate(p, 2)
+    assert verify_certificate(p, true) and true.reference == 0
+    assert not verify_certificate(p, DistortionResult(-1, true.value, 0, true.certificate, None))
+    assert not verify_certificate(p, DistortionResult(2, true.value, -3, true.certificate, None))
+    assert not verify_certificate(p, dataclasses.replace(true, candidate=5))
 
 
 def test_verify_refuses_infinite_results(fix_u):

@@ -13,6 +13,7 @@ from vetoflow.matching import (
     fractional_matching,
     hall_check_bruteforce,
     has_fractional_perfect_matching,
+    left_groups,
     max_bipartite_matching,
 )
 from vetoflow.profiles import PreferenceProfile, dominated_set
@@ -52,6 +53,20 @@ def test_domination_graph_validation():
         DominationGraph(0, 4, 2, (good, bad, good, bad))
     with pytest.raises(ValueError):
         DominationGraph(0, 1, 2, (frozenset({0, 5}),))
+
+
+def test_domination_graph_groups_must_match_the_edges(fix_p):
+    g = build_domination_graph(fix_p, 1)
+    assert [(sorted(grp.edges), grp.runs) for grp in g.groups] == [([1, 2], ((0, 1),)),
+                                                                   ([0, 1], ((2, 3),))]
+    # derived from the edges, one run per voter, the groups hold the same voters
+    derived = DominationGraph(1, g.n, g.m, g.edges).groups
+    assert [(grp.edges, list(grp.members())) for grp in derived] == [
+        (grp.edges, list(grp.members())) for grp in g.groups]
+    with pytest.raises(ValueError, match="groups"):
+        DominationGraph(1, g.n, g.m, g.edges, g.groups[1:])
+    with pytest.raises(ValueError, match="groups"):
+        DominationGraph(1, g.n, g.m, g.edges[::-1], g.groups)
 
 
 def test_fix_p_middle_candidate_has_matching(fix_p):
@@ -164,7 +179,8 @@ def test_flow_network_follows_long_augmenting_paths():
     # the last phase augments along one path through every left node, far
     # deeper than Python's default recursion limit
     edges = tuple(frozenset({i, i + 1}) for i in range(3000)) + (frozenset({0}),)
-    value, flow = FlowNetwork(3001, 3001, edges, left_supply=1, right_cap=1).solve()
+    groups = left_groups(edges, [(i,) for i in range(3001)])
+    value, flow = FlowNetwork(3001, 3001, groups, left_supply=1, right_cap=1).solve()
     assert value == 3001
     assert flow.source_side() == frozenset()
     assert flow.units_sent()[frozenset({0})] == {0: 1}
