@@ -32,6 +32,7 @@ from .eating import phragmen_committee, probabilistic_serial, veto_by_consumptio
 from .matching import extract_deficiency_witness
 from .profiles import PreferenceProfile, all_profiles, clone_expand, plurality_scores
 from .profile_io import (
+    MAX_CANDIDATES,
     MAX_CELLS,
     MAX_VOTERS,
     ProfileSizeError,
@@ -69,12 +70,14 @@ def _load_profile(args) -> PreferenceProfile:
 
 
 def _count(flag: str, value: int) -> int:
-    """Reject a count flag below 1, and a generated electorate larger than a
-    parsed one may be."""
+    """Reject a count flag below 1, and a generated electorate or candidate
+    set larger than the caps allow."""
     if value < 1:
         raise ValueError(f"{flag} must be at least 1, got {value}")
     if flag in ("--n", "--nmax") and value > MAX_VOTERS:
         raise ProfileSizeError(f"{flag} {value} asks for more than {MAX_VOTERS} voters")
+    if flag in ("--m", "--mmax") and value > MAX_CANDIDATES:
+        raise ProfileSizeError(f"{flag} {value} asks for more than {MAX_CANDIDATES} candidates")
     return value
 
 

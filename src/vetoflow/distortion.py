@@ -13,6 +13,14 @@ Relaxing the normalization from = 1 to <= 1 (Charnes and Cooper) loses
 nothing: every other row is homogeneous and the objective nonnegative, so an
 optimum below the bound scales up to it.  Every row then holds at the origin.
 
+The LP's variables are gaps, not distances.  For voter i with ranking
+r_0 ... r_{m-1}, g[i*m + k] = d(i, r_k) - d(i, r_{k-1}) and g[i*m] = d(i, r_0),
+so d(i, r_k) is the prefix sum of g[i*m] ... g[i*m + k].  Nonnegativity and
+ballot consistency together are then exactly the LP's own x >= 0, and
+the tableau holds no ballot rows; the objective, the normalization and
+each quadrangle row become sums over prefixes.  Certificates and rays are
+mapped back by exact prefix sums, so callers only ever see distances.
+
 Quadrangle rows are exactly what makes a voter-candidate matrix extendable
 to a pseudometric on all points; ``extend_to_full_pseudometric`` performs
 that extension so the claim is machine-checked rather than trusted.  The
@@ -24,8 +32,9 @@ reported as infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .lp import LinearConstraint, LinearProgram, solve_lp
@@ -86,7 +95,8 @@ class DistanceMatrix:
 class DistortionResult:
     """``value`` is a rational, or infinity when some reference LP is
     unbounded.  ``certificate`` attains the value against ``reference``; for
-    an infinite value ``ray`` is the improving direction instead."""
+    an infinite value ``ray`` is the improving direction instead, as n * m
+    distances with d(i, a) at index i*m + a."""
 
     candidate: int
     value: Fraction | float
@@ -95,70 +105,81 @@ class DistortionResult:
     ray: tuple[Fraction, ...] | None
 
 
-def _var(i: int, a: int, m: int) -> int:
-    return i * m + a
+def _distances(vector: Sequence, p: PreferenceProfile) -> list[list]:
+    """Gap coordinates back to distances, exactly: d(i, a) is the sum of
+    vector[i*m + l] over l <= pos_i(a)."""
+    m = p.m
+    out = []
+    for i, pos in enumerate(p.positions()):
+        prefix = list(accumulate(vector[i * m:(i + 1) * m]))
+        out.append([prefix[k] for k in pos])
+    return out
+
+
+def _cost_row(p: PreferenceProfile, a: int) -> dict[int, int]:
+    """The gap coefficients of sum_i d(i, a): 1 on each voter's gaps up to
+    pos_i(a)."""
+    m = p.m
+    return {i * m + l: 1 for i, pos in enumerate(p.positions()) for l in range(pos[a] + 1)}
 
 
 class _Quadrangles:
-    """The quadrangle rows d(i,a) - d(i,b) - d(j,b) - d(j,a) <= 0 for voters
-    i != j and candidates a != b, keyed (i, j, a, b) and found by
-    separation; the other (i, j, a, b) only restate d >= 0.
+    """The quadrangle rows d(i,a) - d(i,b) - d(j,b) - d(j,a) <= 0 in gap
+    coordinates, for voters i != j and candidates with pos_i(a) > pos_i(b),
+    keyed (i, j, a, b) and found by separation.  The other (i, j, a, b)
+    have no positive coefficient and only restate g >= 0.
 
-    At an integer vector x, the row (i, j, a, b) has excess u_a - v_b with
-    u_a = x_ia - x_ja and v_b = x_ib + x_jb, so a pair with max u <= min v
-    violates none of its rows.  For a nonnegative point that test is exact:
-    u_a - v_a = -2 x_ja is never positive, so max u > min v means a
-    violated row with a != b."""
+    At an integer vector the scan works on its distances, the prefix sums
+    of each voter's gaps.  The row (i, j, a, b) has excess u_a - v_b with
+    u_a = d_ia - d_ja and v_b = d_ib + d_jb, so a pair with max u <= min v
+    violates none of its rows.  For a nonnegative vector that test is
+    exact: u_a - v_a = -2 d_ja is never positive, and u_a > v_b forces
+    d_ia > d_ib, hence pos_i(a) > pos_i(b)."""
 
-    def __init__(self, n: int, m: int) -> None:
-        self.n = n
-        self.m = m
+    def __init__(self, p: PreferenceProfile) -> None:
+        self.p = p
 
     def violated(self, vector: Sequence[int]) -> list[tuple[int, tuple[int, int, int, int]]]:
-        m = self.m
-        cells = [vector[i * m:(i + 1) * m] for i in range(self.n)]
+        cells = _distances(vector, self.p)
+        positions = self.p.positions()
         out = []
         for i, xi in enumerate(cells):
+            pos = positions[i]
             for j, xj in enumerate(cells):
                 if i == j:
                     continue
-                u = [p - q for p, q in zip(xi, xj)]
-                v = [p + q for p, q in zip(xi, xj)]
+                u = [x - y for x, y in zip(xi, xj)]
+                v = [x + y for x, y in zip(xi, xj)]
                 if max(u) <= min(v):
                     continue
                 for a, ua in enumerate(u):
                     for b, vb in enumerate(v):
-                        if ua > vb and a != b:
+                        if ua > vb and pos[a] > pos[b]:
                             out.append((vb - ua, (i, j, a, b)))
         return out
 
     def row(self, key: tuple[int, int, int, int]) -> LinearConstraint:
+        """+1 on voter i's gaps between b and a, -1 on voter j's gaps up to
+        a and again up to b, so -2 on their common prefix."""
         i, j, a, b = key
-        m = self.m
-        return LinearConstraint(
-            {_var(i, a, m): 1, _var(i, b, m): -1, _var(j, b, m): -1, _var(j, a, m): -1}, 0
-        )
+        m = self.p.m
+        positions = self.p.positions()
+        pi, pj = positions[i], positions[j]
+        lo, hi = sorted((pj[a], pj[b]))
+        coeffs = {i * m + l: 1 for l in range(pi[b] + 1, pi[a] + 1)}
+        coeffs.update({j * m + l: -2 if l <= lo else -1 for l in range(hi + 1)})
+        return LinearConstraint(coeffs, 0)
 
 
 def build_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
-    """The LP whose optimum is the worst cost ratio of c against cref: the
-    ballot rows and the normalization row explicitly, the quadrangle rows
-    as an implicit family."""
-    n, m = p.n, p.m
-    rows: list[LinearConstraint] = []
-    for i, ranking in enumerate(p.rankings):
-        for a, b in zip(ranking, ranking[1:]):
-            rows.append(LinearConstraint({_var(i, a, m): 1, _var(i, b, m): -1}, 0))
-    rows.append(_normalization(p, cref))
-    objective = [0] * (n * m)
-    for i in range(n):
-        objective[_var(i, c, m)] = 1
-    return LinearProgram(n * m, tuple(objective), tuple(rows), _Quadrangles(n, m))
-
-
-def _normalization(p: PreferenceProfile, cref: int) -> LinearConstraint:
-    """sum_i d(i, cref) <= 1, the last row of ``build_lp``."""
-    return LinearConstraint({_var(i, cref, p.m): 1 for i in range(p.n)}, 1)
+    """The LP whose optimum is the worst cost ratio of c against cref, over
+    the gap variables: the normalization row explicitly, the quadrangle
+    rows as an implicit family, and ballot order as x >= 0."""
+    objective = [0] * (p.n * p.m)
+    for var in _cost_row(p, c):
+        objective[var] = 1
+    normalization = LinearConstraint(_cost_row(p, cref), 1)
+    return LinearProgram(p.n * p.m, tuple(objective), (normalization,), _Quadrangles(p))
 
 
 def distortion_of_candidate(
@@ -175,46 +196,56 @@ def distortion_of_candidate(
             f"instance has {p.n * p.m} LP variables, cap is {size_cap}"
         )
     best: DistortionResult | None = None
-    lp: LinearProgram | None = None
     for cref in range(p.m):
         if cref == c:
             continue
-        # only the normalization row depends on the reference
-        if lp is None:
-            lp = build_lp(p, c, cref)
-        else:
-            lp = replace(lp, constraints=lp.constraints[:-1] + (_normalization(p, cref),))
-        sol = solve_lp(lp)
+        sol = solve_lp(build_lp(p, c, cref))
         if sol.status == "unbounded":
-            return DistortionResult(c, INFINITE, cref, None, sol.ray)
+            ray = tuple(v for row in _distances(sol.ray, p) for v in row)
+            return DistortionResult(c, INFINITE, cref, None, ray)
         if sol.value < 1:
             raise RuntimeError(
                 f"LP value {sol.value} against reference {cref} is below 1, "
                 "which the uniform distances already achieve"
             )
         if best is None or sol.value > best.value:
-            matrix = DistanceMatrix(tuple([sol.x[i * p.m:(i + 1) * p.m] for i in range(p.n)]))
+            matrix = DistanceMatrix(tuple(map(tuple, _distances(sol.x, p))))
             best = DistortionResult(c, sol.value, cref, matrix, None)
     return best
 
 
 def verify_certificate(p: PreferenceProfile, result: DistortionResult) -> bool:
-    """Re-check a finite result from scratch: matrix invariants plus the two
-    sums.  Shares no code with the solver."""
-    if result.value == INFINITE:
-        raise ValueError("only finite results carry a checkable certificate")
+    """Re-check a result from scratch.  Shares no code with the solver.
+
+    A finite value needs a certificate that passes the matrix invariants,
+    costs 1 at the reference and the value at the candidate.  An infinite
+    value needs a ray that, read as a distance matrix, passes the same
+    invariants, costs 0 at the reference and more than 0 at the candidate:
+    every invariant is homogeneous, so adding any multiple of it to the
+    uniform distances keeps a consistent metric whose reference cost stays
+    put while the candidate's grows without bound."""
     if p.m == 1:
         return result.value == 1 and result.certificate is None
-    dm = result.certificate
-    if dm is None or result.reference is None or result.reference == result.candidate:
+    if result.reference is None or result.reference == result.candidate:
         return False
     # a negative index would wrap around to another candidate's column
     if not (0 <= result.candidate < p.m and 0 <= result.reference < p.m):
         return False
+    if result.value == INFINITE:
+        ray = result.ray
+        if ray is None or len(ray) != p.n * p.m:
+            return False
+        dm = DistanceMatrix(tuple(tuple(ray[i * p.m:(i + 1) * p.m]) for i in range(p.n)))
+    else:
+        dm = result.certificate
+        if dm is None:
+            return False
     if dm.check(p):
         return False
     ref_cost = sum((row[result.reference] for row in dm.values), Fraction(0))
     cand_cost = sum((row[result.candidate] for row in dm.values), Fraction(0))
+    if result.value == INFINITE:
+        return ref_cost == 0 and cand_cost > 0
     return ref_cost == 1 and cand_cost == result.value
 
 

@@ -24,6 +24,9 @@ from .profiles import PreferenceProfile
 
 # count lines expand into one entry per voter; cap the total before expanding
 MAX_VOTERS = 1_000_000
+# every generated candidate costs a name and a ranking cell per voter; cap
+# the count before generating
+MAX_CANDIDATES = 100_000
 # generated rankings hold one cell per candidate; cap their total before generating
 MAX_CELLS = 10**7
 
@@ -37,7 +40,8 @@ def format_rational(x: Fraction) -> str:
 
 
 class ProfileSizeError(ValueError):
-    """The input declares more voters than ``MAX_VOTERS``."""
+    """The input asks for more voters, candidates or ranking cells than
+    the caps allow."""
 
 
 def parse_rational(text: str) -> Fraction:

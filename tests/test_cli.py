@@ -417,6 +417,7 @@ def test_count_flags_below_one_are_bad_input(flag, argv, capsys, tmp_path, monke
 
 
 VOTERS = "1000000000 asks for more than 1000000 voters"
+CANDIDATES = "asks for more than 100000 candidates"
 CELLS = "asks for more than 10000000 ranking cells"
 
 
@@ -427,15 +428,24 @@ CELLS = "asks for more than 10000000 ranking cells"
     (["audit", "equivalence", "--exhaustive", "--n", "1000000000", "--m", "2"], VOTERS),
     (["audit", "equivalence", "--nmax", "1000000000"], VOTERS),
     (["audit", "distortion3", "--nmax", "1000000000"], VOTERS),
-    (["gen", "--model", "ic", "--n", "1", "--m", "100000000", "-o", "unused.prof"], CELLS),
+    (["gen", "--model", "ic", "--n", "1", "--m", "100000000", "-o", "unused.prof"], CANDIDATES),
+    (["gen", "--model", "ic", "--n", "1", "--m", "10000000", "-o", "unused.prof"], CANDIDATES),
+    (["gen", "--model", "euclidean", "--n", "1", "--m", "10000000", "-o", "unused.prof"],
+     CANDIDATES),
+    (["gen", "--model", "ic", "--n", "1000", "--m", "100000", "-o", "unused.prof"], CELLS),
     (["gen", "--model", "euclidean", "--n", "1000000", "--m", "11", "-o", "unused.prof"], CELLS),
     (["audit", "equivalence", "--exhaustive", "--n", "1", "--m", "10"], CELLS),
-    (["audit", "equivalence", "--exhaustive", "--n", "1", "--m", "1000000000"], CELLS),
+    (["audit", "equivalence", "--exhaustive", "--n", "1", "--m", "1000000000"], CANDIDATES),
+    (["audit", "equivalence", "--exhaustive", "--n", "1", "--m", "100000"], CELLS),
     (["audit", "equivalence", "--nmax", "1000000", "--mmax", "11"], CELLS),
-    (["audit", "distortion3", "--nmax", "2", "--mmax", "100000000"], CELLS),
+    (["audit", "equivalence", "--mmax", "10000000"], CANDIDATES),
+    (["audit", "distortion3", "--nmax", "2", "--mmax", "100000000"], CANDIDATES),
+    (["audit", "distortion3", "--nmax", "1000", "--mmax", "100000"], CELLS),
 ], ids=["gen-ic", "gen-euclidean", "audit-exhaustive", "audit-equivalence", "audit-distortion3",
-        "gen-ic-m", "gen-euclidean-cells", "audit-exhaustive-m", "audit-exhaustive-huge-m",
-        "audit-equivalence-cells", "audit-distortion3-mmax"])
+        "gen-ic-m", "gen-ic-ten-million-m", "gen-euclidean-m", "gen-ic-cells",
+        "gen-euclidean-cells", "audit-exhaustive-m", "audit-exhaustive-huge-m",
+        "audit-exhaustive-capped-m", "audit-equivalence-cells", "audit-equivalence-mmax",
+        "audit-distortion3-mmax", "audit-distortion3-cells"])
 def test_hostile_generated_size_is_a_resource_limit(argv, message, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     tracemalloc.start()

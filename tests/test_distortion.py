@@ -25,11 +25,11 @@ from tests_support_lp import ListedRows
 from tests_support_random import random_profile, random_profiles
 
 
-def materialized_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
-    """The distortion LP with every quadrangle row stored: the ballot rows
-    and the normalization row, then the quadrangle rows in (i, j, a, b)
-    order as a listed family.  The reference for ``build_lp``'s implicit
-    family."""
+def per_voter_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
+    """The distortion LP over the distances d[i*m + a], every row stored:
+    the ballot rows and the normalization row, then the quadrangle rows in
+    (i, j, a, b) order as a listed family.  It shares no coordinates with
+    ``build_lp``, so it is an oracle for values and references."""
     n, m = p.n, p.m
     rows = []
     quadrangles = []
@@ -50,6 +50,46 @@ def materialized_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
     return LinearProgram(n * m, objective, tuple(rows), ListedRows(quadrangles))
 
 
+def gap_terms(p: PreferenceProfile, i: int, a: int) -> list[int]:
+    """The gap variables whose sum is d(i, a): voter i's first
+    ``ranking.index(a) + 1`` gaps."""
+    return [i * p.m + l for l in range(p.rankings[i].index(a) + 1)]
+
+
+def gaps_to_distances(p: PreferenceProfile, vector) -> tuple[tuple[F, ...], ...]:
+    return tuple(
+        tuple(sum((vector[v] for v in gap_terms(p, i, a)), F(0)) for a in range(p.m))
+        for i in range(p.n)
+    )
+
+
+def materialized_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
+    """The distortion LP over gap variables with every quadrangle row stored:
+    the normalization row, then the quadrangle rows in (i, j, a, b) order as
+    a listed family, each the sum of its four distances' gap terms.  The
+    reference for ``build_lp``'s implicit family."""
+    n, m = p.n, p.m
+    quadrangles = []
+    for i, j, a, b in itertools.product(range(n), range(n), range(m), range(m)):
+        coeffs: dict[int, int] = {}
+        for (k, e), delta in (((i, a), 1), ((i, b), -1), ((j, b), -1), ((j, a), -1)):
+            for var in gap_terms(p, k, e):
+                coeffs[var] = coeffs.get(var, 0) + delta
+        coeffs = {v: x for v, x in coeffs.items() if x != 0}
+        # rows without a positive coefficient are consequences of g >= 0
+        if all(x < 0 for x in coeffs.values()):
+            continue
+        quadrangles.append(LinearConstraint(coeffs, 0))
+    normalization = LinearConstraint(
+        {v: 1 for i in range(n) for v in gap_terms(p, i, cref)}, 1
+    )
+    objective = [0] * (n * m)
+    for i in range(n):
+        for v in gap_terms(p, i, c):
+            objective[v] = 1
+    return LinearProgram(n * m, tuple(objective), (normalization,), ListedRows(quadrangles))
+
+
 def materialized_distortion(p: PreferenceProfile, c: int) -> DistortionResult:
     """``distortion_of_candidate`` for m > 1, solving ``materialized_lp``."""
     best = None
@@ -58,10 +98,25 @@ def materialized_distortion(p: PreferenceProfile, c: int) -> DistortionResult:
             continue
         sol = solve_lp(materialized_lp(p, c, cref))
         if sol.status == "unbounded":
-            return DistortionResult(c, INFINITE, cref, None, sol.ray)
+            ray = tuple(v for row in gaps_to_distances(p, sol.ray) for v in row)
+            return DistortionResult(c, INFINITE, cref, None, ray)
         if best is None or sol.value > best.value:
-            rows = tuple(tuple(sol.x[i * p.m + a] for a in range(p.m)) for i in range(p.n))
-            best = DistortionResult(c, sol.value, cref, DistanceMatrix(rows), None)
+            matrix = DistanceMatrix(gaps_to_distances(p, sol.x))
+            best = DistortionResult(c, sol.value, cref, matrix, None)
+    return best
+
+
+def per_voter_value(p: PreferenceProfile, c: int) -> tuple[F | float, int]:
+    """Value and reference of candidate c (m > 1) from ``per_voter_lp``."""
+    best = None
+    for cref in range(p.m):
+        if cref == c:
+            continue
+        sol = solve_lp(per_voter_lp(p, c, cref))
+        if sol.status == "unbounded":
+            return INFINITE, cref
+        if best is None or sol.value > best[0]:
+            best = sol.value, cref
     return best
 
 
@@ -85,7 +140,9 @@ def test_unanimous_profile(fix_u):
     r = distortion_of_candidate(fix_u, 1)
     assert r.value == INFINITE
     assert r.certificate is None and r.reference == 0
-    assert r.ray is not None and all(v >= 0 for v in r.ray)
+    # voters sit at 0 from a and at equal positive distance from b
+    assert r.ray is not None and r.ray[0] == r.ray[2] == 0 and r.ray[1] == r.ray[3] > 0
+    assert verify_certificate(fix_u, r)
 
 
 def test_single_candidate_is_one_by_convention():
@@ -116,27 +173,30 @@ def test_single_voter():
 def test_lp_shape_on_split_profile(fix_s):
     lp = build_lp(fix_s, 0, 1)
     assert lp.num_vars == 4
-    # 2 adjacency rows and the normalization row; the quadrangles are implicit
-    assert len(lp.constraints) == 3
-    # d(0, b) + d(1, b) <= 1, a row like every other
-    assert lp.constraints[-1] == LinearConstraint({1: 1, 3: 1}, 1)
-    assert lp.objective == (1, 0, 1, 0)
-    # at x = -1 everywhere each quadrangle row has excess 2, so the family
-    # lists all of its rows
-    listed = lp.implicit.violated([-1] * 4 + [0])
-    assert [key for _, key in listed] == [(0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)]
+    # voter 0 ranks a, b and voter 1 ranks b, a: d(0, b) = g0 + g1 and
+    # d(1, b) = g2, so the one explicit row is d(0, b) + d(1, b) <= 1;
+    # ballot order is g >= 0 and the quadrangles are implicit
+    assert lp.constraints == (LinearConstraint({0: 1, 1: 1, 2: 1}, 1),)
+    # d(0, a) = g0 and d(1, a) = g2 + g3
+    assert lp.objective == (1, 0, 1, 1)
+    # only (i, j, a, b) with a below b for voter i have a positive
+    # coefficient; at this signed direction both have excess 2
+    listed = lp.implicit.violated([-1, 1, -1, 1, 0])
+    assert [key for _, key in listed] == [(0, 1, 1, 0), (1, 0, 0, 1)]
     assert all(e == -2 for e, _ in listed)
+    # d(0,b) - d(0,a) - d(1,a) - d(1,b) = g1 - (g2 + g3) - g2
+    assert lp.implicit.row((0, 1, 1, 0)) == LinearConstraint({1: 1, 2: -2, 3: -1}, 0)
     reference = materialized_lp(fix_s, 0, 1)
-    # 2 adjacency rows and 1 normalization, then 4 surviving quadrangle rows
     assert reference.constraints == lp.constraints
     assert reference.objective == lp.objective
-    assert len(reference.implicit.constraints) == 4
+    assert len(reference.implicit.constraints) == 2
     assert tuple(lp.implicit.row(key) for _, key in listed) == reference.implicit.constraints
 
 
 def test_vacuous_quadrangle_rows_are_dropped(fix_s):
-    for row in materialized_lp(fix_s, 0, 1).implicit.constraints:
-        assert any(x > 0 for x in row.coeffs.values())
+    for lp in (materialized_lp(fix_s, 0, 1), per_voter_lp(fix_s, 0, 1)):
+        for row in lp.implicit.constraints:
+            assert any(x > 0 for x in row.coeffs.values())
 
 
 def test_quadrangle_separation_matches_the_reference():
@@ -182,11 +242,31 @@ def test_separated_lp_matches_the_materialized_lp(exhaustive_results):
         assert distortion_of_candidate(p, c) == materialized_distortion(p, c), p.rankings
 
 
-# SHA-256 over ``result_line`` of the results of ``exhaustive_results``, then
-# of every candidate of random_profiles(200, seed=4242, nmax=5, mmax=5).  A
-# change of pivot path changes certificates and rays, so it shows up here;
-# such a change has to update this value on purpose.
-RESULTS_SHA256 = "e39ca1c60573f41adfbf9e5fd03de6fdcd4040dd37d87dc332b6f20d00de6e7d"
+def test_gap_lp_matches_the_per_voter_lp(exhaustive_results):
+    # the LP over distances with stored ballot rows has the same optimum
+    # and the same first best reference
+    pairs = list(exhaustive_results)
+    for p in random_profiles(200, seed=4242, nmax=5, mmax=5):
+        if p.m > 1:
+            pairs += [(p, distortion_of_candidate(p, c)) for c in range(p.m)]
+    for p, r in pairs:
+        assert (r.value, r.reference) == per_voter_value(p, r.candidate), p.rankings
+
+
+# SHA-256 over ``value_line`` of the results of ``exhaustive_results``, then
+# of every candidate of random_profiles(200, seed=4242, nmax=5, mmax=5).  The
+# values and references depend only on the profile, never on the solver's
+# pivot path or coordinates, so this value must not change.
+VALUES_SHA256 = "5d9a302839526237d5570b1bed81f64bb6fcb73593ac14ba5dda90c6422eecba"
+
+# SHA-256 over ``result_line`` of the same results.  A change of pivot path
+# changes certificates and rays, so it shows up here; such a change has to
+# update this value on purpose.
+RESULTS_SHA256 = "a793fd50ec977eb519bd33d2aad8e1f5e2d95d67e806df2b57c846f27ba7989a"
+
+
+def value_line(r: DistortionResult) -> str:
+    return f"{r.candidate} {r.value} {r.reference}\n"
 
 
 def result_line(r: DistortionResult) -> str:
@@ -201,6 +281,8 @@ def test_results_are_pinned(exhaustive_results):
     for p in random_profiles(200, seed=4242, nmax=5, mmax=5):
         results += [distortion_of_candidate(p, c) for c in range(p.m)]
     assert len(results) == 648 + 593
+    values = hashlib.sha256("".join(map(value_line, results)).encode())
+    assert values.hexdigest() == VALUES_SHA256
     digest = hashlib.sha256("".join(map(result_line, results)).encode())
     assert digest.hexdigest() == RESULTS_SHA256
 
@@ -218,6 +300,19 @@ def test_distortion_ignores_voter_order_and_ballot_copies(seed, rnd):
         for rankings in (shuffled, doubled):
             q = PreferenceProfile.of(rankings, p.candidate_names)
             assert distortion_of_candidate(q, c).value == value
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.randoms(use_true_random=False))
+def test_distortion_ignores_candidate_labels(seed, rnd):
+    # gap coordinates follow each voter's positions, so relabeling moves
+    # every row and the objective; the value must not move
+    p = random_profile(random.Random(seed), nmax=3, mmax=3)
+    label = list(range(p.m))
+    rnd.shuffle(label)
+    q = PreferenceProfile.of([tuple(label[a] for a in r) for r in p.rankings])
+    for c in range(p.m):
+        assert distortion_of_candidate(q, label[c]).value == distortion_of_candidate(p, c).value
 
 
 def test_size_cap(fix_p):
@@ -242,10 +337,45 @@ def test_verify_rejects_tampered_results(fix_s):
     assert not verify_certificate(p, dataclasses.replace(true, candidate=5))
 
 
-def test_verify_refuses_infinite_results(fix_u):
-    r = distortion_of_candidate(fix_u, 1)
-    with pytest.raises(ValueError, match="finite"):
-        verify_certificate(fix_u, r)
+def test_every_exhaustive_ray_verifies(exhaustive_results):
+    infinite = [(p, r) for p, r in exhaustive_results if r.value == INFINITE]
+    assert infinite
+    for p, r in infinite:
+        assert verify_certificate(p, r), (p.rankings, r)
+
+
+def test_verify_rejects_tampered_rays(exhaustive_results):
+    def with_cells(r, cells):
+        return dataclasses.replace(r, ray=tuple(cells))
+
+    for p, r in exhaustive_results:
+        if r.value == INFINITE:
+            m, c, ref = p.m, r.candidate, r.reference
+            ray = list(r.ray)
+            # one cell of the third candidate o moves out of voter i's ballot
+            # order against c, leaving the reference and candidate columns
+            # alone: o ranked above c goes farther than c, or below c to 0
+            i = next(i for i in range(p.n) if ray[i * m + c] > 0)
+            o = next(o for o in range(m) if o not in (c, ref))
+            moved = ray.copy()
+            if p.rankings[i].index(o) < p.rankings[i].index(c):
+                moved[i * m + o] = ray[i * m + c] + 1
+            else:
+                moved[i * m + o] = F(0)
+            assert not verify_certificate(p, with_cells(r, moved)), (p.rankings, c)
+            # a reference whose column is not 0, the candidate itself, none
+            for other in range(m):
+                if other != ref and sum(ray[k * m + other] for k in range(p.n)) > 0:
+                    assert not verify_certificate(p, dataclasses.replace(r, reference=other))
+            assert not verify_certificate(p, dataclasses.replace(r, reference=c))
+            assert not verify_certificate(p, dataclasses.replace(r, reference=None))
+            # a zero candidate column, and the zero ray that passes every invariant
+            zeroed = [F(0) if k % m == c else v for k, v in enumerate(ray)]
+            assert not verify_certificate(p, with_cells(r, zeroed))
+            assert not verify_certificate(p, with_cells(r, [F(0)] * (p.n * m)))
+            # a ray of the wrong length, or none
+            assert not verify_certificate(p, with_cells(r, ray[:-1]))
+            assert not verify_certificate(p, dataclasses.replace(r, ray=None))
 
 
 def test_matrix_check_catches_each_failure_mode(fix_s):
@@ -342,11 +472,10 @@ def test_random_results_verify_end_to_end():
     for p in random_profiles(30, seed=2024, nmax=4, mmax=3):
         c = rng.randrange(p.m)
         r = distortion_of_candidate(p, c)
+        assert verify_certificate(p, r)
         if r.value == INFINITE:
-            assert r.ray is not None
             continue
         assert r.value >= 1
-        assert verify_certificate(p, r)
         if p.m > 1:
             full = extend_to_full_pseudometric(r.certificate, p)
             assert triangle_violations(full) == []
@@ -359,14 +488,14 @@ def test_result_value_types(fix_s, fix_u):
 
 
 def _highs_reference_value(p: PreferenceProfile, c: int, cref: int) -> float:
-    """The optimum of ``materialized_lp`` in floating point, or inf when
+    """The optimum of ``per_voter_lp`` in floating point, or inf when
     unbounded, with the normalization also posed as the equality
     sum_i d(i, cref) = 1, so HiGHS checks that the relaxation to <= 1 loses
     no value."""
     import numpy as np
     from scipy.optimize import linprog
 
-    lp = materialized_lp(p, c, cref)
+    lp = per_voter_lp(p, c, cref)
     a_ub, b_ub = [], []
     for row in lp.constraints + lp.implicit.constraints:
         dense = [0.0] * lp.num_vars
