@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable
 
 from .matching import (
@@ -283,7 +283,7 @@ def pareto_matching_criterion(
     one edge set, and so one flow node.
     """
     below = [frozenset(r[r.index(c) + 1:]) for r, _ in p.ballot_types()]
-    matching = max_bipartite_matching(groups=ballot_groups(p, below))
+    matching = max_bipartite_matching(ballot_groups(p, below))
     if len(matching) < p.m - 1:
         return False, None
     return True, matching
@@ -339,38 +339,6 @@ def pareto_improve(p: PreferenceProfile, matching: dict[int, int]) -> dict[int, 
         else:
             chain.append(holder)
     return assigned
-
-
-def pareto_optimal_bruteforce(p: PreferenceProfile, matching: dict[int, int], k: int) -> bool:
-    """Is there no size-k matching that weakly improves every currently
-    matched voter and strictly improves someone?
-
-    Losing one's match counts as getting worse; gaining a match counts as a
-    strict improvement.
-    """
-    if p.n > 5 or p.m > 5:
-        raise ValueError("brute force limited to n <= 5, m <= 5")
-    pos = p.positions()
-
-    def dominates(other: dict[int, int]) -> bool:
-        strict = False
-        for i, c in matching.items():
-            if i not in other:
-                return False
-            if pos[i][other[i]] > pos[i][c]:
-                return False
-            if pos[i][other[i]] < pos[i][c]:
-                strict = True
-        for i in other:
-            if i not in matching:
-                strict = True
-        return strict
-
-    for voters in combinations(range(p.n), k):
-        for cands in permutations(range(p.m), k):
-            if dominates(dict(zip(voters, cands))):
-                return False
-    return True
 
 
 @dataclass

@@ -30,12 +30,17 @@ from .axioms import (
 from .distortion import INFINITE, LpSizeError, distortion_of_candidate
 from .eating import phragmen_committee, probabilistic_serial, veto_by_consumption_winners
 from .matching import extract_deficiency_witness
-from .profiles import PreferenceProfile, all_profiles, clone_expand, plurality_scores
+from .profiles import (
+    MAX_CELLS,
+    PreferenceProfile,
+    ProfileSizeError,
+    all_profiles,
+    clone_expand,
+    plurality_scores,
+)
 from .profile_io import (
     MAX_CANDIDATES,
-    MAX_CELLS,
     MAX_VOTERS,
-    ProfileSizeError,
     format_rational,
     gen_euclidean,
     gen_impartial_culture,

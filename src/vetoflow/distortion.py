@@ -276,15 +276,3 @@ def extend_to_full_pseudometric(
             if a != b:
                 full[n + a][n + b] = min(d[i][a] + d[i][b] for i in range(n))
     return tuple(tuple(row) for row in full)
-
-
-def triangle_violations(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[int, int, int]]:
-    """All (x, y, z) with d(x,z) > d(x,y) + d(y,z)."""
-    size = len(matrix)
-    bad = []
-    for x in range(size):
-        for y in range(size):
-            for z in range(size):
-                if matrix[x][z] > matrix[x][y] + matrix[y][z]:
-                    bad.append((x, y, z))
-    return bad

@@ -21,7 +21,7 @@ one-to-one matchings of the Pareto-matching criterion.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -132,24 +132,16 @@ class DominationGraph:
     they rank weakly below c (always including c itself).
 
     ``groups`` lists each distinct edge set once with its voters, in order of
-    first voter.  It is derived from ``edges`` unless given; given groups must
-    cover the n voters, and each run's first voter must have the group's
-    edge set."""
+    first voter; their sizes must add up to n."""
 
     candidate: int
     n: int
     m: int
-    edges: tuple[frozenset[int], ...]
-    groups: tuple[LeftGroup, ...] = field(default=(), compare=False, repr=False)
+    groups: tuple[LeftGroup, ...]
 
     def __post_init__(self) -> None:
-        if len(self.edges) != self.n:
-            raise ValueError("need one edge set per voter")
-        if not self.groups:
-            object.__setattr__(self, "groups", left_groups(self.edges, zip(range(self.n))))
-        elif sum(g.size for g in self.groups) != self.n or any(
-                self.edges[run[0]] != g.edges for g in self.groups for run in g.runs):
-            raise ValueError("groups do not match the edge sets")
+        if sum(g.size for g in self.groups) != self.n:
+            raise ValueError("groups must hold the n voters")
         for g in self.groups:
             if self.candidate not in g.edges:
                 raise ValueError(f"voter {g.runs[0][0]} must be adjacent to the pivot candidate")
@@ -159,7 +151,7 @@ class DominationGraph:
 
 def build_domination_graph(p: PreferenceProfile, c: int) -> DominationGraph:
     edges = [frozenset(r[r.index(c):]) for r, _ in p.ballot_types()]
-    return DominationGraph(c, p.n, p.m, p.per_voter(edges), ballot_groups(p, edges))
+    return DominationGraph(c, p.n, p.m, ballot_groups(p, edges))
 
 
 @dataclass(frozen=True)
@@ -217,13 +209,18 @@ class FlowNetwork:
 
     Left nodes of one group are interchangeable, so each group is one flow
     node carrying the group's total supply.  The flow value and the minimal
-    min cut are those of the one-node-per-left network."""
+    min cut are those of the one-node-per-left network.  Results are read
+    back by edge set, so no two groups may share one."""
 
     num_left: int
     num_right: int
     groups: tuple[LeftGroup, ...]
     left_supply: int
     right_cap: int
+
+    def __post_init__(self) -> None:
+        if len(set(self.edges)) != len(self.groups):
+            raise ValueError("two groups share an edge set; merge them with left_groups")
 
     @property
     def edges(self) -> tuple[frozenset[int], ...]:
@@ -305,19 +302,10 @@ def extract_deficiency_witness(p: PreferenceProfile, c: int) -> CutWitness | Non
     return witness
 
 
-def max_bipartite_matching(
-    adjacency: Sequence[Iterable[int]] = (), *, groups: Sequence[LeftGroup] | None = None
-) -> dict[int, int]:
+def max_bipartite_matching(groups: Sequence[LeftGroup]) -> dict[int, int]:
     """Maximum one-to-one matching, left index -> right index, by unit-capacity
-    max flow.  The left side is ``adjacency``, one row per left node, or
-    ``groups`` when given.
-
-    Left nodes with equal adjacency share one flow node.  The units that node
-    sends go, right nodes ascending, to its members in ascending order.
-    """
-    if groups is None:
-        rows = [frozenset(row) for row in adjacency]
-        groups = left_groups(rows, zip(range(len(rows))))
+    max flow over left ``groups``.  A group is one flow node; the units it
+    sends go, right nodes ascending, to its members in ascending order."""
     num_left = sum(g.size for g in groups)
     num_right = 1 + max((max(g.edges) for g in groups if g.edges), default=-1)
     _, flow = FlowNetwork(num_left, num_right, tuple(groups), left_supply=1, right_cap=1).solve()
@@ -325,23 +313,3 @@ def max_bipartite_matching(
     for g, sent in zip(groups, flow.units_sent().values()):
         pairs.extend(zip(g.members(), sent))
     return dict(sorted(pairs))
-
-
-def hall_check_bruteforce(g: DominationGraph) -> bool:
-    """Check |D(N')| >= m|N'|/n over all nonempty voter subsets directly."""
-    if g.n > 20:
-        raise ValueError("subset enumeration is limited to 20 voters")
-    masks = [0] * g.n
-    for i, adj in enumerate(g.edges):
-        for c in adj:
-            masks[i] |= 1 << c
-    for sub in range(1, 1 << g.n):
-        union = 0
-        size = 0
-        for i in range(g.n):
-            if sub >> i & 1:
-                union |= masks[i]
-                size += 1
-        if union.bit_count() * g.n < g.m * size:
-            return False
-    return True

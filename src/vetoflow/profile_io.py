@@ -20,15 +20,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .profiles import PreferenceProfile
+from .profiles import PreferenceProfile, ProfileSizeError
 
 # count lines expand into one entry per voter; cap the total before expanding
 MAX_VOTERS = 1_000_000
 # every generated candidate costs a name and a ranking cell per voter; cap
 # the count before generating
 MAX_CANDIDATES = 100_000
-# generated rankings hold one cell per candidate; cap their total before generating
-MAX_CELLS = 10**7
 
 _COUNT_LINE = re.compile(r"^\s*\d+\s*:")
 _ALT_NAME = re.compile(r"^#\s*ALTERNATIVE\s+NAME\s+(\d+)\s*:\s*(.+?)\s*$", re.IGNORECASE)
@@ -37,11 +35,6 @@ _ALT_NAME = re.compile(r"^#\s*ALTERNATIVE\s+NAME\s+(\d+)\s*:\s*(.+?)\s*$", re.IG
 def format_rational(x: Fraction) -> str:
     """Render exactly, always with an explicit denominator: 3 -> ``3/1``."""
     return f"{x.numerator}/{x.denominator}"
-
-
-class ProfileSizeError(ValueError):
-    """The input asks for more voters, candidates or ranking cells than
-    the caps allow."""
 
 
 def parse_rational(text: str) -> Fraction:
@@ -190,22 +183,20 @@ def gen_euclidean(n: int, m: int, seed: int) -> MetricInstance:
 
     Coordinates are multiples of 1/1000 in [0, 1], so all distances are exact
     rationals.  Each voter ranks by increasing distance, ties by candidate
-    index.
+    index.  The work runs on the integer grid; distances become Fractions
+    only for the output.
     """
     rng = random.Random(seed)
-
-    def point() -> tuple[Fraction, Fraction]:
-        return Fraction(rng.randrange(1001), 1000), Fraction(rng.randrange(1001), 1000)
-
-    voters = [point() for _ in range(n)]
-    cands = [point() for _ in range(m)]
-    dist = tuple(
-        tuple(max(abs(vx - cx), abs(vy - cy)) for cx, cy in cands) for vx, vy in voters
-    )
-    rankings = tuple(
-        tuple(sorted(range(m), key=lambda c: (dist[i][c], c))) for i in range(n)
-    )
-    return MetricInstance(PreferenceProfile.of(rankings), dist)
+    voters = [(rng.randrange(1001), rng.randrange(1001)) for _ in range(n)]
+    cands = [(rng.randrange(1001), rng.randrange(1001)) for _ in range(m)]
+    scale = [Fraction(d, 1000) for d in range(1001)]
+    rankings, dist = [], []
+    for vx, vy in voters:
+        d = [max(abs(vx - cx), abs(vy - cy)) for cx, cy in cands]
+        # a stable sort keeps tied candidates in index order
+        rankings.append(tuple(sorted(range(m), key=d.__getitem__)))
+        dist.append(tuple(map(scale.__getitem__, d)))
+    return MetricInstance(PreferenceProfile.of(rankings), tuple(dist))
 
 
 def empirical_social_cost(inst: MetricInstance, c: int) -> Fraction:

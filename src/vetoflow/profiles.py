@@ -14,6 +14,15 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 T = TypeVar("T")
 
+# rankings are stored cell by cell; generators, clone expansion and the CLI
+# cap their total before allocating
+MAX_CELLS = 10**7
+
+
+class ProfileSizeError(ValueError):
+    """The input asks for more voters, candidates or ranking cells than
+    the caps allow."""
+
 
 class BallotType(NamedTuple):
     """One distinct ranking and the indices of the voters who cast it."""
@@ -171,7 +180,8 @@ def clone_expand(p: PreferenceProfile, frequency: Sequence[int]) -> CloneExpansi
 
     Each voter ranks the clone block of c exactly where c was, clones in
     index order within the block.  Candidates with zero frequency disappear
-    from every ranking.  At least one frequency must be positive.
+    from every ranking.  At least one frequency must be positive, and the
+    expanded rankings may hold at most ``MAX_CELLS`` cells.
     """
     if len(frequency) != p.m:
         raise ValueError("frequency vector length must match the candidate count")
@@ -179,6 +189,10 @@ def clone_expand(p: PreferenceProfile, frequency: Sequence[int]) -> CloneExpansi
         raise ValueError("frequencies must be nonnegative")
     if sum(frequency) == 0:
         raise ValueError("at least one candidate must keep a positive frequency")
+    if p.n * sum(frequency) > MAX_CELLS:
+        raise ProfileSizeError(
+            f"cloning {p.n} voters onto {sum(frequency)} clones asks for more than"
+            f" {MAX_CELLS} ranking cells")
 
     clones: list[tuple[int, ...]] = []
     origin: list[int] = []
@@ -221,14 +235,12 @@ class SolidCoalition:
 
 def solid_coalitions(p: PreferenceProfile) -> tuple[SolidCoalition, ...]:
     """All candidate prefixes with their maximal supporter set, in first-appearance order."""
-    supporters: dict[frozenset[int], list[int]] = {}
+    runs: dict[frozenset[int], list[tuple[int, ...]]] = {}
     for bt in p.ballot_types():
         for r in range(1, p.m + 1):
-            supporters.setdefault(frozenset(bt.ranking[:r]), []).extend(bt.voters)
-    # filled in ascending voter order, so the iteration order of each supporter
-    # set does not depend on the order in which the types were visited
+            runs.setdefault(frozenset(bt.ranking[:r]), []).append(bt.voters)
     return tuple(
-        SolidCoalition(pref, frozenset(set(sorted(vs)))) for pref, vs in supporters.items()
+        SolidCoalition(pref, frozenset().union(*vs)) for pref, vs in runs.items()
     )
 
 

@@ -28,7 +28,6 @@ from vetoflow.distortion import (
     INFINITE,
     distortion_of_candidate,
     extend_to_full_pseudometric,
-    triangle_violations,
     verify_certificate,
 )
 from vetoflow.eating import (
@@ -41,7 +40,6 @@ from vetoflow.eating import (
 from vetoflow.matching import (
     build_domination_graph,
     extract_deficiency_witness,
-    hall_check_bruteforce,
     has_fractional_perfect_matching,
 )
 from vetoflow.profiles import all_profiles, reverse_profile
@@ -52,6 +50,7 @@ from vetoflow.rules import (
     plurality_veto,
 )
 from conftest import record_criterion
+from tests_support_oracles import hall_check_bruteforce, triangle_violations
 from tests_support_random import random_profiles
 
 
@@ -184,7 +183,7 @@ def test_criterion_8_bruteforce_agreement():
             if veto_core_member(p, c).member != veto_core_member_bruteforce(p, c):
                 ok = False
             g = build_domination_graph(p, c)
-            if has_fractional_perfect_matching(g) != hall_check_bruteforce(g):
+            if has_fractional_perfect_matching(g) != hall_check_bruteforce(p, c):
                 ok = False
         k = rng.randint(1, p.m)
         committee = frozenset(rng.sample(range(p.m), k))

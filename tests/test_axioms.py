@@ -12,7 +12,6 @@ from vetoflow.axioms import (
     equivalence_audit,
     pareto_improve,
     pareto_matching_criterion,
-    pareto_optimal_bruteforce,
     veto_core,
     veto_core_member,
     veto_core_member_bruteforce,
@@ -21,8 +20,15 @@ from vetoflow.axioms import (
     weak_psc_satisfied,
 )
 from vetoflow.distortion import distortion_of_candidate
+from vetoflow.eating import phragmen_committee, probabilistic_serial, veto_by_consumption_winners
 from vetoflow.profiles import PreferenceProfile, all_profiles, reverse_profile
-from vetoflow.rules import serial_dictatorship
+from vetoflow.rules import (
+    composite_distortion_rule,
+    plurality_matching_winners,
+    plurality_veto,
+    serial_dictatorship,
+)
+from tests_support_oracles import pareto_optimal_bruteforce
 from tests_support_random import random_profile, random_profiles
 
 
@@ -295,7 +301,27 @@ def test_candidate_relabeling_commutes(seed, rnd):
     rng = random.Random(seed)
     p = random_profile(rng, nmax=5, mmax=4)
     q, sigma = relabeled(p)
-    assert veto_core(q) == {sigma[c] for c in veto_core(p)}
+
+    def mapped(cs):
+        return {sigma[c] for c in cs}
+
+    assert veto_core(q) == mapped(veto_core(p))
+    assert veto_by_consumption_winners(q) == mapped(veto_by_consumption_winners(p))
+    assert plurality_matching_winners(q) == mapped(plurality_matching_winners(p))
+    order = rng.sample(range(p.n), p.n)
+    assert plurality_veto(q, order) == sigma[plurality_veto(p, order)]
+    # the default tie-break is ascending index; relabeled, it follows sigma
+    for tie in (list(range(p.m)), rng.sample(range(p.m), p.m)):
+        tie_q = [sigma[c] for c in tie]
+        assert composite_distortion_rule(q, tie_q) == sigma[composite_distortion_rule(p, tie)]
+        for k in range(p.m + 1):
+            assert phragmen_committee(q, k, tie_q) == tuple(
+                sigma[c] for c in phragmen_committee(p, k, tie))
+    ps_p, ps_q = probabilistic_serial(p).shares, probabilistic_serial(q).shares
+    assert all(row_q[sigma[c]] == row_p[c]
+               for row_p, row_q in zip(ps_p, ps_q) for c in range(p.m))
+    for c in range(p.m):
+        assert pareto_matching_criterion(q, sigma[c])[0] == pareto_matching_criterion(p, c)[0]
     for size in range(p.m + 1):
         for committee in itertools.combinations(range(p.m), size):
             image = frozenset(sigma[c] for c in committee)

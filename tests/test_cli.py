@@ -457,3 +457,28 @@ def test_hostile_generated_size_is_a_resource_limit(argv, message, capsys, tmp_p
     assert code == 4 and message in err
     assert peak < 1 << 20
     assert not (tmp_path / "unused.prof").exists()
+
+
+# 4000 voters cloned onto 4000 clones would hold 1.6e7 ranking cells; the
+# seed-0 audit draws a 3459-voter election first, 1.2e7 cells
+CLONES = "onto 4000 clones asks for more than 10000000 ranking cells"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rule", "--rule", "plurality-veto"], CLONES),
+    (["rule", "--rule", "composite"], CLONES),
+    (["check", "--check", "domination", "--candidate", "c1", "--clone-plurality"], CLONES),
+    (["audit", "distortion3", "--nmax", "4000", "--mmax", "3", "--trials", "1"],
+     "onto 3459 clones asks for more than 10000000 ranking cells"),
+], ids=["plurality-veto", "composite", "check-clone-plurality", "audit-distortion3"])
+def test_hostile_clone_expansion_is_a_resource_limit(argv, message, prof, capsys):
+    if argv[0] != "audit":
+        argv = [*argv, "--profile", prof("4000: 1,2,3\n")]
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 4 and message in err
+    assert peak < 1 << 20

@@ -16,12 +16,12 @@ from vetoflow.distortion import (
     build_lp,
     distortion_of_candidate,
     extend_to_full_pseudometric,
-    triangle_violations,
     verify_certificate,
 )
 from vetoflow.lp import LinearConstraint, LinearProgram, solve_lp
 from vetoflow.profiles import PreferenceProfile
 from tests_support_lp import ListedRows
+from tests_support_oracles import triangle_violations
 from tests_support_random import random_profile, random_profiles
 
 

@@ -8,16 +8,22 @@ from vetoflow.matching import (
     Dinic,
     DominationGraph,
     FlowNetwork,
+    LeftGroup,
     build_domination_graph,
     extract_deficiency_witness,
     fractional_matching,
-    hall_check_bruteforce,
     has_fractional_perfect_matching,
     left_groups,
     max_bipartite_matching,
 )
 from vetoflow.profiles import PreferenceProfile, dominated_set
+from tests_support_oracles import hall_check_bruteforce
 from tests_support_random import random_profiles
+
+
+def one_group_per_row(rows):
+    """Left groups with left node i alone on ``rows[i]``; equal rows merge."""
+    return left_groups(map(frozenset, rows), zip(range(len(rows))))
 
 
 def test_dinic_on_a_small_network():
@@ -34,39 +40,35 @@ def test_dinic_on_a_small_network():
 
 def test_domination_graph_edges(fix_p):
     g = build_domination_graph(fix_p, 1)
-    assert g.edges == (
-        frozenset({1, 2}),
-        frozenset({1, 2}),
-        frozenset({0, 1}),
-        frozenset({0, 1}),
-    )
+    assert [(grp.edges, grp.runs) for grp in g.groups] == [
+        (frozenset({1, 2}), ((0, 1),)),
+        (frozenset({0, 1}), ((2, 3),)),
+    ]
 
 
 def test_domination_graph_validation():
-    with pytest.raises(ValueError):
-        DominationGraph(0, 2, 2, (frozenset({0}),))
-    with pytest.raises(ValueError):
-        DominationGraph(0, 1, 2, (frozenset({1}),))
+    with pytest.raises(ValueError, match="n voters"):
+        DominationGraph(0, 2, 2, one_group_per_row([{0}]))
+    with pytest.raises(ValueError, match="pivot"):
+        DominationGraph(0, 1, 2, one_group_per_row([{1}]))
     # the first offending voter is named, also when later voters share the set
-    good, bad = frozenset({0}), frozenset({1})
+    good, bad = {0}, {1}
     with pytest.raises(ValueError, match="voter 1 "):
-        DominationGraph(0, 4, 2, (good, bad, good, bad))
-    with pytest.raises(ValueError):
-        DominationGraph(0, 1, 2, (frozenset({0, 5}),))
+        DominationGraph(0, 4, 2, one_group_per_row([good, bad, good, bad]))
+    with pytest.raises(ValueError, match="out of range"):
+        DominationGraph(0, 1, 2, one_group_per_row([{0, 5}]))
 
 
-def test_domination_graph_groups_must_match_the_edges(fix_p):
+def test_domination_graph_groups_hold_every_voter(fix_p):
     g = build_domination_graph(fix_p, 1)
-    assert [(sorted(grp.edges), grp.runs) for grp in g.groups] == [([1, 2], ((0, 1),)),
-                                                                   ([0, 1], ((2, 3),))]
-    # derived from the edges, one run per voter, the groups hold the same voters
-    derived = DominationGraph(1, g.n, g.m, g.edges).groups
-    assert [(grp.edges, list(grp.members())) for grp in derived] == [
+    # groups built per voter hold the same voters under the same edge sets
+    per_voter = one_group_per_row([r[r.index(1):] for r in fix_p.rankings])
+    assert [(grp.edges, list(grp.members())) for grp in per_voter] == [
         (grp.edges, list(grp.members())) for grp in g.groups]
-    with pytest.raises(ValueError, match="groups"):
-        DominationGraph(1, g.n, g.m, g.edges, g.groups[1:])
-    with pytest.raises(ValueError, match="groups"):
-        DominationGraph(1, g.n, g.m, g.edges[::-1], g.groups)
+    with pytest.raises(ValueError, match="n voters"):
+        DominationGraph(1, g.n, g.m, g.groups[1:])
+    with pytest.raises(ValueError, match="n voters"):
+        DominationGraph(1, g.n + 1, g.m, g.groups)
 
 
 def test_fix_p_middle_candidate_has_matching(fix_p):
@@ -78,10 +80,10 @@ def test_fix_p_middle_candidate_has_matching(fix_p):
         assert sum(row) == 1
     for c in range(3):
         assert sum(row[c] for row in mu) == Fraction(4, 3)
-    # weights only sit on edges of the graph
-    for i, row in enumerate(mu):
+    # weights only sit on edges of the graph: candidates weakly below c2
+    for r, row in zip(fix_p.rankings, mu):
         for c, w in enumerate(row):
-            assert w == 0 or c in g.edges[i]
+            assert w == 0 or c in r[r.index(1):]
 
 
 def test_fix_t_worst_candidate_has_no_matching(fix_t):
@@ -118,14 +120,14 @@ def test_hall_bruteforce_agrees_on_fixtures(fix_p, fix_t):
     for p in (fix_p, fix_t):
         for c in range(p.m):
             g = build_domination_graph(p, c)
-            assert hall_check_bruteforce(g) == has_fractional_perfect_matching(g)
+            assert hall_check_bruteforce(p, c) == has_fractional_perfect_matching(g)
 
 
 def test_hall_bruteforce_agrees_on_random_profiles():
     for p in random_profiles(300, seed=2024, nmax=8, mmax=5):
         for c in range(p.m):
             g = build_domination_graph(p, c)
-            assert hall_check_bruteforce(g) == has_fractional_perfect_matching(g), (
+            assert hall_check_bruteforce(p, c) == has_fractional_perfect_matching(g), (
                 p.rankings,
                 c,
             )
@@ -144,13 +146,17 @@ def test_witness_extraction_on_random_profiles():
 
 
 def test_max_bipartite_matching_basics():
-    assert max_bipartite_matching([]) == {}
-    assert max_bipartite_matching([[0], [0]]) in ({0: 0}, {1: 0})
-    complete = max_bipartite_matching([[0, 1, 2]] * 3)
+    assert max_bipartite_matching(()) == {}
+    assert max_bipartite_matching(one_group_per_row([[0], [0]])) in ({0: 0}, {1: 0})
+    complete = max_bipartite_matching(one_group_per_row([[0, 1, 2]] * 3))
     assert sorted(complete) == [0, 1, 2]
     assert sorted(complete.values()) == [0, 1, 2]
-    crossed = max_bipartite_matching([[1], [0, 1]])
+    crossed = max_bipartite_matching(one_group_per_row([[1], [0, 1]]))
     assert crossed == {0: 1, 1: 0}
+    # unmerged groups on one edge set would be read back as one
+    twins = (LeftGroup(frozenset({0}), ((0,),)), LeftGroup(frozenset({0}), ((1,),)))
+    with pytest.raises(ValueError, match="share an edge set"):
+        max_bipartite_matching(twins)
 
 
 def test_max_bipartite_matching_respects_adjacency():
@@ -160,7 +166,7 @@ def test_max_bipartite_matching_respects_adjacency():
         adjacency = [
             [j for j in range(right) if rng.random() < 0.5] for _ in range(left)
         ]
-        mu = max_bipartite_matching(adjacency)
+        mu = max_bipartite_matching(one_group_per_row(adjacency))
         assert len(set(mu.values())) == len(mu)
         for i, j in mu.items():
             assert j in adjacency[i]
@@ -170,7 +176,7 @@ def test_max_bipartite_matching_follows_long_augmenting_paths():
     # the last left vertex displaces the whole chain of 3000 before it, far
     # deeper than Python's default recursion limit
     adjacency = [[i, i + 1] for i in range(3000)] + [[0]]
-    mu = max_bipartite_matching(adjacency)
+    mu = max_bipartite_matching(one_group_per_row(adjacency))
     assert len(mu) == 3001
     assert mu[3000] == 0 and mu[0] == 1 and mu[2999] == 3000
 
@@ -190,4 +196,5 @@ def test_flow_network_follows_long_augmenting_paths():
 def test_max_bipartite_matching_splits_shared_rows_by_index():
     # rows 0, 2 and 3 are equal and share a flow node: its two matched right
     # nodes go, ascending, to the two lowest-index rows
-    assert max_bipartite_matching([[2, 1], [0], [1, 2], [2, 1]]) == {0: 1, 1: 0, 2: 2}
+    rows = [[2, 1], [0], [1, 2], [2, 1]]
+    assert max_bipartite_matching(one_group_per_row(rows)) == {0: 1, 1: 0, 2: 2}

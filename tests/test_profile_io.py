@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,33 @@ def test_gen_euclidean_consistency():
         assert all(0 <= x <= 1 for x in row)
     again = gen_euclidean(6, 4, seed=3)
     assert again == inst
+
+
+def euclidean_reference(n: int, m: int, seed: int) -> tuple[list, list]:
+    """Rankings and distances of ``gen_euclidean``, computed in Fractions
+    with explicit (distance, index) sort keys."""
+    rng = random.Random(seed)
+
+    def point():
+        return Fraction(rng.randrange(1001), 1000), Fraction(rng.randrange(1001), 1000)
+
+    voters = [point() for _ in range(n)]
+    cands = [point() for _ in range(m)]
+    dist = [tuple(max(abs(vx - cx), abs(vy - cy)) for cx, cy in cands) for vx, vy in voters]
+    rankings = [tuple(sorted(range(m), key=lambda c: (row[c], c))) for row in dist]
+    return rankings, dist
+
+
+def test_gen_euclidean_matches_the_fraction_reference():
+    ties = 0
+    for n, m, seed in [(1, 1, 0), (7, 3, 1), (50, 40, 2), (30, 60, 3)]:
+        inst = gen_euclidean(n, m, seed)
+        rankings, dist = euclidean_reference(n, m, seed)
+        assert inst.profile.rankings == tuple(rankings)
+        assert inst.distances == tuple(dist)
+        ties += sum(len(set(row)) < m for row in dist)
+    # equal distances must occur, so the tie-break by index is exercised
+    assert ties > 10
 
 
 def test_metric_instance_rejects_mismatch(fix_s):

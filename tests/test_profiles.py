@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given
 
 from vetoflow.profiles import (
+    MAX_CELLS,
     PreferenceProfile,
+    ProfileSizeError,
     all_profiles,
     clone_expand,
     dominated_set,
@@ -109,6 +111,9 @@ def test_clone_expand_errors(fix_s):
         clone_expand(fix_s, (-1, 2))
     with pytest.raises(ValueError):
         clone_expand(fix_s, (0, 0))
+    # two voters over MAX_CELLS // 2 + 1 clones: refused before allocating
+    with pytest.raises(ProfileSizeError, match="ranking cells"):
+        clone_expand(fix_s, (MAX_CELLS // 2, 1))
 
 
 @given(profiles_strategy)

@@ -1,10 +1,13 @@
 """Checks over the package source itself."""
 
 import ast
+import importlib
 import sys
+import types
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vetoflow"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "vetoflow"
 
 
 def package_trees() -> list[tuple[str, ast.Module]]:
@@ -86,3 +89,21 @@ def test_no_private_name_is_imported_from_another_module():
                 and not (alias.name.startswith("__") and alias.name.endswith("__"))
             ]
     assert found == []
+
+
+def test_every_trace_target_exists():
+    # the benchmark's tracer replaces these bindings by name; one that moved
+    # or was renamed makes a traced run fail with "trace target ... is missing"
+    path = ROOT / "bench" / "tracing.py"
+    tracing = types.ModuleType("bench_tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(tracing))
+    missing = []
+    for _, owners, attr, _ in tracing.TARGETS:
+        for owner in owners:
+            if attr not in vars(importlib.import_module(f"vetoflow.{owner}")):
+                missing.append(f"{owner}.{attr}")
+    for _, owner, cls, attr, _ in tracing.METHOD_TARGETS:
+        if attr not in vars(getattr(importlib.import_module(f"vetoflow.{owner}"), cls)):
+            missing.append(f"{owner}.{cls}.{attr}")
+    assert tracing.TARGETS and tracing.METHOD_TARGETS
+    assert missing == []
