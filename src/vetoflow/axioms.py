@@ -220,7 +220,7 @@ def weak_psc_satisfied(
         outside = sc.prefix_set - W
         if not outside:
             continue
-        if len(sc.supporters) * (k + 1) > len(sc.prefix_set) * p.n:
+        if sc.size * (k + 1) > len(sc.prefix_set) * p.n:
             viol = violation_from(sc.supporters, min(outside))
             viol.validate(p, W, k)
             return PscVerdict(False, W, k, viol)

@@ -180,9 +180,10 @@ def _check_domination(p, args):
             return VIOLATED, {"candidate": name, "matching": False,
                               "note": "no clones (plurality zero)"}, [
                 f"{name}: no clones (plurality score 0), no matching"]
-    # one flow per target; a matching for any clone settles it
+    # the first clone's edge sets contain every later clone's, so one flow
+    # on it decides for all of them
     witness = extract_deficiency_witness(q, targets[0])
-    if witness is None or any(extract_deficiency_witness(q, e) is None for e in targets[1:]):
+    if witness is None:
         return HOLDS, {"candidate": name, "matching": True}, [
             f"{name}: fractional perfect matching exists"]
     voters = _voter_names(witness.voters)
@@ -244,9 +245,10 @@ def cmd_check(args):
 
 
 def cmd_distortion(args):
+    size_cap = _count("--size-cap", args.size_cap)
     p = _load_profile(args)
     c = p.name_index(args.candidate)
-    result = distortion_of_candidate(p, c, size_cap=args.size_cap)
+    result = distortion_of_candidate(p, c, size_cap=size_cap)
     value = _value_text(result.value)
     payload = {
         "candidate": p.candidate_names[c],

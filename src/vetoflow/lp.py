@@ -143,14 +143,15 @@ class _Simplex:
     its own row and absent from every other row.  Every right-hand side is
     nonnegative, so the slack basis is feasible from the start."""
 
-    def __init__(self, num_vars: int, rows: list[_Row]) -> None:
+    def __init__(self, num_vars: int, rows: list[_Row], objective: Sequence[int]) -> None:
         self.bland = False
         self.degenerate_streak = 0
         self.total = num_vars
         self.tab: list[_Row] = []
         self.den: list[int] = []
         self.basis: list[int] = []
-        self.obj: _Row = {}
+        # no slack is in the objective, so the slack basis needs no pricing
+        self.obj: _Row = {j: v for j, v in enumerate(objective) if v}
         self.obj_den = 1
         for row in rows:
             self._append(row, 1)
@@ -242,9 +243,6 @@ class _Simplex:
                 return col
             self._pivot(row, col)
 
-    def set_objective(self, objective: Sequence[int]) -> None:
-        self.obj, self.obj_den = self._priced({j: v for j, v in enumerate(objective) if v})
-
     def objective_value(self) -> Fraction:
         return Fraction(-self.obj.get(_RHS, 0), self.obj_den)
 
@@ -328,11 +326,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     returned when the ray violates no inactive row; the origin satisfies
     every row, so the full system is feasible and the ray proves it unbounded.
 
-    Each solve from scratch starts at the origin and first maximizes the
-    sum of the explicit rows with a positive right-hand side, which is
-    bounded by the sum of those right-hand sides, then switches to the
-    objective.  For the distortion LP that warm-up pushes the normalization
-    row to its bound along the path a phase 1 would take.
+    Each solve from scratch starts at the origin, in the slack basis.
 
     Active rows never come back from the family: they hold at every optimum
     of the active set and never block its rays.
@@ -342,11 +336,6 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if family is not None and family.violated([0] * n + [-1]):
         raise ValueError("an implicit row is violated at the origin")
     active = [_cells(r) for r in lp.constraints]
-    warm_up = [0] * n
-    for r in lp.constraints:
-        if r.rhs > 0:
-            for j, c in r.coeffs.items():
-                warm_up[j] += c
 
     taken: set[Hashable] = set()
 
@@ -361,15 +350,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             active.append(_cells(family.row(key)))
             simplex.add_row(active[-1])
 
-    def fresh() -> _Simplex:
-        s = _Simplex(n, active)
-        s.set_objective(warm_up)
-        if s.primal() is not None:
-            raise RuntimeError("warm-up reported unbounded; the right-hand sides bound it")
-        s.set_objective(lp.objective)
-        return s
-
-    simplex = fresh()
+    simplex = _Simplex(n, active, lp.objective)
     while True:
         col = simplex.primal()
 
@@ -398,7 +379,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             if simplex.has_negative_rhs():
                 # mid-flight the reduced costs are not dual feasible, so a
                 # violated new row forces a restart on the enlarged set
-                simplex = fresh()
+                simplex = _Simplex(n, active, lp.objective)
             continue
         ray = tuple([Fraction(v, den) for v in drift[:n]])
         if any(v < 0 for v in ray):

@@ -162,15 +162,13 @@ def plurality_scores(p: PreferenceProfile) -> tuple[int, ...]:
 class CloneExpansion:
     """A profile rewritten over clones of the original candidates.
 
-    ``frequency[c]`` copies of candidate c appear in the expanded profile;
-    candidates with frequency zero are deleted.  ``origin[e]`` maps expanded
-    candidate e back to the original index, and ``clones[c]`` lists the
-    expanded indices of c's copies in ranking order.
+    ``clones[c]`` lists the expanded indices of candidate c's copies in
+    ranking order; it is empty for a candidate with frequency zero, which
+    is deleted.  ``origin[e]`` maps expanded candidate e back to the
+    original index.
     """
 
-    original: PreferenceProfile
     expanded: PreferenceProfile
-    frequency: tuple[int, ...]
     origin: tuple[int, ...]
     clones: tuple[tuple[int, ...], ...]
 
@@ -210,7 +208,7 @@ def clone_expand(p: PreferenceProfile, frequency: Sequence[int]) -> CloneExpansi
         tuple(e for c in ranking for e in clones[c]) for ranking in p.rankings
     )
     expanded = PreferenceProfile(expanded_rankings, tuple(names))
-    return CloneExpansion(p, expanded, tuple(frequency), tuple(origin), tuple(clones))
+    return CloneExpansion(expanded, tuple(origin), tuple(clones))
 
 
 def dominated_set(p: PreferenceProfile, c: int, voters: Iterable[int]) -> frozenset[int]:
@@ -225,23 +223,30 @@ def dominated_set(p: PreferenceProfile, c: int, voters: Iterable[int]) -> frozen
 class SolidCoalition:
     """A voter group that ranks the candidate set ``prefix_set`` above everything else.
 
-    ``supporters`` is the maximal such group: every voter whose top
-    ``len(prefix)`` candidates are exactly ``prefix``.
+    ``runs`` holds, per ballot type, the voters whose top ``len(prefix_set)``
+    candidates are exactly ``prefix_set``; together they are the maximal
+    such group, ``supporters``.
     """
 
     prefix_set: frozenset[int]
-    supporters: frozenset[int]
+    runs: tuple[tuple[int, ...], ...]
+
+    @property
+    def size(self) -> int:
+        return sum(map(len, self.runs))
+
+    @property
+    def supporters(self) -> frozenset[int]:
+        return frozenset().union(*self.runs)
 
 
 def solid_coalitions(p: PreferenceProfile) -> tuple[SolidCoalition, ...]:
-    """All candidate prefixes with their maximal supporter set, in first-appearance order."""
+    """All candidate prefixes with their maximal supporter group, in first-appearance order."""
     runs: dict[frozenset[int], list[tuple[int, ...]]] = {}
     for bt in p.ballot_types():
         for r in range(1, p.m + 1):
             runs.setdefault(frozenset(bt.ranking[:r]), []).append(bt.voters)
-    return tuple(
-        SolidCoalition(pref, frozenset().union(*vs)) for pref, vs in runs.items()
-    )
+    return tuple(SolidCoalition(pref, tuple(vs)) for pref, vs in runs.items())
 
 
 def all_profiles(n: int, m: int, candidate_names: Sequence[str] | None = None) -> Iterable[PreferenceProfile]:

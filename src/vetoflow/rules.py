@@ -1,9 +1,11 @@
 """Single-winner rules and assignment rules.
 
-The distortion-oriented rules share one preprocessing step: every candidate
-is replaced by as many clones as their plurality score, which balances the
-instance so that voter and candidate counts agree.  A rule is then run on
-the cloned profile and the winning clone is mapped back to its origin.
+The distortion-oriented rules start from plurality scores.  Plurality veto
+spends them directly: each voter but one takes a unit from their least
+preferred candidate that still holds one.  Matching winners and the
+composite rule run on the plurality-cloned profile, where every candidate
+is replaced by as many clones as their plurality score, so that voter and
+candidate counts agree; the winning clone is mapped back to its origin.
 """
 
 from __future__ import annotations
@@ -17,11 +19,6 @@ from .matching import build_domination_graph, has_fractional_perfect_matching
 from .profiles import CloneExpansion, PreferenceProfile, clone_expand, plurality_scores
 
 
-def _plurality_cloned(p: PreferenceProfile) -> CloneExpansion:
-    # every voter contributes one clone, so the expanded profile has n candidates
-    return clone_expand(p, plurality_scores(p))
-
-
 def _check_voter_order(p: PreferenceProfile, order: Sequence[int] | None) -> tuple[int, ...]:
     if order is None:
         return tuple(range(p.n))
@@ -32,33 +29,32 @@ def _check_voter_order(p: PreferenceProfile, order: Sequence[int] | None) -> tup
 
 
 def plurality_veto(p: PreferenceProfile, order: Sequence[int] | None = None) -> int:
-    """Clone by plurality score, then let the first n-1 voters in ``order``
-    each strike their least preferred remaining clone.  The origin of the
-    clone left standing wins."""
+    """Every candidate starts with its plurality score; the first n-1 voters
+    in ``order`` each take one unit from their least preferred candidate
+    that still holds one.  The candidate holding the last unit wins."""
     order = _check_voter_order(p, order)
-    ce = _plurality_cloned(p)
-    alive = [True] * ce.expanded.m
+    score = list(plurality_scores(p))
     for voter in order[: p.n - 1]:
-        for e in reversed(ce.expanded.rankings[voter]):
-            if alive[e]:
-                alive[e] = False
+        for c in reversed(p.rankings[voter]):
+            if score[c]:
+                score[c] -= 1
                 break
-    last = alive.index(True)
-    return ce.origin[last]
+    return score.index(1)
 
 
 def plurality_matching_winners(p: PreferenceProfile) -> frozenset[int]:
-    """Candidates with a clone whose domination graph in the cloned profile
-    admits a fractional perfect matching."""
-    ce = _plurality_cloned(p)
-    winners: set[int] = set()
-    for e in range(ce.expanded.m):
-        if ce.origin[e] in winners:
-            continue
-        g = build_domination_graph(ce.expanded, e)
-        if has_fractional_perfect_matching(g):
-            winners.add(ce.origin[e])
-    return frozenset(winners)
+    """Candidates whose first clone's domination graph in the plurality-cloned
+    profile admits a fractional perfect matching.
+
+    Clones sit in one block, in index order, on every ballot, so the first
+    clone's edge sets contain every later clone's; extra edges never lower
+    a max flow, so the first clone alone decides.
+    """
+    ce = clone_expand(p, plurality_scores(p))
+    return frozenset(
+        c for c, block in enumerate(ce.clones)
+        if block and has_fractional_perfect_matching(build_domination_graph(ce.expanded, block[0]))
+    )
 
 
 def _expanded_tie_break(
@@ -68,7 +64,7 @@ def _expanded_tie_break(
     if tie_break is None:
         return None
     tie_break = tuple(tie_break)
-    if sorted(tie_break) != list(range(ce.original.m)):
+    if sorted(tie_break) != list(range(len(ce.clones))):
         raise ValueError("tie_break must be a permutation of all candidates")
     return tuple(e for c in tie_break for e in ce.clones[c])
 
@@ -82,17 +78,13 @@ def composite_distortion_rule(
     Equivalently: the last candidate of the full sequential committee built on
     the reversed cloned profile.
     """
-    ce = _plurality_cloned(p)
-    expanded = ce.expanded
-    if expanded.m == 1:
-        return ce.origin[0]
+    ce = clone_expand(p, plurality_scores(p))
     cfg = EatingConfig(
         direction="eat-worst",
-        stop_eliminations=expanded.m,
+        stop_eliminations=ce.expanded.m,
         tie_break=_expanded_tie_break(ce, tie_break),
     )
-    trace = run_eating(expanded, cfg)
-    last = trace.eliminated_order()[-1]
+    last = run_eating(ce.expanded, cfg).eliminated_order()[-1]
     return ce.origin[last]
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from vetoflow import cli
+from vetoflow.matching import FlowNetwork
 
 T = "3 3\na b c\na>b>c\nb>a>c\nc>b>a\n"
 S = "2 2\na b\na>b\nb>a\n"
@@ -171,6 +172,20 @@ def test_distortion_size_cap(prof, capsys):
         "distortion", "--profile", prof(P), "--candidate", "c1", "--size-cap", "5",
     ])
     assert code == 4 and "12 LP variables, cap is 5" in err
+
+
+def test_clone_plurality_check_solves_one_flow(prof, capsys, monkeypatch):
+    # c2 has two clones and neither admits a matching; the first decides
+    calls = []
+    solve = FlowNetwork.solve
+    monkeypatch.setattr(FlowNetwork, "solve", lambda net: calls.append(net) or solve(net))
+    code, out, _ = run(capsys, [
+        "check", "--check", "domination", "--profile", prof("3: 1,2,3\n2: 2,1,3\n"),
+        "--candidate", "c2", "--clone-plurality",
+    ])
+    assert code == 1
+    assert out == "c2: no fractional perfect matching\n  deficient voters v1,v2,v3\n"
+    assert len(calls) == 1
 
 
 def test_hostile_count_line_is_a_resource_limit(prof, capsys):
@@ -406,8 +421,10 @@ def test_json_audit_profile_carries_the_digest(prof, capsys):
     ("--mmax", ["audit", "equivalence", "--mmax", "-2"]),
     ("--trials", ["audit", "distortion3", "--trials", "-5"]),
     ("--trials", ["audit", "equivalence", "--trials", "0"]),
+    ("--size-cap", ["distortion", "--profile", "unused.prof", "--candidate", "a",
+                    "--size-cap", "-1"]),
 ], ids=["gen-n", "gen-negative-n", "gen-m", "audit-n", "audit-m", "audit-nmax", "audit-mmax",
-        "audit-trials", "audit-zero-trials"])
+        "audit-trials", "audit-zero-trials", "distortion-size-cap"])
 def test_count_flags_below_one_are_bad_input(flag, argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, argv)
@@ -460,25 +477,28 @@ def test_hostile_generated_size_is_a_resource_limit(argv, message, capsys, tmp_p
 
 
 # 4000 voters cloned onto 4000 clones would hold 1.6e7 ranking cells; the
-# seed-0 audit draws a 3459-voter election first, 1.2e7 cells
+# seed-0 audit draws a 3459-voter election first, 1.2e7 cells.  Plurality
+# veto spends plurality scores without cloning, so it answers within the
+# same memory bound.
 CLONES = "onto 4000 clones asks for more than 10000000 ranking cells"
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["rule", "--rule", "plurality-veto"], CLONES),
-    (["rule", "--rule", "composite"], CLONES),
-    (["check", "--check", "domination", "--candidate", "c1", "--clone-plurality"], CLONES),
+@pytest.mark.parametrize("argv, code, message", [
+    (["rule", "--rule", "plurality-veto"], 0, "winner: c1\n"),
+    (["rule", "--rule", "composite"], 4, CLONES),
+    (["check", "--check", "domination", "--candidate", "c1", "--clone-plurality"], 4, CLONES),
     (["audit", "distortion3", "--nmax", "4000", "--mmax", "3", "--trials", "1"],
-     "onto 3459 clones asks for more than 10000000 ranking cells"),
+     4, "onto 3459 clones asks for more than 10000000 ranking cells"),
 ], ids=["plurality-veto", "composite", "check-clone-plurality", "audit-distortion3"])
-def test_hostile_clone_expansion_is_a_resource_limit(argv, message, prof, capsys):
+def test_hostile_clone_expansion_is_a_resource_limit(argv, code, message, prof, capsys):
     if argv[0] != "audit":
         argv = [*argv, "--profile", prof("4000: 1,2,3\n")]
     tracemalloc.start()
     try:
-        code, _, err = run(capsys, argv)
+        got, out, err = run(capsys, argv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code == 4 and message in err
+    assert got == code
+    assert out == message if code == 0 else message in err
     assert peak < 1 << 20

@@ -95,13 +95,12 @@ def test_clone_expand_by_plurality(fix_c):
     ce = clone_expand(fix_c, plurality_scores(fix_c))
     assert ce.expanded.m == 3
     assert ce.expanded.candidate_names == ("a#1", "a#2", "b#1")
-    assert ce.frequency == (2, 1, 0)
     assert ce.origin == (0, 0, 1)
     assert ce.clones == ((0, 1), (2,), ())
     # voter 3 ranked b>a>c, so the expansion is b#1 > a#1 > a#2
     assert ce.expanded.rankings[2] == (2, 0, 1)
     assert ce.expanded.rankings[0] == (0, 1, 2)
-    assert ce.expanded.n == ce.original.n
+    assert ce.expanded.n == fix_c.n
 
 
 def test_clone_expand_errors(fix_s):
@@ -148,6 +147,7 @@ def test_solid_coalition_supporters_are_maximal(p):
             i for i in range(p.n) if frozenset(p.rankings[i][:r]) == sc.prefix_set
         )
         assert sc.supporters == expect and sc.supporters
+        assert sc.size == len(expect)
 
 
 def test_all_profiles_counts():

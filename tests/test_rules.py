@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from vetoflow.profiles import PreferenceProfile
+from vetoflow.matching import FlowNetwork
+from vetoflow.profiles import PreferenceProfile, all_profiles, plurality_scores
 from vetoflow.rules import (
     composite_distortion_rule,
     plurality_matching_winners,
@@ -11,6 +13,7 @@ from vetoflow.rules import (
     random_priority,
     serial_dictatorship,
 )
+from tests_support_oracles import plurality_matching_winners_cloned, plurality_veto_cloned
 from tests_support_random import random_profiles
 
 
@@ -53,11 +56,48 @@ def test_plurality_veto_lands_in_matching_winners():
         assert plurality_veto(p, order) in winners
 
 
+def test_clone_rules_match_the_clone_oracles_exhaustively():
+    for n in range(1, 5):
+        for m in range(1, 4):
+            for p in all_profiles(n, m):
+                assert plurality_matching_winners(p) == plurality_matching_winners_cloned(p)
+                for order in permutations(range(n)):
+                    assert plurality_veto(p, order) == plurality_veto_cloned(p, order)
+
+
+def test_clone_rules_match_the_clone_oracles_on_random_profiles():
+    rng = random.Random(21)
+    for p in random_profiles(500, seed=34, nmax=15, mmax=6):
+        order = list(range(p.n))
+        rng.shuffle(order)
+        assert plurality_veto(p, order) == plurality_veto_cloned(p, order)
+        assert plurality_matching_winners(p) == plurality_matching_winners_cloned(p)
+
+
+def test_matching_winners_solve_one_flow_per_scoring_candidate(monkeypatch):
+    calls = []
+    solve = FlowNetwork.solve
+    monkeypatch.setattr(FlowNetwork, "solve", lambda net: calls.append(net) or solve(net))
+    for p in random_profiles(200, seed=89, nmax=15, mmax=6):
+        calls.clear()
+        plurality_matching_winners(p)
+        assert len(calls) <= sum(1 for s in plurality_scores(p) if s > 0)
+
+
 def test_composite_rule(fix_p, fix_u, fix_t):
     assert composite_distortion_rule(fix_p) == 2
     assert composite_distortion_rule(fix_p, tie_break=(2, 1, 0)) == 0
     assert composite_distortion_rule(fix_u) == 0
     assert composite_distortion_rule(fix_t) == 1
+
+
+def test_composite_rule_single_voter_every_tie_break():
+    # one clone, of the voter's favourite, is all the cloned profile holds
+    for m in range(1, 5):
+        for ranking in permutations(range(m)):
+            p = PreferenceProfile.of([ranking])
+            for tie_break in permutations(range(m)):
+                assert composite_distortion_rule(p, tie_break) == ranking[0]
 
 
 def test_composite_winner_is_a_matching_winner():

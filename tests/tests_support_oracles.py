@@ -1,6 +1,7 @@
 """Brute-force oracles shared across the test modules.  Each evaluates its
 definition directly, voter by voter, without the grouping, flows or LPs of
-the checkers it is compared with."""
+the checkers it is compared with; the clone oracles run the plurality rules
+on the cloned profile, one clone at a time."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Sequence
 
-from vetoflow.profiles import PreferenceProfile
+from vetoflow.matching import build_domination_graph, has_fractional_perfect_matching
+from vetoflow.profiles import PreferenceProfile, clone_expand, plurality_scores
 
 
 def hall_check_bruteforce(p: PreferenceProfile, c: int) -> bool:
@@ -70,3 +72,28 @@ def triangle_violations(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[int,
                 if matrix[x][z] > matrix[x][y] + matrix[y][z]:
                     bad.append((x, y, z))
     return bad
+
+
+def plurality_veto_cloned(p: PreferenceProfile, order: Sequence[int]) -> int:
+    """Plurality veto on the plurality-cloned profile: the first n-1 voters
+    in ``order`` each strike their least preferred clone still standing,
+    and the origin of the last clone wins."""
+    ce = clone_expand(p, plurality_scores(p))
+    alive = [True] * ce.expanded.m
+    for voter in order[: p.n - 1]:
+        for e in reversed(ce.expanded.rankings[voter]):
+            if alive[e]:
+                alive[e] = False
+                break
+    return ce.origin[alive.index(True)]
+
+
+def plurality_matching_winners_cloned(p: PreferenceProfile) -> frozenset[int]:
+    """The origins of every clone whose domination graph in the
+    plurality-cloned profile admits a fractional perfect matching, one flow
+    per clone."""
+    ce = clone_expand(p, plurality_scores(p))
+    return frozenset(
+        ce.origin[e] for e in range(ce.expanded.m)
+        if has_fractional_perfect_matching(build_domination_graph(ce.expanded, e))
+    )
