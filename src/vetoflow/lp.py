@@ -140,8 +140,9 @@ class _Simplex:
 
     Row r holds tab[r] / den[r] and the objective row obj / obj_den, with
     the (negated) objective value under _RHS.  Each basic column is 1 in
-    its own row and absent from every other row.  Every right-hand side is
-    nonnegative, so the slack basis is feasible from the start."""
+    its own row and absent from every other row; where maps each basic
+    column to that row.  Every right-hand side is nonnegative, so the
+    slack basis is feasible from the start."""
 
     def __init__(self, num_vars: int, rows: list[_Row], objective: Sequence[int]) -> None:
         self.bland = False
@@ -150,6 +151,7 @@ class _Simplex:
         self.tab: list[_Row] = []
         self.den: list[int] = []
         self.basis: list[int] = []
+        self.where: dict[int, int] = {}
         # no slack is in the objective, so the slack basis needs no pricing
         self.obj: _Row = {j: v for j, v in enumerate(objective) if v}
         self.obj_den = 1
@@ -161,6 +163,7 @@ class _Simplex:
         slack basic."""
         self.tab.append({**row, self.total: den})
         self.den.append(den)
+        self.where[self.total] = len(self.basis)
         self.basis.append(self.total)
         self.total += 1
 
@@ -182,14 +185,19 @@ class _Simplex:
                 tab[i], den[i] = _eliminate(row, den[i], prow, p, c)
         if c in self.obj:
             self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, prow, p, c)
+        del self.where[self.basis[r]]
+        self.where[c] = r
         self.basis[r] = c
 
     def _priced(self, row: _Row) -> tuple[_Row, int]:
-        """An integer row with its basic columns eliminated, over its denominator."""
+        """An integer row with its basic columns eliminated, over its
+        denominator.  A pivot row holds no other basic column, so the
+        row's own basic cells are all there is to eliminate; they go in
+        row order."""
         den = 1
-        for r, bv in enumerate(self.basis):
-            if bv in row:
-                row, den = _eliminate(row, den, self.tab[r], self.den[r], bv)
+        where = self.where
+        for r in sorted([where[j] for j in row if j in where]):
+            row, den = _eliminate(row, den, self.tab[r], self.den[r], self.basis[r])
         return row, den
 
     def _choose_entering(self) -> int | None:
