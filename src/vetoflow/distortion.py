@@ -134,7 +134,12 @@ class _Quadrangles:
     u_a = d_ia - d_ja and v_b = d_ib + d_jb, so a pair with max u <= min v
     violates none of its rows.  For a nonnegative vector that test is
     exact: u_a - v_a = -2 d_ja is never positive, and u_a > v_b forces
-    d_ia > d_ib, hence pos_i(a) > pos_i(b)."""
+    d_ia > d_ib, hence pos_i(a) > pos_i(b).
+
+    Each ordered pair (i, j) offers only its most violated row, ties to
+    the smallest (a, b).  A pair's rows share most of their cells, so
+    once its worst row is active the others rarely still bind; those
+    that do are offered in a later round."""
 
     def __init__(self, p: PreferenceProfile) -> None:
         self.p = p
@@ -152,10 +157,13 @@ class _Quadrangles:
                 v = [x + y for x, y in zip(xi, xj)]
                 if max(u) <= min(v):
                     continue
+                best, key = 0, None
                 for a, ua in enumerate(u):
                     for b, vb in enumerate(v):
-                        if ua > vb and pos[a] > pos[b]:
-                            out.append((vb - ua, (i, j, a, b)))
+                        if ua - vb > best and pos[a] > pos[b]:
+                            best, key = ua - vb, (i, j, a, b)
+                if key is not None:
+                    out.append((-best, key))
         return out
 
     def row(self, key: tuple[int, int, int, int]) -> LinearConstraint:

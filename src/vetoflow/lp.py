@@ -9,11 +9,13 @@ guaranteed while typical instances stay fast.
 
 Every explicit constraint is active from the start.  A program may also
 carry an implicit row family that is too large to store (quadrangle rows
-grow as n^2 m^2) and finds its violated rows by separation instead; those
-rows are activated lazily: solve with the active set, then add violated
-rows and repeat.  An optimum with no violated inactive row is globally
-optimal.  An unbounded ray is only trusted once no inactive row blocks it;
-the family must hold at the origin, which keeps the full system feasible.
+grow as n^2 m^2) and finds violated rows by separation instead; those
+rows are activated lazily: solve with the active set, then add the rows
+the family offers and repeat.  The family need not offer every violated
+row, only some whenever any is violated, so an optimum it offers nothing
+against is globally optimal.  An unbounded ray is only trusted once the
+family offers no blocker; the family must hold at the origin, which
+keeps the full system feasible.
 
 Integer rows in, Fractions out: rows, the objective and family rows carry
 Python ints, and only the solution's value, point and ray are Fractions.
@@ -66,10 +68,16 @@ class RowFamily(Protocol):
 
     A vector is an integer point or direction with one extra cell last:
     minus the denominator for a point, 0 for a direction.  The excess of a
-    row at a vector is coeffs . vector + rhs * (last cell), an int."""
+    row at a vector is coeffs . vector + rhs * (last cell), an int.
+
+    A family offers some rows with positive excess whenever any row has
+    one, and none otherwise; it may hold the others back.  Rows active in
+    the solver hold at its optima and never block its rays, so they are
+    never offered and every round activates a new row."""
 
     def violated(self, vector: Sequence[int]) -> list[tuple[int, Hashable]]:
-        """(-excess, key) of every row with positive excess, keys ascending."""
+        """(-excess, key) of the offered rows, all with positive excess,
+        keys ascending; empty exactly when no row has positive excess."""
 
     def row(self, key: Hashable) -> LinearConstraint:
         """The row of a key."""
@@ -330,14 +338,18 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     Every explicit constraint starts active; only the rows of
     ``lp.implicit`` are inactive.  After each solve the most violated of
-    them (up to ``_MAX_NEW_ROWS``) are added.  An unbounded result is only
-    returned when the ray violates no inactive row; the origin satisfies
-    every row, so the full system is feasible and the ray proves it unbounded.
+    the rows the family offers (up to ``_MAX_NEW_ROWS``) are added, and
+    the loop ends at an optimum against which the family offers nothing;
+    since it offers a row whenever one is violated, that optimum is
+    global.  An unbounded result is only returned when the family offers
+    no blocker of the ray; the origin satisfies every row, so the full
+    system is feasible and the ray proves it unbounded.
 
     Each solve from scratch starts at the origin, in the slack basis.
 
     Active rows never come back from the family: they hold at every optimum
-    of the active set and never block its rays.
+    of the active set and never block its rays.  So every round activates
+    at least one new row, and the loop ends.
     """
     n = lp.num_vars
     family = lp.implicit

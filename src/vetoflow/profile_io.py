@@ -19,6 +19,8 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import le
 
 from .profiles import PreferenceProfile, ProfileSizeError
 
@@ -166,16 +168,17 @@ class MetricInstance:
     distances: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
+        """The checks compare integer numerators over one common denominator."""
         p = self.profile
         if len(self.distances) != p.n or any(len(row) != p.m for row in self.distances):
             raise ValueError("distance matrix shape must be n x m")
-        for row in self.distances:
-            if any(x < 0 for x in row):
-                raise ValueError("distances must be nonnegative")
-        for i, ranking in enumerate(p.rankings):
-            for a, b in zip(ranking, ranking[1:]):
-                if self.distances[i][a] > self.distances[i][b]:
-                    raise ValueError(f"voter {i} ranking disagrees with distances")
+        if any(x.numerator < 0 for row in self.distances for x in row):
+            raise ValueError("distances must be nonnegative")
+        den = lcm(*{x.denominator for row in self.distances for x in row})
+        for i, (row, ranking) in enumerate(zip(self.distances, p.rankings)):
+            d = [row[a].numerator * (den // row[a].denominator) for a in ranking]
+            if not all(map(le, d, d[1:])):
+                raise ValueError(f"voter {i} ranking disagrees with distances")
 
 
 def gen_euclidean(n: int, m: int, seed: int) -> MetricInstance:

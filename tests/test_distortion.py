@@ -19,6 +19,7 @@ from vetoflow.distortion import (
     verify_certificate,
 )
 from vetoflow.lp import LinearConstraint, LinearProgram, solve_lp
+from vetoflow.profile_io import gen_impartial_culture
 from vetoflow.profiles import PreferenceProfile
 from tests_support_lp import ListedRows
 from tests_support_oracles import triangle_violations
@@ -63,13 +64,13 @@ def gaps_to_distances(p: PreferenceProfile, vector) -> tuple[tuple[F, ...], ...]
     )
 
 
-def materialized_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
-    """The distortion LP over gap variables with every quadrangle row stored:
-    the normalization row, then the quadrangle rows in (i, j, a, b) order as
-    a listed family, each the sum of its four distances' gap terms.  The
-    reference for ``build_lp``'s implicit family."""
+def materialized_quadrangles(
+    p: PreferenceProfile,
+) -> list[tuple[tuple[int, int, int, int], LinearConstraint]]:
+    """Every quadrangle row over gap variables with its key (i, j, a, b), in
+    key order, each the sum of its four distances' gap terms."""
     n, m = p.n, p.m
-    quadrangles = []
+    out = []
     for i, j, a, b in itertools.product(range(n), range(n), range(m), range(m)):
         coeffs: dict[int, int] = {}
         for (k, e), delta in (((i, a), 1), ((i, b), -1), ((j, b), -1), ((j, a), -1)):
@@ -79,7 +80,35 @@ def materialized_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
         # rows without a positive coefficient are consequences of g >= 0
         if all(x < 0 for x in coeffs.values()):
             continue
-        quadrangles.append(LinearConstraint(coeffs, 0))
+        out.append(((i, j, a, b), LinearConstraint(coeffs, 0)))
+    return out
+
+
+class PerPairRows(ListedRows):
+    """Stored quadrangle rows, keyed by list index, that offer one row per
+    ordered voter pair: of the pair's violated rows, the one with the
+    largest excess, ties to the smallest index."""
+
+    def __init__(self, keyed) -> None:
+        super().__init__([row for _, row in keyed])
+        self.pairs = [key[:2] for key, _ in keyed]
+
+    def violated(self, vector):
+        best = {}
+        for excess, index in super().violated(vector):
+            pair = self.pairs[index]
+            if pair not in best or excess < best[pair][0]:
+                best[pair] = (excess, index)
+        return sorted(best.values(), key=lambda offer: offer[1])
+
+
+def materialized_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
+    """The distortion LP over gap variables with every quadrangle row stored:
+    the normalization row, then the quadrangle rows in (i, j, a, b) order as
+    a family that offers one row per voter pair.  The reference for
+    ``build_lp``'s implicit family."""
+    n, m = p.n, p.m
+    quadrangles = PerPairRows(materialized_quadrangles(p))
     normalization = LinearConstraint(
         {v: 1 for i in range(n) for v in gap_terms(p, i, cref)}, 1
     )
@@ -87,7 +116,7 @@ def materialized_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
     for i in range(n):
         for v in gap_terms(p, i, c):
             objective[v] = 1
-    return LinearProgram(n * m, tuple(objective), (normalization,), ListedRows(quadrangles))
+    return LinearProgram(n * m, tuple(objective), (normalization,), quadrangles)
 
 
 def materialized_distortion(p: PreferenceProfile, c: int) -> DistortionResult:
@@ -199,23 +228,101 @@ def test_vacuous_quadrangle_rows_are_dropped(fix_s):
             assert any(x > 0 for x in row.coeffs.values())
 
 
+def random_vectors(rng: random.Random, p: PreferenceProfile, count: int) -> list[list[int]]:
+    """Points (nonnegative numerators over a denominator) and directions
+    (signed cells and a zero right-hand side), about half each."""
+    out = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            out.append([rng.randint(0, 6) for _ in range(p.n * p.m)] + [-rng.randint(1, 4)])
+        else:
+            out.append([rng.randint(-4, 4) for _ in range(p.n * p.m)] + [0])
+    return out
+
+
 def test_quadrangle_separation_matches_the_reference():
-    # points are nonnegative numerators over a denominator; directions have
-    # signed cells and a zero right-hand side
+    # the family offers, per ordered voter pair, the stored row of largest
+    # excess, ties to the smallest key, in key order
     rng = random.Random(8)
     for p in random_profiles(80, seed=123, nmax=5, mmax=5):
         lp = build_lp(p, 0, p.m - 1)
-        reference = materialized_lp(p, 0, p.m - 1).implicit
-        for _ in range(6):
-            if rng.random() < 0.5:
-                vector = [rng.randint(0, 6) for _ in range(p.n * p.m)] + [-rng.randint(1, 4)]
-            else:
-                vector = [rng.randint(-4, 4) for _ in range(p.n * p.m)] + [0]
-            expected = [(e, reference.row(key)) for e, key in reference.violated(vector)]
+        keyed = materialized_quadrangles(p)
+        rows = dict(keyed)
+        every = ListedRows(list(rows.values()))
+        for vector in random_vectors(rng, p, 6):
+            by_pair: dict[tuple[int, int], list] = {}
+            for e, index in every.violated(vector):
+                key = keyed[index][0]
+                by_pair.setdefault(key[:2], []).append((e, key))
+            expected = sorted((min(offers) for offers in by_pair.values()), key=lambda o: o[1])
             got = lp.implicit.violated(vector)
-            assert [(e, lp.implicit.row(key)) for e, key in got] == expected
-            keys = [key for _, key in got]
-            assert keys == sorted(set(keys))
+            assert got == expected
+            assert [lp.implicit.row(key) for _, key in got] == [rows[key] for _, key in got]
+
+
+def test_quadrangle_separation_offers_one_row_per_pair():
+    # the row-family contract both families keep: some violated row exactly
+    # when any row is violated, at most one per ordered voter pair, each with
+    # its true excess, keys ascending
+    rng = random.Random(19)
+    for p in random_profiles(60, seed=321, nmax=5, mmax=5):
+        keyed = materialized_quadrangles(p)
+        every = ListedRows([row for _, row in keyed])
+        # each family with the voter pair of a key: keys are (i, j, a, b)
+        # tuples in the separating family and list indices in the stored one
+        families = (
+            (build_lp(p, 0, p.m - 1).implicit, lambda key: key[:2]),
+            (materialized_lp(p, 0, p.m - 1).implicit, lambda index: keyed[index][0][:2]),
+        )
+        for vector in random_vectors(rng, p, 8):
+            anything = bool(every.violated(vector))
+            for family, pair_of in families:
+                got = family.violated(vector)
+                assert bool(got) == anything, (p.rankings, vector)
+                keys = [key for _, key in got]
+                assert keys == sorted(set(keys))
+                pairs = [pair_of(key) for key in keys]
+                assert len(pairs) == len(set(pairs))
+                for e, key in got:
+                    row = family.row(key)
+                    excess = sum(c * vector[j] for j, c in row.coeffs.items())
+                    assert e == -excess < 0
+
+
+class CountedRows:
+    """A row family that counts the rows the solver activates: it asks for
+    each activated row's coefficients once."""
+
+    def __init__(self, family) -> None:
+        self.family = family
+        self.activated = 0
+
+    def violated(self, vector):
+        return self.family.violated(vector)
+
+    def row(self, key):
+        self.activated += 1
+        return self.family.row(key)
+
+
+def test_the_4x25_lp_activates_few_rows(monkeypatch):
+    # the 100-variable LP of criterion 10 (IC seed 3, candidate 0): one row
+    # per voter pair and round activates 368 rows; offering the 100 most
+    # violated rows overall activated 8756
+    families = []
+
+    def counted_lp(p, c, cref):
+        lp = build_lp(p, c, cref)
+        families.append(CountedRows(lp.implicit))
+        return dataclasses.replace(lp, implicit=families[-1])
+
+    monkeypatch.setattr("vetoflow.distortion.build_lp", counted_lp)
+    q = gen_impartial_culture(4, 25, seed=3)
+    r = distortion_of_candidate(q, 0, size_cap=100)
+    assert (r.value, r.reference) == (3, 10)
+    assert verify_certificate(q, r)
+    assert len(families) == 24
+    assert sum(f.activated for f in families) <= 1000
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +369,7 @@ VALUES_SHA256 = "5d9a302839526237d5570b1bed81f64bb6fcb73593ac14ba5dda90c6422eecb
 # SHA-256 over ``result_line`` of the same results.  A change of pivot path
 # changes certificates and rays, so it shows up here; such a change has to
 # update this value on purpose.
-RESULTS_SHA256 = "a793fd50ec977eb519bd33d2aad8e1f5e2d95d67e806df2b57c846f27ba7989a"
+RESULTS_SHA256 = "61502fd27e0e6dcb4602a68f6bb9c3539ace3579ec1ea9fcb716d478394325d1"
 
 
 def value_line(r: DistortionResult) -> str:

@@ -121,6 +121,26 @@ def test_implicit_rows_reach_the_explicit_optimum():
             assert solve_lp(lp) == solve_lp(explicit)
 
 
+def test_a_family_may_hold_violated_rows_back():
+    # the row family contract asks for some violated row whenever one
+    # exists, not all of them; offering one row a round, the most or the
+    # least violated, still reaches the unique optimum
+    class OneRow(ListedRows):
+        def __init__(self, rows, pick):
+            super().__init__(rows)
+            self.pick = pick
+
+        def violated(self, vector):
+            offers = super().violated(vector)
+            return [self.pick(offers)] if offers else []
+
+    for n in (5, 10):
+        explicit = triple_cover_lp(n)
+        for pick in (min, max):
+            lp = LinearProgram(n, explicit.objective, (), OneRow(explicit.constraints, pick))
+            assert solve_lp(lp) == solve_lp(explicit)
+
+
 def test_a_family_that_excludes_the_origin_raises():
     class AtLeastOne(ListedRows):
         # x0 >= 1, that is -x0 <= -1, a row LinearConstraint refuses

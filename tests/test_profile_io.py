@@ -19,7 +19,7 @@ from vetoflow.profile_io import (
     serialize_metric,
     serialize_profile,
 )
-from tests_support_random import profiles_strategy
+from tests_support_random import profiles_strategy, random_profiles
 
 
 NATIVE_T = "3 3\na b c\na>b>c\nb>a>c\nc>b>a\n"
@@ -162,13 +162,62 @@ def test_gen_euclidean_matches_the_fraction_reference():
 
 
 def test_metric_instance_rejects_mismatch(fix_s):
-    with pytest.raises(ValueError, match="shape"):
-        MetricInstance(fix_s, ((Fraction(0),),))
-    with pytest.raises(ValueError, match="nonnegative"):
-        MetricInstance(fix_s, ((Fraction(-1), Fraction(0)), (Fraction(0), Fraction(1))))
-    with pytest.raises(ValueError, match="disagrees"):
-        # voter 1 prefers a but sits closer to b
-        MetricInstance(fix_s, ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(0))))
+    F = Fraction
+    with pytest.raises(ValueError, match=r"^distance matrix shape must be n x m$"):
+        MetricInstance(fix_s, ((F(0),),))
+    with pytest.raises(ValueError, match=r"^distances must be nonnegative$"):
+        MetricInstance(fix_s, ((F(-1), F(0)), (F(0), F(1))))
+    with pytest.raises(ValueError, match=r"^voter 0 ranking disagrees with distances$"):
+        # voter 0 prefers a but sits closer to b
+        MetricInstance(fix_s, ((F(2), F(1)), (F(1), F(0))))
+    with pytest.raises(ValueError, match=r"^voter 1 ranking disagrees with distances$"):
+        # voter 1 prefers b, and 1/3 is a hair above 333/1000
+        MetricInstance(fix_s, ((F(0), F(1)), (F(333, 1000), F(1, 3))))
+    with pytest.raises(ValueError, match=r"^distances must be nonnegative$"):
+        # a negative distance in a later row outranks voter 0's disagreement
+        MetricInstance(fix_s, ((F(2), F(1)), (F(-1, 7), F(0))))
+
+
+def fraction_metric_error(p: PreferenceProfile, distances) -> str | None:
+    """The error ``MetricInstance`` raises, found over Fractions cell by cell;
+    the reference for its integer checks."""
+    if len(distances) != p.n or any(len(row) != p.m for row in distances):
+        return "distance matrix shape must be n x m"
+    if any(x < 0 for row in distances for x in row):
+        return "distances must be nonnegative"
+    for i, ranking in enumerate(p.rankings):
+        for a, b in zip(ranking, ranking[1:]):
+            if distances[i][a] > distances[i][b]:
+                return f"voter {i} ranking disagrees with distances"
+    return None
+
+
+def test_metric_instance_checks_match_the_fraction_reference():
+    rng = random.Random(17)
+    outcomes = set()
+    for p in random_profiles(300, seed=909, nmax=5, mmax=5):
+        # consistent distances over mixed denominators, then a few cells
+        # nudged by tiny amounts either way
+        cells = sorted(Fraction(rng.randint(0, 30), rng.randint(1, 12)) for _ in range(p.m))
+        rows = []
+        for ranking in p.rankings:
+            row = [Fraction(0)] * p.m
+            for a, x in zip(ranking, cells):
+                row[a] = x
+            rows.append(row)
+        for _ in range(rng.randint(0, 2)):
+            i, a = rng.randrange(p.n), rng.randrange(p.m)
+            rows[i][a] += Fraction(rng.choice([-1, 1]), rng.randint(50, 1000))
+        distances = tuple(map(tuple, rows))
+        try:
+            MetricInstance(p, distances)
+            error = None
+        except ValueError as exc:
+            error = str(exc)
+        assert error == fraction_metric_error(p, distances), (p.rankings, distances)
+        outcomes.add(error and error.split()[0])
+    # clean matrices, negative cells and disagreeing voters all occur
+    assert outcomes == {None, "distances", "voter"}
 
 
 def test_fix_s_has_an_equal_cost_embedding(fix_s):
