@@ -137,17 +137,18 @@ class _Quadrangles:
     d_ia > d_ib, hence pos_i(a) > pos_i(b).
 
     Each ordered pair (i, j) offers only its most violated row, ties to
-    the smallest (a, b).  A pair's rows share most of their cells, so
-    once its worst row is active the others rarely still bind; those
+    the smallest (a, b), and the offered rows come most violated first,
+    ties to the smallest key.  A pair's rows share most of their cells,
+    so once its worst row is active the others rarely still bind; those
     that do are offered in a later round."""
 
     def __init__(self, p: PreferenceProfile) -> None:
         self.p = p
 
-    def violated(self, vector: Sequence[int]) -> list[tuple[int, tuple[int, int, int, int]]]:
+    def violated(self, vector: Sequence[int]) -> list[LinearConstraint]:
         cells = _distances(vector, self.p)
         positions = self.p.positions()
-        out = []
+        worst = []
         for i, xi in enumerate(cells):
             pos = positions[i]
             for j, xj in enumerate(cells):
@@ -163,13 +164,13 @@ class _Quadrangles:
                         if ua - vb > best and pos[a] > pos[b]:
                             best, key = ua - vb, (i, j, a, b)
                 if key is not None:
-                    out.append((-best, key))
-        return out
+                    worst.append((-best, key))
+        worst.sort()
+        return [self._row(*key) for _, key in worst]
 
-    def row(self, key: tuple[int, int, int, int]) -> LinearConstraint:
+    def _row(self, i: int, j: int, a: int, b: int) -> LinearConstraint:
         """+1 on voter i's gaps between b and a, -1 on voter j's gaps up to
         a and again up to b, so -2 on their common prefix."""
-        i, j, a, b = key
         m = self.p.m
         positions = self.p.positions()
         pi, pj = positions[i], positions[j]

@@ -3,19 +3,20 @@
 Maximization over nonnegative variables subject to sparse rows
 coeffs . x <= rhs with rhs >= 0, so the origin is always feasible and the
 sparse tableau simplex starts from the slack basis without a phase 1.
-Pivoting starts with the largest-reduced-cost rule and switches permanently
-to Bland's rule after a run of degenerate pivots, so termination is
-guaranteed while typical instances stay fast.
+Pivoting starts with the largest-reduced-cost rule and switches to Bland's
+rule after a run of pivots, primal or dual, that leave the objective value
+unchanged, until a row is added; so termination is guaranteed while typical
+instances stay fast.
 
 Every explicit constraint is active from the start.  A program may also
 carry an implicit row family that is too large to store (quadrangle rows
 grow as n^2 m^2) and finds violated rows by separation instead; those
-rows are activated lazily: solve with the active set, then add the rows
-the family offers and repeat.  The family need not offer every violated
-row, only some whenever any is violated, so an optimum it offers nothing
-against is globally optimal.  An unbounded ray is only trusted once the
-family offers no blocker; the family must hold at the origin, which
-keeps the full system feasible.
+rows are activated lazily: solve with the active set, then activate every
+row the family offers and repeat.  The family need not offer every
+violated row, only some whenever any is violated, so an optimum it offers
+nothing against is globally optimal.  An unbounded ray is only trusted
+once the family offers no blocker; the family must hold at the origin,
+which keeps the full system feasible.
 
 Integer rows in, Fractions out: rows, the objective and family rows carry
 Python ints, and only the solution's value, point and ray are Fractions.
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Hashable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 # Key of the right-hand side in a sparse row; every other key is a column.
 # A point vector with -denominator in its last cell therefore evaluates
@@ -62,6 +63,11 @@ def _cells(row: LinearConstraint) -> _Row:
     return cells
 
 
+def _check_columns(row: LinearConstraint, num_vars: int) -> None:
+    if any(j < 0 or j >= num_vars for j in row.coeffs):
+        raise ValueError("constraint touches an unknown variable")
+
+
 class RowFamily(Protocol):
     """Integer rows found by separation instead of stored; every one must
     hold at the origin.
@@ -71,16 +77,15 @@ class RowFamily(Protocol):
     row at a vector is coeffs . vector + rhs * (last cell), an int.
 
     A family offers some rows with positive excess whenever any row has
-    one, and none otherwise; it may hold the others back.  Rows active in
-    the solver hold at its optima and never block its rays, so they are
-    never offered and every round activates a new row."""
+    one, and none otherwise; it may hold the others back.  The solver
+    activates every offered row, in the family's order.  Rows active in
+    the solver hold at its optima and never block its rays, so a row
+    offered without a positive excess is an error, and every round
+    activates new rows."""
 
-    def violated(self, vector: Sequence[int]) -> list[tuple[int, Hashable]]:
-        """(-excess, key) of the offered rows, all with positive excess,
-        keys ascending; empty exactly when no row has positive excess."""
-
-    def row(self, key: Hashable) -> LinearConstraint:
-        """The row of a key."""
+    def violated(self, vector: Sequence[int]) -> list[LinearConstraint]:
+        """Offered rows, each with positive excess, in an order the family
+        fixes; empty exactly when no row has positive excess."""
 
 
 @dataclass(frozen=True)
@@ -98,8 +103,8 @@ class LinearProgram:
             raise TypeError(f"objective cells must be ints: {self.objective}")
         if len(self.objective) != self.num_vars:
             raise ValueError("objective length must equal num_vars")
-        if any(j < 0 or j >= self.num_vars for row in self.constraints for j in row.coeffs):
-            raise ValueError("constraint touches an unknown variable")
+        for row in self.constraints:
+            _check_columns(row, self.num_vars)
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,6 @@ class LpSolution:
 
 
 _DEGENERATE_STREAK_LIMIT = 40
-_MAX_NEW_ROWS = 100
 
 
 def _eliminate(row: _Row, den: int, prow: _Row, pden: int, col: int) -> tuple[_Row, int]:
@@ -150,11 +154,15 @@ class _Simplex:
     the (negated) objective value under _RHS.  Each basic column is 1 in
     its own row and absent from every other row; where maps each basic
     column to that row.  Every right-hand side is nonnegative, so the
-    slack basis is feasible from the start."""
+    slack basis is feasible from the start.
+
+    streak counts the pivots in a row, primal or dual, that leave the
+    objective value unchanged; once it passes _DEGENERATE_STREAK_LIMIT,
+    bland switches both phases to Bland's rule until a row is added."""
 
     def __init__(self, num_vars: int, rows: list[_Row], objective: Sequence[int]) -> None:
         self.bland = False
-        self.degenerate_streak = 0
+        self.streak = 0
         self.total = num_vars
         self.tab: list[_Row] = []
         self.den: list[int] = []
@@ -191,6 +199,13 @@ class _Simplex:
         for i, row in enumerate(tab):
             if i != r and c in row:
                 tab[i], den[i] = _eliminate(row, den[i], prow, p, c)
+        # the objective value moves by obj[c] * rhs / p, so a primal pivot on
+        # a zero rhs or a dual pivot on a zero reduced cost leaves it put
+        if c in self.obj and _RHS in prow:
+            self.streak = 0
+        else:
+            self.streak += 1
+            self.bland = self.bland or self.streak > _DEGENERATE_STREAK_LIMIT
         if c in self.obj:
             self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, prow, p, c)
         del self.where[self.basis[r]]
@@ -239,13 +254,6 @@ class _Simplex:
                 lhs, rhs = b * best_a, best_b * a
                 if lhs < rhs or (lhs == rhs and basis[r] < basis[best]):
                     best, best_b, best_a = r, b, a
-        if best is not None:
-            if best_b == 0:
-                self.degenerate_streak += 1
-                if self.degenerate_streak > _DEGENERATE_STREAK_LIMIT:
-                    self.bland = True
-            else:
-                self.degenerate_streak = 0
         return best
 
     def primal(self) -> int | None:
@@ -274,8 +282,11 @@ class _Simplex:
 
     def add_row(self, row: _Row) -> None:
         """Append an integer row, priced against the current basis, with its
-        slack basic.  The slack may come out negative; dual_restore fixes it."""
+        slack basic.  The slack may come out negative; dual_restore fixes it.
+        Only a fixed set of rows can cycle, so a new row ends Bland mode."""
         self._append(*self._priced(row))
+        self.streak = 0
+        self.bland = False
 
     def has_negative_rhs(self) -> bool:
         return any(row.get(_RHS, 0) < 0 for row in self.tab)
@@ -284,18 +295,15 @@ class _Simplex:
         """Dual simplex: assumes reduced costs are optimal (obj entries <= 0)
         and pivots until every basic value is nonnegative again.
 
-        Leaving row: most negative basic value, or smallest basic index once
-        a degenerate streak forces Bland mode.  Entering column: minimum
-        dual ratio, ties to the smallest index; the ratio test is never
-        relaxed, Bland mode only changes tie-breaking, so dual feasibility
-        is preserved throughout.
+        Leaving row: most negative basic value, or smallest basic index in
+        Bland mode.  Entering column: minimum dual ratio, ties to the
+        smallest index; the ratio test is never relaxed, Bland mode only
+        changes tie-breaking, so dual feasibility is preserved throughout.
         """
-        bland = False
-        streak = 0
         tab, den = self.tab, self.den
         while True:
             r = None
-            if bland:
+            if self.bland:
                 for i, row in enumerate(tab):
                     if row.get(_RHS, 0) < 0 and (r is None or self.basis[i] < self.basis[r]):
                         r = i
@@ -324,12 +332,6 @@ class _Simplex:
                         col, best_o, best_a = j, o, a
             if col is None:
                 raise AssertionError("cut made the LP infeasible; rows are inconsistent")
-            if best_o == 0:
-                streak += 1
-                if streak > _DEGENERATE_STREAK_LIMIT:
-                    bland = True
-            else:
-                streak = 0
             self._pivot(r, col)
 
 
@@ -337,19 +339,18 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve with lazy constraint activation: integer rows in, Fractions out.
 
     Every explicit constraint starts active; only the rows of
-    ``lp.implicit`` are inactive.  After each solve the most violated of
-    the rows the family offers (up to ``_MAX_NEW_ROWS``) are added, and
-    the loop ends at an optimum against which the family offers nothing;
-    since it offers a row whenever one is violated, that optimum is
-    global.  An unbounded result is only returned when the family offers
-    no blocker of the ray; the origin satisfies every row, so the full
-    system is feasible and the ray proves it unbounded.
+    ``lp.implicit`` are inactive.  After each solve every row the family
+    offers is added, and the loop ends at an optimum against which the
+    family offers nothing; since it offers a row whenever one is violated,
+    that optimum is global.  An unbounded result is only returned when the
+    family offers no blocker of the ray; the origin satisfies every row,
+    so the full system is feasible and the ray proves it unbounded.
 
     Each solve from scratch starts at the origin, in the slack basis.
 
-    Active rows never come back from the family: they hold at every optimum
-    of the active set and never block its rays.  So every round activates
-    at least one new row, and the loop ends.
+    Active rows hold at every optimum of the active set and never block
+    its rays, so an offered row that holds raises instead of being
+    activated.  Every round activates new rows, and the loop ends.
     """
     n = lp.num_vars
     family = lp.implicit
@@ -357,18 +358,18 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         raise ValueError("an implicit row is violated at the origin")
     active = [_cells(r) for r in lp.constraints]
 
-    taken: set[Hashable] = set()
-
-    def offers(vector: list[int]) -> list[tuple[int, Hashable]]:
-        return [] if family is None else family.violated(vector)
-
-    def activate(picked: list[tuple[int, Hashable]]) -> None:
-        for _, key in picked:
-            if key in taken:
-                raise RuntimeError(f"row {key!r} is active but reported as violated")
-            taken.add(key)
-            active.append(_cells(family.row(key)))
-            simplex.add_row(active[-1])
+    def activate(vector: list[int]) -> bool:
+        """Activate the rows the family offers at a vector; False if none."""
+        rows = [] if family is None else family.violated(vector)
+        for row in rows:
+            _check_columns(row, n)
+            cells = _cells(row)
+            # the row's excess: _RHS picks the vector's last cell
+            if sum([v * vector[j] for j, v in cells.items()]) <= 0:
+                raise RuntimeError(f"offered {row} holds, as an active row does")
+            active.append(cells)
+            simplex.add_row(cells)
+        return bool(rows)
 
     simplex = _Simplex(n, active, lp.objective)
     while True:
@@ -377,14 +378,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         if col is None:
             point, den = simplex.column(_RHS, n)
             point.append(-den)
-            violated = offers(point)
-            if not violated:
+            if not activate(point):
                 x = tuple([Fraction(v, den) for v in point[:n]])
                 return LpSolution("optimal", simplex.objective_value(), x, None)
-            violated.sort()
             # the basis stays dual feasible at an optimum, so new rows are
             # absorbed by dual pivots instead of a solve from scratch
-            activate(violated[:_MAX_NEW_ROWS])
             simplex.dual_restore()
             continue
 
@@ -393,9 +391,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         if col < n:
             drift[col] = den
         drift.append(0)  # a direction ignores the right-hand sides
-        blockers = offers(drift)
-        if blockers:
-            activate(blockers[:_MAX_NEW_ROWS])
+        if activate(drift):
             if simplex.has_negative_rhs():
                 # mid-flight the reduced costs are not dual feasible, so a
                 # violated new row forces a restart on the enlarged set

@@ -21,7 +21,7 @@ from vetoflow.distortion import (
 from vetoflow.lp import LinearConstraint, LinearProgram, solve_lp
 from vetoflow.profile_io import gen_impartial_culture
 from vetoflow.profiles import PreferenceProfile
-from tests_support_lp import ListedRows
+from tests_support_lp import ListedRows, excess
 from tests_support_oracles import triangle_violations
 from tests_support_random import random_profile, random_profiles
 
@@ -85,21 +85,22 @@ def materialized_quadrangles(
 
 
 class PerPairRows(ListedRows):
-    """Stored quadrangle rows, keyed by list index, that offer one row per
-    ordered voter pair: of the pair's violated rows, the one with the
-    largest excess, ties to the smallest index."""
+    """Stored quadrangle rows that offer one row per ordered voter pair: of
+    the pair's violated rows, the one with the largest excess, ties to the
+    smallest index; most violated first, ties to the smallest index."""
 
     def __init__(self, keyed) -> None:
         super().__init__([row for _, row in keyed])
         self.pairs = [key[:2] for key, _ in keyed]
 
     def violated(self, vector):
-        best = {}
-        for excess, index in super().violated(vector):
-            pair = self.pairs[index]
-            if pair not in best or excess < best[pair][0]:
-                best[pair] = (excess, index)
-        return sorted(best.values(), key=lambda offer: offer[1])
+        seen = set()
+        out = []
+        for _, index in self.ranked(vector):
+            if self.pairs[index] not in seen:
+                seen.add(self.pairs[index])
+                out.append(self.constraints[index])
+        return out
 
 
 def materialized_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
@@ -209,17 +210,21 @@ def test_lp_shape_on_split_profile(fix_s):
     # d(0, a) = g0 and d(1, a) = g2 + g3
     assert lp.objective == (1, 0, 1, 1)
     # only (i, j, a, b) with a below b for voter i have a positive
-    # coefficient; at this signed direction both have excess 2
-    listed = lp.implicit.violated([-1, 1, -1, 1, 0])
-    assert [key for _, key in listed] == [(0, 1, 1, 0), (1, 0, 0, 1)]
-    assert all(e == -2 for e, _ in listed)
-    # d(0,b) - d(0,a) - d(1,a) - d(1,b) = g1 - (g2 + g3) - g2
-    assert lp.implicit.row((0, 1, 1, 0)) == LinearConstraint({1: 1, 2: -2, 3: -1}, 0)
+    # coefficient; at this signed direction both have excess 2, so they
+    # come in key order: (0, 1, 1, 0), then (1, 0, 0, 1)
+    vector = [-1, 1, -1, 1, 0]
+    listed = lp.implicit.violated(vector)
+    assert [excess(row, vector) for row in listed] == [2, 2]
+    # d(0,b) - d(0,a) - d(1,a) - d(1,b) = g1 - (g2 + g3) - g2, and
+    # d(1,a) - d(1,b) - d(0,b) - d(0,a) = g3 - (g0 + g1) - g0
+    assert listed == [
+        LinearConstraint({1: 1, 2: -2, 3: -1}, 0),
+        LinearConstraint({3: 1, 0: -2, 1: -1}, 0),
+    ]
     reference = materialized_lp(fix_s, 0, 1)
     assert reference.constraints == lp.constraints
     assert reference.objective == lp.objective
-    assert len(reference.implicit.constraints) == 2
-    assert tuple(lp.implicit.row(key) for _, key in listed) == reference.implicit.constraints
+    assert tuple(listed) == reference.implicit.constraints
 
 
 def test_vacuous_quadrangle_rows_are_dropped(fix_s):
@@ -240,69 +245,65 @@ def random_vectors(rng: random.Random, p: PreferenceProfile, count: int) -> list
     return out
 
 
+def canon(row: LinearConstraint) -> tuple:
+    return tuple(sorted(row.coeffs.items())), row.rhs
+
+
 def test_quadrangle_separation_matches_the_reference():
     # the family offers, per ordered voter pair, the stored row of largest
-    # excess, ties to the smallest key, in key order
+    # excess, ties to the smallest key; most violated first, ties to the
+    # smallest key
     rng = random.Random(8)
     for p in random_profiles(80, seed=123, nmax=5, mmax=5):
         lp = build_lp(p, 0, p.m - 1)
         keyed = materialized_quadrangles(p)
         rows = dict(keyed)
-        every = ListedRows(list(rows.values()))
         for vector in random_vectors(rng, p, 6):
             by_pair: dict[tuple[int, int], list] = {}
-            for e, index in every.violated(vector):
-                key = keyed[index][0]
-                by_pair.setdefault(key[:2], []).append((e, key))
-            expected = sorted((min(offers) for offers in by_pair.values()), key=lambda o: o[1])
+            for key, row in keyed:
+                e = excess(row, vector)
+                if e > 0:
+                    by_pair.setdefault(key[:2], []).append((-e, key))
+            expected = sorted(min(offers) for offers in by_pair.values())
             got = lp.implicit.violated(vector)
-            assert got == expected
-            assert [lp.implicit.row(key) for _, key in got] == [rows[key] for _, key in got]
+            assert got == [rows[key] for _, key in expected]
+            assert [-excess(row, vector) for row in got] == [e for e, _ in expected]
 
 
 def test_quadrangle_separation_offers_one_row_per_pair():
     # the row-family contract both families keep: some violated row exactly
-    # when any row is violated, at most one per ordered voter pair, each with
-    # its true excess, keys ascending
+    # when any row is violated, at most one per ordered voter pair, each
+    # with positive excess, most violated first, ties to the smallest key
     rng = random.Random(19)
     for p in random_profiles(60, seed=321, nmax=5, mmax=5):
         keyed = materialized_quadrangles(p)
-        every = ListedRows([row for _, row in keyed])
-        # each family with the voter pair of a key: keys are (i, j, a, b)
-        # tuples in the separating family and list indices in the stored one
-        families = (
-            (build_lp(p, 0, p.m - 1).implicit, lambda key: key[:2]),
-            (materialized_lp(p, 0, p.m - 1).implicit, lambda index: keyed[index][0][:2]),
-        )
+        key_of = {canon(row): key for key, row in keyed}
+        assert len(key_of) == len(keyed)
+        families = (build_lp(p, 0, p.m - 1).implicit, materialized_lp(p, 0, p.m - 1).implicit)
         for vector in random_vectors(rng, p, 8):
-            anything = bool(every.violated(vector))
-            for family, pair_of in families:
+            anything = any(excess(row, vector) > 0 for _, row in keyed)
+            for family in families:
                 got = family.violated(vector)
                 assert bool(got) == anything, (p.rankings, vector)
-                keys = [key for _, key in got]
-                assert keys == sorted(set(keys))
-                pairs = [pair_of(key) for key in keys]
+                offers = [(-excess(row, vector), key_of[canon(row)]) for row in got]
+                assert all(e < 0 for e, _ in offers)
+                assert offers == sorted(set(offers))
+                pairs = [key[:2] for _, key in offers]
                 assert len(pairs) == len(set(pairs))
-                for e, key in got:
-                    row = family.row(key)
-                    excess = sum(c * vector[j] for j, c in row.coeffs.items())
-                    assert e == -excess < 0
 
 
 class CountedRows:
-    """A row family that counts the rows the solver activates: it asks for
-    each activated row's coefficients once."""
+    """A row family that counts the rows it offers; the solver activates
+    every one."""
 
     def __init__(self, family) -> None:
         self.family = family
-        self.activated = 0
+        self.offered = 0
 
     def violated(self, vector):
-        return self.family.violated(vector)
-
-    def row(self, key):
-        self.activated += 1
-        return self.family.row(key)
+        rows = self.family.violated(vector)
+        self.offered += len(rows)
+        return rows
 
 
 def test_the_4x25_lp_activates_few_rows(monkeypatch):
@@ -322,7 +323,7 @@ def test_the_4x25_lp_activates_few_rows(monkeypatch):
     assert (r.value, r.reference) == (3, 10)
     assert verify_certificate(q, r)
     assert len(families) == 24
-    assert sum(f.activated for f in families) <= 1000
+    assert sum(f.offered for f in families) <= 1000
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +359,25 @@ def test_gap_lp_matches_the_per_voter_lp(exhaustive_results):
             pairs += [(p, distortion_of_candidate(p, c)) for c in range(p.m)]
     for p, r in pairs:
         assert (r.value, r.reference) == per_voter_value(p, r.candidate), p.rankings
+
+
+def test_blands_rule_keeps_every_value(monkeypatch, exhaustive_results):
+    # the default streak limit is never reached here, so force Bland's rule
+    # from the first pivot that leaves the objective value unchanged: values
+    # and references stay, certificates and rays may move but must verify
+    pairs = list(exhaustive_results)
+    for p in random_profiles(100, seed=4242, nmax=5, mmax=5):
+        pairs += [(p, distortion_of_candidate(p, c)) for c in range(p.m)]
+    assert len(pairs) == 925
+    monkeypatch.setattr("vetoflow.lp._DEGENERATE_STREAK_LIMIT", 0)
+    moved = 0
+    for p, r in pairs:
+        forced = distortion_of_candidate(p, r.candidate)
+        assert (forced.value, forced.reference) == (r.value, r.reference), p.rankings
+        assert verify_certificate(p, forced), p.rankings
+        moved += forced != r
+    # Bland's rule did take other pivots
+    assert moved > 0
 
 
 # SHA-256 over ``value_line`` of the results of ``exhaustive_results``, then

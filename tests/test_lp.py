@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from vetoflow.lp import LinearConstraint, LinearProgram, LpSolution, solve_lp
-from tests_support_lp import ListedRows, satisfied_by, value_at
+from tests_support_lp import ListedRows, excess, satisfied_by, value_at
 
 
 def test_constraint_shapes_are_validated():
@@ -100,7 +100,6 @@ def triple_cover_lp(n: int) -> LinearProgram:
 
 
 def test_lazy_activation_reaches_the_true_optimum():
-    # with 10 variables the 120 rows outnumber one round's activation budget
     for n in (5, 10):
         explicit = triple_cover_lp(n)
         sol = solve_lp(LinearProgram(n, explicit.objective, (), ListedRows(explicit.constraints)))
@@ -131,8 +130,8 @@ def test_a_family_may_hold_violated_rows_back():
             self.pick = pick
 
         def violated(self, vector):
-            offers = super().violated(vector)
-            return [self.pick(offers)] if offers else []
+            ranked = self.ranked(vector)
+            return [self.constraints[self.pick(ranked)[1]]] if ranked else []
 
     for n in (5, 10):
         explicit = triple_cover_lp(n)
@@ -141,28 +140,74 @@ def test_a_family_may_hold_violated_rows_back():
             assert solve_lp(lp) == solve_lp(explicit)
 
 
+class Unchecked(LinearConstraint):
+    """A row built past LinearConstraint's checks, as a faulty family might
+    hand one over."""
+
+    def __post_init__(self) -> None:
+        pass
+
+
 def test_a_family_that_excludes_the_origin_raises():
     class AtLeastOne(ListedRows):
         # x0 >= 1, that is -x0 <= -1, a row LinearConstraint refuses
-        def violated(self, vector):
-            excess = -vector[0] - vector[-1]
-            return [(-excess, 0)] if excess > 0 else []
+        def __init__(self):
+            super().__init__([Unchecked({0: -1}, -1)])
 
     with pytest.raises(ValueError, match="origin"):
-        solve_lp(LinearProgram(3, (1,) * 3, (), AtLeastOne([])))
+        solve_lp(LinearProgram(3, (1,) * 3, (), AtLeastOne()))
     lp = LinearProgram(3, (1,) * 3, (), ListedRows([LinearConstraint({0: 1, 1: 1, 2: 1}, 1)]))
     assert solve_lp(lp).value == F(1)
 
 
-def test_a_family_that_reports_an_active_row_raises():
-    class Stuck(ListedRows):
-        def violated(self, vector):
-            # silent at the origin, so the solve starts
-            return [(-1, 0)] if any(vector[:-1]) else []
+class Fixed:
+    """A family that offers the same rows at every vector but the origin."""
 
-    lp = LinearProgram(3, (1,) * 3, (), Stuck([LinearConstraint({0: 1, 1: 1, 2: 1}, 1)]))
+    def __init__(self, *rows):
+        self.rows = list(rows)
+
+    def violated(self, vector):
+        # silent at the origin, so the solve starts
+        return self.rows if any(vector[:-1]) else []
+
+
+def test_a_family_that_reports_an_active_row_raises():
+    # the row is violated by the first relaxation's ray, activated, and
+    # offered again at the optimum it then holds with equality
+    lp = LinearProgram(3, (1,) * 3, (), Fixed(LinearConstraint({0: 1, 1: 1, 2: 1}, 1)))
     with pytest.raises(RuntimeError, match="active"):
         solve_lp(lp)
+
+
+def test_a_family_that_offers_a_row_that_holds_raises():
+    # x0 >= 0 holds at every point and blocks no ray of x >= 0, here offered
+    # after the violated rows of the first relaxation's ray
+    class Padded(ListedRows):
+        def violated(self, vector):
+            rows = super().violated(vector)
+            return rows + [LinearConstraint({0: -1}, 0)] if rows else []
+
+    explicit = triple_cover_lp(5)
+    padded = Padded(explicit.constraints)
+    drift = [1, 0, 0, 0, 0, 0]
+    offered = padded.violated(drift)
+    assert offered and excess(offered[-1], drift) < 0
+    with pytest.raises(RuntimeError, match="active"):
+        solve_lp(LinearProgram(5, explicit.objective, (), padded))
+
+
+@pytest.mark.parametrize("row", [
+    LinearConstraint({0: 1, -1: 1}, 0),
+    LinearConstraint({0: 1, 2: 5}, 0),
+], ids=["rhs-key", "slack-column"])
+def test_family_rows_touch_only_known_variables(row):
+    # -1 is where a tableau row keeps its right-hand side, and column 2 is
+    # the first slack of a 2-variable program; both are caller mistakes
+    with pytest.raises(ValueError, match="unknown variable"):
+        LinearProgram(2, (1, 1), (row,))
+    bounded = (LinearConstraint({0: 1, 1: 1}, 1),)
+    with pytest.raises(ValueError, match="unknown variable"):
+        solve_lp(LinearProgram(2, (1, 1), bounded, Fixed(row)))
 
 
 def test_unbounded_relaxation_recovers():
@@ -190,6 +235,13 @@ def test_degenerate_vertex_terminates():
     assert sol.value == F(1)
     for row in lp.constraints:
         assert satisfied_by(row, sol.x)
+
+
+def test_degenerate_vertex_terminates_under_blands_rule(monkeypatch):
+    # the first pivot that leaves the objective value unchanged switches to
+    # Bland's rule, which the default limit never reaches on this program
+    monkeypatch.setattr("vetoflow.lp._DEGENERATE_STREAK_LIMIT", 0)
+    test_degenerate_vertex_terminates()
 
 
 def test_solution_is_a_plain_record():

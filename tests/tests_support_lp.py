@@ -1,5 +1,5 @@
 """LP helpers shared across the test modules: a row family over stored
-rows, and exact evaluation of a constraint at a point."""
+rows, and exact evaluation of a constraint at a point or a vector."""
 
 from __future__ import annotations
 
@@ -17,21 +17,27 @@ def satisfied_by(row: LinearConstraint, x: Sequence[Fraction]) -> bool:
     return value_at(row, x) <= row.rhs
 
 
+def excess(row: LinearConstraint, vector: Sequence[int]) -> int:
+    """coeffs . vector + rhs * (last cell): positive exactly when the row is
+    violated at the point or blocks the direction."""
+    return sum(c * vector[j] for j, c in row.coeffs.items()) + row.rhs * vector[-1]
+
+
 class ListedRows:
-    """A row family over stored rows, keyed by their list index; the
-    oracle for families that separate instead of storing."""
+    """A row family over stored rows that offers every violated one, most
+    violated first, ties to the smaller list index; the oracle for families
+    that separate instead of storing."""
 
     def __init__(self, rows: Sequence[LinearConstraint]) -> None:
         self.constraints = tuple(rows)
 
-    def violated(self, vector: Sequence[int]) -> list[tuple[int, int]]:
-        # the vector's last cell scales the right-hand side
-        out = []
-        for key, row in enumerate(self.constraints):
-            excess = sum(c * vector[j] for j, c in row.coeffs.items()) + row.rhs * vector[-1]
-            if excess > 0:
-                out.append((-excess, key))
-        return out
+    def ranked(self, vector: Sequence[int]) -> list[tuple[int, int]]:
+        """(-excess, index) of every violated row, in offer order."""
+        return sorted(
+            (-e, index)
+            for index, row in enumerate(self.constraints)
+            if (e := excess(row, vector)) > 0
+        )
 
-    def row(self, key: int) -> LinearConstraint:
-        return self.constraints[key]
+    def violated(self, vector: Sequence[int]) -> list[LinearConstraint]:
+        return [self.constraints[index] for _, index in self.ranked(vector)]
