@@ -40,7 +40,6 @@ from .eating import (
 )
 from .matching import (
     CutWitness,
-    DominationGraph,
     build_domination_graph,
     extract_deficiency_witness,
     fractional_matching,
@@ -75,7 +74,6 @@ from .rules import (
     composite_distortion_rule,
     plurality_matching_winners,
     plurality_veto,
-    random_priority,
     serial_dictatorship,
 )
 
@@ -87,7 +85,6 @@ __all__ = [
     "CutWitness",
     "DistanceMatrix",
     "DistortionResult",
-    "DominationGraph",
     "EatingConfig",
     "EatingTrace",
     "FractionalAssignment",
@@ -126,7 +123,6 @@ __all__ = [
     "plurality_matching_winners",
     "plurality_veto",
     "probabilistic_serial",
-    "random_priority",
     "reverse_profile",
     "run_eating",
     "serial_dictatorship",

@@ -5,12 +5,14 @@ matched to candidates so that every voter only uses candidates they rank
 weakly below c, every voter hands out total weight 1, and every candidate
 receives exactly n/m?  Scaling by m turns this into an integral max-flow
 problem: voter supply m, candidate capacity n, and a perfect matching exists
-iff the max flow is n*m.  Voters with the same edge set are interchangeable,
-so they share one network node carrying their joint supply: a network takes
-its left side as groups, each an edge set with its voters, built straight
-from the profile's ballot types.  Solving a network and reading back its cut
-therefore never walks the n voters; only outputs that are per voter (a
-witness's voter set, a matching's rows) touch them.
+iff the max flow is n*m.  The domination graph is built as that network
+directly: ``FlowNetwork`` is the one network type, and it checks its own
+group sizes and edge endpoints.  Voters with the same edge set are
+interchangeable, so they share one network node carrying their joint
+supply: a network takes its left side as groups, each an edge set with its
+voters, built straight from the profile's ballot types.  Solving a network
+and reading back its cut therefore never walks the n voters; only outputs
+that are per voter (a witness's voter set, a matching's rows) touch them.
 
 When no matching exists, a Hall-style deficiency witness falls out of the
 min cut: a voter set N' whose jointly dominated candidates D satisfy
@@ -127,34 +129,6 @@ def ballot_groups(
 
 
 @dataclass(frozen=True)
-class DominationGraph:
-    """Bipartite graph for candidate c: voter i is adjacent to every candidate
-    they rank weakly below c (always including c itself).
-
-    ``groups`` lists each distinct edge set once with its voters, in order of
-    first voter; their sizes must add up to n."""
-
-    candidate: int
-    n: int
-    m: int
-    groups: tuple[LeftGroup, ...]
-
-    def __post_init__(self) -> None:
-        if sum(g.size for g in self.groups) != self.n:
-            raise ValueError("groups must hold the n voters")
-        for g in self.groups:
-            if self.candidate not in g.edges:
-                raise ValueError(f"voter {g.runs[0][0]} must be adjacent to the pivot candidate")
-            if any(c < 0 or c >= self.m for c in g.edges):
-                raise ValueError("edge endpoint out of range")
-
-
-def build_domination_graph(p: PreferenceProfile, c: int) -> DominationGraph:
-    edges = [frozenset(r[r.index(c):]) for r, _ in p.ballot_types()]
-    return DominationGraph(c, p.n, p.m, ballot_groups(p, edges))
-
-
-@dataclass(frozen=True)
 class FlowResult:
     """A solved network, read back per original left node.  The g-th group
     of ``network`` is node ``1 + g`` of ``dinic``."""
@@ -172,16 +146,17 @@ class FlowResult:
         return frozenset().union(
             *(run for k, g in enumerate(groups) if level[1 + k] >= 0 for run in g.runs))
 
-    def units_sent(self) -> dict[frozenset[int], dict[int, int]]:
-        """Per group, keyed by its edge set: the units (original capacity minus
-        residual) sent to each right node it reaches, right nodes ascending."""
+    def units_sent(self) -> list[dict[int, int]]:
+        """One dict per group, in group order: the units (original capacity
+        minus residual) the group sent to each right node it reaches, right
+        nodes ascending."""
         net = self.network
         first_right = 1 + len(net.groups)
-        sent = {}
+        sent = []
         for k, g in enumerate(net.groups):
             arc_cap = g.size * net.left_supply
-            sent[g.edges] = {v - first_right: arc_cap - cap  # v = 0 is the source
-                             for v, cap, _ in self.dinic.graph[1 + k] if v and cap < arc_cap}
+            sent.append({v - first_right: arc_cap - cap  # v = 0 is the source
+                         for v, cap, _ in self.dinic.graph[1 + k] if v and cap < arc_cap})
         return sent
 
     def shares(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -190,7 +165,7 @@ class FlowResult:
         one row."""
         net = self.network
         rows: list = [None] * net.num_left
-        for g, sent in zip(net.groups, self.units_sent().values()):
+        for g, sent in zip(net.groups, self.units_sent()):
             row = [Fraction(0)] * net.num_right
             for c, units in sent.items():
                 row[c] = Fraction(units, g.size * net.left_supply)
@@ -209,8 +184,10 @@ class FlowNetwork:
 
     Left nodes of one group are interchangeable, so each group is one flow
     node carrying the group's total supply.  The flow value and the minimal
-    min cut are those of the one-node-per-left network.  Results are read
-    back by edge set, so no two groups may share one."""
+    min cut are those of the one-node-per-left network.  Groups may share an
+    edge set; ``left_groups`` merges equal ones into fewer flow nodes.  The
+    group sizes must add up to ``num_left``, and every edge must end at a
+    right node ``0..num_right-1``."""
 
     num_left: int
     num_right: int
@@ -219,12 +196,14 @@ class FlowNetwork:
     right_cap: int
 
     def __post_init__(self) -> None:
-        if len(set(self.edges)) != len(self.groups):
-            raise ValueError("two groups share an edge set; merge them with left_groups")
+        if sum(g.size for g in self.groups) != self.num_left:
+            raise ValueError(f"groups must hold the {self.num_left} left nodes")
+        if any(v < 0 or v >= self.num_right for g in self.groups for v in g.edges):
+            raise ValueError("edge endpoint out of range")
 
     @property
     def edges(self) -> tuple[frozenset[int], ...]:
-        """The distinct edge sets, one per flow node."""
+        """The edge sets, one per group and flow node."""
         return tuple(g.edges for g in self.groups)
 
     def solve(self) -> tuple[int, FlowResult]:
@@ -245,24 +224,29 @@ class FlowNetwork:
         return value, FlowResult(dinic, self)
 
 
-def domination_flow_network(g: DominationGraph) -> FlowNetwork:
-    return FlowNetwork(g.n, g.m, g.groups, left_supply=g.m, right_cap=g.n)
+def build_domination_graph(p: PreferenceProfile, c: int) -> FlowNetwork:
+    """The domination graph of candidate c as its scaled flow network: voter
+    i is adjacent to every candidate they rank weakly below c (always
+    including c itself), supplies m units, and every candidate absorbs at
+    most n.  Voters of one edge set share one group, in order of first
+    voter."""
+    edges = [frozenset(r[r.index(c):]) for r, _ in p.ballot_types()]
+    return FlowNetwork(p.n, p.m, ballot_groups(p, edges), left_supply=p.m, right_cap=p.n)
 
 
-def has_fractional_perfect_matching(g: DominationGraph) -> bool:
-    """True iff weight 1 per voter can be spread over dominated candidates
-    with every candidate receiving exactly n/m."""
-    net = domination_flow_network(g)
+def has_fractional_perfect_matching(net: FlowNetwork) -> bool:
+    """True iff the network saturates every left node's supply.  On a
+    domination graph: weight 1 per voter can be spread over dominated
+    candidates with every candidate receiving exactly n/m."""
     value, _ = net.solve()
-    return value == g.n * g.m
+    return value == net.num_left * net.left_supply
 
 
-def fractional_matching(g: DominationGraph) -> tuple[tuple[Fraction, ...], ...] | None:
+def fractional_matching(net: FlowNetwork) -> tuple[tuple[Fraction, ...], ...] | None:
     """A matching, row i giving voter i's weights, or None if infeasible.
-    Voters with the same edge set get the same row."""
-    net = domination_flow_network(g)
+    Voters of one group get the same row."""
     value, flow = net.solve()
-    if value != g.n * g.m:
+    if value != net.num_left * net.left_supply:
         return None
     return flow.shares()
 
@@ -291,10 +275,8 @@ def extract_deficiency_witness(p: PreferenceProfile, c: int) -> CutWitness | Non
     The witness is read off the min cut: voters still reachable from the
     source in the residual network.
     """
-    g = build_domination_graph(p, c)
-    net = domination_flow_network(g)
-    value, flow = net.solve()
-    if value == g.n * g.m:
+    value, flow = build_domination_graph(p, c).solve()
+    if value == p.n * p.m:
         return None
     voters = flow.source_side()
     witness = CutWitness(voters, dominated_set(p, c, voters))
@@ -310,6 +292,6 @@ def max_bipartite_matching(groups: Sequence[LeftGroup]) -> dict[int, int]:
     num_right = 1 + max((max(g.edges) for g in groups if g.edges), default=-1)
     _, flow = FlowNetwork(num_left, num_right, tuple(groups), left_supply=1, right_cap=1).solve()
     pairs: list[tuple[int, int]] = []
-    for g, sent in zip(groups, flow.units_sent().values()):
+    for g, sent in zip(groups, flow.units_sent()):
         pairs.extend(zip(g.members(), sent))
     return dict(sorted(pairs))

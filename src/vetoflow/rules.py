@@ -10,11 +10,9 @@ candidate counts agree; the winning clone is mapped back to its origin.
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
 from typing import Sequence
 
-from .eating import EatingConfig, FractionalAssignment, run_eating
+from .eating import EatingConfig, run_eating
 from .matching import build_domination_graph, has_fractional_perfect_matching
 from .profiles import CloneExpansion, PreferenceProfile, clone_expand, plurality_scores
 
@@ -112,30 +110,3 @@ def serial_dictatorship(
                 matching[voter] = c
                 break
     return matching
-
-
-def random_priority(
-    p: PreferenceProfile,
-    k: int | None = None,
-    seed: int = 0,
-    samples: int = 1000,
-) -> FractionalAssignment:
-    """Monte Carlo average of serial dictatorship over uniform voter orders.
-
-    ``shares[i][c]`` is the fraction of sampled orders in which voter i ends
-    up with candidate c, an exact rational with denominator ``samples``.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = random.Random(seed)
-    counts = [[0] * p.m for _ in range(p.n)]
-    base = list(range(p.n))
-    for _ in range(samples):
-        order = base[:]
-        rng.shuffle(order)
-        for voter, c in serial_dictatorship(p, order, k).items():
-            counts[voter][c] += 1
-    shares = tuple(
-        tuple(Fraction(counts[i][c], samples) for c in range(p.m)) for i in range(p.n)
-    )
-    return FractionalAssignment(shares)

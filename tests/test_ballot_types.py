@@ -19,9 +19,9 @@ from vetoflow.eating import phragmen_committee, probabilistic_serial, veto_by_co
 from vetoflow.matching import (
     Dinic,
     FlowNetwork,
+    LeftGroup,
     ballot_groups,
     build_domination_graph,
-    domination_flow_network,
     extract_deficiency_witness,
     fractional_matching,
     left_groups,
@@ -63,7 +63,7 @@ def networks(p: PreferenceProfile):
     solve, each with the edge sets of its voters read off p.rankings."""
     for c in range(p.m):
         below = tuple(frozenset(r[r.index(c):]) for r in p.rankings)
-        yield domination_flow_network(build_domination_graph(p, c)), below
+        yield build_domination_graph(p, c), below
         prefixes = tuple(frozenset(r[: r.index(c) + 1]) for r in p.rankings)
         groups = ballot_groups(p, [frozenset(r[: r.index(c) + 1]) for r, _ in p.ballot_types()])
         for k in range(p.m):
@@ -104,6 +104,41 @@ def test_merged_flow_matches_the_per_voter_network():
             deficient += value < net.num_left * net.left_supply
     # the family must exercise min cuts, not only perfect flows
     assert deficient > checked // 10
+
+
+def assert_feasible_shares(net: FlowNetwork, edges, value: int, shares) -> None:
+    """``shares`` is a flow of ``value`` on the one-node-per-left network:
+    row i spends at most left node i's supply, on ``edges[i]`` only, and no
+    right node takes more than its capacity."""
+    assert len(shares) == net.num_left
+    for row, adj in zip(shares, edges):
+        assert sum(row) <= 1 and all(x == 0 or c in adj for c, x in enumerate(row))
+    for c in range(net.num_right):
+        assert sum(row[c] for row in shares) * net.left_supply <= net.right_cap
+    assert sum(map(sum, shares)) * net.left_supply == value
+
+
+def test_unmerged_groups_solve_like_the_merged_network():
+    # one group per voter, equal edge sets left unmerged: each voter is its
+    # own flow node.  Value and minimal cut are unique, so they equal the
+    # merged network's; a max flow is not, so each share table is checked
+    # as a flow of that value
+    checked = shared = 0
+    for p in repeated_profiles(150, seed=4242):
+        for net, edges in networks(p):
+            per_voter = tuple(LeftGroup(adj, ((i,),)) for i, adj in enumerate(edges))
+            single = FlowNetwork(net.num_left, net.num_right, per_voter,
+                                 net.left_supply, net.right_cap)
+            value, flow = net.solve()
+            single_value, single_flow = single.solve()
+            assert single_value == value, (p.rankings, net)
+            assert single_flow.source_side() == flow.source_side(), (p.rankings, net)
+            assert len(single_flow.units_sent()) == p.n
+            assert_feasible_shares(net, edges, value, flow.shares())
+            assert_feasible_shares(net, edges, value, single_flow.shares())
+            checked += 1
+            shared += len(set(edges)) < len(edges)
+    assert shared > checked // 2
 
 
 def test_pareto_matching_hands_merged_types_to_voters_in_index_order():

@@ -244,6 +244,29 @@ def test_degenerate_vertex_terminates_under_blands_rule(monkeypatch):
     test_degenerate_vertex_terminates()
 
 
+def test_dual_restore_leaves_by_the_smallest_basic_index_under_blands_rule(monkeypatch):
+    # both listed rows cut off the first optimum (2, 0, 0, 0).  The first
+    # dual pivot leaves the objective value unchanged and three basic values
+    # negative: the default rule takes the most negative (slack 5) next,
+    # Bland's rule the smallest basic index (x0), and the two reach
+    # different vertices of the same optimum
+    lp = LinearProgram(
+        4,
+        (1, 1, -1, -2),
+        (LinearConstraint({0: 1, 1: 1}, 2), LinearConstraint({0: -2, 1: 1}, 3)),
+        ListedRows([LinearConstraint({0: 1, 1: 1, 3: -2}, 1), LinearConstraint({0: 3, 1: 2}, 3)]),
+    )
+    default = solve_lp(lp)
+    monkeypatch.setattr("vetoflow.lp._DEGENERATE_STREAK_LIMIT", 0)
+    bland = solve_lp(lp)
+    assert default.x == (F(0), F(3, 2), F(0), F(1, 4))
+    assert bland.x == (F(1), F(0), F(0), F(0))
+    for sol in (default, bland):
+        assert sol.value == F(1)
+        for row in (*lp.constraints, *lp.implicit.constraints):
+            assert satisfied_by(row, sol.x)
+
+
 def test_solution_is_a_plain_record():
     sol = solve_lp(LinearProgram(1, (1,), (LinearConstraint({0: 1}, 2),)))
     assert isinstance(sol, LpSolution)

@@ -6,7 +6,6 @@ import pytest
 from vetoflow.matching import (
     CutWitness,
     Dinic,
-    DominationGraph,
     FlowNetwork,
     LeftGroup,
     build_domination_graph,
@@ -47,16 +46,19 @@ def test_domination_graph_edges(fix_p):
 
 
 def test_domination_graph_validation():
-    with pytest.raises(ValueError, match="n voters"):
-        DominationGraph(0, 2, 2, one_group_per_row([{0}]))
-    with pytest.raises(ValueError, match="pivot"):
-        DominationGraph(0, 1, 2, one_group_per_row([{1}]))
-    # the first offending voter is named, also when later voters share the set
-    good, bad = {0}, {1}
-    with pytest.raises(ValueError, match="voter 1 "):
-        DominationGraph(0, 4, 2, one_group_per_row([good, bad, good, bad]))
+    with pytest.raises(ValueError, match="left nodes"):
+        FlowNetwork(2, 2, one_group_per_row([{0}]), left_supply=2, right_cap=2)
     with pytest.raises(ValueError, match="out of range"):
-        DominationGraph(0, 1, 2, one_group_per_row([{0, 5}]))
+        FlowNetwork(1, 2, one_group_per_row([{0, 5}]), left_supply=2, right_cap=1)
+    # edge num_right would be wired to the sink, edge -1 to a left node
+    with pytest.raises(ValueError, match="out of range"):
+        FlowNetwork(1, 1, one_group_per_row([{1}]), left_supply=1, right_cap=0)
+    with pytest.raises(ValueError, match="out of range"):
+        FlowNetwork(1, 1, one_group_per_row([{-1}]), left_supply=1, right_cap=1)
+    # the check covers every group, not only the first
+    good, bad = {0}, {1}
+    with pytest.raises(ValueError, match="out of range"):
+        FlowNetwork(4, 1, one_group_per_row([good, bad, good, bad]), left_supply=1, right_cap=4)
 
 
 def test_domination_graph_groups_hold_every_voter(fix_p):
@@ -65,10 +67,13 @@ def test_domination_graph_groups_hold_every_voter(fix_p):
     per_voter = one_group_per_row([r[r.index(1):] for r in fix_p.rankings])
     assert [(grp.edges, list(grp.members())) for grp in per_voter] == [
         (grp.edges, list(grp.members())) for grp in g.groups]
-    with pytest.raises(ValueError, match="n voters"):
-        DominationGraph(1, g.n, g.m, g.groups[1:])
-    with pytest.raises(ValueError, match="n voters"):
-        DominationGraph(1, g.n + 1, g.m, g.groups)
+    assert (g.num_left, g.num_right, g.left_supply, g.right_cap) == (4, 3, 3, 4)
+    with pytest.raises(ValueError, match="left nodes"):
+        FlowNetwork(g.num_left, g.num_right, g.groups[1:], g.left_supply, g.right_cap)
+    with pytest.raises(ValueError, match="left nodes"):
+        FlowNetwork(g.num_left + 1, g.num_right, g.groups, g.left_supply, g.right_cap)
+    with pytest.raises(ValueError, match="left nodes"):
+        FlowNetwork(g.num_left - 1, g.num_right, g.groups, g.left_supply, g.right_cap)
 
 
 def test_fix_p_middle_candidate_has_matching(fix_p):
@@ -153,10 +158,9 @@ def test_max_bipartite_matching_basics():
     assert sorted(complete.values()) == [0, 1, 2]
     crossed = max_bipartite_matching(one_group_per_row([[1], [0, 1]]))
     assert crossed == {0: 1, 1: 0}
-    # unmerged groups on one edge set would be read back as one
+    # unmerged groups on one edge set are separate flow nodes, read back apart
     twins = (LeftGroup(frozenset({0}), ((0,),)), LeftGroup(frozenset({0}), ((1,),)))
-    with pytest.raises(ValueError, match="share an edge set"):
-        max_bipartite_matching(twins)
+    assert max_bipartite_matching(twins) == {0: 0}
 
 
 def test_max_bipartite_matching_respects_adjacency():
@@ -189,8 +193,11 @@ def test_flow_network_follows_long_augmenting_paths():
     value, flow = FlowNetwork(3001, 3001, groups, left_supply=1, right_cap=1).solve()
     assert value == 3001
     assert flow.source_side() == frozenset()
-    assert flow.units_sent()[frozenset({0})] == {0: 1}
-    assert flow.units_sent()[frozenset({0, 1})] == {1: 1}
+    sent = flow.units_sent()
+    assert len(sent) == 3001
+    assert sent[3000] == {0: 1}
+    assert sent[0] == {1: 1}
+    assert sent[1:3000] == [{i + 1: 1} for i in range(1, 3000)]
 
 
 def test_max_bipartite_matching_splits_shared_rows_by_index():

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -10,7 +9,6 @@ from vetoflow.rules import (
     composite_distortion_rule,
     plurality_matching_winners,
     plurality_veto,
-    random_priority,
     serial_dictatorship,
 )
 from tests_support_oracles import plurality_matching_winners_cloned, plurality_veto_cloned
@@ -113,38 +111,9 @@ def test_serial_dictatorship(fix_s, fix_u, fix_t):
     assert serial_dictatorship(fix_t, k=2) == {0: 0, 1: 1}
     assert serial_dictatorship(fix_t, [2, 0, 1]) == {2: 2, 0: 0, 1: 1}
     assert serial_dictatorship(fix_t, k=0) == {}
+    assert serial_dictatorship(PreferenceProfile.of([(1, 0)])) == {0: 1}
 
 
 def test_serial_dictatorship_more_voters_than_candidates():
     p = PreferenceProfile.of([(0, 1), (0, 1), (1, 0)])
     assert serial_dictatorship(p) == {0: 0, 1: 1}
-
-
-def test_random_priority_exact_on_opposed_pair(fix_s):
-    mu = random_priority(fix_s, samples=40)
-    assert mu.shares == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-
-
-def test_random_priority_single_sample_is_an_assignment(fix_t):
-    mu = random_priority(fix_t, samples=1, seed=0)
-    assert mu.shares == (
-        (Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1)),
-    )
-
-
-def test_random_priority_probabilities_are_sample_fractions(fix_u):
-    mu = random_priority(fix_u, samples=250, seed=4)
-    for row in mu.shares:
-        for x in row:
-            assert x.denominator <= 250
-        assert sum(row) == 1
-    # both orders give someone a, someone b; shares stay near a half
-    assert mu.shares[0][0] + mu.shares[1][0] == 1
-
-
-def test_random_priority_single_voter():
-    p = PreferenceProfile.of([(1, 0)])
-    mu = random_priority(p, samples=9)
-    assert mu.shares == ((Fraction(0), Fraction(1)),)
