@@ -65,8 +65,7 @@ class DistanceMatrix:
         bad: list[str] = []
         if len(self.values) != p.n or any(len(r) != p.m for r in self.values):
             return ["matrix shape is not voters x candidates"]
-        den = math.lcm(*[v.denominator for row in self.values for v in row])
-        d = [[v.numerator * (den // v.denominator) for v in row] for row in self.values]
+        _, d = self._numerators()
         for i in range(p.n):
             for a in range(p.m):
                 if d[i][a] < 0:
@@ -77,13 +76,23 @@ class DistanceMatrix:
                 for b in range(p.m):
                     if pos[i][a] < pos[i][b] and d[i][a] > d[i][b]:
                         bad.append(f"voter {i} ranks {a} above {b} but sits closer to {b}")
-        for i in range(p.n):
-            for j in range(p.n):
+        # d_ia > d_ib + d_jb + d_ja reads d_ia - d_ja > d_ib + d_jb, so a
+        # pair with max_a (d_ia - d_ja) <= min_b (d_ib + d_jb) violates none
+        # of its m^2 rows
+        for i, di in enumerate(d):
+            for j, dj in enumerate(d):
+                if max(x - y for x, y in zip(di, dj)) <= min(x + y for x, y in zip(di, dj)):
+                    continue
                 for a in range(p.m):
                     for b in range(p.m):
-                        if d[i][a] > d[i][b] + d[j][b] + d[j][a]:
+                        if di[a] > di[b] + dj[b] + dj[a]:
                             bad.append(f"quadrangle violated at ({i},{j},{a},{b})")
         return bad
+
+    def _numerators(self) -> tuple[int, list[list[int]]]:
+        """One common denominator and every cell's numerator over it."""
+        den = math.lcm(*[v.denominator for row in self.values for v in row])
+        return den, [[v.numerator * (den // v.denominator) for v in row] for row in self.values]
 
     def validate(self, p: PreferenceProfile) -> None:
         bad = self.check(p)
@@ -136,6 +145,13 @@ class _Quadrangles:
     exact: u_a - v_a = -2 d_ja is never positive, and u_a > v_b forces
     d_ia > d_ib, hence pos_i(a) > pos_i(b).
 
+    Before that test, a cheaper bound drops most pairs.  For any vector the
+    excess is (d_ia - d_ib) - (d_ja + d_jb) <= spread_i - 2 min_j, with
+    spread_i = max_a d_ia - min_a d_ia and min_j = min_a d_ja.  Voter i's
+    scan therefore visits the voters j in ascending order of 2 min_j and
+    stops at the first with 2 min_j >= spread_i; every voter it skips
+    offers no row.
+
     Each ordered pair (i, j) offers only its most violated row, ties to
     the smallest (a, b), and the offered rows come most violated first,
     ties to the smallest key.  A pair's rows share most of their cells,
@@ -148,12 +164,17 @@ class _Quadrangles:
     def violated(self, vector: Sequence[int]) -> list[LinearConstraint]:
         cells = _distances(vector, self.p)
         positions = self.p.positions()
+        floors = sorted((2 * min(xj), j) for j, xj in enumerate(cells))
         worst = []
         for i, xi in enumerate(cells):
             pos = positions[i]
-            for j, xj in enumerate(cells):
+            spread = max(xi) - min(xi)
+            for floor, j in floors:
+                if floor >= spread:
+                    break
                 if i == j:
                     continue
+                xj = cells[j]
                 u = [x - y for x, y in zip(xi, xj)]
                 v = [x + y for x, y in zip(xi, xj)]
                 if max(u) <= min(v):
@@ -195,7 +216,17 @@ def distortion_of_candidate(
     p: PreferenceProfile, c: int, size_cap: int = 100
 ) -> DistortionResult:
     """Maximize over reference candidates; m = 1 has distortion 1 by
-    convention (the ratio space is empty)."""
+    convention (the ratio space is empty).
+
+    A reference r' is skipped when some reference r < r', r != c, is ranked
+    above r' by every voter.  Then d(i, r) <= d(i, r') in every consistent
+    metric, so the LP against r admits every point and every ray of the LP
+    against r' with the same objective: its value is at least as large,
+    and it is unbounded whenever the LP against r' is.  Since r comes first,
+    the loop has already returned on its ray or holds a value at least
+    value(r'), which a later equal value does not replace.  The reported
+    reference, certificate and ray are therefore those of the full loop.  A
+    reference that only c dominates is kept; its value is exactly 1."""
     if not 0 <= c < p.m:
         raise ValueError(f"candidate {c} is not in 0..{p.m - 1}")
     if p.m == 1:
@@ -204,9 +235,12 @@ def distortion_of_candidate(
         raise LpSizeError(
             f"instance has {p.n * p.m} LP variables, cap is {size_cap}"
         )
+    positions = p.positions()
     best: DistortionResult | None = None
     for cref in range(p.m):
-        if cref == c:
+        if cref == c or any(
+            r != c and all(pos[r] < pos[cref] for pos in positions) for r in range(cref)
+        ):
             continue
         sol = solve_lp(build_lp(p, c, cref))
         if sol.status == "unbounded":
@@ -270,18 +304,21 @@ def extend_to_full_pseudometric(
     """
     dm.validate(p)
     n, m = p.n, p.m
-    d = dm.values
+    den, d = dm._numerators()
     size = n + m
     full = [[Fraction(0)] * size for _ in range(size)]
     for i in range(n):
         for a in range(m):
-            full[i][n + a] = full[n + a][i] = d[i][a]
+            full[i][n + a] = full[n + a][i] = dm.values[i][a]
     for i in range(n):
         for j in range(n):
             if i != j:
-                full[i][j] = min(d[i][a] + d[j][a] for a in range(m))
+                full[i][j] = Fraction(min(x + y for x, y in zip(d[i], d[j])), den)
+    columns = list(zip(*d))
     for a in range(m):
         for b in range(m):
             if a != b:
-                full[n + a][n + b] = min(d[i][a] + d[i][b] for i in range(n))
+                full[n + a][n + b] = Fraction(
+                    min(x + y for x, y in zip(columns[a], columns[b])), den
+                )
     return tuple(tuple(row) for row in full)

@@ -245,6 +245,35 @@ def random_vectors(rng: random.Random, p: PreferenceProfile, count: int) -> list
     return out
 
 
+def bound_vectors(rng: random.Random, p: PreferenceProfile) -> list[list[int]]:
+    """Vectors at the pair bound excess <= spread_i - 2 min_j (n, m > 1).
+
+    Voter 0 sits at 0 from every candidate but its last, at 2k from that,
+    and every other voter at k from all: the best excess is exactly 0, so
+    nothing is offered.  One more unit at voter 0's last gap offers one row
+    of excess 1 per other voter.  Then voter 0 all zero, at a point and on a
+    ray with signed cells."""
+    n, m = p.n, p.m
+    k = rng.randint(1, 3)
+    others = ([k] + [0] * (m - 1)) * (n - 1)
+    tie = [0] * (m - 1) + [2 * k] + others + [-rng.randint(1, 4)]
+    over = [0] * (m - 1) + [2 * k + 1] + others + [-rng.randint(1, 4)]
+    point = [0] * m + [rng.randint(0, 6) for _ in range((n - 1) * m)] + [-rng.randint(1, 4)]
+    ray = [0] * m + [rng.randint(-4, 4) for _ in range((n - 1) * m)] + [0]
+    return [tie, over, point, ray]
+
+
+def test_no_row_at_the_pair_bound():
+    rng = random.Random(27)
+    for p in random_profiles(60, seed=272, nmax=5, mmax=5):
+        if p.n == 1 or p.m == 1:
+            continue
+        family = build_lp(p, 0, p.m - 1).implicit
+        tie, over = bound_vectors(rng, p)[:2]
+        assert family.violated(tie) == []
+        assert [excess(row, over) for row in family.violated(over)] == [1] * (p.n - 1)
+
+
 def canon(row: LinearConstraint) -> tuple:
     return tuple(sorted(row.coeffs.items())), row.rhs
 
@@ -258,7 +287,10 @@ def test_quadrangle_separation_matches_the_reference():
         lp = build_lp(p, 0, p.m - 1)
         keyed = materialized_quadrangles(p)
         rows = dict(keyed)
-        for vector in random_vectors(rng, p, 6):
+        vectors = random_vectors(rng, p, 6)
+        if p.n > 1 and p.m > 1:
+            vectors += bound_vectors(rng, p)
+        for vector in vectors:
             by_pair: dict[tuple[int, int], list] = {}
             for key, row in keyed:
                 e = excess(row, vector)
@@ -280,7 +312,10 @@ def test_quadrangle_separation_offers_one_row_per_pair():
         key_of = {canon(row): key for key, row in keyed}
         assert len(key_of) == len(keyed)
         families = (build_lp(p, 0, p.m - 1).implicit, materialized_lp(p, 0, p.m - 1).implicit)
-        for vector in random_vectors(rng, p, 8):
+        vectors = random_vectors(rng, p, 8)
+        if p.n > 1 and p.m > 1:
+            vectors += bound_vectors(rng, p)
+        for vector in vectors:
             anything = any(excess(row, vector) > 0 for _, row in keyed)
             for family in families:
                 got = family.violated(vector)
@@ -308,22 +343,28 @@ class CountedRows:
 
 def test_the_4x25_lp_activates_few_rows(monkeypatch):
     # the 100-variable LP of criterion 10 (IC seed 3, candidate 0): one row
-    # per voter pair and round activates 368 rows; offering the 100 most
-    # violated rows overall activated 8756
-    families = []
+    # per voter pair and round activates 351 rows over the 22 references
+    # solved (368 over all 24); offering the 100 most violated rows overall
+    # activated 8756
+    families = {}
 
     def counted_lp(p, c, cref):
         lp = build_lp(p, c, cref)
-        families.append(CountedRows(lp.implicit))
-        return dataclasses.replace(lp, implicit=families[-1])
+        families[cref] = CountedRows(lp.implicit)
+        return dataclasses.replace(lp, implicit=families[cref])
 
     monkeypatch.setattr("vetoflow.distortion.build_lp", counted_lp)
     q = gen_impartial_culture(4, 25, seed=3)
     r = distortion_of_candidate(q, 0, size_cap=100)
     assert (r.value, r.reference) == (3, 10)
     assert verify_certificate(q, r)
-    assert len(families) == 24
-    assert sum(f.offered for f in families) <= 1000
+    # 22 of the 24 references are solved; each skipped one is ranked below
+    # an earlier reference by all four voters
+    assert len(families) == 22
+    pos = q.positions()
+    for skipped in set(range(1, 25)) - set(families):
+        assert any(all(row[a] < row[skipped] for row in pos) for a in range(1, skipped))
+    assert sum(f.offered for f in families.values()) <= 1000
 
 
 @pytest.fixture(scope="module")
@@ -348,6 +389,69 @@ def test_separated_lp_matches_the_materialized_lp(exhaustive_results):
             continue
         c = rng.randrange(p.m)
         assert distortion_of_candidate(p, c) == materialized_distortion(p, c), p.rankings
+
+
+def solved_references(monkeypatch) -> list[list]:
+    """Patch the solver so that each LP ``distortion_of_candidate`` solves
+    appends [reference, status, value]."""
+    solved = []
+
+    def traced_build(p, c, cref):
+        solved.append([cref])
+        return build_lp(p, c, cref)
+
+    def traced_solve(lp):
+        sol = solve_lp(lp)
+        solved[-1] += [sol.status, sol.value]
+        return sol
+
+    monkeypatch.setattr("vetoflow.distortion.build_lp", traced_build)
+    monkeypatch.setattr("vetoflow.distortion.solve_lp", traced_solve)
+    return solved
+
+
+def test_skipping_dominated_references_changes_no_result(monkeypatch):
+    # the materialized loop solves every reference; on two and three voters
+    # many references are ranked below an earlier one by every voter
+    solved = solved_references(monkeypatch)
+    rng = random.Random(17)
+    lps = skipped = 0
+    for n, m in itertools.product((2, 3), range(2, 11)):
+        for _ in range(3):
+            p = PreferenceProfile.of([tuple(rng.sample(range(m), m)) for _ in range(n)])
+            c = rng.randrange(m)
+            solved.clear()
+            r = distortion_of_candidate(p, c)
+            assert r == materialized_distortion(p, c), (p.rankings, c)
+            lps += m - 1
+            skipped += m - 1 - len(solved)
+    # 84 of the 270 references
+    assert skipped >= lps // 4
+
+
+def test_a_reference_below_another_reference_is_not_solved(monkeypatch):
+    solved = solved_references(monkeypatch)
+    # both voters rank 0 above 2: only reference 0 is solved for candidate 1
+    p = PreferenceProfile.of([(0, 1, 2), (1, 0, 2)])
+    r = distortion_of_candidate(p, 1)
+    assert [ref for ref, *_ in solved] == [0]
+    assert r == materialized_distortion(p, 1)
+    # only the candidate is above reference 1, which is solved and worth 1
+    solved.clear()
+    p = PreferenceProfile.of([(0, 1, 2), (2, 0, 1)])
+    r = distortion_of_candidate(p, 0)
+    assert solved[0] == [1, "optimal", 1] and len(solved) == 2
+    assert r == materialized_distortion(p, 0)
+    # reference 2 is below reference 1 and unbounded, like reference 1,
+    # whose ray is returned before reference 2 is reached
+    solved.clear()
+    p = PreferenceProfile.of([(1, 2, 0), (1, 2, 0)])
+    r = distortion_of_candidate(p, 0)
+    assert solved == [[1, "unbounded", None]]
+    assert solve_lp(build_lp(p, 0, 2)).status == "unbounded"
+    assert (r.value, r.reference) == (INFINITE, 1)
+    assert r == materialized_distortion(p, 0)
+    assert verify_certificate(p, r)
 
 
 def test_gap_lp_matches_the_per_voter_lp(exhaustive_results):
@@ -566,6 +670,13 @@ def test_integer_check_matches_the_fraction_check():
             matrices.append(r.certificate)
         for dm in matrices:
             assert dm.check(p) == fraction_check(dm, p)
+    # voter 0 sits too far from candidate 2 for both other voters, and
+    # more pairs break
+    p = PreferenceProfile.of([(0, 1, 2), (1, 0, 2), (2, 1, 0)])
+    dm = DistanceMatrix(((F(0), F(5, 2), F(9, 2)), (F(1), F(0), F(2)), (F(2), F(1, 3), F(0))))
+    msgs = dm.check(p)
+    assert msgs == fraction_check(dm, p)
+    assert {msg[:28] for msg in msgs} >= {"quadrangle violated at (0,1,", "quadrangle violated at (0,2,"}
 
 
 def test_uniform_matrix_extends_cleanly(fix_s):
@@ -576,6 +687,39 @@ def test_uniform_matrix_extends_cleanly(fix_s):
     assert full[0][1] == F(2) and full[2][3] == F(2)
     assert full[0][2] == F(1)
     assert triangle_violations(full) == []
+
+
+def fraction_extension(dm: DistanceMatrix, p: PreferenceProfile) -> tuple:
+    """``extend_to_full_pseudometric`` over Fractions, cell by cell; the
+    reference for the extension over integer numerators."""
+    n, m, d = p.n, p.m, dm.values
+    full = [[F(0)] * (n + m) for _ in range(n + m)]
+    for i, a in itertools.product(range(n), range(m)):
+        full[i][n + a] = full[n + a][i] = d[i][a]
+    for i, j in itertools.permutations(range(n), 2):
+        full[i][j] = min(d[i][a] + d[j][a] for a in range(m))
+    for a, b in itertools.permutations(range(m), 2):
+        full[n + a][n + b] = min(d[i][a] + d[i][b] for i in range(n))
+    return tuple(map(tuple, full))
+
+
+def test_extension_matches_the_fraction_extension():
+    rng = random.Random(5)
+    extended = 0
+    for p in random_profiles(60, seed=5150, nmax=4, mmax=4):
+        r = distortion_of_candidate(p, rng.randrange(p.m))
+        if r.certificate is None:
+            continue
+        # scaled so that the cells have several denominators
+        scale = F(rng.randint(1, 7), rng.randint(1, 7))
+        for dm in (r.certificate, DistanceMatrix(tuple(
+            tuple(v * scale for v in row) for row in r.certificate.values
+        ))):
+            full = extend_to_full_pseudometric(dm, p)
+            assert full == fraction_extension(dm, p)
+            assert all(type(v) is F for row in full for v in row)
+            extended += 1
+    assert extended > 60
 
 
 def test_extension_validates_its_input(fix_s):
