@@ -140,12 +140,12 @@ class _Quadrangles:
 
     At an integer vector the scan works on its distances, the prefix sums
     of each voter's gaps.  The row (i, j, a, b) has excess u_a - v_b with
-    u_a = d_ia - d_ja and v_b = d_ib + d_jb, so a pair with max u <= min v
-    violates none of its rows.  For a nonnegative vector that test is
-    exact: u_a - v_a = -2 d_ja is never positive, and u_a > v_b forces
-    d_ia > d_ib, hence pos_i(a) > pos_i(b).
+    u_a = d_ia - d_ja and v_b = d_ib + d_jb.  For a fixed a its best row
+    takes the least v_b over the b that voter i ranks above a, so one walk
+    down voter i's ranking, carrying that running minimum, finds the pair's
+    most violated row in O(m).
 
-    Before that test, a cheaper bound drops most pairs.  For any vector the
+    Before the walk, a cheaper bound drops most pairs.  For any vector the
     excess is (d_ia - d_ib) - (d_ja + d_jb) <= spread_i - 2 min_j, with
     spread_i = max_a d_ia - min_a d_ia and min_j = min_a d_ja.  Voter i's
     scan therefore visits the voters j in ascending order of 2 min_j and
@@ -163,11 +163,10 @@ class _Quadrangles:
 
     def violated(self, vector: Sequence[int]) -> list[LinearConstraint]:
         cells = _distances(vector, self.p)
-        positions = self.p.positions()
         floors = sorted((2 * min(xj), j) for j, xj in enumerate(cells))
         worst = []
         for i, xi in enumerate(cells):
-            pos = positions[i]
+            ranking = self.p.rankings[i]
             spread = max(xi) - min(xi)
             for floor, j in floors:
                 if floor >= spread:
@@ -175,17 +174,19 @@ class _Quadrangles:
                 if i == j:
                     continue
                 xj = cells[j]
-                u = [x - y for x, y in zip(xi, xj)]
-                v = [x + y for x, y in zip(xi, xj)]
-                if max(u) <= min(v):
-                    continue
+                # (b, vb) is the least v_b above a, ties to the smallest b
                 best, key = 0, None
-                for a, ua in enumerate(u):
-                    for b, vb in enumerate(v):
-                        if ua - vb > best and pos[a] > pos[b]:
-                            best, key = ua - vb, (i, j, a, b)
+                b = ranking[0]
+                vb = xi[b] + xj[b]
+                for a in ranking[1:]:
+                    e = xi[a] - xj[a] - vb
+                    if e > best or e == best > 0 and (a, b) < key:
+                        best, key = e, (a, b)
+                    va = xi[a] + xj[a]
+                    if va < vb or va == vb and a < b:
+                        b, vb = a, va
                 if key is not None:
-                    worst.append((-best, key))
+                    worst.append((-best, (i, j, *key)))
         worst.sort()
         return [self._row(*key) for _, key in worst]
 
@@ -216,17 +217,41 @@ def distortion_of_candidate(
     p: PreferenceProfile, c: int, size_cap: int = 100
 ) -> DistortionResult:
     """Maximize over reference candidates; m = 1 has distortion 1 by
-    convention (the ratio space is empty).
+    convention (the ratio space is empty).  The result is that of solving
+    every reference in index order, keeping the first largest value and
+    returning at the first unbounded LP; two rules leave most LPs unsolved.
 
-    A reference r' is skipped when some reference r < r', r != c, is ranked
-    above r' by every voter.  Then d(i, r) <= d(i, r') in every consistent
-    metric, so the LP against r admits every point and every ray of the LP
-    against r' with the same objective: its value is at least as large,
-    and it is unbounded whenever the LP against r' is.  Since r comes first,
-    the loop has already returned on its ray or holds a value at least
-    value(r'), which a later equal value does not replace.  The reported
-    reference, certificate and ray are therefore those of the full loop.  A
-    reference that only c dominates is kept; its value is exactly 1."""
+    Dominance.  A reference r' is skipped when some reference r < r',
+    r != c, is ranked above r' by every voter.  Then d(i, r) <= d(i, r') in
+    every consistent metric, so the LP against r admits every point and
+    every ray of the LP against r' with the same objective: its value is at
+    least as large, and it is unbounded whenever the LP against r' is.  So
+    r' is neither the index loop's first maximizing reference nor its
+    first unbounded one.  A reference that only c dominates is kept; its
+    value is exactly 1.
+
+    Bound.  Let S_r be the voters who rank c above r and s = |S_r| > 0.
+    For j in S_r, d(j, c) <= d(j, r), so the quadrangle row (i, j, c, r)
+    gives d(i, c) <= d(i, r) + 2 d(j, r).  Averaged over j in S_r for each
+    voter i outside S_r, and with d(i, c) <= d(i, r) for i in S_r, that
+    sums to SC(c) <= SC(r) (1 + 2 (n - s) / s), so the LP against r has
+    value at most B_r = 2n/s - 1 (Anshelevich, Bhardwaj and Postl 2015; one
+    feasible dual of the LP).  Only a reference with s = 0 can be
+    unbounded.
+
+    Order.  References are solved by (s, r): those with s = 0 first in
+    index order, then by descending B_r, ties by index.  The first
+    unbounded reference in index order has s = 0 and no dominator before
+    it (that one would be unbounded too, with s = 0 and a smaller index),
+    so it is still the first unbounded LP solved, and its ray is returned.
+    Once an incumbent exists, a reference with B_r < best.value, or
+    B_r == best.value and r > best.reference, cannot replace it; every
+    later reference has a smaller B_r, or an equal B_r and a larger index,
+    so the loop stops there.  An incumbent is replaced by a larger value,
+    or an equal one at a smaller reference, so the first maximizing
+    reference of the index loop is reported.  Each LP is solved from
+    scratch, so certificates and rays are those of the index loop.  A
+    solved value above B_r or below 1 raises ``RuntimeError``."""
     if not 0 <= c < p.m:
         raise ValueError(f"candidate {c} is not in 0..{p.m - 1}")
     if p.m == 1:
@@ -236,11 +261,15 @@ def distortion_of_candidate(
             f"instance has {p.n * p.m} LP variables, cap is {size_cap}"
         )
     positions = p.positions()
+    above = {r: sum(pos[c] < pos[r] for pos in positions) for r in range(p.m) if r != c}
     best: DistortionResult | None = None
-    for cref in range(p.m):
-        if cref == c or any(
-            r != c and all(pos[r] < pos[cref] for pos in positions) for r in range(cref)
+    for cref in sorted(above, key=lambda r: (above[r], r)):
+        bound = Fraction(2 * p.n, above[cref]) - 1 if above[cref] else None
+        if best is not None and bound is not None and (
+            bound < best.value or bound == best.value and cref > best.reference
         ):
+            break
+        if any(r != c and all(pos[r] < pos[cref] for pos in positions) for r in range(cref)):
             continue
         sol = solve_lp(build_lp(p, c, cref))
         if sol.status == "unbounded":
@@ -251,7 +280,13 @@ def distortion_of_candidate(
                 f"LP value {sol.value} against reference {cref} is below 1, "
                 "which the uniform distances already achieve"
             )
-        if best is None or sol.value > best.value:
+        if bound is not None and sol.value > bound:
+            raise RuntimeError(
+                f"LP value {sol.value} against reference {cref} exceeds "
+                f"2n/s - 1 = {bound}, with s = {above[cref]} voters ranking "
+                f"candidate {c} above it"
+            )
+        if best is None or (sol.value, -cref) > (best.value, -best.reference):
             matrix = DistanceMatrix(tuple(map(tuple, _distances(sol.x, p))))
             best = DistortionResult(c, sol.value, cref, matrix, None)
     return best

@@ -327,6 +327,12 @@ def test_quadrangle_separation_offers_one_row_per_pair():
                 assert len(pairs) == len(set(pairs))
 
 
+def reference_bound(p: PreferenceProfile, c: int, r: int) -> F | float:
+    """2n/s - 1 with s the voters who rank c above r; infinity for s = 0."""
+    s = sum(pos[c] < pos[r] for pos in p.positions())
+    return F(2 * p.n, s) - 1 if s else INFINITE
+
+
 class CountedRows:
     """A row family that counts the rows it offers; the solver activates
     every one."""
@@ -343,7 +349,7 @@ class CountedRows:
 
 def test_the_4x25_lp_activates_few_rows(monkeypatch):
     # the 100-variable LP of criterion 10 (IC seed 3, candidate 0): one row
-    # per voter pair and round activates 351 rows over the 22 references
+    # per voter pair and round activates 217 rows over the 12 references
     # solved (368 over all 24); offering the 100 most violated rows overall
     # activated 8756
     families = {}
@@ -358,12 +364,17 @@ def test_the_4x25_lp_activates_few_rows(monkeypatch):
     r = distortion_of_candidate(q, 0, size_cap=100)
     assert (r.value, r.reference) == (3, 10)
     assert verify_certificate(q, r)
-    # 22 of the 24 references are solved; each skipped one is ranked below
-    # an earlier reference by all four voters
-    assert len(families) == 22
+    # 12 of the 24 references are solved; each skipped one is ranked below
+    # an earlier reference by all four voters, or its bound 2n/s - 1 (s
+    # voters rank the candidate above it) cannot beat value 3 at reference
+    # 10: it is below 3, or equal at a larger index
+    assert len(families) == 12
     pos = q.positions()
     for skipped in set(range(1, 25)) - set(families):
-        assert any(all(row[a] < row[skipped] for row in pos) for a in range(1, skipped))
+        bound = reference_bound(q, 0, skipped)
+        assert any(all(row[a] < row[skipped] for row in pos) for a in range(1, skipped)) or (
+            bound < 3 or bound == 3 and skipped > 10
+        ), skipped
     assert sum(f.offered for f in families.values()) <= 1000
 
 
@@ -429,6 +440,40 @@ def test_skipping_dominated_references_changes_no_result(monkeypatch):
     assert skipped >= lps // 4
 
 
+# the first maximizing reference has bound 2n/s - 1 equal to the maximum
+# and is solved after a larger-indexed maximizer of larger bound
+BOUND_TIES = [
+    ([(2, 3, 1, 0), (0, 1, 2, 3), (1, 0, 2, 3)], 3, 5, [0, 1, 2]),
+    ([(0, 3, 2, 1), (0, 2, 1, 3), (2, 1, 3, 0), (1, 3, 0, 2)], 1, 3, [0, 2]),
+    ([(0, 2, 3, 1, 4), (1, 2, 3, 4, 0), (2, 4, 0, 3, 1), (1, 3, 2, 4, 0)], 0, 3, [1, 2, 3, 4]),
+]
+
+
+def test_bound_skipping_changes_no_result(monkeypatch):
+    # the materialized loop solves every reference in index order
+    solved = solved_references(monkeypatch)
+    rng = random.Random(18)
+    cases = [(PreferenceProfile.of(rankings), c) for rankings, c, *_ in BOUND_TIES]
+    for n, m in itertools.product(range(2, 6), range(2, 11)):
+        for _ in range(2):
+            p = PreferenceProfile.of([tuple(rng.sample(range(m), m)) for _ in range(n)])
+            cases.append((p, rng.randrange(m)))
+    lps = skipped = 0
+    for p, c in cases:
+        solved.clear()
+        r = distortion_of_candidate(p, c)
+        assert r == materialized_distortion(p, c), (p.rankings, c)
+        lps += p.m - 1
+        skipped += p.m - 1 - len(solved)
+    # 232 of the 370 references, by dominance or by bound
+    assert skipped >= lps // 2
+    for (rankings, c, top, maximizers), (p, _) in zip(BOUND_TIES, cases):
+        values = {r: solve_lp(build_lp(p, c, r)).value for r in range(p.m) if r != c}
+        assert [r for r in values if values[r] == top] == maximizers
+        assert reference_bound(p, c, maximizers[0]) == top
+        assert any(reference_bound(p, c, r) > top for r in maximizers[1:])
+
+
 def test_a_reference_below_another_reference_is_not_solved(monkeypatch):
     solved = solved_references(monkeypatch)
     # both voters rank 0 above 2: only reference 0 is solved for candidate 1
@@ -436,11 +481,21 @@ def test_a_reference_below_another_reference_is_not_solved(monkeypatch):
     r = distortion_of_candidate(p, 1)
     assert [ref for ref, *_ in solved] == [0]
     assert r == materialized_distortion(p, 1)
-    # only the candidate is above reference 1, which is solved and worth 1
+    # only the candidate is above reference 1, so its bound 2n/s - 1 is 1;
+    # reference 2 (s = 1, bound 3) is solved first at value 3, and
+    # reference 1 cannot beat it
     solved.clear()
     p = PreferenceProfile.of([(0, 1, 2), (2, 0, 1)])
     r = distortion_of_candidate(p, 0)
-    assert solved[0] == [1, "optimal", 1] and len(solved) == 2
+    assert solved == [[2, "optimal", 3]]
+    assert r == materialized_distortion(p, 0)
+    # with no incumbent a reference that only the candidate dominates is
+    # solved, worth 1; reference 2 then ties it at bound 1 with a larger
+    # index
+    solved.clear()
+    p = PreferenceProfile.of([(0, 1, 2), (0, 1, 2)])
+    r = distortion_of_candidate(p, 0)
+    assert solved == [[1, "optimal", 1]]
     assert r == materialized_distortion(p, 0)
     # reference 2 is below reference 1 and unbounded, like reference 1,
     # whose ray is returned before reference 2 is reached
@@ -452,6 +507,43 @@ def test_a_reference_below_another_reference_is_not_solved(monkeypatch):
     assert (r.value, r.reference) == (INFINITE, 1)
     assert r == materialized_distortion(p, 0)
     assert verify_certificate(p, r)
+
+
+@pytest.mark.parametrize("value, message", [(F(7, 2), "exceeds 2n/s - 1"), (F(1, 2), "below 1")])
+def test_a_value_outside_its_bounds_is_refused(monkeypatch, value, message):
+    # reference 1 of candidate 0 has s = 1 of 2 voters, so its value lies in
+    # [1, 2n/s - 1] = [1, 3]; the split profile attains 3
+    p = PreferenceProfile.of([(0, 1), (1, 0)])
+    assert reference_bound(p, 0, 1) == 3
+    assert solve_lp(build_lp(p, 0, 1)).value == 3
+
+    def misreported_solve(lp):
+        return dataclasses.replace(solve_lp(lp), value=value)
+
+    monkeypatch.setattr("vetoflow.distortion.solve_lp", misreported_solve)
+    with pytest.raises(RuntimeError, match=message):
+        distortion_of_candidate(p, 0)
+
+
+def test_every_reference_lp_is_within_its_bound(exhaustive_results):
+    # SC(c) <= (2n/s - 1) SC(r) for every metric consistent with the
+    # ballots: checked on every reference LP of the exhaustive 3x3 family
+    # over distances (no gap coordinates, every row stored), and on every
+    # certificate against every reference
+    for p, r in exhaustive_results:
+        c = r.candidate
+        for ref in range(p.m):
+            if ref == c:
+                continue
+            bound = reference_bound(p, c, ref)
+            sol = solve_lp(per_voter_lp(p, c, ref))
+            if sol.status == "unbounded":
+                assert bound == INFINITE, (p.rankings, c, ref)
+            else:
+                assert sol.value <= bound, (p.rankings, c, ref)
+            if r.certificate is not None and bound != INFINITE:
+                costs = [sum(col) for col in zip(*r.certificate.values)]
+                assert costs[c] <= bound * costs[ref]
 
 
 def test_gap_lp_matches_the_per_voter_lp(exhaustive_results):
