@@ -50,7 +50,7 @@ from .profiles import (
     CloneExpansion,
     PreferenceProfile,
     ProfileSizeError,
-    SolidCoalition,
+    VoterGroup,
     all_profiles,
     clone_expand,
     dominated_set,
@@ -95,9 +95,9 @@ __all__ = [
     "ProfileSizeError",
     "PscVerdict",
     "PscViolation",
-    "SolidCoalition",
     "VetoVerdict",
     "VetoWitness",
+    "VoterGroup",
     "all_profiles",
     "build_domination_graph",
     "clone_expand",
@@ -129,10 +129,10 @@ __all__ = [
     "serialize_metric",
     "serialize_profile",
     "solid_coalitions",
+    "verify_certificate",
     "veto_by_consumption_winners",
     "veto_core",
     "veto_core_member",
     "veto_power",
-    "verify_certificate",
     "weak_psc_satisfied",
 ]

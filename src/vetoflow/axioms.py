@@ -217,11 +217,11 @@ def weak_psc_satisfied(
         return PscViolation(union, voters, x)
 
     for sc in solid_coalitions(p):
-        outside = sc.prefix_set - W
+        outside = sc.candidates - W
         if not outside:
             continue
-        if sc.size * (k + 1) > len(sc.prefix_set) * p.n:
-            viol = violation_from(sc.supporters, min(outside))
+        if sc.size * (k + 1) > len(sc.candidates) * p.n:
+            viol = violation_from(sc.voters, min(outside))
             viol.validate(p, W, k)
             return PscVerdict(False, W, k, viol)
 
@@ -301,6 +301,8 @@ def pareto_improve(p: PreferenceProfile, matching: dict[int, int]) -> dict[int, 
     values = list(matching.values())
     if len(set(values)) != len(values):
         raise ValueError("matching must be injective")
+    if any(not 0 <= i < p.n for i in matching) or any(not 0 <= c < p.m for c in values):
+        raise ValueError("matching pairs a voter or candidate outside the profile")
     owner = {c: i for i, c in matching.items()}
     queue = deque(sorted(matching))
     assigned: dict[int, int] = {}

@@ -200,8 +200,6 @@ def phragmen_committee(
     """
     if not 0 <= k <= p.m:
         raise ValueError(f"committee size {k} out of range")
-    if k == 0:
-        return ()
     cfg = EatingConfig(
         direction="eat-best",
         stop_eliminations=k,

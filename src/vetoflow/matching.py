@@ -9,10 +9,11 @@ iff the max flow is n*m.  The domination graph is built as that network
 directly: ``FlowNetwork`` is the one network type, and it checks its own
 group sizes and edge endpoints.  Voters with the same edge set are
 interchangeable, so they share one network node carrying their joint
-supply: a network takes its left side as groups, each an edge set with its
-voters, built straight from the profile's ballot types.  Solving a network
-and reading back its cut therefore never walks the n voters; only outputs
-that are per voter (a witness's voter set, a matching's rows) touch them.
+supply: a network takes its left side as ``VoterGroup``s from ``profiles``,
+each an edge set (the group's candidates) with its voters, built straight
+from the profile's ballot types.  Solving a network and reading back its
+cut therefore never walks the n voters; only outputs that are per voter (a
+witness's voter set, a matching's rows) touch them.
 
 When no matching exists, a Hall-style deficiency witness falls out of the
 min cut: a voter set N' whose jointly dominated candidates D satisfy
@@ -25,10 +26,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import merge
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Sequence
 
-from .profiles import PreferenceProfile, dominated_set
+from .profiles import PreferenceProfile, VoterGroup, dominated_set, voter_groups
 
 
 class Dinic:
@@ -91,41 +91,13 @@ class Dinic:
         return total
 
 
-class LeftGroup(NamedTuple):
-    """Left nodes of a flow network that share one edge set.  They come as
-    ascending runs, one per ballot type with that edge set, so equal edge
-    sets merge without copying their nodes."""
-
-    edges: frozenset[int]
-    runs: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return sum(map(len, self.runs))
-
-    def members(self) -> Iterator[int]:
-        """The group's left nodes, ascending."""
-        return merge(*self.runs)
-
-
-def left_groups(
-    edge_sets: Iterable[frozenset[int]], runs: Iterable[tuple[int, ...]]
-) -> tuple[LeftGroup, ...]:
-    """Pair each edge set with its ascending run of left nodes, merging equal
-    edge sets in order of first appearance."""
-    merged: dict[frozenset[int], list[tuple[int, ...]]] = {}
-    for adj, run in zip(edge_sets, runs, strict=True):
-        merged.setdefault(adj, []).append(run)
-    return tuple(LeftGroup(adj, tuple(rs)) for adj, rs in merged.items())
-
-
 def ballot_groups(
     p: PreferenceProfile, edge_sets: Sequence[frozenset[int]]
-) -> tuple[LeftGroup, ...]:
-    """The voters of p as left groups, ballot type t's voters sharing
+) -> tuple[VoterGroup, ...]:
+    """The voters of p as voter groups, ballot type t's voters sharing
     ``edge_sets[t]``.  Types come in first-appearance order, so the groups
     come in order of their first voter."""
-    return left_groups(edge_sets, (bt.voters for bt in p.ballot_types()))
+    return voter_groups(edge_sets, (bt.voters for bt in p.ballot_types()))
 
 
 @dataclass(frozen=True)
@@ -143,8 +115,7 @@ class FlowResult:
         of whole groups."""
         level = self.dinic.level
         groups = self.network.groups
-        return frozenset().union(
-            *(run for k, g in enumerate(groups) if level[1 + k] >= 0 for run in g.runs))
+        return frozenset().union(*(g.voters for k, g in enumerate(groups) if level[1 + k] >= 0))
 
     def units_sent(self) -> list[dict[int, int]]:
         """One dict per group, in group order: the units (original capacity
@@ -179,32 +150,32 @@ class FlowResult:
 @dataclass(frozen=True)
 class FlowNetwork:
     """The scaled bipartite network: ``num_left`` left nodes, given as
-    ``groups`` of nodes that share an edge set, each supplying
+    ``groups`` of nodes that share an edge set (``candidates``), each supplying
     ``left_supply`` units; every right node absorbs at most ``right_cap``.
 
     Left nodes of one group are interchangeable, so each group is one flow
     node carrying the group's total supply.  The flow value and the minimal
     min cut are those of the one-node-per-left network.  Groups may share an
-    edge set; ``left_groups`` merges equal ones into fewer flow nodes.  The
+    edge set; ``voter_groups`` merges equal ones into fewer flow nodes.  The
     group sizes must add up to ``num_left``, and every edge must end at a
     right node ``0..num_right-1``."""
 
     num_left: int
     num_right: int
-    groups: tuple[LeftGroup, ...]
+    groups: tuple[VoterGroup, ...]
     left_supply: int
     right_cap: int
 
     def __post_init__(self) -> None:
         if sum(g.size for g in self.groups) != self.num_left:
             raise ValueError(f"groups must hold the {self.num_left} left nodes")
-        if any(v < 0 or v >= self.num_right for g in self.groups for v in g.edges):
+        if any(v < 0 or v >= self.num_right for g in self.groups for v in g.candidates):
             raise ValueError("edge endpoint out of range")
 
     @property
     def edges(self) -> tuple[frozenset[int], ...]:
         """The edge sets, one per group and flow node."""
-        return tuple(g.edges for g in self.groups)
+        return tuple(g.candidates for g in self.groups)
 
     def solve(self) -> tuple[int, FlowResult]:
         """Max flow value and the solved network."""
@@ -216,7 +187,7 @@ class FlowNetwork:
         for k, g in enumerate(groups):
             cap = self.left_supply * g.size
             dinic.add_edge(source, 1 + k, cap)
-            for c in sorted(g.edges):
+            for c in sorted(g.candidates):
                 dinic.add_edge(1 + k, first_right + c, cap)
         for c in range(self.num_right):
             dinic.add_edge(first_right + c, sink, self.right_cap)
@@ -284,12 +255,12 @@ def extract_deficiency_witness(p: PreferenceProfile, c: int) -> CutWitness | Non
     return witness
 
 
-def max_bipartite_matching(groups: Sequence[LeftGroup]) -> dict[int, int]:
+def max_bipartite_matching(groups: Sequence[VoterGroup]) -> dict[int, int]:
     """Maximum one-to-one matching, left index -> right index, by unit-capacity
     max flow over left ``groups``.  A group is one flow node; the units it
     sends go, right nodes ascending, to its members in ascending order."""
     num_left = sum(g.size for g in groups)
-    num_right = 1 + max((max(g.edges) for g in groups if g.edges), default=-1)
+    num_right = 1 + max((max(g.candidates) for g in groups if g.candidates), default=-1)
     _, flow = FlowNetwork(num_left, num_right, tuple(groups), left_supply=1, right_cap=1).solve()
     pairs: list[tuple[int, int]] = []
     for g, sent in zip(groups, flow.units_sent()):

@@ -3,14 +3,20 @@
 A profile is a list of strict rankings over a common candidate set.  Candidates
 are handled as integer indices everywhere; display names live alongside in
 ``candidate_names`` and only matter for parsing and printing.
+
+Identical voters are interchangeable, so the checkers work per ballot type.
+A voter group ties a candidate set to the voters it belongs to, one run per
+ballot type; ``voter_groups`` is the one rule for merging ballot types with
+equal sets, for flow networks and solid coalitions alike.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from heapq import merge
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -219,16 +225,13 @@ def dominated_set(p: PreferenceProfile, c: int, voters: Iterable[int]) -> frozen
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class SolidCoalition:
-    """A voter group that ranks the candidate set ``prefix_set`` above everything else.
+class VoterGroup(NamedTuple):
+    """Voters tied to one candidate set: an edge set of a flow network, or
+    the common prefix of a solid coalition.  The voters come as ascending
+    runs, one per ballot type with that set, so equal sets merge without
+    copying their voters."""
 
-    ``runs`` holds, per ballot type, the voters whose top ``len(prefix_set)``
-    candidates are exactly ``prefix_set``; together they are the maximal
-    such group, ``supporters``.
-    """
-
-    prefix_set: frozenset[int]
+    candidates: frozenset[int]
     runs: tuple[tuple[int, ...], ...]
 
     @property
@@ -236,17 +239,32 @@ class SolidCoalition:
         return sum(map(len, self.runs))
 
     @property
-    def supporters(self) -> frozenset[int]:
+    def voters(self) -> frozenset[int]:
         return frozenset().union(*self.runs)
 
+    def members(self) -> Iterator[int]:
+        """The group's voters, ascending."""
+        return merge(*self.runs)
 
-def solid_coalitions(p: PreferenceProfile) -> tuple[SolidCoalition, ...]:
-    """All candidate prefixes with their maximal supporter group, in first-appearance order."""
-    runs: dict[frozenset[int], list[tuple[int, ...]]] = {}
-    for bt in p.ballot_types():
-        for r in range(1, p.m + 1):
-            runs.setdefault(frozenset(bt.ranking[:r]), []).append(bt.voters)
-    return tuple(SolidCoalition(pref, tuple(vs)) for pref, vs in runs.items())
+
+def voter_groups(
+    sets: Iterable[frozenset[int]], runs: Iterable[tuple[int, ...]]
+) -> tuple[VoterGroup, ...]:
+    """Pair each candidate set with its ascending run of voters, merging
+    equal sets in order of first appearance."""
+    merged: dict[frozenset[int], list[tuple[int, ...]]] = {}
+    for cs, run in zip(sets, runs, strict=True):
+        merged.setdefault(cs, []).append(run)
+    return tuple(VoterGroup(cs, tuple(rs)) for cs, rs in merged.items())
+
+
+def solid_coalitions(p: PreferenceProfile) -> tuple[VoterGroup, ...]:
+    """Every candidate prefix with its maximal supporter group, ballot type
+    by ballot type and prefix length ascending, equal prefixes merged."""
+    types = p.ballot_types()
+    return voter_groups(
+        (frozenset(bt.ranking[:r]) for bt in types for r in range(1, p.m + 1)),
+        (bt.voters for bt in types for _ in range(p.m)))
 
 
 def all_profiles(n: int, m: int, candidate_names: Sequence[str] | None = None) -> Iterable[PreferenceProfile]:

@@ -235,6 +235,14 @@ def test_pareto_improve_rejects_double_assignment(fix_s):
         pareto_improve(fix_s, {0: 0, 1: 0})
 
 
+def test_pareto_improve_rejects_indices_outside_the_profile(fix_s):
+    # voter -1 would read as voter n-1, candidate 7 does not exist, and
+    # voter 5 has no ranking
+    for matching in ({-1: 1}, {0: 7}, {5: 0}, {0: -1}):
+        with pytest.raises(ValueError, match="outside the profile"):
+            pareto_improve(fix_s, matching)
+
+
 def test_pareto_improve_output_is_optimal_and_weakly_better():
     rng = random.Random(3)
     for p in random_profiles(200, seed=515, nmax=5, mmax=5):

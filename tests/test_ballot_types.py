@@ -19,16 +19,20 @@ from vetoflow.eating import phragmen_committee, probabilistic_serial, veto_by_co
 from vetoflow.matching import (
     Dinic,
     FlowNetwork,
-    LeftGroup,
     ballot_groups,
     build_domination_graph,
     extract_deficiency_witness,
     fractional_matching,
-    left_groups,
     max_bipartite_matching,
 )
-from vetoflow.profiles import PreferenceProfile, all_profiles
-from tests_support_random import profiles_strategy
+from vetoflow.profiles import (
+    PreferenceProfile,
+    VoterGroup,
+    all_profiles,
+    solid_coalitions,
+    voter_groups,
+)
+from tests_support_random import profiles_strategy, random_profiles
 
 
 def test_ballot_types_in_first_appearance_order(fix_p):
@@ -55,6 +59,33 @@ def repeated_profiles(count: int, seed: int):
         ballots = [tuple(rng.sample(range(m), m)) for _ in range(types)]
         out.append(PreferenceProfile.of([rng.choice(ballots) for _ in range(n)]))
     return out
+
+
+def solid_coalitions_per_voter(p: PreferenceProfile):
+    """Each prefix with its supporters, voter by voter, ordered by the
+    ballot type of its first supporter and then by length: the order in
+    which the PSC scan meets them, and so picks its witness."""
+    type_of: dict[tuple[int, ...], int] = {}
+    supporters: dict[frozenset[int], list[int]] = {}
+    key: dict[frozenset[int], tuple[int, int]] = {}
+    for i, r in enumerate(p.rankings):
+        type_of.setdefault(r, len(type_of))
+        for length in range(1, p.m + 1):
+            prefix = frozenset(r[:length])
+            supporters.setdefault(prefix, []).append(i)
+            key.setdefault(prefix, (type_of[r], length))
+    return [(prefix, supporters[prefix]) for prefix in sorted(supporters, key=key.__getitem__)]
+
+
+def test_solid_coalitions_match_a_per_voter_grouping():
+    merged = 0
+    for p in [*random_profiles(300, seed=808, nmax=8), *repeated_profiles(150, seed=909)]:
+        got = solid_coalitions(p)
+        assert [(g.candidates, list(g.members())) for g in got] == solid_coalitions_per_voter(p)
+        assert all(g.size == len(g.voters) for g in got)
+        merged += any(len(g.runs) > 1 and len(g.candidates) < p.m for g in got)
+    # proper prefixes shared by several ballot types must be common, not rare
+    assert merged > 100
 
 
 def networks(p: PreferenceProfile):
@@ -94,7 +125,7 @@ def test_merged_flow_matches_the_per_voter_network():
             members = [list(g.members()) for g in net.groups]
             assert sorted(sum(members, [])) == list(range(p.n)) == list(range(net.num_left))
             assert all(ms == sorted(ms) and len(ms) == g.size for g, ms in zip(net.groups, members))
-            assert all(edges[i] == g.edges for g, ms in zip(net.groups, members) for i in ms)
+            assert all(edges[i] == g.candidates for g, ms in zip(net.groups, members) for i in ms)
             assert len(set(net.edges)) == len(net.groups)
             value, flow = net.solve()
             expect_value, expect_side = per_voter_flow(net, edges)
@@ -126,7 +157,7 @@ def test_unmerged_groups_solve_like_the_merged_network():
     checked = shared = 0
     for p in repeated_profiles(150, seed=4242):
         for net, edges in networks(p):
-            per_voter = tuple(LeftGroup(adj, ((i,),)) for i, adj in enumerate(edges))
+            per_voter = tuple(VoterGroup(adj, ((i,),)) for i, adj in enumerate(edges))
             single = FlowNetwork(net.num_left, net.num_right, per_voter,
                                  net.left_supply, net.right_cap)
             value, flow = net.solve()
@@ -148,7 +179,7 @@ def test_pareto_matching_hands_merged_types_to_voters_in_index_order():
     for p in repeated_profiles(150, seed=31):
         for c in range(p.m):
             below = [frozenset(r[r.index(c) + 1:]) for r in p.rankings]
-            expect = max_bipartite_matching(left_groups(below, zip(range(p.n))))
+            expect = max_bipartite_matching(voter_groups(below, zip(range(p.n))))
             ok, matching = pareto_matching_criterion(p, c)
             assert ok == (len(expect) == p.m - 1), (p.rankings, c)
             if ok:

@@ -67,6 +67,14 @@ def test_phragmen_committee(prof, capsys):
     assert code == 0 and out == "committee: c1 c3\n"
 
 
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_phragmen_bad_tie_break_is_rejected_at_every_k(prof, capsys, k):
+    code, out, err = run(capsys, [
+        "rule", "--rule", "phragmen", "--profile", prof(T), "--k", k, "--tie-break", "a,a",
+    ])
+    assert code == 2 and out == "" and "permutation" in err
+
+
 def test_ps_shares(prof, capsys):
     code, out, _ = run(capsys, ["rule", "--rule", "ps", "--profile", prof(U)])
     assert code == 0

@@ -195,6 +195,13 @@ def test_phragmen_committee(fix_p, fix_u):
         phragmen_committee(fix_p, 4)
 
 
+def test_phragmen_validates_the_tie_break_for_an_empty_committee(fix_p):
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="permutation"):
+            phragmen_committee(fix_p, k, tie_break=(0, 0, 1))
+    assert phragmen_committee(fix_p, 0, tie_break=(2, 1, 0)) == ()
+
+
 def test_phragmen_tie_break_changes_order(fix_s):
     assert phragmen_committee(fix_s, 1) == (0,)
     assert phragmen_committee(fix_s, 1, tie_break=(1, 0)) == (1,)

@@ -7,22 +7,20 @@ from vetoflow.matching import (
     CutWitness,
     Dinic,
     FlowNetwork,
-    LeftGroup,
     build_domination_graph,
     extract_deficiency_witness,
     fractional_matching,
     has_fractional_perfect_matching,
-    left_groups,
     max_bipartite_matching,
 )
-from vetoflow.profiles import PreferenceProfile, dominated_set
+from vetoflow.profiles import PreferenceProfile, VoterGroup, dominated_set, voter_groups
 from tests_support_oracles import hall_check_bruteforce
 from tests_support_random import random_profiles
 
 
 def one_group_per_row(rows):
-    """Left groups with left node i alone on ``rows[i]``; equal rows merge."""
-    return left_groups(map(frozenset, rows), zip(range(len(rows))))
+    """Voter groups with left node i alone on ``rows[i]``; equal rows merge."""
+    return voter_groups(map(frozenset, rows), zip(range(len(rows))))
 
 
 def test_dinic_on_a_small_network():
@@ -39,7 +37,7 @@ def test_dinic_on_a_small_network():
 
 def test_domination_graph_edges(fix_p):
     g = build_domination_graph(fix_p, 1)
-    assert [(grp.edges, grp.runs) for grp in g.groups] == [
+    assert [(grp.candidates, grp.runs) for grp in g.groups] == [
         (frozenset({1, 2}), ((0, 1),)),
         (frozenset({0, 1}), ((2, 3),)),
     ]
@@ -65,8 +63,8 @@ def test_domination_graph_groups_hold_every_voter(fix_p):
     g = build_domination_graph(fix_p, 1)
     # groups built per voter hold the same voters under the same edge sets
     per_voter = one_group_per_row([r[r.index(1):] for r in fix_p.rankings])
-    assert [(grp.edges, list(grp.members())) for grp in per_voter] == [
-        (grp.edges, list(grp.members())) for grp in g.groups]
+    assert [(grp.candidates, list(grp.members())) for grp in per_voter] == [
+        (grp.candidates, list(grp.members())) for grp in g.groups]
     assert (g.num_left, g.num_right, g.left_supply, g.right_cap) == (4, 3, 3, 4)
     with pytest.raises(ValueError, match="left nodes"):
         FlowNetwork(g.num_left, g.num_right, g.groups[1:], g.left_supply, g.right_cap)
@@ -159,7 +157,7 @@ def test_max_bipartite_matching_basics():
     crossed = max_bipartite_matching(one_group_per_row([[1], [0, 1]]))
     assert crossed == {0: 1, 1: 0}
     # unmerged groups on one edge set are separate flow nodes, read back apart
-    twins = (LeftGroup(frozenset({0}), ((0,),)), LeftGroup(frozenset({0}), ((1,),)))
+    twins = (VoterGroup(frozenset({0}), ((0,),)), VoterGroup(frozenset({0}), ((1,),)))
     assert max_bipartite_matching(twins) == {0: 0}
 
 
@@ -189,7 +187,7 @@ def test_flow_network_follows_long_augmenting_paths():
     # the last phase augments along one path through every left node, far
     # deeper than Python's default recursion limit
     edges = tuple(frozenset({i, i + 1}) for i in range(3000)) + (frozenset({0}),)
-    groups = left_groups(edges, [(i,) for i in range(3001)])
+    groups = voter_groups(edges, [(i,) for i in range(3001)])
     value, flow = FlowNetwork(3001, 3001, groups, left_supply=1, right_cap=1).solve()
     assert value == 3001
     assert flow.source_side() == frozenset()

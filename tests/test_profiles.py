@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from vetoflow.profiles import (
     MAX_CELLS,
@@ -11,6 +11,7 @@ from vetoflow.profiles import (
     plurality_scores,
     reverse_profile,
     solid_coalitions,
+    voter_groups,
 )
 from tests_support_random import profiles_strategy
 
@@ -130,7 +131,7 @@ def test_dominated_set(fix_p, fix_t):
 
 
 def test_solid_coalitions(fix_p):
-    got = {sc.prefix_set: sc.supporters for sc in solid_coalitions(fix_p)}
+    got = {sc.candidates: sc.voters for sc in solid_coalitions(fix_p)}
     assert got[frozenset({0})] == frozenset({0, 1})
     assert got[frozenset({2})] == frozenset({2, 3})
     assert got[frozenset({0, 1})] == frozenset({0, 1})
@@ -142,12 +143,37 @@ def test_solid_coalitions(fix_p):
 @given(profiles_strategy)
 def test_solid_coalition_supporters_are_maximal(p):
     for sc in solid_coalitions(p):
-        r = len(sc.prefix_set)
+        r = len(sc.candidates)
         expect = frozenset(
-            i for i in range(p.n) if frozenset(p.rankings[i][:r]) == sc.prefix_set
+            i for i in range(p.n) if frozenset(p.rankings[i][:r]) == sc.candidates
         )
-        assert sc.supporters == expect and sc.supporters
+        assert sc.voters == expect and sc.voters
         assert sc.size == len(expect)
+
+
+# candidate sets, and for each an ascending run of voters: voter v joins
+# run owner[v] mod the number of sets, so runs of equal sets interleave
+set_runs_strategy = st.tuples(
+    st.lists(st.frozensets(st.integers(0, 3), max_size=3), min_size=1, max_size=8),
+    st.lists(st.integers(0, 7), max_size=30),
+).map(lambda t: (t[0], [tuple(v for v, o in enumerate(t[1]) if o % len(t[0]) == k)
+                        for k in range(len(t[0]))]))
+
+
+@given(set_runs_strategy)
+def test_voter_groups_merge_equal_sets_in_first_appearance_order(case):
+    sets, runs = case
+    groups = voter_groups(sets, runs)
+    assert [g.candidates for g in groups] == list(dict.fromkeys(sets))
+    for g in groups:
+        assert g.runs == tuple(run for cs, run in zip(sets, runs) if cs == g.candidates)
+        assert list(g.members()) == sorted(g.voters)
+        assert g.voters == frozenset(v for run in g.runs for v in run)
+        assert g.size == len(g.voters)
+    with pytest.raises(ValueError):
+        voter_groups(sets, runs[:-1])
+    with pytest.raises(ValueError):
+        voter_groups(sets + [frozenset()], runs)
 
 
 def test_all_profiles_counts():

@@ -107,3 +107,12 @@ def test_every_trace_target_exists():
             missing.append(f"{owner}.{cls}.{attr}")
     assert tracing.TARGETS and tracing.METHOD_TARGETS
     assert missing == []
+
+
+def test_the_public_names_resolve_once_in_sorted_order():
+    # a stale entry, such as a renamed class, fails ``from vetoflow import *``
+    vetoflow = importlib.import_module("vetoflow")
+    names = vetoflow.__all__
+    assert [n for n in names if not hasattr(vetoflow, n)] == []
+    assert len(names) == len(set(names))
+    assert names == sorted(names)
