@@ -14,7 +14,7 @@ cross-multiplied into integer arithmetic, never approximated.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
@@ -66,12 +66,11 @@ class VetoWitness:
 @dataclass(frozen=True)
 class VetoVerdict:
     candidate: int
-    member: bool
     witness: VetoWitness | None
 
-    def __post_init__(self) -> None:
-        if self.member == (self.witness is not None):
-            raise ValueError("witness must be present exactly when membership fails")
+    @property
+    def member(self) -> bool:
+        return self.witness is None
 
 
 def veto_core_member(p: PreferenceProfile, c: int) -> VetoVerdict:
@@ -84,11 +83,11 @@ def veto_core_member(p: PreferenceProfile, c: int) -> VetoVerdict:
     """
     cut = extract_deficiency_witness(p, c)
     if cut is None:
-        return VetoVerdict(c, True, None)
+        return VetoVerdict(c, None)
     blocked = frozenset(range(p.m)) - cut.dominated
     witness = VetoWitness(cut.voters, blocked)
     witness.validate(p, c)
-    return VetoVerdict(c, False, witness)
+    return VetoVerdict(c, witness)
 
 
 def veto_core(p: PreferenceProfile) -> frozenset[int]:
@@ -150,14 +149,14 @@ class PscViolation:
 
     ``alternative`` is the uncommitted candidate; ``prefix_set`` is the union
     of the supporters' weak prefixes down to it, so everything outside
-    ``prefix_set`` sits below ``alternative`` for every supporter.
-    """
+    ``prefix_set`` sits below ``alternative`` for every supporter.  The
+    Droop threshold is that of a committee of k = ``len(committee)``."""
 
     prefix_set: frozenset[int]
     supporters: frozenset[int]
     alternative: int
 
-    def validate(self, p: PreferenceProfile, committee: frozenset[int], k: int) -> None:
+    def validate(self, p: PreferenceProfile, committee: frozenset[int]) -> None:
         if not self.supporters:
             raise ValueError("empty supporter set")
         if self.alternative in committee:
@@ -170,20 +169,18 @@ class PscViolation:
         if union != self.prefix_set:
             raise ValueError("prefix set is not the union of supporter prefixes")
         # Droop threshold, strict, cross-multiplied
-        if len(self.supporters) * (k + 1) <= len(self.prefix_set) * p.n:
+        if len(self.supporters) * (len(committee) + 1) <= len(self.prefix_set) * p.n:
             raise ValueError("supporter set does not clear the Droop threshold")
 
 
 @dataclass(frozen=True)
 class PscVerdict:
-    satisfied: bool
     committee: frozenset[int]
-    k: int
     violation: PscViolation | None
 
-    def __post_init__(self) -> None:
-        if self.satisfied == (self.violation is not None):
-            raise ValueError("violation must be present exactly when unsatisfied")
+    @property
+    def satisfied(self) -> bool:
+        return self.violation is None
 
 
 def _weak_prefixes(p: PreferenceProfile, x: int) -> list[frozenset[int]]:
@@ -191,26 +188,30 @@ def _weak_prefixes(p: PreferenceProfile, x: int) -> list[frozenset[int]]:
     return [frozenset(r[: r.index(x) + 1]) for r, _ in p.ballot_types()]
 
 
-def weak_psc_satisfied(
-    p: PreferenceProfile, committee: Iterable[int], k: int | None = None
-) -> PscVerdict:
+def _committee(p: PreferenceProfile, committee: Iterable[int]) -> frozenset[int]:
+    """The members as a set; each must be a distinct candidate of p."""
+    times = Counter(committee)
+    if any(c < 0 or c >= p.m for c in times):
+        raise ValueError("committee member out of range")
+    for c, t in times.items():
+        if t > 1:
+            raise ValueError(f"committee names candidate {p.candidate_names[c]} twice")
+    return frozenset(times)
+
+
+def weak_psc_satisfied(p: PreferenceProfile, committee: Iterable[int]) -> PscVerdict:
     """Does the committee give every large-enough group one of its claimed
     candidates?
 
-    A violation is a voter set N' and a candidate x outside the committee
-    with |N'| (k+1) > |C'| n, where C' is the union of N's weak prefixes
-    down to x.  For each x this is a Hall-type feasibility question, solved
-    by max flow with voter supply k+1 and candidate capacity n; a scan of
-    the common-prefix solid coalitions runs first as a cheap sufficient
-    test.
+    The committee names k distinct candidates.  A violation is a voter set
+    N' and a candidate x outside the committee with |N'| (k+1) > |C'| n,
+    where C' is the union of N's weak prefixes down to x.  For each x this
+    is a Hall-type feasibility question, solved by max flow with voter
+    supply k+1 and candidate capacity n; a scan of the common-prefix solid
+    coalitions runs first as a cheap sufficient test.
     """
-    W = frozenset(committee)
-    if any(c < 0 or c >= p.m for c in W):
-        raise ValueError("committee member out of range")
-    if k is None:
-        k = len(W)
-    if len(W) != k:
-        raise ValueError(f"committee has {len(W)} members, expected k = {k}")
+    W = _committee(p, committee)
+    k = len(W)
 
     def violation_from(voters: frozenset[int], x: int) -> PscViolation:
         union = frozenset().union(*(r[: r.index(x) + 1] for r, _ in p.ballot_types_of(voters)))
@@ -222,33 +223,28 @@ def weak_psc_satisfied(
             continue
         if sc.size * (k + 1) > len(sc.candidates) * p.n:
             viol = violation_from(sc.voters, min(outside))
-            viol.validate(p, W, k)
-            return PscVerdict(False, W, k, viol)
+            viol.validate(p, W)
+            return PscVerdict(W, viol)
 
     for x in range(p.m):
         if x in W:
             continue
         groups = ballot_groups(p, _weak_prefixes(p, x))
-        net = FlowNetwork(p.n, p.m, groups, left_supply=k + 1, right_cap=p.n)
+        net = FlowNetwork(p.m, groups, left_supply=k + 1, right_cap=p.n)
         value, flow = net.solve()
         if value < p.n * (k + 1):
             viol = violation_from(flow.source_side(), x)
-            viol.validate(p, W, k)
-            return PscVerdict(False, W, k, viol)
-    return PscVerdict(True, W, k, None)
+            viol.validate(p, W)
+            return PscVerdict(W, viol)
+    return PscVerdict(W, None)
 
 
-def weak_psc_bruteforce(
-    p: PreferenceProfile, committee: Iterable[int], k: int | None = None
-) -> bool:
+def weak_psc_bruteforce(p: PreferenceProfile, committee: Iterable[int]) -> bool:
     """Quantify over every voter subset and every uncommitted candidate."""
     if p.n > 10 or p.m > 5:
         raise ValueError("brute force limited to n <= 10, m <= 5")
-    W = frozenset(committee)
-    if k is None:
-        k = len(W)
-    if len(W) != k:
-        raise ValueError(f"committee has {len(W)} members, expected k = {k}")
+    W = _committee(p, committee)
+    k = len(W)
     prefix_masks = {
         x: p.per_voter([_mask(pref) for pref in _weak_prefixes(p, x)])
         for x in range(p.m) if x not in W
@@ -408,7 +404,7 @@ def equivalence_audit(instances: Iterable[PreferenceProfile]) -> AuditReport:
                 else:
                     brute = veto_core_member(p, c).member
                 committee = frozenset(range(p.m)) - {c}
-                psc = weak_psc_satisfied(rev, committee, p.m - 1).satisfied
+                psc = weak_psc_satisfied(rev, committee).satisfied
             except Exception as exc:  # the audit reports, it does not raise
                 record["error"] = repr(exc)
                 report.discrepancies.append(record)

@@ -154,8 +154,7 @@ def _check_veto_core(p, args):
 
 def _check_psc(p, args):
     names = p.candidate_names
-    committee = frozenset(p.name_index(tok) for tok in args.committee.split(","))
-    verdict = weak_psc_satisfied(p, committee, len(committee) if args.k is None else args.k)
+    verdict = weak_psc_satisfied(p, [p.name_index(tok) for tok in args.committee.split(",")])
     if verdict.satisfied:
         return HOLDS, {"satisfied": True, "violation": None}, ["satisfied"]
     v = verdict.violation
@@ -345,7 +344,6 @@ def build_parser() -> _Parser:
     check.add_argument("--check", required=True, choices=CHECKS)
     check.add_argument("--candidate", help="candidate name")
     check.add_argument("--committee", help="comma-separated candidate names")
-    check.add_argument("--k", type=int)
     check.add_argument("--clone-plurality", action="store_true",
                        help="check in the plurality-cloned instance")
 

@@ -60,11 +60,13 @@ class DistanceMatrix:
         ) + "\n"
 
     def check(self, p: PreferenceProfile) -> list[str]:
-        """All invariant violations, as human-readable strings; the checks
-        compare integer numerators over one common denominator."""
-        bad: list[str] = []
+        """All invariant violations, as human-readable strings; past the shape
+        and cell-type checks, integer numerators over one common denominator."""
         if len(self.values) != p.n or any(len(r) != p.m for r in self.values):
             return ["matrix shape is not voters x candidates"]
+        if any(type(v) not in (int, Fraction) for row in self.values for v in row):
+            return ["distances must be ints or Fractions"]
+        bad: list[str] = []
         _, d = self._numerators()
         for i in range(p.n):
             for a in range(p.m):
@@ -210,7 +212,7 @@ def build_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
     for var in _cost_row(p, c):
         objective[var] = 1
     normalization = LinearConstraint(_cost_row(p, cref), 1)
-    return LinearProgram(p.n * p.m, tuple(objective), (normalization,), _Quadrangles(p))
+    return LinearProgram(tuple(objective), (normalization,), _Quadrangles(p))
 
 
 def distortion_of_candidate(

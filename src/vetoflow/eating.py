@@ -23,12 +23,12 @@ from .profiles import PreferenceProfile
 
 @dataclass(frozen=True)
 class EatingConfig:
-    """Run parameters.  Exactly one stopping condition must be set.
-    ``tie_break`` orders candidates inside an elimination batch and defaults
-    to ascending index."""
+    """Run parameters.  Exactly one stopping condition must be set: an int or
+    Fraction ``stop_time``, or an int ``stop_eliminations``.  ``tie_break``
+    orders each elimination batch and defaults to ascending index."""
 
     direction: str = "eat-best"
-    stop_time: Fraction | None = None
+    stop_time: int | Fraction | None = None
     stop_eliminations: int | None = None
     tie_break: tuple[int, ...] | None = None
 
@@ -37,6 +37,10 @@ class EatingConfig:
             raise ValueError(f"unknown direction {self.direction!r}")
         if (self.stop_time is None) == (self.stop_eliminations is None):
             raise ValueError("need exactly one stopping condition")
+        if self.stop_time is not None and type(self.stop_time) not in (int, Fraction):
+            raise TypeError(f"stop_time must be an int or Fraction: {self.stop_time!r}")
+        if self.stop_eliminations is not None and type(self.stop_eliminations) is not int:
+            raise TypeError(f"stop_eliminations must be an int: {self.stop_eliminations!r}")
         if self.stop_time is not None and self.stop_time < 0:
             raise ValueError("stop_time must be nonnegative")
         if self.stop_eliminations is not None and self.stop_eliminations < 0:
@@ -181,8 +185,6 @@ def veto_by_consumption_winners(p: PreferenceProfile) -> frozenset[int]:
     final elimination takes out every remaining candidate at once, those
     simultaneously consumed candidates tie for the win.
     """
-    if p.m == 1:
-        return frozenset([0])
     cfg = EatingConfig(direction="eat-worst", stop_eliminations=p.m - 1)
     trace = run_eating(p, cfg)
     if trace.survivors:

@@ -91,9 +91,8 @@ class RowFamily(Protocol):
 @dataclass(frozen=True)
 class LinearProgram:
     """maximize objective . x  subject to the constraints, the rows of the
-    implicit family, and x >= 0."""
+    implicit family, and x >= 0; ``num_vars`` is the objective's length."""
 
-    num_vars: int
     objective: tuple[int, ...]
     constraints: tuple[LinearConstraint, ...]
     implicit: RowFamily | None = None
@@ -101,10 +100,12 @@ class LinearProgram:
     def __post_init__(self) -> None:
         if any(type(v) is not int for v in self.objective):
             raise TypeError(f"objective cells must be ints: {self.objective}")
-        if len(self.objective) != self.num_vars:
-            raise ValueError("objective length must equal num_vars")
         for row in self.constraints:
             _check_columns(row, self.num_vars)
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.objective)
 
 
 @dataclass(frozen=True)
@@ -147,8 +148,8 @@ def _eliminate(row: _Row, den: int, prow: _Row, pden: int, col: int) -> tuple[_R
 
 
 class _Simplex:
-    """Sparse tableau over the active rows; columns are the original variables
-    followed by one slack per row, in row order.
+    """Sparse tableau over the active rows; columns are the original variables,
+    one per objective cell, followed by one slack per row, in row order.
 
     Row r holds tab[r] / den[r] and the objective row obj / obj_den, with
     the (negated) objective value under _RHS.  Each basic column is 1 in
@@ -160,10 +161,10 @@ class _Simplex:
     objective value unchanged; once it passes _DEGENERATE_STREAK_LIMIT,
     bland switches both phases to Bland's rule until a row is added."""
 
-    def __init__(self, num_vars: int, rows: list[_Row], objective: Sequence[int]) -> None:
+    def __init__(self, rows: list[_Row], objective: Sequence[int]) -> None:
         self.bland = False
         self.streak = 0
-        self.total = num_vars
+        self.total = len(objective)
         self.tab: list[_Row] = []
         self.den: list[int] = []
         self.basis: list[int] = []
@@ -371,7 +372,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             simplex.add_row(cells)
         return bool(rows)
 
-    simplex = _Simplex(n, active, lp.objective)
+    simplex = _Simplex(active, lp.objective)
     while True:
         col = simplex.primal()
 
@@ -395,7 +396,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             if simplex.has_negative_rhs():
                 # mid-flight the reduced costs are not dual feasible, so a
                 # violated new row forces a restart on the enlarged set
-                simplex = _Simplex(n, active, lp.objective)
+                simplex = _Simplex(active, lp.objective)
             continue
         ray = tuple([Fraction(v, den) for v in drift[:n]])
         if any(v < 0 for v in ray):

@@ -7,13 +7,13 @@ receives exactly n/m?  Scaling by m turns this into an integral max-flow
 problem: voter supply m, candidate capacity n, and a perfect matching exists
 iff the max flow is n*m.  The domination graph is built as that network
 directly: ``FlowNetwork`` is the one network type, and it checks its own
-group sizes and edge endpoints.  Voters with the same edge set are
-interchangeable, so they share one network node carrying their joint
-supply: a network takes its left side as ``VoterGroup``s from ``profiles``,
-each an edge set (the group's candidates) with its voters, built straight
-from the profile's ballot types.  Solving a network and reading back its
-cut therefore never walks the n voters; only outputs that are per voter (a
-witness's voter set, a matching's rows) touch them.
+edge endpoints.  Voters with the same edge set are interchangeable, so they
+share one network node carrying their joint supply: a network takes its
+left side as ``VoterGroup``s from ``profiles``, each an edge set (the
+group's candidates) with its voters, built straight from the profile's
+ballot types.  Solving a network and reading back its cut therefore never
+walks the n voters; only outputs that are per voter (a witness's voter
+set, a matching's rows) touch them.
 
 When no matching exists, a Hall-style deficiency witness falls out of the
 min cut: a voter set N' whose jointly dominated candidates D satisfy
@@ -149,28 +149,29 @@ class FlowResult:
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """The scaled bipartite network: ``num_left`` left nodes, given as
-    ``groups`` of nodes that share an edge set (``candidates``), each supplying
-    ``left_supply`` units; every right node absorbs at most ``right_cap``.
+    """The scaled bipartite network: left nodes given as ``groups`` of nodes
+    that share an edge set (``candidates``), each supplying ``left_supply``
+    units; every right node absorbs at most ``right_cap``.
 
     Left nodes of one group are interchangeable, so each group is one flow
     node carrying the group's total supply.  The flow value and the minimal
     min cut are those of the one-node-per-left network.  Groups may share an
     edge set; ``voter_groups`` merges equal ones into fewer flow nodes.  The
-    group sizes must add up to ``num_left``, and every edge must end at a
-    right node ``0..num_right-1``."""
+    group sizes add up to ``num_left``, and every edge must end at a right
+    node ``0..num_right-1``."""
 
-    num_left: int
     num_right: int
     groups: tuple[VoterGroup, ...]
     left_supply: int
     right_cap: int
 
     def __post_init__(self) -> None:
-        if sum(g.size for g in self.groups) != self.num_left:
-            raise ValueError(f"groups must hold the {self.num_left} left nodes")
         if any(v < 0 or v >= self.num_right for g in self.groups for v in g.candidates):
             raise ValueError("edge endpoint out of range")
+
+    @property
+    def num_left(self) -> int:
+        return sum(g.size for g in self.groups)
 
     @property
     def edges(self) -> tuple[frozenset[int], ...]:
@@ -202,7 +203,7 @@ def build_domination_graph(p: PreferenceProfile, c: int) -> FlowNetwork:
     most n.  Voters of one edge set share one group, in order of first
     voter."""
     edges = [frozenset(r[r.index(c):]) for r, _ in p.ballot_types()]
-    return FlowNetwork(p.n, p.m, ballot_groups(p, edges), left_supply=p.m, right_cap=p.n)
+    return FlowNetwork(p.m, ballot_groups(p, edges), left_supply=p.m, right_cap=p.n)
 
 
 def has_fractional_perfect_matching(net: FlowNetwork) -> bool:
@@ -259,9 +260,8 @@ def max_bipartite_matching(groups: Sequence[VoterGroup]) -> dict[int, int]:
     """Maximum one-to-one matching, left index -> right index, by unit-capacity
     max flow over left ``groups``.  A group is one flow node; the units it
     sends go, right nodes ascending, to its members in ascending order."""
-    num_left = sum(g.size for g in groups)
     num_right = 1 + max((max(g.candidates) for g in groups if g.candidates), default=-1)
-    _, flow = FlowNetwork(num_left, num_right, tuple(groups), left_supply=1, right_cap=1).solve()
+    _, flow = FlowNetwork(num_right, tuple(groups), left_supply=1, right_cap=1).solve()
     pairs: list[tuple[int, int]] = []
     for g, sent in zip(groups, flow.units_sent()):
         pairs.extend(zip(g.members(), sent))

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from vetoflow.axioms import (
     PscViolation,
-    VetoVerdict,
     VetoWitness,
     equivalence_audit,
     pareto_improve,
@@ -84,13 +83,6 @@ def test_witness_validation_rejects_tampering(fix_t):
         VetoWitness(frozenset({0, 1}), frozenset({0})).validate(fix_t, 2)
 
 
-def test_verdict_shape_is_enforced(fix_t):
-    with pytest.raises(ValueError):
-        VetoVerdict(0, True, VetoWitness(frozenset({0}), frozenset({1})))
-    with pytest.raises(ValueError):
-        VetoVerdict(0, False, None)
-
-
 def test_single_voter_core_is_the_top_choice():
     p = PreferenceProfile.of([(2, 0, 1)])
     assert veto_core(p) == frozenset({2})
@@ -119,37 +111,41 @@ def test_core_bruteforce_rejects_large_instances():
 
 def test_weak_psc_on_reversed_fixtures(fix_p, fix_t):
     rev_p = reverse_profile(fix_p)
-    assert weak_psc_satisfied(rev_p, {0, 2}, 2).satisfied
+    assert weak_psc_satisfied(rev_p, {0, 2}).satisfied
     rev_t = reverse_profile(fix_t)
-    verdict = weak_psc_satisfied(rev_t, {0, 1}, 2)
+    verdict = weak_psc_satisfied(rev_t, {0, 1})
     assert not verdict.satisfied
     violation = verdict.violation
     assert violation.supporters == frozenset({0, 1})
     assert violation.prefix_set == frozenset({2})
     assert violation.alternative == 2
-    violation.validate(rev_t, frozenset({0, 1}), 2)
+    violation.validate(rev_t, frozenset({0, 1}))
 
 
 def test_full_committee_always_satisfies(fix_t):
-    assert weak_psc_satisfied(fix_t, {0, 1, 2}, 3).satisfied
+    assert weak_psc_satisfied(fix_t, {0, 1, 2}).satisfied
 
 
-def test_committee_size_must_match_k(fix_t):
-    with pytest.raises(ValueError):
-        weak_psc_satisfied(fix_t, {0, 1}, 3)
+def test_a_committee_names_each_candidate_once(fix_t):
+    # k is the committee's size, so a repeated member would be merged away
+    for check in (weak_psc_satisfied, weak_psc_bruteforce):
+        with pytest.raises(ValueError, match="candidate a twice"):
+            check(fix_t, [0, 0])
+        with pytest.raises(ValueError, match="candidate c twice"):
+            check(fix_t, iter([2, 1, 2]))
 
 
 def test_psc_violation_validation(fix_t):
     rev_t = reverse_profile(fix_t)
     committee = frozenset({0, 1})
     with pytest.raises(ValueError, match="empty"):
-        PscViolation(frozenset({2}), frozenset(), 2).validate(rev_t, committee, 2)
+        PscViolation(frozenset({2}), frozenset(), 2).validate(rev_t, committee)
     with pytest.raises(ValueError, match="already"):
-        PscViolation(frozenset({0}), frozenset({0}), 0).validate(rev_t, committee, 2)
+        PscViolation(frozenset({0}), frozenset({0}), 0).validate(rev_t, committee)
     with pytest.raises(ValueError, match="union"):
-        PscViolation(frozenset({1, 2}), frozenset({0, 1}), 2).validate(rev_t, committee, 2)
+        PscViolation(frozenset({1, 2}), frozenset({0, 1}), 2).validate(rev_t, committee)
     with pytest.raises(ValueError, match="Droop"):
-        PscViolation(frozenset({2}), frozenset({0}), 2).validate(rev_t, committee, 2)
+        PscViolation(frozenset({2}), frozenset({0}), 2).validate(rev_t, committee)
 
 
 def test_psc_bruteforce_agrees_on_all_committees(fix_p):
@@ -158,8 +154,8 @@ def test_psc_bruteforce_agrees_on_all_committees(fix_p):
         for committee in itertools.combinations(range(3), k):
             w = frozenset(committee)
             assert (
-                weak_psc_satisfied(rev_p, w, k).satisfied
-                == weak_psc_bruteforce(rev_p, w, k)
+                weak_psc_satisfied(rev_p, w).satisfied
+                == weak_psc_bruteforce(rev_p, w)
             )
 
 
@@ -168,17 +164,17 @@ def test_psc_bruteforce_agrees_on_random_committees():
     for p in random_profiles(150, seed=808, nmax=5, mmax=5):
         k = rng.randint(1, p.m)
         committee = frozenset(rng.sample(range(p.m), k))
-        fast = weak_psc_satisfied(p, committee, k).satisfied
-        assert fast == weak_psc_bruteforce(p, committee, k), (p.rankings, committee)
+        fast = weak_psc_satisfied(p, committee).satisfied
+        assert fast == weak_psc_bruteforce(p, committee), (p.rankings, committee)
 
 
 def test_psc_verdict_carries_validated_witnesses():
     for p in random_profiles(100, seed=909, nmax=5, mmax=4):
         for c in range(p.m):
             committee = frozenset(range(p.m)) - {c}
-            verdict = weak_psc_satisfied(p, committee, p.m - 1)
+            verdict = weak_psc_satisfied(p, committee)
             if not verdict.satisfied:
-                verdict.violation.validate(p, committee, p.m - 1)
+                verdict.violation.validate(p, committee)
 
 
 def test_pareto_matching_criterion_fixtures(fix_p, fix_t):
@@ -336,7 +332,7 @@ def test_candidate_relabeling_commutes(seed, rnd):
             verdict = weak_psc_satisfied(q, image)
             assert verdict.satisfied == weak_psc_satisfied(p, committee).satisfied
             if verdict.violation is not None:
-                verdict.violation.validate(q, image, size)
+                verdict.violation.validate(q, image)
 
     small = random_profile(rng, nmax=3, mmax=3)
     q, sigma = relabeled(small)

@@ -98,7 +98,7 @@ def networks(p: PreferenceProfile):
         prefixes = tuple(frozenset(r[: r.index(c) + 1]) for r in p.rankings)
         groups = ballot_groups(p, [frozenset(r[: r.index(c) + 1]) for r, _ in p.ballot_types()])
         for k in range(p.m):
-            yield FlowNetwork(p.n, p.m, groups, k + 1, p.n), prefixes
+            yield FlowNetwork(p.m, groups, k + 1, p.n), prefixes
 
 
 def per_voter_flow(net: FlowNetwork, edges) -> tuple[int, frozenset[int]]:
@@ -158,8 +158,7 @@ def test_unmerged_groups_solve_like_the_merged_network():
     for p in repeated_profiles(150, seed=4242):
         for net, edges in networks(p):
             per_voter = tuple(VoterGroup(adj, ((i,),)) for i, adj in enumerate(edges))
-            single = FlowNetwork(net.num_left, net.num_right, per_voter,
-                                 net.left_supply, net.right_cap)
+            single = FlowNetwork(net.num_right, per_voter, net.left_supply, net.right_cap)
             value, flow = net.solve()
             single_value, single_flow = single.solve()
             assert single_value == value, (p.rankings, net)
@@ -269,4 +268,4 @@ def test_duplicating_and_shuffling_ballots_changes_nothing(p, k, rnd):
         verdict_p, verdict_q = weak_psc_satisfied(p, committee), weak_psc_satisfied(q, committee)
         assert verdict_q.satisfied == verdict_p.satisfied
         if verdict_q.violation is not None:
-            verdict_q.violation.validate(q, frozenset(committee), size)
+            verdict_q.violation.validate(q, frozenset(committee))

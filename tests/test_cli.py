@@ -122,6 +122,16 @@ def test_psc_check(prof, capsys):
     assert out == "violated\n  voters v1,v2 deserve c from {c}\n"
 
 
+def test_psc_committee_names_distinct_candidates_and_sets_k(prof, capsys):
+    argv = ["check", "--check", "psc", "--profile", prof(T_REV), "--committee"]
+    code, out, err = run(capsys, argv + ["a,a"])
+    assert code == 2 and out == "" and "candidate a twice" in err
+    # k is the committee's size; check takes no --k
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["a,b", "--k", "2"])
+    assert exc.value.code == 3
+
+
 def test_domination_check(prof, capsys):
     path = prof(T)
     code, out, _ = run(capsys, [

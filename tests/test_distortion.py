@@ -48,7 +48,7 @@ def per_voter_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
         quadrangles.append(LinearConstraint(coeffs, 0))
     rows.append(LinearConstraint({i * m + cref: 1 for i in range(n)}, 1))
     objective = tuple(int(a == c) for i in range(n) for a in range(m))
-    return LinearProgram(n * m, objective, tuple(rows), ListedRows(quadrangles))
+    return LinearProgram(objective, tuple(rows), ListedRows(quadrangles))
 
 
 def gap_terms(p: PreferenceProfile, i: int, a: int) -> list[int]:
@@ -117,7 +117,7 @@ def materialized_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
     for i in range(n):
         for v in gap_terms(p, i, c):
             objective[v] = 1
-    return LinearProgram(n * m, tuple(objective), (normalization,), quadrangles)
+    return LinearProgram(tuple(objective), (normalization,), quadrangles)
 
 
 def materialized_distortion(p: PreferenceProfile, c: int) -> DistortionResult:
@@ -658,6 +658,21 @@ def test_verify_rejects_tampered_results(fix_s):
     assert not verify_certificate(p, DistortionResult(-1, true.value, 0, true.certificate, None))
     assert not verify_certificate(p, DistortionResult(2, true.value, -3, true.certificate, None))
     assert not verify_certificate(p, dataclasses.replace(true, candidate=5))
+
+
+def test_inexact_cells_fail_verification_instead_of_crashing(fix_s, exhaustive_results):
+    r = distortion_of_candidate(fix_s, 0)
+    rows = [list(row) for row in r.certificate.values]
+    rows[1][0] = float(rows[1][0])
+    loose = DistanceMatrix(tuple(map(tuple, rows)))
+    assert loose.check(fix_s) == ["distances must be ints or Fractions"]
+    with pytest.raises(ValueError, match="ints or Fractions"):
+        loose.validate(fix_s)
+    with pytest.raises(ValueError, match="ints or Fractions"):
+        extend_to_full_pseudometric(loose, fix_s)
+    assert not verify_certificate(fix_s, dataclasses.replace(r, certificate=loose))
+    p, r = next((p, r) for p, r in exhaustive_results if r.value == INFINITE)
+    assert not verify_certificate(p, dataclasses.replace(r, ray=tuple(map(float, r.ray))))
 
 
 def test_every_exhaustive_ray_verifies(exhaustive_results):

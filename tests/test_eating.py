@@ -66,6 +66,16 @@ def test_config_validation():
         EatingConfig(stop_time=Fraction(-1))
 
 
+def test_config_takes_only_exact_bounds(fix_u):
+    # a float time would run the exact loop into float cells and elapsed time
+    for bound in ({"stop_time": 0.5}, {"stop_time": True}, {"stop_eliminations": 1.5},
+                  {"stop_eliminations": True}, {"stop_eliminations": Fraction(1)}):
+        with pytest.raises(TypeError, match="must be an int"):
+            EatingConfig(**bound)
+    assert run_eating(fix_u, EatingConfig(stop_time=1)) == run_eating(
+        fix_u, EatingConfig(stop_time=Fraction(1)))
+
+
 def test_eat_worst_trace_on_fix_t(fix_t):
     # worst choices are c, c, a: c dies at 1/2, then a is shared by two eaters
     cfg = EatingConfig(direction="eat-worst", stop_time=Fraction(2, 3))

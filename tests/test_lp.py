@@ -10,10 +10,11 @@ from tests_support_lp import ListedRows, excess, satisfied_by, value_at
 def test_constraint_shapes_are_validated():
     with pytest.raises(ValueError, match="negative right-hand side"):
         LinearConstraint({0: 1}, -1)
+    # the objective fixes the width, so a row past its last cell is refused
     with pytest.raises(ValueError):
-        LinearProgram(2, (1,), (LinearConstraint({0: 1}, 1),))
+        LinearProgram((1,), (LinearConstraint({1: 1}, 1),))
     with pytest.raises(ValueError):
-        LinearProgram(2, (1, 0), (LinearConstraint({5: 1}, 1),))
+        LinearProgram((1, 0), (LinearConstraint({5: 1}, 1),))
 
 
 @pytest.mark.parametrize("cell", [F(1), F(1, 2), 1.0, True],
@@ -26,7 +27,7 @@ def test_rows_and_objectives_take_only_ints(cell):
     with pytest.raises(TypeError, match="must be ints"):
         LinearConstraint({0: 1}, cell)
     with pytest.raises(TypeError, match="must be ints"):
-        LinearProgram(2, (1, cell), (LinearConstraint({0: 1}, 1),))
+        LinearProgram((1, cell), (LinearConstraint({0: 1}, 1),))
 
 
 def test_constraint_evaluation():
@@ -37,26 +38,25 @@ def test_constraint_evaluation():
 
 
 def test_one_variable_box():
-    sol = solve_lp(LinearProgram(1, (1,), (LinearConstraint({0: 1}, 2),)))
+    sol = solve_lp(LinearProgram((1,), (LinearConstraint({0: 1}, 2),)))
     assert sol.status == "optimal"
     assert sol.value == F(2) and sol.x == (F(2),)
 
 
 def test_zero_cells_are_ignored():
     # a stored zero in the pivot row would leave a zero cell behind
-    sol = solve_lp(LinearProgram(2, (1, 0), (LinearConstraint({0: 1, 1: 0}, 1),)))
+    sol = solve_lp(LinearProgram((1, 0), (LinearConstraint({0: 1, 1: 0}, 1),)))
     assert sol.value == F(1) and sol.x == (F(1), F(0))
 
 
 def test_exact_rational_optimum():
-    sol = solve_lp(LinearProgram(1, (1,), (LinearConstraint({0: 3}, 1),)))
+    sol = solve_lp(LinearProgram((1,), (LinearConstraint({0: 3}, 1),)))
     assert sol.value == F(1, 3)
     assert sol.x == (F(1, 3),)
 
 
 def test_two_variable_vertex():
     lp = LinearProgram(
-        2,
         (1, 1),
         (LinearConstraint({0: 7, 1: 3}, 1), LinearConstraint({0: 1, 1: 9}, 1)),
     )
@@ -69,14 +69,14 @@ def test_normalization_row_binds():
     # maximize x0 over x0 <= x1 and x0 + x1 <= 1: as in the distortion LP,
     # the only row with a positive right-hand side holds with equality
     rows = (LinearConstraint({0: 1, 1: -1}, 0), LinearConstraint({0: 1, 1: 1}, 1))
-    lp = LinearProgram(2, (1, 0), rows)
+    lp = LinearProgram((1, 0), rows)
     sol = solve_lp(lp)
     assert sol.value == F(1, 2)
     assert sol.x == (F(1, 2), F(1, 2))
 
 
 def test_unbounded_reports_a_ray():
-    lp = LinearProgram(2, (1, 0), (LinearConstraint({1: 1}, 1),))
+    lp = LinearProgram((1, 0), (LinearConstraint({1: 1}, 1),))
     sol = solve_lp(lp)
     assert sol.status == "unbounded"
     assert sol.value is None and sol.x is None
@@ -87,7 +87,7 @@ def test_infeasible_active_rows_raise():
     # x >= 1 and x <= 0 cannot be posed: x >= 1 reads -x <= -1, and a
     # negative right-hand side would cut the origin off
     with pytest.raises(ValueError, match="negative right-hand side"):
-        LinearProgram(1, (0,), (LinearConstraint({0: -1}, -1), LinearConstraint({0: 1}, 0)))
+        LinearProgram((0,), (LinearConstraint({0: -1}, -1), LinearConstraint({0: 1}, 0)))
 
 
 def triple_cover_lp(n: int) -> LinearProgram:
@@ -96,13 +96,13 @@ def triple_cover_lp(n: int) -> LinearProgram:
     rows = tuple(
         LinearConstraint({i: 1, j: 1, k: 1}, 1) for i, j, k in itertools.combinations(range(n), 3)
     )
-    return LinearProgram(n, (1,) * n, rows)
+    return LinearProgram((1,) * n, rows)
 
 
 def test_lazy_activation_reaches_the_true_optimum():
     for n in (5, 10):
         explicit = triple_cover_lp(n)
-        sol = solve_lp(LinearProgram(n, explicit.objective, (), ListedRows(explicit.constraints)))
+        sol = solve_lp(LinearProgram(explicit.objective, (), ListedRows(explicit.constraints)))
         assert sol.status == "optimal"
         assert sol.value == F(n, 3)
         for row in explicit.constraints:
@@ -116,7 +116,7 @@ def test_implicit_rows_reach_the_explicit_optimum():
         explicit = triple_cover_lp(n)
         rows = explicit.constraints
         for split in (0, len(rows) // 2):
-            lp = LinearProgram(n, explicit.objective, rows[:split], ListedRows(rows[split:]))
+            lp = LinearProgram(explicit.objective, rows[:split], ListedRows(rows[split:]))
             assert solve_lp(lp) == solve_lp(explicit)
 
 
@@ -136,7 +136,7 @@ def test_a_family_may_hold_violated_rows_back():
     for n in (5, 10):
         explicit = triple_cover_lp(n)
         for pick in (min, max):
-            lp = LinearProgram(n, explicit.objective, (), OneRow(explicit.constraints, pick))
+            lp = LinearProgram(explicit.objective, (), OneRow(explicit.constraints, pick))
             assert solve_lp(lp) == solve_lp(explicit)
 
 
@@ -155,8 +155,8 @@ def test_a_family_that_excludes_the_origin_raises():
             super().__init__([Unchecked({0: -1}, -1)])
 
     with pytest.raises(ValueError, match="origin"):
-        solve_lp(LinearProgram(3, (1,) * 3, (), AtLeastOne()))
-    lp = LinearProgram(3, (1,) * 3, (), ListedRows([LinearConstraint({0: 1, 1: 1, 2: 1}, 1)]))
+        solve_lp(LinearProgram((1,) * 3, (), AtLeastOne()))
+    lp = LinearProgram((1,) * 3, (), ListedRows([LinearConstraint({0: 1, 1: 1, 2: 1}, 1)]))
     assert solve_lp(lp).value == F(1)
 
 
@@ -174,7 +174,7 @@ class Fixed:
 def test_a_family_that_reports_an_active_row_raises():
     # the row is violated by the first relaxation's ray, activated, and
     # offered again at the optimum it then holds with equality
-    lp = LinearProgram(3, (1,) * 3, (), Fixed(LinearConstraint({0: 1, 1: 1, 2: 1}, 1)))
+    lp = LinearProgram((1,) * 3, (), Fixed(LinearConstraint({0: 1, 1: 1, 2: 1}, 1)))
     with pytest.raises(RuntimeError, match="active"):
         solve_lp(lp)
 
@@ -193,7 +193,7 @@ def test_a_family_that_offers_a_row_that_holds_raises():
     offered = padded.violated(drift)
     assert offered and excess(offered[-1], drift) < 0
     with pytest.raises(RuntimeError, match="active"):
-        solve_lp(LinearProgram(5, explicit.objective, (), padded))
+        solve_lp(LinearProgram(explicit.objective, (), padded))
 
 
 @pytest.mark.parametrize("row", [
@@ -204,16 +204,16 @@ def test_family_rows_touch_only_known_variables(row):
     # -1 is where a tableau row keeps its right-hand side, and column 2 is
     # the first slack of a 2-variable program; both are caller mistakes
     with pytest.raises(ValueError, match="unknown variable"):
-        LinearProgram(2, (1, 1), (row,))
+        LinearProgram((1, 1), (row,))
     bounded = (LinearConstraint({0: 1, 1: 1}, 1),)
     with pytest.raises(ValueError, match="unknown variable"):
-        solve_lp(LinearProgram(2, (1, 1), bounded, Fixed(row)))
+        solve_lp(LinearProgram((1, 1), bounded, Fixed(row)))
 
 
 def test_unbounded_relaxation_recovers():
     # the only row is lazy, so the first relaxation is unbounded and the
     # blocker has to be pulled in mid-flight
-    lp = LinearProgram(3, (1, 1, 1), (), ListedRows([LinearConstraint({0: 1, 1: 1, 2: 1}, 5)]))
+    lp = LinearProgram((1, 1, 1), (), ListedRows([LinearConstraint({0: 1, 1: 1, 2: 1}, 5)]))
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.value == F(5)
@@ -223,7 +223,6 @@ def test_degenerate_vertex_terminates():
     # Beale's cycling example with its two homogeneous rows doubled to
     # integers; the optimum is 1 at (1, 0, 1, 0)
     lp = LinearProgram(
-        4,
         (10, -57, -9, -24),
         (
             LinearConstraint({0: 1, 1: -11, 2: -5, 3: 18}, 0),
@@ -251,7 +250,6 @@ def test_dual_restore_leaves_by_the_smallest_basic_index_under_blands_rule(monke
     # Bland's rule the smallest basic index (x0), and the two reach
     # different vertices of the same optimum
     lp = LinearProgram(
-        4,
         (1, 1, -1, -2),
         (LinearConstraint({0: 1, 1: 1}, 2), LinearConstraint({0: -2, 1: 1}, 3)),
         ListedRows([LinearConstraint({0: 1, 1: 1, 3: -2}, 1), LinearConstraint({0: 3, 1: 2}, 3)]),
@@ -268,6 +266,6 @@ def test_dual_restore_leaves_by_the_smallest_basic_index_under_blands_rule(monke
 
 
 def test_solution_is_a_plain_record():
-    sol = solve_lp(LinearProgram(1, (1,), (LinearConstraint({0: 1}, 2),)))
+    sol = solve_lp(LinearProgram((1,), (LinearConstraint({0: 1}, 2),)))
     assert isinstance(sol, LpSolution)
     assert all(isinstance(v, F) for v in sol.x)

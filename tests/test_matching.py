@@ -44,19 +44,17 @@ def test_domination_graph_edges(fix_p):
 
 
 def test_domination_graph_validation():
-    with pytest.raises(ValueError, match="left nodes"):
-        FlowNetwork(2, 2, one_group_per_row([{0}]), left_supply=2, right_cap=2)
     with pytest.raises(ValueError, match="out of range"):
-        FlowNetwork(1, 2, one_group_per_row([{0, 5}]), left_supply=2, right_cap=1)
+        FlowNetwork(2, one_group_per_row([{0, 5}]), left_supply=2, right_cap=1)
     # edge num_right would be wired to the sink, edge -1 to a left node
     with pytest.raises(ValueError, match="out of range"):
-        FlowNetwork(1, 1, one_group_per_row([{1}]), left_supply=1, right_cap=0)
+        FlowNetwork(1, one_group_per_row([{1}]), left_supply=1, right_cap=0)
     with pytest.raises(ValueError, match="out of range"):
-        FlowNetwork(1, 1, one_group_per_row([{-1}]), left_supply=1, right_cap=1)
+        FlowNetwork(1, one_group_per_row([{-1}]), left_supply=1, right_cap=1)
     # the check covers every group, not only the first
     good, bad = {0}, {1}
     with pytest.raises(ValueError, match="out of range"):
-        FlowNetwork(4, 1, one_group_per_row([good, bad, good, bad]), left_supply=1, right_cap=4)
+        FlowNetwork(1, one_group_per_row([good, bad, good, bad]), left_supply=1, right_cap=4)
 
 
 def test_domination_graph_groups_hold_every_voter(fix_p):
@@ -66,12 +64,6 @@ def test_domination_graph_groups_hold_every_voter(fix_p):
     assert [(grp.candidates, list(grp.members())) for grp in per_voter] == [
         (grp.candidates, list(grp.members())) for grp in g.groups]
     assert (g.num_left, g.num_right, g.left_supply, g.right_cap) == (4, 3, 3, 4)
-    with pytest.raises(ValueError, match="left nodes"):
-        FlowNetwork(g.num_left, g.num_right, g.groups[1:], g.left_supply, g.right_cap)
-    with pytest.raises(ValueError, match="left nodes"):
-        FlowNetwork(g.num_left + 1, g.num_right, g.groups, g.left_supply, g.right_cap)
-    with pytest.raises(ValueError, match="left nodes"):
-        FlowNetwork(g.num_left - 1, g.num_right, g.groups, g.left_supply, g.right_cap)
 
 
 def test_fix_p_middle_candidate_has_matching(fix_p):
@@ -188,7 +180,7 @@ def test_flow_network_follows_long_augmenting_paths():
     # deeper than Python's default recursion limit
     edges = tuple(frozenset({i, i + 1}) for i in range(3000)) + (frozenset({0}),)
     groups = voter_groups(edges, [(i,) for i in range(3001)])
-    value, flow = FlowNetwork(3001, 3001, groups, left_supply=1, right_cap=1).solve()
+    value, flow = FlowNetwork(3001, groups, left_supply=1, right_cap=1).solve()
     assert value == 3001
     assert flow.source_side() == frozenset()
     sent = flow.units_sent()

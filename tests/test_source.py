@@ -91,6 +91,27 @@ def test_no_private_name_is_imported_from_another_module():
     assert found == []
 
 
+def test_every_import_in_a_module_is_used():
+    # an import nothing reads is dead code, and the benchmark's tracer must
+    # find its bindings in the modules that call them, not in kept imports;
+    # ``__init__`` imports to re-export
+    found = []
+    for name, tree in package_trees():
+        if name == "__init__.py":
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{name}:{line} {bound}" for bound, line in imported.items()
+                  if bound not in used]
+    assert found == []
+
+
 def test_every_trace_target_exists():
     # the benchmark's tracer replaces these bindings by name; one that moved
     # or was renamed makes a traced run fail with "trace target ... is missing"

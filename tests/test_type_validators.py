@@ -111,11 +111,11 @@ def test_per_type_validators_agree_with_per_voter_references():
             for x in set(range(p.m)) - committee:
                 union = frozenset().union(
                     *(p.rankings[i][: p.rankings[i].index(x) + 1] for i in voters))
-                k = rng.randint(0, p.m)
+                k = len(committee)
                 for prefix in (union, union ^ {rng.randrange(p.m)}):
                     v = PscViolation(prefix, voters, x)
                     expect = psc_violation_refusal(p, v, committee, k)
-                    got = refusal(lambda: v.validate(p, committee, k))
+                    got = refusal(lambda: v.validate(p, committee))
                     assert (got is None) == (expect is None), (p.rankings, v, committee, k, got)
                     if expect is not None:
                         assert expect in got, (p.rankings, v, committee, k, got)
@@ -150,19 +150,19 @@ def test_forged_witnesses_are_refused(fix_t):
         VetoWitness(w.voters | {4}, w.blocked_by).validate(p, 3)
 
     rev = reverse_profile(p)  # voters 0-3 now rank 3 first, 4-5 rank 0 first
-    committee, k = frozenset({0}), 1
+    committee = frozenset({0})
     v = PscViolation(frozenset({3}), frozenset({0, 1, 2, 3}), 3)
-    v.validate(rev, committee, k)
+    v.validate(rev, committee)
     with pytest.raises(ValueError, match="union"):
-        PscViolation(frozenset({2, 3}), v.supporters, 3).validate(rev, committee, k)
+        PscViolation(frozenset({2, 3}), v.supporters, 3).validate(rev, committee)
     with pytest.raises(ValueError, match="union"):
         # voter 4 ranks 0, 1 and 2 above 3
-        PscViolation(v.prefix_set, v.supporters | {4}, 3).validate(rev, committee, k)
+        PscViolation(v.prefix_set, v.supporters | {4}, 3).validate(rev, committee)
     # three of six voters: 3 * (k + 1) <= 1 * 6
     with pytest.raises(ValueError, match="Droop"):
-        PscViolation(frozenset({3}), frozenset({1, 2, 3}), 3).validate(rev, committee, k)
+        PscViolation(frozenset({3}), frozenset({1, 2, 3}), 3).validate(rev, committee)
     with pytest.raises(ValueError, match="outside"):
-        PscViolation(frozenset({3}), frozenset({0, 1, 6}), 3).validate(rev, committee, k)
+        PscViolation(frozenset({3}), frozenset({0, 1, 6}), 3).validate(rev, committee)
 
 
 def fraction_row_sums(shares):
