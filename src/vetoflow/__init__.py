@@ -22,7 +22,6 @@ from .axioms import (
 )
 from .distortion import (
     INFINITE,
-    DistanceMatrix,
     DistortionResult,
     LpSizeError,
     distortion_of_candidate,
@@ -59,15 +58,13 @@ from .profiles import (
     solid_coalitions,
 )
 from .profile_io import (
-    MetricInstance,
-    empirical_social_cost,
+    DistanceMatrix,
     format_rational,
     gen_euclidean,
     gen_impartial_culture,
     parse_metric,
     parse_profile,
     parse_rational,
-    serialize_metric,
     serialize_profile,
 )
 from .rules import (
@@ -90,7 +87,6 @@ __all__ = [
     "FractionalAssignment",
     "INFINITE",
     "LpSizeError",
-    "MetricInstance",
     "PreferenceProfile",
     "ProfileSizeError",
     "PscVerdict",
@@ -104,7 +100,6 @@ __all__ = [
     "composite_distortion_rule",
     "distortion_of_candidate",
     "dominated_set",
-    "empirical_social_cost",
     "equivalence_audit",
     "extend_to_full_pseudometric",
     "extract_deficiency_witness",
@@ -126,7 +121,6 @@ __all__ = [
     "reverse_profile",
     "run_eating",
     "serial_dictatorship",
-    "serialize_metric",
     "serialize_profile",
     "solid_coalitions",
     "verify_certificate",

@@ -65,7 +65,6 @@ class VetoWitness:
 
 @dataclass(frozen=True)
 class VetoVerdict:
-    candidate: int
     witness: VetoWitness | None
 
     @property
@@ -83,11 +82,11 @@ def veto_core_member(p: PreferenceProfile, c: int) -> VetoVerdict:
     """
     cut = extract_deficiency_witness(p, c)
     if cut is None:
-        return VetoVerdict(c, None)
+        return VetoVerdict(None)
     blocked = frozenset(range(p.m)) - cut.dominated
     witness = VetoWitness(cut.voters, blocked)
     witness.validate(p, c)
-    return VetoVerdict(c, witness)
+    return VetoVerdict(witness)
 
 
 def veto_core(p: PreferenceProfile) -> frozenset[int]:
@@ -175,7 +174,6 @@ class PscViolation:
 
 @dataclass(frozen=True)
 class PscVerdict:
-    committee: frozenset[int]
     violation: PscViolation | None
 
     @property
@@ -224,7 +222,7 @@ def weak_psc_satisfied(p: PreferenceProfile, committee: Iterable[int]) -> PscVer
         if sc.size * (k + 1) > len(sc.candidates) * p.n:
             viol = violation_from(sc.voters, min(outside))
             viol.validate(p, W)
-            return PscVerdict(W, viol)
+            return PscVerdict(viol)
 
     for x in range(p.m):
         if x in W:
@@ -235,8 +233,8 @@ def weak_psc_satisfied(p: PreferenceProfile, committee: Iterable[int]) -> PscVer
         if value < p.n * (k + 1):
             viol = violation_from(flow.source_side(), x)
             viol.validate(p, W)
-            return PscVerdict(W, viol)
-    return PscVerdict(W, None)
+            return PscVerdict(viol)
+    return PscVerdict(None)
 
 
 def weak_psc_bruteforce(p: PreferenceProfile, committee: Iterable[int]) -> bool:

@@ -45,7 +45,6 @@ from .profile_io import (
     gen_euclidean,
     gen_impartial_culture,
     parse_profile,
-    serialize_metric,
     serialize_profile,
 )
 from .rules import (
@@ -121,18 +120,32 @@ def _value_text(value) -> str:
     return "inf" if value == INFINITE else format_rational(value)
 
 
-# rule name -> handler (profile, voter order, tie-break, k) returning the
-# payload key and the raw result, which cmd_rule renders by that key
+def _refuse_unread(args, name: str, table: dict) -> None:
+    """Refuse an option that some entry of ``table`` reads but ``name``'s
+    entry does not, rather than run without it."""
+    reads = table[name][0]
+    for option in sorted({o for entry_reads, _ in table.values() for o in entry_reads}):
+        if option not in reads and getattr(args, option) is not None:
+            flag = "--" + option.replace("_", "-")
+            raise argparse.ArgumentError(None, f"{flag} does not apply to {name}")
+
+
+# rule name -> (the options it reads, handler); a handler takes (profile,
+# voter order, tie-break, k) and returns the payload key and the raw
+# result, which cmd_rule renders by that key
 RULES = {
-    "plurality-veto": lambda p, order, tie, k: ("winner", plurality_veto(p, order)),
-    "veto-consumption": lambda p, order, tie, k: (
-        "winners", sorted(veto_by_consumption_winners(p))),
-    "phragmen": lambda p, order, tie, k: (
-        "committee", phragmen_committee(p, p.m if k is None else k, tie)),
-    "ps": lambda p, order, tie, k: ("assignment", probabilistic_serial(p, k).shares),
-    "serial-dictatorship": lambda p, order, tie, k: (
-        "matching", serial_dictatorship(p, order, k)),
-    "composite": lambda p, order, tie, k: ("winner", composite_distortion_rule(p, tie)),
+    "plurality-veto": (("order",), lambda p, order, tie, k: (
+        "winner", plurality_veto(p, order))),
+    "veto-consumption": ((), lambda p, order, tie, k: (
+        "winners", sorted(veto_by_consumption_winners(p)))),
+    "phragmen": (("tie_break", "k"), lambda p, order, tie, k: (
+        "committee", phragmen_committee(p, p.m if k is None else k, tie))),
+    "ps": (("k",), lambda p, order, tie, k: (
+        "assignment", probabilistic_serial(p, k).shares)),
+    "serial-dictatorship": (("order", "k"), lambda p, order, tie, k: (
+        "matching", serial_dictatorship(p, order, k))),
+    "composite": (("tie_break",), lambda p, order, tie, k: (
+        "winner", composite_distortion_rule(p, tie))),
 }
 
 
@@ -205,22 +218,23 @@ def _check_pareto_matching(p, args):
         f"{name}: criterion holds", *(f"  {v} -> {x}" for v, x in pairs.items())]
 
 
-# check name -> (the option it cannot run without, handler); a handler takes
-# (profile, args) and returns the exit code, the payload beyond its "check"
-# key and the text lines
+# check name -> (the options it reads, the first of which it cannot run
+# without, handler); a handler takes (profile, args) and returns the exit
+# code, the payload beyond its "check" key and the text lines
 CHECKS = {
-    "veto-core": ("candidate", _check_veto_core),
-    "psc": ("committee", _check_psc),
-    "domination": ("candidate", _check_domination),
-    "pareto-matching": ("candidate", _check_pareto_matching),
+    "veto-core": (("candidate",), _check_veto_core),
+    "psc": (("committee",), _check_psc),
+    "domination": (("candidate", "clone_plurality"), _check_domination),
+    "pareto-matching": (("candidate",), _check_pareto_matching),
 }
 
 
 def cmd_rule(args):
+    _refuse_unread(args, args.rule, RULES)
     p = _load_profile(args)
     names = p.candidate_names
     order, tie = _voter_order(p, args.order), _tie_break(p, args.tie_break)
-    key, result = RULES[args.rule](p, order, tie, args.k)
+    key, result = RULES[args.rule][1](p, order, tie, args.k)
     if key == "winner":
         value, lines = names[result], [f"winner: {names[result]}"]
     elif key == "assignment":
@@ -236,7 +250,9 @@ def cmd_rule(args):
 
 
 def cmd_check(args):
-    option, handler = CHECKS[args.check]
+    _refuse_unread(args, args.check, CHECKS)
+    reads, handler = CHECKS[args.check]
+    option = reads[0]
     if not getattr(args, option):
         raise argparse.ArgumentError(None, f"--{option} is required for {args.check}")
     code, payload, lines = handler(_load_profile(args), args)
@@ -315,9 +331,8 @@ def cmd_gen(args):
     if args.model == "ic":
         files = {args.out: serialize_profile(gen_impartial_culture(n, m, args.seed))}
     else:
-        inst = gen_euclidean(n, m, args.seed)
-        files = {args.out: serialize_profile(inst.profile),
-                 args.out + ".metric": serialize_metric(inst)}
+        p, dm = gen_euclidean(n, m, args.seed)
+        files = {args.out: serialize_profile(p), args.out + ".metric": dm.to_text()}
     for path, text in files.items():
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -344,7 +359,8 @@ def build_parser() -> _Parser:
     check.add_argument("--check", required=True, choices=CHECKS)
     check.add_argument("--candidate", help="candidate name")
     check.add_argument("--committee", help="comma-separated candidate names")
-    check.add_argument("--clone-plurality", action="store_true",
+    # None when absent, so that cmd_check can tell it was not given
+    check.add_argument("--clone-plurality", action="store_true", default=None,
                        help="check in the plurality-cloned instance")
 
     dist = sub.add_parser("distortion", parents=[reads_profile],

@@ -39,67 +39,13 @@ from typing import Sequence
 
 from .lp import LinearConstraint, LinearProgram, solve_lp
 from .profiles import PreferenceProfile
-from .profile_io import format_rational
+from .profile_io import DistanceMatrix
 
 INFINITE = math.inf
 
 
 class LpSizeError(ValueError):
     """The instance exceeds the configured LP size cap."""
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Voter-candidate distances claimed to extend to a metric."""
-
-    values: tuple[tuple[Fraction, ...], ...]
-
-    def to_text(self) -> str:
-        return "\n".join(
-            " ".join(format_rational(v) for v in row) for row in self.values
-        ) + "\n"
-
-    def check(self, p: PreferenceProfile) -> list[str]:
-        """All invariant violations, as human-readable strings; past the shape
-        and cell-type checks, integer numerators over one common denominator."""
-        if len(self.values) != p.n or any(len(r) != p.m for r in self.values):
-            return ["matrix shape is not voters x candidates"]
-        if any(type(v) not in (int, Fraction) for row in self.values for v in row):
-            return ["distances must be ints or Fractions"]
-        bad: list[str] = []
-        _, d = self._numerators()
-        for i in range(p.n):
-            for a in range(p.m):
-                if d[i][a] < 0:
-                    bad.append(f"negative distance at voter {i}, candidate {a}")
-        pos = p.positions()
-        for i in range(p.n):
-            for a in range(p.m):
-                for b in range(p.m):
-                    if pos[i][a] < pos[i][b] and d[i][a] > d[i][b]:
-                        bad.append(f"voter {i} ranks {a} above {b} but sits closer to {b}")
-        # d_ia > d_ib + d_jb + d_ja reads d_ia - d_ja > d_ib + d_jb, so a
-        # pair with max_a (d_ia - d_ja) <= min_b (d_ib + d_jb) violates none
-        # of its m^2 rows
-        for i, di in enumerate(d):
-            for j, dj in enumerate(d):
-                if max(x - y for x, y in zip(di, dj)) <= min(x + y for x, y in zip(di, dj)):
-                    continue
-                for a in range(p.m):
-                    for b in range(p.m):
-                        if di[a] > di[b] + dj[b] + dj[a]:
-                            bad.append(f"quadrangle violated at ({i},{j},{a},{b})")
-        return bad
-
-    def _numerators(self) -> tuple[int, list[list[int]]]:
-        """One common denominator and every cell's numerator over it."""
-        den = math.lcm(*[v.denominator for row in self.values for v in row])
-        return den, [[v.numerator * (den // v.denominator) for v in row] for row in self.values]
-
-    def validate(self, p: PreferenceProfile) -> None:
-        bad = self.check(p)
-        if bad:
-            raise ValueError("; ".join(bad[:3]))
 
 
 @dataclass(frozen=True)
@@ -322,8 +268,7 @@ def verify_certificate(p: PreferenceProfile, result: DistortionResult) -> bool:
             return False
     if dm.check(p):
         return False
-    ref_cost = sum((row[result.reference] for row in dm.values), Fraction(0))
-    cand_cost = sum((row[result.candidate] for row in dm.values), Fraction(0))
+    ref_cost, cand_cost = dm.cost(result.reference), dm.cost(result.candidate)
     if result.value == INFINITE:
         return ref_cost == 0 and cand_cost > 0
     return ref_cost == 1 and cand_cost == result.value
@@ -341,7 +286,7 @@ def extend_to_full_pseudometric(
     """
     dm.validate(p)
     n, m = p.n, p.m
-    den, d = dm._numerators()
+    den, d = dm.numerators()
     size = n + m
     full = [[Fraction(0)] * size for _ in range(size)]
     for i in range(n):

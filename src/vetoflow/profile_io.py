@@ -11,6 +11,11 @@ Two text formats are understood:
 
 ``parse_profile`` sniffs the format, ``serialize_profile`` always emits the
 native one, and the two round-trip exactly.
+
+Voter-candidate distances are one ``DistanceMatrix`` type with one text
+format: a line of ``p/q`` rationals per voter.  ``DistanceMatrix.to_text``
+writes it (distortion certificates and the ``gen`` sidecar alike), and
+``parse_metric`` reads it back through the matrix's one check.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import le
 
 from .profiles import PreferenceProfile, ProfileSizeError
 
@@ -32,6 +36,7 @@ MAX_CANDIDATES = 100_000
 
 _COUNT_LINE = re.compile(r"^\s*\d+\s*:")
 _ALT_NAME = re.compile(r"^#\s*ALTERNATIVE\s+NAME\s+(\d+)\s*:\s*(.+?)\s*$", re.IGNORECASE)
+_RATIONAL = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def format_rational(x: Fraction) -> str:
@@ -40,10 +45,14 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    text = text.strip()
-    if text in ("inf", "+inf", "infinity"):
-        raise ValueError("rational expected, got an infinity marker")
-    return Fraction(text)
+    """Read what ``format_rational`` writes, ``[-]p/q`` with q >= 1, or a
+    bare integer; anything else (floats, exponents, infinities) is refused
+    before any arithmetic."""
+    match = _RATIONAL.fullmatch(text)
+    q = int(match[2] or 1) if match else 0
+    if q == 0:
+        raise ValueError(f"rational p/q with q >= 1 expected, got {text!r}")
+    return Fraction(int(match[1]), q)
 
 
 def parse_profile(text: str) -> PreferenceProfile:
@@ -157,37 +166,75 @@ def gen_impartial_culture(n: int, m: int, seed: int) -> PreferenceProfile:
 
 
 @dataclass(frozen=True)
-class MetricInstance:
-    """A profile together with exact voter-candidate distances that induce it.
+class DistanceMatrix:
+    """Voter-candidate distances, ``values[i][a]`` = d(i, a), claimed to
+    extend to a metric.  Nothing is checked on construction; ``check``
+    lists what is wrong against a profile."""
 
-    Consistency invariant: whenever voter i ranks a above b,
-    ``distances[i][a] <= distances[i][b]``.
-    """
+    values: tuple[tuple[Fraction, ...], ...]
 
-    profile: PreferenceProfile
-    distances: tuple[tuple[Fraction, ...], ...]
+    def to_text(self) -> str:
+        """Rows as whitespace-separated exact rationals, one line per voter."""
+        return "\n".join(
+            " ".join(format_rational(v) for v in row) for row in self.values
+        ) + "\n"
 
-    def __post_init__(self) -> None:
-        """The checks compare integer numerators over one common denominator."""
-        p = self.profile
-        if len(self.distances) != p.n or any(len(row) != p.m for row in self.distances):
-            raise ValueError("distance matrix shape must be n x m")
-        if any(x.numerator < 0 for row in self.distances for x in row):
-            raise ValueError("distances must be nonnegative")
-        den = lcm(*{x.denominator for row in self.distances for x in row})
-        for i, (row, ranking) in enumerate(zip(self.distances, p.rankings)):
-            d = [row[a].numerator * (den // row[a].denominator) for a in ranking]
-            if not all(map(le, d, d[1:])):
-                raise ValueError(f"voter {i} ranking disagrees with distances")
+    def cost(self, a: int) -> Fraction:
+        """Social cost of candidate a: the sum of its column."""
+        return sum((row[a] for row in self.values), Fraction(0))
+
+    def check(self, p: PreferenceProfile) -> list[str]:
+        """All invariant violations, as human-readable strings; past the shape
+        and cell-type checks, integer numerators over one common denominator."""
+        if len(self.values) != p.n or any(len(r) != p.m for r in self.values):
+            return ["matrix shape is not voters x candidates"]
+        if any(type(v) not in (int, Fraction) for row in self.values for v in row):
+            return ["distances must be ints or Fractions"]
+        bad: list[str] = []
+        _, d = self.numerators()
+        for i in range(p.n):
+            for a in range(p.m):
+                if d[i][a] < 0:
+                    bad.append(f"negative distance at voter {i}, candidate {a}")
+        pos = p.positions()
+        for i in range(p.n):
+            for a in range(p.m):
+                for b in range(p.m):
+                    if pos[i][a] < pos[i][b] and d[i][a] > d[i][b]:
+                        bad.append(f"voter {i} ranks {a} above {b} but sits closer to {b}")
+        # d_ia > d_ib + d_jb + d_ja reads d_ia - d_ja > d_ib + d_jb, so a
+        # pair with max_a (d_ia - d_ja) <= min_b (d_ib + d_jb) violates none
+        # of its m^2 rows
+        for i, di in enumerate(d):
+            for j, dj in enumerate(d):
+                if max(x - y for x, y in zip(di, dj)) <= min(x + y for x, y in zip(di, dj)):
+                    continue
+                for a in range(p.m):
+                    for b in range(p.m):
+                        if di[a] > di[b] + dj[b] + dj[a]:
+                            bad.append(f"quadrangle violated at ({i},{j},{a},{b})")
+        return bad
+
+    def numerators(self) -> tuple[int, list[list[int]]]:
+        """One common denominator and every cell's numerator over it."""
+        den = lcm(*[v.denominator for row in self.values for v in row])
+        return den, [[v.numerator * (den // v.denominator) for v in row] for row in self.values]
+
+    def validate(self, p: PreferenceProfile) -> None:
+        bad = self.check(p)
+        if bad:
+            raise ValueError("; ".join(bad[:3]))
 
 
-def gen_euclidean(n: int, m: int, seed: int) -> MetricInstance:
+def gen_euclidean(n: int, m: int, seed: int) -> tuple[PreferenceProfile, DistanceMatrix]:
     """Voters and candidates on a rational grid in the plane, Chebyshev distance.
 
     Coordinates are multiples of 1/1000 in [0, 1], so all distances are exact
     rationals.  Each voter ranks by increasing distance, ties by candidate
     index.  The work runs on the integer grid; distances become Fractions
-    only for the output.
+    only for the output.  The distances are those of points in a metric
+    space and the rankings are sorted by them, so the matrix passes
+    ``check`` by construction and none is run.
     """
     rng = random.Random(seed)
     voters = [(rng.randrange(1001), rng.randrange(1001)) for _ in range(n)]
@@ -199,26 +246,17 @@ def gen_euclidean(n: int, m: int, seed: int) -> MetricInstance:
         # a stable sort keeps tied candidates in index order
         rankings.append(tuple(sorted(range(m), key=d.__getitem__)))
         dist.append(tuple(map(scale.__getitem__, d)))
-    return MetricInstance(PreferenceProfile.of(rankings), tuple(dist))
+    return PreferenceProfile.of(rankings), DistanceMatrix(tuple(dist))
 
 
-def empirical_social_cost(inst: MetricInstance, c: int) -> Fraction:
-    """Sum of distances from all voters to candidate c."""
-    return sum((row[c] for row in inst.distances), Fraction(0))
-
-
-def serialize_metric(inst: MetricInstance) -> str:
-    """Distance rows as whitespace-separated exact rationals, one line per voter."""
-    out = []
-    for row in inst.distances:
-        out.append(" ".join(format_rational(x) for x in row))
-    return "\n".join(out) + "\n"
-
-
-def parse_metric(text: str, profile: PreferenceProfile) -> MetricInstance:
+def parse_metric(text: str, p: PreferenceProfile) -> DistanceMatrix:
+    """Read what ``DistanceMatrix.to_text`` writes, ``#`` comments and blank
+    lines skipped, and refuse a matrix that fails ``check`` against p."""
     rows = []
     for ln in text.splitlines():
         if not ln.strip() or ln.lstrip().startswith("#"):
             continue
         rows.append(tuple(parse_rational(tok) for tok in ln.split()))
-    return MetricInstance(profile, tuple(rows))
+    dm = DistanceMatrix(tuple(rows))
+    dm.validate(p)
+    return dm

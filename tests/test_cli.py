@@ -6,6 +6,7 @@ import pytest
 
 from vetoflow import cli
 from vetoflow.matching import FlowNetwork
+from vetoflow.profile_io import gen_euclidean, parse_metric, parse_profile
 
 T = "3 3\na b c\na>b>c\nb>a>c\nc>b>a\n"
 S = "2 2\na b\na>b\nb>a\n"
@@ -108,6 +109,41 @@ def test_check_usage_errors(prof, capsys):
     assert code == 3 and "--candidate is required" in err
     code, _, err = run(capsys, ["check", "--check", "psc", "--profile", prof(T)])
     assert code == 3 and "--committee is required" in err
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["rule", "--rule", "plurality-veto", "--k", "2", "--tie-break", "c,b,a"], "--k"),
+    (["rule", "--rule", "plurality-veto", "--tie-break", "c,b,a"], "--tie-break"),
+    (["rule", "--rule", "composite", "--order", "3,2,1"], "--order"),
+    (["rule", "--rule", "veto-consumption", "--k", "0"], "--k"),
+    (["check", "--check", "psc", "--committee", "a,b", "--clone-plurality"],
+     "--clone-plurality"),
+    (["check", "--check", "veto-core", "--candidate", "a", "--committee", "b,c"],
+     "--committee"),
+])
+def test_options_a_rule_or_check_does_not_read_are_refused(argv, refused, prof, capsys):
+    code, out, err = run(capsys, argv + ["--profile", prof(T)])
+    assert code == 3 and out == ""
+    assert f"{refused} does not apply to {argv[2]}" in err
+
+
+def test_every_option_is_read_by_its_entries_and_refused_by_the_others(prof, capsys):
+    path = prof(T)
+    values = {"order": ["1,2,3"], "tie_break": ["a,b,c"], "k": ["1"],
+              "candidate": ["a"], "committee": ["a"], "clone_plurality": []}
+    for command, table in (("rule", cli.RULES), ("check", cli.CHECKS)):
+        options = {o for reads, _ in table.values() for o in reads}
+        for name, (reads, _) in table.items():
+            base = [command, f"--{command}", name, "--profile", path]
+            if command == "check":
+                base += [f"--{reads[0]}", *values[reads[0]]]
+            for option in sorted(options):
+                flag = "--" + option.replace("_", "-")
+                code, _, err = run(capsys, base + [flag, *values[option]])
+                if option in reads:
+                    assert code in (0, 1), (name, flag, err)
+                else:
+                    assert code == 3 and f"{flag} does not apply" in err, (name, flag)
 
 
 def test_psc_check(prof, capsys):
@@ -303,7 +339,10 @@ def test_gen_euclidean_writes_sidecar(tmp_path, capsys):
     ])
     assert code == 0
     assert out == f"wrote {out_path}\nwrote {out_path}.metric\n"
-    assert (tmp_path / "points.prof.metric").exists()
+    # the sidecar is the matrix's one text format and reads back through its check
+    p, dm = gen_euclidean(3, 3, 1)
+    assert parse_profile((tmp_path / "points.prof").read_text()) == p
+    assert parse_metric((tmp_path / "points.prof.metric").read_text(), p) == dm
 
 
 def test_json_payload_schema(prof, capsys):

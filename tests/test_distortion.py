@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from vetoflow.distortion import (
     INFINITE,
-    DistanceMatrix,
     DistortionResult,
     LpSizeError,
     build_lp,
@@ -19,10 +18,10 @@ from vetoflow.distortion import (
     verify_certificate,
 )
 from vetoflow.lp import LinearConstraint, LinearProgram, solve_lp
-from vetoflow.profile_io import gen_impartial_culture
+from vetoflow.profile_io import DistanceMatrix, gen_impartial_culture
 from vetoflow.profiles import PreferenceProfile
 from tests_support_lp import ListedRows, excess
-from tests_support_oracles import triangle_violations
+from tests_support_oracles import fraction_check, triangle_violations
 from tests_support_random import random_profile, random_profiles
 
 
@@ -728,26 +727,6 @@ def test_matrix_check_catches_each_failure_mode(fix_s):
     assert any("quadrangle" in m for m in msgs)
     with pytest.raises(ValueError):
         DistanceMatrix(((F(0), F(5)), (F(1), F(0)))).validate(fix_s)
-
-
-def fraction_check(dm: DistanceMatrix, p: PreferenceProfile) -> list[str]:
-    """``DistanceMatrix.check`` over Fractions, cell by cell; the reference
-    for the integer check."""
-    if len(dm.values) != p.n or any(len(r) != p.m for r in dm.values):
-        return ["matrix shape is not voters x candidates"]
-    d = dm.values
-    bad = []
-    for i, a in itertools.product(range(p.n), range(p.m)):
-        if d[i][a] < 0:
-            bad.append(f"negative distance at voter {i}, candidate {a}")
-    pos = p.positions()
-    for i, a, b in itertools.product(range(p.n), range(p.m), range(p.m)):
-        if pos[i][a] < pos[i][b] and d[i][a] > d[i][b]:
-            bad.append(f"voter {i} ranks {a} above {b} but sits closer to {b}")
-    for i, j, a, b in itertools.product(range(p.n), range(p.n), range(p.m), range(p.m)):
-        if d[i][a] > d[i][b] + d[j][b] + d[j][a]:
-            bad.append(f"quadrangle violated at ({i},{j},{a},{b})")
-    return bad
 
 
 def test_integer_check_matches_the_fraction_check():

@@ -7,18 +7,17 @@ from hypothesis import given, strategies as st
 from vetoflow import profile_io
 from vetoflow.profiles import PreferenceProfile
 from vetoflow.profile_io import (
-    MetricInstance,
+    DistanceMatrix,
     ProfileSizeError,
-    empirical_social_cost,
     format_rational,
     gen_euclidean,
     gen_impartial_culture,
     parse_metric,
     parse_profile,
     parse_rational,
-    serialize_metric,
     serialize_profile,
 )
+from tests_support_oracles import fraction_check
 from tests_support_random import profiles_strategy, random_profiles
 
 
@@ -111,8 +110,18 @@ def test_rational_round_trip():
     assert format_rational(Fraction(-5, 4)) == "-5/4"
     assert parse_rational("7/2") == Fraction(7, 2)
     assert parse_rational(" 3 ") == Fraction(3)
-    with pytest.raises(ValueError):
-        parse_rational("inf")
+    assert parse_rational("-0/3") == 0
+    rng = random.Random(3)
+    for _ in range(200):
+        x = Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**12))
+        assert parse_rational(format_rational(x)) == x
+    # only what format_rational writes: a zero denominator or an exponent is
+    # refused as malformed before any arithmetic, so no ZeroDivisionError and
+    # no time that grows with 10**2000000
+    for text in ["inf", "1/0", "-3/00", "1e2000000", "1.5", ".5", "+3", "1/-2", "3/ 4",
+                 "1_000", "nan", "", "1/2/3", "\u0661/2"]:
+        with pytest.raises(ValueError, match="rational p/q"):
+            parse_rational(text)
 
 
 def test_gen_impartial_culture_is_deterministic():
@@ -125,13 +134,16 @@ def test_gen_impartial_culture_is_deterministic():
 
 
 def test_gen_euclidean_consistency():
-    inst = gen_euclidean(6, 4, seed=3)
-    # MetricInstance.__post_init__ would have raised on an inconsistent ranking
-    assert inst.profile.n == 6 and inst.profile.m == 4
-    for row in inst.distances:
+    p, dm = gen_euclidean(6, 4, seed=3)
+    # the generator runs no check of its own; its output must pass one
+    assert p.n == 6 and p.m == 4
+    assert dm.check(p) == []
+    for row in dm.values:
         assert all(0 <= x <= 1 for x in row)
-    again = gen_euclidean(6, 4, seed=3)
-    assert again == inst
+    assert gen_euclidean(6, 4, seed=3) == (p, dm)
+    for n, m, seed in [(1, 1, 0), (7, 3, 1), (25, 6, 2)]:
+        p, dm = gen_euclidean(n, m, seed)
+        assert dm.check(p) == []
 
 
 def euclidean_reference(n: int, m: int, seed: int) -> tuple[list, list]:
@@ -152,10 +164,10 @@ def euclidean_reference(n: int, m: int, seed: int) -> tuple[list, list]:
 def test_gen_euclidean_matches_the_fraction_reference():
     ties = 0
     for n, m, seed in [(1, 1, 0), (7, 3, 1), (50, 40, 2), (30, 60, 3)]:
-        inst = gen_euclidean(n, m, seed)
+        p, dm = gen_euclidean(n, m, seed)
         rankings, dist = euclidean_reference(n, m, seed)
-        assert inst.profile.rankings == tuple(rankings)
-        assert inst.distances == tuple(dist)
+        assert p.rankings == tuple(rankings)
+        assert dm.values == tuple(dist)
         ties += sum(len(set(row)) < m for row in dist)
     # equal distances must occur, so the tie-break by index is exercised
     assert ties > 10
@@ -163,79 +175,81 @@ def test_gen_euclidean_matches_the_fraction_reference():
 
 def test_metric_instance_rejects_mismatch(fix_s):
     F = Fraction
-    with pytest.raises(ValueError, match=r"^distance matrix shape must be n x m$"):
-        MetricInstance(fix_s, ((F(0),),))
-    with pytest.raises(ValueError, match=r"^distances must be nonnegative$"):
-        MetricInstance(fix_s, ((F(-1), F(0)), (F(0), F(1))))
-    with pytest.raises(ValueError, match=r"^voter 0 ranking disagrees with distances$"):
+    with pytest.raises(ValueError, match=r"^matrix shape is not voters x candidates$"):
+        DistanceMatrix(((F(0),),)).validate(fix_s)
+    with pytest.raises(ValueError, match=r"^negative distance at voter 0, candidate 0"):
+        DistanceMatrix(((F(-1), F(0)), (F(0), F(1)))).validate(fix_s)
+    with pytest.raises(ValueError, match=r"^voter 0 ranks 0 above 1 but sits closer to 1"):
         # voter 0 prefers a but sits closer to b
-        MetricInstance(fix_s, ((F(2), F(1)), (F(1), F(0))))
-    with pytest.raises(ValueError, match=r"^voter 1 ranking disagrees with distances$"):
-        # voter 1 prefers b, and 1/3 is a hair above 333/1000
-        MetricInstance(fix_s, ((F(0), F(1)), (F(333, 1000), F(1, 3))))
-    with pytest.raises(ValueError, match=r"^distances must be nonnegative$"):
-        # a negative distance in a later row outranks voter 0's disagreement
-        MetricInstance(fix_s, ((F(2), F(1)), (F(-1, 7), F(0))))
-
-
-def fraction_metric_error(p: PreferenceProfile, distances) -> str | None:
-    """The error ``MetricInstance`` raises, found over Fractions cell by cell;
-    the reference for its integer checks."""
-    if len(distances) != p.n or any(len(row) != p.m for row in distances):
-        return "distance matrix shape must be n x m"
-    if any(x < 0 for row in distances for x in row):
-        return "distances must be nonnegative"
-    for i, ranking in enumerate(p.rankings):
-        for a, b in zip(ranking, ranking[1:]):
-            if distances[i][a] > distances[i][b]:
-                return f"voter {i} ranking disagrees with distances"
-    return None
+        DistanceMatrix(((F(2), F(1)), (F(1), F(0)))).validate(fix_s)
+    # hair-width nudges over mixed denominators: 1/3 is just above 333/1000
+    # and 667/1000 just above 2/3; a negative distance in a later row comes
+    # before voter 0's disagreement
+    for rows, first in (
+        (((F(0), F(1)), (F(333, 1000), F(1, 3))), "voter 1 ranks 1 above 0"),
+        (((F(2, 3), F(667, 1000)), (F(1), F(1, 2))), None),
+        (((F(667, 1000), F(2, 3)), (F(1), F(1, 2))), "voter 0 ranks 0 above 1"),
+        (((F(2), F(1)), (F(-1, 7), F(0))), "negative distance at voter 1"),
+    ):
+        dm = DistanceMatrix(rows)
+        msgs = dm.check(fix_s)
+        assert msgs == fraction_check(dm, fix_s)
+        assert (msgs[0].startswith(first) if msgs else first is None), rows
+        if first is not None:
+            with pytest.raises(ValueError, match="^" + first):
+                parse_metric(dm.to_text(), fix_s)
 
 
 def test_metric_instance_checks_match_the_fraction_reference():
     rng = random.Random(17)
-    outcomes = set()
+    kinds = set()
     for p in random_profiles(300, seed=909, nmax=5, mmax=5):
-        # consistent distances over mixed denominators, then a few cells
-        # nudged by tiny amounts either way
+        # ballot-consistent distances over mixed denominators, then a few
+        # cells nudged by tiny amounts either way
         cells = sorted(Fraction(rng.randint(0, 30), rng.randint(1, 12)) for _ in range(p.m))
-        rows = []
-        for ranking in p.rankings:
-            row = [Fraction(0)] * p.m
+        rows = [[Fraction(0)] * p.m for _ in range(p.n)]
+        for row, ranking in zip(rows, p.rankings):
             for a, x in zip(ranking, cells):
                 row[a] = x
-            rows.append(row)
         for _ in range(rng.randint(0, 2)):
             i, a = rng.randrange(p.n), rng.randrange(p.m)
             rows[i][a] += Fraction(rng.choice([-1, 1]), rng.randint(50, 1000))
-        distances = tuple(map(tuple, rows))
-        try:
-            MetricInstance(p, distances)
-            error = None
-        except ValueError as exc:
-            error = str(exc)
-        assert error == fraction_metric_error(p, distances), (p.rankings, distances)
-        outcomes.add(error and error.split()[0])
-    # clean matrices, negative cells and disagreeing voters all occur
-    assert outcomes == {None, "distances", "voter"}
+        dm = DistanceMatrix(tuple(map(tuple, rows)))
+        msgs = dm.check(p)
+        assert msgs == fraction_check(dm, p), (p.rankings, rows)
+        kinds |= {msg.split()[0] for msg in msgs} or {None}
+    # clean matrices, negative cells, disagreeing voters and broken
+    # quadrangles all occur
+    assert kinds == {None, "negative", "voter", "quadrangle"}
 
 
 def test_fix_s_has_an_equal_cost_embedding(fix_s):
     # voters at the two sites: both candidates end up with social cost 1
-    inst = MetricInstance(
-        fix_s, ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
-    )
-    assert empirical_social_cost(inst, 0) == 1
-    assert empirical_social_cost(inst, 1) == 1
+    dm = DistanceMatrix(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
+    assert dm.check(fix_s) == []
+    assert dm.cost(0) == 1
+    assert dm.cost(1) == 1
+    assert type(dm.cost(0)) is Fraction
 
 
 def test_metric_round_trip():
-    inst = gen_euclidean(4, 3, seed=9)
-    text = serialize_metric(inst)
-    back = parse_metric(text, inst.profile)
-    assert back == inst
+    p, dm = gen_euclidean(4, 3, seed=9)
+    text = dm.to_text()
+    assert parse_metric(text, p) == dm
+    assert parse_metric("# distances\n\n" + text, p) == dm
 
 
 def test_parse_metric_bad_shape(fix_s):
     with pytest.raises(ValueError):
         parse_metric("1/1 2/1\n", fix_s)
+
+
+def test_parse_metric_refuses_a_matrix_that_extends_to_no_metric():
+    # every voter's distances agree with the ballot, but voter 0 sits too
+    # far from candidate 2: the quadrangle row (0, 1, 1, 0) fails too
+    p = PreferenceProfile.of([(0, 1, 2), (1, 0, 2), (2, 1, 0)])
+    text = "0 5/2 9/2\n1 0 2\n2 1/3 0\n"
+    with pytest.raises(ValueError, match=r"quadrangle violated at \(0,1,1,0\)"):
+        parse_metric(text, p)
+    with pytest.raises(ValueError, match="rational p/q"):
+        parse_metric("0 1/0 1\n1 0 1\n1 1 0\n", p)

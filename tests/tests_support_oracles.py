@@ -6,10 +6,11 @@ on the cloned profile, one clone at a time."""
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Sequence
 
 from vetoflow.matching import build_domination_graph, has_fractional_perfect_matching
+from vetoflow.profile_io import DistanceMatrix
 from vetoflow.profiles import PreferenceProfile, clone_expand, plurality_scores
 
 
@@ -97,3 +98,23 @@ def plurality_matching_winners_cloned(p: PreferenceProfile) -> frozenset[int]:
         ce.origin[e] for e in range(ce.expanded.m)
         if has_fractional_perfect_matching(build_domination_graph(ce.expanded, e))
     )
+
+
+def fraction_check(dm: DistanceMatrix, p: PreferenceProfile) -> list[str]:
+    """``DistanceMatrix.check`` over Fractions, cell by cell; the reference
+    for the integer check."""
+    if len(dm.values) != p.n or any(len(r) != p.m for r in dm.values):
+        return ["matrix shape is not voters x candidates"]
+    d = dm.values
+    bad = []
+    for i, a in product(range(p.n), range(p.m)):
+        if d[i][a] < 0:
+            bad.append(f"negative distance at voter {i}, candidate {a}")
+    pos = p.positions()
+    for i, a, b in product(range(p.n), range(p.m), range(p.m)):
+        if pos[i][a] < pos[i][b] and d[i][a] > d[i][b]:
+            bad.append(f"voter {i} ranks {a} above {b} but sits closer to {b}")
+    for i, j, a, b in product(range(p.n), range(p.n), range(p.m), range(p.m)):
+        if d[i][a] > d[i][b] + d[j][b] + d[j][a]:
+            bad.append(f"quadrangle violated at ({i},{j},{a},{b})")
+    return bad
