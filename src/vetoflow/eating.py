@@ -6,6 +6,12 @@ least favourite.  A candidate is eliminated the moment its absorbed total
 reaches 1; eliminations are simultaneous, so several candidates
 can fall in one batch.  Everything runs on exact rationals.
 
+A voter eats each candidate over one interval between two of the run's
+times (0, the elimination events and the end), so every consumption cell
+is 0 or a difference of two such times.  The loop runs per ballot type and
+assigns each cell once, when its interval closes, sharing the difference
+among all types whose intervals have the same ends.
+
 Veto by consumption, Phragmen-style sequential committees, and the
 probabilistic serial assignment are all thin drivers over this loop.
 """
@@ -80,11 +86,11 @@ class EatingTrace:
             raise ValueError("survivor was also eliminated")
         if self.survivors | set(gone) != set(range(p.m)):
             raise ValueError("every candidate must be a survivor or eliminated")
-        for i, row in enumerate(self.consumption):
-            if sum(row) != self.elapsed:
-                raise ValueError(f"voter {i} consumption does not add up to the elapsed time")
+        miss, columns = _balance(self.consumption, self.elapsed)
+        if miss is not None:
+            raise ValueError(f"voter {miss[0]} consumption does not add up to the elapsed time")
         for c in range(p.m):
-            total = sum(row[c] for row in self.consumption)
+            total = columns[c]
             if c in self.survivors:
                 if total >= 1:
                     raise ValueError(f"survivor {c} was fully consumed")
@@ -116,19 +122,26 @@ def run_eating(p: PreferenceProfile, cfg: EatingConfig) -> EatingTrace:
     key = _batch_key(cfg, m)
     best_first = cfg.direction == "eat-best"
     # identical voters always eat the same candidate, so the loop runs per
-    # ballot type: one cursor and one consumption row, weighted by its voters;
-    # a row gains t - start[b] when its cursor moves on, and once at the end
+    # ballot type: one cursor and one consumption row, weighted by its voters.
+    # A type eats each candidate over one interval, from the time its previous
+    # candidate died (or 0) to the time this one dies (or the run stops).
+    # times[] holds 0 and the time after each step, start[b] indexes the
+    # start of type b's interval, and each cell is assigned once, when the
+    # interval closes; the types closing one at the same time share each
+    # difference times[now] - times[start]
     types = p.ballot_types()
     order = [bt.ranking if best_first else bt.ranking[::-1] for bt in types]
     weight = [len(bt.voters) for bt in types]
     cursor = [0] * len(types)
-    start = [Fraction(0)] * len(types)
+    start = [0] * len(types)
     alive = [True] * m
-    absorbed = [Fraction(0)] * m
-    consumption = [[Fraction(0)] * m for _ in types]
+    zero = Fraction(0)
+    absorbed = [zero] * m
+    consumption = [[zero] * m for _ in types]
     events: list[tuple[Fraction, tuple[int, ...]]] = []
     eliminated = 0
-    t = Fraction(0)
+    t = zero
+    times = [t]
 
     while True:
         if cfg.stop_time is not None and t == cfg.stop_time:
@@ -142,11 +155,16 @@ def run_eating(p: PreferenceProfile, cfg: EatingConfig) -> EatingTrace:
             )
 
         count: dict[int, int] = {}
+        spans: dict[int, Fraction] = {}
+        now = len(times) - 1
         for b, row in enumerate(order):
             j = cursor[b]
             if not alive[row[j]]:
-                consumption[b][row[j]] += t - start[b]
-                start[b] = t
+                s = start[b]
+                if s not in spans:
+                    spans[s] = t - times[s]
+                consumption[b][row[j]] = spans[s]
+                start[b] = now
                 while not alive[row[j]]:
                     j += 1
                 cursor[b] = j
@@ -156,6 +174,7 @@ def run_eating(p: PreferenceProfile, cfg: EatingConfig) -> EatingTrace:
         if cfg.stop_time is not None and t + dt > cfg.stop_time:
             dt = cfg.stop_time - t
         t += dt
+        times.append(t)
         batch = []
         for c, n_eating in count.items():
             absorbed[c] += dt * n_eating
@@ -168,8 +187,9 @@ def run_eating(p: PreferenceProfile, cfg: EatingConfig) -> EatingTrace:
                 alive[c] = False
             eliminated += len(batch)
 
+    spans = {s: t - times[s] for s in set(start)}
     for b, row in enumerate(order):
-        consumption[b][row[cursor[b]]] += t - start[b]
+        consumption[b][row[cursor[b]]] = spans[start[b]]
     return EatingTrace(
         events=tuple(events),
         consumption=p.per_voter([tuple(row) for row in consumption]),
@@ -218,47 +238,56 @@ class FractionalAssignment:
     shares: tuple[tuple[Fraction, ...], ...]
 
     def row_sums(self) -> tuple[Fraction, ...]:
-        den, rows = self._numerators()
+        den, rows = _numerators(self.shares)
         total = {id(row): Fraction(sum(nums), den) for row, _, nums in rows}
         return tuple(map(total.__getitem__, map(id, self.shares)))
 
     def column_sums(self) -> tuple[Fraction, ...]:
-        den, rows = self._numerators()
-        totals = _column_numerators(rows, len(self.shares[0]))
-        return tuple(Fraction(total, den) for total in totals)
+        den, rows = _numerators(self.shares)
+        return tuple(_column_sums(den, rows, len(self.shares[0])))
 
     def validate(self, row_sum: Fraction) -> None:
-        """Every row sums to ``row_sum`` and no column exceeds 1; the checks
-        compare integer numerators over one common denominator."""
-        den, rows = self._numerators()
-        for row, _, nums in rows:
-            total = sum(nums)
-            if total * row_sum.denominator != row_sum.numerator * den:
-                i = self.shares.index(row)
-                raise ValueError(f"row {i} sums to {Fraction(total, den)}, expected {row_sum}")
-        for c, total in enumerate(_column_numerators(rows, len(self.shares[0]))):
-            if total > den:
+        """Every row sums to ``row_sum`` and no column exceeds 1."""
+        miss, columns = _balance(self.shares, row_sum)
+        if miss is not None:
+            raise ValueError(f"row {miss[0]} sums to {miss[1]}, expected {row_sum}")
+        for c, total in enumerate(columns):
+            if total > 1:
                 raise ValueError(f"column {c} exceeds 1")
 
-    def _numerators(self) -> tuple[int, list[tuple[tuple, int, list[int]]]]:
-        """A common denominator of all shares, and each distinct row with its
-        multiplicity and its shares as numerators over that denominator."""
-        rows = _distinct_rows(self.shares)
-        den = math.lcm(*[v.denominator for row, _ in rows for v in row])
-        return den, [(row, mult, [v.numerator * (den // v.denominator) for v in row])
-                     for row, mult in rows]
+
+def _numerators(shares: Sequence[tuple]) -> tuple[int, list[tuple[tuple, int, list[int]]]]:
+    """A common denominator of all shares, and each distinct row object with
+    its multiplicity and its shares as numerators over that denominator, in
+    order of first appearance.  Voters of one ballot type share one row
+    object, so rows are told apart by ``id``, taken once per voter."""
+    ids = list(map(id, shares))
+    objects = dict(zip(ids, shares))
+    rows = [(objects[key], mult) for key, mult in Counter(ids).items()]
+    den = math.lcm(*[v.denominator for row, _ in rows for v in row])
+    return den, [(row, mult, [v.numerator * (den // v.denominator) for v in row])
+                 for row, mult in rows]
 
 
-def _column_numerators(rows: list[tuple[tuple, int, list[int]]], m: int) -> list[int]:
-    return [sum(nums[c] * mult for _, mult, nums in rows) for c in range(m)]
+def _column_sums(den: int, rows: list[tuple[tuple, int, list[int]]], m: int) -> list[Fraction]:
+    return [Fraction(sum(nums[c] * mult for _, mult, nums in rows), den) for c in range(m)]
 
 
-def _distinct_rows(rows: Sequence[tuple]) -> list[tuple[tuple, int]]:
-    """Each distinct row object with its multiplicity, in order of first
-    appearance.  Voters of one ballot type share one row object."""
-    counts = Counter(map(id, rows))
-    objects = dict(zip(map(id, rows), rows))
-    return [(objects[key], mult) for key, mult in counts.items()]
+def _balance(
+    shares: Sequence[tuple], row_sum: Fraction
+) -> tuple[tuple[int, Fraction] | None, list[Fraction]]:
+    """The first voter whose row does not sum to ``row_sum``, with that row's
+    sum, or None; and the column sums.  The sums are taken once per distinct
+    row object, on integer numerators over one common denominator."""
+    den, rows = _numerators(shares)
+    miss = None
+    for row, _, nums in rows:
+        total = sum(nums)
+        if total * row_sum.denominator != row_sum.numerator * den:
+            # earlier voters hold rows that passed, so none of them equals this one
+            miss = shares.index(row), Fraction(total, den)
+            break
+    return miss, _column_sums(den, rows, len(shares[0]))
 
 
 def probabilistic_serial(p: PreferenceProfile, k: int | None = None) -> FractionalAssignment:

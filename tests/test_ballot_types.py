@@ -4,7 +4,6 @@ and with profiles whose ballots were duplicated and shuffled."""
 
 import hashlib
 import itertools
-import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,7 +31,7 @@ from vetoflow.profiles import (
     solid_coalitions,
     voter_groups,
 )
-from tests_support_random import profiles_strategy, random_profiles
+from tests_support_random import profiles_strategy, random_profiles, repeated_profiles
 
 
 def test_ballot_types_in_first_appearance_order(fix_p):
@@ -48,17 +47,6 @@ def test_ballot_types_in_first_appearance_order(fix_p):
     # voters of one type share their position row
     pos = p.positions()
     assert pos[0] is pos[2] and pos[0] == (1, 0) and pos[1] == (0, 1)
-
-
-def repeated_profiles(count: int, seed: int):
-    """Profiles of up to 40 voters drawing from at most four distinct ballots."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        m, types, n = rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 40)
-        ballots = [tuple(rng.sample(range(m), m)) for _ in range(types)]
-        out.append(PreferenceProfile.of([rng.choice(ballots) for _ in range(n)]))
-    return out
 
 
 def solid_coalitions_per_voter(p: PreferenceProfile):

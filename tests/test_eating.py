@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,8 +14,8 @@ from vetoflow.eating import (
     run_eating,
     veto_by_consumption_winners,
 )
-from vetoflow.profiles import PreferenceProfile, reverse_profile
-from tests_support_random import random_profile, random_profiles
+from vetoflow.profiles import PreferenceProfile, all_profiles, reverse_profile
+from tests_support_random import random_profiles, repeated_profiles
 
 
 def per_step_eating(p: PreferenceProfile, cfg: EatingConfig) -> EatingTrace:
@@ -137,7 +139,24 @@ def test_trace_validate_catches_tampering(fix_u):
     cfg = EatingConfig(stop_time=Fraction(1))
     trace = run_eating(fix_u, cfg)
     bad = EatingTrace(trace.events, trace.consumption, frozenset({1}), trace.elapsed)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="survivor was also eliminated"):
+        bad.validate(fix_u)
+    half, zero = Fraction(1, 2), Fraction(0)
+    # voter 1 eats less than the elapsed time; voters 0 and 1 share a row object
+    for rows, message in [
+        (((half, half), (half, zero)), "voter 1 consumption does not add up"),
+        (((half, zero),) * 2, "voter 0 consumption does not add up"),
+        # rows balance, but candidate 0 absorbs 3/2 and candidate 1 only 1/2
+        (((1, zero), (half, half)), "eliminated candidate 0 absorbed 3/2, not 1"),
+    ]:
+        bad = EatingTrace(trace.events, rows, trace.survivors, trace.elapsed)
+        with pytest.raises(ValueError, match=message):
+            bad.validate(fix_u)
+    # a survivor may not be eaten up
+    early = run_eating(fix_u, EatingConfig(stop_time=Fraction(1, 2)))
+    early.validate(fix_u)
+    bad = EatingTrace((), early.consumption, frozenset({0, 1}), early.elapsed)
+    with pytest.raises(ValueError, match="survivor 0 was fully consumed"):
         bad.validate(fix_u)
     bad = EatingTrace(
         ((Fraction(1, 2), (0,)), (Fraction(1, 2), (1,))),
@@ -161,25 +180,59 @@ def test_runs_are_deterministic_and_conservative():
         assert total == a.elapsed * p.n
 
 
-def test_eating_matches_the_per_step_reference():
-    # ballots drawn from a small pool, so most profiles repeat some of them
-    rng = random.Random(17)
-    for _ in range(150):
-        pool = random_profile(rng, nmax=3, mmax=5)
-        p = PreferenceProfile.of(
-            [rng.choice(pool.rankings) for _ in range(rng.randint(1, 9))], pool.candidate_names
-        )
+def interval_cases(rng: random.Random, count: int):
+    """Profiles of up to 60 voters drawn from pools of up to 24 rankings
+    over at most 6 candidates, each with configs that stop after a random
+    number of eliminations, at time 0, exactly at an event time, strictly
+    between two consecutive times of the full run, and on a grid of times."""
+    for _ in range(count):
+        m = rng.randint(1, 6)
+        pool = [tuple(rng.sample(range(m), m)) for _ in range(rng.randint(1, 24))]
+        p = PreferenceProfile.of([rng.choice(pool) for _ in range(rng.randint(1, 60))])
         direction = rng.choice(["eat-best", "eat-worst"])
         tie_break = tuple(rng.sample(range(p.m), p.m))
-        configs = [
-            EatingConfig(direction, stop_eliminations=rng.randint(0, p.m), tie_break=tie_break),
-            # everything is eaten at m/n, so no bound here starves the run
-            EatingConfig(direction, stop_time=Fraction(rng.randint(0, p.m * 4), 4 * p.n)),
+        # everything is eaten at m/n, so no bound up to the last event starves the run
+        full = run_eating(p, EatingConfig(direction, stop_eliminations=p.m))
+        times = [Fraction(0)] + [t for t, _ in full.events]
+        i = rng.randrange(len(times) - 1)
+        stop_times = [
+            Fraction(0),
+            rng.choice(times[1:]),
+            (times[i] + times[i + 1]) / 2,
+            Fraction(rng.randint(0, p.m * 4), 4 * p.n),
         ]
+        configs = [EatingConfig(direction, stop_eliminations=rng.randint(0, p.m),
+                                tie_break=tie_break)]
+        configs += [EatingConfig(direction, stop_time=s, tie_break=tie_break)
+                    for s in stop_times]
+        yield p, configs
+
+
+def test_eating_matches_the_per_step_reference():
+    rng = random.Random(17)
+    repeated = many_types = 0
+    for p, configs in interval_cases(rng, 300):
+        repeated += p.n > len(p.ballot_types())
+        many_types += len(p.ballot_types()) >= 10
         for cfg in configs:
             trace = run_eating(p, cfg)
             assert trace == per_step_eating(p, cfg), (p.rankings, cfg)
             trace.validate(p)
+    # most profiles repeat some ballots, and many cast ten or more types
+    assert repeated > 250 and many_types > 50
+
+
+def test_every_consumption_cell_is_one_interval():
+    # a voter eats each candidate over one stretch between two of the run's
+    # times, so every cell is 0 or a difference of two of them
+    rng = random.Random(29)
+    for p, configs in interval_cases(rng, 120):
+        for cfg in configs:
+            trace = run_eating(p, cfg)
+            times = sorted({Fraction(0), trace.elapsed, *(t for t, _ in trace.events)})
+            spans = {b - a for a, b in itertools.combinations(times, 2)} | {0}
+            for row in trace.consumption:
+                assert set(row) <= spans, (p.rankings, cfg, row)
 
 
 def test_veto_by_consumption_winners(fix_t, fix_p, fix_u):
@@ -264,3 +317,29 @@ def test_fractional_assignment_helpers(fix_u):
         FractionalAssignment((half, half, half)).validate(row_sum=Fraction(1))
     with pytest.raises(ValueError, match="row 1 sums to 3/2"):
         FractionalAssignment((half, heavy, heavy)).validate(row_sum=Fraction(1))
+
+
+def eating_outputs(p: PreferenceProfile):
+    """One line per rule output and per trace of the three eating rules."""
+    yield f"veto {sorted(veto_by_consumption_winners(p))}"
+    for k in range(p.m + 1):
+        yield f"committee {k} {phragmen_committee(p, k)}"
+    yield f"serial {probabilistic_serial(p).shares}"
+    for cfg in (EatingConfig(direction="eat-worst", stop_eliminations=p.m - 1),
+                EatingConfig(direction="eat-best", stop_eliminations=p.m),
+                EatingConfig(direction="eat-best", stop_time=Fraction(min(p.n, p.m), p.n))):
+        yield f"events {run_eating(p, cfg).format_events()}"
+
+
+# SHA-256 of eating_outputs over the family below; a change to the eating
+# loop must leave every winner, committee, share and event, and so this, alone
+EATING_PIN = "8dc3d983b86168fe124ed5c3adf2ad7f30c1a60a58d718de73d2fe509f446941"
+
+
+def test_eating_outputs_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for p in [*all_profiles(3, 3), *repeated_profiles(120, seed=1618)]:
+        digest.update(repr(p.rankings).encode())
+        for line in eating_outputs(p):
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == EATING_PIN

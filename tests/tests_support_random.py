@@ -24,6 +24,17 @@ def random_profiles(count: int, seed: int, nmax: int = 6, mmax: int = 5):
     return [random_profile(rng, nmax, mmax) for _ in range(count)]
 
 
+def repeated_profiles(count: int, seed: int):
+    """Profiles of up to 40 voters drawing from at most four distinct ballots."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m, types, n = rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 40)
+        ballots = [tuple(rng.sample(range(m), m)) for _ in range(types)]
+        out.append(PreferenceProfile.of([rng.choice(ballots) for _ in range(n)]))
+    return out
+
+
 profiles_strategy = st.integers(min_value=0, max_value=2**31 - 1).map(
     lambda seed: random_profile(random.Random(seed))
 )
