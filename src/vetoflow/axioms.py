@@ -215,12 +215,21 @@ def weak_psc_satisfied(p: PreferenceProfile, committee: Iterable[int]) -> PscVer
         union = frozenset().union(*(r[: r.index(x) + 1] for r, _ in p.ballot_types_of(voters)))
         return PscViolation(union, voters, x)
 
-    for sc in solid_coalitions(p):
-        outside = sc.candidates - W
-        if not outside:
-            continue
-        if sc.size * (k + 1) > len(sc.candidates) * p.n:
-            viol = violation_from(sc.voters, min(outside))
+    # the solid coalitions, sized from the ballot types' weights on int
+    # masks of their prefixes, in the order of solid_coalitions; only the
+    # first violator's supporters are built
+    size: dict[int, int] = {}
+    for r, voters in p.ballot_types():
+        mask = 0
+        for c in r:
+            mask |= 1 << c
+            size[mask] = size.get(mask, 0) + len(voters)
+    committed = _mask(W)
+    for mask, weight in size.items():
+        outside = mask & ~committed
+        if outside and weight * (k + 1) > mask.bit_count() * p.n:
+            group = next(g for g in solid_coalitions(p) if _mask(g.candidates) == mask)
+            viol = violation_from(group.voters, (outside & -outside).bit_length() - 1)
             viol.validate(p, W)
             return PscVerdict(viol)
 

@@ -289,26 +289,27 @@ def _random_instances(args):
         yield gen_impartial_culture(n, m, seed=rng.randrange(1 << 30))
 
 
-def cmd_audit(args):
-    if args.kind == "equivalence":
-        if args.profile:
-            instances = [_load_profile(args)]
-        elif args.exhaustive:
-            n, m = _count("--n", args.n), _count("--m", args.m)
-            # all m! rankings are listed up front; stop multiplying past the cap
-            perms = 1
-            for k in range(2, m + 1):
-                perms *= k
-                if perms * m > MAX_CELLS:
-                    break
-            _cap_cells(f"--m {m}", perms, m)
-            instances = all_profiles(n, m)
-        else:
-            instances = _random_instances(args)
-        report = equivalence_audit(instances)
-        return HOLDS if report.ok else VIOLATED, report.to_json(), report.lines()
+def _audit_equivalence(args):
+    if args.profile:
+        instances = [_load_profile(args)]
+    elif args.exhaustive:
+        n, m = _count("--n", args.n), _count("--m", args.m)
+        # all m! rankings are listed up front; stop multiplying past the cap
+        perms = 1
+        for k in range(2, m + 1):
+            perms *= k
+            if perms * m > MAX_CELLS:
+                break
+        _cap_cells(f"--m {m}", perms, m)
+        instances = all_profiles(n, m)
+    else:
+        instances = _random_instances(args)
+    report = equivalence_audit(instances)
+    return HOLDS if report.ok else VIOLATED, report.to_json(), report.lines()
 
-    # distortion3: every distortion-motivated winner stays within the bound
+
+def _audit_distortion3(args):
+    # every distortion-motivated winner stays within the bound
     failures = []
     checked = 0
     for p in _random_instances(args):
@@ -323,6 +324,20 @@ def cmd_audit(args):
     lines = [f"checked={checked} failures={len(failures)}", *(f"FAILURE {f}" for f in failures)]
     return HOLDS if not failures else VIOLATED, {
         "checked": checked, "failures": failures, "ok": not failures}, lines
+
+
+# audit kind -> (the options it reads besides those of the random
+# instances, handler); a handler takes the parsed arguments and returns the
+# exit code, the payload and the text lines
+AUDITS = {
+    "equivalence": (("profile", "exhaustive"), _audit_equivalence),
+    "distortion3": ((), _audit_distortion3),
+}
+
+
+def cmd_audit(args):
+    _refuse_unread(args, args.kind, AUDITS)
+    return AUDITS[args.kind][1](args)
 
 
 def cmd_gen(args):
@@ -372,9 +387,12 @@ def build_parser() -> _Parser:
 
     audit = sub.add_parser("audit", parents=[common],
                            help="run the equivalence or distortion sweeps")
-    audit.add_argument("kind", choices=["equivalence", "distortion3"])
-    audit.add_argument("--profile", help="audit a single profile file")
-    audit.add_argument("--exhaustive", action="store_true")
+    audit.add_argument("kind", choices=AUDITS)
+    # a profile and an exhaustive sweep are two sources of instances;
+    # --exhaustive is None when absent, so that cmd_audit can tell
+    source = audit.add_mutually_exclusive_group()
+    source.add_argument("--profile", help="audit a single profile file")
+    source.add_argument("--exhaustive", action="store_true", default=None)
     audit.add_argument("--n", type=int, default=3)
     audit.add_argument("--m", type=int, default=3)
     audit.add_argument("--trials", type=int, default=100)

@@ -14,6 +14,14 @@ among all types whose intervals have the same ends.
 
 Veto by consumption, Phragmen-style sequential committees, and the
 probabilistic serial assignment are all thin drivers over this loop.
+
+The output's per-voter rows are spread from the type rows by the profile's
+``_type_of``, so the voters of a type share one row object.  Balance checks
+therefore run on (row, multiplicity) pairs: probabilistic serial checks its
+T type rows, weighted by type size, after one identity pass confirms that
+every voter holds its type's row; ``FractionalAssignment.validate`` and
+``EatingTrace.validate``, which have no ballot types, find the distinct
+rows by object identity.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import is_
 from typing import Sequence
 
 from .profiles import PreferenceProfile
@@ -86,9 +95,10 @@ class EatingTrace:
             raise ValueError("survivor was also eliminated")
         if self.survivors | set(gone) != set(range(p.m)):
             raise ValueError("every candidate must be a survivor or eliminated")
-        miss, columns = _balance(self.consumption, self.elapsed)
+        miss, columns = _balance(_distinct_rows(self.consumption), self.elapsed)
         if miss is not None:
-            raise ValueError(f"voter {miss[0]} consumption does not add up to the elapsed time")
+            raise ValueError(f"voter {self.consumption.index(miss[0])} consumption"
+                             " does not add up to the elapsed time")
         for c in range(p.m):
             total = columns[c]
             if c in self.survivors:
@@ -238,32 +248,33 @@ class FractionalAssignment:
     shares: tuple[tuple[Fraction, ...], ...]
 
     def row_sums(self) -> tuple[Fraction, ...]:
-        den, rows = _numerators(self.shares)
+        den, rows = _numerators(_distinct_rows(self.shares))
         total = {id(row): Fraction(sum(nums), den) for row, _, nums in rows}
         return tuple(map(total.__getitem__, map(id, self.shares)))
 
     def column_sums(self) -> tuple[Fraction, ...]:
-        den, rows = _numerators(self.shares)
+        den, rows = _numerators(_distinct_rows(self.shares))
         return tuple(_column_sums(den, rows, len(self.shares[0])))
 
     def validate(self, row_sum: Fraction) -> None:
         """Every row sums to ``row_sum`` and no column exceeds 1."""
-        miss, columns = _balance(self.shares, row_sum)
-        if miss is not None:
-            raise ValueError(f"row {miss[0]} sums to {miss[1]}, expected {row_sum}")
-        for c, total in enumerate(columns):
-            if total > 1:
-                raise ValueError(f"column {c} exceeds 1")
+        _check_shares(self.shares, _distinct_rows(self.shares), row_sum)
 
 
-def _numerators(shares: Sequence[tuple]) -> tuple[int, list[tuple[tuple, int, list[int]]]]:
-    """A common denominator of all shares, and each distinct row object with
-    its multiplicity and its shares as numerators over that denominator, in
+def _distinct_rows(shares: Sequence[tuple]) -> list[tuple[tuple, int]]:
+    """Each distinct row object of ``shares`` with its multiplicity, in
     order of first appearance.  Voters of one ballot type share one row
     object, so rows are told apart by ``id``, taken once per voter."""
     ids = list(map(id, shares))
     objects = dict(zip(ids, shares))
-    rows = [(objects[key], mult) for key, mult in Counter(ids).items()]
+    return [(objects[key], mult) for key, mult in Counter(ids).items()]
+
+
+def _numerators(
+    rows: Sequence[tuple[tuple, int]]
+) -> tuple[int, list[tuple[tuple, int, list[int]]]]:
+    """A common denominator of all shares, and each (row, multiplicity) pair
+    with the row's shares as numerators over that denominator."""
     den = math.lcm(*[v.denominator for row, _ in rows for v in row])
     return den, [(row, mult, [v.numerator * (den // v.denominator) for v in row])
                  for row, mult in rows]
@@ -274,20 +285,35 @@ def _column_sums(den: int, rows: list[tuple[tuple, int, list[int]]], m: int) -> 
 
 
 def _balance(
-    shares: Sequence[tuple], row_sum: Fraction
-) -> tuple[tuple[int, Fraction] | None, list[Fraction]]:
-    """The first voter whose row does not sum to ``row_sum``, with that row's
-    sum, or None; and the column sums.  The sums are taken once per distinct
-    row object, on integer numerators over one common denominator."""
-    den, rows = _numerators(shares)
+    rows: Sequence[tuple[tuple, int]], row_sum: Fraction
+) -> tuple[tuple[tuple, Fraction] | None, list[Fraction]]:
+    """The first row, of the (row, multiplicity) pairs, that does not sum to
+    ``row_sum``, with its sum, or None; and the column sums, each row
+    counted as often as its multiplicity.  The sums are taken on integer
+    numerators over one common denominator."""
+    den, nums_of = _numerators(rows)
     miss = None
-    for row, _, nums in rows:
+    for row, _, nums in nums_of:
         total = sum(nums)
         if total * row_sum.denominator != row_sum.numerator * den:
-            # earlier voters hold rows that passed, so none of them equals this one
-            miss = shares.index(row), Fraction(total, den)
+            miss = row, Fraction(total, den)
             break
-    return miss, _column_sums(den, rows, len(shares[0]))
+    return miss, _column_sums(den, nums_of, len(rows[0][0]))
+
+
+def _check_shares(
+    shares: Sequence[tuple], rows: Sequence[tuple[tuple, int]], row_sum: Fraction
+) -> None:
+    """``shares`` rows each sum to ``row_sum`` and no column exceeds 1, where
+    ``rows`` lists the distinct rows of ``shares`` with their multiplicities
+    in order of first appearance.  A miss names the first voter holding the
+    failing row: earlier voters hold rows that passed, so none equals it."""
+    miss, columns = _balance(rows, row_sum)
+    if miss is not None:
+        raise ValueError(f"row {shares.index(miss[0])} sums to {miss[1]}, expected {row_sum}")
+    for c, total in enumerate(columns):
+        if total > 1:
+            raise ValueError(f"column {c} exceeds 1")
 
 
 def probabilistic_serial(p: PreferenceProfile, k: int | None = None) -> FractionalAssignment:
@@ -301,7 +327,13 @@ def probabilistic_serial(p: PreferenceProfile, k: int | None = None) -> Fraction
     if not 0 <= k <= p.m:
         raise ValueError(f"cannot assign {k} candidates out of {p.m}")
     cfg = EatingConfig(direction="eat-best", stop_time=Fraction(k, p.n))
-    trace = run_eating(p, cfg)
-    assignment = FractionalAssignment(trace.consumption)
-    assignment.validate(row_sum=Fraction(k, p.n))
-    return assignment
+    shares = run_eating(p, cfg).consumption
+    # the self-check runs on the ballot types' rows, each weighted by its
+    # voters, once every voter is confirmed to hold its type's row object
+    types = p.ballot_types()
+    rows = [shares[bt.voters[0]] for bt in types]
+    if not all(map(is_, shares, p.per_voter(rows))):
+        raise ValueError("a voter's shares are not its ballot type's row")
+    _check_shares(shares, [(row, len(bt.voters)) for row, bt in zip(rows, types)],
+                  Fraction(k, p.n))
+    return FractionalAssignment(shares)

@@ -113,9 +113,12 @@ class FlowResult:
         source side of the inclusion-minimal min cut.  That set is unique and
         invariant under swapping interchangeable left nodes, so it is a union
         of whole groups."""
+        return frozenset().union(*(g.voters for g in self._source_groups()))
+
+    def _source_groups(self) -> list[VoterGroup]:
+        """The groups whose flow node is on the source side."""
         level = self.dinic.level
-        groups = self.network.groups
-        return frozenset().union(*(g.voters for k, g in enumerate(groups) if level[1 + k] >= 0))
+        return [g for k, g in enumerate(self.network.groups) if level[1 + k] >= 0]
 
     def units_sent(self) -> list[dict[int, int]]:
         """One dict per group, in group order: the units (original capacity
@@ -250,8 +253,11 @@ def extract_deficiency_witness(p: PreferenceProfile, c: int) -> CutWitness | Non
     value, flow = build_domination_graph(p, c).solve()
     if value == p.n * p.m:
         return None
-    voters = flow.source_side()
-    witness = CutWitness(voters, dominated_set(p, c, voters))
+    # a group's edge set is its voters' dominated set, so the source-side
+    # groups give both halves of the witness; validate walks the profile
+    groups = flow._source_groups()
+    witness = CutWitness(frozenset().union(*(g.voters for g in groups)),
+                         frozenset().union(*(g.candidates for g in groups)))
     witness.validate(p, c)
     return witness
 

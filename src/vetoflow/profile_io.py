@@ -6,8 +6,9 @@ Two text formats are understood:
   candidate names, then one ``a>b>c`` ballot line per voter;
 * count-prefixed ranking lines in the style of preference-data archives,
   ``3: 1,2,4,3`` meaning three voters share the ranking, candidates 1-based.
-  Metadata comments like ``# ALTERNATIVE NAME 2: b`` supply names.  Counts
-  adding up to more than ``MAX_VOTERS`` raise ``ProfileSizeError``.
+  Metadata comments like ``# ALTERNATIVE NAME 2: b`` supply names, at most
+  one per candidate 1..m.  Counts adding up to more than ``MAX_VOTERS``
+  raise ``ProfileSizeError``.
 
 ``parse_profile`` sniffs the format, ``serialize_profile`` always emits the
 native one, and the two round-trip exactly.
@@ -110,13 +111,17 @@ def _parse_native(numbered: list[tuple[int, str]]) -> PreferenceProfile:
 
 
 def _parse_count_lines(text: str) -> PreferenceProfile:
-    names_by_id: dict[int, str] = {}
+    # alternative id -> (name, line number)
+    names_by_id: dict[int, tuple[str, int]] = {}
     rankings: list[tuple[int, ...]] = []
     width: int | None = None
     for no, ln in enumerate(text.splitlines(), start=1):
         alt = _ALT_NAME.match(ln.strip())
         if alt:
-            names_by_id[int(alt.group(1))] = alt.group(2)
+            k = int(alt.group(1))
+            if k in names_by_id:
+                raise ValueError(f"alternative {k} is named twice, line {no}")
+            names_by_id[k] = alt.group(2), no
             continue
         if not ln.strip() or ln.lstrip().startswith("#"):
             continue
@@ -143,7 +148,10 @@ def _parse_count_lines(text: str) -> PreferenceProfile:
         rankings.extend([ranking] * count)
     if not rankings or width is None:
         raise ValueError("no ballot data found")
-    names = tuple(names_by_id.get(j + 1, f"c{j + 1}") for j in range(width))
+    for k, (_, no) in names_by_id.items():
+        if not 1 <= k <= width:
+            raise ValueError(f"alternative {k} is outside 1..{width}, line {no}")
+    names = tuple(names_by_id[j][0] if j in names_by_id else f"c{j}" for j in range(1, width + 1))
     return PreferenceProfile(tuple(rankings), names)
 
 

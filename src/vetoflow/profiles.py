@@ -5,6 +5,13 @@ are handled as integer indices everywhere; display names live alongside in
 ``candidate_names`` and only matter for parsing and printing.
 
 Identical voters are interchangeable, so the checkers work per ballot type.
+The profile groups its voters into ballot types once, on construction, in
+one pass that hashes a ranking only where the ranking object changes from
+one voter to the next; count lines repeat one shared tuple, so a run of
+equal ballots costs one lookup.  The same pass records each voter's type
+index (``_type_of``), from which ``per_voter`` spreads per-type values and
+``ballot_types_of`` finds the types of a voter set.
+
 A voter group ties a candidate set to the voters it belongs to, one run per
 ballot type; ``voter_groups`` is the one rule for merging ballot types with
 equal sets, for flow networks and solid coalitions alike.
@@ -63,20 +70,33 @@ class PreferenceProfile:
                 raise ValueError(f"bad candidate name: {name!r}")
         if len(set(self.candidate_names)) != m:
             raise ValueError("duplicate candidate names")
-        # group the voters by ranking, then check each distinct ranking once,
-        # in order of its first voter
-        voters: dict[tuple[int, ...], list[int]] = {}
+        # group the voters by ranking in one pass, hashing a ranking only
+        # where the ranking object changes from the previous voter: count
+        # lines repeat one tuple per line, so each such run is hashed once.
+        # _type_of[i] is voter i's ballot type, numbered by first voter
+        index: dict[tuple[int, ...], int] = {}
+        voters: list[list[int]] = []
+        type_of: list[int] = []
+        prev = None
         for i, ranking in enumerate(self.rankings):
-            voters.setdefault(ranking, []).append(i)
+            if ranking is not prev:
+                prev = ranking
+                t = index.setdefault(ranking, len(index))
+                if t == len(voters):
+                    voters.append([])
+                run = voters[t]
+            run.append(i)
+            type_of.append(t)
+        # check each distinct ranking once, in order of its first voter
         full = frozenset(range(m))
-        for ranking, vs in voters.items():
+        for ranking, vs in zip(index, voters):
             if len(ranking) != m or frozenset(ranking) != full:
                 raise ValueError(f"ranking of voter {vs[0]} is not a permutation of 0..{m - 1}")
-        types = tuple(BallotType(r, tuple(vs)) for r, vs in voters.items())
+        types = tuple(BallotType(r, tuple(vs)) for r, vs in zip(index, voters))
         object.__setattr__(self, "_ballot_types", types)
+        object.__setattr__(self, "_type_of", type_of)
         # _spread picks, for each voter in turn, the entry of its ballot type
-        index = {r: t for t, r in enumerate(voters)}
-        object.__setattr__(self, "_spread", itemgetter(*map(index.__getitem__, self.rankings)))
+        object.__setattr__(self, "_spread", itemgetter(*type_of))
 
     @classmethod
     def of(
@@ -111,7 +131,8 @@ class PreferenceProfile:
         vs = voters if isinstance(voters, (set, frozenset)) else frozenset(voters)
         if vs and (min(vs) < 0 or max(vs) >= self.n):
             raise ValueError(f"voter index outside 0..{self.n - 1}")
-        return tuple(bt for bt in self._ballot_types if not vs.isdisjoint(bt.voters))
+        hit = set(map(self._type_of.__getitem__, vs))
+        return tuple(map(self._ballot_types.__getitem__, sorted(hit)))
 
     def per_voter(self, values: Sequence[T]) -> tuple[T, ...]:
         """Spread ``values[t]``, one per ballot type, to every voter of type t;

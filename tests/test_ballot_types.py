@@ -4,6 +4,7 @@ and with profiles whose ballots were duplicated and shuffled."""
 
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,6 +32,7 @@ from vetoflow.profiles import (
     solid_coalitions,
     voter_groups,
 )
+from vetoflow.profile_io import parse_profile
 from tests_support_random import profiles_strategy, random_profiles, repeated_profiles
 
 
@@ -47,6 +49,61 @@ def test_ballot_types_in_first_appearance_order(fix_p):
     # voters of one type share their position row
     pos = p.positions()
     assert pos[0] is pos[2] and pos[0] == (1, 0) and pos[1] == (0, 1)
+
+
+def grouping_per_voter(rankings) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Each distinct ranking with its voters, ranking by ranking in order
+    of first voter, found voter by voter on the ranking's value."""
+    voters: dict[tuple[int, ...], list[int]] = {}
+    for i, r in enumerate(rankings):
+        voters.setdefault(tuple(r), []).append(i)
+    return list(voters.items())
+
+
+@st.composite
+def ballot_runs(draw):
+    """Rankings drawn from a small pool in runs: a run repeats one ranking
+    either as one shared tuple (as count lines give it) or as equal but
+    distinct tuples, and runs of one ranking may be interleaved with others.
+    Pool entries may repeat, so equal rankings also come from separate
+    draws."""
+    m = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.permutations(range(m)).map(tuple), min_size=1, max_size=4))
+    return draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 4), st.booleans()),
+                         min_size=1, max_size=8))
+
+
+def assert_grouped_like_the_reference(p: PreferenceProfile, data) -> None:
+    expect = grouping_per_voter(p.rankings)
+    assert p.ballot_types() == tuple((r, tuple(vs)) for r, vs in expect)
+    type_of = {i: t for t, (_, vs) in enumerate(expect) for i in vs}
+    values = [object() for _ in expect]
+    spread = p.per_voter(values)
+    assert len(spread) == p.n
+    assert all(spread[i] is values[type_of[i]] for i in range(p.n))
+    pos = p.positions()
+    assert all(pos[i][c] == r.index(c) for i, r in enumerate(p.rankings) for c in range(p.m))
+    assert all(pos[i] is pos[expect[type_of[i]][1][0]] for i in range(p.n))
+    chosen = data.draw(st.sets(st.integers(0, p.n - 1)))
+    assert p.ballot_types_of(chosen) == tuple(
+        bt for bt in p.ballot_types() if chosen.intersection(bt.voters))
+    assert p.ballot_types_of(list(chosen)) == p.ballot_types_of(chosen)
+    for outside in (-1, p.n):
+        with pytest.raises(ValueError, match="outside"):
+            p.ballot_types_of([*chosen, outside])
+
+
+@given(ballot_runs(), st.data())
+def test_grouping_matches_a_per_voter_reference(runs, data):
+    rankings = []
+    for r, count, shared in runs:
+        rankings += [r] * count if shared else [tuple(list(r)) for _ in range(count)]
+    assert_grouped_like_the_reference(PreferenceProfile.of(rankings), data)
+    # count lines, one per run, may repeat a ranking on non-adjacent lines
+    text = "".join(f"{count}: {','.join(str(c + 1) for c in r)}\n" for r, count, _ in runs)
+    parsed = parse_profile(text)
+    assert parsed.rankings == tuple(rankings)
+    assert_grouped_like_the_reference(parsed, data)
 
 
 def solid_coalitions_per_voter(p: PreferenceProfile):
@@ -74,6 +131,51 @@ def test_solid_coalitions_match_a_per_voter_grouping():
         merged += any(len(g.runs) > 1 and len(g.candidates) < p.m for g in got)
     # proper prefixes shared by several ballot types must be common, not rare
     assert merged > 100
+
+
+def psc_prescan_reference(p: PreferenceProfile, committee: frozenset[int]):
+    """The first solid coalition, in ``solid_coalitions`` order, that
+    clears the Droop threshold with a candidate outside the committee: its
+    supporters and that candidate's least index, or None."""
+    k = len(committee)
+    for sc in solid_coalitions(p):
+        outside = sc.candidates - committee
+        if outside and len(sc.voters) * (k + 1) > len(sc.candidates) * p.n:
+            return sc.voters, min(outside)
+    return None
+
+
+class NoFlowViolation:
+    """A stand-in for the PSC flow networks that reports every voter
+    served, so a verdict shows the solid-coalition scan alone."""
+
+    def __init__(self, num_right, groups, left_supply, right_cap):
+        self.value = sum(g.size for g in groups) * left_supply
+
+    def solve(self):
+        return self.value, None
+
+
+def test_psc_prescan_matches_a_full_solid_coalition_scan(monkeypatch):
+    rng = random.Random(2024)
+    found = full = 0
+    for p in [*random_profiles(200, seed=515, nmax=10), *repeated_profiles(200, seed=616)]:
+        for _ in range(3):
+            committee = frozenset(rng.sample(range(p.m), rng.randint(0, p.m - 1)))
+            expect = psc_prescan_reference(p, committee)
+            full_verdict = weak_psc_satisfied(p, committee)
+            monkeypatch.setattr("vetoflow.axioms.FlowNetwork", NoFlowViolation)
+            viol = weak_psc_satisfied(p, committee).violation
+            monkeypatch.undo()
+            got = None if viol is None else (viol.supporters, viol.alternative)
+            assert got == expect
+            if viol is not None:
+                # the scan runs before any flow, so the full check agrees
+                assert full_verdict.violation == viol
+                found += 1
+            full += full_verdict.violation is not None
+    # the scan must meet violations often, and the flows must add some
+    assert found > 100 and full > found
 
 
 def networks(p: PreferenceProfile):

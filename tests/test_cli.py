@@ -319,6 +319,25 @@ def test_audit_distortion3(capsys):
     assert out.startswith("checked=") and "failures=0" in out
 
 
+def test_audit_refuses_an_instance_source_it_would_ignore(prof, capsys):
+    # distortion3 draws random instances only, and one equivalence audit
+    # reads one source; each refusal exits 3 before any instance is audited
+    path = prof(P)
+    for argv, refused in ((["distortion3", "--profile", path], "--profile"),
+                          (["distortion3", "--exhaustive"], "--exhaustive")):
+        code, out, err = run(capsys, ["audit", *argv, "--trials", "1"])
+        assert code == 3 and out == ""
+        assert f"{refused} does not apply to distortion3" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["audit", "equivalence", "--profile", path, "--exhaustive"])
+    assert exc.value.code == 3
+    assert "not allowed with argument" in capsys.readouterr().err
+    # each source alone is still read, and the JSON record keeps its seed
+    for argv in (["--profile", path], ["--exhaustive", "--n", "2", "--m", "2"]):
+        code, out, _ = run(capsys, ["audit", "equivalence", *argv, "--json"])
+        assert code == 0 and json.loads(out)["seed"] == 0
+
+
 def test_gen_ic_round_trips(tmp_path, capsys):
     out_path = str(tmp_path / "random.prof")
     code, out, _ = run(capsys, [

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -317,6 +318,50 @@ def test_fractional_assignment_helpers(fix_u):
         FractionalAssignment((half, half, half)).validate(row_sum=Fraction(1))
     with pytest.raises(ValueError, match="row 1 sums to 3/2"):
         FractionalAssignment((half, heavy, heavy)).validate(row_sum=Fraction(1))
+
+
+def test_probabilistic_serial_checks_the_rows_it_returns(monkeypatch):
+    # probabilistic_serial checks its ballot types' rows, so each tampering
+    # of what run_eating hands back must still be refused: a type row that
+    # misses k/n, a voter row that is not its type's row object (values
+    # swapped so that its sum still passes), and a column eaten past 1
+    p = PreferenceProfile.of([(0, 1, 2), (1, 0, 2), (0, 1, 2), (2, 1, 0), (1, 0, 2)])
+    real = run_eating
+    types = p.ballot_types()
+
+    def tampered(make_rows):
+        def fake(q, cfg):
+            trace = real(q, cfg)
+            return replace(trace, consumption=tuple(make_rows(list(trace.consumption))))
+        return fake
+
+    def bump_type(rows):
+        row = rows[types[1].voters[0]]
+        bumped = (row[0] + Fraction(1, 7), *row[1:])
+        for i in types[1].voters:
+            rows[i] = bumped
+        return rows
+
+    def swap_one(rows):
+        i = types[0].voters[1]
+        rows[i] = rows[i][::-1]
+        return rows
+
+    def overfill(rows):
+        # every row still sums to k/n = 3/5, but all of it is candidate 0
+        full = (Fraction(3, 5), Fraction(0), Fraction(0))
+        return [full] * len(rows)
+
+    for make_rows, message in ((bump_type, "row 1 sums to"),
+                               (swap_one, "not its ballot type's row"),
+                               (overfill, "column 0 exceeds 1")):
+        monkeypatch.setattr("vetoflow.eating.run_eating", tampered(make_rows))
+        with pytest.raises(ValueError, match=message):
+            probabilistic_serial(p)
+    # the untampered rows, passed through the same way, are accepted
+    monkeypatch.setattr("vetoflow.eating.run_eating", tampered(lambda rows: rows))
+    cfg = EatingConfig(direction="eat-best", stop_time=Fraction(3, 5))
+    assert probabilistic_serial(p).shares == real(p, cfg).consumption
 
 
 def eating_outputs(p: PreferenceProfile):

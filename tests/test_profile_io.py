@@ -98,6 +98,20 @@ def test_parse_count_line_errors():
         parse_profile("1: 1,2\n1: 1,2,3\n")
 
 
+def test_alternative_names_are_refused_outside_the_slate_or_twice():
+    # a name for an id outside 1..m, or a second name for one id, would
+    # otherwise be dropped or overwrite the first without a word
+    with pytest.raises(ValueError, match="alternative 7 is outside 1..2, line 1"):
+        parse_profile("# ALTERNATIVE NAME 7: x\n1: 1,2\n")
+    with pytest.raises(ValueError, match="alternative 0 is outside 1..2, line 2"):
+        parse_profile("1: 2,1\n# ALTERNATIVE NAME 0: x\n1: 1,2\n")
+    with pytest.raises(ValueError, match="alternative 2 is named twice, line 3"):
+        parse_profile("# ALTERNATIVE NAME 2: b\n1: 1,2\n# alternative name 2: c\n")
+    # names given before or after the ballots, for any subset of the slate
+    p = parse_profile("1: 2,1,3\n# ALTERNATIVE NAME 3: z\n# ALTERNATIVE NAME 1: x\n")
+    assert p.candidate_names == ("x", "c2", "z")
+
+
 def test_count_lines_are_capped_by_their_running_total(monkeypatch):
     monkeypatch.setattr(profile_io, "MAX_VOTERS", 5)
     assert parse_profile("3: 1,2\n2: 2,1\n").n == 5
