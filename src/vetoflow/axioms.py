@@ -210,11 +210,6 @@ def weak_psc_satisfied(p: PreferenceProfile, committee: Iterable[int]) -> PscVer
     """
     W = _committee(p, committee)
     k = len(W)
-
-    def violation_from(voters: frozenset[int], x: int) -> PscViolation:
-        union = frozenset().union(*(r[: r.index(x) + 1] for r, _ in p.ballot_types_of(voters)))
-        return PscViolation(union, voters, x)
-
     # the solid coalitions, sized from the ballot types' weights on int
     # masks of their prefixes, in the order of solid_coalitions; only the
     # first violator's supporters are built
@@ -228,19 +223,22 @@ def weak_psc_satisfied(p: PreferenceProfile, committee: Iterable[int]) -> PscVer
     for mask, weight in size.items():
         outside = mask & ~committed
         if outside and weight * (k + 1) > mask.bit_count() * p.n:
-            group = next(g for g in solid_coalitions(p) if _mask(g.candidates) == mask)
-            viol = violation_from(group.voters, (outside & -outside).bit_length() - 1)
+            voters = next(g for g in solid_coalitions(p) if _mask(g.candidates) == mask).voters
+            x = (outside & -outside).bit_length() - 1
+            union = frozenset().union(*(r[: r.index(x) + 1] for r, _ in p.ballot_types_of(voters)))
+            viol = PscViolation(union, voters, x)
             viol.validate(p, W)
             return PscVerdict(viol)
 
+    # the cut's right half is the union of its voters' prefixes down to x
     for x in range(p.m):
         if x in W:
             continue
         groups = ballot_groups(p, _weak_prefixes(p, x))
-        net = FlowNetwork(p.m, groups, left_supply=k + 1, right_cap=p.n)
-        value, flow = net.solve()
-        if value < p.n * (k + 1):
-            viol = violation_from(flow.source_side(), x)
+        _, flow = FlowNetwork(p.m, groups, left_supply=k + 1, right_cap=p.n).solve()
+        supporters, union = flow.cut()
+        if supporters:
+            viol = PscViolation(union, supporters, x)
             viol.validate(p, W)
             return PscVerdict(viol)
     return PscVerdict(None)

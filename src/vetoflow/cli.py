@@ -289,30 +289,37 @@ def _random_instances(args):
         yield gen_impartial_culture(n, m, seed=rng.randrange(1 << 30))
 
 
-def _audit_equivalence(args):
-    if args.profile:
-        instances = [_load_profile(args)]
-    elif args.exhaustive:
-        n, m = _count("--n", args.n), _count("--m", args.m)
-        # all m! rankings are listed up front; stop multiplying past the cap
-        perms = 1
-        for k in range(2, m + 1):
-            perms *= k
-            if perms * m > MAX_CELLS:
-                break
-        _cap_cells(f"--m {m}", perms, m)
-        instances = all_profiles(n, m)
-    else:
-        instances = _random_instances(args)
+def _exhaustive_instances(args):
+    n, m = _count("--n", args.n), _count("--m", args.m)
+    # all m! rankings are listed up front; stop multiplying past the cap
+    perms = 1
+    for k in range(2, m + 1):
+        perms *= k
+        if perms * m > MAX_CELLS:
+            break
+    _cap_cells(f"--m {m}", perms, m)
+    return all_profiles(n, m)
+
+
+# instance source -> (the options it reads, each with its value when
+# absent, and its instances); only random draws report a seed
+SOURCES = {
+    "--profile": ({"profile": None}, lambda args: [_load_profile(args)]),
+    "--exhaustive": ({"exhaustive": None, "n": 3, "m": 3}, _exhaustive_instances),
+    "random draws": ({"trials": 100, "nmax": 5, "mmax": 4, "seed": 0}, _random_instances),
+}
+
+
+def _audit_equivalence(instances):
     report = equivalence_audit(instances)
     return HOLDS if report.ok else VIOLATED, report.to_json(), report.lines()
 
 
-def _audit_distortion3(args):
+def _audit_distortion3(instances):
     # every distortion-motivated winner stays within the bound
     failures = []
     checked = 0
-    for p in _random_instances(args):
+    for p in instances:
         winners = {*plurality_matching_winners(p), plurality_veto(p), composite_distortion_rule(p)}
         for c in sorted(winners):
             checked += 1
@@ -327,8 +334,8 @@ def _audit_distortion3(args):
 
 
 # audit kind -> (the options it reads besides those of the random
-# instances, handler); a handler takes the parsed arguments and returns the
-# exit code, the payload and the text lines
+# instances, handler); a handler takes the instances and returns the exit
+# code, the payload and the text lines
 AUDITS = {
     "equivalence": (("profile", "exhaustive"), _audit_equivalence),
     "distortion3": ((), _audit_distortion3),
@@ -337,7 +344,12 @@ AUDITS = {
 
 def cmd_audit(args):
     _refuse_unread(args, args.kind, AUDITS)
-    return AUDITS[args.kind][1](args)
+    source = ("--profile" if args.profile is not None
+              else "--exhaustive" if args.exhaustive else "random draws")
+    _refuse_unread(args, source, SOURCES)
+    reads, instances = SOURCES[source]
+    vars(args).update((o, absent) for o, absent in reads.items() if getattr(args, o) is None)
+    return AUDITS[args.kind][1](instances(args))
 
 
 def cmd_gen(args):
@@ -388,17 +400,13 @@ def build_parser() -> _Parser:
     audit = sub.add_parser("audit", parents=[common],
                            help="run the equivalence or distortion sweeps")
     audit.add_argument("kind", choices=AUDITS)
-    # a profile and an exhaustive sweep are two sources of instances;
-    # --exhaustive is None when absent, so that cmd_audit can tell
+    # a profile, an exhaustive sweep and random draws are the sources of
+    # instances; every option is None when absent, so that cmd_audit can tell
     source = audit.add_mutually_exclusive_group()
     source.add_argument("--profile", help="audit a single profile file")
     source.add_argument("--exhaustive", action="store_true", default=None)
-    audit.add_argument("--n", type=int, default=3)
-    audit.add_argument("--m", type=int, default=3)
-    audit.add_argument("--trials", type=int, default=100)
-    audit.add_argument("--nmax", type=int, default=5)
-    audit.add_argument("--mmax", type=int, default=4)
-    audit.add_argument("--seed", type=int, default=0)
+    for option in ("--n", "--m", "--trials", "--nmax", "--mmax", "--seed"):
+        audit.add_argument(option, type=int)
 
     gen = sub.add_parser("gen", parents=[common], help="generate instances")
     gen.add_argument("--model", required=True, choices=["ic", "euclidean"])

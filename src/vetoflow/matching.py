@@ -15,10 +15,10 @@ ballot types.  Solving a network and reading back its cut therefore never
 walks the n voters; only outputs that are per voter (a witness's voter
 set, a matching's rows) touch them.
 
-When no matching exists, a Hall-style deficiency witness falls out of the
-min cut: a voter set N' whose jointly dominated candidates D satisfy
-|D| < m*|N'|/n.  The same Dinic engine, at unit capacities, finds the
-one-to-one matchings of the Pareto-matching criterion.
+The min cut is verdict and witness at once: no voter on its source side
+means a matching exists, else those voters N' and their jointly dominated
+candidates D are a Hall witness, |D| < m*|N'|/n.  The same Dinic engine, at
+unit capacities, finds the one-to-one matchings of the Pareto criterion.
 """
 
 from __future__ import annotations
@@ -108,17 +108,15 @@ class FlowResult:
     dinic: Dinic
     network: FlowNetwork
 
-    def source_side(self) -> frozenset[int]:
-        """Left nodes reachable from the source in the residual network: the
-        source side of the inclusion-minimal min cut.  That set is unique and
-        invariant under swapping interchangeable left nodes, so it is a union
-        of whole groups."""
-        return frozenset().union(*(g.voters for g in self._source_groups()))
-
-    def _source_groups(self) -> list[VoterGroup]:
-        """The groups whose flow node is on the source side."""
+    def cut(self) -> tuple[frozenset[int], frozenset[int]]:
+        """The inclusion-minimal min cut: the left nodes the residual network
+        reaches from the source, which is unique and so a union of whole
+        groups, empty exactly when every left supply is saturated; and the
+        right nodes they have edges to."""
         level = self.dinic.level
-        return [g for k, g in enumerate(self.network.groups) if level[1 + k] >= 0]
+        groups = [g for k, g in enumerate(self.network.groups) if level[1 + k] >= 0]
+        return (frozenset().union(*(g.voters for g in groups)),
+                frozenset().union(*(g.candidates for g in groups)))
 
     def units_sent(self) -> list[dict[int, int]]:
         """One dict per group, in group order: the units (original capacity
@@ -213,17 +211,14 @@ def has_fractional_perfect_matching(net: FlowNetwork) -> bool:
     """True iff the network saturates every left node's supply.  On a
     domination graph: weight 1 per voter can be spread over dominated
     candidates with every candidate receiving exactly n/m."""
-    value, _ = net.solve()
-    return value == net.num_left * net.left_supply
+    return not net.solve()[1].cut()[0]
 
 
 def fractional_matching(net: FlowNetwork) -> tuple[tuple[Fraction, ...], ...] | None:
     """A matching, row i giving voter i's weights, or None if infeasible.
     Voters of one group get the same row."""
-    value, flow = net.solve()
-    if value != net.num_left * net.left_supply:
-        return None
-    return flow.shares()
+    _, flow = net.solve()
+    return None if flow.cut()[0] else flow.shares()
 
 
 @dataclass(frozen=True)
@@ -250,14 +245,10 @@ def extract_deficiency_witness(p: PreferenceProfile, c: int) -> CutWitness | Non
     The witness is read off the min cut: voters still reachable from the
     source in the residual network.
     """
-    value, flow = build_domination_graph(p, c).solve()
-    if value == p.n * p.m:
+    voters, dominated = build_domination_graph(p, c).solve()[1].cut()
+    if not voters:
         return None
-    # a group's edge set is its voters' dominated set, so the source-side
-    # groups give both halves of the witness; validate walks the profile
-    groups = flow._source_groups()
-    witness = CutWitness(frozenset().union(*(g.voters for g in groups)),
-                         frozenset().union(*(g.candidates for g in groups)))
+    witness = CutWitness(voters, dominated)
     witness.validate(p, c)
     return witness
 

@@ -35,7 +35,7 @@ MAX_VOTERS = 1_000_000
 # the count before generating
 MAX_CANDIDATES = 100_000
 
-_COUNT_LINE = re.compile(r"^\s*\d+\s*:")
+_COUNT_LINE = re.compile(r"\s*(\d+)\s*:(.*)")
 _ALT_NAME = re.compile(r"^#\s*ALTERNATIVE\s+NAME\s+(\d+)\s*:\s*(.+?)\s*$", re.IGNORECASE)
 _RATIONAL = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*")
 
@@ -61,16 +61,20 @@ def parse_profile(text: str) -> PreferenceProfile:
 
     Errors carry 1-based line numbers from the original text.
     """
-    numbered = [
-        (no, ln)
-        for no, ln in enumerate(text.splitlines(), start=1)
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
-    if not numbered:
+    # one strip per line; comments are kept stripped, so only they start with "#"
+    lines: list[tuple[int, str, re.Match[str] | None]] = []
+    for no, ln in enumerate(text.splitlines(), start=1):
+        stripped = ln.strip()
+        if stripped.startswith("#"):
+            lines.append((no, stripped, None))
+        elif stripped:
+            lines.append((no, ln, _COUNT_LINE.fullmatch(ln)))
+    if any(match for _, _, match in lines):
+        return _parse_count_lines(lines)
+    data = [(no, ln) for no, ln, _ in lines if not ln.startswith("#")]
+    if not data:
         raise ValueError("no ballot data found")
-    if any(_COUNT_LINE.match(ln) for _, ln in numbered):
-        return _parse_count_lines(text)
-    return _parse_native(numbered)
+    return _parse_native(data)
 
 
 def _parse_native(numbered: list[tuple[int, str]]) -> PreferenceProfile:
@@ -110,27 +114,25 @@ def _parse_native(numbered: list[tuple[int, str]]) -> PreferenceProfile:
     return PreferenceProfile(tuple(rankings), names)
 
 
-def _parse_count_lines(text: str) -> PreferenceProfile:
+def _parse_count_lines(lines: list[tuple[int, str, re.Match[str] | None]]) -> PreferenceProfile:
     # alternative id -> (name, line number)
     names_by_id: dict[int, tuple[str, int]] = {}
     rankings: list[tuple[int, ...]] = []
     width: int | None = None
-    for no, ln in enumerate(text.splitlines(), start=1):
-        alt = _ALT_NAME.match(ln.strip())
-        if alt:
-            k = int(alt.group(1))
-            if k in names_by_id:
-                raise ValueError(f"alternative {k} is named twice, line {no}")
-            names_by_id[k] = alt.group(2), no
+    for no, ln, match in lines:
+        if ln.startswith("#"):
+            alt = _ALT_NAME.match(ln)
+            if alt:
+                k = int(alt.group(1))
+                if k in names_by_id:
+                    raise ValueError(f"alternative {k} is named twice, line {no}")
+                names_by_id[k] = alt.group(2), no
             continue
-        if not ln.strip() or ln.lstrip().startswith("#"):
-            continue
-        if not _COUNT_LINE.match(ln):
+        if match is None:
             raise ValueError(f"cannot parse line {ln!r}, line {no}")
-        count_part, _, rank_part = ln.partition(":")
         try:
-            count = int(count_part)
-            ids = [int(tok) for tok in rank_part.split(",")]
+            count = int(match[1])
+            ids = [int(tok) for tok in match[2].split(",")]
         except ValueError:
             raise ValueError(f"cannot parse line {ln!r}, line {no}") from None
         if len(set(ids)) != len(ids):

@@ -147,13 +147,17 @@ def psc_prescan_reference(p: PreferenceProfile, committee: frozenset[int]):
 
 class NoFlowViolation:
     """A stand-in for the PSC flow networks that reports every voter
-    served, so a verdict shows the solid-coalition scan alone."""
+    served, with no voter on the min cut's source side, so a verdict shows
+    the solid-coalition scan alone."""
 
     def __init__(self, num_right, groups, left_supply, right_cap):
         self.value = sum(g.size for g in groups) * left_supply
 
     def solve(self):
-        return self.value, None
+        return self.value, self
+
+    def cut(self):
+        return frozenset(), frozenset()
 
 
 def test_psc_prescan_matches_a_full_solid_coalition_scan(monkeypatch):
@@ -191,9 +195,10 @@ def networks(p: PreferenceProfile):
             yield FlowNetwork(p.m, groups, k + 1, p.n), prefixes
 
 
-def per_voter_flow(net: FlowNetwork, edges) -> tuple[int, frozenset[int]]:
-    """Max flow and residual-reachable left nodes, one Dinic node per left
-    node, left node i adjacent to ``edges[i]``."""
+def per_voter_flow(net: FlowNetwork, edges) -> tuple[int, frozenset[int], frozenset[int]]:
+    """Max flow, residual-reachable left nodes and the right nodes those
+    have edges to, one Dinic node per left node, left node i adjacent to
+    ``edges[i]``."""
     sink = net.num_left + net.num_right + 1
     d = Dinic(sink + 1)
     for i in range(net.num_left):
@@ -204,7 +209,8 @@ def per_voter_flow(net: FlowNetwork, edges) -> tuple[int, frozenset[int]]:
     for c in range(net.num_right):
         d.add_edge(1 + net.num_left + c, sink, net.right_cap)
     value = d.max_flow(0, sink)
-    return value, frozenset(i for i in range(net.num_left) if d.level[1 + i] >= 0)
+    side = frozenset(i for i in range(net.num_left) if d.level[1 + i] >= 0)
+    return value, side, frozenset().union(*(edges[i] for i in side))
 
 
 def test_merged_flow_matches_the_per_voter_network():
@@ -218,9 +224,12 @@ def test_merged_flow_matches_the_per_voter_network():
             assert all(edges[i] == g.candidates for g, ms in zip(net.groups, members) for i in ms)
             assert len(set(net.edges)) == len(net.groups)
             value, flow = net.solve()
-            expect_value, expect_side = per_voter_flow(net, edges)
+            expect_value, expect_side, expect_right = per_voter_flow(net, edges)
             assert value == expect_value, (p.rankings, net)
-            assert flow.source_side() == expect_side, (p.rankings, net)
+            voters, right = flow.cut()
+            assert (voters, right) == (expect_side, expect_right), (p.rankings, net)
+            # the cut holds a voter exactly when some supply is left unsent
+            assert (not voters) == (value == net.num_left * net.left_supply)
             checked += 1
             deficient += value < net.num_left * net.left_supply
     # the family must exercise min cuts, not only perfect flows
@@ -252,7 +261,7 @@ def test_unmerged_groups_solve_like_the_merged_network():
             value, flow = net.solve()
             single_value, single_flow = single.solve()
             assert single_value == value, (p.rankings, net)
-            assert single_flow.source_side() == flow.source_side(), (p.rankings, net)
+            assert single_flow.cut()[0] == flow.cut()[0], (p.rankings, net)
             assert len(single_flow.units_sent()) == p.n
             assert_feasible_shares(net, edges, value, flow.shares())
             assert_feasible_shares(net, edges, value, single_flow.shares())

@@ -36,3 +36,26 @@ def test_every_workload_passes_its_oracle_at_tiny_size(monkeypatch):
                 assert w.check(vf, x, out) == [], (name, seed, w.canon(vf, out))
                 ran[name] = ran.get(name, 0) + 1
     assert sorted(ran) == sorted(workloads.WORKLOADS) and min(ran.values()) >= 4
+
+
+def test_every_workload_reaches_its_traced_layers(monkeypatch):
+    # the tracer replaces bindings by name; a refactor that stops calling one
+    # leaves its layer without spans, which a check of the names alone misses
+    load(monkeypatch, "oracles")
+    workloads = load(monkeypatch, "workloads")
+    tracing = load(monkeypatch, "tracing")
+    vf = importlib.import_module("vetoflow")
+    missed = {}
+    for name, w in workloads.WORKLOADS.items():
+        inputs = [x for seed in (1, 2) for x in w.generate(vf, seed, "tiny")]
+        tracer = tracing.Tracer()
+        try:
+            tracer.install(vf)
+            for op, x in enumerate(inputs):
+                tracer.begin_op(op)
+                w.op(vf, x)
+                tracer.end_op()
+        finally:
+            tracer.uninstall()
+        missed[name] = tracing.check_coverage(tracer.spans, list(w.expected_spans))
+    assert missed == {name: [] for name in workloads.WORKLOADS}

@@ -332,10 +332,29 @@ def test_audit_refuses_an_instance_source_it_would_ignore(prof, capsys):
         cli.main(["audit", "equivalence", "--profile", path, "--exhaustive"])
     assert exc.value.code == 3
     assert "not allowed with argument" in capsys.readouterr().err
-    # each source alone is still read, and the JSON record keeps its seed
-    for argv in (["--profile", path], ["--exhaustive", "--n", "2", "--m", "2"]):
+    # each source alone is still read; the JSON record's seed is that of
+    # the drawn instances, and null for a source that draws none
+    for argv, seed in ((["--profile", path], None),
+                       (["--exhaustive", "--n", "2", "--m", "2"], None),
+                       (["--trials", "2"], 0), (["--trials", "2", "--seed", "5"], 5)):
         code, out, _ = run(capsys, ["audit", "equivalence", *argv, "--json"])
-        assert code == 0 and json.loads(out)["seed"] == 0
+        assert code == 0 and json.loads(out)["seed"] == seed
+
+
+@pytest.mark.parametrize("kind, source, reads", [
+    ("equivalence", "--profile", ()),
+    ("equivalence", "--exhaustive", ("--n", "--m")),
+    ("equivalence", "random draws", ("--trials", "--nmax", "--mmax", "--seed")),
+    ("distortion3", "random draws", ("--trials", "--nmax", "--mmax", "--seed")),
+])
+def test_audit_refuses_a_flag_its_source_does_not_read(kind, source, reads, prof, capsys):
+    # each refusal exits 3 before any instance is read or drawn
+    argv = {"--profile": ["--profile", prof(P)], "--exhaustive": ["--exhaustive"]}.get(source, [])
+    for flag in ("--n", "--m", "--trials", "--nmax", "--mmax", "--seed"):
+        if flag not in reads:
+            code, out, err = run(capsys, ["audit", kind, *argv, flag, "2"])
+            assert code == 3 and out == ""
+            assert f"{flag} does not apply to {source}" in err
 
 
 def test_gen_ic_round_trips(tmp_path, capsys):

@@ -182,7 +182,7 @@ def test_flow_network_follows_long_augmenting_paths():
     groups = voter_groups(edges, [(i,) for i in range(3001)])
     value, flow = FlowNetwork(3001, groups, left_supply=1, right_cap=1).solve()
     assert value == 3001
-    assert flow.source_side() == frozenset()
+    assert flow.cut()[0] == frozenset()
     sent = flow.units_sent()
     assert len(sent) == 3001
     assert sent[3000] == {0: 1}

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vetoflow import profile_io
 from vetoflow.profiles import PreferenceProfile
@@ -17,7 +17,7 @@ from vetoflow.profile_io import (
     parse_rational,
     serialize_profile,
 )
-from tests_support_oracles import fraction_check
+from tests_support_oracles import fraction_check, parse_profile_reference
 from tests_support_random import profiles_strategy, random_profiles
 
 
@@ -117,6 +117,61 @@ def test_count_lines_are_capped_by_their_running_total(monkeypatch):
     assert parse_profile("3: 1,2\n2: 2,1\n").n == 5
     with pytest.raises(ProfileSizeError, match="more than 5 voters, line 3"):
         parse_profile("3: 1,2\n# comment\n3: 2,1\n")
+
+
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def reader_texts(draw) -> str:
+    """Count-line or native texts, well formed or not: ballots mixed with
+    comments, alternative names before, between and after them, blank and
+    indented lines, and now and then a malformed line."""
+    m = draw(st.integers(1, 4))
+    names = "abcd"[:m]
+    perm = st.permutations(range(m))
+    count = st.one_of(st.integers(0, 3).map(str), st.integers(0, 3).map(str),
+                      st.sampled_from(["12", "2000000", "1" * 5000]))
+    ids = st.one_of(perm.map(lambda r: [str(c + 1) for c in r]), perm.map(lambda r: [str(c + 1) for c in r]),
+                    st.lists(st.sampled_from(["0", "1", "2", "5", "+2", " 3", "x", ""]), max_size=5))
+    count_line = st.builds(lambda a, c, b, w, r: f"{a}{c}{b}:{w}{','.join(r)}",
+                           _PAD, count, _PAD, _PAD, ids)
+    ballot = st.builds(lambda a, r: a + ">".join(names[c] for c in r), _PAD, perm)
+    alt_name = st.builds(
+        lambda a, word, k, name: f"{a}# {word} {k}: {name}",
+        _PAD, st.sampled_from(["ALTERNATIVE NAME", "alternative name", "ALTERNATIVE  NAME"]),
+        st.integers(0, m + 1), st.sampled_from(["x", "y", " z ", "a:b", "#w", "c1"]))
+    note = st.one_of(alt_name, st.sampled_from(["", "   ", "\t", "#", "# a note", "  # indented note"]))
+    malformed = st.sampled_from(["x: 1,2", "3 1,2", "1,2", ": 1", "a>b>", "1 2 3", "9: 1,2,3,4,5"])
+    if draw(st.booleans()):
+        body = draw(st.lists(st.one_of(count_line, count_line, note), max_size=8))
+    else:
+        n = draw(st.integers(0, 3))
+        header = draw(st.sampled_from([f"{m} {n}", f"{m} {n}", f"{m} {n} 1", "x y"]))
+        body = [header, draw(_PAD) + " ".join(names), *draw(st.lists(ballot, min_size=n, max_size=n + 1))]
+        for line in draw(st.lists(note, max_size=4)):
+            body.insert(draw(st.integers(0, len(body))), line)
+    if draw(st.integers(0, 3)) == 0:
+        body.insert(draw(st.integers(0, len(body))), draw(malformed))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(body)
+
+
+def _read(reader, text):
+    try:
+        return reader(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(reader_texts())
+@example("# ALTERNATIVE NAME 2: b\n1: 1,2\n3: 2,2\n# alternative name 2: c\n")
+@example("1: 1,2\n# ALTERNATIVE NAME 2: b\n# ALTERNATIVE NAME 2: c\n1: 2,\n")
+@example("  # ALTERNATIVE NAME 1: x\n\t2 : 2, 1\n\n# ALTERNATIVE NAME 2: y\n")
+@example("1" * 5000 + ": 1,2\n")
+@example("2 1\n# ALTERNATIVE NAME 1: x\na b\n  b > a \n")
+def test_reader_matches_the_reference_reader(text):
+    assert _read(parse_profile, text) == _read(parse_profile_reference, text)
 
 
 def test_rational_round_trip():

@@ -1,17 +1,21 @@
 """Brute-force oracles shared across the test modules.  Each evaluates its
 definition directly, voter by voter, without the grouping, flows or LPs of
 the checkers it is compared with; the clone oracles run the plurality rules
-on the cloned profile, one clone at a time."""
+on the cloned profile, one clone at a time.  ``parse_profile_reference`` is
+the profile reader in its earlier form, which matched and split every line
+again, kept verbatim as the differential reference for ``parse_profile``."""
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Sequence
 
 from vetoflow.matching import build_domination_graph, has_fractional_perfect_matching
-from vetoflow.profile_io import DistanceMatrix
-from vetoflow.profiles import PreferenceProfile, clone_expand, plurality_scores
+from vetoflow.profile_io import MAX_VOTERS, DistanceMatrix
+from vetoflow.profiles import (
+    PreferenceProfile, ProfileSizeError, clone_expand, plurality_scores)
 
 
 def hall_check_bruteforce(p: PreferenceProfile, c: int) -> bool:
@@ -118,3 +122,105 @@ def fraction_check(dm: DistanceMatrix, p: PreferenceProfile) -> list[str]:
         if d[i][a] > d[i][b] + d[j][b] + d[j][a]:
             bad.append(f"quadrangle violated at ({i},{j},{a},{b})")
     return bad
+
+
+_COUNT_LINE = re.compile(r"^\s*\d+\s*:")
+_ALT_NAME = re.compile(r"^#\s*ALTERNATIVE\s+NAME\s+(\d+)\s*:\s*(.+?)\s*$", re.IGNORECASE)
+
+
+def parse_profile_reference(text: str) -> PreferenceProfile:
+    """The profile reader as it was before it classified each line in one
+    pass, kept verbatim as the reference for ``parse_profile``: the same
+    profile, or the same exception type and message, on every text."""
+    numbered = [
+        (no, ln)
+        for no, ln in enumerate(text.splitlines(), start=1)
+        if ln.strip() and not ln.lstrip().startswith("#")
+    ]
+    if not numbered:
+        raise ValueError("no ballot data found")
+    if any(_COUNT_LINE.match(ln) for _, ln in numbered):
+        return _parse_count_lines_reference(text)
+    return _parse_native_reference(numbered)
+
+
+def _parse_native_reference(numbered: list[tuple[int, str]]) -> PreferenceProfile:
+    no, first = numbered[0]
+    header = first.split()
+    try:
+        m, n = int(header[0]), int(header[1])
+        if len(header) != 2:
+            raise ValueError
+    except (ValueError, IndexError):
+        raise ValueError(f"expected header 'm n', got {first!r}, line {no}") from None
+    if len(numbered) < 2:
+        raise ValueError("missing candidate name line")
+    no, name_line = numbered[1]
+    names = tuple(name_line.split())
+    if len(names) != m:
+        raise ValueError(f"header says {m} candidates, name line has {len(names)}, line {no}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate candidate name, line {no}")
+    ballots = numbered[2:]
+    if len(ballots) != n:
+        raise ValueError(f"header says {n} voters, found {len(ballots)} ballot lines")
+    index = {name: j for j, name in enumerate(names)}
+    rankings = []
+    for no, ln in ballots:
+        parts = [part.strip() for part in ln.split(">")]
+        seen: set[str] = set()
+        for part in parts:
+            if part not in index:
+                raise ValueError(f"unknown candidate {part!r}, line {no}")
+            if part in seen:
+                raise ValueError(f"duplicate candidate, line {no}")
+            seen.add(part)
+        if len(parts) != m:
+            raise ValueError(f"ballot ranks {len(parts)} of {m} candidates, line {no}")
+        rankings.append(tuple(index[part] for part in parts))
+    return PreferenceProfile(tuple(rankings), names)
+
+
+def _parse_count_lines_reference(text: str) -> PreferenceProfile:
+    # alternative id -> (name, line number)
+    names_by_id: dict[int, tuple[str, int]] = {}
+    rankings: list[tuple[int, ...]] = []
+    width: int | None = None
+    for no, ln in enumerate(text.splitlines(), start=1):
+        alt = _ALT_NAME.match(ln.strip())
+        if alt:
+            k = int(alt.group(1))
+            if k in names_by_id:
+                raise ValueError(f"alternative {k} is named twice, line {no}")
+            names_by_id[k] = alt.group(2), no
+            continue
+        if not ln.strip() or ln.lstrip().startswith("#"):
+            continue
+        if not _COUNT_LINE.match(ln):
+            raise ValueError(f"cannot parse line {ln!r}, line {no}")
+        count_part, _, rank_part = ln.partition(":")
+        try:
+            count = int(count_part)
+            ids = [int(tok) for tok in rank_part.split(",")]
+        except ValueError:
+            raise ValueError(f"cannot parse line {ln!r}, line {no}") from None
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate candidate, line {no}")
+        # every line must rank the full slate 1..m
+        if sorted(ids) != list(range(1, len(ids) + 1)):
+            raise ValueError(f"ranking is not a permutation of 1..{len(ids)}, line {no}")
+        if width is None:
+            width = len(ids)
+        elif len(ids) != width:
+            raise ValueError(f"expected {width} candidates, got {len(ids)}, line {no}")
+        if len(rankings) + count > MAX_VOTERS:
+            raise ProfileSizeError(f"more than {MAX_VOTERS} voters, line {no}")
+        ranking = tuple(c - 1 for c in ids)
+        rankings.extend([ranking] * count)
+    if not rankings or width is None:
+        raise ValueError("no ballot data found")
+    for k, (_, no) in names_by_id.items():
+        if not 1 <= k <= width:
+            raise ValueError(f"alternative {k} is outside 1..{width}, line {no}")
+    names = tuple(names_by_id[j][0] if j in names_by_id else f"c{j}" for j in range(1, width + 1))
+    return PreferenceProfile(tuple(rankings), names)
