@@ -32,6 +32,7 @@ from .eating import phragmen_committee, probabilistic_serial, veto_by_consumptio
 from .matching import extract_deficiency_witness
 from .profiles import (
     MAX_CELLS,
+    MAX_VOTERS,
     PreferenceProfile,
     ProfileSizeError,
     all_profiles,
@@ -40,7 +41,6 @@ from .profiles import (
 )
 from .profile_io import (
     MAX_CANDIDATES,
-    MAX_VOTERS,
     format_rational,
     gen_euclidean,
     gen_impartial_culture,

@@ -15,13 +15,12 @@ among all types whose intervals have the same ends.
 Veto by consumption, Phragmen-style sequential committees, and the
 probabilistic serial assignment are all thin drivers over this loop.
 
-The output's per-voter rows are spread from the type rows by the profile's
-``_type_of``, so the voters of a type share one row object.  Balance checks
-therefore run on (row, multiplicity) pairs: probabilistic serial checks its
-T type rows, weighted by type size, after one identity pass confirms that
-every voter holds its type's row; ``FractionalAssignment.validate`` and
-``EatingTrace.validate``, which have no ballot types, find the distinct
-rows by object identity.
+The output's per-voter rows are spread from the type rows run by run, so the
+voters of a type share one row object.  Balance checks run on (row,
+multiplicity) pairs: probabilistic serial checks its T type rows, weighted
+by type size, after one identity pass confirms that every voter holds its
+type's row; ``FractionalAssignment.validate`` and ``EatingTrace.validate``,
+having no ballot types, find the distinct rows by object identity.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ Two text formats are understood:
 * count-prefixed ranking lines in the style of preference-data archives,
   ``3: 1,2,4,3`` meaning three voters share the ranking, candidates 1-based.
   Metadata comments like ``# ALTERNATIVE NAME 2: b`` supply names, at most
-  one per candidate 1..m.  Counts adding up to more than ``MAX_VOTERS``
-  raise ``ProfileSizeError``.
+  one per candidate 1..m.  Each line with a nonzero count is one ballot run.
+
+Either format holds at most ``MAX_VOTERS`` voters (``ProfileSizeError``).
 
 ``parse_profile`` sniffs the format, ``serialize_profile`` always emits the
 native one, and the two round-trip exactly.
@@ -27,10 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .profiles import PreferenceProfile, ProfileSizeError
+from .profiles import MAX_VOTERS, PreferenceProfile, ProfileSizeError
 
-# count lines expand into one entry per voter; cap the total before expanding
-MAX_VOTERS = 1_000_000
 # every generated candidate costs a name and a ranking cell per voter; cap
 # the count before generating
 MAX_CANDIDATES = 100_000
@@ -111,13 +110,14 @@ def _parse_native(numbered: list[tuple[int, str]]) -> PreferenceProfile:
         if len(parts) != m:
             raise ValueError(f"ballot ranks {len(parts)} of {m} candidates, line {no}")
         rankings.append(tuple(index[part] for part in parts))
-    return PreferenceProfile(tuple(rankings), names)
+    return PreferenceProfile.of(rankings, names)
 
 
 def _parse_count_lines(lines: list[tuple[int, str, re.Match[str] | None]]) -> PreferenceProfile:
     # alternative id -> (name, line number)
     names_by_id: dict[int, tuple[str, int]] = {}
-    rankings: list[tuple[int, ...]] = []
+    runs: list[tuple[tuple[int, ...], int]] = []
+    n = 0
     width: int | None = None
     for no, ln, match in lines:
         if ln.startswith("#"):
@@ -144,23 +144,24 @@ def _parse_count_lines(lines: list[tuple[int, str, re.Match[str] | None]]) -> Pr
             width = len(ids)
         elif len(ids) != width:
             raise ValueError(f"expected {width} candidates, got {len(ids)}, line {no}")
-        if len(rankings) + count > MAX_VOTERS:
+        n += count
+        if n > MAX_VOTERS:
             raise ProfileSizeError(f"more than {MAX_VOTERS} voters, line {no}")
-        ranking = tuple(c - 1 for c in ids)
-        rankings.extend([ranking] * count)
-    if not rankings or width is None:
+        if count:
+            runs.append((tuple(c - 1 for c in ids), count))
+    if not runs or width is None:
         raise ValueError("no ballot data found")
     for k, (_, no) in names_by_id.items():
         if not 1 <= k <= width:
             raise ValueError(f"alternative {k} is outside 1..{width}, line {no}")
     names = tuple(names_by_id[j][0] if j in names_by_id else f"c{j}" for j in range(1, width + 1))
-    return PreferenceProfile(tuple(rankings), names)
+    return PreferenceProfile(tuple(runs), names)
 
 
 def serialize_profile(p: PreferenceProfile) -> str:
     out = [f"{p.m} {p.n}", " ".join(p.candidate_names)]
-    for ranking in p.rankings:
-        out.append(">".join(p.candidate_names[c] for c in ranking))
+    for ranking, count in p.runs:
+        out += [">".join(p.candidate_names[c] for c in ranking)] * count
     return "\n".join(out) + "\n"
 
 

@@ -1,16 +1,14 @@
 """Preference profiles and the basic operations every other module builds on.
 
-A profile is a list of strict rankings over a common candidate set.  Candidates
-are handled as integer indices everywhere; display names live alongside in
-``candidate_names`` and only matter for parsing and printing.
+A profile is a sequence of strict rankings over a common candidate set,
+stored as ballot runs: ``(ranking, count)`` pairs in voter order, as count
+lines hand them over.  Candidates are integer indices everywhere; display
+names live alongside in ``candidate_names`` and only matter for parsing and
+printing.
 
 Identical voters are interchangeable, so the checkers work per ballot type.
-The profile groups its voters into ballot types once, on construction, in
-one pass that hashes a ranking only where the ranking object changes from
-one voter to the next; count lines repeat one shared tuple, so a run of
-equal ballots costs one lookup.  The same pass records each voter's type
-index (``_type_of``), from which ``per_voter`` spreads per-type values and
-``ballot_types_of`` finds the types of a voter set.
+The profile groups its runs into ballot types in one pass on construction,
+and spreads per-type values to per-voter views run by run.
 
 A voter group ties a candidate set to the voters it belongs to, one run per
 ballot type; ``voter_groups`` is the one rule for merging ballot types with
@@ -20,9 +18,9 @@ equal sets, for flow networks and solid coalitions alike.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import merge
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -30,6 +28,8 @@ T = TypeVar("T")
 # rankings are stored cell by cell; generators, clone expansion and the CLI
 # cap their total before allocating
 MAX_CELLS = 10**7
+# every profile spreads per-voter views; its runs may add up to at most this
+MAX_VOTERS = 1_000_000
 
 
 class ProfileSizeError(ValueError):
@@ -46,18 +46,22 @@ class BallotType(NamedTuple):
 
 @dataclass(frozen=True)
 class PreferenceProfile:
-    """An ordinal election: ``rankings[i]`` is voter i's strict order, best first.
+    """An ordinal election as ballot runs in voter order: ``(ranking, count)``
+    says the next ``count`` voters cast ``ranking``, a strict order best first,
+    and ``rankings[i]`` is voter i's ranking, one shared tuple per ballot type.
 
     Every ranking must be a permutation of ``range(m)`` where
-    ``m == len(candidate_names)``.
+    ``m == len(candidate_names)``, and every count a positive int; the counts
+    add up to at most ``MAX_VOTERS``.  Adjacent equal runs merge, so equal
+    elections compare and hash equal.
     """
 
-    rankings: tuple[tuple[int, ...], ...]
+    runs: tuple[tuple[tuple[int, ...], int], ...]
     candidate_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
         # an empty profile infers no candidates, so voters are checked first
-        if len(self.rankings) == 0:
+        if len(self.runs) == 0:
             raise ValueError("profile needs at least one voter")
         m = len(self.candidate_names)
         if m == 0:
@@ -70,50 +74,50 @@ class PreferenceProfile:
                 raise ValueError(f"bad candidate name: {name!r}")
         if len(set(self.candidate_names)) != m:
             raise ValueError("duplicate candidate names")
-        # group the voters by ranking in one pass, hashing a ranking only
-        # where the ranking object changes from the previous voter: count
-        # lines repeat one tuple per line, so each such run is hashed once.
-        # _type_of[i] is voter i's ballot type, numbered by first voter
+        # one pass, capping each count before its voters are allocated;
+        # starts[k] is the first voter of merged run k, and starts[-1] is n
         index: dict[tuple[int, ...], int] = {}
         voters: list[list[int]] = []
-        type_of: list[int] = []
-        prev = None
-        for i, ranking in enumerate(self.rankings):
-            if ranking is not prev:
-                prev = ranking
-                t = index.setdefault(ranking, len(index))
-                if t == len(voters):
-                    voters.append([])
-                run = voters[t]
-            run.append(i)
-            type_of.append(t)
-        # check each distinct ranking once, in order of its first voter
+        run_types: list[int] = []
+        starts = [0]
         full = frozenset(range(m))
-        for ranking, vs in zip(index, voters):
-            if len(ranking) != m or frozenset(ranking) != full:
-                raise ValueError(f"ranking of voter {vs[0]} is not a permutation of 0..{m - 1}")
+        for ranking, count in self.runs:
+            if type(count) is not int or count < 1:
+                raise ValueError(f"run counts must be positive ints, got {count!r}")
+            n = starts[-1]
+            if n + count > MAX_VOTERS:
+                raise ProfileSizeError(f"more than {MAX_VOTERS} voters")
+            t = index.setdefault(ranking, len(index))
+            if t == len(voters):
+                if len(ranking) != m or frozenset(ranking) != full:
+                    raise ValueError(f"ranking of voter {n} is not a permutation of 0..{m - 1}")
+                voters.append([])
+            voters[t].extend(range(n, n + count))
+            if run_types[-1:] != [t]:  # else the run extends the previous one
+                run_types.append(t)
+                starts.append(n)
+            starts[-1] += count
         types = tuple(BallotType(r, tuple(vs)) for r, vs in zip(index, voters))
+        object.__setattr__(self, "runs", tuple(
+            (types[t].ranking, b - a) for t, a, b in zip(run_types, starts, starts[1:])))
         object.__setattr__(self, "_ballot_types", types)
-        object.__setattr__(self, "_type_of", type_of)
-        # _spread picks, for each voter in turn, the entry of its ballot type
-        object.__setattr__(self, "_spread", itemgetter(*type_of))
+        object.__setattr__(self, "_run_types", run_types)
+        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "rankings", self.per_voter([r for r, _ in types]))
 
     @classmethod
-    def of(
-        cls,
-        rankings: Iterable[Iterable[int]],
-        candidate_names: Sequence[str] | None = None,
-    ) -> "PreferenceProfile":
-        """Build a profile from index rankings, defaulting names to c1, c2, ..."""
-        rk = tuple(tuple(r) for r in rankings)
+    def of(cls, rankings: Iterable[Iterable[int]],
+           candidate_names: Sequence[str] | None = None) -> "PreferenceProfile":
+        """Build a profile from per-voter index rankings, one run per stretch
+        of equal adjacent rankings, defaulting names to c1, c2, ..."""
+        runs = tuple((r, len(list(g))) for r, g in itertools.groupby(map(tuple, rankings)))
         if candidate_names is None:
-            m = len(rk[0]) if rk else 0
-            candidate_names = tuple(f"c{j + 1}" for j in range(m))
-        return cls(rk, tuple(candidate_names))
+            candidate_names = [f"c{j + 1}" for j in range(len(runs[0][0]) if runs else 0)]
+        return cls(runs, tuple(candidate_names))
 
     @property
     def n(self) -> int:
-        return len(self.rankings)
+        return self._starts[-1]
 
     @property
     def m(self) -> int:
@@ -127,35 +131,38 @@ class PreferenceProfile:
 
     def ballot_types_of(self, voters: Iterable[int]) -> tuple[BallotType, ...]:
         """The ballot types cast by at least one voter in ``voters``, in
-        first-appearance order.  A voter outside 0..n-1 is an error."""
-        vs = voters if isinstance(voters, (set, frozenset)) else frozenset(voters)
-        if vs and (min(vs) < 0 or max(vs) >= self.n):
+        first-appearance order.  A member that is not an int in 0..n-1 is
+        an error."""
+        vs = list(voters)
+        vs = sorted(vs) if set(map(type, vs)) <= {int} else [-1]  # a non-int is no voter
+        if vs and (vs[0] < 0 or vs[-1] >= self.n):
             raise ValueError(f"voter index outside 0..{self.n - 1}")
-        hit = set(map(self._type_of.__getitem__, vs))
+        # find the run of the lowest voter left, then skip that run's voters
+        hit, i = set(), 0
+        while i < len(vs):
+            k = bisect_right(self._starts, vs[i]) - 1
+            hit.add(self._run_types[k])
+            i = bisect_left(vs, self._starts[k + 1], i)
         return tuple(map(self._ballot_types.__getitem__, sorted(hit)))
 
     def per_voter(self, values: Sequence[T]) -> tuple[T, ...]:
-        """Spread ``values[t]``, one per ballot type, to every voter of type t;
-        the voters of a type share the object."""
+        """Spread ``values[t]``, one per ballot type, to every voter of type t,
+        run by run; the voters of a type share the object."""
         if len(values) != len(self._ballot_types):
             raise ValueError(f"need one value per ballot type, got {len(values)}")
-        # itemgetter of a single index returns the bare item
-        return self._spread(values) if self.n > 1 else (self._spread(values),)
+        out: list[T] = []
+        for t, (_, count) in zip(self._run_types, self.runs):
+            out += [values[t]] * count
+        return tuple(out)
 
     def positions(self) -> tuple[tuple[int, ...], ...]:
         """``positions()[i][c]`` is the rank of candidate c for voter i, 0 = best.
         Voters with the same ranking share one row."""
-        cached = self.__dict__.get("_positions")
-        if cached is None:
-            rows = []
-            for bt in self.ballot_types():
-                row = [0] * self.m
-                for rank, c in enumerate(bt.ranking):
-                    row[c] = rank
-                rows.append(tuple(row))
-            cached = self.per_voter(rows)
-            object.__setattr__(self, "_positions", cached)
-        return cached
+        if "_positions" not in self.__dict__:
+            # a ranking's positions are its inverse permutation
+            rows = [tuple(sorted(range(self.m), key=r.__getitem__)) for r, _ in self._ballot_types]
+            object.__setattr__(self, "_positions", self.per_voter(rows))
+        return self.__dict__["_positions"]
 
     def prefers(self, voter: int, a: int, b: int) -> bool:
         """True iff voter ranks a strictly above b."""
@@ -171,17 +178,14 @@ class PreferenceProfile:
 
 def reverse_profile(p: PreferenceProfile) -> PreferenceProfile:
     """Flip every ranking, so each voter's worst candidate becomes their best."""
-    return PreferenceProfile(
-        tuple(tuple(reversed(r)) for r in p.rankings),
-        p.candidate_names,
-    )
+    return PreferenceProfile(tuple((r[::-1], count) for r, count in p.runs), p.candidate_names)
 
 
 def plurality_scores(p: PreferenceProfile) -> tuple[int, ...]:
     """Number of first-place appearances of each candidate."""
     scores = [0] * p.m
-    for ranking in p.rankings:
-        scores[ranking[0]] += 1
+    for ranking, count in p.runs:
+        scores[ranking[0]] += count
     return tuple(scores)
 
 
@@ -231,19 +235,14 @@ def clone_expand(p: PreferenceProfile, frequency: Sequence[int]) -> CloneExpansi
             origin.append(c)
             names.append(f"{p.candidate_names[c]}#{k + 1}")
 
-    expanded_rankings = tuple(
-        tuple(e for c in ranking for e in clones[c]) for ranking in p.rankings
-    )
-    expanded = PreferenceProfile(expanded_rankings, tuple(names))
+    expanded = PreferenceProfile(
+        tuple((tuple(e for c in r for e in clones[c]), count) for r, count in p.runs), tuple(names))
     return CloneExpansion(expanded, tuple(origin), tuple(clones))
 
 
 def dominated_set(p: PreferenceProfile, c: int, voters: Iterable[int]) -> frozenset[int]:
     """Candidates that some voter in ``voters`` ranks weakly below c (c included)."""
-    out: set[int] = set()
-    for r, _ in p.ballot_types_of(voters):
-        out.update(r[r.index(c):])
-    return frozenset(out)
+    return frozenset().union(*(r[r.index(c):] for r, _ in p.ballot_types_of(voters)))
 
 
 class VoterGroup(NamedTuple):

@@ -1,0 +1,163 @@
+"""Committed mutants of the fast paths, and a runner that checks the tests
+still kill them.
+
+Each mutant replaces one exact text of a module under ``src/vetoflow/`` and
+names the tests that must fail on the changed copy.  A fast path is only as
+safe as the oracle that pins it; listing its mutants here keeps a later
+change from weakening that oracle unnoticed.
+
+    python3 tests/mutants.py                 # every mutant
+    python3 tests/mutants.py merge spread    # the named mutants only
+
+The runner copies ``src/``, ``tests/``, ``bench/`` and ``pyproject.toml`` to
+a temporary directory, since ``pythonpath = ["src"]`` in pyproject.toml
+would otherwise import this checkout's own ``src/``.  It first checks that
+the named tests pass on the unchanged copy, then applies one mutant at a
+time, runs only that mutant's tests and expects them to fail.  It prints
+one line per mutant and the kill count, and exits 1 if a mutant survives
+or its tests cannot run.  It is not part of the test suite, which only
+checks (``test_mutants.py``) that every old text occurs exactly once in
+its module and every named test exists.
+
+Known survivor, documented and not listed: ``FlowResult.cut`` reads its
+right half as the union of the reachable groups' edge sets.  Reading it
+instead from the right nodes the residual network reaches from the source
+gives the same set: an edge from a group can carry the group's whole
+supply, so it keeps residual capacity while the source still reaches the
+group.  The rewrite is equivalent, and no test can kill it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "vetoflow"
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file name under src/vetoflow
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, at least one of which must fail
+
+
+MUTANTS = (
+    # ballot runs in the profile
+    Mutant("merge", "profiles.py",
+           "if run_types[-1:] != [t]:", "if True:",
+           ("tests/test_profiles.py::test_adjacent_equal_runs_merge",
+            "tests/test_ballot_types.py::test_grouping_matches_a_per_voter_reference")),
+    Mutant("spread", "profiles.py",
+           "for t, (_, count) in zip(self._run_types, self.runs)",
+           "for t, (_, count) in zip(sorted(self._run_types), self.runs)",
+           ("tests/test_ballot_types.py::test_grouping_matches_a_per_voter_reference",)),
+    Mutant("voter-check", "profiles.py",
+           "if set(map(type, vs)) <= {int} else [-1]", "",
+           ("tests/test_type_validators.py::test_witness_validators_refuse_non_voters",)),
+    Mutant("voter-bound", "profiles.py",
+           "if n + count > MAX_VOTERS:", "if n + count > MAX_VOTERS + 1:",
+           ("tests/test_profiles.py::test_a_billion_voters_are_refused_before_any_per_voter_allocation",
+            "tests/test_cli.py::test_native_files_are_capped_by_their_ballot_lines")),
+    # the count-line reader
+    Mutant("reader-runs", "profile_io.py",
+           "        if count:\n", "        if count >= 0:\n",
+           ("tests/test_profile_io.py::test_count_lines_become_runs",)),
+    Mutant("reader-total", "profile_io.py",
+           "        n += count\n", "        n = count\n",
+           ("tests/test_profile_io.py::test_count_lines_are_capped_by_their_running_total",)),
+    # the minimal min cut read back from Dinic's last level graph
+    Mutant("cut-read-back", "matching.py",
+           "if level[1 + k] >= 0]", "if level[1 + k] != 0]",
+           ("tests/test_ballot_types.py::test_merged_flow_matches_the_per_voter_network",
+            "tests/test_matching.py::test_witness_extraction_on_random_profiles")),
+    # PSC's solid-coalition prescan on int masks and type weights
+    Mutant("psc-prescan", "axioms.py",
+           "size[mask] = size.get(mask, 0) + len(voters)", "size[mask] = size.get(mask, 0) + 1",
+           ("tests/test_ballot_types.py::test_psc_prescan_matches_a_full_solid_coalition_scan",)),
+    # interval eating: each cell is one shared difference of event times
+    Mutant("eating-cells", "eating.py",
+           "spans[s] = t - times[s]", "spans[s] = t - times[max(s - 1, 0)]",
+           ("tests/test_eating.py::test_eating_matches_the_per_step_reference",
+            "tests/test_eating.py::test_eating_outputs_match_the_pinned_digest")),
+    # distortion: references in order of their bound, stopping early
+    Mutant("bound-order", "distortion.py",
+           "bound < best.value or bound == best.value and cref > best.reference",
+           "bound <= best.value",
+           ("tests/test_distortion.py::test_bound_skipping_changes_no_result",
+            "tests/test_distortion.py::test_results_are_pinned")),
+    # distortion: the O(m) pair walk of the quadrangle separation
+    Mutant("pair-walk", "distortion.py",
+           "if va < vb or va == vb and a < b:", "if va < vb:",
+           ("tests/test_distortion.py::test_quadrangle_separation_matches_the_reference",)),
+    # DistanceMatrix.check skips a voter pair that can violate no row
+    Mutant("pair-test", "profile_io.py",
+           "<= min(x + y for x, y in zip(di, dj)):", "<= min(x + y for x, y in zip(di, dj)) + 1:",
+           ("tests/test_distortion.py::test_integer_check_matches_the_fraction_check",
+            "tests/test_profile_io.py::test_metric_instance_checks_match_the_fraction_reference")),
+)
+
+
+def _pytest(root: Path, tests: tuple[str, ...], timeout: float = 900) -> int | None:
+    """pytest's exit code on ``tests`` in the copy at ``root``: 0 all passed,
+    1 some failed, anything else could not run them; None on a timeout."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(root / "src")}
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=root, env=env, capture_output=True, timeout=timeout).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def run(mutant: Mutant, root: Path) -> str:
+    """Apply one mutant in the copy at ``root``, run its tests, restore the
+    module, and say "killed", "SURVIVED" or "ERROR ..."."""
+    path = root / "src" / "vetoflow" / mutant.module
+    original = path.read_text()
+    if original.count(mutant.old) != 1:
+        return f"ERROR old text occurs {original.count(mutant.old)} times"
+    path.write_text(original.replace(mutant.old, mutant.new))
+    try:
+        code = _pytest(root, mutant.tests)
+    finally:
+        path.write_text(original)
+    return {None: "killed (timeout)", 0: "SURVIVED", 1: "killed"}.get(
+        code, f"ERROR pytest exit {code}")
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".bench_out")
+        for part in ("src", "tests", "bench"):
+            shutil.copytree(ROOT / part, root / part, ignore=skip)
+        shutil.copy2(ROOT / "pyproject.toml", root / "pyproject.toml")
+        # a kill only counts if the same tests pass on the unchanged copy
+        tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+        if _pytest(root, tests) != 0:
+            print("the named tests do not pass on the unchanged copy", file=sys.stderr)
+            return 1
+        verdicts = []
+        for m in chosen:
+            verdicts.append(run(m, root))
+            print(f"{m.name:14} {m.module:14} {verdicts[-1]}", flush=True)
+    killed = sum(v.startswith("killed") for v in verdicts)
+    print(f"{killed} of {len(chosen)} mutants killed")
+    return 0 if killed == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -43,7 +43,7 @@ def test_ballot_types_in_first_appearance_order(fix_p):
     # the types are built with the profile but are not one of its fields
     q = PreferenceProfile.of([(1, 0), (0, 1), (1, 0), (1, 0)])
     assert p == q and hash(p) == hash(q)
-    assert repr(p) == ("PreferenceProfile(rankings=((1, 0), (0, 1), (1, 0), (1, 0)), "
+    assert repr(p) == ("PreferenceProfile(runs=(((1, 0), 1), ((0, 1), 1), ((1, 0), 2)), "
                        "candidate_names=('c1', 'c2'))")
     assert [bt.voters for bt in fix_p.ballot_types()] == [(0, 1), (2, 3)]
     # voters of one type share their position row
@@ -98,12 +98,35 @@ def test_grouping_matches_a_per_voter_reference(runs, data):
     rankings = []
     for r, count, shared in runs:
         rankings += [r] * count if shared else [tuple(list(r)) for _ in range(count)]
-    assert_grouped_like_the_reference(PreferenceProfile.of(rankings), data)
-    # count lines, one per run, may repeat a ranking on non-adjacent lines
+    per_voter = PreferenceProfile.of(rankings)
+    assert_grouped_like_the_reference(per_voter, data)
+    # count lines, one per run, may repeat a ranking on adjacent and
+    # non-adjacent lines
     text = "".join(f"{count}: {','.join(str(c + 1) for c in r)}\n" for r, count, _ in runs)
     parsed = parse_profile(text)
     assert parsed.rankings == tuple(rankings)
     assert_grouped_like_the_reference(parsed, data)
+    # the same election as runs cut at random points, so that adjacent runs
+    # cast one ranking
+    split = []
+    for r, count, _ in runs:
+        cuts = sorted(data.draw(st.sets(st.integers(1, count - 1)))) if count > 1 else []
+        split += [(r, b - a) for a, b in zip([0, *cuts], [*cuts, count])]
+    direct = PreferenceProfile(tuple(split), per_voter.candidate_names)
+    assert_grouped_like_the_reference(direct, data)
+    # all three store the same merged runs and give the same views
+    three = (per_voter, parsed, direct)
+    assert all(q == per_voter and hash(q) == hash(per_voter) for q in three)
+    merged = [(r, sum(count for _, count in g))
+              for r, g in itertools.groupby(split, key=lambda run: run[0])]
+    values = [object() for _ in per_voter.ballot_types()]
+    chosen = data.draw(st.sets(st.integers(0, per_voter.n - 1)))
+    views = [(q.runs, q.rankings, q.ballot_types(), q.per_voter(values), q.positions(),
+              q.ballot_types_of(chosen)) for q in three]
+    assert views == [views[0]] * 3
+    assert list(per_voter.runs) == merged
+    # each run carries its ballot type's one ranking tuple
+    assert all(any(r is bt.ranking for bt in q.ballot_types()) for q in three for r, _ in q.runs)
 
 
 def solid_coalitions_per_voter(p: PreferenceProfile):
@@ -340,7 +363,7 @@ def test_duplicating_and_shuffling_ballots_changes_nothing(p, k, rnd):
     # voter j of q casts the ballot of voter origin[j] of p
     origin = [i for i in range(p.n) for _ in range(k)]
     rnd.shuffle(origin)
-    q = PreferenceProfile(tuple(p.rankings[i] for i in origin), p.candidate_names)
+    q = PreferenceProfile.of(tuple(p.rankings[i] for i in origin), p.candidate_names)
 
     def lift(voters):
         return frozenset(j for j, i in enumerate(origin) if i in voters)

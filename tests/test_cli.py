@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from vetoflow import cli
+from vetoflow import cli, profiles
 from vetoflow.matching import FlowNetwork
 from vetoflow.profile_io import gen_euclidean, parse_metric, parse_profile
 
@@ -569,6 +569,16 @@ def test_hostile_generated_size_is_a_resource_limit(argv, message, capsys, tmp_p
     assert code == 4 and message in err
     assert peak < 1 << 20
     assert not (tmp_path / "unused.prof").exists()
+
+
+def test_native_files_are_capped_by_their_ballot_lines(prof, capsys, monkeypatch):
+    # the profile itself caps its voters, so a native file obeys the bound
+    # that count lines and gen obey
+    monkeypatch.setattr(profiles, "MAX_VOTERS", 3)
+    code, out, _ = run(capsys, ["rule", "--rule", "plurality-veto", "--profile", prof(T)])
+    assert code == 0 and out == "winner: b\n"
+    code, out, err = run(capsys, ["rule", "--rule", "plurality-veto", "--profile", prof(P)])
+    assert code == 4 and out == "" and "more than 3 voters" in err
 
 
 # 4000 voters cloned onto 4000 clones would hold 1.6e7 ranking cells; the

@@ -48,7 +48,7 @@ def test_round_trip_any_profile(p, data):
     if hostile is not None:
         names[-1] = hostile
     try:
-        p = PreferenceProfile(p.rankings, tuple(names))
+        p = PreferenceProfile.of(p.rankings, tuple(names))
     except ValueError:
         return
     assert parse_profile(serialize_profile(p)) == p
@@ -60,6 +60,15 @@ def test_parse_count_lines():
     assert p.n == 3 and p.m == 3
     assert p.rankings == ((0, 1, 2), (0, 1, 2), (2, 1, 0))
     assert p.candidate_names == ("c1", "c2", "c3")
+
+
+def test_count_lines_become_runs():
+    # one run per line with a nonzero count; equal adjacent lines merge
+    p = parse_profile("2: 1,2\n0: 2,1\n1: 1,2\n3: 2,1\n")
+    assert p.runs == (((0, 1), 3), ((1, 0), 3))
+    assert serialize_profile(p) == "2 6\nc1 c2\n" + "c1>c2\n" * 3 + "c2>c1\n" * 3
+    with pytest.raises(ValueError, match="no ballot data"):
+        parse_profile("0: 1,2\n")
 
 
 def test_parse_count_lines_with_names():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,35 +20,60 @@ from tests_support_random import profiles_strategy
 
 def test_validation_rejects_bad_input():
     with pytest.raises(ValueError, match="at least one voter"):
-        PreferenceProfile((), ("a",))
+        PreferenceProfile.of((), ("a",))
     # no rankings means no inferred candidates either; the voters are named
     with pytest.raises(ValueError, match="at least one voter"):
         PreferenceProfile.of([])
     with pytest.raises(ValueError, match="at least one voter"):
-        PreferenceProfile((), ())
+        PreferenceProfile.of((), ())
     with pytest.raises(ValueError, match="at least one candidate"):
-        PreferenceProfile(((),), ())
+        PreferenceProfile.of(((),), ())
     with pytest.raises(ValueError):
-        PreferenceProfile(((0,),), ())
+        PreferenceProfile.of(((0,),), ())
     with pytest.raises(ValueError):
-        PreferenceProfile(((0, 1),), ("a", "a"))
+        PreferenceProfile.of(((0, 1),), ("a", "a"))
     with pytest.raises(ValueError):
-        PreferenceProfile(((0, 0),), ("a", "b"))
+        PreferenceProfile.of(((0, 0),), ("a", "b"))
     # the first voter who cast the first bad ranking is named
     with pytest.raises(ValueError, match="ranking of voter 2 is not"):
         PreferenceProfile.of([(0, 1), (0, 1), (1, 1), (0, 1), (1, 1), (0, 2)])
     with pytest.raises(ValueError):
-        PreferenceProfile(((0,),), ("a b",))
+        PreferenceProfile.of(((0,),), ("a b",))
     with pytest.raises(ValueError):
-        PreferenceProfile(((0,),), ("a>b",))
+        PreferenceProfile.of(((0,),), ("a>b",))
     with pytest.raises(ValueError):
-        PreferenceProfile(((0,),), ("",))
+        PreferenceProfile.of(((0,),), ("",))
     with pytest.raises(ValueError):
-        PreferenceProfile(((0,),), ("#x",))
+        PreferenceProfile.of(((0,),), ("#x",))
     with pytest.raises(ValueError):
-        PreferenceProfile(((0,),), ("1:x",))
+        PreferenceProfile.of(((0,),), ("1:x",))
     # clone names carry a "#" inside
-    assert PreferenceProfile(((0,),), ("a#1",)).candidate_names == ("a#1",)
+    assert PreferenceProfile.of(((0,),), ("a#1",)).candidate_names == ("a#1",)
+
+
+@pytest.mark.parametrize("count", [0, -1, True, 1.5])
+def test_run_counts_must_be_positive_ints(count):
+    with pytest.raises(ValueError, match="run counts must be positive ints"):
+        PreferenceProfile((((0, 1), 2), ((1, 0), count)), ("a", "b"))
+
+
+def test_a_billion_voters_are_refused_before_any_per_voter_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProfileSizeError, match="more than 1000000 voters"):
+            PreferenceProfile((((0, 1), 2), ((1, 0), 10**9)), ("a", "b"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_adjacent_equal_runs_merge():
+    p = PreferenceProfile((((0, 1), 1), ((0, 1), 2), ((1, 0), 1), ((0, 1), 1)), ("a", "b"))
+    assert p.runs == (((0, 1), 3), ((1, 0), 1), ((0, 1), 1))
+    assert p == PreferenceProfile.of([(0, 1)] * 3 + [(1, 0), (0, 1)], ("a", "b"))
+    assert p.n == 5 and p.ballot_types() == (((0, 1), (0, 1, 2, 4)), ((1, 0), (3,)))
+    assert p.per_voter("xy") == tuple("xxxyx")
 
 
 def test_of_defaults_names():

@@ -11,6 +11,7 @@ import pytest
 
 from vetoflow.axioms import PscViolation, VetoWitness, veto_core_member, veto_power
 from vetoflow.eating import FractionalAssignment, probabilistic_serial
+from vetoflow.matching import CutWitness, extract_deficiency_witness
 from vetoflow.profiles import PreferenceProfile, dominated_set, reverse_profile
 
 
@@ -163,6 +164,29 @@ def test_forged_witnesses_are_refused(fix_t):
         PscViolation(frozenset({3}), frozenset({1, 2, 3}), 3).validate(rev, committee)
     with pytest.raises(ValueError, match="outside"):
         PscViolation(frozenset({3}), frozenset({0, 1, 6}), 3).validate(rev, committee)
+
+
+def test_witness_validators_refuse_non_voters():
+    # voters 0-3 cast one ballot, 4-5 the reverse; each witness holds as
+    # given, and one extra member that is no voter must make it fail
+    p = PreferenceProfile.of([(0, 1, 2, 3)] * 4 + [(3, 2, 1, 0)] * 2)
+    rev = reverse_profile(p)
+    veto = VetoWitness(frozenset({1, 2, 3}), frozenset({0, 1, 2}))
+    cut = extract_deficiency_witness(p, 3)
+    psc = PscViolation(frozenset({3}), frozenset({0, 1, 2, 3}), 3)
+    veto.validate(p, 3)
+    cut.validate(p, 3)
+    psc.validate(rev, frozenset({0}))
+    for bad in (0.5, "1", -1, p.n):
+        outside = "voter index outside 0..5"
+        with pytest.raises(ValueError, match=outside):
+            VetoWitness(veto.voters | {bad}, veto.blocked_by).validate(p, 3)
+        with pytest.raises(ValueError, match=outside):
+            CutWitness(cut.voters | {bad}, cut.dominated).validate(p, 3)
+        with pytest.raises(ValueError, match=outside):
+            PscViolation(psc.prefix_set, psc.supporters | {bad}, 3).validate(rev, frozenset({0}))
+        with pytest.raises(ValueError, match=outside):
+            dominated_set(p, 3, {0, bad})
 
 
 def fraction_row_sums(shares):

@@ -178,7 +178,7 @@ def _parse_native_reference(numbered: list[tuple[int, str]]) -> PreferenceProfil
         if len(parts) != m:
             raise ValueError(f"ballot ranks {len(parts)} of {m} candidates, line {no}")
         rankings.append(tuple(index[part] for part in parts))
-    return PreferenceProfile(tuple(rankings), names)
+    return PreferenceProfile.of(rankings, names)
 
 
 def _parse_count_lines_reference(text: str) -> PreferenceProfile:
@@ -223,4 +223,4 @@ def _parse_count_lines_reference(text: str) -> PreferenceProfile:
         if not 1 <= k <= width:
             raise ValueError(f"alternative {k} is outside 1..{width}, line {no}")
     names = tuple(names_by_id[j][0] if j in names_by_id else f"c{j}" for j in range(1, width + 1))
-    return PreferenceProfile(tuple(rankings), names)
+    return PreferenceProfile.of(rankings, names)
