@@ -15,21 +15,17 @@ among all types whose intervals have the same ends.
 Veto by consumption, Phragmen-style sequential committees, and the
 probabilistic serial assignment are all thin drivers over this loop.
 
-The output's per-voter rows are spread from the type rows run by run, so the
-voters of a type share one row object.  Balance checks run on (row,
-multiplicity) pairs: probabilistic serial checks its T type rows, weighted
-by type size, after one identity pass confirms that every voter holds its
-type's row; ``FractionalAssignment.validate`` and ``EatingTrace.validate``,
-having no ballot types, find the distinct rows by object identity.
+A trace keeps one consumption row per ballot type, and its balance check
+weighs row t by the size of type t.  Probabilistic serial checks its type
+rows the same way and then spreads them to the voters; no other consumption
+row is spread.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import is_
 from typing import Sequence
 
 from .profiles import PreferenceProfile
@@ -64,8 +60,9 @@ class EatingConfig:
 @dataclass(frozen=True)
 class EatingTrace:
     """What a run did: elimination events as (time, batch) with the batch in
-    tie-break order, the full consumption matrix, who survived, and the
-    total elapsed time."""
+    tie-break order, the consumption matrix with one row per ballot type in
+    ``p.ballot_types()`` order (``p.per_voter(consumption)`` gives one row
+    per voter), who survived, and the total elapsed time."""
 
     events: tuple[tuple[Fraction, tuple[int, ...]], ...]
     consumption: tuple[tuple[Fraction, ...], ...]
@@ -94,10 +91,15 @@ class EatingTrace:
             raise ValueError("survivor was also eliminated")
         if self.survivors | set(gone) != set(range(p.m)):
             raise ValueError("every candidate must be a survivor or eliminated")
-        miss, columns = _balance(_distinct_rows(self.consumption), self.elapsed)
-        if miss is not None:
-            raise ValueError(f"voter {self.consumption.index(miss[0])} consumption"
-                             " does not add up to the elapsed time")
+        # row t stands for the voters of ballot type t; a miss names its first voter
+        types = p.ballot_types()
+        den, totals, columns, negative = _balance(
+            self.consumption, [len(bt.voters) for bt in types], p.m)
+        e = self.elapsed
+        for t, total in enumerate(totals):
+            if total * e.denominator != e.numerator * den:
+                raise ValueError(f"voter {types[t].voters[0]} consumption"
+                                 " does not add up to the elapsed time")
         for c in range(p.m):
             total = columns[c]
             if c in self.survivors:
@@ -105,6 +107,8 @@ class EatingTrace:
                     raise ValueError(f"survivor {c} was fully consumed")
             elif total != 1:
                 raise ValueError(f"eliminated candidate {c} absorbed {total}, not 1")
+        if negative is not None:
+            raise ValueError(f"voter {types[negative].voters[0]} consumption is negative")
 
 
 def _batch_key(cfg: EatingConfig, m: int):
@@ -117,7 +121,8 @@ def _batch_key(cfg: EatingConfig, m: int):
 
 
 def run_eating(p: PreferenceProfile, cfg: EatingConfig) -> EatingTrace:
-    """Run the loop until a stopping condition fires.
+    """Run the loop until a stopping condition fires.  The trace holds one
+    consumption row per ballot type.
 
     With a time bound T the run must be able to keep eating until T; if all
     candidates are gone strictly before T the instance starves and this
@@ -201,7 +206,7 @@ def run_eating(p: PreferenceProfile, cfg: EatingConfig) -> EatingTrace:
         consumption[b][row[cursor[b]]] = spans[start[b]]
     return EatingTrace(
         events=tuple(events),
-        consumption=p.per_voter([tuple(row) for row in consumption]),
+        consumption=tuple(map(tuple, consumption)),
         survivors=frozenset(c for c in range(m) if alive[c]),
         elapsed=t,
     )
@@ -242,77 +247,68 @@ def phragmen_committee(
 
 @dataclass(frozen=True)
 class FractionalAssignment:
-    """Row i gives voter i's probability share of each candidate."""
+    """Row i gives voter i's probability share of each candidate.  The
+    methods count each row once and take the first row's width as m."""
 
     shares: tuple[tuple[Fraction, ...], ...]
 
+    def _sums(self) -> tuple[int, list[int], list[Fraction], int | None]:
+        shares = self.shares
+        return _balance(shares, [1] * len(shares), len(shares[0]) if shares else 0)
+
     def row_sums(self) -> tuple[Fraction, ...]:
-        den, rows = _numerators(_distinct_rows(self.shares))
-        total = {id(row): Fraction(sum(nums), den) for row, _, nums in rows}
-        return tuple(map(total.__getitem__, map(id, self.shares)))
+        den, totals, _, _ = self._sums()
+        return tuple(Fraction(total, den) for total in totals)
 
     def column_sums(self) -> tuple[Fraction, ...]:
-        den, rows = _numerators(_distinct_rows(self.shares))
-        return tuple(_column_sums(den, rows, len(self.shares[0])))
+        return tuple(self._sums()[2])
 
     def validate(self, row_sum: Fraction) -> None:
-        """Every row sums to ``row_sum`` and no column exceeds 1."""
-        _check_shares(self.shares, _distinct_rows(self.shares), row_sum)
-
-
-def _distinct_rows(shares: Sequence[tuple]) -> list[tuple[tuple, int]]:
-    """Each distinct row object of ``shares`` with its multiplicity, in
-    order of first appearance.  Voters of one ballot type share one row
-    object, so rows are told apart by ``id``, taken once per voter."""
-    ids = list(map(id, shares))
-    objects = dict(zip(ids, shares))
-    return [(objects[key], mult) for key, mult in Counter(ids).items()]
-
-
-def _numerators(
-    rows: Sequence[tuple[tuple, int]]
-) -> tuple[int, list[tuple[tuple, int, list[int]]]]:
-    """A common denominator of all shares, and each (row, multiplicity) pair
-    with the row's shares as numerators over that denominator."""
-    den = math.lcm(*[v.denominator for row, _ in rows for v in row])
-    return den, [(row, mult, [v.numerator * (den // v.denominator) for v in row])
-                 for row, mult in rows]
-
-
-def _column_sums(den: int, rows: list[tuple[tuple, int, list[int]]], m: int) -> list[Fraction]:
-    return [Fraction(sum(nums[c] * mult for _, mult, nums in rows), den) for c in range(m)]
+        """Every row sums to ``row_sum``, no column exceeds 1 and no share is
+        negative."""
+        _check_shares(self._sums(), row_sum)
 
 
 def _balance(
-    rows: Sequence[tuple[tuple, int]], row_sum: Fraction
-) -> tuple[tuple[tuple, Fraction] | None, list[Fraction]]:
-    """The first row, of the (row, multiplicity) pairs, that does not sum to
-    ``row_sum``, with its sum, or None; and the column sums, each row
-    counted as often as its multiplicity.  The sums are taken on integer
-    numerators over one common denominator."""
-    den, nums_of = _numerators(rows)
-    miss = None
-    for row, _, nums in nums_of:
-        total = sum(nums)
-        if total * row_sum.denominator != row_sum.numerator * den:
-            miss = row, Fraction(total, den)
-            break
-    return miss, _column_sums(den, nums_of, len(rows[0][0]))
+    rows: Sequence[tuple], weights: Sequence[int], m: int
+) -> tuple[int, list[int], list[Fraction], int | None]:
+    """Sum a share matrix whose row i stands for ``weights[i]`` voters, on
+    integer numerators over one common denominator.  Returns that
+    denominator, each row's total as a numerator over it, the column sums
+    with row i counted ``weights[i]`` times, and the index of the first row
+    holding a negative share, or None.  A matrix with no rows or other than
+    one row per weight, or a row not m wide, is refused.  Callers report a
+    negative share only after the row and column sums, so a matrix that
+    also misses a sum is refused for the sum."""
+    if not rows or len(rows) != len(weights):
+        raise ValueError(f"{len(rows)} share rows, expected {len(weights) or 'at least one'}")
+    den = math.lcm(*[v.denominator for row in rows for v in row])
+    nums = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
+    negative = None
+    for i, row in enumerate(nums):
+        if len(row) != m:
+            raise ValueError(f"row {i} has {len(row)} shares, not {m}")
+        if negative is None and min(row, default=0) < 0:
+            negative = i
+    columns = [Fraction(sum(row[c] * w for row, w in zip(nums, weights)), den)
+               for c in range(m)]
+    return den, list(map(sum, nums)), columns, negative
 
 
 def _check_shares(
-    shares: Sequence[tuple], rows: Sequence[tuple[tuple, int]], row_sum: Fraction
+    sums: tuple[int, list[int], list[Fraction], int | None], row_sum: Fraction
 ) -> None:
-    """``shares`` rows each sum to ``row_sum`` and no column exceeds 1, where
-    ``rows`` lists the distinct rows of ``shares`` with their multiplicities
-    in order of first appearance.  A miss names the first voter holding the
-    failing row: earlier voters hold rows that passed, so none equals it."""
-    miss, columns = _balance(rows, row_sum)
-    if miss is not None:
-        raise ValueError(f"row {shares.index(miss[0])} sums to {miss[1]}, expected {row_sum}")
+    """The rows that ``sums``, a ``_balance`` result, describes each sum to
+    ``row_sum``, no column exceeds 1 and no share is negative."""
+    den, totals, columns, negative = sums
+    for i, total in enumerate(totals):
+        if total * row_sum.denominator != row_sum.numerator * den:
+            raise ValueError(f"row {i} sums to {Fraction(total, den)}, expected {row_sum}")
     for c, total in enumerate(columns):
         if total > 1:
             raise ValueError(f"column {c} exceeds 1")
+    if negative is not None:
+        raise ValueError(f"row {negative} has a negative share")
 
 
 def probabilistic_serial(p: PreferenceProfile, k: int | None = None) -> FractionalAssignment:
@@ -326,13 +322,8 @@ def probabilistic_serial(p: PreferenceProfile, k: int | None = None) -> Fraction
     if not 0 <= k <= p.m:
         raise ValueError(f"cannot assign {k} candidates out of {p.m}")
     cfg = EatingConfig(direction="eat-best", stop_time=Fraction(k, p.n))
-    shares = run_eating(p, cfg).consumption
-    # the self-check runs on the ballot types' rows, each weighted by its
-    # voters, once every voter is confirmed to hold its type's row object
-    types = p.ballot_types()
-    rows = [shares[bt.voters[0]] for bt in types]
-    if not all(map(is_, shares, p.per_voter(rows))):
-        raise ValueError("a voter's shares are not its ballot type's row")
-    _check_shares(shares, [(row, len(bt.voters)) for row, bt in zip(rows, types)],
+    rows = run_eating(p, cfg).consumption
+    # the self-check runs on the ballot types' rows, each weighted by its voters
+    _check_shares(_balance(rows, [len(bt.voters) for bt in p.ballot_types()], p.m),
                   Fraction(k, p.n))
-    return FractionalAssignment(shares)
+    return FractionalAssignment(p.per_voter(rows))

@@ -25,6 +25,12 @@ instead from the right nodes the residual network reaches from the source
 gives the same set: an edge from a group can carry the group's whole
 supply, so it keeps residual capacity while the source still reaches the
 group.  The rewrite is equivalent, and no test can kill it.
+
+A second known survivor: ``_Simplex._priced`` eliminates a row's basic
+cells in row order, but any order gives the same row.  A pivot row is 1 at
+its own basic column and 0 at every other, so each elimination leaves the
+other basic cells as they were; the orders differ at most in a common
+factor of the row's integer cells and its denominator.
 """
 
 from __future__ import annotations
@@ -87,6 +93,43 @@ MUTANTS = (
            "spans[s] = t - times[s]", "spans[s] = t - times[max(s - 1, 0)]",
            ("tests/test_eating.py::test_eating_matches_the_per_step_reference",
             "tests/test_eating.py::test_eating_outputs_match_the_pinned_digest")),
+    # eating traces and probabilistic serial weigh each type row by its voters
+    Mutant("trace-weights", "eating.py",
+           "self.consumption, [len(bt.voters) for bt in types], p.m)",
+           "self.consumption, [1 for bt in types], p.m)",
+           ("tests/test_eating.py::test_eating_matches_the_per_step_reference",
+            "tests/test_eating.py::test_balance_checks_refuse_malformed_matrices")),
+    Mutant("serial-weights", "eating.py",
+           "_balance(rows, [len(bt.voters) for bt in p.ballot_types()], p.m)",
+           "_balance(rows, [1 for bt in p.ballot_types()], p.m)",
+           ("tests/test_eating.py::test_probabilistic_serial_checks_the_rows_it_returns",)),
+    # the balance checks' shape and sign check
+    Mutant("shape-count", "eating.py",
+           "if not rows or len(rows) != len(weights):", "if not rows:",
+           ("tests/test_eating.py::test_balance_checks_refuse_malformed_matrices",
+            "tests/test_eating.py::test_probabilistic_serial_checks_the_rows_it_returns")),
+    Mutant("shape-width", "eating.py",
+           "if len(row) != m:", "if len(row) < m:",
+           ("tests/test_eating.py::test_balance_checks_refuse_malformed_matrices",)),
+    Mutant("shape-sign", "eating.py",
+           "min(row, default=0) < 0", "sum(row) < 0",
+           ("tests/test_eating.py::test_balance_checks_refuse_malformed_matrices",)),
+    # PSC: one flow per uncommitted candidate once the prescan finds nothing
+    Mutant("psc-flow", "axioms.py",
+           "left_supply=k + 1, right_cap=p.n", "left_supply=k, right_cap=p.n",
+           ("tests/test_axioms.py::test_psc_bruteforce_agrees_on_random_committees",
+            "tests/test_ballot_types.py::test_flow_outputs_match_the_pinned_digest")),
+    # the domination graph: one group per distinct edge set of the ballot types
+    Mutant("domination-groups", "matching.py",
+           "ballot_groups(p, edges)", "ballot_groups(p, edges[::-1])",
+           ("tests/test_matching.py::test_domination_graph_edges",
+            "tests/test_ballot_types.py::test_merged_flow_matches_the_per_voter_network")),
+    # the simplex prices a new row against the pivot rows of its basic cells
+    # (a wrongly priced row can keep other LP tests pivoting for many
+    # minutes, so this names one that fails at once)
+    Mutant("priced", "lp.py",
+           "self.tab[r], self.den[r], self.basis[r])", "self.tab[r], 1, self.basis[r])",
+           ("tests/test_lp.py::test_a_family_may_hold_violated_rows_back",)),
     # distortion: references in order of their bound, stopping early
     Mutant("bound-order", "distortion.py",
            "bound < best.value or bound == best.value and cref > best.reference",

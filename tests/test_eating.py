@@ -21,7 +21,8 @@ from tests_support_random import random_profiles, repeated_profiles
 
 def per_step_eating(p: PreferenceProfile, cfg: EatingConfig) -> EatingTrace:
     """``run_eating`` with the per-voter loop that adds each step's duration
-    to every eater's row; the reference for the accumulation per stretch."""
+    to every eater's row; the reference for the accumulation per stretch.
+    Its trace holds one consumption row per voter, not per ballot type."""
     order = [r if cfg.direction == "eat-best" else r[::-1] for r in p.rankings]
     rank = {c: c for c in range(p.m)} if cfg.tie_break is None else {
         c: r for r, c in enumerate(cfg.tie_break)
@@ -96,7 +97,9 @@ def test_eat_best_trace_on_fix_u(fix_u):
     trace = run_eating(fix_u, cfg)
     assert trace.events == ((Fraction(1, 2), (0,)), (Fraction(1), (1,)))
     assert trace.survivors == frozenset()
-    assert trace.consumption == (
+    # both voters cast one ballot type, so the trace holds one row
+    assert trace.consumption == ((Fraction(1, 2), Fraction(1, 2)),)
+    assert fix_u.per_voter(trace.consumption) == (
         (Fraction(1, 2), Fraction(1, 2)),
         (Fraction(1, 2), Fraction(1, 2)),
     )
@@ -136,23 +139,29 @@ def test_format_events(fix_u):
     assert trace.format_events(fix_u.candidate_names) == "(1/2, a)\n(1, b)"
 
 
-def test_trace_validate_catches_tampering(fix_u):
+def test_trace_validate_catches_tampering(fix_u, fix_p):
     cfg = EatingConfig(stop_time=Fraction(1))
     trace = run_eating(fix_u, cfg)
     bad = EatingTrace(trace.events, trace.consumption, frozenset({1}), trace.elapsed)
     with pytest.raises(ValueError, match="survivor was also eliminated"):
         bad.validate(fix_u)
     half, zero = Fraction(1, 2), Fraction(0)
-    # voter 1 eats less than the elapsed time; voters 0 and 1 share a row object
+    # fix_u's one ballot type stands for voters 0 and 1
     for rows, message in [
-        (((half, half), (half, zero)), "voter 1 consumption does not add up"),
-        (((half, zero),) * 2, "voter 0 consumption does not add up"),
-        # rows balance, but candidate 0 absorbs 3/2 and candidate 1 only 1/2
-        (((1, zero), (half, half)), "eliminated candidate 0 absorbed 3/2, not 1"),
+        (((half, zero),), "voter 0 consumption does not add up"),
+        # the row balances, but its two voters give candidate 0 3/2
+        (((Fraction(3, 4), Fraction(1, 4)),), "eliminated candidate 0 absorbed 3/2, not 1"),
     ]:
         bad = EatingTrace(trace.events, rows, trace.survivors, trace.elapsed)
         with pytest.raises(ValueError, match=message):
             bad.validate(fix_u)
+    # fix_p's second ballot type is cast first by voter 2, who eats less than
+    # the elapsed time
+    split = run_eating(fix_p, EatingConfig(stop_time=half))
+    split.validate(fix_p)
+    rows = (split.consumption[0], (zero, zero, Fraction(1, 4)))
+    with pytest.raises(ValueError, match="voter 2 consumption does not add up"):
+        EatingTrace(split.events, rows, split.survivors, split.elapsed).validate(fix_p)
     # a survivor may not be eaten up
     early = run_eating(fix_u, EatingConfig(stop_time=Fraction(1, 2)))
     early.validate(fix_u)
@@ -177,7 +186,9 @@ def test_runs_are_deterministic_and_conservative():
         assert a == b
         a.validate(p)
         # unit eating speed: total consumed equals elapsed times voters
-        total = sum(sum(row) for row in a.consumption)
+        types = p.ballot_types()
+        assert len(a.consumption) == len(types)
+        total = sum(len(bt.voters) * sum(row) for bt, row in zip(types, a.consumption))
         assert total == a.elapsed * p.n
 
 
@@ -217,7 +228,12 @@ def test_eating_matches_the_per_step_reference():
         many_types += len(p.ballot_types()) >= 10
         for cfg in configs:
             trace = run_eating(p, cfg)
-            assert trace == per_step_eating(p, cfg), (p.rankings, cfg)
+            reference = per_step_eating(p, cfg)
+            spread = replace(trace, consumption=p.per_voter(trace.consumption))
+            assert spread == reference, (p.rankings, cfg)
+            # the voters of a ballot type eat alike in the reference too
+            for bt in p.ballot_types():
+                assert len({reference.consumption[i] for i in bt.voters}) == 1
             trace.validate(p)
     # most profiles repeat some ballots, and many cast ten or more types
     assert repeated > 250 and many_types > 50
@@ -320,14 +336,47 @@ def test_fractional_assignment_helpers(fix_u):
         FractionalAssignment((half, heavy, heavy)).validate(row_sum=Fraction(1))
 
 
+def test_balance_checks_refuse_malformed_matrices(fix_u, fix_s):
+    half = Fraction(1, 2)
+    both = run_eating(fix_s, EatingConfig(stop_time=Fraction(1)))  # both fall at 1
+    assert both.consumption == ((1, 0), (0, 1))
+    unanimous = run_eating(fix_u, EatingConfig(stop_time=Fraction(1)))
+    for p, trace, message in [
+        # fix_u's one type row counts for both voters, so each column takes 2
+        (fix_u, replace(unanimous, consumption=((1, 1),), elapsed=Fraction(2)),
+         "eliminated candidate 0 absorbed 2, not 1"),
+        # one row for two ballot types, and one row per voter for one type
+        (fix_s, replace(both, consumption=((1, 1),), elapsed=Fraction(2)),
+         "1 share rows, expected 2"),
+        (fix_u, replace(unanimous, consumption=((half, half),) * 2), "2 share rows, expected 1"),
+        (fix_s, replace(both, consumption=((1, 0, 0), (0, 1, 0))), "row 0 has 3 shares, not 2"),
+        (fix_s, replace(both, consumption=((1,), (1,))), "row 0 has 1 shares, not 2"),
+        # rows and columns balance, but the shares are negative
+        (fix_s, replace(both, consumption=((3 * half, -half), (-half, 3 * half))),
+         "voter 0 consumption is negative"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            trace.validate(p)
+    for shares, message in [
+        (((0, 1), (0, 0, 1), (0, 0, 1)), "row 1 has 3 shares, not 2"),
+        (((3 * half, -half), (-half, 3 * half)), "row 0 has a negative share"),
+        ((), "0 share rows, expected at least one"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            FractionalAssignment(shares).validate(Fraction(1))
+    for method in (FractionalAssignment(()).row_sums, FractionalAssignment(()).column_sums):
+        with pytest.raises(ValueError, match="at least one"):
+            method()
+
+
 def test_probabilistic_serial_checks_the_rows_it_returns(monkeypatch):
-    # probabilistic_serial checks its ballot types' rows, so each tampering
-    # of what run_eating hands back must still be refused: a type row that
-    # misses k/n, a voter row that is not its type's row object (values
-    # swapped so that its sum still passes), and a column eaten past 1
+    # probabilistic_serial checks its ballot types' rows, weighted by their
+    # voters, so each tampering of what run_eating hands back must still be
+    # refused: a type row that misses k/n, a column eaten past 1, a column
+    # past 1 only once each row counts for its voters, and one row per
+    # voter instead of one per type
     p = PreferenceProfile.of([(0, 1, 2), (1, 0, 2), (0, 1, 2), (2, 1, 0), (1, 0, 2)])
     real = run_eating
-    types = p.ballot_types()
 
     def tampered(make_rows):
         def fake(q, cfg):
@@ -336,15 +385,7 @@ def test_probabilistic_serial_checks_the_rows_it_returns(monkeypatch):
         return fake
 
     def bump_type(rows):
-        row = rows[types[1].voters[0]]
-        bumped = (row[0] + Fraction(1, 7), *row[1:])
-        for i in types[1].voters:
-            rows[i] = bumped
-        return rows
-
-    def swap_one(rows):
-        i = types[0].voters[1]
-        rows[i] = rows[i][::-1]
+        rows[1] = (rows[1][0] + Fraction(1, 7), *rows[1][1:])
         return rows
 
     def overfill(rows):
@@ -352,16 +393,27 @@ def test_probabilistic_serial_checks_the_rows_it_returns(monkeypatch):
         full = (Fraction(3, 5), Fraction(0), Fraction(0))
         return [full] * len(rows)
 
+    def reweigh(rows):
+        # the real rows are (1/2, 0, 1/10) for two voters, (0, 1/2, 1/10) for
+        # two and (0, 0, 3/5) for one; moving 1/10 between columns 0 and 2 in
+        # opposite directions in the first and last type keeps every row sum
+        # and every unweighted column sum, but puts 11/10 in column 2
+        tenth = Fraction(1, 10)
+        assert rows == [(5 * tenth, 0, tenth), (0, 5 * tenth, tenth), (0, 0, 6 * tenth)]
+        return [(4 * tenth, 0, 2 * tenth), rows[1], (tenth, 0, 5 * tenth)]
+
     for make_rows, message in ((bump_type, "row 1 sums to"),
-                               (swap_one, "not its ballot type's row"),
-                               (overfill, "column 0 exceeds 1")):
+                               (overfill, "column 0 exceeds 1"),
+                               (reweigh, "column 2 exceeds 1"),
+                               (p.per_voter, "5 share rows, expected 3")):
         monkeypatch.setattr("vetoflow.eating.run_eating", tampered(make_rows))
         with pytest.raises(ValueError, match=message):
             probabilistic_serial(p)
-    # the untampered rows, passed through the same way, are accepted
+    # the untampered rows, passed through the same way, are accepted and
+    # spread to the voters
     monkeypatch.setattr("vetoflow.eating.run_eating", tampered(lambda rows: rows))
     cfg = EatingConfig(direction="eat-best", stop_time=Fraction(3, 5))
-    assert probabilistic_serial(p).shares == real(p, cfg).consumption
+    assert probabilistic_serial(p).shares == p.per_voter(real(p, cfg).consumption)
 
 
 def eating_outputs(p: PreferenceProfile):
