@@ -21,13 +21,12 @@ from typing import Iterable
 
 from .matching import (
     FlowNetwork,
-    ballot_groups,
     build_domination_graph,
     extract_deficiency_witness,
     has_fractional_perfect_matching,
     max_bipartite_matching,
 )
-from .profiles import PreferenceProfile, reverse_profile, solid_coalitions
+from .profiles import PreferenceProfile, reverse_profile, solid_coalitions, voter_groups
 from .profile_io import serialize_profile
 
 
@@ -53,10 +52,10 @@ class VetoWitness:
             raise ValueError("empty coalition")
         if c in self.blocked_by:
             raise ValueError("vetoed candidate cannot block itself")
-        for r, voters in p.ballot_types_of(self.voters):
+        for r, _ in p.ballot_types_of(self.voters):
             not_above = self.blocked_by.difference(r[:r.index(c)])
             if not_above:
-                i = min(self.voters.intersection(voters))
+                i = min(v for v in self.voters if p.rankings[v] == r)
                 raise ValueError(f"voter {i} does not rank {min(not_above)} above {c}")
         need = p.m - veto_power(p.n, p.m, len(self.voters))
         if len(self.blocked_by) < need:
@@ -210,20 +209,21 @@ def weak_psc_satisfied(p: PreferenceProfile, committee: Iterable[int]) -> PscVer
     """
     W = _committee(p, committee)
     k = len(W)
-    # the solid coalitions, sized from the ballot types' weights on int
+    # the solid coalitions, sized from the ballot types' counts on int
     # masks of their prefixes, in the order of solid_coalitions; only the
     # first violator's supporters are built
     size: dict[int, int] = {}
-    for r, voters in p.ballot_types():
+    for r, count in p.ballot_types():
         mask = 0
         for c in r:
             mask |= 1 << c
-            size[mask] = size.get(mask, 0) + len(voters)
+            size[mask] = size.get(mask, 0) + count
     committed = _mask(W)
     for mask, weight in size.items():
         outside = mask & ~committed
         if outside and weight * (k + 1) > mask.bit_count() * p.n:
-            voters = next(g for g in solid_coalitions(p) if _mask(g.candidates) == mask).voters
+            group = next(g for g in solid_coalitions(p) if _mask(g.candidates) == mask)
+            voters = frozenset(p.voters_of(group.types))
             x = (outside & -outside).bit_length() - 1
             union = frozenset().union(*(r[: r.index(x) + 1] for r, _ in p.ballot_types_of(voters)))
             viol = PscViolation(union, voters, x)
@@ -234,11 +234,11 @@ def weak_psc_satisfied(p: PreferenceProfile, committee: Iterable[int]) -> PscVer
     for x in range(p.m):
         if x in W:
             continue
-        groups = ballot_groups(p, _weak_prefixes(p, x))
+        groups = voter_groups(p, _weak_prefixes(p, x))
         _, flow = FlowNetwork(p.m, groups, left_supply=k + 1, right_cap=p.n).solve()
-        supporters, union = flow.cut()
-        if supporters:
-            viol = PscViolation(union, supporters, x)
+        types, union = flow.cut()
+        if types:
+            viol = PscViolation(union, frozenset(p.voters_of(types)), x)
             viol.validate(p, W)
             return PscVerdict(viol)
     return PscVerdict(None)
@@ -284,7 +284,7 @@ def pareto_matching_criterion(
     one edge set, and so one flow node.
     """
     below = [frozenset(r[r.index(c) + 1:]) for r, _ in p.ballot_types()]
-    matching = max_bipartite_matching(ballot_groups(p, below))
+    matching = max_bipartite_matching(p, below)
     if len(matching) < p.m - 1:
         return False, None
     return True, matching

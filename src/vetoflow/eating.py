@@ -92,13 +92,12 @@ class EatingTrace:
         if self.survivors | set(gone) != set(range(p.m)):
             raise ValueError("every candidate must be a survivor or eliminated")
         # row t stands for the voters of ballot type t; a miss names its first voter
-        types = p.ballot_types()
         den, totals, columns, negative = _balance(
-            self.consumption, [len(bt.voters) for bt in types], p.m)
+            self.consumption, [count for _, count in p.ballot_types()], p.m)
         e = self.elapsed
         for t, total in enumerate(totals):
             if total * e.denominator != e.numerator * den:
-                raise ValueError(f"voter {types[t].voters[0]} consumption"
+                raise ValueError(f"voter {p.voters_of([t])[0]} consumption"
                                  " does not add up to the elapsed time")
         for c in range(p.m):
             total = columns[c]
@@ -108,7 +107,7 @@ class EatingTrace:
             elif total != 1:
                 raise ValueError(f"eliminated candidate {c} absorbed {total}, not 1")
         if negative is not None:
-            raise ValueError(f"voter {types[negative].voters[0]} consumption is negative")
+            raise ValueError(f"voter {p.voters_of([negative])[0]} consumption is negative")
 
 
 def _batch_key(cfg: EatingConfig, m: int):
@@ -145,7 +144,7 @@ def run_eating(p: PreferenceProfile, cfg: EatingConfig) -> EatingTrace:
     # difference times[now] - times[start]
     types = p.ballot_types()
     order = [bt.ranking if best_first else bt.ranking[::-1] for bt in types]
-    weight = [len(bt.voters) for bt in types]
+    weight = [count for _, count in types]
     cursor = [0] * len(types)
     start = [0] * len(types)
     alive = [True] * m
@@ -324,6 +323,6 @@ def probabilistic_serial(p: PreferenceProfile, k: int | None = None) -> Fraction
     cfg = EatingConfig(direction="eat-best", stop_time=Fraction(k, p.n))
     rows = run_eating(p, cfg).consumption
     # the self-check runs on the ballot types' rows, each weighted by its voters
-    _check_shares(_balance(rows, [len(bt.voters) for bt in p.ballot_types()], p.m),
+    _check_shares(_balance(rows, [count for _, count in p.ballot_types()], p.m),
                   Fraction(k, p.n))
     return FractionalAssignment(p.per_voter(rows))

@@ -215,13 +215,15 @@ class _Simplex:
 
     def _priced(self, row: _Row) -> tuple[_Row, int]:
         """An integer row with its basic columns eliminated, over its
-        denominator.  A pivot row holds no other basic column, so the
-        row's own basic cells are all there is to eliminate; they go in
-        row order."""
+        denominator.  A pivot row holds no other basic column, so the row's
+        own basic cells, in row order, are all there is to eliminate; one
+        left over is a fault and raises."""
         den = 1
         where = self.where
         for r in sorted([where[j] for j in row if j in where]):
             row, den = _eliminate(row, den, self.tab[r], self.den[r], self.basis[r])
+        if not where.keys().isdisjoint(row):
+            raise RuntimeError("a priced row still holds a basic column")
         return row, den
 
     def _choose_entering(self) -> int | None:

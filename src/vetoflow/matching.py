@@ -10,15 +10,16 @@ directly: ``FlowNetwork`` is the one network type, and it checks its own
 edge endpoints.  Voters with the same edge set are interchangeable, so they
 share one network node carrying their joint supply: a network takes its
 left side as ``VoterGroup``s from ``profiles``, each an edge set (the
-group's candidates) with its voters, built straight from the profile's
-ballot types.  Solving a network and reading back its cut therefore never
-walks the n voters; only outputs that are per voter (a witness's voter
-set, a matching's rows) touch them.
+group's candidates) with its ballot types and their voter count.  Solving
+a network and reading back its cut or its shares works on ballot types;
+only outputs that are per voter (a witness's voter set, a matching, share
+rows) spell the voters out, once, from the profile.
 
-The min cut is verdict and witness at once: no voter on its source side
-means a matching exists, else those voters N' and their jointly dominated
-candidates D are a Hall witness, |D| < m*|N'|/n.  The same Dinic engine, at
-unit capacities, finds the one-to-one matchings of the Pareto criterion.
+The min cut is verdict and witness at once: no ballot type on its source
+side means a matching exists, else the voters N' of those types and their
+jointly dominated candidates D are a Hall witness, |D| < m*|N'|/n.  The
+same Dinic engine, at unit capacities, finds the one-to-one matchings of
+the Pareto criterion.
 """
 
 from __future__ import annotations
@@ -91,31 +92,22 @@ class Dinic:
         return total
 
 
-def ballot_groups(
-    p: PreferenceProfile, edge_sets: Sequence[frozenset[int]]
-) -> tuple[VoterGroup, ...]:
-    """The voters of p as voter groups, ballot type t's voters sharing
-    ``edge_sets[t]``.  Types come in first-appearance order, so the groups
-    come in order of their first voter."""
-    return voter_groups(edge_sets, (bt.voters for bt in p.ballot_types()))
-
-
 @dataclass(frozen=True)
 class FlowResult:
-    """A solved network, read back per original left node.  The g-th group
-    of ``network`` is node ``1 + g`` of ``dinic``."""
+    """A solved network, read back per group and ballot type.  The g-th
+    group of ``network`` is node ``1 + g`` of ``dinic``."""
 
     dinic: Dinic
     network: FlowNetwork
 
     def cut(self) -> tuple[frozenset[int], frozenset[int]]:
-        """The inclusion-minimal min cut: the left nodes the residual network
-        reaches from the source, which is unique and so a union of whole
+        """The inclusion-minimal min cut: the ballot types the residual
+        network reaches from the source, unique and so a union of whole
         groups, empty exactly when every left supply is saturated; and the
         right nodes they have edges to."""
         level = self.dinic.level
         groups = [g for k, g in enumerate(self.network.groups) if level[1 + k] >= 0]
-        return (frozenset().union(*(g.voters for g in groups)),
+        return (frozenset().union(*(g.types for g in groups)),
                 frozenset().union(*(g.candidates for g in groups)))
 
     def units_sent(self) -> list[dict[int, int]]:
@@ -132,20 +124,18 @@ class FlowResult:
         return sent
 
     def shares(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Row i: the fraction of left node i's supply sent to each right
-        node.  A group's flow is split evenly over its members, which share
-        one row."""
+        """Row t: the fraction of each voter of ballot type t's supply sent
+        to each right node.  A group's flow is split evenly over its voters,
+        so its types get equal rows."""
         net = self.network
-        rows: list = [None] * net.num_left
+        rows: list = [None] * sum(len(g.types) for g in net.groups)
         for g, sent in zip(net.groups, self.units_sent()):
             row = [Fraction(0)] * net.num_right
             for c, units in sent.items():
                 row[c] = Fraction(units, g.size * net.left_supply)
-            shared = tuple(row)
-            for run in g.runs:
-                for i in run:
-                    rows[i] = shared
-        return tuple(rows)
+            for t in g.types:
+                rows[t] = row
+        return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -204,7 +194,7 @@ def build_domination_graph(p: PreferenceProfile, c: int) -> FlowNetwork:
     most n.  Voters of one edge set share one group, in order of first
     voter."""
     edges = [frozenset(r[r.index(c):]) for r, _ in p.ballot_types()]
-    return FlowNetwork(p.m, ballot_groups(p, edges), left_supply=p.m, right_cap=p.n)
+    return FlowNetwork(p.m, voter_groups(p, edges), left_supply=p.m, right_cap=p.n)
 
 
 def has_fractional_perfect_matching(net: FlowNetwork) -> bool:
@@ -214,11 +204,11 @@ def has_fractional_perfect_matching(net: FlowNetwork) -> bool:
     return not net.solve()[1].cut()[0]
 
 
-def fractional_matching(net: FlowNetwork) -> tuple[tuple[Fraction, ...], ...] | None:
-    """A matching, row i giving voter i's weights, or None if infeasible.
-    Voters of one group get the same row."""
-    _, flow = net.solve()
-    return None if flow.cut()[0] else flow.shares()
+def fractional_matching(p: PreferenceProfile, c: int) -> tuple[tuple[Fraction, ...], ...] | None:
+    """A matching on the domination graph of c, row i giving voter i's
+    weights, or None if infeasible.  Voters of one group get equal rows."""
+    _, flow = build_domination_graph(p, c).solve()
+    return None if flow.cut()[0] else p.per_voter(flow.shares())
 
 
 @dataclass(frozen=True)
@@ -242,24 +232,29 @@ class CutWitness:
 def extract_deficiency_witness(p: PreferenceProfile, c: int) -> CutWitness | None:
     """A deficient voter set for candidate c, or None when a matching exists.
 
-    The witness is read off the min cut: voters still reachable from the
-    source in the residual network.
+    The witness is read off the min cut: the voters of the ballot types
+    still reachable from the source in the residual network.
     """
-    voters, dominated = build_domination_graph(p, c).solve()[1].cut()
-    if not voters:
+    types, dominated = build_domination_graph(p, c).solve()[1].cut()
+    if not types:
         return None
-    witness = CutWitness(voters, dominated)
+    witness = CutWitness(frozenset(p.voters_of(types)), dominated)
     witness.validate(p, c)
     return witness
 
 
-def max_bipartite_matching(groups: Sequence[VoterGroup]) -> dict[int, int]:
-    """Maximum one-to-one matching, left index -> right index, by unit-capacity
-    max flow over left ``groups``.  A group is one flow node; the units it
-    sends go, right nodes ascending, to its members in ascending order."""
-    num_right = 1 + max((max(g.candidates) for g in groups if g.candidates), default=-1)
-    _, flow = FlowNetwork(num_right, tuple(groups), left_supply=1, right_cap=1).solve()
+def max_bipartite_matching(
+    p: PreferenceProfile, edge_sets: Sequence[frozenset[int]]
+) -> dict[int, int]:
+    """Maximum one-to-one matching, voter -> right index, by unit-capacity
+    max flow, ballot type t's voters adjacent to ``edge_sets[t]``.  Types
+    with equal edge sets are one flow node; the units it sends go, right
+    nodes ascending, to its voters in ascending order."""
+    groups = voter_groups(p, edge_sets)
+    num_right = 1 + max((max(cs) for cs in edge_sets if cs), default=-1)
+    _, flow = FlowNetwork(num_right, groups, left_supply=1, right_cap=1).solve()
     pairs: list[tuple[int, int]] = []
     for g, sent in zip(groups, flow.units_sent()):
-        pairs.extend(zip(g.members(), sent))
+        if sent:
+            pairs.extend(zip(p.voters_of(g.types), sent))
     return dict(sorted(pairs))

@@ -6,13 +6,15 @@ lines hand them over.  Candidates are integer indices everywhere; display
 names live alongside in ``candidate_names`` and only matter for parsing and
 printing.
 
-Identical voters are interchangeable, so the checkers work per ballot type.
-The profile groups its runs into ballot types in one pass on construction,
-and spreads per-type values to per-voter views run by run.
+Identical voters are interchangeable, so the checkers work per ballot type,
+a ranking and its count.  The runs are the profile's one voter index: one
+pass groups them into types and allocates nothing per voter, ``voters_of``
+lists the voters of some types, and ``per_voter`` spreads per-type values,
+as ``rankings`` and ``positions()`` do on first use.
 
-A voter group ties a candidate set to the voters it belongs to, one run per
-ballot type; ``voter_groups`` is the one rule for merging ballot types with
-equal sets, for flow networks and solid coalitions alike.
+A voter group ties a candidate set to ballot types; ``voter_groups`` is the
+one rule for merging types with equal sets, for flow networks and solid
+coalitions alike.
 """
 
 from __future__ import annotations
@@ -20,15 +22,15 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from heapq import merge
-from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 T = TypeVar("T")
 
 # rankings are stored cell by cell; generators, clone expansion and the CLI
 # cap their total before allocating
 MAX_CELLS = 10**7
-# every profile spreads per-voter views; its runs may add up to at most this
+# per-voter views and outputs spell out at most this many voters
 MAX_VOTERS = 1_000_000
 
 
@@ -38,17 +40,16 @@ class ProfileSizeError(ValueError):
 
 
 class BallotType(NamedTuple):
-    """One distinct ranking and the indices of the voters who cast it."""
+    """One distinct ranking and the number of voters who cast it."""
 
     ranking: tuple[int, ...]
-    voters: tuple[int, ...]
+    count: int
 
 
 @dataclass(frozen=True)
 class PreferenceProfile:
     """An ordinal election as ballot runs in voter order: ``(ranking, count)``
-    says the next ``count`` voters cast ``ranking``, a strict order best first,
-    and ``rankings[i]`` is voter i's ranking, one shared tuple per ballot type.
+    says the next ``count`` voters cast ``ranking``, a strict order best first.
 
     Every ranking must be a permutation of ``range(m)`` where
     ``m == len(candidate_names)``, and every count a positive int; the counts
@@ -74,10 +75,10 @@ class PreferenceProfile:
                 raise ValueError(f"bad candidate name: {name!r}")
         if len(set(self.candidate_names)) != m:
             raise ValueError("duplicate candidate names")
-        # one pass, capping each count before its voters are allocated;
-        # starts[k] is the first voter of merged run k, and starts[-1] is n
+        # one pass, capping each count; starts[k] is the first voter of
+        # merged run k, and starts[-1] is n
         index: dict[tuple[int, ...], int] = {}
-        voters: list[list[int]] = []
+        counts: list[int] = []
         run_types: list[int] = []
         starts = [0]
         full = frozenset(range(m))
@@ -88,22 +89,21 @@ class PreferenceProfile:
             if n + count > MAX_VOTERS:
                 raise ProfileSizeError(f"more than {MAX_VOTERS} voters")
             t = index.setdefault(ranking, len(index))
-            if t == len(voters):
+            if t == len(counts):
                 if len(ranking) != m or frozenset(ranking) != full:
                     raise ValueError(f"ranking of voter {n} is not a permutation of 0..{m - 1}")
-                voters.append([])
-            voters[t].extend(range(n, n + count))
+                counts.append(0)
+            counts[t] += count
             if run_types[-1:] != [t]:  # else the run extends the previous one
                 run_types.append(t)
                 starts.append(n)
             starts[-1] += count
-        types = tuple(BallotType(r, tuple(vs)) for r, vs in zip(index, voters))
+        types = tuple(map(BallotType, index, counts))
         object.__setattr__(self, "runs", tuple(
             (types[t].ranking, b - a) for t, a, b in zip(run_types, starts, starts[1:])))
         object.__setattr__(self, "_ballot_types", types)
         object.__setattr__(self, "_run_types", run_types)
         object.__setattr__(self, "_starts", starts)
-        object.__setattr__(self, "rankings", self.per_voter([r for r, _ in types]))
 
     @classmethod
     def of(cls, rankings: Iterable[Iterable[int]],
@@ -123,10 +123,15 @@ class PreferenceProfile:
     def m(self) -> int:
         return len(self.candidate_names)
 
+    @cached_property
+    def rankings(self) -> tuple[tuple[int, ...], ...]:
+        """Each voter's ranking in voter order, one shared tuple per type."""
+        return self.per_voter([r for r, _ in self._ballot_types])
+
     def ballot_types(self) -> tuple[BallotType, ...]:
         """The distinct rankings in first-appearance order, each with the
-        voters who cast it.  Identical voters are interchangeable for every
-        checker and eating rule, so those work per type."""
+        number of voters who cast it.  Identical voters are interchangeable
+        for every checker and eating rule, so those work per type."""
         return self._ballot_types
 
     def ballot_types_of(self, voters: Iterable[int]) -> tuple[BallotType, ...]:
@@ -144,6 +149,12 @@ class PreferenceProfile:
             hit.add(self._run_types[k])
             i = bisect_left(vs, self._starts[k + 1], i)
         return tuple(map(self._ballot_types.__getitem__, sorted(hit)))
+
+    def voters_of(self, types: Iterable[int]) -> list[int]:
+        """The voters of ballot types ``types`` (``ballot_types()`` indices), ascending."""
+        want = set(types)
+        runs = zip(self._run_types, self._starts, self._starts[1:])
+        return list(itertools.chain.from_iterable(range(a, b) for t, a, b in runs if t in want))
 
     def per_voter(self, values: Sequence[T]) -> tuple[T, ...]:
         """Spread ``values[t]``, one per ballot type, to every voter of type t,
@@ -246,45 +257,36 @@ def dominated_set(p: PreferenceProfile, c: int, voters: Iterable[int]) -> frozen
 
 
 class VoterGroup(NamedTuple):
-    """Voters tied to one candidate set: an edge set of a flow network, or
-    the common prefix of a solid coalition.  The voters come as ascending
-    runs, one per ballot type with that set, so equal sets merge without
-    copying their voters."""
+    """The ``size`` voters of ballot types ``types``, tied to one candidate
+    set: a flow network's edge set, or a solid coalition's common prefix."""
 
     candidates: frozenset[int]
-    runs: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return sum(map(len, self.runs))
-
-    @property
-    def voters(self) -> frozenset[int]:
-        return frozenset().union(*self.runs)
-
-    def members(self) -> Iterator[int]:
-        """The group's voters, ascending."""
-        return merge(*self.runs)
+    types: tuple[int, ...]
+    size: int
 
 
-def voter_groups(
-    sets: Iterable[frozenset[int]], runs: Iterable[tuple[int, ...]]
-) -> tuple[VoterGroup, ...]:
-    """Pair each candidate set with its ascending run of voters, merging
-    equal sets in order of first appearance."""
-    merged: dict[frozenset[int], list[tuple[int, ...]]] = {}
-    for cs, run in zip(sets, runs, strict=True):
-        merged.setdefault(cs, []).append(run)
-    return tuple(VoterGroup(cs, tuple(rs)) for cs, rs in merged.items())
+def _merged(p: PreferenceProfile,
+            keyed: Iterable[tuple[frozenset[int], int]]) -> tuple[VoterGroup, ...]:
+    """One group per candidate set in ``keyed``, in first-appearance order."""
+    merged: dict[frozenset[int], list[int]] = {}
+    for cs, t in keyed:
+        merged.setdefault(cs, []).append(t)
+    types = p.ballot_types()
+    return tuple(VoterGroup(cs, tuple(ts), sum(types[t].count for t in ts))
+                 for cs, ts in merged.items())
+
+
+def voter_groups(p: PreferenceProfile, sets: Sequence[frozenset[int]]) -> tuple[VoterGroup, ...]:
+    """The voters of p as voter groups, ballot type t's voters under
+    ``sets[t]``, equal sets merged in order of first appearance."""
+    return _merged(p, zip(sets, range(len(p.ballot_types())), strict=True))
 
 
 def solid_coalitions(p: PreferenceProfile) -> tuple[VoterGroup, ...]:
     """Every candidate prefix with its maximal supporter group, ballot type
     by ballot type and prefix length ascending, equal prefixes merged."""
-    types = p.ballot_types()
-    return voter_groups(
-        (frozenset(bt.ranking[:r]) for bt in types for r in range(1, p.m + 1)),
-        (bt.voters for bt in types for _ in range(p.m)))
+    return _merged(p, ((frozenset(r[:k]), t) for t, (r, _) in enumerate(p.ballot_types())
+                       for k in range(1, p.m + 1)))
 
 
 def all_profiles(n: int, m: int, candidate_names: Sequence[str] | None = None) -> Iterable[PreferenceProfile]:

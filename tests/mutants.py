@@ -56,7 +56,7 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # ballot runs in the profile
+    # ballot runs in the profile, the one voter index
     Mutant("merge", "profiles.py",
            "if run_types[-1:] != [t]:", "if True:",
            ("tests/test_profiles.py::test_adjacent_equal_runs_merge",
@@ -65,6 +65,11 @@ MUTANTS = (
            "for t, (_, count) in zip(self._run_types, self.runs)",
            "for t, (_, count) in zip(sorted(self._run_types), self.runs)",
            ("tests/test_ballot_types.py::test_grouping_matches_a_per_voter_reference",)),
+    Mutant("voters-of", "profiles.py",
+           "range(a, b) for t, a, b in runs", "range(a, b - 1) for t, a, b in runs",
+           ("tests/test_ballot_types.py::test_grouping_matches_a_per_voter_reference",
+            "tests/test_profiles.py::test_voter_groups_merge_equal_sets_in_first_appearance_order",
+            "tests/test_ballot_types.py::test_merged_flow_matches_the_per_voter_network")),
     Mutant("voter-check", "profiles.py",
            "if set(map(type, vs)) <= {int} else [-1]", "",
            ("tests/test_type_validators.py::test_witness_validators_refuse_non_voters",)),
@@ -86,7 +91,7 @@ MUTANTS = (
             "tests/test_matching.py::test_witness_extraction_on_random_profiles")),
     # PSC's solid-coalition prescan on int masks and type weights
     Mutant("psc-prescan", "axioms.py",
-           "size[mask] = size.get(mask, 0) + len(voters)", "size[mask] = size.get(mask, 0) + 1",
+           "size[mask] = size.get(mask, 0) + count", "size[mask] = size.get(mask, 0) + 1",
            ("tests/test_ballot_types.py::test_psc_prescan_matches_a_full_solid_coalition_scan",)),
     # interval eating: each cell is one shared difference of event times
     Mutant("eating-cells", "eating.py",
@@ -95,13 +100,13 @@ MUTANTS = (
             "tests/test_eating.py::test_eating_outputs_match_the_pinned_digest")),
     # eating traces and probabilistic serial weigh each type row by its voters
     Mutant("trace-weights", "eating.py",
-           "self.consumption, [len(bt.voters) for bt in types], p.m)",
-           "self.consumption, [1 for bt in types], p.m)",
+           "self.consumption, [count for _, count in p.ballot_types()], p.m)",
+           "self.consumption, [1 for _ in p.ballot_types()], p.m)",
            ("tests/test_eating.py::test_eating_matches_the_per_step_reference",
             "tests/test_eating.py::test_balance_checks_refuse_malformed_matrices")),
     Mutant("serial-weights", "eating.py",
-           "_balance(rows, [len(bt.voters) for bt in p.ballot_types()], p.m)",
-           "_balance(rows, [1 for bt in p.ballot_types()], p.m)",
+           "_balance(rows, [count for _, count in p.ballot_types()], p.m)",
+           "_balance(rows, [1 for _ in p.ballot_types()], p.m)",
            ("tests/test_eating.py::test_probabilistic_serial_checks_the_rows_it_returns",)),
     # the balance checks' shape and sign check
     Mutant("shape-count", "eating.py",
@@ -121,15 +126,15 @@ MUTANTS = (
             "tests/test_ballot_types.py::test_flow_outputs_match_the_pinned_digest")),
     # the domination graph: one group per distinct edge set of the ballot types
     Mutant("domination-groups", "matching.py",
-           "ballot_groups(p, edges)", "ballot_groups(p, edges[::-1])",
+           "voter_groups(p, edges)", "voter_groups(p, edges[::-1])",
            ("tests/test_matching.py::test_domination_graph_edges",
             "tests/test_ballot_types.py::test_merged_flow_matches_the_per_voter_network")),
-    # the simplex prices a new row against the pivot rows of its basic cells
-    # (a wrongly priced row can keep other LP tests pivoting for many
-    # minutes, so this names one that fails at once)
+    # the simplex prices a new row against the pivot rows of its basic cells,
+    # and refuses a priced row that still holds a basic column
     Mutant("priced", "lp.py",
            "self.tab[r], self.den[r], self.basis[r])", "self.tab[r], 1, self.basis[r])",
-           ("tests/test_lp.py::test_a_family_may_hold_violated_rows_back",)),
+           ("tests/test_lp.py::test_a_family_may_hold_violated_rows_back",
+            "tests/test_distortion.py::test_results_are_pinned")),
     # distortion: references in order of their bound, stopping early
     Mutant("bound-order", "distortion.py",
            "bound < best.value or bound == best.value and cref > best.reference",

@@ -5,6 +5,7 @@ and with profiles whose ballots were duplicated and shuffled."""
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,13 +20,14 @@ from vetoflow.eating import phragmen_committee, probabilistic_serial, veto_by_co
 from vetoflow.matching import (
     Dinic,
     FlowNetwork,
-    ballot_groups,
     build_domination_graph,
     extract_deficiency_witness,
     fractional_matching,
+    has_fractional_perfect_matching,
     max_bipartite_matching,
 )
 from vetoflow.profiles import (
+    MAX_VOTERS,
     PreferenceProfile,
     VoterGroup,
     all_profiles,
@@ -33,22 +35,50 @@ from vetoflow.profiles import (
     voter_groups,
 )
 from vetoflow.profile_io import parse_profile
-from tests_support_random import profiles_strategy, random_profiles, repeated_profiles
+from tests_support_random import (
+    distinct_ballots,
+    profiles_strategy,
+    random_profiles,
+    repeated_profiles,
+)
 
 
 def test_ballot_types_in_first_appearance_order(fix_p):
     p = PreferenceProfile.of([(1, 0), (0, 1), (1, 0), (1, 0)])
-    assert p.ballot_types() == (((1, 0), (0, 2, 3)), ((0, 1), (1,)))
+    assert p.ballot_types() == (((1, 0), 3), ((0, 1), 1))
+    assert [p.voters_of([t]) for t in (0, 1)] == [[0, 2, 3], [1]]
     assert p.ballot_types() is p.ballot_types()
     # the types are built with the profile but are not one of its fields
     q = PreferenceProfile.of([(1, 0), (0, 1), (1, 0), (1, 0)])
     assert p == q and hash(p) == hash(q)
     assert repr(p) == ("PreferenceProfile(runs=(((1, 0), 1), ((0, 1), 1), ((1, 0), 2)), "
                        "candidate_names=('c1', 'c2'))")
-    assert [bt.voters for bt in fix_p.ballot_types()] == [(0, 1), (2, 3)]
+    assert [fix_p.voters_of([t]) for t in (0, 1)] == [[0, 1], [2, 3]]
     # voters of one type share their position row
     pos = p.positions()
     assert pos[0] is pos[2] and pos[0] == (1, 0) and pos[1] == (0, 1)
+
+
+def test_verdicts_allocate_nothing_per_voter():
+    # MAX_VOTERS voters in four runs: construction, the eating rules, every
+    # core network and a PSC check work on the ballot types alone, far below
+    # the memory of one index per voter
+    runs = (((0, 1, 2, 3), 400_000), ((3, 2, 1, 0), 300_000),
+            ((1, 3, 0, 2), 200_000), ((2, 0, 3, 1), 100_000))
+    tracemalloc.start()
+    try:
+        p = PreferenceProfile(runs, ("a", "b", "c", "d"))
+        winners = veto_by_consumption_winners(p)
+        committee = phragmen_committee(p, 2)
+        core = [c for c in range(p.m)
+                if has_fractional_perfect_matching(build_domination_graph(p, c))]
+        satisfied = weak_psc_satisfied(p, committee).satisfied
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.n == MAX_VOTERS
+    assert (winners, committee, core, satisfied) == ({1}, (0, 1), [1], True)
+    assert peak < 1 << 20
 
 
 def grouping_per_voter(rankings) -> list[tuple[tuple[int, ...], list[int]]]:
@@ -75,7 +105,12 @@ def ballot_runs(draw):
 
 def assert_grouped_like_the_reference(p: PreferenceProfile, data) -> None:
     expect = grouping_per_voter(p.rankings)
-    assert p.ballot_types() == tuple((r, tuple(vs)) for r, vs in expect)
+    assert p.ballot_types() == tuple((r, len(vs)) for r, vs in expect)
+    assert [p.voters_of([t]) for t in range(len(expect))] == [vs for _, vs in expect]
+    # any set of types: their voters, read off the rankings
+    types = data.draw(st.sets(st.integers(0, len(expect) - 1)))
+    cast = {expect[t][0] for t in types}
+    assert p.voters_of(types) == [i for i, r in enumerate(p.rankings) if r in cast]
     type_of = {i: t for t, (_, vs) in enumerate(expect) for i in vs}
     values = [object() for _ in expect]
     spread = p.per_voter(values)
@@ -86,7 +121,7 @@ def assert_grouped_like_the_reference(p: PreferenceProfile, data) -> None:
     assert all(pos[i] is pos[expect[type_of[i]][1][0]] for i in range(p.n))
     chosen = data.draw(st.sets(st.integers(0, p.n - 1)))
     assert p.ballot_types_of(chosen) == tuple(
-        bt for bt in p.ballot_types() if chosen.intersection(bt.voters))
+        bt for bt, (_, vs) in zip(p.ballot_types(), expect) if chosen.intersection(vs))
     assert p.ballot_types_of(list(chosen)) == p.ballot_types_of(chosen)
     for outside in (-1, p.n):
         with pytest.raises(ValueError, match="outside"):
@@ -149,9 +184,10 @@ def test_solid_coalitions_match_a_per_voter_grouping():
     merged = 0
     for p in [*random_profiles(300, seed=808, nmax=8), *repeated_profiles(150, seed=909)]:
         got = solid_coalitions(p)
-        assert [(g.candidates, list(g.members())) for g in got] == solid_coalitions_per_voter(p)
-        assert all(g.size == len(g.voters) for g in got)
-        merged += any(len(g.runs) > 1 and len(g.candidates) < p.m for g in got)
+        got_voters = [(g.candidates, p.voters_of(g.types)) for g in got]
+        assert got_voters == solid_coalitions_per_voter(p)
+        assert all(g.size == len(vs) for g, (_, vs) in zip(got, got_voters))
+        merged += any(len(g.types) > 1 and len(g.candidates) < p.m for g in got)
     # proper prefixes shared by several ballot types must be common, not rare
     assert merged > 100
 
@@ -163,8 +199,8 @@ def psc_prescan_reference(p: PreferenceProfile, committee: frozenset[int]):
     k = len(committee)
     for sc in solid_coalitions(p):
         outside = sc.candidates - committee
-        if outside and len(sc.voters) * (k + 1) > len(sc.candidates) * p.n:
-            return sc.voters, min(outside)
+        if outside and sc.size * (k + 1) > len(sc.candidates) * p.n:
+            return frozenset(p.voters_of(sc.types)), min(outside)
     return None
 
 
@@ -213,7 +249,7 @@ def networks(p: PreferenceProfile):
         below = tuple(frozenset(r[r.index(c):]) for r in p.rankings)
         yield build_domination_graph(p, c), below
         prefixes = tuple(frozenset(r[: r.index(c) + 1]) for r in p.rankings)
-        groups = ballot_groups(p, [frozenset(r[: r.index(c) + 1]) for r, _ in p.ballot_types()])
+        groups = voter_groups(p, [frozenset(r[: r.index(c) + 1]) for r, _ in p.ballot_types()])
         for k in range(p.m):
             yield FlowNetwork(p.m, groups, k + 1, p.n), prefixes
 
@@ -241,7 +277,7 @@ def test_merged_flow_matches_the_per_voter_network():
     for p in repeated_profiles(150, seed=4242):
         for net, edges in networks(p):
             # the groups partition the voters, each voter in the group of its edge set
-            members = [list(g.members()) for g in net.groups]
+            members = [p.voters_of(g.types) for g in net.groups]
             assert sorted(sum(members, [])) == list(range(p.n)) == list(range(net.num_left))
             assert all(ms == sorted(ms) and len(ms) == g.size for g, ms in zip(net.groups, members))
             assert all(edges[i] == g.candidates for g, ms in zip(net.groups, members) for i in ms)
@@ -249,7 +285,8 @@ def test_merged_flow_matches_the_per_voter_network():
             value, flow = net.solve()
             expect_value, expect_side, expect_right = per_voter_flow(net, edges)
             assert value == expect_value, (p.rankings, net)
-            voters, right = flow.cut()
+            types, right = flow.cut()
+            voters = frozenset(p.voters_of(types))
             assert (voters, right) == (expect_side, expect_right), (p.rankings, net)
             # the cut holds a voter exactly when some supply is left unsent
             assert (not voters) == (value == net.num_left * net.left_supply)
@@ -279,14 +316,15 @@ def test_unmerged_groups_solve_like_the_merged_network():
     checked = shared = 0
     for p in repeated_profiles(150, seed=4242):
         for net, edges in networks(p):
-            per_voter = tuple(VoterGroup(adj, ((i,),)) for i, adj in enumerate(edges))
+            per_voter = tuple(VoterGroup(adj, (i,), 1) for i, adj in enumerate(edges))
             single = FlowNetwork(net.num_right, per_voter, net.left_supply, net.right_cap)
             value, flow = net.solve()
             single_value, single_flow = single.solve()
             assert single_value == value, (p.rankings, net)
-            assert single_flow.cut()[0] == flow.cut()[0], (p.rankings, net)
+            cut = frozenset(p.voters_of(flow.cut()[0]))
+            assert single_flow.cut()[0] == cut, (p.rankings, net)
             assert len(single_flow.units_sent()) == p.n
-            assert_feasible_shares(net, edges, value, flow.shares())
+            assert_feasible_shares(net, edges, value, p.per_voter(flow.shares()))
             assert_feasible_shares(net, edges, value, single_flow.shares())
             checked += 1
             shared += len(set(edges)) < len(edges)
@@ -294,21 +332,23 @@ def test_unmerged_groups_solve_like_the_merged_network():
 
 
 def test_pareto_matching_hands_merged_types_to_voters_in_index_order():
-    # the per-voter adjacency is the reference: its equal rows merge one
-    # voter at a time, while the criterion merges whole ballot types
+    # the per-voter adjacency is the reference, on voters that each cast
+    # their own ballot: its equal rows merge one voter at a time, while the
+    # criterion merges whole ballot types
     interleaved = 0
     for p in repeated_profiles(150, seed=31):
         for c in range(p.m):
             below = [frozenset(r[r.index(c) + 1:]) for r in p.rankings]
-            expect = max_bipartite_matching(voter_groups(below, zip(range(p.n))))
+            expect = max_bipartite_matching(distinct_ballots(p.n), below)
             ok, matching = pareto_matching_criterion(p, c)
             assert ok == (len(expect) == p.m - 1), (p.rankings, c)
             if ok:
                 assert list(matching.items()) == list(expect.items()), (p.rankings, c)
-            types = ballot_groups(p, [frozenset(r[r.index(c) + 1:]) for r, _ in p.ballot_types()])
+            groups = voter_groups(p, [frozenset(r[r.index(c) + 1:]) for r, _ in p.ballot_types()])
             interleaved += ok and any(
-                len(g.runs) > 1 and list(g.members()) != [i for run in g.runs for i in run]
-                for g in types)
+                len(g.types) > 1
+                and p.voters_of(g.types) != [i for t in g.types for i in p.voters_of([t])]
+                for g in groups)
     assert interleaved > 20
 
 
@@ -320,7 +360,7 @@ def flow_outputs(p: PreferenceProfile):
         v = veto_core_member(p, c)
         w = v.witness
         yield repr((c, v.member, None if w is None else (sorted(w.voters), sorted(w.blocked_by))))
-        yield repr(fractional_matching(build_domination_graph(p, c)))
+        yield repr(fractional_matching(p, c))
     for k in range(1, p.m):
         for committee in itertools.combinations(range(p.m), k):
             v = weak_psc_satisfied(p, committee)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from vetoflow import lp as lp_module
 from vetoflow.lp import LinearConstraint, LinearProgram, LpSolution, solve_lp
 from tests_support_lp import ListedRows, excess, satisfied_by, value_at
 
@@ -138,6 +139,30 @@ def test_a_family_may_hold_violated_rows_back():
         for pick in (min, max):
             lp = LinearProgram(explicit.objective, (), OneRow(explicit.constraints, pick))
             assert solve_lp(lp) == solve_lp(explicit)
+
+
+def test_a_priced_row_that_keeps_a_basic_column_raises(monkeypatch):
+    # pricing a new row with an elimination that ignores the pivot row's
+    # denominator leaves a basic cell in the row; the solver must refuse it
+    # rather than pivot on a broken tableau
+    eliminate, add_row = lp_module._eliminate, lp_module._Simplex.add_row
+
+    def faulty(row, den, prow, pden, col):
+        return eliminate(row, den, prow, 1, col)
+
+    def add_faulty_row(simplex, row):
+        monkeypatch.setattr(lp_module, "_eliminate", faulty)
+        try:
+            add_row(simplex, row)
+        finally:
+            monkeypatch.setattr(lp_module, "_eliminate", eliminate)
+
+    explicit = triple_cover_lp(5)
+    lp = LinearProgram(explicit.objective, (), ListedRows(explicit.constraints))
+    assert solve_lp(lp) == solve_lp(explicit)
+    monkeypatch.setattr(lp_module._Simplex, "add_row", add_faulty_row)
+    with pytest.raises(RuntimeError, match="basic column"):
+        solve_lp(lp)
 
 
 class Unchecked(LinearConstraint):

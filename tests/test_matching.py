@@ -13,14 +13,20 @@ from vetoflow.matching import (
     has_fractional_perfect_matching,
     max_bipartite_matching,
 )
-from vetoflow.profiles import PreferenceProfile, VoterGroup, dominated_set, voter_groups
+from vetoflow.profiles import PreferenceProfile, dominated_set, voter_groups
 from tests_support_oracles import hall_check_bruteforce
-from tests_support_random import random_profiles
+from tests_support_random import distinct_ballots, random_profiles
 
 
 def one_group_per_row(rows):
-    """Voter groups with left node i alone on ``rows[i]``; equal rows merge."""
-    return voter_groups(map(frozenset, rows), zip(range(len(rows))))
+    """Voter groups with left node i alone on ``rows[i]``, on a profile
+    whose voter i is ballot type i; equal rows merge."""
+    return voter_groups(distinct_ballots(len(rows)), list(map(frozenset, rows)))
+
+
+def matching_of(rows):
+    """The maximum matching with left node i adjacent to ``rows[i]``."""
+    return max_bipartite_matching(distinct_ballots(len(rows)), list(map(frozenset, rows)))
 
 
 def test_dinic_on_a_small_network():
@@ -37,10 +43,11 @@ def test_dinic_on_a_small_network():
 
 def test_domination_graph_edges(fix_p):
     g = build_domination_graph(fix_p, 1)
-    assert [(grp.candidates, grp.runs) for grp in g.groups] == [
-        (frozenset({1, 2}), ((0, 1),)),
-        (frozenset({0, 1}), ((2, 3),)),
+    assert [(grp.candidates, grp.types, grp.size) for grp in g.groups] == [
+        (frozenset({1, 2}), (0,), 2),
+        (frozenset({0, 1}), (1,), 2),
     ]
+    assert [fix_p.voters_of(grp.types) for grp in g.groups] == [[0, 1], [2, 3]]
 
 
 def test_domination_graph_validation():
@@ -60,16 +67,17 @@ def test_domination_graph_validation():
 def test_domination_graph_groups_hold_every_voter(fix_p):
     g = build_domination_graph(fix_p, 1)
     # groups built per voter hold the same voters under the same edge sets
+    bare = distinct_ballots(fix_p.n)
     per_voter = one_group_per_row([r[r.index(1):] for r in fix_p.rankings])
-    assert [(grp.candidates, list(grp.members())) for grp in per_voter] == [
-        (grp.candidates, list(grp.members())) for grp in g.groups]
+    assert [(grp.candidates, bare.voters_of(grp.types)) for grp in per_voter] == [
+        (grp.candidates, fix_p.voters_of(grp.types)) for grp in g.groups]
     assert (g.num_left, g.num_right, g.left_supply, g.right_cap) == (4, 3, 3, 4)
 
 
 def test_fix_p_middle_candidate_has_matching(fix_p):
     g = build_domination_graph(fix_p, 1)
     assert has_fractional_perfect_matching(g)
-    mu = fractional_matching(g)
+    mu = fractional_matching(fix_p, 1)
     assert mu is not None
     for row in mu:
         assert sum(row) == 1
@@ -84,7 +92,7 @@ def test_fix_p_middle_candidate_has_matching(fix_p):
 def test_fix_t_worst_candidate_has_no_matching(fix_t):
     g = build_domination_graph(fix_t, 2)
     assert not has_fractional_perfect_matching(g)
-    assert fractional_matching(g) is None
+    assert fractional_matching(fix_t, 2) is None
     w = extract_deficiency_witness(fix_t, 2)
     assert w is not None
     assert frozenset({0, 1}) <= w.voters
@@ -141,16 +149,13 @@ def test_witness_extraction_on_random_profiles():
 
 
 def test_max_bipartite_matching_basics():
-    assert max_bipartite_matching(()) == {}
-    assert max_bipartite_matching(one_group_per_row([[0], [0]])) in ({0: 0}, {1: 0})
-    complete = max_bipartite_matching(one_group_per_row([[0, 1, 2]] * 3))
+    assert matching_of([[]]) == {}
+    assert matching_of([[0], [0]]) in ({0: 0}, {1: 0})
+    complete = matching_of([[0, 1, 2]] * 3)
     assert sorted(complete) == [0, 1, 2]
     assert sorted(complete.values()) == [0, 1, 2]
-    crossed = max_bipartite_matching(one_group_per_row([[1], [0, 1]]))
+    crossed = matching_of([[1], [0, 1]])
     assert crossed == {0: 1, 1: 0}
-    # unmerged groups on one edge set are separate flow nodes, read back apart
-    twins = (VoterGroup(frozenset({0}), ((0,),)), VoterGroup(frozenset({0}), ((1,),)))
-    assert max_bipartite_matching(twins) == {0: 0}
 
 
 def test_max_bipartite_matching_respects_adjacency():
@@ -160,7 +165,7 @@ def test_max_bipartite_matching_respects_adjacency():
         adjacency = [
             [j for j in range(right) if rng.random() < 0.5] for _ in range(left)
         ]
-        mu = max_bipartite_matching(one_group_per_row(adjacency))
+        mu = matching_of(adjacency)
         assert len(set(mu.values())) == len(mu)
         for i, j in mu.items():
             assert j in adjacency[i]
@@ -168,9 +173,10 @@ def test_max_bipartite_matching_respects_adjacency():
 
 def test_max_bipartite_matching_follows_long_augmenting_paths():
     # the last left vertex displaces the whole chain of 3000 before it, far
-    # deeper than Python's default recursion limit
+    # deeper than Python's default recursion limit; the 3001 voters cast the
+    # first 3001 permutations of range(7)
     adjacency = [[i, i + 1] for i in range(3000)] + [[0]]
-    mu = max_bipartite_matching(one_group_per_row(adjacency))
+    mu = matching_of(adjacency)
     assert len(mu) == 3001
     assert mu[3000] == 0 and mu[0] == 1 and mu[2999] == 3000
 
@@ -179,7 +185,7 @@ def test_flow_network_follows_long_augmenting_paths():
     # the last phase augments along one path through every left node, far
     # deeper than Python's default recursion limit
     edges = tuple(frozenset({i, i + 1}) for i in range(3000)) + (frozenset({0}),)
-    groups = voter_groups(edges, [(i,) for i in range(3001)])
+    groups = voter_groups(distinct_ballots(3001), edges)
     value, flow = FlowNetwork(3001, groups, left_supply=1, right_cap=1).solve()
     assert value == 3001
     assert flow.cut()[0] == frozenset()
@@ -194,4 +200,4 @@ def test_max_bipartite_matching_splits_shared_rows_by_index():
     # rows 0, 2 and 3 are equal and share a flow node: its two matched right
     # nodes go, ascending, to the two lowest-index rows
     rows = [[2, 1], [0], [1, 2], [2, 1]]
-    assert max_bipartite_matching(one_group_per_row(rows)) == {0: 1, 1: 0, 2: 2}
+    assert matching_of(rows) == {0: 1, 1: 0, 2: 2}

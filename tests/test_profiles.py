@@ -72,7 +72,8 @@ def test_adjacent_equal_runs_merge():
     p = PreferenceProfile((((0, 1), 1), ((0, 1), 2), ((1, 0), 1), ((0, 1), 1)), ("a", "b"))
     assert p.runs == (((0, 1), 3), ((1, 0), 1), ((0, 1), 1))
     assert p == PreferenceProfile.of([(0, 1)] * 3 + [(1, 0), (0, 1)], ("a", "b"))
-    assert p.n == 5 and p.ballot_types() == (((0, 1), (0, 1, 2, 4)), ((1, 0), (3,)))
+    assert p.n == 5 and p.ballot_types() == (((0, 1), 4), ((1, 0), 1))
+    assert [p.voters_of([t]) for t in (0, 1)] == [[0, 1, 2, 4], [3]]
     assert p.per_voter("xy") == tuple("xxxyx")
 
 
@@ -158,7 +159,7 @@ def test_dominated_set(fix_p, fix_t):
 
 
 def test_solid_coalitions(fix_p):
-    got = {sc.candidates: sc.voters for sc in solid_coalitions(fix_p)}
+    got = {sc.candidates: frozenset(fix_p.voters_of(sc.types)) for sc in solid_coalitions(fix_p)}
     assert got[frozenset({0})] == frozenset({0, 1})
     assert got[frozenset({2})] == frozenset({2, 3})
     assert got[frozenset({0, 1})] == frozenset({0, 1})
@@ -174,33 +175,38 @@ def test_solid_coalition_supporters_are_maximal(p):
         expect = frozenset(
             i for i in range(p.n) if frozenset(p.rankings[i][:r]) == sc.candidates
         )
-        assert sc.voters == expect and sc.voters
+        assert frozenset(p.voters_of(sc.types)) == expect and expect
         assert sc.size == len(expect)
 
 
-# candidate sets, and for each an ascending run of voters: voter v joins
-# run owner[v] mod the number of sets, so runs of equal sets interleave
-set_runs_strategy = st.tuples(
-    st.lists(st.frozensets(st.integers(0, 3), max_size=3), min_size=1, max_size=8),
-    st.lists(st.integers(0, 7), max_size=30),
-).map(lambda t: (t[0], [tuple(v for v, o in enumerate(t[1]) if o % len(t[0]) == k)
-                        for k in range(len(t[0]))]))
+# a profile of up to 30 voters casting rankings of 3 candidates, so that
+# the runs of several ballot types interleave, and a candidate set for each
+# ballot type, drawn from few sets, so that several types share one
+profile_sets_strategy = st.lists(
+    st.permutations(range(3)).map(tuple), min_size=1, max_size=30
+).flatmap(
+    lambda rankings: st.tuples(
+        st.just(PreferenceProfile.of(rankings)),
+        st.lists(st.sampled_from([frozenset(), frozenset({0}), frozenset({1, 3})]),
+                 min_size=len(set(rankings)), max_size=len(set(rankings)))))
 
 
-@given(set_runs_strategy)
+@given(profile_sets_strategy)
 def test_voter_groups_merge_equal_sets_in_first_appearance_order(case):
-    sets, runs = case
-    groups = voter_groups(sets, runs)
+    p, sets = case
+    groups = voter_groups(p, sets)
     assert [g.candidates for g in groups] == list(dict.fromkeys(sets))
+    # the voters of a group, read off the rankings
+    set_of = {r: cs for (r, _), cs in zip(p.ballot_types(), sets)}
     for g in groups:
-        assert g.runs == tuple(run for cs, run in zip(sets, runs) if cs == g.candidates)
-        assert list(g.members()) == sorted(g.voters)
-        assert g.voters == frozenset(v for run in g.runs for v in run)
-        assert g.size == len(g.voters)
+        assert g.types == tuple(t for t, cs in enumerate(sets) if cs == g.candidates)
+        voters = [i for i, r in enumerate(p.rankings) if set_of[r] == g.candidates]
+        assert p.voters_of(g.types) == voters
+        assert g.size == len(voters)
     with pytest.raises(ValueError):
-        voter_groups(sets, runs[:-1])
+        voter_groups(p, sets[:-1])
     with pytest.raises(ValueError):
-        voter_groups(sets + [frozenset()], runs)
+        voter_groups(p, sets + [frozenset()])
 
 
 def test_all_profiles_counts():

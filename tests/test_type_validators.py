@@ -76,9 +76,10 @@ def voter_sets(p, rng):
     part of it that splits the type."""
     for _ in range(4):
         yield frozenset(i for i in range(p.n) if rng.random() < rng.random())
-    for bt in p.ballot_types():
-        yield frozenset(bt.voters)
-        yield frozenset(rng.sample(bt.voters, max(1, len(bt.voters) // 2)))
+    for t in range(len(p.ballot_types())):
+        voters = p.voters_of([t])
+        yield frozenset(voters)
+        yield frozenset(rng.sample(voters, max(1, len(voters) // 2)))
 
 
 def subsets(rng, items):
@@ -93,8 +94,8 @@ def test_per_type_validators_agree_with_per_voter_references():
     for _ in range(250):
         p = repeated_profile(rng)
         for voters in voter_sets(p, rng):
-            split += any(0 < len(voters & set(bt.voters)) < len(bt.voters)
-                         for bt in p.ballot_types())
+            split += any(0 < len(voters.intersection(p.voters_of([t]))) < count
+                         for t, (_, count) in enumerate(p.ballot_types()))
             for c in range(p.m):
                 assert dominated_set(p, c, voters) == dominated_set_per_voter(p, c, voters)
                 above = frozenset(range(p.m)).intersection(

@@ -1,7 +1,10 @@
-"""Seeded random instances shared across the test modules."""
+"""Seeded random instances shared across the test modules, and profiles
+whose voters all cast distinct ballots."""
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 from hypothesis import strategies as st
@@ -33,6 +36,14 @@ def repeated_profiles(count: int, seed: int):
         ballots = [tuple(rng.sample(range(m), m)) for _ in range(types)]
         out.append(PreferenceProfile.of([rng.choice(ballots) for _ in range(n)]))
     return out
+
+
+def distinct_ballots(n: int) -> PreferenceProfile:
+    """n voters casting the first n permutations of range(k), for the least
+    k with k! >= n, so that ballot type i is voter i: the left side of a
+    bare bipartite network."""
+    k = next(k for k in itertools.count(1) if math.factorial(k) >= n)
+    return PreferenceProfile.of(itertools.islice(itertools.permutations(range(k)), n))
 
 
 profiles_strategy = st.integers(min_value=0, max_value=2**31 - 1).map(
