@@ -5,8 +5,12 @@ A coalition N' can veto v(N') = ceil(m|N'|/n) - 1 candidates.  Candidate c is
 vetoed when some coalition jointly ranks at least m - v(N') candidates above
 c; c is a core member when no coalition vetoes it.  This is exactly the
 failure of the Hall condition on the domination graph of c, which gives the
-fast checker; the brute-force checkers here evaluate the quantifiers
-directly and exist to keep the fast paths honest.
+fast checker.  The core itself first asks the solid coalitions: voters who
+share a top set T veto everything outside T once T is large enough for
+their number, and only the candidates no such coalition vetoes go to a
+flow.  Weak PSC scans the same coalitions before its flows.  The
+brute-force checkers here evaluate the quantifiers directly and exist to
+keep the fast paths honest.
 
 All threshold comparisons are exact; the strict inequalities are
 cross-multiplied into integer arithmetic, never approximated.
@@ -89,7 +93,25 @@ def veto_core_member(p: PreferenceProfile, c: int) -> VetoVerdict:
 
 
 def veto_core(p: PreferenceProfile) -> frozenset[int]:
-    return frozenset(c for c in range(p.m) if veto_core_member(p, c).member)
+    """The candidates no coalition vetoes.
+
+    A solid-coalition scan runs first.  The N' voters whose top |T|
+    candidates are the set T rank all of T above every other candidate, so
+    with T as the blocking set they veto every candidate outside T once
+    |T| >= m - v(N').  As m - |T| is an integer, that is m - |T| <
+    m |N'| / n, or (m - |T|) n < m |N'| cross-multiplied.  A candidate the
+    scan marks is vetoed and needs no flow; the flow of
+    ``veto_core_member`` decides each other candidate, so the set is the
+    one a flow per candidate gives.  Where the scan marks nothing, it
+    costs one ``solid_coalitions`` pass.
+    """
+    m, n = p.m, p.n
+    everyone = frozenset(range(m))
+    vetoed: set[int] = set()
+    for g in solid_coalitions(p):
+        if (m - len(g.candidates)) * n < m * g.size:
+            vetoed |= everyone - g.candidates
+    return frozenset(c for c in range(m) if c not in vetoed and veto_core_member(p, c).member)
 
 
 def veto_core_member_bruteforce(p: PreferenceProfile, c: int) -> bool:
@@ -223,10 +245,10 @@ def weak_psc_satisfied(p: PreferenceProfile, committee: Iterable[int]) -> PscVer
         outside = mask & ~committed
         if outside and weight * (k + 1) > mask.bit_count() * p.n:
             group = next(g for g in solid_coalitions(p) if _mask(g.candidates) == mask)
-            voters = frozenset(p.voters_of(group.types))
             x = (outside & -outside).bit_length() - 1
-            union = frozenset().union(*(r[: r.index(x) + 1] for r, _ in p.ballot_types_of(voters)))
-            viol = PscViolation(union, voters, x)
+            rankings = [p.ballot_types()[t].ranking for t in group.types]
+            union = frozenset().union(*(r[: r.index(x) + 1] for r in rankings))
+            viol = PscViolation(union, frozenset(p.voters_of(group.types)), x)
             viol.validate(p, W)
             return PscVerdict(viol)
 

@@ -12,9 +12,9 @@ pass groups them into types and allocates nothing per voter, ``voters_of``
 lists the voters of some types, and ``per_voter`` spreads per-type values,
 as ``rankings`` and ``positions()`` do on first use.
 
-A voter group ties a candidate set to ballot types; ``voter_groups`` is the
-one rule for merging types with equal sets, for flow networks and solid
-coalitions alike.
+A voter group ties a candidate set to ballot types.  ``voter_groups``
+merges types with equal sets, for the flow networks; ``solid_coalitions``
+merges types with equal prefixes, keyed by the prefixes' int masks.
 """
 
 from __future__ import annotations
@@ -265,28 +265,34 @@ class VoterGroup(NamedTuple):
     size: int
 
 
-def _merged(p: PreferenceProfile,
-            keyed: Iterable[tuple[frozenset[int], int]]) -> tuple[VoterGroup, ...]:
-    """One group per candidate set in ``keyed``, in first-appearance order."""
+def voter_groups(p: PreferenceProfile, sets: Sequence[frozenset[int]]) -> tuple[VoterGroup, ...]:
+    """The voters of p as voter groups, ballot type t's voters under
+    ``sets[t]``, equal sets merged in order of first appearance."""
     merged: dict[frozenset[int], list[int]] = {}
-    for cs, t in keyed:
+    for cs, t in zip(sets, range(len(p.ballot_types())), strict=True):
         merged.setdefault(cs, []).append(t)
     types = p.ballot_types()
     return tuple(VoterGroup(cs, tuple(ts), sum(types[t].count for t in ts))
                  for cs, ts in merged.items())
 
 
-def voter_groups(p: PreferenceProfile, sets: Sequence[frozenset[int]]) -> tuple[VoterGroup, ...]:
-    """The voters of p as voter groups, ballot type t's voters under
-    ``sets[t]``, equal sets merged in order of first appearance."""
-    return _merged(p, zip(sets, range(len(p.ballot_types())), strict=True))
-
-
 def solid_coalitions(p: PreferenceProfile) -> tuple[VoterGroup, ...]:
     """Every candidate prefix with its maximal supporter group, ballot type
-    by ballot type and prefix length ascending, equal prefixes merged."""
-    return _merged(p, ((frozenset(r[:k]), t) for t, (r, _) in enumerate(p.ballot_types())
-                       for k in range(1, p.m + 1)))
+    by ballot type and prefix length ascending, equal prefixes merged.
+
+    One pass over the ballot types keys each prefix by its int mask and
+    builds its frozenset once, where it first appears."""
+    groups: dict[int, list] = {}  # mask -> [prefix, types, size]
+    for t, (r, count) in enumerate(p.ballot_types()):
+        mask = 0
+        for k, c in enumerate(r, 1):
+            mask |= 1 << c
+            g = groups.get(mask)
+            if g is None:
+                groups[mask] = g = [frozenset(r[:k]), [], 0]
+            g[1].append(t)
+            g[2] += count
+    return tuple(VoterGroup(cs, tuple(ts), size) for cs, ts, size in groups.values())
 
 
 def all_profiles(n: int, m: int, candidate_names: Sequence[str] | None = None) -> Iterable[PreferenceProfile]:

@@ -77,6 +77,10 @@ MUTANTS = (
            "if n + count > MAX_VOTERS:", "if n + count > MAX_VOTERS + 1:",
            ("tests/test_profiles.py::test_a_billion_voters_are_refused_before_any_per_voter_allocation",
             "tests/test_cli.py::test_native_files_are_capped_by_their_ballot_lines")),
+    # solid coalitions in one pass on prefix masks, sized by type counts
+    Mutant("solid-weights", "profiles.py",
+           "g[2] += count", "g[2] += 1",
+           ("tests/test_ballot_types.py::test_solid_coalitions_match_a_per_voter_grouping",)),
     # the count-line reader
     Mutant("reader-runs", "profile_io.py",
            "        if count:\n", "        if count >= 0:\n",
@@ -93,6 +97,16 @@ MUTANTS = (
     Mutant("psc-prescan", "axioms.py",
            "size[mask] = size.get(mask, 0) + count", "size[mask] = size.get(mask, 0) + 1",
            ("tests/test_ballot_types.py::test_psc_prescan_matches_a_full_solid_coalition_scan",)),
+    # the core's solid-coalition scan: a strict bound, and it must fire
+    Mutant("core-scan-bound", "axioms.py",
+           "(m - len(g.candidates)) * n < m * g.size", "(m - len(g.candidates)) * n <= m * g.size",
+           ("tests/test_axioms.py::test_the_solid_coalition_scan_bound_is_strict",
+            "tests/test_axioms.py::test_veto_core_scan_changes_no_core")),
+    Mutant("core-scan-off", "axioms.py",
+           "vetoed |= everyone - g.candidates", "pass",
+           ("tests/test_axioms.py::test_flows_run_only_for_core_members_on_a_large_ic_election",
+            "tests/test_ballot_types.py::"
+            "test_a_core_whose_non_members_solid_coalitions_veto_allocates_nothing_per_voter")),
     # interval eating: each cell is one shared difference of event times
     Mutant("eating-cells", "eating.py",
            "spans[s] = t - times[s]", "spans[s] = t - times[max(s - 1, 0)]",

@@ -1,10 +1,12 @@
 import itertools
 import random
+from collections import Counter
 from math import ceil
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vetoflow import axioms
 from vetoflow.axioms import (
     PscViolation,
     VetoWitness,
@@ -20,6 +22,7 @@ from vetoflow.axioms import (
 )
 from vetoflow.distortion import distortion_of_candidate
 from vetoflow.eating import phragmen_committee, probabilistic_serial, veto_by_consumption_winners
+from vetoflow.profile_io import parse_profile
 from vetoflow.profiles import PreferenceProfile, all_profiles, reverse_profile
 from vetoflow.rules import (
     composite_distortion_rule,
@@ -28,7 +31,12 @@ from vetoflow.rules import (
     serial_dictatorship,
 )
 from tests_support_oracles import pareto_optimal_bruteforce
-from tests_support_random import random_profile, random_profiles
+from tests_support_random import (
+    profiles_strategy,
+    random_profile,
+    random_profiles,
+    repeated_profiles,
+)
 
 
 def test_veto_power_formula():
@@ -101,6 +109,54 @@ def test_core_bruteforce_agrees_on_random_profiles():
                 p.rankings,
                 c,
             )
+
+
+def assert_core_by_flow(p: PreferenceProfile, monkeypatch) -> tuple[int, int]:
+    """``veto_core`` is the set a flow admits candidate by candidate, and
+    brute force agrees where it can run.  Returns how many non-members the
+    solid-coalition scan decided and how many a flow decided."""
+    by_flow = frozenset(c for c in range(p.m) if veto_core_member(p, c).member)
+    if p.n <= 12 and p.m <= 6:
+        assert by_flow == frozenset(c for c in range(p.m) if veto_core_member_bruteforce(p, c))
+    asked = []
+    member = axioms.veto_core_member
+    with monkeypatch.context() as mp:
+        mp.setattr(axioms, "veto_core_member", lambda p, c: asked.append(c) or member(p, c))
+        core = veto_core(p)
+    assert core == by_flow, p.rankings
+    return p.m - len(asked), len(asked) - len(core)
+
+
+def test_veto_core_scan_changes_no_core(monkeypatch):
+    scanned = flowed = 0
+    for p in [*all_profiles(3, 3), *repeated_profiles(200, seed=1717)]:
+        s, f = assert_core_by_flow(p, monkeypatch)
+        scanned, flowed = scanned + s, flowed + f
+    # both routes must decide non-members often
+    assert scanned > 400 and flowed > 20
+
+
+@given(profiles_strategy)
+def test_veto_core_scan_changes_no_core_on_random_profiles(p):
+    with pytest.MonkeyPatch.context() as mp:
+        assert_core_by_flow(p, mp)
+
+
+def test_the_solid_coalition_scan_bound_is_strict():
+    # at equality, (m - |T|) n = m |N'| = 4, each top set holds one veto
+    # too few: both candidates are members
+    assert veto_core(PreferenceProfile.of([(0, 1), (0, 1), (1, 0), (1, 0)])) == frozenset({0, 1})
+    # 1 * 4 < 2 * 3: the three voters of top set {0} veto candidate 1
+    assert veto_core(PreferenceProfile.of([(0, 1), (0, 1), (0, 1), (1, 0)])) == frozenset({0})
+
+
+def test_flows_run_only_for_core_members_on_a_large_ic_election(monkeypatch):
+    rng = random.Random(11)
+    counts = Counter(tuple(rng.sample(range(5), 5)) for _ in range(3000))
+    p = parse_profile("".join(f"{w}: {','.join(str(c + 1) for c in r)}\n"
+                              for r, w in sorted(counts.items(), key=lambda rw: (-rw[1], rw[0]))))
+    scanned, flowed = assert_core_by_flow(p, monkeypatch)
+    assert scanned > 0 and flowed == 0
 
 
 def test_core_bruteforce_rejects_large_instances():

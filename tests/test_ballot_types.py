@@ -81,6 +81,24 @@ def test_verdicts_allocate_nothing_per_voter():
     assert peak < 1 << 20
 
 
+def test_a_core_whose_non_members_solid_coalitions_veto_allocates_nothing_per_voter():
+    # the 900 000 voters of top set {0} veto 1, 2 and 3, so the core runs
+    # one flow, for 0, and spells out no witness's voters
+    runs = (((0, 1, 2, 3), 300_000), ((0, 1, 3, 2), 300_000),
+            ((0, 2, 3, 1), 300_000), ((1, 2, 3, 0), 100_000))
+    tracemalloc.start()
+    try:
+        p = PreferenceProfile(runs, ("a", "b", "c", "d"))
+        core = veto_core(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.n == MAX_VOTERS and core == {0}
+    assert peak < 1 << 20
+    small = PreferenceProfile(tuple((r, count // 100_000) for r, count in runs), p.candidate_names)
+    assert [c for c in range(small.m) if veto_core_member(small, c).member] == [0]
+
+
 def grouping_per_voter(rankings) -> list[tuple[tuple[int, ...], list[int]]]:
     """Each distinct ranking with its voters, ranking by ranking in order
     of first voter, found voter by voter on the ranking's value."""
