@@ -226,29 +226,23 @@ def weak_psc_satisfied(p: PreferenceProfile, committee: Iterable[int]) -> PscVer
     N' and a candidate x outside the committee with |N'| (k+1) > |C'| n,
     where C' is the union of N's weak prefixes down to x.  For each x this
     is a Hall-type feasibility question, solved by max flow with voter
-    supply k+1 and candidate capacity n; a scan of the common-prefix solid
-    coalitions runs first as a cheap sufficient test.
+    supply k+1 and candidate capacity n.  As in ``veto_core``, the solid
+    coalitions of ``solid_coalitions(p)`` are asked first: the voters whose
+    top |T| candidates are T rank every x in T within their top |T|, so
+    with an uncommitted x in T and |N'| (k+1) > |T| n they violate with
+    C' inside T, and no flow runs.  The first such coalition, with its
+    least uncommitted candidate, is the witness.
     """
     W = _committee(p, committee)
     k = len(W)
-    # the solid coalitions, sized from the ballot types' counts on int
-    # masks of their prefixes, in the order of solid_coalitions; only the
-    # first violator's supporters are built
-    size: dict[int, int] = {}
-    for r, count in p.ballot_types():
-        mask = 0
-        for c in r:
-            mask |= 1 << c
-            size[mask] = size.get(mask, 0) + count
-    committed = _mask(W)
-    for mask, weight in size.items():
-        outside = mask & ~committed
-        if outside and weight * (k + 1) > mask.bit_count() * p.n:
-            group = next(g for g in solid_coalitions(p) if _mask(g.candidates) == mask)
-            x = (outside & -outside).bit_length() - 1
-            rankings = [p.ballot_types()[t].ranking for t in group.types]
+    # C' lies inside T, so clearing the threshold on |T| clears it on |C'|
+    for g in solid_coalitions(p):
+        outside = g.candidates - W
+        if outside and g.size * (k + 1) > len(g.candidates) * p.n:
+            x = min(outside)
+            rankings = [p.ballot_types()[t].ranking for t in g.types]
             union = frozenset().union(*(r[: r.index(x) + 1] for r in rankings))
-            viol = PscViolation(union, frozenset(p.voters_of(group.types)), x)
+            viol = PscViolation(union, frozenset(p.voters_of(g.types)), x)
             viol.validate(p, W)
             return PscVerdict(viol)
 

@@ -151,8 +151,13 @@ class PreferenceProfile:
         return tuple(map(self._ballot_types.__getitem__, sorted(hit)))
 
     def voters_of(self, types: Iterable[int]) -> list[int]:
-        """The voters of ballot types ``types`` (``ballot_types()`` indices), ascending."""
-        want = set(types)
+        """The voters of ballot types ``types`` (``ballot_types()`` indices),
+        ascending.  A member that is not an int in 0..T-1, for the T ballot
+        types, is an error."""
+        ts = list(types)
+        if any(type(t) is not int or not 0 <= t < len(self._ballot_types) for t in ts):
+            raise ValueError(f"ballot type index outside 0..{len(self._ballot_types) - 1}")
+        want = set(ts)
         runs = zip(self._run_types, self._starts, self._starts[1:])
         return list(itertools.chain.from_iterable(range(a, b) for t, a, b in runs if t in want))
 
@@ -174,11 +179,6 @@ class PreferenceProfile:
             rows = [tuple(sorted(range(self.m), key=r.__getitem__)) for r, _ in self._ballot_types]
             object.__setattr__(self, "_positions", self.per_voter(rows))
         return self.__dict__["_positions"]
-
-    def prefers(self, voter: int, a: int, b: int) -> bool:
-        """True iff voter ranks a strictly above b."""
-        pos = self.positions()[voter]
-        return pos[a] < pos[b]
 
     def name_index(self, name: str) -> int:
         try:

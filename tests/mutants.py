@@ -93,10 +93,14 @@ MUTANTS = (
            "if level[1 + k] >= 0]", "if level[1 + k] != 0]",
            ("tests/test_ballot_types.py::test_merged_flow_matches_the_per_voter_network",
             "tests/test_matching.py::test_witness_extraction_on_random_profiles")),
-    # PSC's solid-coalition prescan on int masks and type weights
+    # PSC's prescan over solid_coalitions: voters, not types, clear the
+    # threshold, and the witness names the least uncommitted candidate
     Mutant("psc-prescan", "axioms.py",
-           "size[mask] = size.get(mask, 0) + count", "size[mask] = size.get(mask, 0) + 1",
+           "g.size * (k + 1)", "len(g.types) * (k + 1)",
            ("tests/test_ballot_types.py::test_psc_prescan_matches_a_full_solid_coalition_scan",)),
+    Mutant("psc-prescan-x", "axioms.py",
+           "x = min(outside)", "x = max(outside)",
+           ("tests/test_axioms.py::test_psc_prescan_names_the_least_uncommitted_candidate",)),
     # the core's solid-coalition scan: a strict bound, and it must fire
     Mutant("core-scan-bound", "axioms.py",
            "(m - len(g.candidates)) * n < m * g.size", "(m - len(g.candidates)) * n <= m * g.size",

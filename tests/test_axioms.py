@@ -178,6 +178,15 @@ def test_weak_psc_on_reversed_fixtures(fix_p, fix_t):
     violation.validate(rev_t, frozenset({0, 1}))
 
 
+def test_psc_prescan_names_the_least_uncommitted_candidate():
+    # the first violating solid coalition is {0, 3, 5}, all four voters'
+    # top three; 3 and 5 are both uncommitted, and the witness names 3
+    p = PreferenceProfile.of([(0, 5, 3, 1, 4, 2)] + [(0, 3, 5, 1, 2, 4)] * 3)
+    committee = frozenset({0, 1, 2, 4})
+    violation = weak_psc_satisfied(p, committee).violation
+    assert violation == PscViolation(frozenset({0, 3, 5}), frozenset({0, 1, 2, 3}), 3)
+
+
 def test_full_committee_always_satisfies(fix_t):
     assert weak_psc_satisfied(fix_t, {0, 1, 2}).satisfied
 

@@ -211,14 +211,14 @@ def test_solid_coalitions_match_a_per_voter_grouping():
 
 
 def psc_prescan_reference(p: PreferenceProfile, committee: frozenset[int]):
-    """The first solid coalition, in ``solid_coalitions`` order, that
+    """The first solid coalition, voter by voter off p.rankings, that
     clears the Droop threshold with a candidate outside the committee: its
     supporters and that candidate's least index, or None."""
     k = len(committee)
-    for sc in solid_coalitions(p):
-        outside = sc.candidates - committee
-        if outside and sc.size * (k + 1) > len(sc.candidates) * p.n:
-            return frozenset(p.voters_of(sc.types)), min(outside)
+    for prefix, voters in solid_coalitions_per_voter(p):
+        outside = prefix - committee
+        if outside and len(voters) * (k + 1) > len(prefix) * p.n:
+            return frozenset(voters), min(outside)
     return None
 
 

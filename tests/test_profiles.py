@@ -77,18 +77,23 @@ def test_adjacent_equal_runs_merge():
     assert p.per_voter("xy") == tuple("xxxyx")
 
 
+def test_voters_of_refuses_a_type_index_that_is_no_type():
+    p = PreferenceProfile.of([(0, 1), (1, 0), (0, 1)])
+    assert p.voters_of([1, 0]) == [0, 1, 2] and p.voters_of([]) == []
+    for bad in (2, 5, -1, True, 0.0, "0"):
+        with pytest.raises(ValueError, match=r"ballot type index outside 0\.\.1"):
+            p.voters_of([0, bad])
+
+
 def test_of_defaults_names():
     p = PreferenceProfile.of([(1, 0)])
     assert p.candidate_names == ("c1", "c2")
     assert p.n == 1 and p.m == 2
 
 
-def test_positions_and_prefers(fix_t):
+def test_positions(fix_t):
     assert fix_t.positions()[0] == (0, 1, 2)
     assert fix_t.positions()[2] == (2, 1, 0)
-    assert fix_t.prefers(0, 0, 2)
-    assert not fix_t.prefers(2, 0, 2)
-    assert not fix_t.prefers(1, 1, 1)
 
 
 def test_name_index(fix_t):
