@@ -30,7 +30,7 @@ from .matching import (
     has_fractional_perfect_matching,
     max_bipartite_matching,
 )
-from .profiles import PreferenceProfile, reverse_profile, solid_coalitions, voter_groups
+from .profiles import PreferenceProfile, reverse_profile, solid_coalitions
 from .profile_io import serialize_profile
 
 
@@ -202,11 +202,6 @@ class PscVerdict:
         return self.violation is None
 
 
-def _weak_prefixes(p: PreferenceProfile, x: int) -> list[frozenset[int]]:
-    """Each ballot type's candidates down to x."""
-    return [frozenset(r[: r.index(x) + 1]) for r, _ in p.ballot_types()]
-
-
 def _committee(p: PreferenceProfile, committee: Iterable[int]) -> frozenset[int]:
     """The members as a set; each must be a distinct candidate of p."""
     times = Counter(committee)
@@ -246,11 +241,14 @@ def weak_psc_satisfied(p: PreferenceProfile, committee: Iterable[int]) -> PscVer
             viol.validate(p, W)
             return PscVerdict(viol)
 
-    # the cut's right half is the union of its voters' prefixes down to x
+    # the weak prefix down to x is x and all not below it; the cut's right
+    # half is the union of its voters' prefixes
+    everyone = frozenset(range(p.m))
     for x in range(p.m):
         if x in W:
             continue
-        groups = voter_groups(p, _weak_prefixes(p, x))
+        groups = tuple(g._replace(candidates=everyone - g.candidates | {x})
+                       for g in p.groups_below(x))
         _, flow = FlowNetwork(p.m, groups, left_supply=k + 1, right_cap=p.n).solve()
         types, union = flow.cut()
         if types:
@@ -267,7 +265,7 @@ def weak_psc_bruteforce(p: PreferenceProfile, committee: Iterable[int]) -> bool:
     W = _committee(p, committee)
     k = len(W)
     prefix_masks = {
-        x: p.per_voter([_mask(pref) for pref in _weak_prefixes(p, x)])
+        x: p.per_voter([_mask(r[: r.index(x) + 1]) for r, _ in p.ballot_types()])
         for x in range(p.m) if x not in W
     }
     for sub in range(1, 1 << p.n):
@@ -296,11 +294,11 @@ def pareto_matching_criterion(
 
     True iff the bipartite graph with an edge (i, c') whenever voter i ranks
     c above c' has a matching of size m - 1.  On success the matching is
-    returned as a voter -> candidate map.  Voters of one ballot type share
-    one edge set, and so one flow node.
+    returned as a voter -> candidate map.  The voters of one of the
+    profile's ``groups_below(c)`` share one edge set, and so one flow node.
     """
-    below = [frozenset(r[r.index(c) + 1:]) for r, _ in p.ballot_types()]
-    matching = max_bipartite_matching(p, below)
+    matching = max_bipartite_matching(
+        p, tuple(g._replace(candidates=g.candidates - {c}) for g in p.groups_below(c)))
     if len(matching) < p.m - 1:
         return False, None
     return True, matching

@@ -281,8 +281,10 @@ def _balance(
     also misses a sum is refused for the sum."""
     if not rows or len(rows) != len(weights):
         raise ValueError(f"{len(rows)} share rows, expected {len(weights) or 'at least one'}")
-    den = math.lcm(*[v.denominator for row in rows for v in row])
-    nums = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
+    dens = {v.denominator for row in rows for v in row}
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}
+    nums = [[v.numerator * scale[v.denominator] for v in row] for row in rows]
     negative = None
     for i, row in enumerate(nums):
         if len(row) != m:

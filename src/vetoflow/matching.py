@@ -8,9 +8,9 @@ problem: voter supply m, candidate capacity n, and a perfect matching exists
 iff the max flow is n*m.  The domination graph is built as that network
 directly: ``FlowNetwork`` is the one network type, and it checks its own
 edge endpoints.  Voters with the same edge set are interchangeable, so they
-share one network node carrying their joint supply: a network takes its
-left side as ``VoterGroup``s from ``profiles``, each an edge set (the
-group's candidates) with its ballot types and their voter count.  Solving
+share one network node carrying their joint supply.  A network's left side
+is ``VoterGroup``s: the checkers take the profile's kept ``groups_below(c)``
+and keep or rewrite each group's candidates as its edge set.  Solving
 a network and reading back its cut or its shares works on ballot types;
 only outputs that are per voter (a witness's voter set, a matching, share
 rows) spell the voters out, once, from the profile.
@@ -18,8 +18,8 @@ rows) spell the voters out, once, from the profile.
 The min cut is verdict and witness at once: no ballot type on its source
 side means a matching exists, else the voters N' of those types and their
 jointly dominated candidates D are a Hall witness, |D| < m*|N'|/n.  The
-same Dinic engine, at unit capacities, finds the one-to-one matchings of
-the Pareto criterion.
+same Dinic engine, on flat edge arrays, finds at unit capacities the
+one-to-one matchings of the Pareto criterion.
 """
 
 from __future__ import annotations
@@ -27,33 +27,38 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .profiles import PreferenceProfile, VoterGroup, dominated_set, voter_groups
+from .profiles import PreferenceProfile, VoterGroup, dominated_set
 
 
 class Dinic:
-    """Max flow with integer capacities, deterministic given insertion order."""
+    """Max flow with integer capacities, deterministic given insertion order.
+    Edge e of ``adj[u]`` runs to ``to[e]``, residual ``cap[e]``, reverse ``e ^ 1``."""
 
     def __init__(self, num_nodes: int) -> None:
-        self.graph: list[list[list[int]]] = [[] for _ in range(num_nodes)]
+        self.adj: list[list[int]] = [[] for _ in range(num_nodes)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
 
     def add_edge(self, u: int, v: int, cap: int) -> None:
-        # forward edge stores [target, capacity, index of reverse edge]
-        self.graph[u].append([v, cap, len(self.graph[v])])
-        self.graph[v].append([u, 0, len(self.graph[u]) - 1])
+        self.adj[u].append(len(self.to))
+        self.adj[v].append(len(self.to) + 1)
+        self.to += (v, u)
+        self.cap += (cap, 0)
 
     def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * len(self.graph)
-        self.level[s] = 0
+        to, cap = self.to, self.cap
+        level = self.level = [-1] * len(self.adj)
+        level[s] = 0
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for v, cap, _ in self.graph[u]:
-                if cap > 0 and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
+            for e in self.adj[u]:
+                v = to[e]
+                if cap[e] > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
                     queue.append(v)
-        return self.level[t] >= 0
+        return level[t] >= 0
 
     def max_flow(self, s: int, t: int) -> int:
         """The max flow value from s to t.  Each phase walks the level graph
@@ -61,34 +66,36 @@ class Dinic:
         passes saturated edges and dead ends, and an augmentation resumes the
         walk at the tail of its first saturated edge.  The last BFS misses t,
         so ``level[v] >= 0`` then marks the minimal min cut's source side."""
-        graph = self.graph
+        adj, to, cap = self.adj, self.to, self.cap
         total = 0
         while self._bfs(s, t):
             level = self.level
-            it = [0] * len(graph)
-            path: list[list[int]] = []  # edges from s to u
+            it = [0] * len(adj)
+            path: list[int] = []  # edge ids from s to u
             u = s
             while True:
                 if u == t:
-                    pushed = min(edge[1] for edge in path)
-                    for edge in path:
-                        edge[1] -= pushed
-                        graph[edge[0]][edge[2]][1] += pushed
+                    pushed = min(cap[e] for e in path)
+                    for e in path:
+                        cap[e] -= pushed
+                        cap[e ^ 1] += pushed
                     total += pushed
-                    del path[[edge[1] for edge in path].index(0):]
-                elif it[u] < len(graph[u]):
-                    edge = graph[u][it[u]]
-                    if edge[1] > 0 and level[edge[0]] == level[u] + 1:
-                        path.append(edge)
-                    else:
-                        it[u] += 1
-                elif path:
-                    # dead end: retreat and skip the edge that led here
-                    path.pop()
-                    it[path[-1][0] if path else s] += 1
+                    del path[[cap[e] for e in path].index(0):]
                 else:
-                    break
-                u = path[-1][0] if path else s
+                    # move u's pointer to its next unsaturated edge one level down
+                    edges, i, deeper = adj[u], it[u], level[u] + 1
+                    while i < len(edges) and (not cap[edges[i]] or level[to[edges[i]]] != deeper):
+                        i += 1
+                    it[u] = i
+                    if i < len(edges):
+                        path.append(edges[i])
+                    elif path:
+                        # dead end: retreat and skip the edge that led here
+                        path.pop()
+                        it[to[path[-1]] if path else s] += 1
+                    else:
+                        break
+                u = to[path[-1]] if path else s
         return total
 
 
@@ -116,11 +123,12 @@ class FlowResult:
         nodes ascending."""
         net = self.network
         first_right = 1 + len(net.groups)
+        adj, to, cap = self.dinic.adj, self.dinic.to, self.dinic.cap
         sent = []
         for k, g in enumerate(net.groups):
             arc_cap = g.size * net.left_supply
-            sent.append({v - first_right: arc_cap - cap  # v = 0 is the source
-                         for v, cap, _ in self.dinic.graph[1 + k] if v and cap < arc_cap})
+            sent.append({to[e] - first_right: arc_cap - cap[e]  # to[e] = 0 is the source
+                         for e in adj[1 + k] if to[e] and cap[e] < arc_cap})
         return sent
 
     def shares(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -147,7 +155,7 @@ class FlowNetwork:
     Left nodes of one group are interchangeable, so each group is one flow
     node carrying the group's total supply.  The flow value and the minimal
     min cut are those of the one-node-per-left network.  Groups may share an
-    edge set; ``voter_groups`` merges equal ones into fewer flow nodes.  The
+    edge set; the checkers merge equal ones into fewer flow nodes.  The
     group sizes add up to ``num_left``, and every edge must end at a right
     node ``0..num_right-1``."""
 
@@ -192,9 +200,8 @@ def build_domination_graph(p: PreferenceProfile, c: int) -> FlowNetwork:
     i is adjacent to every candidate they rank weakly below c (always
     including c itself), supplies m units, and every candidate absorbs at
     most n.  Voters of one edge set share one group, in order of first
-    voter."""
-    edges = [frozenset(r[r.index(c):]) for r, _ in p.ballot_types()]
-    return FlowNetwork(p.m, voter_groups(p, edges), left_supply=p.m, right_cap=p.n)
+    voter: the profile's ``groups_below(c)``."""
+    return FlowNetwork(p.m, p.groups_below(c), left_supply=p.m, right_cap=p.n)
 
 
 def has_fractional_perfect_matching(net: FlowNetwork) -> bool:
@@ -243,15 +250,12 @@ def extract_deficiency_witness(p: PreferenceProfile, c: int) -> CutWitness | Non
     return witness
 
 
-def max_bipartite_matching(
-    p: PreferenceProfile, edge_sets: Sequence[frozenset[int]]
-) -> dict[int, int]:
+def max_bipartite_matching(p: PreferenceProfile, groups: tuple[VoterGroup, ...]) -> dict[int, int]:
     """Maximum one-to-one matching, voter -> right index, by unit-capacity
-    max flow, ballot type t's voters adjacent to ``edge_sets[t]``.  Types
-    with equal edge sets are one flow node; the units it sends go, right
-    nodes ascending, to its voters in ascending order."""
-    groups = voter_groups(p, edge_sets)
-    num_right = 1 + max((max(cs) for cs in edge_sets if cs), default=-1)
+    max flow, the voters of each group adjacent to its candidates.  A group
+    is one flow node; the units it sends go, right nodes ascending, to its
+    voters in ascending order."""
+    num_right = 1 + max((max(g.candidates) for g in groups if g.candidates), default=-1)
     _, flow = FlowNetwork(num_right, groups, left_supply=1, right_cap=1).solve()
     pairs: list[tuple[int, int]] = []
     for g, sent in zip(groups, flow.units_sent()):

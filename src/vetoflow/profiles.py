@@ -12,9 +12,10 @@ pass groups them into types and allocates nothing per voter, ``voters_of``
 lists the voters of some types, and ``per_voter`` spreads per-type values,
 as ``rankings`` and ``positions()`` do on first use.
 
-A voter group ties a candidate set to ballot types.  ``voter_groups``
-merges types with equal sets, for the flow networks; ``solid_coalitions``
-merges types with equal prefixes, keyed by the prefixes' int masks.
+A voter group ties a candidate set to ballot types.  The profile keeps
+two groupings, built on first use: ``groups_below(c)`` merges types that
+rank the same candidates below c, for the flow networks, and
+``solid_coalitions`` merges types with equal prefixes by int mask.
 """
 
 from __future__ import annotations
@@ -180,6 +181,23 @@ class PreferenceProfile:
             object.__setattr__(self, "_positions", self.per_voter(rows))
         return self.__dict__["_positions"]
 
+    def groups_below(self, c: int) -> tuple[VoterGroup, ...]:
+        """The ballot types grouped by the candidates they rank weakly below
+        c, in order of first type; built for c alone on first use and kept,
+        as a cloned profile may have as many candidates as voters."""
+        kept = self.__dict__.setdefault("_groups_below", {})
+        if c not in kept:
+            merged: dict[frozenset[int], list] = {}  # set -> [types, size]
+            for t, (r, count) in enumerate(self._ballot_types):
+                key = frozenset(r[r.index(c):])
+                g = merged.get(key)
+                if g is None:
+                    merged[key] = g = [[], 0]
+                g[0].append(t)
+                g[1] += count
+            kept[c] = tuple(VoterGroup(cs, tuple(ts), size) for cs, (ts, size) in merged.items())
+        return kept[c]
+
     def name_index(self, name: str) -> int:
         try:
             return self.candidate_names.index(name)
@@ -265,23 +283,15 @@ class VoterGroup(NamedTuple):
     size: int
 
 
-def voter_groups(p: PreferenceProfile, sets: Sequence[frozenset[int]]) -> tuple[VoterGroup, ...]:
-    """The voters of p as voter groups, ballot type t's voters under
-    ``sets[t]``, equal sets merged in order of first appearance."""
-    merged: dict[frozenset[int], list[int]] = {}
-    for cs, t in zip(sets, range(len(p.ballot_types())), strict=True):
-        merged.setdefault(cs, []).append(t)
-    types = p.ballot_types()
-    return tuple(VoterGroup(cs, tuple(ts), sum(types[t].count for t in ts))
-                 for cs, ts in merged.items())
-
-
 def solid_coalitions(p: PreferenceProfile) -> tuple[VoterGroup, ...]:
     """Every candidate prefix with its maximal supporter group, ballot type
-    by ballot type and prefix length ascending, equal prefixes merged.
+    by ballot type and prefix length ascending, equal prefixes merged;
+    built on the first call and then kept by the profile.
 
     One pass over the ballot types keys each prefix by its int mask and
     builds its frozenset once, where it first appears."""
+    if "_solid_coalitions" in p.__dict__:
+        return p.__dict__["_solid_coalitions"]
     groups: dict[int, list] = {}  # mask -> [prefix, types, size]
     for t, (r, count) in enumerate(p.ballot_types()):
         mask = 0
@@ -292,7 +302,8 @@ def solid_coalitions(p: PreferenceProfile) -> tuple[VoterGroup, ...]:
                 groups[mask] = g = [frozenset(r[:k]), [], 0]
             g[1].append(t)
             g[2] += count
-    return tuple(VoterGroup(cs, tuple(ts), size) for cs, ts, size in groups.values())
+    kept = tuple(VoterGroup(cs, tuple(ts), size) for cs, ts, size in groups.values())
+    return p.__dict__.setdefault("_solid_coalitions", kept)
 
 
 def all_profiles(n: int, m: int, candidate_names: Sequence[str] | None = None) -> Iterable[PreferenceProfile]:

@@ -142,11 +142,24 @@ MUTANTS = (
            "left_supply=k + 1, right_cap=p.n", "left_supply=k, right_cap=p.n",
            ("tests/test_axioms.py::test_psc_bruteforce_agrees_on_random_committees",
             "tests/test_ballot_types.py::test_flow_outputs_match_the_pinned_digest")),
-    # the domination graph: one group per distinct edge set of the ballot types
-    Mutant("domination-groups", "matching.py",
-           "voter_groups(p, edges)", "voter_groups(p, edges[::-1])",
-           ("tests/test_matching.py::test_domination_graph_edges",
+    # the groups a profile keeps per candidate, which every flow network
+    # reads: each ballot type under its own candidates weakly below c, and
+    # each candidate's groups its own
+    Mutant("domination-groups", "profiles.py",
+           "frozenset(r[r.index(c):])", "frozenset(r[r.index(c) + 1:])",
+           ("tests/test_ballot_types.py::test_groups_below_match_a_per_type_grouping",
+            "tests/test_matching.py::test_domination_graph_edges",
             "tests/test_ballot_types.py::test_merged_flow_matches_the_per_voter_network")),
+    Mutant("kept-groups", "profiles.py",
+           "return kept[c]", "return next(iter(kept.values()))",
+           ("tests/test_ballot_types.py::test_groups_below_match_a_per_type_grouping",
+            "tests/test_ballot_types.py::test_the_profile_keeps_its_grouped_views")),
+    # the flat Dinic: edge e's reverse is e ^ 1, which an augmenting path
+    # that cancels flow must credit
+    Mutant("reverse-edge", "matching.py",
+           "cap[e ^ 1] += pushed", "cap[e + 1] += pushed",
+           ("tests/test_matching.py::test_max_bipartite_matching_follows_long_augmenting_paths",
+            "tests/test_ballot_types.py::test_flow_outputs_match_the_pinned_digest")),
     # the simplex prices a new row against the pivot rows of its basic cells,
     # and refuses a priced row that still holds a basic column
     Mutant("priced", "lp.py",

@@ -31,10 +31,12 @@ from vetoflow.profiles import (
     PreferenceProfile,
     VoterGroup,
     all_profiles,
+    clone_expand,
+    plurality_scores,
     solid_coalitions,
-    voter_groups,
 )
-from vetoflow.profile_io import parse_profile
+from vetoflow.profile_io import gen_impartial_culture, parse_profile
+from tests_support_oracles import voter_groups
 from tests_support_random import (
     distinct_ballots,
     profiles_strategy,
@@ -210,6 +212,84 @@ def test_solid_coalitions_match_a_per_voter_grouping():
     assert merged > 100
 
 
+def test_groups_below_match_a_per_type_grouping():
+    # the groups a profile keeps for c merge the ballot types by each
+    # type's own set of candidates weakly below c
+    for p in [*all_profiles(3, 3), *repeated_profiles(150, seed=1717)]:
+        for c in range(p.m):
+            expect = voter_groups(p, [frozenset(r[r.index(c):]) for r, _ in p.ballot_types()])
+            assert p.groups_below(c) == expect, (p.rankings, c)
+
+
+def test_the_profile_keeps_its_grouped_views():
+    p = PreferenceProfile.of([(0, 1, 2), (2, 1, 0), (0, 1, 2), (1, 0, 2)])
+    assert solid_coalitions(p) is solid_coalitions(p)
+    assert all(p.groups_below(c) is p.groups_below(c) for c in range(p.m))
+    # each candidate keeps its own groups, asked for in any order
+    assert p.groups_below(2) == (VoterGroup(frozenset({2}), (0, 2), 3),
+                                 VoterGroup(frozenset({0, 1, 2}), (1,), 1))
+    assert p.groups_below(0) == (VoterGroup(frozenset({0, 1, 2}), (0,), 2),
+                                 VoterGroup(frozenset({0}), (1,), 1),
+                                 VoterGroup(frozenset({0, 2}), (2,), 1))
+    # the kept views are not fields of the profile
+    q = PreferenceProfile.of(p.rankings)
+    assert p == q and hash(p) == hash(q)
+
+
+def test_psc_and_pareto_networks_match_a_per_type_build(monkeypatch):
+    # the checkers build their networks from the kept groups; each must be
+    # the network grouped from every ballot type's own edge set
+    built, matched = [], []
+
+    def record_network(*args, **kwargs):
+        built.append(FlowNetwork(*args, **kwargs))
+        return built[-1]
+
+    def record_matching(p, groups):
+        matched.append(tuple(groups))
+        return max_bipartite_matching(p, groups)
+
+    monkeypatch.setattr("vetoflow.axioms.FlowNetwork", record_network)
+    monkeypatch.setattr("vetoflow.axioms.max_bipartite_matching", record_matching)
+    rng = random.Random(1212)
+    flows = 0
+    for p in [*random_profiles(150, seed=1313, nmax=10), *repeated_profiles(150, seed=1414)]:
+        for _ in range(3):
+            committee = frozenset(rng.sample(range(p.m), rng.randint(0, p.m - 1)))
+            expect = [FlowNetwork(p.m, voter_groups(p, [frozenset(r[: r.index(x) + 1])
+                                                         for r, _ in p.ballot_types()]),
+                                  len(committee) + 1, p.n)
+                      for x in range(p.m) if x not in committee]
+            built.clear()
+            verdict = weak_psc_satisfied(p, committee)
+            # the flows run in candidate order and stop at the first violation
+            assert built == expect[:len(built)], (p.rankings, committee)
+            assert verdict.violation is not None or built == expect
+            flows += len(built)
+        for c in range(p.m):
+            matched.clear()
+            pareto_matching_criterion(p, c)
+            below = [frozenset(r[r.index(c) + 1:]) for r, _ in p.ballot_types()]
+            assert matched == [voter_groups(p, below)], (p.rankings, c)
+    assert flows > 500
+
+
+def test_a_cloned_domination_graph_groups_only_its_candidate():
+    # a plurality-cloned profile has as many candidates as voters; grouping
+    # the ballot types below every candidate at once would hold hundreds of
+    # MiB here, one candidate's groups well under one
+    p = gen_impartial_culture(1000, 5, seed=11)
+    ce = clone_expand(p, plurality_scores(p))
+    tracemalloc.start()
+    try:
+        net = build_domination_graph(ce.expanded, ce.clones[0][0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ce.expanded.m == 1000 and net.num_left == 1000
+    assert peak < 8 * 2**20, peak
+
+
 def psc_prescan_reference(p: PreferenceProfile, committee: frozenset[int]):
     """The first solid coalition, voter by voter off p.rankings, that
     clears the Droop threshold with a candidate outside the committee: its
@@ -357,7 +437,8 @@ def test_pareto_matching_hands_merged_types_to_voters_in_index_order():
     for p in repeated_profiles(150, seed=31):
         for c in range(p.m):
             below = [frozenset(r[r.index(c) + 1:]) for r in p.rankings]
-            expect = max_bipartite_matching(distinct_ballots(p.n), below)
+            q = distinct_ballots(p.n)
+            expect = max_bipartite_matching(q, voter_groups(q, below))
             ok, matching = pareto_matching_criterion(p, c)
             assert ok == (len(expect) == p.m - 1), (p.rankings, c)
             if ok:

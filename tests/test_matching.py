@@ -13,8 +13,8 @@ from vetoflow.matching import (
     has_fractional_perfect_matching,
     max_bipartite_matching,
 )
-from vetoflow.profiles import PreferenceProfile, dominated_set, voter_groups
-from tests_support_oracles import hall_check_bruteforce
+from vetoflow.profiles import PreferenceProfile, dominated_set
+from tests_support_oracles import hall_check_bruteforce, voter_groups
 from tests_support_random import distinct_ballots, random_profiles
 
 
@@ -26,7 +26,7 @@ def one_group_per_row(rows):
 
 def matching_of(rows):
     """The maximum matching with left node i adjacent to ``rows[i]``."""
-    return max_bipartite_matching(distinct_ballots(len(rows)), list(map(frozenset, rows)))
+    return max_bipartite_matching(distinct_ballots(len(rows)), one_group_per_row(rows))
 
 
 def test_dinic_on_a_small_network():

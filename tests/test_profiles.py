@@ -13,8 +13,8 @@ from vetoflow.profiles import (
     plurality_scores,
     reverse_profile,
     solid_coalitions,
-    voter_groups,
 )
+from tests_support_oracles import voter_groups
 from tests_support_random import profiles_strategy
 
 

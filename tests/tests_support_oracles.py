@@ -1,9 +1,11 @@
 """Brute-force oracles shared across the test modules.  Each evaluates its
 definition directly, voter by voter, without the grouping, flows or LPs of
 the checkers it is compared with; the clone oracles run the plurality rules
-on the cloned profile, one clone at a time.  ``parse_profile_reference`` is
-the profile reader in its earlier form, which matched and split every line
-again, kept verbatim as the differential reference for ``parse_profile``."""
+on the cloned profile, one clone at a time.  ``voter_groups`` groups the
+ballot types by a candidate set given per type, the reference for the
+groups a profile keeps.  ``parse_profile_reference`` is the profile reader
+in its earlier form, which matched and split every line again, kept
+verbatim as the differential reference for ``parse_profile``."""
 
 from __future__ import annotations
 
@@ -15,7 +17,18 @@ from typing import Sequence
 from vetoflow.matching import build_domination_graph, has_fractional_perfect_matching
 from vetoflow.profile_io import MAX_VOTERS, DistanceMatrix
 from vetoflow.profiles import (
-    PreferenceProfile, ProfileSizeError, clone_expand, plurality_scores)
+    PreferenceProfile, ProfileSizeError, VoterGroup, clone_expand, plurality_scores)
+
+
+def voter_groups(p: PreferenceProfile, sets: Sequence[frozenset[int]]) -> tuple[VoterGroup, ...]:
+    """The voters of p as voter groups, ballot type t's voters under
+    ``sets[t]``, equal sets merged in order of first appearance."""
+    merged: dict[frozenset[int], list[int]] = {}
+    for cs, t in zip(sets, range(len(p.ballot_types())), strict=True):
+        merged.setdefault(cs, []).append(t)
+    types = p.ballot_types()
+    return tuple(VoterGroup(cs, tuple(ts), sum(types[t].count for t in ts))
+                 for cs, ts in merged.items())
 
 
 def hall_check_bruteforce(p: PreferenceProfile, c: int) -> bool:
