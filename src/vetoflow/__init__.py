@@ -1,8 +1,8 @@
 """Exact tooling for veto-based voting rules, eating algorithms and
 metric distortion.
 
-Everything is computed over exact rationals: eating traces, fractional
-matchings, veto-core witnesses and distortion LPs all come back as
+Everything is computed over exact rationals: eating traces, probabilistic
+serial shares, veto-core witnesses and distortion LPs all come back as
 `fractions.Fraction` values with checkable certificates.
 """
 
@@ -13,7 +13,6 @@ from .axioms import (
     VetoVerdict,
     VetoWitness,
     equivalence_audit,
-    pareto_improve,
     pareto_matching_criterion,
     veto_core,
     veto_core_member,
@@ -41,7 +40,6 @@ from .matching import (
     CutWitness,
     build_domination_graph,
     extract_deficiency_witness,
-    fractional_matching,
     has_fractional_perfect_matching,
     max_bipartite_matching,
 )
@@ -104,12 +102,10 @@ __all__ = [
     "extend_to_full_pseudometric",
     "extract_deficiency_witness",
     "format_rational",
-    "fractional_matching",
     "gen_euclidean",
     "gen_impartial_culture",
     "has_fractional_perfect_matching",
     "max_bipartite_matching",
-    "pareto_improve",
     "pareto_matching_criterion",
     "parse_metric",
     "parse_profile",

@@ -1,5 +1,5 @@
 """Axiom checkers: veto-core membership, weak proportionality for solid
-coalitions, Pareto optimality of matchings, and the auditor tying them together.
+coalitions, the Pareto-matching criterion, and the auditor tying them together.
 
 A coalition N' can veto v(N') = ceil(m|N'|/n) - 1 candidates.  Candidate c is
 vetoed when some coalition jointly ranks at least m - v(N') candidates above
@@ -18,9 +18,8 @@ cross-multiplied into integer arithmetic, never approximated.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable
 
 from .matching import (
@@ -115,11 +114,10 @@ def veto_core(p: PreferenceProfile) -> frozenset[int]:
 
 
 def veto_core_member_bruteforce(p: PreferenceProfile, c: int) -> bool:
-    """Direct quantifier evaluation, two independent ways.
-
-    Route one scans all voter subsets and intersects their strictly-above
-    sets.  Route two, on very small instances, additionally enumerates all
-    (coalition, candidate set) pairs.  The agreed value is returned.
+    """Direct quantifier evaluation: scan all voter subsets, intersect
+    their strictly-above sets, and call c vetoed when some subset's
+    intersection holds m - v(N') candidates.  The tests check this scan
+    against a second enumeration, of (coalition, blocked set) pairs.
     """
     if p.n > 12 or p.m > 6:
         raise ValueError("brute force limited to n <= 12, m <= 6")
@@ -132,7 +130,6 @@ def veto_core_member_bruteforce(p: PreferenceProfile, c: int) -> bool:
                 mask |= 1 << x
         above_masks.append(mask)
 
-    vetoed = False
     for sub in range(1, 1 << p.n):
         common = (1 << p.m) - 1
         size = 0
@@ -141,25 +138,8 @@ def veto_core_member_bruteforce(p: PreferenceProfile, c: int) -> bool:
                 common &= above_masks[i]
                 size += 1
         if common.bit_count() >= p.m - veto_power(p.n, p.m, size):
-            vetoed = True
-            break
-
-    if p.n <= 4 and p.m <= 4:
-        vetoed_pairs = False
-        candidates = [x for x in range(p.m) if x != c]
-        voters = list(range(p.n))
-        for ns in range(1, p.n + 1):
-            for coalition in combinations(voters, ns):
-                need = p.m - veto_power(p.n, p.m, ns)
-                for cs in range(1, p.m):
-                    for blocked in combinations(candidates, cs):
-                        if len(blocked) < need:
-                            continue
-                        if all(pos[i][b] < pos[i][c] for i in coalition for b in blocked):
-                            vetoed_pairs = True
-        if vetoed_pairs != vetoed:
-            raise AssertionError("brute-force routes disagree; checker is unsound")
-    return not vetoed
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -302,60 +282,6 @@ def pareto_matching_criterion(
     if len(matching) < p.m - 1:
         return False, None
     return True, matching
-
-
-def pareto_improve(p: PreferenceProfile, matching: dict[int, int]) -> dict[int, int]:
-    """Turn any matching into a Pareto-optimal one of the same size, with no
-    matched voter getting worse.
-
-    Voters are served in index order; each requests their favourite
-    still-available candidate.  A request for another waiting voter's
-    current candidate makes that owner jump the queue, and request cycles
-    trade all at once.
-    """
-    values = list(matching.values())
-    if len(set(values)) != len(values):
-        raise ValueError("matching must be injective")
-    if any(not 0 <= i < p.n for i in matching) or any(not 0 <= c < p.m for c in values):
-        raise ValueError("matching pairs a voter or candidate outside the profile")
-    owner = {c: i for i, c in matching.items()}
-    queue = deque(sorted(matching))
-    assigned: dict[int, int] = {}
-    taken: set[int] = set()
-    chain: list[int] = []
-
-    def top_of(i: int) -> int:
-        for c in p.rankings[i]:
-            if c not in taken:
-                return c
-        raise AssertionError("no candidate left for a waiting voter")
-
-    while queue or chain:
-        if not chain:
-            i = queue.popleft()
-            if i in assigned:
-                continue
-            chain.append(i)
-        i = chain[-1]
-        want = top_of(i)
-        holder = owner.get(want)
-        if holder is not None and holder in assigned:
-            # the previous owner was served something else, so this is free
-            holder = None
-        if holder is None or holder == i:
-            assigned[i] = want
-            taken.add(want)
-            chain.pop()
-        elif holder in chain:
-            cycle = chain[chain.index(holder):]
-            wants = {v: top_of(v) for v in cycle}
-            for v in cycle:
-                assigned[v] = wants[v]
-                taken.add(wants[v])
-            del chain[chain.index(holder):]
-        else:
-            chain.append(holder)
-    return assigned
 
 
 @dataclass

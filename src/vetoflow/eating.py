@@ -16,9 +16,9 @@ Veto by consumption, Phragmen-style sequential committees, and the
 probabilistic serial assignment are all thin drivers over this loop.
 
 A trace keeps one consumption row per ballot type, and its balance check
-weighs row t by the size of type t.  Probabilistic serial checks its type
-rows the same way and then spreads them to the voters; no other consumption
-row is spread.
+weighs row t by the size of type t.  Probabilistic serial checks that its
+run stopped at k/n, validates its own trace and then spreads the type rows
+to the voters; no other consumption row is spread.
 """
 
 from __future__ import annotations
@@ -71,14 +71,6 @@ class EatingTrace:
 
     def eliminated_order(self) -> tuple[int, ...]:
         return tuple(c for _, batch in self.events for c in batch)
-
-    def format_events(self, names: Sequence[str] | None = None) -> str:
-        """One line per elimination event, ``(t, name ...)``, for golden files."""
-        out = []
-        for t, batch in self.events:
-            label = " ".join(str(c) if names is None else names[c] for c in batch)
-            out.append(f"({t}, {label})")
-        return "\n".join(out)
 
     def validate(self, p: PreferenceProfile) -> None:
         times = [t for t, _ in self.events]
@@ -246,26 +238,9 @@ def phragmen_committee(
 
 @dataclass(frozen=True)
 class FractionalAssignment:
-    """Row i gives voter i's probability share of each candidate.  The
-    methods count each row once and take the first row's width as m."""
+    """Row i gives voter i's probability share of each candidate."""
 
     shares: tuple[tuple[Fraction, ...], ...]
-
-    def _sums(self) -> tuple[int, list[int], list[Fraction], int | None]:
-        shares = self.shares
-        return _balance(shares, [1] * len(shares), len(shares[0]) if shares else 0)
-
-    def row_sums(self) -> tuple[Fraction, ...]:
-        den, totals, _, _ = self._sums()
-        return tuple(Fraction(total, den) for total in totals)
-
-    def column_sums(self) -> tuple[Fraction, ...]:
-        return tuple(self._sums()[2])
-
-    def validate(self, row_sum: Fraction) -> None:
-        """Every row sums to ``row_sum``, no column exceeds 1 and no share is
-        negative."""
-        _check_shares(self._sums(), row_sum)
 
 
 def _balance(
@@ -275,12 +250,12 @@ def _balance(
     integer numerators over one common denominator.  Returns that
     denominator, each row's total as a numerator over it, the column sums
     with row i counted ``weights[i]`` times, and the index of the first row
-    holding a negative share, or None.  A matrix with no rows or other than
-    one row per weight, or a row not m wide, is refused.  Callers report a
+    holding a negative share, or None.  A matrix with other than one row
+    per weight, or a row not m wide, is refused.  The caller reports a
     negative share only after the row and column sums, so a matrix that
     also misses a sum is refused for the sum."""
-    if not rows or len(rows) != len(weights):
-        raise ValueError(f"{len(rows)} share rows, expected {len(weights) or 'at least one'}")
+    if len(rows) != len(weights):
+        raise ValueError(f"{len(rows)} share rows, expected {len(weights)}")
     dens = {v.denominator for row in rows for v in row}
     den = math.lcm(*dens)
     scale = {d: den // d for d in dens}
@@ -296,22 +271,6 @@ def _balance(
     return den, list(map(sum, nums)), columns, negative
 
 
-def _check_shares(
-    sums: tuple[int, list[int], list[Fraction], int | None], row_sum: Fraction
-) -> None:
-    """The rows that ``sums``, a ``_balance`` result, describes each sum to
-    ``row_sum``, no column exceeds 1 and no share is negative."""
-    den, totals, columns, negative = sums
-    for i, total in enumerate(totals):
-        if total * row_sum.denominator != row_sum.numerator * den:
-            raise ValueError(f"row {i} sums to {Fraction(total, den)}, expected {row_sum}")
-    for c, total in enumerate(columns):
-        if total > 1:
-            raise ValueError(f"column {c} exceeds 1")
-    if negative is not None:
-        raise ValueError(f"row {negative} has a negative share")
-
-
 def probabilistic_serial(p: PreferenceProfile, k: int | None = None) -> FractionalAssignment:
     """Simultaneous eating shares after time k/n, eating favourites first.
 
@@ -322,9 +281,11 @@ def probabilistic_serial(p: PreferenceProfile, k: int | None = None) -> Fraction
         k = min(p.n, p.m)
     if not 0 <= k <= p.m:
         raise ValueError(f"cannot assign {k} candidates out of {p.m}")
-    cfg = EatingConfig(direction="eat-best", stop_time=Fraction(k, p.n))
-    rows = run_eating(p, cfg).consumption
-    # the self-check runs on the ballot types' rows, each weighted by its voters
-    _check_shares(_balance(rows, [count for _, count in p.ballot_types()], p.m),
-                  Fraction(k, p.n))
-    return FractionalAssignment(p.per_voter(rows))
+    elapsed = Fraction(k, p.n)
+    trace = run_eating(p, EatingConfig(direction="eat-best", stop_time=elapsed))
+    # the trace checks its own type rows against its own elapsed time, each
+    # row weighted by its voters, so that time must be k/n
+    if trace.elapsed != elapsed:
+        raise ValueError(f"eating stopped at {trace.elapsed}, not at {elapsed}")
+    trace.validate(p)
+    return FractionalAssignment(p.per_voter(trace.consumption))

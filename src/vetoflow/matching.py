@@ -11,9 +11,9 @@ edge endpoints.  Voters with the same edge set are interchangeable, so they
 share one network node carrying their joint supply.  A network's left side
 is ``VoterGroup``s: the checkers take the profile's kept ``groups_below(c)``
 and keep or rewrite each group's candidates as its edge set.  Solving
-a network and reading back its cut or its shares works on ballot types;
-only outputs that are per voter (a witness's voter set, a matching, share
-rows) spell the voters out, once, from the profile.
+a network and reading back its cut or the units each group sent works on
+ballot types; only outputs that are per voter (a witness's voter set, a
+matching) spell the voters out, once, from the profile.
 
 The min cut is verdict and witness at once: no ballot type on its source
 side means a matching exists, else the voters N' of those types and their
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .profiles import PreferenceProfile, VoterGroup, dominated_set
 
@@ -131,20 +130,6 @@ class FlowResult:
                          for e in adj[1 + k] if to[e] and cap[e] < arc_cap})
         return sent
 
-    def shares(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Row t: the fraction of each voter of ballot type t's supply sent
-        to each right node.  A group's flow is split evenly over its voters,
-        so its types get equal rows."""
-        net = self.network
-        rows: list = [None] * sum(len(g.types) for g in net.groups)
-        for g, sent in zip(net.groups, self.units_sent()):
-            row = [Fraction(0)] * net.num_right
-            for c, units in sent.items():
-                row[c] = Fraction(units, g.size * net.left_supply)
-            for t in g.types:
-                rows[t] = row
-        return tuple(map(tuple, rows))
-
 
 @dataclass(frozen=True)
 class FlowNetwork:
@@ -209,13 +194,6 @@ def has_fractional_perfect_matching(net: FlowNetwork) -> bool:
     domination graph: weight 1 per voter can be spread over dominated
     candidates with every candidate receiving exactly n/m."""
     return not net.solve()[1].cut()[0]
-
-
-def fractional_matching(p: PreferenceProfile, c: int) -> tuple[tuple[Fraction, ...], ...] | None:
-    """A matching on the domination graph of c, row i giving voter i's
-    weights, or None if infeasible.  Voters of one group get equal rows."""
-    _, flow = build_domination_graph(p, c).solve()
-    return None if flow.cut()[0] else p.per_voter(flow.shares())
 
 
 @dataclass(frozen=True)

@@ -184,9 +184,12 @@ class PreferenceProfile:
     def groups_below(self, c: int) -> tuple[VoterGroup, ...]:
         """The ballot types grouped by the candidates they rank weakly below
         c, in order of first type; built for c alone on first use and kept,
-        as a cloned profile may have as many candidates as voters."""
+        as a cloned profile may have as many candidates as voters.  A c
+        outside 0..m-1 is an error."""
         kept = self.__dict__.setdefault("_groups_below", {})
         if c not in kept:
+            if not 0 <= c < self.m:
+                raise ValueError(f"candidate {c} is not in 0..{self.m - 1}")
             merged: dict[frozenset[int], list] = {}  # set -> [types, size]
             for t, (r, count) in enumerate(self._ballot_types):
                 key = frozenset(r[r.index(c):])

@@ -21,7 +21,7 @@ def _check_voter_order(p: PreferenceProfile, order: Sequence[int] | None) -> tup
     if order is None:
         return tuple(range(p.n))
     order = tuple(order)
-    if sorted(order) != list(range(p.n)):
+    if set(map(type, order)) - {int} or sorted(order) != list(range(p.n)):
         raise ValueError("order must be a permutation of all voters")
     return order
 
@@ -62,7 +62,7 @@ def _expanded_tie_break(
     if tie_break is None:
         return None
     tie_break = tuple(tie_break)
-    if sorted(tie_break) != list(range(len(ce.clones))):
+    if set(map(type, tie_break)) - {int} or sorted(tie_break) != list(range(len(ce.clones))):
         raise ValueError("tie_break must be a permutation of all candidates")
     return tuple(e for c in tie_break for e in ce.clones[c])
 

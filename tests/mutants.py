@@ -116,21 +116,21 @@ MUTANTS = (
            "spans[s] = t - times[s]", "spans[s] = t - times[max(s - 1, 0)]",
            ("tests/test_eating.py::test_eating_matches_the_per_step_reference",
             "tests/test_eating.py::test_eating_outputs_match_the_pinned_digest")),
-    # eating traces and probabilistic serial weigh each type row by its voters
+    # eating traces weigh each type row by its voters
     Mutant("trace-weights", "eating.py",
            "self.consumption, [count for _, count in p.ballot_types()], p.m)",
            "self.consumption, [1 for _ in p.ballot_types()], p.m)",
            ("tests/test_eating.py::test_eating_matches_the_per_step_reference",
-            "tests/test_eating.py::test_balance_checks_refuse_malformed_matrices")),
-    Mutant("serial-weights", "eating.py",
-           "_balance(rows, [count for _, count in p.ballot_types()], p.m)",
-           "_balance(rows, [1 for _ in p.ballot_types()], p.m)",
+            "tests/test_eating.py::test_balance_checks_refuse_malformed_matrices",
+            "tests/test_type_validators.py::test_integer_balance_check_agrees_with_fractions")),
+    # probabilistic serial validates its own trace, which must have run to k/n
+    Mutant("serial-elapsed", "eating.py",
+           "if trace.elapsed != elapsed:", "if trace.elapsed > elapsed:",
            ("tests/test_eating.py::test_probabilistic_serial_checks_the_rows_it_returns",)),
-    # the balance checks' shape and sign check
+    # the balance check's shape and sign check
     Mutant("shape-count", "eating.py",
-           "if not rows or len(rows) != len(weights):", "if not rows:",
-           ("tests/test_eating.py::test_balance_checks_refuse_malformed_matrices",
-            "tests/test_eating.py::test_probabilistic_serial_checks_the_rows_it_returns")),
+           "if len(rows) != len(weights):", "if len(rows) > len(weights):",
+           ("tests/test_eating.py::test_balance_checks_refuse_malformed_matrices",)),
     Mutant("shape-width", "eating.py",
            "if len(row) != m:", "if len(row) < m:",
            ("tests/test_eating.py::test_balance_checks_refuse_malformed_matrices",)),

@@ -50,7 +50,7 @@ from vetoflow.rules import (
     plurality_veto,
 )
 from conftest import record_criterion
-from tests_support_oracles import hall_check_bruteforce, triangle_violations
+from tests_support_oracles import hall_check_bruteforce, share_refusal, triangle_violations
 from tests_support_random import random_profiles
 
 
@@ -158,6 +158,7 @@ def test_criterion_7_consumption_rules(exhaustive_family, random_family):
         veto_by_consumption_winners(p) <= veto_core(p)
         for p in exhaustive_family + random_family
     )
+    refused = []
     for p in random_profiles(1000, seed=404, nmax=6, mmax=5):
         worst = run_eating(
             reverse_profile(p), EatingConfig(direction="eat-worst", stop_eliminations=p.m)
@@ -165,13 +166,16 @@ def test_criterion_7_consumption_rules(exhaustive_family, random_family):
         for k in range(p.m + 1):
             if phragmen_committee(p, k) != worst[:k]:
                 ok = False
-        assignment = probabilistic_serial(p)
+        # each voter's shares sum to k/n, no column exceeds 1, none is negative
         k = min(p.n, p.m)
-        assignment.validate(row_sum=Fraction(k, p.n))
+        why = share_refusal(probabilistic_serial(p).shares, Fraction(k, p.n))
+        if why is not None:
+            refused.append((p.rankings, why))
     record_criterion(
         7,
         "consumption survivors sit in the core; committees mirror reversed eating; shares balance",
-        ok,
+        ok and not refused,
+        f"refused shares: {refused[:3]}" if refused else "",
     )
 
 

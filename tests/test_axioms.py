@@ -11,7 +11,6 @@ from vetoflow.axioms import (
     PscViolation,
     VetoWitness,
     equivalence_audit,
-    pareto_improve,
     pareto_matching_criterion,
     veto_core,
     veto_core_member,
@@ -22,6 +21,7 @@ from vetoflow.axioms import (
 )
 from vetoflow.distortion import distortion_of_candidate
 from vetoflow.eating import phragmen_committee, probabilistic_serial, veto_by_consumption_winners
+from vetoflow.matching import build_domination_graph, extract_deficiency_witness
 from vetoflow.profile_io import parse_profile
 from vetoflow.profiles import PreferenceProfile, all_profiles, reverse_profile
 from vetoflow.rules import (
@@ -30,7 +30,7 @@ from vetoflow.rules import (
     plurality_veto,
     serial_dictatorship,
 )
-from tests_support_oracles import pareto_optimal_bruteforce
+from tests_support_oracles import pareto_optimal_bruteforce, veto_core_member_pairs
 from tests_support_random import (
     profiles_strategy,
     random_profile,
@@ -165,6 +165,30 @@ def test_core_bruteforce_rejects_large_instances():
         veto_core_member_bruteforce(p, 0)
 
 
+def test_core_bruteforce_routes_agree():
+    # the subset scan and the (coalition, blocked set) enumeration evaluate
+    # the veto quantifiers independently
+    family = [*all_profiles(3, 3), *all_profiles(2, 4),
+              *random_profiles(400, seed=606, nmax=4, mmax=4)]
+    verdicts = set()
+    for p in family:
+        for c in range(p.m):
+            member = veto_core_member_bruteforce(p, c)
+            assert veto_core_member_pairs(p, c) == member, (p.rankings, c)
+            verdicts.add(member)
+    assert verdicts == {True, False}
+    with pytest.raises(ValueError, match="n <= 4, m <= 4"):
+        veto_core_member_pairs(PreferenceProfile.of([tuple(range(5))]), 0)
+
+
+def test_candidate_checks_refuse_a_candidate_outside_the_profile(fix_t):
+    # every flow network reads groups_below(c), which names the bad index
+    for check, c in ((veto_core_member, 5), (extract_deficiency_witness, -1),
+                     (pareto_matching_criterion, 3), (build_domination_graph, -1)):
+        with pytest.raises(ValueError, match=rf"^candidate {c} is not in 0\.\.2$"):
+            check(fix_t, c)
+
+
 def test_weak_psc_on_reversed_fixtures(fix_p, fix_t):
     rev_p = reverse_profile(fix_p)
     assert weak_psc_satisfied(rev_p, {0, 2}).satisfied
@@ -283,39 +307,6 @@ def test_pareto_matching_criterion_agrees_with_hall_bruteforce():
             assert len(mu) == p.m - 1 and len(set(mu.values())) == p.m - 1, (p.rankings, c, mu)
             assert all(pos[i][c] < pos[i][x] for i, x in mu.items()), (p.rankings, c, mu)
     assert outcomes == {True, False}
-
-
-def test_pareto_improve_fixes_a_bad_matching(fix_s, fix_t):
-    # both voters hold their worst candidate; the swap is the unique fix
-    assert pareto_improve(fix_s, {0: 1, 1: 0}) == {0: 0, 1: 1}
-    assert pareto_improve(fix_t, {0: 2, 1: 0, 2: 1}) == {0: 0, 1: 1, 2: 2}
-
-
-def test_pareto_improve_rejects_double_assignment(fix_s):
-    with pytest.raises(ValueError):
-        pareto_improve(fix_s, {0: 0, 1: 0})
-
-
-def test_pareto_improve_rejects_indices_outside_the_profile(fix_s):
-    # voter -1 would read as voter n-1, candidate 7 does not exist, and
-    # voter 5 has no ranking
-    for matching in ({-1: 1}, {0: 7}, {5: 0}, {0: -1}):
-        with pytest.raises(ValueError, match="outside the profile"):
-            pareto_improve(fix_s, matching)
-
-
-def test_pareto_improve_output_is_optimal_and_weakly_better():
-    rng = random.Random(3)
-    for p in random_profiles(200, seed=515, nmax=5, mmax=5):
-        k = rng.randint(1, min(p.n, p.m))
-        voters = rng.sample(range(p.n), k)
-        cands = rng.sample(range(p.m), k)
-        matching = dict(zip(voters, cands))
-        improved = pareto_improve(p, matching)
-        assert set(improved) == set(matching)
-        pos = p.positions()
-        assert all(pos[i][improved[i]] <= pos[i][matching[i]] for i in matching)
-        assert pareto_optimal_bruteforce(p, improved, k), (p.rankings, matching)
 
 
 def test_pareto_optimal_bruteforce_fixtures(fix_s):

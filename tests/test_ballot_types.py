@@ -22,7 +22,6 @@ from vetoflow.matching import (
     FlowNetwork,
     build_domination_graph,
     extract_deficiency_witness,
-    fractional_matching,
     has_fractional_perfect_matching,
     max_bipartite_matching,
 )
@@ -36,7 +35,7 @@ from vetoflow.profiles import (
     solid_coalitions,
 )
 from vetoflow.profile_io import gen_impartial_culture, parse_profile
-from tests_support_oracles import voter_groups
+from tests_support_oracles import fractional_matching_rows, voter_flow_shares, voter_groups
 from tests_support_random import (
     distinct_ballots,
     profiles_strategy,
@@ -422,8 +421,10 @@ def test_unmerged_groups_solve_like_the_merged_network():
             cut = frozenset(p.voters_of(flow.cut()[0]))
             assert single_flow.cut()[0] == cut, (p.rankings, net)
             assert len(single_flow.units_sent()) == p.n
-            assert_feasible_shares(net, edges, value, p.per_voter(flow.shares()))
-            assert_feasible_shares(net, edges, value, single_flow.shares())
+            assert_feasible_shares(net, edges, value, voter_flow_shares(p, flow))
+            # the single network's group i is voter i, as type i of distinct ballots
+            assert_feasible_shares(
+                net, edges, value, voter_flow_shares(distinct_ballots(p.n), single_flow))
             checked += 1
             shared += len(set(edges)) < len(edges)
     assert shared > checked // 2
@@ -459,7 +460,7 @@ def flow_outputs(p: PreferenceProfile):
         v = veto_core_member(p, c)
         w = v.witness
         yield repr((c, v.member, None if w is None else (sorted(w.voters), sorted(w.blocked_by))))
-        yield repr(fractional_matching(p, c))
+        yield repr(fractional_matching_rows(p, c))
     for k in range(1, p.m):
         for committee in itertools.combinations(range(p.m), k):
             v = weak_psc_satisfied(p, committee)

@@ -9,7 +9,6 @@ import pytest
 from vetoflow.eating import (
     EatingConfig,
     EatingTrace,
-    FractionalAssignment,
     phragmen_committee,
     probabilistic_serial,
     run_eating,
@@ -131,12 +130,6 @@ def test_simultaneous_batch_and_tie_break(fix_s):
     assert trace.events == ((Fraction(1), (1, 0)),)
     with pytest.raises(ValueError, match="permutation"):
         run_eating(fix_s, EatingConfig(stop_eliminations=1, tie_break=(0,)))
-
-
-def test_format_events(fix_u):
-    trace = run_eating(fix_u, EatingConfig(stop_time=Fraction(1)))
-    assert trace.format_events() == "(1/2, 0)\n(1, 1)"
-    assert trace.format_events(fix_u.candidate_names) == "(1/2, a)\n(1, b)"
 
 
 def test_trace_validate_catches_tampering(fix_u, fix_p):
@@ -322,20 +315,6 @@ def test_probabilistic_serial_row_and_column_sums():
                 assert sum(row[c] for row in mu.shares) <= 1
 
 
-def test_fractional_assignment_helpers(fix_u):
-    mu = probabilistic_serial(fix_u)
-    assert mu.row_sums() == (Fraction(1), Fraction(1))
-    assert mu.column_sums() == (Fraction(1), Fraction(1))
-    # shared row objects count once per voter holding them
-    half = (Fraction(1, 2), Fraction(1, 2))
-    heavy = (Fraction(1), Fraction(1, 2))
-    assert FractionalAssignment((half, half, half)).column_sums() == (Fraction(3, 2),) * 2
-    with pytest.raises(ValueError, match="column 0 exceeds 1"):
-        FractionalAssignment((half, half, half)).validate(row_sum=Fraction(1))
-    with pytest.raises(ValueError, match="row 1 sums to 3/2"):
-        FractionalAssignment((half, heavy, heavy)).validate(row_sum=Fraction(1))
-
-
 def test_balance_checks_refuse_malformed_matrices(fix_u, fix_s):
     half = Fraction(1, 2)
     both = run_eating(fix_s, EatingConfig(stop_time=Fraction(1)))  # both fall at 1
@@ -349,40 +328,35 @@ def test_balance_checks_refuse_malformed_matrices(fix_u, fix_s):
         (fix_s, replace(both, consumption=((1, 1),), elapsed=Fraction(2)),
          "1 share rows, expected 2"),
         (fix_u, replace(unanimous, consumption=((half, half),) * 2), "2 share rows, expected 1"),
+        (fix_s, replace(both, consumption=()), "0 share rows, expected 2"),
         (fix_s, replace(both, consumption=((1, 0, 0), (0, 1, 0))), "row 0 has 3 shares, not 2"),
         (fix_s, replace(both, consumption=((1,), (1,))), "row 0 has 1 shares, not 2"),
+        (fix_s, replace(both, consumption=((1, 0), (0, 0, 1))), "row 1 has 3 shares, not 2"),
         # rows and columns balance, but the shares are negative
         (fix_s, replace(both, consumption=((3 * half, -half), (-half, 3 * half))),
          "voter 0 consumption is negative"),
     ]:
         with pytest.raises(ValueError, match=message):
             trace.validate(p)
-    for shares, message in [
-        (((0, 1), (0, 0, 1), (0, 0, 1)), "row 1 has 3 shares, not 2"),
-        (((3 * half, -half), (-half, 3 * half)), "row 0 has a negative share"),
-        ((), "0 share rows, expected at least one"),
-    ]:
-        with pytest.raises(ValueError, match=message):
-            FractionalAssignment(shares).validate(Fraction(1))
-    for method in (FractionalAssignment(()).row_sums, FractionalAssignment(()).column_sums):
-        with pytest.raises(ValueError, match="at least one"):
-            method()
 
 
 def test_probabilistic_serial_checks_the_rows_it_returns(monkeypatch):
-    # probabilistic_serial checks its ballot types' rows, weighted by their
-    # voters, so each tampering of what run_eating hands back must still be
-    # refused: a type row that misses k/n, a column eaten past 1, a column
-    # past 1 only once each row counts for its voters, and one row per
-    # voter instead of one per type
+    # probabilistic_serial validates the trace run_eating hands back, its
+    # ballot types' rows weighted by their voters, so each tampering must
+    # still be refused: a type row that misses k/n, a column eaten past 1,
+    # a column off 1 only once each row counts for its voters, one row per
+    # voter instead of one per type, and a trace that never ran
     p = PreferenceProfile.of([(0, 1, 2), (1, 0, 2), (0, 1, 2), (2, 1, 0), (1, 0, 2)])
     real = run_eating
 
-    def tampered(make_rows):
+    def tampered(change):
         def fake(q, cfg):
-            trace = real(q, cfg)
-            return replace(trace, consumption=tuple(make_rows(list(trace.consumption))))
+            return change(real(q, cfg))
         return fake
+
+    def rows(make_rows):
+        return lambda trace: replace(
+            trace, consumption=tuple(make_rows(list(trace.consumption))))
 
     def bump_type(rows):
         rows[1] = (rows[1][0] + Fraction(1, 7), *rows[1][1:])
@@ -397,21 +371,31 @@ def test_probabilistic_serial_checks_the_rows_it_returns(monkeypatch):
         # the real rows are (1/2, 0, 1/10) for two voters, (0, 1/2, 1/10) for
         # two and (0, 0, 3/5) for one; moving 1/10 between columns 0 and 2 in
         # opposite directions in the first and last type keeps every row sum
-        # and every unweighted column sum, but puts 11/10 in column 2
+        # and every unweighted column sum, but leaves 9/10 in column 0
         tenth = Fraction(1, 10)
         assert rows == [(5 * tenth, 0, tenth), (0, 5 * tenth, tenth), (0, 0, 6 * tenth)]
         return [(4 * tenth, 0, 2 * tenth), rows[1], (tenth, 0, 5 * tenth)]
 
-    for make_rows, message in ((bump_type, "row 1 sums to"),
-                               (overfill, "column 0 exceeds 1"),
-                               (reweigh, "column 2 exceeds 1"),
-                               (p.per_voter, "5 share rows, expected 3")):
-        monkeypatch.setattr("vetoflow.eating.run_eating", tampered(make_rows))
+    def never_ran(trace):
+        # all-zero rows, no event and every candidate surviving balance
+        # against an elapsed time of 0, which is not k/n
+        zeros = tuple((Fraction(0),) * p.m for _ in trace.consumption)
+        return replace(trace, events=(), consumption=zeros,
+                       survivors=frozenset(range(p.m)), elapsed=Fraction(0))
+
+    for change, message in ((rows(bump_type), "voter 1 consumption does not add up"),
+                            (rows(overfill), "eliminated candidate 0 absorbed 3, not 1"),
+                            (rows(reweigh), "eliminated candidate 0 absorbed 9/10, not 1"),
+                            (rows(p.per_voter), "5 share rows, expected 3"),
+                            (never_ran, "eating stopped at 0, not at 3/5")):
+        monkeypatch.setattr("vetoflow.eating.run_eating", tampered(change))
         with pytest.raises(ValueError, match=message):
             probabilistic_serial(p)
-    # the untampered rows, passed through the same way, are accepted and
-    # spread to the voters
-    monkeypatch.setattr("vetoflow.eating.run_eating", tampered(lambda rows: rows))
+    # the never-run trace passes the trace's own check
+    never_ran(real(p, EatingConfig(stop_time=Fraction(3, 5)))).validate(p)
+    # the untampered trace, passed through the same way, is accepted and its
+    # rows spread to the voters
+    monkeypatch.setattr("vetoflow.eating.run_eating", tampered(lambda trace: trace))
     cfg = EatingConfig(direction="eat-best", stop_time=Fraction(3, 5))
     assert probabilistic_serial(p).shares == p.per_voter(real(p, cfg).consumption)
 
@@ -425,7 +409,8 @@ def eating_outputs(p: PreferenceProfile):
     for cfg in (EatingConfig(direction="eat-worst", stop_eliminations=p.m - 1),
                 EatingConfig(direction="eat-best", stop_eliminations=p.m),
                 EatingConfig(direction="eat-best", stop_time=Fraction(min(p.n, p.m), p.n))):
-        yield f"events {run_eating(p, cfg).format_events()}"
+        events = run_eating(p, cfg).events
+        yield "events " + "\n".join(f"({t}, {' '.join(map(str, batch))})" for t, batch in events)
 
 
 # SHA-256 of eating_outputs over the family below; a change to the eating

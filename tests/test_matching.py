@@ -9,12 +9,11 @@ from vetoflow.matching import (
     FlowNetwork,
     build_domination_graph,
     extract_deficiency_witness,
-    fractional_matching,
     has_fractional_perfect_matching,
     max_bipartite_matching,
 )
 from vetoflow.profiles import PreferenceProfile, dominated_set
-from tests_support_oracles import hall_check_bruteforce, voter_groups
+from tests_support_oracles import fractional_matching_rows, hall_check_bruteforce, voter_groups
 from tests_support_random import distinct_ballots, random_profiles
 
 
@@ -77,7 +76,7 @@ def test_domination_graph_groups_hold_every_voter(fix_p):
 def test_fix_p_middle_candidate_has_matching(fix_p):
     g = build_domination_graph(fix_p, 1)
     assert has_fractional_perfect_matching(g)
-    mu = fractional_matching(fix_p, 1)
+    mu = fractional_matching_rows(fix_p, 1)
     assert mu is not None
     for row in mu:
         assert sum(row) == 1
@@ -92,7 +91,7 @@ def test_fix_p_middle_candidate_has_matching(fix_p):
 def test_fix_t_worst_candidate_has_no_matching(fix_t):
     g = build_domination_graph(fix_t, 2)
     assert not has_fractional_perfect_matching(g)
-    assert fractional_matching(fix_t, 2) is None
+    assert fractional_matching_rows(fix_t, 2) is None
     w = extract_deficiency_witness(fix_t, 2)
     assert w is not None
     assert frozenset({0, 1}) <= w.voters

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -32,6 +33,17 @@ def test_plurality_veto_rejects_bad_order(fix_t):
         plurality_veto(fix_t, [0, 1])
     with pytest.raises(ValueError):
         plurality_veto(fix_t, [0, 0, 1])
+
+
+def test_orders_refuse_entries_that_are_not_ints(fix_t):
+    # sorted([0.0, 1, 2]) == [0, 1, 2], so only the entry types tell these
+    # apart from permutations; a float or bool index would reach the rankings
+    for order in ([0.0, 1, 2], (2, 1.0, 0), [True, 0, 2], [0, 1, Fraction(2)]):
+        for rule in (plurality_veto, serial_dictatorship):
+            with pytest.raises(ValueError, match="order must be a permutation of all voters"):
+                rule(fix_t, order)
+        with pytest.raises(ValueError, match="tie_break must be a permutation of all candidates"):
+            composite_distortion_rule(fix_t, tie_break=order)
 
 
 def test_plurality_matching_winners(fix_t, fix_c, fix_p):

@@ -1,4 +1,4 @@
-"""The witness validators and the probabilistic-serial balance check work per
+"""The witness validators and the eating trace's balance check work per
 ballot type.  Each is compared here with a per-voter reference on voter sets
 that take whole ballot types or split them, and forged witnesses must still
 be refused."""
@@ -10,9 +10,10 @@ from fractions import Fraction
 import pytest
 
 from vetoflow.axioms import PscViolation, VetoWitness, veto_core_member, veto_power
-from vetoflow.eating import FractionalAssignment, probabilistic_serial
+from vetoflow.eating import EatingConfig, EatingTrace, run_eating
 from vetoflow.matching import CutWitness, extract_deficiency_witness
 from vetoflow.profiles import PreferenceProfile, dominated_set, reverse_profile
+from tests_support_oracles import fraction_column_sums, fraction_row_sums
 
 
 def dominated_set_per_voter(p, c, voters):
@@ -190,46 +191,47 @@ def test_witness_validators_refuse_non_voters():
             dominated_set(p, 3, {0, bad})
 
 
-def fraction_row_sums(shares):
-    return tuple(sum(row, Fraction(0)) for row in shares)
-
-
-def fraction_column_sums(shares):
-    return tuple(sum((row[c] for row in shares), Fraction(0)) for c in range(len(shares[0])))
-
-
-def fraction_refusal(shares, row_sum):
-    """The message of a Fraction-by-Fraction balance check, or None."""
+def fraction_trace_refusal(p, trace):
+    """The message of the trace's balance check, worked out voter by voter
+    in Fractions on the rows spread to the voters, or None."""
+    shares = p.per_voter(trace.consumption)
     for i, total in enumerate(fraction_row_sums(shares)):
-        if total != row_sum:
-            return f"row {i} sums to {total}, expected {row_sum}"
+        if total != trace.elapsed:
+            return f"voter {i} consumption does not add up to the elapsed time"
     for c, total in enumerate(fraction_column_sums(shares)):
-        if total > 1:
-            return f"column {c} exceeds 1"
+        if c in trace.survivors:
+            if total >= 1:
+                return f"survivor {c} was fully consumed"
+        elif total != 1:
+            return f"eliminated candidate {c} absorbed {total}, not 1"
+    for i, row in enumerate(shares):
+        if min(row) < 0:
+            return f"voter {i} consumption is negative"
     return None
 
 
-def shared_rows(rng, rows, n):
-    """n voters, each holding one of the given row objects."""
-    return tuple(rng.choice(rows) for _ in range(n))
-
-
 def test_integer_balance_check_agrees_with_fractions():
+    # random type rows, each standing for its type's voters; the survivors
+    # are either the candidates eaten less than 1 or a random set
     rng = random.Random(77)
     outcomes = set()
     for _ in range(400):
-        m, n = rng.randint(1, 4), rng.randint(1, 8)
-        rows = [tuple(Fraction(rng.randint(0, 6), rng.randint(1, 6)) for _ in range(m))
-                for _ in range(rng.randint(1, 3))]
-        shares = shared_rows(rng, rows, n)
-        a = FractionalAssignment(shares)
-        assert a.row_sums() == fraction_row_sums(shares)
-        assert a.column_sums() == fraction_column_sums(shares)
-        for row_sum in {sum(rows[0]), Fraction(1)}:
-            expect = fraction_refusal(shares, row_sum)
-            assert refusal(lambda: a.validate(row_sum)) == expect, (shares, row_sum)
-            outcomes.add(None if expect is None else expect.split()[0])
-    assert outcomes == {None, "row", "column"}
+        m, types, n = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 8)
+        ballots = [tuple(rng.sample(range(m), m)) for _ in range(types)]
+        p = PreferenceProfile.of([rng.choice(ballots) for _ in range(n)])
+        rows = tuple(tuple(Fraction(rng.randint(0, 6), rng.randint(1, 6)) for _ in range(m))
+                     for _ in p.ballot_types())
+        columns = fraction_column_sums(p.per_voter(rows))
+        for elapsed in {sum(rows[0]), Fraction(1)}:
+            for survivors in (frozenset(c for c in range(m) if columns[c] < 1),
+                              frozenset(c for c in range(m) if rng.random() < 0.5)):
+                gone = tuple(c for c in range(m) if c not in survivors)
+                events = ((Fraction(1), gone),) if gone else ()
+                trace = EatingTrace(events, rows, survivors, elapsed)
+                expect = fraction_trace_refusal(p, trace)
+                assert refusal(lambda: trace.validate(p)) == expect, (p.rankings, trace)
+                outcomes.add(None if expect is None else expect.split()[0])
+    assert outcomes == {None, "voter", "survivor", "eliminated"}
 
 
 def test_balance_check_resolves_the_smallest_unit():
@@ -239,25 +241,33 @@ def test_balance_check_resolves_the_smallest_unit():
         n = rng.randint(m, 12)
         ballots = [tuple(rng.sample(range(m), m)) for _ in range(3)]
         p = PreferenceProfile.of([rng.choice(ballots) for _ in range(n)])
-        a = probabilistic_serial(p)
-        row_sum = Fraction(m, n)  # k = m <= n, so every candidate is eaten
-        a.validate(row_sum)
-        assert a.row_sums() == fraction_row_sums(a.shares) == (row_sum,) * n
-        assert a.column_sums() == fraction_column_sums(a.shares) == (Fraction(1),) * m
-        den = math.lcm(*(v.denominator for row in a.shares for v in row))
+        elapsed = Fraction(m, n)  # m <= n, so every candidate is eaten by then
+        trace = run_eating(p, EatingConfig(stop_time=elapsed))
+        trace.validate(p)
+        assert not trace.survivors
+        shares = p.per_voter(trace.consumption)
+        assert fraction_row_sums(shares) == (elapsed,) * n
+        assert fraction_column_sums(shares) == (Fraction(1),) * m
+        den = math.lcm(*(v.denominator for row in trace.consumption for v in row))
         unit = Fraction(1, den)
-        # voter i alone loses one unit of column c
-        i, c = rng.randrange(n), rng.randrange(m)
-        short = list(a.shares[i])
+        # ballot type t alone loses one unit of column c
+        t, c = rng.randrange(len(trace.consumption)), rng.randrange(m)
+        count = p.ballot_types()[t].count
+        short = list(trace.consumption[t])
         short[c] -= unit
-        shares = a.shares[:i] + (tuple(short),) + a.shares[i + 1:]
-        with pytest.raises(ValueError, match=f"row {i} sums to {row_sum - unit},"):
-            FractionalAssignment(shares).validate(row_sum)
-        # the same unit moved inside voter i's row to a column that is full
+        rows = trace.consumption[:t] + (tuple(short),) + trace.consumption[t + 1:]
+        with pytest.raises(ValueError, match=f"voter {p.voters_of([t])[0]} consumption does not"):
+            EatingTrace(trace.events, rows, trace.survivors, elapsed).validate(p)
+        # the same unit moved inside type t's row to a column that is full:
+        # the rows balance, and the lower of the two columns is off by the
+        # unit once per voter of type t
         d = (c + 1) % m
         moved = list(short)
         moved[d] += unit
-        shares = a.shares[:i] + (tuple(moved),) + a.shares[i + 1:]
-        assert FractionalAssignment(shares).column_sums()[d] == 1 + unit
-        with pytest.raises(ValueError, match=f"column {d} exceeds 1"):
-            FractionalAssignment(shares).validate(row_sum)
+        rows = trace.consumption[:t] + (tuple(moved),) + trace.consumption[t + 1:]
+        columns = fraction_column_sums(p.per_voter(rows))
+        assert (columns[c], columns[d]) == (1 - count * unit, 1 + count * unit)
+        first = min(c, d)
+        with pytest.raises(ValueError, match=f"eliminated candidate {first} absorbed "
+                                             f"{columns[first]}, not 1"):
+            EatingTrace(trace.events, rows, trace.survivors, elapsed).validate(p)

@@ -3,9 +3,11 @@ definition directly, voter by voter, without the grouping, flows or LPs of
 the checkers it is compared with; the clone oracles run the plurality rules
 on the cloned profile, one clone at a time.  ``voter_groups`` groups the
 ballot types by a candidate set given per type, the reference for the
-groups a profile keeps.  ``parse_profile_reference`` is the profile reader
-in its earlier form, which matched and split every line again, kept
-verbatim as the differential reference for ``parse_profile``."""
+groups a profile keeps.  ``voter_flow_shares`` and ``share_refusal`` read
+a solved network and a share matrix voter by voter, in Fractions.
+``parse_profile_reference`` is the profile reader in its earlier form,
+which matched and split every line again, kept verbatim as the
+differential reference for ``parse_profile``."""
 
 from __future__ import annotations
 
@@ -14,7 +16,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Sequence
 
-from vetoflow.matching import build_domination_graph, has_fractional_perfect_matching
+from vetoflow.axioms import veto_power
+from vetoflow.matching import FlowResult, build_domination_graph, has_fractional_perfect_matching
 from vetoflow.profile_io import MAX_VOTERS, DistanceMatrix
 from vetoflow.profiles import (
     PreferenceProfile, ProfileSizeError, VoterGroup, clone_expand, plurality_scores)
@@ -46,6 +49,72 @@ def hall_check_bruteforce(p: PreferenceProfile, c: int) -> bool:
         if union.bit_count() * p.n < p.m * sub.bit_count():
             return False
     return True
+
+
+def veto_core_member_pairs(p: PreferenceProfile, c: int) -> bool:
+    """Core membership by enumerating every (coalition, blocked set) pair:
+    c is vetoed when some coalition N' ranks each of at least m - v(N')
+    other candidates above c.  The second route beside the subset scan of
+    ``veto_core_member_bruteforce``."""
+    if p.n > 4 or p.m > 4:
+        raise ValueError("pair enumeration limited to n <= 4, m <= 4")
+    pos = p.positions()
+    others = [x for x in range(p.m) if x != c]
+    for ns in range(1, p.n + 1):
+        need = p.m - veto_power(p.n, p.m, ns)
+        for coalition in combinations(range(p.n), ns):
+            for cs in range(max(need, 1), p.m):
+                for blocked in combinations(others, cs):
+                    if all(pos[i][b] < pos[i][c] for i in coalition for b in blocked):
+                        return False
+    return True
+
+
+def voter_flow_shares(p: PreferenceProfile, flow: FlowResult) -> tuple[tuple[Fraction, ...], ...]:
+    """Row i: the fraction of voter i's supply that the solved network sent
+    to each right node.  A group's units are split evenly over its voters,
+    so its voters get equal rows."""
+    net = flow.network
+    row_of = {}
+    for g, sent in zip(net.groups, flow.units_sent()):
+        row = [Fraction(0)] * net.num_right
+        for c, units in sent.items():
+            row[c] = Fraction(units, g.size * net.left_supply)
+        row_of.update(dict.fromkeys(g.types, tuple(row)))
+    return p.per_voter([row_of[t] for t in range(len(row_of))])
+
+
+def fractional_matching_rows(
+    p: PreferenceProfile, c: int
+) -> tuple[tuple[Fraction, ...], ...] | None:
+    """A fractional perfect matching on c's domination graph, row i giving
+    voter i's weights, or None if there is none."""
+    _, flow = build_domination_graph(p, c).solve()
+    return None if flow.cut()[0] else voter_flow_shares(p, flow)
+
+
+def fraction_row_sums(shares) -> tuple[Fraction, ...]:
+    return tuple(sum(row, Fraction(0)) for row in shares)
+
+
+def fraction_column_sums(shares) -> tuple[Fraction, ...]:
+    return tuple(sum((row[c] for row in shares), Fraction(0)) for c in range(len(shares[0])))
+
+
+def share_refusal(shares, row_sum: Fraction) -> str | None:
+    """Why a share matrix, one row per voter, fails to be an assignment
+    of ``row_sum`` per voter: a row missing it, a column past 1 or a
+    negative share; None if it is one."""
+    for i, total in enumerate(fraction_row_sums(shares)):
+        if total != row_sum:
+            return f"row {i} sums to {total}, expected {row_sum}"
+    for c, total in enumerate(fraction_column_sums(shares)):
+        if total > 1:
+            return f"column {c} exceeds 1"
+    for i, row in enumerate(shares):
+        if min(row) < 0:
+            return f"row {i} has a negative share"
+    return None
 
 
 def pareto_optimal_bruteforce(p: PreferenceProfile, matching: dict[int, int], k: int) -> bool:
