@@ -11,7 +11,6 @@ from .axioms import (
     PscVerdict,
     PscViolation,
     VetoVerdict,
-    VetoWitness,
     equivalence_audit,
     pareto_matching_criterion,
     veto_core,
@@ -90,7 +89,6 @@ __all__ = [
     "PscVerdict",
     "PscViolation",
     "VetoVerdict",
-    "VetoWitness",
     "VoterGroup",
     "all_profiles",
     "build_domination_graph",

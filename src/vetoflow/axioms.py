@@ -5,12 +5,13 @@ A coalition N' can veto v(N') = ceil(m|N'|/n) - 1 candidates.  Candidate c is
 vetoed when some coalition jointly ranks at least m - v(N') candidates above
 c; c is a core member when no coalition vetoes it.  This is exactly the
 failure of the Hall condition on the domination graph of c, which gives the
-fast checker.  The core itself first asks the solid coalitions: voters who
-share a top set T veto everything outside T once T is large enough for
-their number, and only the candidates no such coalition vetoes go to a
-flow.  Weak PSC scans the same coalitions before its flows.  The
-brute-force checkers here evaluate the quantifiers directly and exist to
-keep the fast paths honest.
+fast checker, and one witness serves both: a Hall witness (N', D) is the
+veto of N' with everything outside D as the blocking set.  The core itself
+first asks the solid coalitions: voters who share a top set T veto
+everything outside T once T is large enough for their number, and only
+the candidates no such coalition vetoes go to a flow.  Weak PSC scans the
+same coalitions before its flows.  The brute-force checkers here evaluate
+the quantifiers directly and exist to keep the fast paths honest.
 
 All threshold comparisons are exact; the strict inequalities are
 cross-multiplied into integer arithmetic, never approximated.
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .matching import (
+    CutWitness,
     FlowNetwork,
     build_domination_graph,
     extract_deficiency_witness,
@@ -42,32 +44,8 @@ def veto_power(n: int, m: int, coalition_size: int) -> int:
 
 
 @dataclass(frozen=True)
-class VetoWitness:
-    """A successful veto: every voter in ``voters`` ranks every candidate of
-    ``blocked_by`` strictly above the vetoed candidate, and ``blocked_by``
-    is large enough that too few candidates remain below."""
-
-    voters: frozenset[int]
-    blocked_by: frozenset[int]
-
-    def validate(self, p: PreferenceProfile, c: int) -> None:
-        if not self.voters:
-            raise ValueError("empty coalition")
-        if c in self.blocked_by:
-            raise ValueError("vetoed candidate cannot block itself")
-        for r, _ in p.ballot_types_of(self.voters):
-            not_above = self.blocked_by.difference(r[:r.index(c)])
-            if not_above:
-                i = min(v for v in self.voters if p.rankings[v] == r)
-                raise ValueError(f"voter {i} does not rank {min(not_above)} above {c}")
-        need = p.m - veto_power(p.n, p.m, len(self.voters))
-        if len(self.blocked_by) < need:
-            raise ValueError("blocking set is too small for the coalition's veto power")
-
-
-@dataclass(frozen=True)
 class VetoVerdict:
-    witness: VetoWitness | None
+    witness: CutWitness | None
 
     @property
     def member(self) -> bool:
@@ -78,17 +56,12 @@ def veto_core_member(p: PreferenceProfile, c: int) -> VetoVerdict:
     """Fast membership check through the domination graph of c.
 
     Membership is equivalent to the existence of a fractional perfect
-    matching; a Hall-type deficiency converts directly into a veto witness,
-    since the candidates outside the deficient voters' dominated set are
-    ranked above c by every one of them.
+    matching.  A Hall deficiency is the veto itself: the deficient voters
+    N' rank every candidate outside their dominated set D above c, and
+    |D| n < m |N'| is |D| <= v(N'), so that blocking set is large enough.
+    The verdict carries the flow's validated ``CutWitness``, or None.
     """
-    cut = extract_deficiency_witness(p, c)
-    if cut is None:
-        return VetoVerdict(None)
-    blocked = frozenset(range(p.m)) - cut.dominated
-    witness = VetoWitness(cut.voters, blocked)
-    witness.validate(p, c)
-    return VetoVerdict(witness)
+    return VetoVerdict(extract_deficiency_witness(p, c))
 
 
 def veto_core(p: PreferenceProfile) -> frozenset[int]:
@@ -119,6 +92,7 @@ def veto_core_member_bruteforce(p: PreferenceProfile, c: int) -> bool:
     intersection holds m - v(N') candidates.  The tests check this scan
     against a second enumeration, of (coalition, blocked set) pairs.
     """
+    p.check_candidate(c)
     if p.n > 12 or p.m > 6:
         raise ValueError("brute force limited to n <= 12, m <= 6")
     pos = p.positions()
@@ -184,9 +158,10 @@ class PscVerdict:
 
 def _committee(p: PreferenceProfile, committee: Iterable[int]) -> frozenset[int]:
     """The members as a set; each must be a distinct candidate of p."""
-    times = Counter(committee)
-    if any(c < 0 or c >= p.m for c in times):
-        raise ValueError("committee member out of range")
+    members = list(committee)
+    for c in members:
+        p.check_candidate(c)
+    times = Counter(members)
     for c, t in times.items():
         if t > 1:
             raise ValueError(f"committee names candidate {p.candidate_names[c]} twice")

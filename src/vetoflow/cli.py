@@ -157,7 +157,7 @@ def _check_veto_core(p, args):
         return HOLDS, {"candidate": names[c], "member": True, "witness": None}, [
             f"{names[c]}: member"]
     voters = _voter_names(verdict.witness.voters)
-    blocked_by = sorted(names[b] for b in verdict.witness.blocked_by)
+    blocked_by = sorted(names[b] for b in range(p.m) if b not in verdict.witness.dominated)
     return VIOLATED, {
         "candidate": names[c], "member": False,
         "witness": {"voters": voters, "blocked_by": blocked_by},

@@ -200,8 +200,7 @@ def distortion_of_candidate(
     reference of the index loop is reported.  Each LP is solved from
     scratch, so certificates and rays are those of the index loop.  A
     solved value above B_r or below 1 raises ``RuntimeError``."""
-    if not 0 <= c < p.m:
-        raise ValueError(f"candidate {c} is not in 0..{p.m - 1}")
+    p.check_candidate(c)
     if p.m == 1:
         return DistortionResult(c, Fraction(1), None, None, None)
     if p.n * p.m > size_cap:

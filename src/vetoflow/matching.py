@@ -199,7 +199,9 @@ def has_fractional_perfect_matching(net: FlowNetwork) -> bool:
 @dataclass(frozen=True)
 class CutWitness:
     """A Hall violation: the voters in ``voters`` jointly dominate only
-    ``dominated``, and |dominated| < m * |voters| / n."""
+    ``dominated``, and |dominated| < m * |voters| / n.  For c's domination
+    graph it is also their veto of c, blocking with the candidates outside
+    ``dominated``."""
 
     voters: frozenset[int]
     dominated: frozenset[int]

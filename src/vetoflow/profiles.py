@@ -181,15 +181,20 @@ class PreferenceProfile:
             object.__setattr__(self, "_positions", self.per_voter(rows))
         return self.__dict__["_positions"]
 
+    def check_candidate(self, c: int) -> None:
+        """Refuse a c that is not an int in 0..m-1; 1.0 and True are no
+        candidates, and -1 would index the last one."""
+        if type(c) is not int or not 0 <= c < self.m:
+            raise ValueError(f"candidate {c} is not in 0..{self.m - 1}")
+
     def groups_below(self, c: int) -> tuple[VoterGroup, ...]:
         """The ballot types grouped by the candidates they rank weakly below
         c, in order of first type; built for c alone on first use and kept,
         as a cloned profile may have as many candidates as voters.  A c
-        outside 0..m-1 is an error."""
+        that ``check_candidate`` refuses is an error."""
+        self.check_candidate(c)
         kept = self.__dict__.setdefault("_groups_below", {})
         if c not in kept:
-            if not 0 <= c < self.m:
-                raise ValueError(f"candidate {c} is not in 0..{self.m - 1}")
             merged: dict[frozenset[int], list] = {}  # set -> [types, size]
             for t, (r, count) in enumerate(self._ballot_types):
                 key = frozenset(r[r.index(c):])
@@ -274,6 +279,7 @@ def clone_expand(p: PreferenceProfile, frequency: Sequence[int]) -> CloneExpansi
 
 def dominated_set(p: PreferenceProfile, c: int, voters: Iterable[int]) -> frozenset[int]:
     """Candidates that some voter in ``voters`` ranks weakly below c (c included)."""
+    p.check_candidate(c)
     return frozenset().union(*(r[r.index(c):] for r, _ in p.ballot_types_of(voters)))
 
 

@@ -93,6 +93,20 @@ MUTANTS = (
            "if level[1 + k] >= 0]", "if level[1 + k] != 0]",
            ("tests/test_ballot_types.py::test_merged_flow_matches_the_per_voter_network",
             "tests/test_matching.py::test_witness_extraction_on_random_profiles")),
+    # the Hall witness, the veto core's only witness check: a strict
+    # violation, and exactly the dominated set of its voters
+    Mutant("cut-hall", "matching.py",
+           "len(self.dominated) * p.n >= p.m * len(self.voters)",
+           "len(self.dominated) * p.n > p.m * len(self.voters)",
+           ("tests/test_matching.py::test_cut_witness_validation",
+            "tests/test_axioms.py::test_witness_validation_rejects_tampering",
+            "tests/test_type_validators.py::test_per_type_validators_agree_with_per_voter_references")),
+    Mutant("cut-dominated", "matching.py",
+           "if self.dominated != dominated_set(p, c, self.voters):",
+           "if not self.dominated <= dominated_set(p, c, self.voters):",
+           ("tests/test_matching.py::test_cut_witness_validation",
+            "tests/test_axioms.py::test_witness_validation_rejects_tampering",
+            "tests/test_type_validators.py::test_per_type_validators_agree_with_per_voter_references")),
     # PSC's prescan over solid_coalitions: voters, not types, clear the
     # threshold, and the witness names the least uncommitted candidate
     Mutant("psc-prescan", "axioms.py",

@@ -1,6 +1,8 @@
 import itertools
 import random
+import re
 from collections import Counter
+from dataclasses import replace
 from math import ceil
 
 import pytest
@@ -9,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from vetoflow import axioms
 from vetoflow.axioms import (
     PscViolation,
-    VetoWitness,
     equivalence_audit,
     pareto_matching_criterion,
     veto_core,
@@ -21,9 +22,9 @@ from vetoflow.axioms import (
 )
 from vetoflow.distortion import distortion_of_candidate
 from vetoflow.eating import phragmen_committee, probabilistic_serial, veto_by_consumption_winners
-from vetoflow.matching import build_domination_graph, extract_deficiency_witness
+from vetoflow.matching import CutWitness, build_domination_graph, extract_deficiency_witness
 from vetoflow.profile_io import parse_profile
-from vetoflow.profiles import PreferenceProfile, all_profiles, reverse_profile
+from vetoflow.profiles import PreferenceProfile, all_profiles, dominated_set, reverse_profile
 from vetoflow.rules import (
     composite_distortion_rule,
     plurality_matching_winners,
@@ -62,33 +63,38 @@ def test_veto_core_of_fixtures(fix_p, fix_t):
 
 
 def test_veto_witnesses_on_fix_p(fix_p):
+    # the candidates outside the dominated set block c
     v = veto_core_member(fix_p, 0)
     assert not v.member
     assert v.witness.voters == frozenset({2, 3})
-    assert v.witness.blocked_by == frozenset({1, 2})
+    assert v.witness.dominated == frozenset({0})
     v = veto_core_member(fix_p, 2)
     assert v.witness.voters == frozenset({0, 1})
-    assert v.witness.blocked_by == frozenset({0, 1})
+    assert v.witness.dominated == frozenset({2})
     assert veto_core_member(fix_p, 1).member
 
 
 def test_veto_witness_on_fix_t(fix_t):
     v = veto_core_member(fix_t, 2)
     assert v.witness.voters == frozenset({0, 1})
-    assert v.witness.blocked_by == frozenset({0, 1})
+    assert v.witness.dominated == frozenset({2})
     v.witness.validate(fix_t, 2)
 
 
 def test_witness_validation_rejects_tampering(fix_t):
+    w = veto_core_member(fix_t, 2).witness
     with pytest.raises(ValueError, match="empty"):
-        VetoWitness(frozenset(), frozenset({0})).validate(fix_t, 2)
-    with pytest.raises(ValueError, match="itself"):
-        VetoWitness(frozenset({0}), frozenset({2})).validate(fix_t, 2)
-    with pytest.raises(ValueError, match="rank"):
-        # voter 3 puts c first, so nothing is above it
-        VetoWitness(frozenset({2}), frozenset({0, 1})).validate(fix_t, 2)
-    with pytest.raises(ValueError, match="too small"):
-        VetoWitness(frozenset({0, 1}), frozenset({0})).validate(fix_t, 2)
+        replace(w, voters=frozenset()).validate(fix_t, 2)
+    # voter 2 ranks c first, so with them the voters dominate everything
+    with pytest.raises(ValueError, match="does not match"):
+        replace(w, voters=w.voters | {2}).validate(fix_t, 2)
+    with pytest.raises(ValueError, match="does not match"):
+        replace(w, dominated=w.dominated | {0}).validate(fix_t, 2)
+    with pytest.raises(ValueError, match="does not match"):
+        replace(w, dominated=frozenset()).validate(fix_t, 2)
+    # voter 0 alone dominates only c, but 1 * 3 is not below 3 * 1
+    with pytest.raises(ValueError, match="Hall"):
+        replace(w, voters=frozenset({0})).validate(fix_t, 2)
 
 
 def test_single_voter_core_is_the_top_choice():
@@ -182,11 +188,22 @@ def test_core_bruteforce_routes_agree():
 
 
 def test_candidate_checks_refuse_a_candidate_outside_the_profile(fix_t):
-    # every flow network reads groups_below(c), which names the bad index
-    for check, c in ((veto_core_member, 5), (extract_deficiency_witness, -1),
-                     (pareto_matching_criterion, 3), (build_domination_graph, -1)):
-        with pytest.raises(ValueError, match=rf"^candidate {c} is not in 0\.\.2$"):
-            check(fix_t, c)
+    # every entry point that takes a candidate runs the profile's one check,
+    # which names the bad index: a float or a bool is no candidate, and -1
+    # would read as the last one
+    witness = CutWitness(frozenset({0, 1}), frozenset({2}))
+    checks = (veto_core_member, extract_deficiency_witness, pareto_matching_criterion,
+              build_domination_graph, veto_core_member_bruteforce, distortion_of_candidate,
+              PreferenceProfile.groups_below, lambda p, c: dominated_set(p, c, [0]),
+              lambda p, c: witness.validate(p, c))
+    for check in checks:
+        for c in (5, 3, -1, 1.5, 1.0, True):
+            with pytest.raises(ValueError, match=rf"^candidate {re.escape(str(c))} is not in 0\.\.2$"):
+                check(fix_t, c)
+    for check in (weak_psc_satisfied, weak_psc_bruteforce):
+        for committee in ([1.0], [0, 3], [True], [-1]):
+            with pytest.raises(ValueError, match=r" is not in 0\.\.2$"):
+                check(fix_t, committee)
 
 
 def test_weak_psc_on_reversed_fixtures(fix_p, fix_t):

@@ -116,6 +116,19 @@ def test_cut_witness_validation(fix_t):
     with pytest.raises(ValueError, match="Hall"):
         # voter 2 ranks c on top, so this cut dominates everything
         CutWitness(frozenset({2}), dominated_set(fix_t, 2, [2])).validate(fix_t, 2)
+    # the veto core's only witness check, so each clause alone must refuse:
+    # voter 0 dominates only c, and 1 * 3 = 3 * 1 is no strict violation
+    with pytest.raises(ValueError, match="Hall"):
+        CutWitness(frozenset({0}), frozenset({2})).validate(fix_t, 2)
+    # voters 0-3 rank 3 below 2 and dominate {2, 3}: 2 * 6 < 4 * 4 holds,
+    # so each strict part of that set passes the Hall test and must fail
+    # the dominated-set test
+    p = PreferenceProfile.of([(0, 1, 2, 3)] * 4 + [(3, 2, 1, 0)] * 2)
+    w = CutWitness(frozenset({0, 1, 2, 3}), frozenset({2, 3}))
+    w.validate(p, 2)
+    for part in ({2}, {3}, set()):
+        with pytest.raises(ValueError, match="dominated set does not match"):
+            CutWitness(w.voters, frozenset(part)).validate(p, 2)
 
 
 def test_hall_bruteforce_agrees_on_fixtures(fix_p, fix_t):

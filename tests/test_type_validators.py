@@ -5,11 +5,12 @@ be refused."""
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from vetoflow.axioms import PscViolation, VetoWitness, veto_core_member, veto_power
+from vetoflow.axioms import PscViolation, veto_core_member
 from vetoflow.eating import EatingConfig, EatingTrace, run_eating
 from vetoflow.matching import CutWitness, extract_deficiency_witness
 from vetoflow.profiles import PreferenceProfile, dominated_set, reverse_profile
@@ -24,18 +25,16 @@ def dominated_set_per_voter(p, c, voters):
     return frozenset(out)
 
 
-def veto_witness_refusal(p, w, c):
+def cut_witness_refusal(p, w, c):
     """The reason a voter-by-voter check refuses w, or None if it holds."""
     if not w.voters:
         return "empty"
-    if c in w.blocked_by:
-        return "itself"
-    for i in w.voters:
-        r = p.rankings[i]
-        if any(b not in r[: r.index(c)] for b in w.blocked_by):
-            return "does not rank"
-    if len(w.blocked_by) < p.m - veto_power(p.n, p.m, len(w.voters)):
-        return "too small"
+    if any(type(i) is not int or not 0 <= i < p.n for i in w.voters):
+        return "outside"
+    if w.dominated != dominated_set_per_voter(p, c, w.voters):
+        return "does not match"
+    if len(w.dominated) >= Fraction(p.m * len(w.voters), p.n):
+        return "Hall"
     return None
 
 
@@ -89,27 +88,35 @@ def subsets(rng, items):
 
 def test_per_type_validators_agree_with_per_voter_references():
     rng = random.Random(8080)
-    held = {"veto": 0, "psc": 0}
-    refused = {"veto": set(), "psc": set()}
-    split = 0
+    held = {"cut": 0, "psc": 0}
+    refused = {"cut": set(), "psc": set()}
+    refused_split = set()  # cut refusals on voter sets that split a type
+    split = boundary = smaller = 0
     for _ in range(250):
         p = repeated_profile(rng)
         for voters in voter_sets(p, rng):
-            split += any(0 < len(voters.intersection(p.voters_of([t]))) < count
+            splits = any(0 < len(voters.intersection(p.voters_of([t]))) < count
                          for t, (_, count) in enumerate(p.ballot_types()))
+            split += splits
             for c in range(p.m):
-                assert dominated_set(p, c, voters) == dominated_set_per_voter(p, c, voters)
-                above = frozenset(range(p.m)).intersection(
-                    *(p.rankings[i][: p.rankings[i].index(c)] for i in voters))
-                for blocked in (above, subsets(rng, above), subsets(rng, range(p.m))):
-                    w = VetoWitness(voters, blocked)
-                    expect = veto_witness_refusal(p, w, c)
-                    got = refusal(lambda: w.validate(p, c))
-                    assert (got is None) == (expect is None), (p.rankings, w, c, got)
-                    if expect is not None:
-                        assert expect in got, (p.rankings, w, c, got)
-                        refused["veto"].add(expect)
-                    held["veto"] += expect is None
+                dominated = dominated_set_per_voter(p, c, voters)
+                assert dominated_set(p, c, voters) == dominated
+                bad = rng.choice((-1, p.n, 0.5))
+                # the true set, a part of it and a random set, each claimed by
+                # the voters and by the voters plus one who is no voter
+                for claimed in (dominated, subsets(rng, dominated), subsets(rng, range(p.m))):
+                    for w in (CutWitness(voters, claimed), CutWitness(voters | {bad}, claimed)):
+                        expect = cut_witness_refusal(p, w, c)
+                        got = refusal(lambda: w.validate(p, c))
+                        assert (got is None) == (expect is None), (p.rankings, w, c, got)
+                        if expect is not None:
+                            assert expect in got, (p.rankings, w, c, got)
+                            refused["cut"].add(expect)
+                            if splits:
+                                refused_split.add(expect)
+                        held["cut"] += expect is None
+                        boundary += len(claimed) * p.n == p.m * len(voters) and claimed == dominated
+                        smaller += claimed < dominated
             committee = subsets(rng, range(p.m))
             for x in set(range(p.m)) - committee:
                 union = frozenset().union(
@@ -124,33 +131,36 @@ def test_per_type_validators_agree_with_per_voter_references():
                         assert expect in got, (p.rankings, v, committee, k, got)
                         refused["psc"].add(expect)
                     held["psc"] += expect is None
-    # every outcome of both validators occurs, on many sets that split a type
-    assert held["veto"] > 100 and held["psc"] > 100
-    assert refused["veto"] >= {"empty", "itself", "does not rank", "too small"}
+    # every outcome of both validators occurs, on many sets that split a
+    # type; the cut check meets its Hall boundary and strict parts of the
+    # dominated set, both of which it must refuse
+    assert held["cut"] > 100 and held["psc"] > 100
+    assert refused["cut"] >= {"empty", "outside", "does not match", "Hall"}
+    assert refused_split >= {"outside", "does not match", "Hall"}
     assert refused["psc"] >= {"empty", "union", "Droop"}
-    assert split > 500
+    assert split > 500 and boundary > 500 and smaller > 5000
 
 
 def test_forged_witnesses_are_refused(fix_t):
     c = 2
     w = veto_core_member(fix_t, c).witness
     w.validate(fix_t, c)
-    # voter 2 ranks c first, so every blocker sits below c for them
-    with pytest.raises(ValueError, match="voter 2 does not rank"):
-        VetoWitness(w.voters | {2}, w.blocked_by).validate(fix_t, c)
+    # voter 2 ranks c first, so with them the voters dominate everything
+    with pytest.raises(ValueError, match="dominated set does not match"):
+        replace(w, voters=w.voters | {2}).validate(fix_t, c)
     for voters in ({-1}, {fix_t.n}, w.voters | {fix_t.n}):
         with pytest.raises(ValueError, match="outside"):
-            VetoWitness(frozenset(voters), w.blocked_by).validate(fix_t, c)
+            replace(w, voters=frozenset(voters)).validate(fix_t, c)
         with pytest.raises(ValueError, match="outside"):
             dominated_set(fix_t, c, voters)
 
     # a type split in two: voters 0-3 cast one ballot, 4-5 another
     p = PreferenceProfile.of([(0, 1, 2, 3)] * 4 + [(3, 2, 1, 0)] * 2)
-    # three of six voters veto one of four candidates: three must block
-    w = VetoWitness(frozenset({1, 2, 3}), frozenset({0, 1, 2}))
+    # three of six voters dominate one of four candidates: 1 * 6 < 4 * 3
+    w = CutWitness(frozenset({1, 2, 3}), frozenset({3}))
     w.validate(p, 3)
-    with pytest.raises(ValueError, match="voter 4 does not rank"):
-        VetoWitness(w.voters | {4}, w.blocked_by).validate(p, 3)
+    with pytest.raises(ValueError, match="dominated set does not match"):
+        replace(w, voters=w.voters | {4}).validate(p, 3)
 
     rev = reverse_profile(p)  # voters 0-3 now rank 3 first, 4-5 rank 0 first
     committee = frozenset({0})
@@ -173,16 +183,12 @@ def test_witness_validators_refuse_non_voters():
     # given, and one extra member that is no voter must make it fail
     p = PreferenceProfile.of([(0, 1, 2, 3)] * 4 + [(3, 2, 1, 0)] * 2)
     rev = reverse_profile(p)
-    veto = VetoWitness(frozenset({1, 2, 3}), frozenset({0, 1, 2}))
     cut = extract_deficiency_witness(p, 3)
     psc = PscViolation(frozenset({3}), frozenset({0, 1, 2, 3}), 3)
-    veto.validate(p, 3)
     cut.validate(p, 3)
     psc.validate(rev, frozenset({0}))
     for bad in (0.5, "1", -1, p.n):
         outside = "voter index outside 0..5"
-        with pytest.raises(ValueError, match=outside):
-            VetoWitness(veto.voters | {bad}, veto.blocked_by).validate(p, 3)
         with pytest.raises(ValueError, match=outside):
             CutWitness(cut.voters | {bad}, cut.dominated).validate(p, 3)
         with pytest.raises(ValueError, match=outside):
