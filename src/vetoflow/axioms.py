@@ -295,11 +295,16 @@ class AuditReport:
         }
 
 
+def _record(p: PreferenceProfile, c: int, **found) -> dict:
+    """An audit line's profile and candidate, then what was found."""
+    return {"profile": serialize_profile(p), "candidate": p.candidate_names[c], **found}
+
+
 def equivalence_audit(instances: Iterable[PreferenceProfile]) -> AuditReport:
-    """Check, on every instance and candidate, that three predicates agree:
-    fractional-matching existence, brute-force core membership, and weak
-    proportionality of the committee of all other candidates in the reversed
-    profile.
+    """Check, on every instance and candidate, that independent predicates
+    agree: fractional-matching existence, brute-force core membership (for
+    n <= 12 and m <= 6 only), and weak proportionality of the committee of
+    all other candidates in the reversed profile.
 
     For square instances (n = m) agreement with the Pareto-matching
     criterion is also demanded; for others, criterion-vs-membership
@@ -313,35 +318,27 @@ def equivalence_audit(instances: Iterable[PreferenceProfile]) -> AuditReport:
         members = []
         for c in range(p.m):
             report.checks += 1
-            record = {
-                "profile": serialize_profile(p),
-                "candidate": p.candidate_names[c],
-            }
             try:
-                flow = has_fractional_perfect_matching(build_domination_graph(p, c))
+                verdicts = {"matching": has_fractional_perfect_matching(build_domination_graph(p, c))}
                 if p.n <= 12 and p.m <= 6:
-                    brute = veto_core_member_bruteforce(p, c)
-                else:
-                    brute = veto_core_member(p, c).member
-                committee = frozenset(range(p.m)) - {c}
-                psc = weak_psc_satisfied(rev, committee).satisfied
+                    verdicts["bruteforce"] = veto_core_member_bruteforce(p, c)
+                verdicts["psc"] = weak_psc_satisfied(rev, frozenset(range(p.m)) - {c}).satisfied
             except Exception as exc:  # the audit reports, it does not raise
-                record["error"] = repr(exc)
-                report.discrepancies.append(record)
+                report.discrepancies.append(_record(p, c, error=repr(exc)))
                 continue
+            flow = verdicts["matching"]
             if flow:
                 members.append(c)
-            if not flow == brute == psc:
-                record.update(matching=flow, bruteforce=brute, psc=psc)
-                report.discrepancies.append(record)
+            if len(set(verdicts.values())) > 1:
+                report.discrepancies.append(_record(p, c, **verdicts))
                 continue
             criterion, _ = pareto_matching_criterion(p, c)
             if criterion != flow:
-                record.update(matching=flow, criterion=criterion)
+                found = _record(p, c, matching=flow, criterion=criterion)
                 if p.n == p.m:
-                    report.discrepancies.append(record)
+                    report.discrepancies.append(found)
                 else:
-                    report.expected_pareto_divergences.append(record)
+                    report.expected_pareto_divergences.append(found)
         if not members:
             report.empty_core_instances.append({"profile": serialize_profile(p)})
     return report

@@ -37,7 +37,6 @@ from .profiles import (
     ProfileSizeError,
     all_profiles,
     clone_expand,
-    plurality_scores,
 )
 from .profile_io import (
     MAX_CANDIDATES,
@@ -186,7 +185,7 @@ def _check_domination(p, args):
     name = args.candidate
     q, targets = p, [p.name_index(name)]
     if args.clone_plurality:
-        ce = clone_expand(p, plurality_scores(p))
+        ce = clone_expand(p)
         q, targets = ce.expanded, ce.clones[targets[0]]
         if not targets:
             return VIOLATED, {"candidate": name, "matching": False,

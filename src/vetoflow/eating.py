@@ -105,9 +105,9 @@ class EatingTrace:
 def _batch_key(cfg: EatingConfig, m: int):
     if cfg.tie_break is None:
         return lambda c: c
-    if sorted(cfg.tie_break) != list(range(m)):
-        raise ValueError("tie_break must be a permutation of all candidates")
-    rank = {c: r for r, c in enumerate(cfg.tie_break)}
+    tie_break = PreferenceProfile.check_permutation(
+        cfg.tie_break, m, "tie_break must be a permutation of all candidates")
+    rank = {c: r for r, c in enumerate(tie_break)}
     return lambda c: rank[c]
 
 
@@ -225,7 +225,7 @@ def phragmen_committee(
     This is the sequential committee order; ties inside a batch follow
     ``tie_break``.
     """
-    if not 0 <= k <= p.m:
+    if type(k) is not int or not 0 <= k <= p.m:
         raise ValueError(f"committee size {k} out of range")
     cfg = EatingConfig(
         direction="eat-best",
@@ -279,7 +279,7 @@ def probabilistic_serial(p: PreferenceProfile, k: int | None = None) -> Fraction
     """
     if k is None:
         k = min(p.n, p.m)
-    if not 0 <= k <= p.m:
+    if type(k) is not int or not 0 <= k <= p.m:
         raise ValueError(f"cannot assign {k} candidates out of {p.m}")
     elapsed = Fraction(k, p.n)
     trace = run_eating(p, EatingConfig(direction="eat-best", stop_time=elapsed))

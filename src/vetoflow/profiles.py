@@ -187,6 +187,16 @@ class PreferenceProfile:
         if type(c) is not int or not 0 <= c < self.m:
             raise ValueError(f"candidate {c} is not in 0..{self.m - 1}")
 
+    @staticmethod
+    def check_permutation(order: Iterable[int], size: int, message: str) -> tuple[int, ...]:
+        """``order`` as a tuple if it is a permutation of 0..size-1 made of
+        ints, else a ValueError with ``message``: a voter order or a
+        tie-break.  1.0 and True sort like ints but index nothing."""
+        order = tuple(order)
+        if set(map(type, order)) - {int} or sorted(order) != list(range(size)):
+            raise ValueError(message)
+        return order
+
     def groups_below(self, c: int) -> tuple[VoterGroup, ...]:
         """The ballot types grouped by the candidates they rank weakly below
         c, in order of first type; built for c alone on first use and kept,
@@ -228,53 +238,38 @@ def plurality_scores(p: PreferenceProfile) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CloneExpansion:
-    """A profile rewritten over clones of the original candidates.
+    """The plurality-cloned profile.
 
     ``clones[c]`` lists the expanded indices of candidate c's copies in
-    ranking order; it is empty for a candidate with frequency zero, which
-    is deleted.  ``origin[e]`` maps expanded candidate e back to the
-    original index.
+    ranking order; it is empty for a candidate with plurality score zero,
+    which is deleted.  Clone e comes from the c whose block holds it.
     """
 
     expanded: PreferenceProfile
-    origin: tuple[int, ...]
     clones: tuple[tuple[int, ...], ...]
 
 
-def clone_expand(p: PreferenceProfile, frequency: Sequence[int]) -> CloneExpansion:
-    """Replace each candidate c by ``frequency[c]`` adjacent clones.
+def clone_expand(p: PreferenceProfile) -> CloneExpansion:
+    """Replace each candidate c by as many adjacent clones as its plurality
+    score, n in all.
 
     Each voter ranks the clone block of c exactly where c was, clones in
-    index order within the block.  Candidates with zero frequency disappear
-    from every ranking.  At least one frequency must be positive, and the
-    expanded rankings may hold at most ``MAX_CELLS`` cells.
+    index order within the block.  Candidates with plurality score zero
+    disappear from every ranking.  The expanded rankings may hold at most
+    ``MAX_CELLS`` cells.
     """
-    if len(frequency) != p.m:
-        raise ValueError("frequency vector length must match the candidate count")
-    if any(f < 0 for f in frequency):
-        raise ValueError("frequencies must be nonnegative")
-    if sum(frequency) == 0:
-        raise ValueError("at least one candidate must keep a positive frequency")
-    if p.n * sum(frequency) > MAX_CELLS:
+    if p.n * p.n > MAX_CELLS:
         raise ProfileSizeError(
-            f"cloning {p.n} voters onto {sum(frequency)} clones asks for more than"
+            f"cloning {p.n} voters onto {p.n} clones asks for more than"
             f" {MAX_CELLS} ranking cells")
-
     clones: list[tuple[int, ...]] = []
-    origin: list[int] = []
     names: list[str] = []
-    next_id = 0
-    for c, f in enumerate(frequency):
-        block = tuple(range(next_id, next_id + f))
-        clones.append(block)
-        next_id += f
-        for k in range(f):
-            origin.append(c)
-            names.append(f"{p.candidate_names[c]}#{k + 1}")
-
+    for c, f in enumerate(plurality_scores(p)):
+        clones.append(tuple(range(len(names), len(names) + f)))
+        names += (f"{p.candidate_names[c]}#{k + 1}" for k in range(f))
     expanded = PreferenceProfile(
         tuple((tuple(e for c in r for e in clones[c]), count) for r, count in p.runs), tuple(names))
-    return CloneExpansion(expanded, tuple(origin), tuple(clones))
+    return CloneExpansion(expanded, tuple(clones))
 
 
 def dominated_set(p: PreferenceProfile, c: int, voters: Iterable[int]) -> frozenset[int]:

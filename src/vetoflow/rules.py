@@ -5,7 +5,8 @@ spends them directly: each voter but one takes a unit from their least
 preferred candidate that still holds one.  Matching winners and the
 composite rule run on the plurality-cloned profile, where every candidate
 is replaced by as many clones as their plurality score, so that voter and
-candidate counts agree; the winning clone is mapped back to its origin.
+candidate counts agree; a winning clone elects the candidate whose clone
+block holds it.
 """
 
 from __future__ import annotations
@@ -14,16 +15,13 @@ from typing import Sequence
 
 from .eating import EatingConfig, run_eating
 from .matching import build_domination_graph, has_fractional_perfect_matching
-from .profiles import CloneExpansion, PreferenceProfile, clone_expand, plurality_scores
+from .profiles import PreferenceProfile, clone_expand, plurality_scores
 
 
 def _check_voter_order(p: PreferenceProfile, order: Sequence[int] | None) -> tuple[int, ...]:
     if order is None:
         return tuple(range(p.n))
-    order = tuple(order)
-    if set(map(type, order)) - {int} or sorted(order) != list(range(p.n)):
-        raise ValueError("order must be a permutation of all voters")
-    return order
+    return p.check_permutation(order, p.n, "order must be a permutation of all voters")
 
 
 def plurality_veto(p: PreferenceProfile, order: Sequence[int] | None = None) -> int:
@@ -48,42 +46,31 @@ def plurality_matching_winners(p: PreferenceProfile) -> frozenset[int]:
     clone's edge sets contain every later clone's; extra edges never lower
     a max flow, so the first clone alone decides.
     """
-    ce = clone_expand(p, plurality_scores(p))
+    ce = clone_expand(p)
     return frozenset(
         c for c, block in enumerate(ce.clones)
         if block and has_fractional_perfect_matching(build_domination_graph(ce.expanded, block[0]))
     )
 
 
-def _expanded_tie_break(
-    ce: CloneExpansion, tie_break: Sequence[int] | None
-) -> tuple[int, ...] | None:
-    """Lift a tie-break order over original candidates to the clones."""
-    if tie_break is None:
-        return None
-    tie_break = tuple(tie_break)
-    if set(map(type, tie_break)) - {int} or sorted(tie_break) != list(range(len(ce.clones))):
-        raise ValueError("tie_break must be a permutation of all candidates")
-    return tuple(e for c in tie_break for e in ce.clones[c])
-
-
 def composite_distortion_rule(
     p: PreferenceProfile, tie_break: Sequence[int] | None = None
 ) -> int:
     """Clone by plurality score, consume clones worst-first until one remains,
-    and return that clone's origin.
+    and return the candidate whose clone block holds that clone.  A tie-break
+    over the candidates orders their clone blocks.
 
     Equivalently: the last candidate of the full sequential committee built on
     the reversed cloned profile.
     """
-    ce = clone_expand(p, plurality_scores(p))
-    cfg = EatingConfig(
-        direction="eat-worst",
-        stop_eliminations=ce.expanded.m,
-        tie_break=_expanded_tie_break(ce, tie_break),
-    )
+    ce = clone_expand(p)
+    if tie_break is not None:
+        tie_break = p.check_permutation(
+            tie_break, p.m, "tie_break must be a permutation of all candidates")
+        tie_break = tuple(e for c in tie_break for e in ce.clones[c])
+    cfg = EatingConfig(direction="eat-worst", stop_eliminations=ce.expanded.m, tie_break=tie_break)
     last = run_eating(ce.expanded, cfg).eliminated_order()[-1]
-    return ce.origin[last]
+    return next(c for c, block in enumerate(ce.clones) if last in block)
 
 
 def serial_dictatorship(
@@ -99,7 +86,7 @@ def serial_dictatorship(
     order = _check_voter_order(p, order)
     if k is None:
         k = min(p.n, p.m)
-    if not 0 <= k <= min(p.n, p.m):
+    if type(k) is not int or not 0 <= k <= min(p.n, p.m):
         raise ValueError(f"cannot match {k} pairs with {p.n} voters and {p.m} candidates")
     taken = [False] * p.m
     matching: dict[int, int] = {}

@@ -77,6 +77,10 @@ MUTANTS = (
            "if n + count > MAX_VOTERS:", "if n + count > MAX_VOTERS + 1:",
            ("tests/test_profiles.py::test_a_billion_voters_are_refused_before_any_per_voter_allocation",
             "tests/test_cli.py::test_native_files_are_capped_by_their_ballot_lines")),
+    # the one permutation check behind every voter order and tie-break
+    Mutant("permutation-int", "profiles.py",
+           "if set(map(type, order)) - {int} or sorted(order)", "if sorted(order)",
+           ("tests/test_rules.py::test_orders_refuse_entries_that_are_not_ints",)),
     # solid coalitions in one pass on prefix masks, sized by type counts
     Mutant("solid-weights", "profiles.py",
            "g[2] += count", "g[2] += 1",
@@ -137,6 +141,14 @@ MUTANTS = (
            ("tests/test_eating.py::test_eating_matches_the_per_step_reference",
             "tests/test_eating.py::test_balance_checks_refuse_malformed_matrices",
             "tests/test_type_validators.py::test_integer_balance_check_agrees_with_fractions")),
+    # a trace names each candidate once, as a survivor or in one batch
+    Mutant("trace-twice", "eating.py",
+           "if len(gone) != len(set(gone)):", "if len(gone) < len(set(gone)):",
+           ("tests/test_eating.py::test_trace_validate_catches_tampering",)),
+    Mutant("trace-cover", "eating.py",
+           "if self.survivors | set(gone) != set(range(p.m)):",
+           "if not self.survivors | set(gone) <= set(range(p.m)):",
+           ("tests/test_eating.py::test_trace_validate_catches_tampering",)),
     # probabilistic serial validates its own trace, which must have run to k/n
     Mutant("serial-elapsed", "eating.py",
            "if trace.elapsed != elapsed:", "if trace.elapsed > elapsed:",

@@ -8,7 +8,7 @@ from math import ceil
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vetoflow import axioms
+from vetoflow import axioms, cli
 from vetoflow.axioms import (
     PscViolation,
     equivalence_audit,
@@ -23,7 +23,7 @@ from vetoflow.axioms import (
 from vetoflow.distortion import distortion_of_candidate
 from vetoflow.eating import phragmen_committee, probabilistic_serial, veto_by_consumption_winners
 from vetoflow.matching import CutWitness, build_domination_graph, extract_deficiency_witness
-from vetoflow.profile_io import parse_profile
+from vetoflow.profile_io import parse_profile, serialize_profile
 from vetoflow.profiles import PreferenceProfile, all_profiles, dominated_set, reverse_profile
 from vetoflow.rules import (
     composite_distortion_rule,
@@ -169,6 +169,9 @@ def test_core_bruteforce_rejects_large_instances():
     p = PreferenceProfile.of([tuple(range(7))] * 2)
     with pytest.raises(ValueError):
         veto_core_member_bruteforce(p, 0)
+    for p in (PreferenceProfile.of([tuple(range(6))] * 2), PreferenceProfile.of([(0, 1)] * 11)):
+        with pytest.raises(ValueError, match="brute force limited to n <= 10, m <= 5"):
+            weak_psc_bruteforce(p, [0])
 
 
 def test_core_bruteforce_routes_agree():
@@ -354,6 +357,53 @@ def test_equivalence_audit_exhaustive_two_by_two():
     assert report.ok
     assert report.instances == 4 and report.checks == 8
     assert report.expected_pareto_divergences == []
+
+
+def test_the_audit_reports_each_disagreement_and_exits_1(fix_p, monkeypatch, capsys, tmp_path):
+    path = tmp_path / "fix_p.prof"
+    path.write_text(serialize_profile(fix_p))
+    line = {"profile": serialize_profile(fix_p)}
+
+    def audit(**patches):
+        with monkeypatch.context() as mp:
+            for name, value in patches.items():
+                mp.setattr(axioms, name, value)
+            code = cli.main(["audit", "equivalence", "--profile", str(path)])
+        return code, capsys.readouterr().out.splitlines()
+
+    # no candidate has a matching any more: c2, the core, disagrees with
+    # the brute force and PSC, and the core reads empty
+    code, out = audit(has_fractional_perfect_matching=lambda net: False)
+    assert code == 1 and out == [
+        "instances=1 checks=3",
+        f"DISCREPANCY {dict(line, candidate='c2', matching=False, bruteforce=True, psc=True)}",
+        f"EMPTY-CORE {line}",
+        *(f"expected-divergence {dict(line, candidate=c, matching=False, criterion=True)}"
+          for c in ("c1", "c3")),
+        "status=FAILED"]
+
+    def boom(p, committee):
+        raise RuntimeError("boom")
+
+    code, out = audit(weak_psc_satisfied=boom)
+    assert code == 1 and out[1:4] == [
+        f"DISCREPANCY {dict(line, candidate=c, error=repr(RuntimeError('boom')))}"
+        for c in ("c1", "c2", "c3")]
+    assert out[4] == f"EMPTY-CORE {line}" and out[-1] == "status=FAILED"
+
+
+def test_above_the_brute_force_limits_the_audit_compares_the_flow_with_psc(monkeypatch):
+    # 13 voters: no brute force, and no second run of the flow in its place
+    p = PreferenceProfile.of([(0, 1, 2)] * 7 + [(2, 1, 0)] * 6)
+    with monkeypatch.context() as mp:
+        mp.setattr(axioms, "veto_core_member_bruteforce", None)
+        mp.setattr(axioms, "veto_core_member", None)
+        assert equivalence_audit([p]).ok
+        mp.setattr(axioms, "has_fractional_perfect_matching", lambda net: False)
+        report = equivalence_audit([p])
+    # c2, the core, no longer matches; its record holds no brute-force key
+    assert report.discrepancies == [{"profile": serialize_profile(p), "candidate": "c2",
+                                     "matching": False, "psc": True}]
 
 
 def test_audit_report_serializes():

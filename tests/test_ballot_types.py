@@ -30,7 +30,6 @@ from vetoflow.profiles import (
     VoterGroup,
     all_profiles,
     clone_expand,
-    plurality_scores,
     solid_coalitions,
 )
 from vetoflow.profile_io import gen_impartial_culture, parse_profile
@@ -277,7 +276,7 @@ def test_a_cloned_domination_graph_groups_only_its_candidate():
     # the ballot types below every candidate at once would hold hundreds of
     # MiB here, one candidate's groups well under one
     p = gen_impartial_culture(1000, 5, seed=11)
-    ce = clone_expand(p, plurality_scores(p))
+    ce = clone_expand(p)
     tracemalloc.start()
     try:
         net = build_domination_graph(ce.expanded, ce.clones[0][0])

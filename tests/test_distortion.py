@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vetoflow import cli
 from vetoflow.distortion import (
     INFINITE,
     DistortionResult,
@@ -18,7 +19,7 @@ from vetoflow.distortion import (
     verify_certificate,
 )
 from vetoflow.lp import LinearConstraint, LinearProgram, solve_lp
-from vetoflow.profile_io import DistanceMatrix, gen_impartial_culture
+from vetoflow.profile_io import DistanceMatrix, gen_impartial_culture, serialize_profile
 from vetoflow.profiles import PreferenceProfile
 from tests_support_lp import ListedRows, excess
 from tests_support_oracles import fraction_check, triangle_violations
@@ -191,6 +192,24 @@ def test_candidate_outside_the_profile_is_refused(rankings, c):
     # a negative index would wrap to the last candidate's LP variables
     with pytest.raises(ValueError, match=f"candidate {c} is not in 0.."):
         distortion_of_candidate(PreferenceProfile.of(rankings), c)
+
+
+def test_audit_distortion3_reports_each_winner_above_3_and_exits_1(monkeypatch, capsys):
+    # the stub puts candidate 0 above the bound and every other winner on it
+    calls = []
+
+    def stub(p, c):
+        calls.append((p, c))
+        return DistortionResult(c, F(7, 2) if c == 0 else F(3), None, None, None)
+
+    monkeypatch.setattr(cli, "distortion_of_candidate", stub)
+    code = cli.main(["audit", "distortion3", "--trials", "6", "--nmax", "3", "--mmax", "3"])
+    failed = [(p, c) for p, c in calls if c == 0]
+    assert 0 < len(failed) < len(calls)
+    assert code == 1 and capsys.readouterr().out.splitlines() == [
+        f"checked={len(calls)} failures={len(failed)}",
+        *(f"FAILURE {dict(profile=serialize_profile(p), candidate=p.candidate_names[c], value='7/2')}"
+          for p, c in failed)]
 
 
 def test_single_voter():

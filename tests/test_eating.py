@@ -65,8 +65,9 @@ def test_config_validation():
         EatingConfig(direction="sideways", stop_time=Fraction(1))
     with pytest.raises(ValueError, match="stopping"):
         EatingConfig(stop_time=Fraction(1), stop_eliminations=1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        EatingConfig(stop_time=Fraction(-1))
+    for bound in ({"stop_time": Fraction(-1)}, {"stop_eliminations": -1}):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            EatingConfig(**bound)
 
 
 def test_config_takes_only_exact_bounds(fix_u):
@@ -130,6 +131,8 @@ def test_simultaneous_batch_and_tie_break(fix_s):
     assert trace.events == ((Fraction(1), (1, 0)),)
     with pytest.raises(ValueError, match="permutation"):
         run_eating(fix_s, EatingConfig(stop_eliminations=1, tie_break=(0,)))
+    with pytest.raises(ValueError, match="cannot eliminate more candidates than exist"):
+        run_eating(fix_s, EatingConfig(stop_eliminations=3))
 
 
 def test_trace_validate_catches_tampering(fix_u, fix_p):
@@ -169,6 +172,15 @@ def test_trace_validate_catches_tampering(fix_u, fix_p):
     )
     with pytest.raises(ValueError, match="increasing"):
         bad.validate(fix_u)
+    # fix_u eats candidate 0 up at 1/2 and candidate 1 at 1; the rows still
+    # balance when an event repeats a candidate or one goes missing
+    for events, message in [
+        (((half, (0,)), (Fraction(1), (1, 0))), "candidate eliminated twice"),
+        (((half, (0,)),), "every candidate must be a survivor or eliminated"),
+    ]:
+        bad = EatingTrace(events, trace.consumption, trace.survivors, trace.elapsed)
+        with pytest.raises(ValueError, match=message):
+            bad.validate(fix_u)
 
 
 def test_runs_are_deterministic_and_conservative():
@@ -264,8 +276,9 @@ def test_phragmen_committee(fix_p, fix_u):
     assert phragmen_committee(fix_p, 0) == ()
     full = phragmen_committee(fix_p, 3)
     assert sorted(full) == [0, 1, 2]
-    with pytest.raises(ValueError):
-        phragmen_committee(fix_p, 4)
+    for k in (-1, 4, True, 1.0, 1.5):
+        with pytest.raises(ValueError, match=f"committee size {k} out of range"):
+            phragmen_committee(fix_p, k)
 
 
 def test_phragmen_validates_the_tie_break_for_an_empty_committee(fix_p):
@@ -301,8 +314,9 @@ def test_probabilistic_serial_shares(fix_u, fix_s):
     )
     zero = probabilistic_serial(fix_s, k=0)
     assert all(x == 0 for row in zero.shares for x in row)
-    with pytest.raises(ValueError):
-        probabilistic_serial(fix_s, k=3)
+    for k in (-1, 3, True, 1.0, 1.5, Fraction(1)):
+        with pytest.raises(ValueError, match=f"cannot assign {k} candidates out of 2"):
+            probabilistic_serial(fix_s, k=k)
 
 
 def test_probabilistic_serial_row_and_column_sums():

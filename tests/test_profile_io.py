@@ -96,6 +96,12 @@ def test_parse_errors_carry_line_numbers():
         parse_profile("# only comments\n")
     with pytest.raises(ValueError, match="3 voters"):
         parse_profile("2 3\na b\na>b\nb>a\n")
+    with pytest.raises(ValueError, match="missing candidate name line"):
+        parse_profile("2 2\n")
+    with pytest.raises(ValueError, match="header says 3 candidates, name line has 2, line 2"):
+        parse_profile("3 2\na b\na>b\nb>a\n")
+    with pytest.raises(ValueError, match="ballot ranks 1 of 2 candidates, line 4"):
+        parse_profile("2 2\na b\na>b\nb\n")
 
 
 def test_parse_count_line_errors():

@@ -75,6 +75,9 @@ def test_adjacent_equal_runs_merge():
     assert p.n == 5 and p.ballot_types() == (((0, 1), 4), ((1, 0), 1))
     assert [p.voters_of([t]) for t in (0, 1)] == [[0, 1, 2, 4], [3]]
     assert p.per_voter("xy") == tuple("xxxyx")
+    for values in ("x", "xyz"):
+        with pytest.raises(ValueError, match=f"need one value per ballot type, got {len(values)}"):
+            p.per_voter(values)
 
 
 def test_voters_of_refuses_a_type_index_that_is_no_type():
@@ -126,10 +129,9 @@ def test_plurality_scores_sum_to_n(p):
 
 
 def test_clone_expand_by_plurality(fix_c):
-    ce = clone_expand(fix_c, plurality_scores(fix_c))
+    ce = clone_expand(fix_c)
     assert ce.expanded.m == 3
     assert ce.expanded.candidate_names == ("a#1", "a#2", "b#1")
-    assert ce.origin == (0, 0, 1)
     assert ce.clones == ((0, 1), (2,), ())
     # voter 3 ranked b>a>c, so the expansion is b#1 > a#1 > a#2
     assert ce.expanded.rankings[2] == (2, 0, 1)
@@ -137,23 +139,21 @@ def test_clone_expand_by_plurality(fix_c):
     assert ce.expanded.n == fix_c.n
 
 
-def test_clone_expand_errors(fix_s):
-    with pytest.raises(ValueError):
-        clone_expand(fix_s, (1,))
-    with pytest.raises(ValueError):
-        clone_expand(fix_s, (-1, 2))
-    with pytest.raises(ValueError):
-        clone_expand(fix_s, (0, 0))
-    # two voters over MAX_CELLS // 2 + 1 clones: refused before allocating
-    with pytest.raises(ProfileSizeError, match="ranking cells"):
-        clone_expand(fix_s, (MAX_CELLS // 2, 1))
-
-
-@given(profiles_strategy)
-def test_clone_expand_identity_frequencies(p):
-    ce = clone_expand(p, (1,) * p.m)
-    assert ce.expanded.rankings == p.rankings
-    assert ce.origin == tuple(range(p.m))
+def test_clone_expand_errors():
+    # n voters get n clones, so n * n cells: 3162 * 3162 fit under
+    # MAX_CELLS, 3163 * 3163 do not and are refused before allocating
+    assert 3162 ** 2 <= MAX_CELLS < 3163 ** 2
+    ce = clone_expand(PreferenceProfile((((0, 1), 3162),), ("a", "b")))
+    assert ce.expanded.m == 3162 and ce.clones[1] == ()
+    big = PreferenceProfile((((0, 1), 3163),), ("a", "b"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProfileSizeError, match="cloning 3163 voters onto 3163 clones"):
+            clone_expand(big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_dominated_set(fix_p, fix_t):

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from vetoflow.eating import EatingConfig, phragmen_committee, run_eating
 from vetoflow.matching import FlowNetwork
 from vetoflow.profiles import PreferenceProfile, all_profiles, plurality_scores
 from vetoflow.rules import (
@@ -37,13 +38,19 @@ def test_plurality_veto_rejects_bad_order(fix_t):
 
 def test_orders_refuse_entries_that_are_not_ints(fix_t):
     # sorted([0.0, 1, 2]) == [0, 1, 2], so only the entry types tell these
-    # apart from permutations; a float or bool index would reach the rankings
+    # apart from permutations; a float or bool index would reach the rankings.
+    # fix_t has three voters and three candidates, so each is also a tie-break
     for order in ([0.0, 1, 2], (2, 1.0, 0), [True, 0, 2], [0, 1, Fraction(2)]):
         for rule in (plurality_veto, serial_dictatorship):
             with pytest.raises(ValueError, match="order must be a permutation of all voters"):
                 rule(fix_t, order)
-        with pytest.raises(ValueError, match="tie_break must be a permutation of all candidates"):
-            composite_distortion_rule(fix_t, tie_break=order)
+        for run in (lambda: composite_distortion_rule(fix_t, tie_break=order),
+                    lambda: phragmen_committee(fix_t, 3, order),
+                    lambda: run_eating(fix_t, EatingConfig(
+                        stop_eliminations=1, tie_break=tuple(order)))):
+            with pytest.raises(ValueError,
+                               match="tie_break must be a permutation of all candidates"):
+                run()
 
 
 def test_plurality_matching_winners(fix_t, fix_c, fix_p):
@@ -123,6 +130,9 @@ def test_serial_dictatorship(fix_s, fix_u, fix_t):
     assert serial_dictatorship(fix_t, k=2) == {0: 0, 1: 1}
     assert serial_dictatorship(fix_t, [2, 0, 1]) == {2: 2, 0: 0, 1: 1}
     assert serial_dictatorship(fix_t, k=0) == {}
+    for k in (-1, 4, True, 1.0, 1.5):
+        with pytest.raises(ValueError, match=f"cannot match {k} pairs with 3 voters"):
+            serial_dictatorship(fix_t, k=k)
     assert serial_dictatorship(PreferenceProfile.of([(1, 0)])) == {0: 1}
 
 

@@ -20,7 +20,7 @@ from vetoflow.axioms import veto_power
 from vetoflow.matching import FlowResult, build_domination_graph, has_fractional_perfect_matching
 from vetoflow.profile_io import MAX_VOTERS, DistanceMatrix
 from vetoflow.profiles import (
-    PreferenceProfile, ProfileSizeError, VoterGroup, clone_expand, plurality_scores)
+    PreferenceProfile, ProfileSizeError, VoterGroup, clone_expand)
 
 
 def voter_groups(p: PreferenceProfile, sets: Sequence[frozenset[int]]) -> tuple[VoterGroup, ...]:
@@ -164,24 +164,25 @@ def triangle_violations(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[int,
 def plurality_veto_cloned(p: PreferenceProfile, order: Sequence[int]) -> int:
     """Plurality veto on the plurality-cloned profile: the first n-1 voters
     in ``order`` each strike their least preferred clone still standing,
-    and the origin of the last clone wins."""
-    ce = clone_expand(p, plurality_scores(p))
+    and the candidate whose clone block holds the last clone wins."""
+    ce = clone_expand(p)
     alive = [True] * ce.expanded.m
     for voter in order[: p.n - 1]:
         for e in reversed(ce.expanded.rankings[voter]):
             if alive[e]:
                 alive[e] = False
                 break
-    return ce.origin[alive.index(True)]
+    last = alive.index(True)
+    return next(c for c, block in enumerate(ce.clones) if last in block)
 
 
 def plurality_matching_winners_cloned(p: PreferenceProfile) -> frozenset[int]:
-    """The origins of every clone whose domination graph in the
+    """Every candidate with a clone whose domination graph in the
     plurality-cloned profile admits a fractional perfect matching, one flow
     per clone."""
-    ce = clone_expand(p, plurality_scores(p))
+    ce = clone_expand(p)
     return frozenset(
-        ce.origin[e] for e in range(ce.expanded.m)
+        c for c, block in enumerate(ce.clones) for e in block
         if has_fractional_perfect_matching(build_domination_graph(ce.expanded, e))
     )
 
