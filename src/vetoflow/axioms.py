@@ -20,7 +20,7 @@ cross-multiplied into integer arithmetic, never approximated.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 from .matching import (
@@ -285,14 +285,7 @@ class AuditReport:
         return out
 
     def to_json(self) -> dict:
-        return {
-            "instances": self.instances,
-            "checks": self.checks,
-            "discrepancies": self.discrepancies,
-            "expected_pareto_divergences": self.expected_pareto_divergences,
-            "empty_core_instances": self.empty_core_instances,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def _record(p: PreferenceProfile, c: int, **found) -> dict:

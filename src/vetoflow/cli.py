@@ -155,7 +155,7 @@ def _check_veto_core(p, args):
     if verdict.member:
         return HOLDS, {"candidate": names[c], "member": True, "witness": None}, [
             f"{names[c]}: member"]
-    voters = _voter_names(verdict.witness.voters)
+    voters = _voter_names(p.voters_of(verdict.witness.types))
     blocked_by = sorted(names[b] for b in range(p.m) if b not in verdict.witness.dominated)
     return VIOLATED, {
         "candidate": names[c], "member": False,
@@ -197,7 +197,7 @@ def _check_domination(p, args):
     if witness is None:
         return HOLDS, {"candidate": name, "matching": True}, [
             f"{name}: fractional perfect matching exists"]
-    voters = _voter_names(witness.voters)
+    voters = _voter_names(q.voters_of(witness.types))
     return VIOLATED, {
         "candidate": name, "matching": False,
         "witness": {"voters": voters,

@@ -12,14 +12,14 @@ share one network node carrying their joint supply.  A network's left side
 is ``VoterGroup``s: the checkers take the profile's kept ``groups_below(c)``
 and keep or rewrite each group's candidates as its edge set.  Solving
 a network and reading back its cut or the units each group sent works on
-ballot types; only outputs that are per voter (a witness's voter set, a
-matching) spell the voters out, once, from the profile.
+ballot types; only a matching spells its voters out, from the profile.
 
 The min cut is verdict and witness at once: no ballot type on its source
-side means a matching exists, else the voters N' of those types and their
-jointly dominated candidates D are a Hall witness, |D| < m*|N'|/n.  The
-same Dinic engine, on flat edge arrays, finds at unit capacities the
-one-to-one matchings of the Pareto criterion.
+side means a matching exists, else those types, whose voters N' jointly
+dominate the candidates D, are a Hall witness, |D| < m*|N'|/n.  Every
+deficiency has a per-type form, as the rest of a type's voters keep D
+and grow N'.  The same Dinic engine, on flat edge arrays, finds at unit
+capacities the one-to-one matchings of the Pareto criterion.
 """
 
 from __future__ import annotations
@@ -198,34 +198,34 @@ def has_fractional_perfect_matching(net: FlowNetwork) -> bool:
 
 @dataclass(frozen=True)
 class CutWitness:
-    """A Hall violation: the voters in ``voters`` jointly dominate only
-    ``dominated``, and |dominated| < m * |voters| / n.  For c's domination
-    graph it is also their veto of c, blocking with the candidates outside
-    ``dominated``."""
+    """A Hall violation: the N' voters of ballot types ``types``
+    (``ballot_types()`` indices) jointly dominate only ``dominated``, and
+    |dominated| < m * |N'| / n.  For c's domination graph it is also their
+    veto of c, blocking with the candidates outside ``dominated``."""
 
-    voters: frozenset[int]
+    types: frozenset[int]
     dominated: frozenset[int]
 
     def validate(self, p: PreferenceProfile, c: int) -> None:
-        if not self.voters:
-            raise ValueError("witness voter set is empty")
-        if self.dominated != dominated_set(p, c, self.voters):
+        if not self.types:
+            raise ValueError("witness type set is empty")
+        if self.dominated != dominated_set(p, c, self.types):
             raise ValueError("dominated set does not match the profile")
+        size = sum(p.ballot_types()[t].count for t in self.types)
         # strict inequality, cross-multiplied to stay in integers
-        if len(self.dominated) * p.n >= p.m * len(self.voters):
+        if len(self.dominated) * p.n >= p.m * size:
             raise ValueError("witness does not violate the Hall condition")
 
 
 def extract_deficiency_witness(p: PreferenceProfile, c: int) -> CutWitness | None:
-    """A deficient voter set for candidate c, or None when a matching exists.
-
-    The witness is read off the min cut: the voters of the ballot types
-    still reachable from the source in the residual network.
+    """The Hall witness of candidate c, or None when a matching exists:
+    the min cut, the ballot types the residual network still reaches from
+    the source and the candidates they reach.
     """
     types, dominated = build_domination_graph(p, c).solve()[1].cut()
     if not types:
         return None
-    witness = CutWitness(frozenset(p.voters_of(types)), dominated)
+    witness = CutWitness(types, dominated)
     witness.validate(p, c)
     return witness
 

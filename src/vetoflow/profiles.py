@@ -151,14 +151,18 @@ class PreferenceProfile:
             i = bisect_left(vs, self._starts[k + 1], i)
         return tuple(map(self._ballot_types.__getitem__, sorted(hit)))
 
-    def voters_of(self, types: Iterable[int]) -> list[int]:
-        """The voters of ballot types ``types`` (``ballot_types()`` indices),
-        ascending.  A member that is not an int in 0..T-1, for the T ballot
-        types, is an error."""
+    def check_types(self, types: Iterable[int]) -> frozenset[int]:
+        """``types`` as a set if each is an int in 0..T-1, for the T ballot
+        types; 1.0 and True index nothing, and -1 would name the last."""
         ts = list(types)
         if any(type(t) is not int or not 0 <= t < len(self._ballot_types) for t in ts):
             raise ValueError(f"ballot type index outside 0..{len(self._ballot_types) - 1}")
-        want = set(ts)
+        return frozenset(ts)
+
+    def voters_of(self, types: Iterable[int]) -> list[int]:
+        """The voters of ballot types ``types`` (``ballot_types()`` indices),
+        ascending; ``check_types`` refuses an index that names no type."""
+        want = self.check_types(types)
         runs = zip(self._run_types, self._starts, self._starts[1:])
         return list(itertools.chain.from_iterable(range(a, b) for t, a, b in runs if t in want))
 
@@ -272,10 +276,12 @@ def clone_expand(p: PreferenceProfile) -> CloneExpansion:
     return CloneExpansion(expanded, tuple(clones))
 
 
-def dominated_set(p: PreferenceProfile, c: int, voters: Iterable[int]) -> frozenset[int]:
-    """Candidates that some voter in ``voters`` ranks weakly below c (c included)."""
+def dominated_set(p: PreferenceProfile, c: int, types: Iterable[int]) -> frozenset[int]:
+    """Candidates that some ballot type in ``types`` (``ballot_types()``
+    indices) ranks weakly below c, c included."""
     p.check_candidate(c)
-    return frozenset().union(*(r[r.index(c):] for r, _ in p.ballot_types_of(voters)))
+    rankings = [p.ballot_types()[t].ranking for t in p.check_types(types)]
+    return frozenset().union(*(r[r.index(c):] for r in rankings))
 
 
 class VoterGroup(NamedTuple):

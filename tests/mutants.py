@@ -70,9 +70,17 @@ MUTANTS = (
            ("tests/test_ballot_types.py::test_grouping_matches_a_per_voter_reference",
             "tests/test_profiles.py::test_voter_groups_merge_equal_sets_in_first_appearance_order",
             "tests/test_ballot_types.py::test_merged_flow_matches_the_per_voter_network")),
+    # a PSC violation's supporters are voters; a Hall witness and
+    # voters_of take ballot types, which one check refuses when they name
+    # no type, so -1 cannot wrap to the last one
     Mutant("voter-check", "profiles.py",
            "if set(map(type, vs)) <= {int} else [-1]", "",
            ("tests/test_type_validators.py::test_witness_validators_refuse_non_voters",)),
+    Mutant("type-index", "profiles.py",
+           "not 0 <= t < len(self._ballot_types)", "not t < len(self._ballot_types)",
+           ("tests/test_profiles.py::test_voters_of_refuses_a_type_index_that_is_no_type",
+            "tests/test_type_validators.py::test_witness_validators_refuse_non_voters",
+            "tests/test_matching.py::test_cut_witness_validation")),
     Mutant("voter-bound", "profiles.py",
            "if n + count > MAX_VOTERS:", "if n + count > MAX_VOTERS + 1:",
            ("tests/test_profiles.py::test_a_billion_voters_are_refused_before_any_per_voter_allocation",
@@ -98,18 +106,25 @@ MUTANTS = (
            ("tests/test_ballot_types.py::test_merged_flow_matches_the_per_voter_network",
             "tests/test_matching.py::test_witness_extraction_on_random_profiles")),
     # the Hall witness, the veto core's only witness check: a strict
-    # violation, and exactly the dominated set of its voters
+    # violation on the voters its types count, and exactly the dominated
+    # set of its types
     Mutant("cut-hall", "matching.py",
-           "len(self.dominated) * p.n >= p.m * len(self.voters)",
-           "len(self.dominated) * p.n > p.m * len(self.voters)",
+           "len(self.dominated) * p.n >= p.m * size",
+           "len(self.dominated) * p.n > p.m * size",
            ("tests/test_matching.py::test_cut_witness_validation",
             "tests/test_axioms.py::test_witness_validation_rejects_tampering",
             "tests/test_type_validators.py::test_per_type_validators_agree_with_per_voter_references")),
     Mutant("cut-dominated", "matching.py",
-           "if self.dominated != dominated_set(p, c, self.voters):",
-           "if not self.dominated <= dominated_set(p, c, self.voters):",
+           "if self.dominated != dominated_set(p, c, self.types):",
+           "if not self.dominated <= dominated_set(p, c, self.types):",
            ("tests/test_matching.py::test_cut_witness_validation",
             "tests/test_axioms.py::test_witness_validation_rejects_tampering",
+            "tests/test_type_validators.py::test_per_type_validators_agree_with_per_voter_references")),
+    Mutant("cut-weights", "matching.py",
+           "size = sum(p.ballot_types()[t].count for t in self.types)",
+           "size = len(self.types)",
+           ("tests/test_matching.py::test_cut_witness_validation",
+            "tests/test_type_validators.py::test_forged_witnesses_are_refused",
             "tests/test_type_validators.py::test_per_type_validators_agree_with_per_voter_references")),
     # PSC's prescan over solid_coalitions: voters, not types, clear the
     # threshold, and the witness names the least uncommitted candidate

@@ -66,35 +66,40 @@ def test_veto_witnesses_on_fix_p(fix_p):
     # the candidates outside the dominated set block c
     v = veto_core_member(fix_p, 0)
     assert not v.member
-    assert v.witness.voters == frozenset({2, 3})
+    assert fix_p.voters_of(v.witness.types) == [2, 3]
     assert v.witness.dominated == frozenset({0})
     v = veto_core_member(fix_p, 2)
-    assert v.witness.voters == frozenset({0, 1})
+    assert fix_p.voters_of(v.witness.types) == [0, 1]
     assert v.witness.dominated == frozenset({2})
     assert veto_core_member(fix_p, 1).member
 
 
 def test_veto_witness_on_fix_t(fix_t):
     v = veto_core_member(fix_t, 2)
-    assert v.witness.voters == frozenset({0, 1})
+    assert fix_t.voters_of(v.witness.types) == [0, 1]
     assert v.witness.dominated == frozenset({2})
     v.witness.validate(fix_t, 2)
 
 
 def test_witness_validation_rejects_tampering(fix_t):
+    # fix_t's ballot type t is voter t
     w = veto_core_member(fix_t, 2).witness
     with pytest.raises(ValueError, match="empty"):
-        replace(w, voters=frozenset()).validate(fix_t, 2)
-    # voter 2 ranks c first, so with them the voters dominate everything
+        replace(w, types=frozenset()).validate(fix_t, 2)
+    # type 2 ranks c first, so with it the types dominate everything
     with pytest.raises(ValueError, match="does not match"):
-        replace(w, voters=w.voters | {2}).validate(fix_t, 2)
+        replace(w, types=w.types | {2}).validate(fix_t, 2)
     with pytest.raises(ValueError, match="does not match"):
         replace(w, dominated=w.dominated | {0}).validate(fix_t, 2)
     with pytest.raises(ValueError, match="does not match"):
         replace(w, dominated=frozenset()).validate(fix_t, 2)
-    # voter 0 alone dominates only c, but 1 * 3 is not below 3 * 1
+    # type 0 alone dominates only c, but 1 * 3 is not below 3 * 1
     with pytest.raises(ValueError, match="Hall"):
-        replace(w, voters=frozenset({0})).validate(fix_t, 2)
+        replace(w, types=frozenset({0})).validate(fix_t, 2)
+    # indices that name no type, and a bool, which would index type 1
+    for bad in ({-1}, {3}, {0, 3}, {True}, {0, True}):
+        with pytest.raises(ValueError, match=r"ballot type index outside 0\.\.2"):
+            replace(w, types=frozenset(bad)).validate(fix_t, 2)
 
 
 def test_single_voter_core_is_the_top_choice():

@@ -21,7 +21,6 @@ from vetoflow.matching import (
     Dinic,
     FlowNetwork,
     build_domination_graph,
-    has_fractional_perfect_matching,
     max_bipartite_matching,
 )
 from vetoflow.profiles import (
@@ -59,9 +58,10 @@ def test_ballot_types_in_first_appearance_order(fix_p):
 
 
 def test_verdicts_allocate_nothing_per_voter():
-    # MAX_VOTERS voters in four runs: construction, the eating rules, every
-    # core network and a PSC check work on the ballot types alone, far below
-    # the memory of one index per voter
+    # MAX_VOTERS voters in four runs: construction, the eating rules, the
+    # core with every candidate's verdict and validated Hall witness, and a
+    # PSC check work on the ballot types alone, far below the memory of one
+    # index per voter
     runs = (((0, 1, 2, 3), 400_000), ((3, 2, 1, 0), 300_000),
             ((1, 3, 0, 2), 200_000), ((2, 0, 3, 1), 100_000))
     tracemalloc.start()
@@ -69,15 +69,19 @@ def test_verdicts_allocate_nothing_per_voter():
         p = PreferenceProfile(runs, ("a", "b", "c", "d"))
         winners = veto_by_consumption_winners(p)
         committee = phragmen_committee(p, 2)
-        core = [c for c in range(p.m)
-                if has_fractional_perfect_matching(build_domination_graph(p, c))]
+        core = veto_core(p)
+        witnesses = [veto_core_member(p, c).witness for c in range(p.m)]
+        for c, w in enumerate(witnesses):
+            if w is not None:
+                w.validate(p, c)
         satisfied = weak_psc_satisfied(p, committee).satisfied
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert p.n == MAX_VOTERS
-    assert (winners, committee, core, satisfied) == ({1}, (0, 1), [1], True)
+    assert (winners, committee, core, satisfied) == ({1}, (0, 1), {1}, True)
     assert peak < 1 << 20
+    assert [w and w.types for w in witnesses] == [{1}, None, {0, 2}, {0}]
 
 
 def test_a_core_whose_non_members_solid_coalitions_veto_allocates_nothing_per_voter():
@@ -459,7 +463,7 @@ def flow_outputs(p: PreferenceProfile):
         w = v.witness
         # the candidates outside the dominated set, which block c
         blocked = None if w is None else sorted(set(range(p.m)) - w.dominated)
-        yield repr((c, v.member, None if w is None else (sorted(w.voters), blocked)))
+        yield repr((c, v.member, None if w is None else (p.voters_of(w.types), blocked)))
         yield repr(fractional_matching_rows(p, c))
     for k in range(1, p.m):
         for committee in itertools.combinations(range(p.m), k):
@@ -513,7 +517,7 @@ def test_duplicating_and_shuffling_ballots_changes_nothing(p, k, rnd):
         a, b = veto_core_member(p, c), veto_core_member(q, c)
         assert a.member == b.member
         if a.witness is not None:
-            assert b.witness.voters == lift(a.witness.voters)
+            assert frozenset(q.voters_of(b.witness.types)) == lift(p.voters_of(a.witness.types))
             assert b.witness.dominated == a.witness.dominated
 
     assert veto_by_consumption_winners(q) == veto_by_consumption_winners(p)

@@ -104,6 +104,27 @@ def test_veto_core_member_and_witness(prof, capsys):
     assert out == "c1: vetoed\n  by voters v3,v4 ranking c2,c3 above it\n"
 
 
+# the runs of the MAX_VOTERS core profile in the ballot-type tests, divided
+# by 100 000: no solid coalition vetoes c, so only a flow finds its witness,
+# types 0 and 2, which the CLI spells out as voters
+FLOW_VETO = ("# ALTERNATIVE NAME 1: a\n# ALTERNATIVE NAME 2: b\n"
+             "# ALTERNATIVE NAME 3: c\n# ALTERNATIVE NAME 4: d\n"
+             "4: 1,2,3,4\n3: 4,3,2,1\n2: 2,4,1,3\n1: 3,1,4,2\n")
+
+
+def test_veto_core_prints_the_voters_of_a_flow_witness(prof, capsys):
+    p = parse_profile(FLOW_VETO)
+    assert not any((p.m - len(g.candidates)) * p.n < p.m * g.size and 2 not in g.candidates
+                   for g in profiles.solid_coalitions(p))
+    argv = ["check", "--check", "veto-core", "--profile", prof(FLOW_VETO), "--candidate", "c"]
+    code, out, _ = run(capsys, argv)
+    assert code == 1
+    assert out == "c: vetoed\n  by voters v1,v2,v3,v4,v8,v9 ranking a,b above it\n"
+    assert run_json(capsys, argv) == (1, {
+        "check": "veto-core", "candidate": "c", "member": False,
+        "witness": {"voters": ["v1", "v2", "v3", "v4", "v8", "v9"], "blocked_by": ["a", "b"]}})
+
+
 def test_check_usage_errors(prof, capsys):
     code, _, err = run(capsys, ["check", "--check", "veto-core", "--profile", prof(T)])
     assert code == 3 and "--candidate is required" in err

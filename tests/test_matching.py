@@ -94,7 +94,7 @@ def test_fix_t_worst_candidate_has_no_matching(fix_t):
     assert fractional_matching_rows(fix_t, 2) is None
     w = extract_deficiency_witness(fix_t, 2)
     assert w is not None
-    assert frozenset({0, 1}) <= w.voters
+    assert {0, 1} <= set(fix_t.voters_of(w.types))
     assert w.dominated == frozenset({2})
     w.validate(fix_t, 2)
 
@@ -109,26 +109,33 @@ def test_single_candidate_always_matches():
 
 
 def test_cut_witness_validation(fix_t):
+    # fix_t's ballot type t is voter t
     with pytest.raises(ValueError, match="empty"):
         CutWitness(frozenset(), frozenset()).validate(fix_t, 2)
     with pytest.raises(ValueError, match="dominated"):
         CutWitness(frozenset({0, 1}), frozenset({1, 2})).validate(fix_t, 2)
     with pytest.raises(ValueError, match="Hall"):
-        # voter 2 ranks c on top, so this cut dominates everything
+        # type 2 ranks c on top, so this cut dominates everything
         CutWitness(frozenset({2}), dominated_set(fix_t, 2, [2])).validate(fix_t, 2)
     # the veto core's only witness check, so each clause alone must refuse:
-    # voter 0 dominates only c, and 1 * 3 = 3 * 1 is no strict violation
+    # type 0 dominates only c, and 1 * 3 = 3 * 1 is no strict violation
     with pytest.raises(ValueError, match="Hall"):
         CutWitness(frozenset({0}), frozenset({2})).validate(fix_t, 2)
-    # voters 0-3 rank 3 below 2 and dominate {2, 3}: 2 * 6 < 4 * 4 holds,
-    # so each strict part of that set passes the Hall test and must fail
-    # the dominated-set test
+    # type 0, voters 0-3, ranks 3 below 2 and dominates {2, 3}: 2 * 6 < 4 * 4
+    # holds on its four voters, not on its one type, so each strict part of
+    # that set passes the Hall test and must fail the dominated-set test
     p = PreferenceProfile.of([(0, 1, 2, 3)] * 4 + [(3, 2, 1, 0)] * 2)
-    w = CutWitness(frozenset({0, 1, 2, 3}), frozenset({2, 3}))
+    w = CutWitness(frozenset({0}), frozenset({2, 3}))
     w.validate(p, 2)
     for part in ({2}, {3}, set()):
         with pytest.raises(ValueError, match="dominated set does not match"):
-            CutWitness(w.voters, frozenset(part)).validate(p, 2)
+            CutWitness(w.types, frozenset(part)).validate(p, 2)
+    # an added type, an index that names no type, and a bool
+    with pytest.raises(ValueError, match="dominated set does not match"):
+        CutWitness(w.types | {1}, w.dominated).validate(p, 2)
+    for bad in ({-1}, {2}, {0, 2}, {True}, {0, 1.0}):
+        with pytest.raises(ValueError, match=r"ballot type index outside 0\.\.1"):
+            CutWitness(frozenset(bad), w.dominated).validate(p, 2)
 
 
 def test_hall_bruteforce_agrees_on_fixtures(fix_p, fix_t):

@@ -81,11 +81,15 @@ def test_adjacent_equal_runs_merge():
 
 
 def test_voters_of_refuses_a_type_index_that_is_no_type():
+    # one check serves every caller that takes ballot type indices; -1
+    # would name the last type
     p = PreferenceProfile.of([(0, 1), (1, 0), (0, 1)])
     assert p.voters_of([1, 0]) == [0, 1, 2] and p.voters_of([]) == []
+    assert p.check_types((1, 0, 1)) == {0, 1} and dominated_set(p, 1, [1]) == {1, 0}
     for bad in (2, 5, -1, True, 0.0, "0"):
-        with pytest.raises(ValueError, match=r"ballot type index outside 0\.\.1"):
-            p.voters_of([0, bad])
+        for check in (p.voters_of, p.check_types, lambda ts: dominated_set(p, 1, ts)):
+            with pytest.raises(ValueError, match=r"ballot type index outside 0\.\.1"):
+                check([0, bad])
 
 
 def test_of_defaults_names():
@@ -157,9 +161,10 @@ def test_clone_expand_errors():
 
 
 def test_dominated_set(fix_p, fix_t):
-    # c2 for voter v1 (c1>c2>c3): weakly below c2 is {c2, c3}
+    # c2 for type 0, voters v1 and v2 (c1>c2>c3): weakly below c2 is {c2, c3}
     assert dominated_set(fix_p, 1, [0]) == frozenset({1, 2})
-    assert dominated_set(fix_p, 1, [0, 2]) == frozenset({0, 1, 2})
+    assert dominated_set(fix_p, 1, [0, 1]) == frozenset({0, 1, 2})
+    assert dominated_set(fix_p, 1, []) == frozenset()
     assert dominated_set(fix_t, 2, [0, 1]) == frozenset({2})
 
 

@@ -1,7 +1,8 @@
 """The witness validators and the eating trace's balance check work per
-ballot type.  Each is compared here with a per-voter reference on voter sets
-that take whole ballot types or split them, and forged witnesses must still
-be refused."""
+ballot type.  Each is compared here with a per-voter reference: a Hall
+witness on sets of ballot types spelled out voter by voter, a PSC violation
+on voter sets that take whole ballot types or split them.  Forged witnesses
+must still be refused."""
 
 import math
 import random
@@ -25,15 +26,23 @@ def dominated_set_per_voter(p, c, voters):
     return frozenset(out)
 
 
+def voters_per_ranking(p, types):
+    """The voters who cast the ranking of a type in ``types``, found voter
+    by voter on the rankings."""
+    cast = {p.ballot_types()[t].ranking for t in types}
+    return frozenset(i for i, r in enumerate(p.rankings) if r in cast)
+
+
 def cut_witness_refusal(p, w, c):
     """The reason a voter-by-voter check refuses w, or None if it holds."""
-    if not w.voters:
+    if not w.types:
         return "empty"
-    if any(type(i) is not int or not 0 <= i < p.n for i in w.voters):
+    if any(type(t) is not int or not 0 <= t < len(p.ballot_types()) for t in w.types):
         return "outside"
-    if w.dominated != dominated_set_per_voter(p, c, w.voters):
+    voters = voters_per_ranking(p, w.types)
+    if w.dominated != dominated_set_per_voter(p, c, voters):
         return "does not match"
-    if len(w.dominated) >= Fraction(p.m * len(w.voters), p.n):
+    if len(w.dominated) >= Fraction(p.m * len(voters), p.n):
         return "Hall"
     return None
 
@@ -71,6 +80,16 @@ def repeated_profile(rng):
     return PreferenceProfile.of([rng.choice(ballots) for _ in range(n)])
 
 
+def type_sets(p, rng):
+    """Random sets of ballot types, each type alone, and all of them."""
+    everything = range(len(p.ballot_types()))
+    for _ in range(4):
+        yield frozenset(t for t in everything if rng.random() < rng.random())
+    for t in everything:
+        yield frozenset({t})
+    yield frozenset(everything)
+
+
 def voter_sets(p, rng):
     """Random voter sets, and for each ballot type its whole voter set and a
     part of it that splits the type."""
@@ -90,33 +109,37 @@ def test_per_type_validators_agree_with_per_voter_references():
     rng = random.Random(8080)
     held = {"cut": 0, "psc": 0}
     refused = {"cut": set(), "psc": set()}
-    refused_split = set()  # cut refusals on voter sets that split a type
-    split = boundary = smaller = 0
+    refused_split = set()  # PSC refusals on voter sets that split a type
+    split = boundary = smaller = weighted = 0
     for _ in range(250):
         p = repeated_profile(rng)
-        for voters in voter_sets(p, rng):
-            splits = any(0 < len(voters.intersection(p.voters_of([t]))) < count
-                         for t, (_, count) in enumerate(p.ballot_types()))
-            split += splits
+        for types in type_sets(p, rng):
+            voters = voters_per_ranking(p, types)
             for c in range(p.m):
                 dominated = dominated_set_per_voter(p, c, voters)
-                assert dominated_set(p, c, voters) == dominated
-                bad = rng.choice((-1, p.n, 0.5))
+                assert dominated_set(p, c, types) == dominated
+                bad = rng.choice((-1, len(p.ballot_types()), 0.5, True))
                 # the true set, a part of it and a random set, each claimed by
-                # the voters and by the voters plus one who is no voter
+                # the types and by the types plus an index that may be no type
                 for claimed in (dominated, subsets(rng, dominated), subsets(rng, range(p.m))):
-                    for w in (CutWitness(voters, claimed), CutWitness(voters | {bad}, claimed)):
+                    for w in (CutWitness(types, claimed), CutWitness(types | {bad}, claimed)):
                         expect = cut_witness_refusal(p, w, c)
                         got = refusal(lambda: w.validate(p, c))
                         assert (got is None) == (expect is None), (p.rankings, w, c, got)
                         if expect is not None:
                             assert expect in got, (p.rankings, w, c, got)
                             refused["cut"].add(expect)
-                            if splits:
-                                refused_split.add(expect)
                         held["cut"] += expect is None
                         boundary += len(claimed) * p.n == p.m * len(voters) and claimed == dominated
                         smaller += claimed < dominated
+                        # counting types instead of voters would flip the Hall test
+                        weighted += claimed == dominated and (
+                            (len(claimed) * p.n < p.m * len(voters))
+                            != (len(claimed) * p.n < p.m * len(types)))
+        for voters in voter_sets(p, rng):
+            splits = any(0 < len(voters.intersection(p.voters_of([t]))) < count
+                         for t, (_, count) in enumerate(p.ballot_types()))
+            split += splits
             committee = subsets(rng, range(p.m))
             for x in set(range(p.m)) - committee:
                 union = frozenset().union(
@@ -130,37 +153,42 @@ def test_per_type_validators_agree_with_per_voter_references():
                     if expect is not None:
                         assert expect in got, (p.rankings, v, committee, k, got)
                         refused["psc"].add(expect)
+                        if splits:
+                            refused_split.add(expect)
                     held["psc"] += expect is None
-    # every outcome of both validators occurs, on many sets that split a
-    # type; the cut check meets its Hall boundary and strict parts of the
-    # dominated set, both of which it must refuse
+    # every outcome of both validators occurs, PSC's on many sets that split
+    # a type; the cut check meets its Hall boundary, strict parts of the
+    # dominated set, both of which it must refuse, and types whose sizes
+    # decide the Hall test
     assert held["cut"] > 100 and held["psc"] > 100
     assert refused["cut"] >= {"empty", "outside", "does not match", "Hall"}
-    assert refused_split >= {"outside", "does not match", "Hall"}
     assert refused["psc"] >= {"empty", "union", "Droop"}
-    assert split > 500 and boundary > 500 and smaller > 5000
+    assert refused_split >= {"union", "Droop"}
+    assert split > 500 and boundary > 500 and smaller > 5000 and weighted > 1000
 
 
 def test_forged_witnesses_are_refused(fix_t):
+    # fix_t's ballot type t is voter t
     c = 2
     w = veto_core_member(fix_t, c).witness
     w.validate(fix_t, c)
-    # voter 2 ranks c first, so with them the voters dominate everything
+    # type 2 ranks c first, so with it the types dominate everything
     with pytest.raises(ValueError, match="dominated set does not match"):
-        replace(w, voters=w.voters | {2}).validate(fix_t, c)
-    for voters in ({-1}, {fix_t.n}, w.voters | {fix_t.n}):
+        replace(w, types=w.types | {2}).validate(fix_t, c)
+    for types in ({-1}, {3}, w.types | {3}, {True}):
         with pytest.raises(ValueError, match="outside"):
-            replace(w, voters=frozenset(voters)).validate(fix_t, c)
+            replace(w, types=frozenset(types)).validate(fix_t, c)
         with pytest.raises(ValueError, match="outside"):
-            dominated_set(fix_t, c, voters)
+            dominated_set(fix_t, c, types)
 
-    # a type split in two: voters 0-3 cast one ballot, 4-5 another
+    # two types of different sizes: voters 0-3 cast one ballot, 4-5 another
     p = PreferenceProfile.of([(0, 1, 2, 3)] * 4 + [(3, 2, 1, 0)] * 2)
-    # three of six voters dominate one of four candidates: 1 * 6 < 4 * 3
-    w = CutWitness(frozenset({1, 2, 3}), frozenset({3}))
+    # four of six voters dominate one of four candidates: 1 * 6 < 4 * 4,
+    # though one type of two would not be: 1 * 6 >= 4 * 1
+    w = CutWitness(frozenset({0}), frozenset({3}))
     w.validate(p, 3)
     with pytest.raises(ValueError, match="dominated set does not match"):
-        replace(w, voters=w.voters | {4}).validate(p, 3)
+        replace(w, types=w.types | {1}).validate(p, 3)
 
     rev = reverse_profile(p)  # voters 0-3 now rank 3 first, 4-5 rank 0 first
     committee = frozenset({0})
@@ -180,21 +208,24 @@ def test_forged_witnesses_are_refused(fix_t):
 
 def test_witness_validators_refuse_non_voters():
     # voters 0-3 cast one ballot, 4-5 the reverse; each witness holds as
-    # given, and one extra member that is no voter must make it fail
+    # given, and one extra member that is no type, or no voter, must make
+    # it fail
     p = PreferenceProfile.of([(0, 1, 2, 3)] * 4 + [(3, 2, 1, 0)] * 2)
     rev = reverse_profile(p)
     cut = extract_deficiency_witness(p, 3)
     psc = PscViolation(frozenset({3}), frozenset({0, 1, 2, 3}), 3)
+    assert cut.types == {0}
     cut.validate(p, 3)
     psc.validate(rev, frozenset({0}))
-    for bad in (0.5, "1", -1, p.n):
-        outside = "voter index outside 0..5"
+    for bad in (0.5, "1", -1, 2, True):
+        outside = r"ballot type index outside 0\.\.1"
         with pytest.raises(ValueError, match=outside):
-            CutWitness(cut.voters | {bad}, cut.dominated).validate(p, 3)
-        with pytest.raises(ValueError, match=outside):
-            PscViolation(psc.prefix_set, psc.supporters | {bad}, 3).validate(rev, frozenset({0}))
+            CutWitness(cut.types | {bad}, cut.dominated).validate(p, 3)
         with pytest.raises(ValueError, match=outside):
             dominated_set(p, 3, {0, bad})
+    for bad in (0.5, "1", -1, p.n):
+        with pytest.raises(ValueError, match="voter index outside 0..5"):
+            PscViolation(psc.prefix_set, psc.supporters | {bad}, 3).validate(rev, frozenset({0}))
 
 
 def fraction_trace_refusal(p, trace):
