@@ -178,11 +178,24 @@ MUTANTS = (
     Mutant("shape-sign", "eating.py",
            "min(row, default=0) < 0", "sum(row) < 0",
            ("tests/test_eating.py::test_balance_checks_refuse_malformed_matrices",)),
-    # PSC: one flow per uncommitted candidate once the prescan finds nothing
+    # PSC above the scan's bound: one flow per uncommitted candidate once the
+    # prescan finds nothing, which must read the scan's cut
     Mutant("psc-flow", "axioms.py",
-           "left_supply=k + 1, right_cap=p.n", "left_supply=k, right_cap=p.n",
-           ("tests/test_axioms.py::test_psc_bruteforce_agrees_on_random_committees",
-            "tests/test_ballot_types.py::test_flow_outputs_match_the_pinned_digest")),
+           "left_supply=len(W) + 1, right_cap=p.n", "left_supply=len(W), right_cap=p.n",
+           ("tests/test_axioms.py::test_the_psc_scan_gives_the_flows_cuts_and_verdicts_on_every_committee",
+            "tests/test_ballot_types.py::test_psc_and_pareto_networks_match_a_per_type_build")),
+    # PSC up to the bound, by subset sums: every bit of the zeta transform,
+    # the least maximizer, and a strictly positive maximum
+    Mutant("psc-scan-bit", "axioms.py",
+           "for b in range(p.m):", "for b in range(1, p.m):",
+           ("tests/test_axioms.py::test_the_psc_scan_gives_the_flows_cuts_and_verdicts_on_every_committee",)),
+    Mutant("psc-scan-min", "axioms.py",
+           "least = reduce(and_, (s", "least = max((s",
+           ("tests/test_axioms.py::test_the_psc_scan_gives_the_flows_cuts_and_verdicts_on_every_committee",)),
+    Mutant("psc-scan-threshold", "axioms.py",
+           "if best <= 0:", "if best < 0:",
+           ("tests/test_axioms.py::test_the_psc_scan_gives_the_flows_cuts_and_verdicts_on_every_committee",
+            "tests/test_axioms.py::test_psc_bruteforce_agrees_on_random_committees")),
     # the groups a profile keeps per candidate, which every flow network
     # reads: each ballot type under its own candidates weakly below c, and
     # each candidate's groups its own
@@ -273,7 +286,7 @@ def main(names: list[str]) -> int:
         verdicts = []
         for m in chosen:
             verdicts.append(run(m, root))
-            print(f"{m.name:14} {m.module:14} {verdicts[-1]}", flush=True)
+            print(f"{m.name:18} {m.module:14} {verdicts[-1]}", flush=True)
     killed = sum(v.startswith("killed") for v in verdicts)
     print(f"{killed} of {len(chosen)} mutants killed")
     return 0 if killed == len(chosen) else 1

@@ -22,7 +22,12 @@ from vetoflow.axioms import (
 )
 from vetoflow.distortion import distortion_of_candidate
 from vetoflow.eating import phragmen_committee, probabilistic_serial, veto_by_consumption_winners
-from vetoflow.matching import CutWitness, build_domination_graph, extract_deficiency_witness
+from vetoflow.matching import (
+    CutWitness,
+    FlowNetwork,
+    build_domination_graph,
+    extract_deficiency_witness,
+)
 from vetoflow.profile_io import parse_profile, serialize_profile
 from vetoflow.profiles import PreferenceProfile, all_profiles, dominated_set, reverse_profile
 from vetoflow.rules import (
@@ -31,7 +36,7 @@ from vetoflow.rules import (
     plurality_veto,
     serial_dictatorship,
 )
-from tests_support_oracles import pareto_optimal_bruteforce, veto_core_member_pairs
+from tests_support_oracles import pareto_optimal_bruteforce, veto_core_member_pairs, voter_groups
 from tests_support_random import (
     profiles_strategy,
     random_profile,
@@ -289,6 +294,90 @@ def test_psc_verdict_carries_validated_witnesses():
             verdict = weak_psc_satisfied(p, committee)
             if not verdict.satisfied:
                 verdict.violation.validate(p, committee)
+
+
+def profiles_of_m(m: int, count: int, seed: int, nmax: int = 40) -> list[PreferenceProfile]:
+    """``count`` profiles over m candidates with up to ``nmax`` voters: half
+    cast random ballots, half draw from at most four distinct ones."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        ballots = [tuple(rng.sample(range(m), m)) for _ in range(rng.randint(1, 4) if i % 2 else 40)]
+        out.append(PreferenceProfile.of([rng.choice(ballots) for _ in range(rng.randint(1, nmax))]))
+    return out
+
+
+def scan_and_flow_cuts(p: PreferenceProfile, sets: list[frozenset[int]], x: int, supply: int):
+    """The cut ``_hall_scan`` reads when each voter of ballot type t supplies
+    ``supply`` units to ``sets[t]`` and each candidate absorbs n, and the
+    cut of that flow, built per type."""
+    masks = [sum(1 << c for c in cs) for cs in sets]
+    net = FlowNetwork(p.m, voter_groups(p, sets), supply, p.n)
+    return axioms._hall_scan(p, masks, x, supply, p.n), net.solve()[1].cut()
+
+
+def test_the_psc_scan_gives_the_flows_cuts_and_verdicts_on_every_committee():
+    # both routes on every network and every committee, after no prescan:
+    # the same minimal min cut for each candidate x and committee size k,
+    # and so the same verdict, witness included
+    violated = 0
+    for m in range(1, axioms.PSC_SCAN_MAX_M + 1):
+        for p in profiles_of_m(m, 20 if m < 6 else 6, seed=36 + m):
+            for x in range(m):
+                prefixes = [frozenset(r[: r.index(x) + 1]) for r, _ in p.ballot_types()]
+                for k in range(m):
+                    scan, flow = scan_and_flow_cuts(p, prefixes, x, k + 1)
+                    assert scan == flow, (p.rankings, x, k)
+            for k in range(m):
+                for committee in map(frozenset, itertools.combinations(range(m), k)):
+                    scan = axioms._psc_by_cuts(p, committee, scan=True)
+                    assert scan == axioms._psc_by_cuts(p, committee, scan=False), (p.rankings, committee)
+                    violated += not scan.satisfied
+    assert violated > 1000
+
+
+def test_psc_decides_by_the_scan_up_to_its_bound_and_by_flows_above(monkeypatch):
+    scans = []
+    hall_scan = axioms._hall_scan
+    monkeypatch.setattr(axioms, "_hall_scan", lambda *args: scans.append(args) or hall_scan(*args))
+    bound = axioms.PSC_SCAN_MAX_M
+    rng = random.Random(3636)
+    for m in (bound, bound + 1):
+        scanned = 0
+        for p in profiles_of_m(m, 12, seed=m):
+            committee = frozenset(rng.sample(range(m), rng.randint(0, m - 1)))
+            scans.clear()
+            verdict = weak_psc_satisfied(p, committee)
+            scanned += len(scans)
+            # the other route gives the same verdict
+            with monkeypatch.context() as mp:
+                mp.setattr(axioms, "PSC_SCAN_MAX_M", m - 1 if m == bound else m)
+                assert weak_psc_satisfied(p, committee) == verdict, (p.rankings, committee)
+        assert bool(scanned) == (m == bound)
+    # at tiny sizes, with the bound moved, both sides of it meet brute force
+    for bound in (1, 2, 3, 4):
+        monkeypatch.setattr(axioms, "PSC_SCAN_MAX_M", bound)
+        for m in (bound, bound + 1):
+            for p in profiles_of_m(m, 30, seed=10 * bound + m, nmax=10):
+                committee = frozenset(rng.sample(range(m), rng.randint(0, m - 1)))
+                fast = weak_psc_satisfied(p, committee).satisfied
+                assert fast == weak_psc_bruteforce(p, committee), (p.rankings, committee)
+
+
+def test_core_witnesses_are_the_subset_sum_scans_at_any_electorate_size():
+    # the scan over the below-c sets, with supply m and capacity n, reads
+    # the same Hall witness as the flow, far past the brute force's n <= 12
+    vetoed = 0
+    for m in range(1, 8):
+        for p in profiles_of_m(m, 40, seed=360 + m):
+            for c in range(m):
+                below = [frozenset(r[r.index(c):]) for r, _ in p.ballot_types()]
+                (types, dominated), flow = scan_and_flow_cuts(p, below, c, m)
+                assert (types, dominated) == flow
+                expect = CutWitness(types, dominated) if types else None
+                assert veto_core_member(p, c).witness == expect, (p.rankings, c)
+                vetoed += expect is not None
+    assert vetoed > 500
 
 
 def test_pareto_matching_criterion_fixtures(fix_p, fix_t):

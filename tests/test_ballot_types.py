@@ -10,6 +10,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from vetoflow import axioms
 from vetoflow.axioms import (
     pareto_matching_criterion,
     veto_core,
@@ -262,7 +263,7 @@ def test_psc_and_pareto_networks_match_a_per_type_build(monkeypatch):
                                   len(committee) + 1, p.n)
                       for x in range(p.m) if x not in committee]
             built.clear()
-            verdict = weak_psc_satisfied(p, committee)
+            verdict = axioms._psc_by_cuts(p, committee, scan=False)
             # the flows run in candidate order and stop at the first violation
             assert built == expect[:len(built)], (p.rankings, committee)
             assert verdict.violation is not None or built == expect
@@ -306,7 +307,8 @@ def psc_prescan_reference(p: PreferenceProfile, committee: frozenset[int]):
 class NoFlowViolation:
     """A stand-in for the PSC flow networks that reports every voter
     served, with no voter on the min cut's source side, so a verdict shows
-    the solid-coalition scan alone."""
+    the solid-coalition scan alone.  The tests stub the subset-sum scan
+    with the same empty cut."""
 
     def __init__(self, num_right, groups, left_supply, right_cap):
         self.value = sum(g.size for g in groups) * left_supply
@@ -327,6 +329,7 @@ def test_psc_prescan_matches_a_full_solid_coalition_scan(monkeypatch):
             expect = psc_prescan_reference(p, committee)
             full_verdict = weak_psc_satisfied(p, committee)
             monkeypatch.setattr("vetoflow.axioms.FlowNetwork", NoFlowViolation)
+            monkeypatch.setattr("vetoflow.axioms._hall_scan", lambda *args: (frozenset(), frozenset()))
             viol = weak_psc_satisfied(p, committee).violation
             monkeypatch.undo()
             got = None if viol is None else (viol.supporters, viol.alternative)
