@@ -9,11 +9,11 @@ fast checker, and one witness serves both: a Hall witness (N', D) is the
 veto of N' with everything outside D as the blocking set.  The core itself
 first asks the solid coalitions: voters who share a top set T veto
 everything outside T once T is large enough for their number, and only
-the candidates no such coalition vetoes go to a flow.  Weak PSC scans the
-same coalitions first, then reads each uncommitted candidate's minimal
-min cut by a subset-sum scan over candidate sets up to m =
-``PSC_SCAN_MAX_M``, and by a flow above it.  The brute-force checkers
-here evaluate the quantifiers directly and keep the fast paths honest.
+the candidates no such coalition vetoes go to a min cut.  Weak PSC scans
+the same coalitions first, then reads each uncommitted candidate's
+minimal min cut; ``FlowNetwork.cut`` reads both kinds.  The brute-force
+checkers here evaluate the quantifiers directly and keep the fast paths
+honest.
 
 All threshold comparisons are exact; the strict inequalities are
 cross-multiplied into integer arithmetic, never approximated.
@@ -23,9 +23,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import reduce
-from itertools import accumulate
-from operator import and_, or_
 from typing import Iterable
 
 from .matching import (
@@ -64,7 +61,7 @@ def veto_core_member(p: PreferenceProfile, c: int) -> VetoVerdict:
     matching.  A Hall deficiency is the veto itself: the deficient voters
     N' rank every candidate outside their dominated set D above c, and
     |D| n < m |N'| is |D| <= v(N'), so that blocking set is large enough.
-    The verdict carries the flow's validated ``CutWitness``, or None.
+    The verdict carries the min cut's validated ``CutWitness``, or None.
     """
     return VetoVerdict(extract_deficiency_witness(p, c))
 
@@ -77,10 +74,11 @@ def veto_core(p: PreferenceProfile) -> frozenset[int]:
     with T as the blocking set they veto every candidate outside T once
     |T| >= m - v(N').  As m - |T| is an integer, that is m - |T| <
     m |N'| / n, or (m - |T|) n < m |N'| cross-multiplied.  A candidate the
-    scan marks is vetoed and needs no flow; the flow of
+    scan marks is vetoed and needs no cut; the min cut of
     ``veto_core_member`` decides each other candidate, so the set is the
-    one a flow per candidate gives.  Where the scan marks nothing, it
-    costs one ``solid_coalitions`` pass.
+    one a cut per candidate gives.  The scan stays: its one
+    ``solid_coalitions`` pass costs less on IC 3000x5 elections than the
+    ``groups_below`` of the candidates it decides.
     """
     m, n = p.m, p.n
     everyone = frozenset(range(m))
@@ -173,11 +171,6 @@ def _committee(p: PreferenceProfile, committee: Iterable[int]) -> frozenset[int]
     return frozenset(times)
 
 
-# Weak PSC reads its cuts by the subset-sum scan up to this many candidates
-# and by max flow above it: the scan grows with 2^m, the flow with the types.
-PSC_SCAN_MAX_M = 7
-
-
 def weak_psc_satisfied(p: PreferenceProfile, committee: Iterable[int]) -> PscVerdict:
     """Does the committee give every large-enough group one of its claimed
     candidates?
@@ -191,9 +184,9 @@ def weak_psc_satisfied(p: PreferenceProfile, committee: Iterable[int]) -> PscVer
     whose top |T| candidates are T rank every x in T within their top |T|,
     so with an uncommitted x in T and |N'| (k+1) > |T| n they violate with
     C' inside T.  The first such coalition, with its least uncommitted
-    candidate, is the witness.  Otherwise each uncommitted x, ascending,
-    gets its cut from ``_hall_scan`` while m <= ``PSC_SCAN_MAX_M``, and
-    from a max flow above that.
+    candidate, is the witness: the scan stays because it chooses which
+    violation is reported.  Otherwise each uncommitted x, ascending, gets
+    its network's ``FlowNetwork.cut``.
     """
     W = _committee(p, committee)
     k = len(W)
@@ -205,58 +198,24 @@ def weak_psc_satisfied(p: PreferenceProfile, committee: Iterable[int]) -> PscVer
             rankings = [p.ballot_types()[t].ranking for t in g.types]
             union = frozenset().union(*(r[: r.index(x) + 1] for r in rankings))
             return _violation(p, W, union, g.types, x)
-    return _psc_by_cuts(p, W, p.m <= PSC_SCAN_MAX_M)
+    return _psc_by_cuts(p, W)
 
 
-def _psc_by_cuts(p: PreferenceProfile, W: frozenset[int], scan: bool) -> PscVerdict:
+def _psc_by_cuts(p: PreferenceProfile, W: frozenset[int]) -> PscVerdict:
     """The violation of the first uncommitted x, ascending, whose minimal
-    min cut is not empty, read by ``_hall_scan`` if ``scan``, else by flow."""
-    types = p.ballot_types()
-    tops = [list(accumulate((1 << c for c in r), or_)) for r, _ in types] if scan else []
+    min cut is not empty."""
     everyone = frozenset(range(p.m))
     for x in range(p.m):
         if x in W:
             continue
-        if scan:
-            prefixes = [top[r.index(x)] for top, (r, _) in zip(tops, types)]
-            cut, union = _hall_scan(p, prefixes, x, len(W) + 1, p.n)
-        else:
-            # the weak prefix down to x is x and all not below it
-            groups = tuple(g._replace(candidates=everyone - g.candidates | {x})
-                           for g in p.groups_below(x))
-            net = FlowNetwork(p.m, groups, left_supply=len(W) + 1, right_cap=p.n)
-            cut, union = net.solve()[1].cut()
+        # the weak prefix down to x is x and all not below it
+        groups = tuple(g._replace(candidates=everyone - g.candidates | {x})
+                       for g in p.groups_below(x))
+        net = FlowNetwork(p.m, groups, left_supply=len(W) + 1, right_cap=p.n)
+        cut, union = net.cut()
         if cut:
             return _violation(p, W, union, cut, x)
     return PscVerdict(None)
-
-
-def _hall_scan(p: PreferenceProfile, masks: list[int], x: int, supply: int,
-               cap: int) -> tuple[frozenset[int], frozenset[int]]:
-    """``FlowResult.cut`` of the flow in which each voter of type t supplies
-    ``supply`` to ``masks[t]``, an int mask holding x, and each candidate
-    absorbs ``cap``, by one subset-sum pass.  With f(C) the voters whose
-    mask lies inside C, its right half is the least C that holds x and
-    maximizes supply f(C) - cap |C| when that maximum is positive, and
-    empty otherwise.  The objective is supermodular, so its maximizers
-    are closed under intersection: the least is their intersection."""
-    size = 1 << p.m
-    f = [0] * size
-    for mask, (_, count) in zip(masks, p.ballot_types()):
-        f[mask] += count
-    # zeta transform: f[s] becomes the sum over the masks inside s
-    for b in range(p.m):
-        bit = 1 << b
-        for s in range(size):
-            if s & bit:
-                f[s] += f[s ^ bit]
-    gains = {s: supply * f[s] - cap * s.bit_count() for s in range(size) if s >> x & 1}
-    best = max(gains.values())
-    if best <= 0:
-        return frozenset(), frozenset()
-    least = reduce(and_, (s for s, gain in gains.items() if gain == best))
-    return (frozenset(t for t, mask in enumerate(masks) if mask | least == least),
-            frozenset(c for c in range(p.m) if least >> c & 1))
 
 
 def _violation(p: PreferenceProfile, W: frozenset[int], prefix_set: frozenset[int],
@@ -350,9 +309,9 @@ def equivalence_audit(instances: Iterable[PreferenceProfile]) -> AuditReport:
     """Check, on every instance and candidate, that independent predicates
     agree: fractional-matching existence, brute-force core membership (for
     n <= 12 and m <= 6 only), and weak proportionality of the committee of
-    all other candidates in the reversed profile.  Up to m =
-    ``PSC_SCAN_MAX_M`` the subset-sum scan decides that weak PSC, so the
-    core's flow meets a second algorithm at every n.
+    all other candidates in the reversed profile.  That weak PSC reads c's
+    domination graph by ``FlowNetwork.cut``, by subset sums up to m =
+    ``SCAN_MAX_RIGHT``, so the flow meets a second algorithm at every n.
 
     For square instances (n = m) agreement with the Pareto-matching
     criterion is also demanded; for others, criterion-vs-membership

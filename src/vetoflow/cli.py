@@ -191,7 +191,7 @@ def _check_domination(p, args):
             return VIOLATED, {"candidate": name, "matching": False,
                               "note": "no clones (plurality zero)"}, [
                 f"{name}: no clones (plurality score 0), no matching"]
-    # the first clone's edge sets contain every later clone's, so one flow
+    # the first clone's edge sets contain every later clone's, so one cut
     # on it decides for all of them
     witness = extract_deficiency_witness(q, targets[0])
     if witness is None:

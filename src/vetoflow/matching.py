@@ -18,14 +18,17 @@ The min cut is verdict and witness at once: no ballot type on its source
 side means a matching exists, else those types, whose voters N' jointly
 dominate the candidates D, are a Hall witness, |D| < m*|N'|/n.  Every
 deficiency has a per-type form, as the rest of a type's voters keep D
-and grow N'.  The same Dinic engine, on flat edge arrays, finds at unit
-capacities the one-to-one matchings of the Pareto criterion.
+and grow N'.  ``FlowNetwork.cut`` reads that cut for every checker, by
+subset sums on small networks and by Dinic on flat edge arrays above;
+the same Dinic finds the Pareto criterion's one-to-one matchings.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .profiles import PreferenceProfile, VoterGroup, dominated_set
 
@@ -131,6 +134,11 @@ class FlowResult:
         return sent
 
 
+# ``FlowNetwork.cut`` scans up to this many right nodes and runs the flow
+# above: the scan grows with 2^num_right, the flow with the groups.
+SCAN_MAX_RIGHT = 7
+
+
 @dataclass(frozen=True)
 class FlowNetwork:
     """The scaled bipartite network: left nodes given as ``groups`` of nodes
@@ -179,6 +187,35 @@ class FlowNetwork:
         value = dinic.max_flow(source, sink)
         return value, FlowResult(dinic, self)
 
+    def cut(self) -> tuple[frozenset[int], frozenset[int]]:
+        """``FlowResult.cut``, with no flow up to ``SCAN_MAX_RIGHT`` right
+        nodes.  With f(C) the left nodes whose edges lie inside C, the cut
+        is empty unless left_supply f(C) - right_cap |C| has a positive
+        maximum; then its right half is the least maximizer C, and its
+        types are those of the groups inside C.  The objective is
+        supermodular, so its maximizers are closed under intersection."""
+        if self.num_right > SCAN_MAX_RIGHT:
+            return self.solve()[1].cut()
+        masks = [sum(1 << c for c in g.candidates) for g in self.groups]
+        size = 1 << self.num_right
+        f = [0] * size
+        for mask, g in zip(masks, self.groups):
+            f[mask] += g.size
+        # zeta transform: f[s] becomes the sum over the masks inside s
+        for b in range(self.num_right):
+            bit = 1 << b
+            for s in range(size):
+                if s & bit:
+                    f[s] += f[s ^ bit]
+        gains = [self.left_supply * f[s] - self.right_cap * s.bit_count() for s in range(size)]
+        best = max(gains)
+        if best <= 0:
+            return frozenset(), frozenset()
+        least = reduce(and_, (s for s, gain in enumerate(gains) if gain == best))
+        inside = [g for g, mask in zip(self.groups, masks) if mask | least == least]
+        return (frozenset().union(*(g.types for g in inside)),
+                frozenset().union(*(g.candidates for g in inside)))
+
 
 def build_domination_graph(p: PreferenceProfile, c: int) -> FlowNetwork:
     """The domination graph of candidate c as its scaled flow network: voter
@@ -192,7 +229,8 @@ def build_domination_graph(p: PreferenceProfile, c: int) -> FlowNetwork:
 def has_fractional_perfect_matching(net: FlowNetwork) -> bool:
     """True iff the network saturates every left node's supply.  On a
     domination graph: weight 1 per voter can be spread over dominated
-    candidates with every candidate receiving exactly n/m."""
+    candidates with every candidate receiving exactly n/m.  Always by flow:
+    the audit meets it with weak PSC's ``FlowNetwork.cut`` of this network."""
     return not net.solve()[1].cut()[0]
 
 
@@ -219,10 +257,10 @@ class CutWitness:
 
 def extract_deficiency_witness(p: PreferenceProfile, c: int) -> CutWitness | None:
     """The Hall witness of candidate c, or None when a matching exists:
-    the min cut, the ballot types the residual network still reaches from
-    the source and the candidates they reach.
+    the minimal min cut of c's domination graph, the ballot types on its
+    source side and the candidates they dominate.
     """
-    types, dominated = build_domination_graph(p, c).solve()[1].cut()
+    types, dominated = build_domination_graph(p, c).cut()
     if not types:
         return None
     witness = CutWitness(types, dominated)

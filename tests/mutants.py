@@ -178,24 +178,33 @@ MUTANTS = (
     Mutant("shape-sign", "eating.py",
            "min(row, default=0) < 0", "sum(row) < 0",
            ("tests/test_eating.py::test_balance_checks_refuse_malformed_matrices",)),
-    # PSC above the scan's bound: one flow per uncommitted candidate once the
-    # prescan finds nothing, which must read the scan's cut
+    # PSC's networks: each voter supplies k + 1 to its weak prefix, read by
+    # the scan and by the flow alike
     Mutant("psc-flow", "axioms.py",
            "left_supply=len(W) + 1, right_cap=p.n", "left_supply=len(W), right_cap=p.n",
            ("tests/test_axioms.py::test_the_psc_scan_gives_the_flows_cuts_and_verdicts_on_every_committee",
             "tests/test_ballot_types.py::test_psc_and_pareto_networks_match_a_per_type_build")),
-    # PSC up to the bound, by subset sums: every bit of the zeta transform,
-    # the least maximizer, and a strictly positive maximum
-    Mutant("psc-scan-bit", "axioms.py",
-           "for b in range(p.m):", "for b in range(1, p.m):",
-           ("tests/test_axioms.py::test_the_psc_scan_gives_the_flows_cuts_and_verdicts_on_every_committee",)),
-    Mutant("psc-scan-min", "axioms.py",
+    # FlowNetwork.cut by subset sums up to its bound: every bit of the zeta
+    # transform, the least maximizer, and a strictly positive maximum, which
+    # only a network of zero supply, with a group of no edges, can tell
+    Mutant("psc-scan-bit", "matching.py",
+           "for b in range(self.num_right):", "for b in range(1, self.num_right):",
+           ("tests/test_matching.py::test_the_subset_sum_cut_is_the_flows_minimal_min_cut",
+            "tests/test_axioms.py::test_the_psc_scan_gives_the_flows_cuts_and_verdicts_on_every_committee",
+            "tests/test_axioms.py::test_core_witnesses_are_the_subset_sum_scans_at_any_electorate_size")),
+    Mutant("psc-scan-min", "matching.py",
            "least = reduce(and_, (s", "least = max((s",
-           ("tests/test_axioms.py::test_the_psc_scan_gives_the_flows_cuts_and_verdicts_on_every_committee",)),
-    Mutant("psc-scan-threshold", "axioms.py",
+           ("tests/test_matching.py::test_the_subset_sum_cut_is_the_flows_minimal_min_cut",
+            "tests/test_axioms.py::test_the_psc_scan_gives_the_flows_cuts_and_verdicts_on_every_committee",
+            "tests/test_axioms.py::test_core_witnesses_are_the_subset_sum_scans_at_any_electorate_size")),
+    Mutant("psc-scan-threshold", "matching.py",
            "if best <= 0:", "if best < 0:",
-           ("tests/test_axioms.py::test_the_psc_scan_gives_the_flows_cuts_and_verdicts_on_every_committee",
-            "tests/test_axioms.py::test_psc_bruteforce_agrees_on_random_committees")),
+           ("tests/test_matching.py::test_the_subset_sum_cut_is_the_flows_minimal_min_cut",)),
+    # the scan serves up to and including its bound, the flow above it
+    Mutant("cut-bound", "matching.py",
+           "if self.num_right > SCAN_MAX_RIGHT:", "if self.num_right >= SCAN_MAX_RIGHT:",
+           ("tests/test_axioms.py::"
+            "test_the_core_and_psc_decide_by_the_scan_up_to_its_bound_and_by_flows_above",)),
     # the groups a profile keeps per candidate, which every flow network
     # reads: each ballot type under its own candidates weakly below c, and
     # each candidate's groups its own

@@ -8,7 +8,7 @@ from math import ceil
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vetoflow import axioms, cli
+from vetoflow import axioms, cli, matching
 from vetoflow.axioms import (
     PscViolation,
     equivalence_audit,
@@ -128,9 +128,9 @@ def test_core_bruteforce_agrees_on_random_profiles():
 
 
 def assert_core_by_flow(p: PreferenceProfile, monkeypatch) -> tuple[int, int]:
-    """``veto_core`` is the set a flow admits candidate by candidate, and
-    brute force agrees where it can run.  Returns how many non-members the
-    solid-coalition scan decided and how many a flow decided."""
+    """``veto_core`` is the set a min cut admits candidate by candidate,
+    and brute force agrees where it can run.  Returns how many non-members
+    the solid-coalition scan decided and how many a min cut decided."""
     by_flow = frozenset(c for c in range(p.m) if veto_core_member(p, c).member)
     if p.n <= 12 and p.m <= 6:
         assert by_flow == frozenset(c for c in range(p.m) if veto_core_member_bruteforce(p, c))
@@ -307,61 +307,68 @@ def profiles_of_m(m: int, count: int, seed: int, nmax: int = 40) -> list[Prefere
     return out
 
 
-def scan_and_flow_cuts(p: PreferenceProfile, sets: list[frozenset[int]], x: int, supply: int):
-    """The cut ``_hall_scan`` reads when each voter of ballot type t supplies
-    ``supply`` units to ``sets[t]`` and each candidate absorbs n, and the
-    cut of that flow, built per type."""
-    masks = [sum(1 << c for c in cs) for cs in sets]
+def scan_and_flow_cuts(p: PreferenceProfile, sets: list[frozenset[int]], supply: int):
+    """The cut ``FlowNetwork.cut`` reads when each voter of ballot type t
+    supplies ``supply`` units to ``sets[t]`` and each candidate absorbs n,
+    and the cut Dinic leaves on that network, built per type."""
     net = FlowNetwork(p.m, voter_groups(p, sets), supply, p.n)
-    return axioms._hall_scan(p, masks, x, supply, p.n), net.solve()[1].cut()
+    return net.cut(), net.solve()[1].cut()
 
 
-def test_the_psc_scan_gives_the_flows_cuts_and_verdicts_on_every_committee():
+def test_the_psc_scan_gives_the_flows_cuts_and_verdicts_on_every_committee(monkeypatch):
     # both routes on every network and every committee, after no prescan:
     # the same minimal min cut for each candidate x and committee size k,
     # and so the same verdict, witness included
     violated = 0
-    for m in range(1, axioms.PSC_SCAN_MAX_M + 1):
+    for m in range(1, matching.SCAN_MAX_RIGHT + 1):
         for p in profiles_of_m(m, 20 if m < 6 else 6, seed=36 + m):
             for x in range(m):
                 prefixes = [frozenset(r[: r.index(x) + 1]) for r, _ in p.ballot_types()]
                 for k in range(m):
-                    scan, flow = scan_and_flow_cuts(p, prefixes, x, k + 1)
+                    scan, flow = scan_and_flow_cuts(p, prefixes, k + 1)
                     assert scan == flow, (p.rankings, x, k)
-            for k in range(m):
-                for committee in map(frozenset, itertools.combinations(range(m), k)):
-                    scan = axioms._psc_by_cuts(p, committee, scan=True)
-                    assert scan == axioms._psc_by_cuts(p, committee, scan=False), (p.rankings, committee)
-                    violated += not scan.satisfied
+            committees = [frozenset(W) for k in range(m) for W in itertools.combinations(range(m), k)]
+            scans = [axioms._psc_by_cuts(p, W) for W in committees]
+            with monkeypatch.context() as mp:
+                mp.setattr(matching, "SCAN_MAX_RIGHT", 0)
+                assert [axioms._psc_by_cuts(p, W) for W in committees] == scans, p.rankings
+            violated += sum(not verdict.satisfied for verdict in scans)
     assert violated > 1000
 
 
-def test_psc_decides_by_the_scan_up_to_its_bound_and_by_flows_above(monkeypatch):
-    scans = []
-    hall_scan = axioms._hall_scan
-    monkeypatch.setattr(axioms, "_hall_scan", lambda *args: scans.append(args) or hall_scan(*args))
-    bound = axioms.PSC_SCAN_MAX_M
+def test_the_core_and_psc_decide_by_the_scan_up_to_its_bound_and_by_flows_above(monkeypatch):
+    solved = []
+    solve = FlowNetwork.solve
+    monkeypatch.setattr(FlowNetwork, "solve", lambda net: solved.append(net) or solve(net))
+    bound = matching.SCAN_MAX_RIGHT
     rng = random.Random(3636)
     for m in (bound, bound + 1):
-        scanned = 0
+        core_flows = psc_flows = 0
         for p in profiles_of_m(m, 12, seed=m):
             committee = frozenset(rng.sample(range(m), rng.randint(0, m - 1)))
-            scans.clear()
+            solved.clear()
+            core = [veto_core_member(p, c) for c in range(m)]
+            core_flows += len(solved)
+            solved.clear()
             verdict = weak_psc_satisfied(p, committee)
-            scanned += len(scans)
-            # the other route gives the same verdict
+            psc_flows += len(solved)
+            # the other route gives the same verdicts
             with monkeypatch.context() as mp:
-                mp.setattr(axioms, "PSC_SCAN_MAX_M", m - 1 if m == bound else m)
+                mp.setattr(matching, "SCAN_MAX_RIGHT", m - 1 if m == bound else m)
+                assert [veto_core_member(p, c) for c in range(m)] == core, p.rankings
                 assert weak_psc_satisfied(p, committee) == verdict, (p.rankings, committee)
-        assert bool(scanned) == (m == bound)
+        assert bool(core_flows) == bool(psc_flows) == (m > bound)
     # at tiny sizes, with the bound moved, both sides of it meet brute force
     for bound in (1, 2, 3, 4):
-        monkeypatch.setattr(axioms, "PSC_SCAN_MAX_M", bound)
+        monkeypatch.setattr(matching, "SCAN_MAX_RIGHT", bound)
         for m in (bound, bound + 1):
             for p in profiles_of_m(m, 30, seed=10 * bound + m, nmax=10):
                 committee = frozenset(rng.sample(range(m), rng.randint(0, m - 1)))
                 fast = weak_psc_satisfied(p, committee).satisfied
                 assert fast == weak_psc_bruteforce(p, committee), (p.rankings, committee)
+                for c in range(m):
+                    fast = veto_core_member(p, c).member
+                    assert fast == veto_core_member_bruteforce(p, c), (p.rankings, c)
 
 
 def test_core_witnesses_are_the_subset_sum_scans_at_any_electorate_size():
@@ -372,7 +379,7 @@ def test_core_witnesses_are_the_subset_sum_scans_at_any_electorate_size():
         for p in profiles_of_m(m, 40, seed=360 + m):
             for c in range(m):
                 below = [frozenset(r[r.index(c):]) for r, _ in p.ballot_types()]
-                (types, dominated), flow = scan_and_flow_cuts(p, below, c, m)
+                (types, dominated), flow = scan_and_flow_cuts(p, below, m)
                 assert (types, dominated) == flow
                 expect = CutWitness(types, dominated) if types else None
                 assert veto_core_member(p, c).witness == expect, (p.rankings, c)
@@ -498,6 +505,21 @@ def test_above_the_brute_force_limits_the_audit_compares_the_flow_with_psc(monke
     # c2, the core, no longer matches; its record holds no brute-force key
     assert report.discrepancies == [{"profile": serialize_profile(p), "candidate": "c2",
                                      "matching": False, "psc": True}]
+
+
+def test_the_audit_solves_each_domination_graph_by_flow_up_to_the_scan_bound(monkeypatch):
+    # the matching column runs Dinic once per candidate, and weak PSC reads
+    # the same network by the scan, so the audit sets the two against
+    # each other; the Pareto criterion's unit-capacity flows are not counted
+    solved = []
+    solve = FlowNetwork.solve
+    monkeypatch.setattr(FlowNetwork, "solve", lambda net: solved.append(net) or solve(net))
+    for m in range(2, matching.SCAN_MAX_RIGHT + 1):
+        for p in profiles_of_m(m, 4, seed=370 + m):
+            solved.clear()
+            assert equivalence_audit([p]).ok, p.rankings
+            hall = [net for net in solved if (net.left_supply, net.right_cap) == (p.m, p.n)]
+            assert hall == [build_domination_graph(p, c) for c in range(m)], p.rankings
 
 
 def test_audit_report_serializes():

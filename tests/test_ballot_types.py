@@ -86,8 +86,8 @@ def test_verdicts_allocate_nothing_per_voter():
 
 
 def test_a_core_whose_non_members_solid_coalitions_veto_allocates_nothing_per_voter():
-    # the 900 000 voters of top set {0} veto 1, 2 and 3, so the core runs
-    # one flow, for 0, and spells out no witness's voters
+    # the 900 000 voters of top set {0} veto 1, 2 and 3, so the core reads
+    # one min cut, for 0, and spells out no witness's voters
     runs = (((0, 1, 2, 3), 300_000), ((0, 1, 3, 2), 300_000),
             ((0, 2, 3, 1), 300_000), ((1, 2, 3, 0), 100_000))
     tracemalloc.start()
@@ -263,8 +263,8 @@ def test_psc_and_pareto_networks_match_a_per_type_build(monkeypatch):
                                   len(committee) + 1, p.n)
                       for x in range(p.m) if x not in committee]
             built.clear()
-            verdict = axioms._psc_by_cuts(p, committee, scan=False)
-            # the flows run in candidate order and stop at the first violation
+            verdict = axioms._psc_by_cuts(p, committee)
+            # the networks are read in candidate order, up to the first violation
             assert built == expect[:len(built)], (p.rankings, committee)
             assert verdict.violation is not None or built == expect
             flows += len(built)
@@ -305,16 +305,11 @@ def psc_prescan_reference(p: PreferenceProfile, committee: frozenset[int]):
 
 
 class NoFlowViolation:
-    """A stand-in for the PSC flow networks that reports every voter
-    served, with no voter on the min cut's source side, so a verdict shows
-    the solid-coalition scan alone.  The tests stub the subset-sum scan
-    with the same empty cut."""
+    """A stand-in for the PSC networks whose min cut is empty, by scan or
+    by flow, so a verdict shows the solid-coalition scan alone."""
 
     def __init__(self, num_right, groups, left_supply, right_cap):
-        self.value = sum(g.size for g in groups) * left_supply
-
-    def solve(self):
-        return self.value, self
+        pass
 
     def cut(self):
         return frozenset(), frozenset()
@@ -329,7 +324,6 @@ def test_psc_prescan_matches_a_full_solid_coalition_scan(monkeypatch):
             expect = psc_prescan_reference(p, committee)
             full_verdict = weak_psc_satisfied(p, committee)
             monkeypatch.setattr("vetoflow.axioms.FlowNetwork", NoFlowViolation)
-            monkeypatch.setattr("vetoflow.axioms._hall_scan", lambda *args: (frozenset(), frozenset()))
             viol = weak_psc_satisfied(p, committee).violation
             monkeypatch.undo()
             got = None if viol is None else (viol.supporters, viol.alternative)

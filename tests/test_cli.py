@@ -249,11 +249,11 @@ def test_distortion_size_cap(prof, capsys):
     assert code == 4 and "12 LP variables, cap is 5" in err
 
 
-def test_clone_plurality_check_solves_one_flow(prof, capsys, monkeypatch):
+def test_clone_plurality_check_reads_one_cut(prof, capsys, monkeypatch):
     # c2 has two clones and neither admits a matching; the first decides
     calls = []
-    solve = FlowNetwork.solve
-    monkeypatch.setattr(FlowNetwork, "solve", lambda net: calls.append(net) or solve(net))
+    cut = FlowNetwork.cut
+    monkeypatch.setattr(FlowNetwork, "cut", lambda net: calls.append(net) or cut(net))
     code, out, _ = run(capsys, [
         "check", "--check", "domination", "--profile", prof("3: 1,2,3\n2: 2,1,3\n"),
         "--candidate", "c2", "--clone-plurality",

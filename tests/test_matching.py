@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from vetoflow import matching
 from vetoflow.matching import (
     CutWitness,
     Dinic,
@@ -12,7 +13,7 @@ from vetoflow.matching import (
     has_fractional_perfect_matching,
     max_bipartite_matching,
 )
-from vetoflow.profiles import PreferenceProfile, dominated_set
+from vetoflow.profiles import PreferenceProfile, VoterGroup, dominated_set
 from tests_support_oracles import fractional_matching_rows, hall_check_bruteforce, voter_groups
 from tests_support_random import distinct_ballots, random_profiles
 
@@ -213,6 +214,33 @@ def test_flow_network_follows_long_augmenting_paths():
     assert sent[3000] == {0: 1}
     assert sent[0] == {1: 1}
     assert sent[1:3000] == [{i + 1: 1} for i in range(1, 3000)]
+
+
+def random_network(rng: random.Random) -> FlowNetwork:
+    """A network of up to ``SCAN_MAX_RIGHT`` right nodes, some of which no
+    group reaches; edge sets may be empty or shared, and supplies and
+    capacities may be 0."""
+    num_right = rng.randint(0, matching.SCAN_MAX_RIGHT)
+    reached = rng.sample(range(num_right), rng.randint(0, num_right))
+    groups, types = [], 0
+    for _ in range(rng.randint(0, 8)):
+        size = rng.randint(1, 4)
+        edges = frozenset(rng.sample(reached, rng.randint(0, len(reached))))
+        groups.append(VoterGroup(edges, tuple(range(types, types + size)), size))
+        types += size
+    return FlowNetwork(num_right, tuple(groups), rng.choice((0, 1, 1, 2, 3, 5)),
+                       rng.choice((0, 1, 2, 3, 4, 7)))
+
+
+def test_the_subset_sum_cut_is_the_flows_minimal_min_cut():
+    rng = random.Random(3737)
+    cuts = 0
+    for _ in range(4000):
+        net = random_network(rng)
+        cut = net.cut()
+        assert cut == net.solve()[1].cut(), net
+        cuts += bool(cut[0])
+    assert 1000 < cuts < 3000
 
 
 def test_max_bipartite_matching_splits_shared_rows_by_index():

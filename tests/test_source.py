@@ -112,6 +112,21 @@ def test_every_import_in_a_module_is_used():
     assert found == []
 
 
+def test_only_the_matching_module_reads_a_cut_off_a_flow():
+    # ``FlowNetwork.cut`` chooses between the subset-sum scan and Dinic; a
+    # module that reads ``.solve()[1].cut()`` itself would bypass that choice
+    found = []
+    for name, tree in package_trees():
+        for node in ast.walk(tree):
+            if (name != "matching.py" and isinstance(node, ast.Attribute) and node.attr == "cut"
+                    and isinstance(node.value, ast.Subscript)
+                    and isinstance(node.value.value, ast.Call)
+                    and isinstance(node.value.value.func, ast.Attribute)
+                    and node.value.value.func.attr == "solve"):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 def test_every_trace_target_exists():
     # the benchmark's tracer replaces these bindings by name; one that moved
     # or was renamed makes a traced run fail with "trace target ... is missing"
