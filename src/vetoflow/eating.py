@@ -3,22 +3,20 @@
 All voters consume candidates at unit speed.  Under ``eat-best`` each voter
 eats their favourite candidate still available, under ``eat-worst`` their
 least favourite.  A candidate is eliminated the moment its absorbed total
-reaches 1; eliminations are simultaneous, so several candidates
-can fall in one batch.  Everything runs on exact rationals.
-
-A voter eats each candidate over one interval between two of the run's
-times (0, the elimination events and the end), so every consumption cell
-is 0 or a difference of two such times.  The loop runs per ballot type and
-assigns each cell once, when its interval closes, sharing the difference
-among all types whose intervals have the same ends.
+reaches 1; eliminations are simultaneous, so several candidates can fall in
+one batch.  Everything is exact, and the loop runs on ints over one running
+denominator, per ballot type: when a batch dies only the types eating it
+move on.  A type eats each candidate over one interval between two of the
+run's times (0, the elimination events and the end), so every consumption
+cell is 0 or a difference of two such times, filled once at the end.
 
 Veto by consumption, Phragmen-style sequential committees, and the
-probabilistic serial assignment are all thin drivers over this loop.
-
-A trace keeps one consumption row per ballot type, and its balance check
-weighs row t by the size of type t.  Probabilistic serial checks that its
-run stopped at k/n, validates its own trace and then spreads the type rows
-to the voters; no other consumption row is spread.
+probabilistic serial assignment are all thin drivers over this loop.  A
+trace keeps one row of int numerators per ballot type over one denominator,
+and its balance check runs in ints, weighing row t by the size of type t.
+Probabilistic serial checks that its run stopped at k/n, validates its own
+trace and spreads the type rows, as Fractions, to the voters; no other
+consumption row is spread.
 """
 
 from __future__ import annotations
@@ -26,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 from typing import Sequence
 
 from .profiles import PreferenceProfile
@@ -60,14 +60,24 @@ class EatingConfig:
 @dataclass(frozen=True)
 class EatingTrace:
     """What a run did: elimination events as (time, batch) with the batch in
-    tie-break order, the consumption matrix with one row per ballot type in
-    ``p.ballot_types()`` order (``p.per_voter(consumption)`` gives one row
-    per voter), who survived, and the total elapsed time."""
+    tie-break order, the consumption matrix as int numerators over ``den``
+    with one row per ballot type in ``p.ballot_types()`` order, who
+    survived, and the total elapsed time.  A run's ``den`` is the lcm of the
+    denominators of its times, so equal runs give equal traces."""
 
     events: tuple[tuple[Fraction, tuple[int, ...]], ...]
-    consumption: tuple[tuple[Fraction, ...], ...]
+    den: int
+    rows: tuple[tuple[int, ...], ...]
     survivors: frozenset[int]
     elapsed: Fraction
+
+    @property
+    def consumption(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows as Fractions, one Fraction per distinct numerator;
+        ``p.per_voter(consumption)`` gives one row per voter."""
+        view = {v: Fraction(v, self.den) for v in set(chain.from_iterable(self.rows))}
+        spread = {row: tuple(map(view.__getitem__, row)) for row in set(self.rows)}
+        return tuple(map(spread.__getitem__, self.rows))
 
     def eliminated_order(self) -> tuple[int, ...]:
         return tuple(c for _, batch in self.events for c in batch)
@@ -76,6 +86,8 @@ class EatingTrace:
         times = [t for t, _ in self.events]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("event times must be strictly increasing")
+        if times and not (0 < times[0] and times[-1] <= self.elapsed):
+            raise ValueError(f"event times must lie in (0, {self.elapsed}]")
         gone = self.eliminated_order()
         if len(gone) != len(set(gone)):
             raise ValueError("candidate eliminated twice")
@@ -83,23 +95,34 @@ class EatingTrace:
             raise ValueError("survivor was also eliminated")
         if self.survivors | set(gone) != set(range(p.m)):
             raise ValueError("every candidate must be a survivor or eliminated")
+        den, rows, m = self.den, self.rows, p.m
+        if type(den) is not int or den < 1:
+            raise ValueError(f"trace denominator {den!r} is not a positive int")
         # row t stands for the voters of ballot type t; a miss names its first voter
-        den, totals, columns, negative = _balance(
-            self.consumption, [count for _, count in p.ballot_types()], p.m)
-        e = self.elapsed
-        for t, total in enumerate(totals):
-            if total * e.denominator != e.numerator * den:
+        weights = [count for _, count in p.ballot_types()]
+        if len(rows) != len(weights):
+            raise ValueError(f"{len(rows)} share rows, expected {len(weights)}")
+        for i, row in enumerate(rows):
+            if len(row) != m:
+                raise ValueError(f"row {i} has {len(row)} shares, not {m}")
+        cells = list(chain.from_iterable(rows))  # row t's cells are cells[t * m:(t + 1) * m]
+        if set(map(type, cells)) - {int}:
+            raise ValueError("every share must be an int numerator")
+        want, off = divmod(self.elapsed.numerator * den, self.elapsed.denominator)
+        for t, total in enumerate(map(sum, rows)):
+            if off or total != want:
                 raise ValueError(f"voter {p.voters_of([t])[0]} consumption"
                                  " does not add up to the elapsed time")
-        for c in range(p.m):
-            total = columns[c]
+        for c in range(m):
+            total = sum(map(mul, cells[c::m], weights))
             if c in self.survivors:
-                if total >= 1:
+                if total >= den:
                     raise ValueError(f"survivor {c} was fully consumed")
-            elif total != 1:
-                raise ValueError(f"eliminated candidate {c} absorbed {total}, not 1")
-        if negative is not None:
-            raise ValueError(f"voter {p.voters_of([negative])[0]} consumption is negative")
+            elif total != den:
+                raise ValueError(f"eliminated candidate {c} absorbed {Fraction(total, den)}, not 1")
+        if min(cells, default=0) < 0:
+            t = [v < 0 for v in cells].index(True) // m
+            raise ValueError(f"voter {p.voters_of([t])[0]} consumption is negative")
 
 
 def _batch_key(cfg: EatingConfig, m: int):
@@ -120,88 +143,93 @@ def run_eating(p: PreferenceProfile, cfg: EatingConfig) -> EatingTrace:
     raises.  Eliminations happening exactly at T are still recorded.  With an
     elimination bound k the run stops as soon as at least k candidates are
     gone; a simultaneous batch is never split, so more than k can fall.
+
+    The time t and each absorbed total are int numerators over a running
+    denominator ``den``, which grows by what each step's length needs.
     """
     m = p.m
     if cfg.stop_eliminations is not None and cfg.stop_eliminations > m:
         raise ValueError("cannot eliminate more candidates than exist")
     key = _batch_key(cfg, m)
-    best_first = cfg.direction == "eat-best"
-    # identical voters always eat the same candidate, so the loop runs per
-    # ballot type: one cursor and one consumption row, weighted by its voters.
-    # A type eats each candidate over one interval, from the time its previous
-    # candidate died (or 0) to the time this one dies (or the run stops).
-    # times[] holds 0 and the time after each step, start[b] indexes the
-    # start of type b's interval, and each cell is assigned once, when the
-    # interval closes; the types closing one at the same time share each
-    # difference times[now] - times[start]
+    stop = cfg.stop_time
+    # the loop runs per ballot type: order[b] walks type b's ranking, eaters[c]
+    # lists the types eating c and count[c] their voters.  times[] holds each
+    # step's time as (numerator, den); a type eats c over one interval, from
+    # times[start[b]], and closed[] gets each as (type, c, start, end)
     types = p.ballot_types()
-    order = [bt.ranking if best_first else bt.ranking[::-1] for bt in types]
+    best = cfg.direction == "eat-best"
+    order = [iter(bt.ranking if best else reversed(bt.ranking)) for bt in types]
     weight = [count for _, count in types]
-    cursor = [0] * len(types)
-    start = [0] * len(types)
-    alive = [True] * m
-    zero = Fraction(0)
-    absorbed = [zero] * m
-    consumption = [[zero] * m for _ in types]
-    events: list[tuple[Fraction, tuple[int, ...]]] = []
-    eliminated = 0
-    t = zero
-    times = [t]
+    start, movers = [0] * len(types), range(len(types))
+    alive, absorbed = [True] * m, [0] * m
+    eaters, count, closed, events = {}, {}, [], []
+    den, t, times, eliminated = 1, 0, [(0, 1)], 0
 
     while True:
-        if cfg.stop_time is not None and t == cfg.stop_time:
+        if stop is not None and t * stop.denominator == stop.numerator * den:
             break
         if cfg.stop_eliminations is not None and eliminated >= cfg.stop_eliminations:
             break
         if eliminated == m:
             # only a time bound can still be pending once everything is gone
-            raise ValueError(
-                f"all candidates consumed at time {t}, before the bound {cfg.stop_time}"
-            )
+            raise ValueError(f"all candidates consumed at time {Fraction(t, den)},"
+                             f" before the bound {stop}")
+        for b in movers:
+            for c in order[b]:
+                if alive[c]:
+                    break
+            eaters.setdefault(c, []).append(b)
+            count[c] = count.get(c, 0) + weight[b]
 
-        count: dict[int, int] = {}
-        spans: dict[int, Fraction] = {}
-        now = len(times) - 1
-        for b, row in enumerate(order):
-            j = cursor[b]
-            if not alive[row[j]]:
-                s = start[b]
-                if s not in spans:
-                    spans[s] = t - times[s]
-                consumption[b][row[j]] = spans[s]
-                start[b] = now
-                while not alive[row[j]]:
-                    j += 1
-                cursor[b] = j
-            count[row[j]] = count.get(row[j], 0) + weight[b]
-
-        dt = min((1 - absorbed[c]) / k for c, k in count.items())
-        if cfg.stop_time is not None and t + dt > cfg.stop_time:
-            dt = cfg.stop_time - t
+        # the step is r / (k * den) long for the least r / k; over den * scale
+        # it is dt = r // gcd(r, k), as scale = k // gcd(r, k)
+        r, k = 1, 0
+        for c, kc in count.items():
+            rc = den - absorbed[c]
+            if rc * k < r * kc:
+                r, k = rc, kc
+        g = math.gcd(r, k)
+        scale, dt = k // g, r // g
+        if stop is not None and (t * scale + dt) * stop.denominator > stop.numerator * den * scale:
+            # the bound cuts the step: put it over lcm(den, the bound's denominator)
+            scale = math.lcm(den, stop.denominator) // den
+            dt = stop.numerator * (den * scale // stop.denominator) - t * scale
+        # only eaten candidates rescale: the others have absorbed 0 or are dead
+        den, t = den * scale, t * scale
+        for c in count:
+            absorbed[c] *= scale
         t += dt
-        times.append(t)
-        batch = []
-        for c, n_eating in count.items():
-            absorbed[c] += dt * n_eating
-            if absorbed[c] == 1:
+        times.append((t, den))
+        batch, movers = [], []
+        for c, kc in count.items():
+            absorbed[c] += dt * kc
+            if absorbed[c] == den:
                 batch.append(c)
         if batch:
             batch.sort(key=key)
-            events.append((t, tuple(batch)))
+            events.append((Fraction(t, den), tuple(batch)))
+            eliminated += len(batch)
+            now = len(times) - 1
             for c in batch:
                 alive[c] = False
-            eliminated += len(batch)
+                del count[c]
+                for b in eaters.pop(c):
+                    closed.append((b, c, start[b], now))
+                    start[b] = now
+                    movers.append(b)
+        elif stop is None or t * stop.denominator != stop.numerator * den:
+            raise RuntimeError("an eating step ended before the bound without an elimination")
 
-    spans = {s: t - times[s] for s in set(start)}
-    for b, row in enumerate(order):
-        consumption[b][row[cursor[b]]] = spans[start[b]]
-    return EatingTrace(
-        events=tuple(events),
-        consumption=tuple(map(tuple, consumption)),
-        survivors=frozenset(c for c in range(m) if alive[c]),
-        elapsed=t,
-    )
-
+    closed += [(b, c, start[b], len(times) - 1) for c, bs in eaters.items() for b in bs]
+    # each cell is the difference of two times, put over the lcm of their
+    # reduced denominators
+    lcm = math.lcm(*(d // math.gcd(a, d) for a, d in times))
+    at = [a * lcm // d for a, d in times]
+    rows = [[0] * m for _ in types]
+    for b, c, s, e in closed:
+        rows[b][c] = at[e] - at[s]
+    return EatingTrace(tuple(events), lcm, tuple(map(tuple, rows)),
+                       frozenset(c for c in range(m) if alive[c]), Fraction(t, den))
 
 def veto_by_consumption_winners(p: PreferenceProfile) -> frozenset[int]:
     """Winners when voters eat their least favourite available candidate.
@@ -241,34 +269,6 @@ class FractionalAssignment:
     """Row i gives voter i's probability share of each candidate."""
 
     shares: tuple[tuple[Fraction, ...], ...]
-
-
-def _balance(
-    rows: Sequence[tuple], weights: Sequence[int], m: int
-) -> tuple[int, list[int], list[Fraction], int | None]:
-    """Sum a share matrix whose row i stands for ``weights[i]`` voters, on
-    integer numerators over one common denominator.  Returns that
-    denominator, each row's total as a numerator over it, the column sums
-    with row i counted ``weights[i]`` times, and the index of the first row
-    holding a negative share, or None.  A matrix with other than one row
-    per weight, or a row not m wide, is refused.  The caller reports a
-    negative share only after the row and column sums, so a matrix that
-    also misses a sum is refused for the sum."""
-    if len(rows) != len(weights):
-        raise ValueError(f"{len(rows)} share rows, expected {len(weights)}")
-    dens = {v.denominator for row in rows for v in row}
-    den = math.lcm(*dens)
-    scale = {d: den // d for d in dens}
-    nums = [[v.numerator * scale[v.denominator] for v in row] for row in rows]
-    negative = None
-    for i, row in enumerate(nums):
-        if len(row) != m:
-            raise ValueError(f"row {i} has {len(row)} shares, not {m}")
-        if negative is None and min(row, default=0) < 0:
-            negative = i
-    columns = [Fraction(sum(row[c] * w for row, w in zip(nums, weights)), den)
-               for c in range(m)]
-    return den, list(map(sum, nums)), columns, negative
 
 
 def probabilistic_serial(p: PreferenceProfile, k: int | None = None) -> FractionalAssignment:

@@ -144,21 +144,39 @@ MUTANTS = (
            ("tests/test_axioms.py::test_flows_run_only_for_core_members_on_a_large_ic_election",
             "tests/test_ballot_types.py::"
             "test_a_core_whose_non_members_solid_coalitions_veto_allocates_nothing_per_voter")),
-    # interval eating: each cell is one shared difference of event times
+    # interval eating: each cell is one difference of the run's times
     Mutant("eating-cells", "eating.py",
-           "spans[s] = t - times[s]", "spans[s] = t - times[max(s - 1, 0)]",
+           "rows[b][c] = at[e] - at[s]", "rows[b][c] = at[e] - at[max(s - 1, 0)]",
            ("tests/test_eating.py::test_eating_matches_the_per_step_reference",
             "tests/test_eating.py::test_eating_outputs_match_the_pinned_digest")),
+    # the integer loop: absorbed totals follow the running denominator, a
+    # time bound's cut goes over the lcm of both denominators, and a type
+    # that moves on adds its voters to its next candidate
+    Mutant("eating-scale", "eating.py",
+           "absorbed[c] *= scale", "absorbed[c] *= 1",
+           ("tests/test_eating.py::test_eating_matches_the_per_step_reference",
+            "tests/test_eating.py::test_eating_outputs_match_the_pinned_digest")),
+    Mutant("eating-stop-cut", "eating.py",
+           "scale = math.lcm(den, stop.denominator) // den", "scale = 1",
+           ("tests/test_eating.py::"
+            "test_a_time_bound_coprime_to_the_running_denominator_cuts_a_step",)),
+    Mutant("eating-movers", "eating.py",
+           "count[c] = count.get(c, 0) + weight[b]", "count[c] = count.get(c, 0)",
+           ("tests/test_eating.py::test_eating_matches_the_per_step_reference",)),
     # eating traces weigh each type row by its voters
     Mutant("trace-weights", "eating.py",
-           "self.consumption, [count for _, count in p.ballot_types()], p.m)",
-           "self.consumption, [1 for _ in p.ballot_types()], p.m)",
+           "weights = [count for _, count in p.ballot_types()]",
+           "weights = [1 for _ in p.ballot_types()]",
            ("tests/test_eating.py::test_eating_matches_the_per_step_reference",
             "tests/test_eating.py::test_balance_checks_refuse_malformed_matrices",
             "tests/test_type_validators.py::test_integer_balance_check_agrees_with_fractions")),
     # a trace names each candidate once, as a survivor or in one batch
     Mutant("trace-twice", "eating.py",
            "if len(gone) != len(set(gone)):", "if len(gone) < len(set(gone)):",
+           ("tests/test_eating.py::test_trace_validate_catches_tampering",)),
+    # event times lie in (0, elapsed]
+    Mutant("trace-event-range", "eating.py",
+           "if times and not (0 < times[0] and times[-1] <= self.elapsed):", "if False:",
            ("tests/test_eating.py::test_trace_validate_catches_tampering",)),
     Mutant("trace-cover", "eating.py",
            "if self.survivors | set(gone) != set(range(p.m)):",
@@ -176,7 +194,7 @@ MUTANTS = (
            "if len(row) != m:", "if len(row) < m:",
            ("tests/test_eating.py::test_balance_checks_refuse_malformed_matrices",)),
     Mutant("shape-sign", "eating.py",
-           "min(row, default=0) < 0", "sum(row) < 0",
+           "if min(cells, default=0) < 0:", "if sum(cells) < 0:",
            ("tests/test_eating.py::test_balance_checks_refuse_malformed_matrices",)),
     # PSC's networks: each voter supplies k + 1 to its weak prefix, read by
     # the scan and by the flow alike

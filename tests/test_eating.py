@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,13 +17,15 @@ from vetoflow.eating import (
     veto_by_consumption_winners,
 )
 from vetoflow.profiles import PreferenceProfile, all_profiles, reverse_profile
+from tests_support_oracles import int_rows
 from tests_support_random import random_profiles, repeated_profiles
 
 
 def per_step_eating(p: PreferenceProfile, cfg: EatingConfig) -> EatingTrace:
     """``run_eating`` with the per-voter loop that adds each step's duration
     to every eater's row; the reference for the accumulation per stretch.
-    Its trace holds one consumption row per voter, not per ballot type."""
+    Its trace holds one consumption row per voter, not per ballot type,
+    over the lcm of its cells' denominators."""
     order = [r if cfg.direction == "eat-best" else r[::-1] for r in p.rankings]
     rank = {c: c for c in range(p.m)} if cfg.tie_break is None else {
         c: r for r, c in enumerate(cfg.tie_break)
@@ -55,7 +59,7 @@ def per_step_eating(p: PreferenceProfile, cfg: EatingConfig) -> EatingTrace:
             for c in batch:
                 alive[c] = False
     survivors = frozenset(c for c in range(p.m) if alive[c])
-    return EatingTrace(tuple(events), tuple(map(tuple, consumption)), survivors, t)
+    return EatingTrace(tuple(events), *int_rows(consumption), survivors, t)
 
 
 def test_config_validation():
@@ -135,10 +139,10 @@ def test_simultaneous_batch_and_tie_break(fix_s):
         run_eating(fix_s, EatingConfig(stop_eliminations=3))
 
 
-def test_trace_validate_catches_tampering(fix_u, fix_p):
+def test_trace_validate_catches_tampering(fix_u, fix_p, fix_s):
     cfg = EatingConfig(stop_time=Fraction(1))
     trace = run_eating(fix_u, cfg)
-    bad = EatingTrace(trace.events, trace.consumption, frozenset({1}), trace.elapsed)
+    bad = replace(trace, survivors=frozenset({1}))
     with pytest.raises(ValueError, match="survivor was also eliminated"):
         bad.validate(fix_u)
     half, zero = Fraction(1, 2), Fraction(0)
@@ -148,7 +152,7 @@ def test_trace_validate_catches_tampering(fix_u, fix_p):
         # the row balances, but its two voters give candidate 0 3/2
         (((Fraction(3, 4), Fraction(1, 4)),), "eliminated candidate 0 absorbed 3/2, not 1"),
     ]:
-        bad = EatingTrace(trace.events, rows, trace.survivors, trace.elapsed)
+        bad = EatingTrace(trace.events, *int_rows(rows), trace.survivors, trace.elapsed)
         with pytest.raises(ValueError, match=message):
             bad.validate(fix_u)
     # fix_p's second ballot type is cast first by voter 2, who eats less than
@@ -157,19 +161,14 @@ def test_trace_validate_catches_tampering(fix_u, fix_p):
     split.validate(fix_p)
     rows = (split.consumption[0], (zero, zero, Fraction(1, 4)))
     with pytest.raises(ValueError, match="voter 2 consumption does not add up"):
-        EatingTrace(split.events, rows, split.survivors, split.elapsed).validate(fix_p)
+        EatingTrace(split.events, *int_rows(rows), split.survivors, split.elapsed).validate(fix_p)
     # a survivor may not be eaten up
     early = run_eating(fix_u, EatingConfig(stop_time=Fraction(1, 2)))
     early.validate(fix_u)
-    bad = EatingTrace((), early.consumption, frozenset({0, 1}), early.elapsed)
+    bad = replace(early, events=(), survivors=frozenset({0, 1}))
     with pytest.raises(ValueError, match="survivor 0 was fully consumed"):
         bad.validate(fix_u)
-    bad = EatingTrace(
-        ((Fraction(1, 2), (0,)), (Fraction(1, 2), (1,))),
-        trace.consumption,
-        trace.survivors,
-        trace.elapsed,
-    )
+    bad = replace(trace, events=((Fraction(1, 2), (0,)), (Fraction(1, 2), (1,))))
     with pytest.raises(ValueError, match="increasing"):
         bad.validate(fix_u)
     # fix_u eats candidate 0 up at 1/2 and candidate 1 at 1; the rows still
@@ -178,9 +177,23 @@ def test_trace_validate_catches_tampering(fix_u, fix_p):
         (((half, (0,)), (Fraction(1), (1, 0))), "candidate eliminated twice"),
         (((half, (0,)),), "every candidate must be a survivor or eliminated"),
     ]:
-        bad = EatingTrace(events, trace.consumption, trace.survivors, trace.elapsed)
         with pytest.raises(ValueError, match=message):
-            bad.validate(fix_u)
+            replace(trace, events=events).validate(fix_u)
+    # fix_s eats both candidates up at 1, its run's end; its one event may
+    # not fall after the end, at 0 or before
+    both = run_eating(fix_s, cfg)
+    both.validate(fix_s)
+    for time in (Fraction(5), Fraction(-1), Fraction(0)):
+        bad = replace(both, events=((time, (0, 1)),))
+        with pytest.raises(ValueError, match=re.escape("event times must lie in (0, 1]")):
+            bad.validate(fix_s)
+    # the rows are int numerators over a positive int denominator
+    for den in (0, -2, 2.0, Fraction(2), True):
+        with pytest.raises(ValueError, match="is not a positive int"):
+            replace(both, den=den).validate(fix_s)
+    for rows in (((1.0, 0), (0, 1)), ((Fraction(1), 0), (0, 1)), ((True, 0), (0, 1))):
+        with pytest.raises(ValueError, match="every share must be an int numerator"):
+            replace(both, rows=rows).validate(fix_s)
 
 
 def test_runs_are_deterministic_and_conservative():
@@ -234,11 +247,11 @@ def test_eating_matches_the_per_step_reference():
         for cfg in configs:
             trace = run_eating(p, cfg)
             reference = per_step_eating(p, cfg)
-            spread = replace(trace, consumption=p.per_voter(trace.consumption))
+            spread = replace(trace, rows=p.per_voter(trace.rows))
             assert spread == reference, (p.rankings, cfg)
             # the voters of a ballot type eat alike in the reference too
             for t in range(len(p.ballot_types())):
-                assert len({reference.consumption[i] for i in p.voters_of([t])}) == 1
+                assert len({reference.rows[i] for i in p.voters_of([t])}) == 1
             trace.validate(p)
     # most profiles repeat some ballots, and many cast ten or more types
     assert repeated > 250 and many_types > 50
@@ -255,6 +268,58 @@ def test_every_consumption_cell_is_one_interval():
             spans = {b - a for a, b in itertools.combinations(times, 2)} | {0}
             for row in trace.consumption:
                 assert set(row) <= spans, (p.rankings, cfg, row)
+
+
+def test_a_trace_is_over_the_lcm_of_its_times_denominators():
+    rng = random.Random(31)
+    for p, configs in interval_cases(rng, 120):
+        for cfg in configs:
+            trace = run_eating(p, cfg)
+            times = [trace.elapsed, *(t for t, _ in trace.events)]
+            assert trace.den == math.lcm(*(t.denominator for t in times)), (p.rankings, cfg)
+
+
+def test_a_time_bound_coprime_to_the_running_denominator_cuts_a_step(fix_u, fix_p):
+    # both runs eat in halves and quarters, so the loop's denominator is a
+    # power of 2 when a bound over 3 or 5 cuts the step that would end at 1
+    # or at 3/4
+    for p, stop, den in ((fix_u, Fraction(2, 3), 6), (fix_p, Fraction(3, 5), 10)):
+        cfg = EatingConfig(stop_time=stop)
+        trace = run_eating(p, cfg)
+        assert trace.elapsed == stop and trace.den == den
+        assert replace(trace, rows=p.per_voter(trace.rows)) == per_step_eating(p, cfg)
+        trace.validate(p)
+
+
+def test_the_loop_builds_no_fraction(monkeypatch):
+    # every ranking of 5 candidates, so 120 ballot types; only the events,
+    # the elapsed time and the starvation message are Fractions
+    rng = random.Random(3)
+    p = PreferenceProfile.of([r for r in itertools.permutations(range(5))
+                              for _ in range(rng.randint(1, 40))])
+    assert len(p.ballot_types()) == 120
+    full = run_eating(p, EatingConfig(stop_eliminations=5))
+    stop, starved = Fraction(5, p.n), Fraction(6, p.n)
+    real = Fraction.__new__
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    for cfg in (EatingConfig(stop_time=stop), EatingConfig(stop_eliminations=2),
+                EatingConfig(direction="eat-worst", stop_eliminations=4)):
+        built.clear()
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        trace = run_eating(p, cfg)
+        monkeypatch.undo()
+        assert len(built) == len(trace.events) + 1
+    built.clear()
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    with pytest.raises(ValueError, match="all candidates consumed"):
+        run_eating(p, EatingConfig(stop_time=starved))
+    monkeypatch.undo()
+    assert len(built) == len(full.events) + 1
 
 
 def test_veto_by_consumption_winners(fix_t, fix_p, fix_u):
@@ -334,24 +399,24 @@ def test_balance_checks_refuse_malformed_matrices(fix_u, fix_s):
     both = run_eating(fix_s, EatingConfig(stop_time=Fraction(1)))  # both fall at 1
     assert both.consumption == ((1, 0), (0, 1))
     unanimous = run_eating(fix_u, EatingConfig(stop_time=Fraction(1)))
-    for p, trace, message in [
+    for p, trace, rows, elapsed, message in [
         # fix_u's one type row counts for both voters, so each column takes 2
-        (fix_u, replace(unanimous, consumption=((1, 1),), elapsed=Fraction(2)),
-         "eliminated candidate 0 absorbed 2, not 1"),
+        (fix_u, unanimous, ((1, 1),), Fraction(2), "eliminated candidate 0 absorbed 2, not 1"),
         # one row for two ballot types, and one row per voter for one type
-        (fix_s, replace(both, consumption=((1, 1),), elapsed=Fraction(2)),
-         "1 share rows, expected 2"),
-        (fix_u, replace(unanimous, consumption=((half, half),) * 2), "2 share rows, expected 1"),
-        (fix_s, replace(both, consumption=()), "0 share rows, expected 2"),
-        (fix_s, replace(both, consumption=((1, 0, 0), (0, 1, 0))), "row 0 has 3 shares, not 2"),
-        (fix_s, replace(both, consumption=((1,), (1,))), "row 0 has 1 shares, not 2"),
-        (fix_s, replace(both, consumption=((1, 0), (0, 0, 1))), "row 1 has 3 shares, not 2"),
+        (fix_s, both, ((1, 1),), Fraction(2), "1 share rows, expected 2"),
+        (fix_u, unanimous, ((half, half),) * 2, None, "2 share rows, expected 1"),
+        (fix_s, both, (), None, "0 share rows, expected 2"),
+        (fix_s, both, ((1, 0, 0), (0, 1, 0)), None, "row 0 has 3 shares, not 2"),
+        (fix_s, both, ((1,), (1,)), None, "row 0 has 1 shares, not 2"),
+        (fix_s, both, ((1, 0), (0, 0, 1)), None, "row 1 has 3 shares, not 2"),
         # rows and columns balance, but the shares are negative
-        (fix_s, replace(both, consumption=((3 * half, -half), (-half, 3 * half))),
+        (fix_s, both, ((3 * half, -half), (-half, 3 * half)), None,
          "voter 0 consumption is negative"),
     ]:
+        den, rows = int_rows(rows)
+        bad = replace(trace, den=den, rows=rows, elapsed=elapsed or trace.elapsed)
         with pytest.raises(ValueError, match=message):
-            trace.validate(p)
+            bad.validate(p)
 
 
 def test_probabilistic_serial_checks_the_rows_it_returns(monkeypatch):
@@ -369,8 +434,10 @@ def test_probabilistic_serial_checks_the_rows_it_returns(monkeypatch):
         return fake
 
     def rows(make_rows):
-        return lambda trace: replace(
-            trace, consumption=tuple(make_rows(list(trace.consumption))))
+        def change(trace):
+            den, rows = int_rows(make_rows(list(trace.consumption)))
+            return replace(trace, den=den, rows=rows)
+        return change
 
     def bump_type(rows):
         rows[1] = (rows[1][0] + Fraction(1, 7), *rows[1][1:])
@@ -393,8 +460,8 @@ def test_probabilistic_serial_checks_the_rows_it_returns(monkeypatch):
     def never_ran(trace):
         # all-zero rows, no event and every candidate surviving balance
         # against an elapsed time of 0, which is not k/n
-        zeros = tuple((Fraction(0),) * p.m for _ in trace.consumption)
-        return replace(trace, events=(), consumption=zeros,
+        den, zeros = int_rows(tuple((Fraction(0),) * p.m for _ in trace.consumption))
+        return replace(trace, events=(), den=den, rows=zeros,
                        survivors=frozenset(range(p.m)), elapsed=Fraction(0))
 
     for change, message in ((rows(bump_type), "voter 1 consumption does not add up"),

@@ -4,7 +4,6 @@ witness on sets of ballot types spelled out voter by voter, a PSC violation
 on voter sets that take whole ballot types or split them.  Forged witnesses
 must still be refused."""
 
-import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -15,7 +14,7 @@ from vetoflow.axioms import PscViolation, veto_core_member
 from vetoflow.eating import EatingConfig, EatingTrace, run_eating
 from vetoflow.matching import CutWitness, extract_deficiency_witness
 from vetoflow.profiles import PreferenceProfile, dominated_set, reverse_profile
-from tests_support_oracles import fraction_column_sums, fraction_row_sums
+from tests_support_oracles import fraction_column_sums, fraction_row_sums, int_rows
 
 
 def dominated_set_per_voter(p, c, voters):
@@ -263,8 +262,13 @@ def test_integer_balance_check_agrees_with_fractions():
             for survivors in (frozenset(c for c in range(m) if columns[c] < 1),
                               frozenset(c for c in range(m) if rng.random() < 0.5)):
                 gone = tuple(c for c in range(m) if c not in survivors)
-                events = ((Fraction(1), gone),) if gone else ()
-                trace = EatingTrace(events, rows, survivors, elapsed)
+                # an event time lies in (0, elapsed], so a run of elapsed 0 has none
+                events = ((elapsed or Fraction(1), gone),) if gone else ()
+                trace = EatingTrace(events, *int_rows(rows), survivors, elapsed)
+                if gone and not elapsed:
+                    with pytest.raises(ValueError, match="event times must lie in"):
+                        trace.validate(p)
+                    continue
                 expect = fraction_trace_refusal(p, trace)
                 assert refusal(lambda: trace.validate(p)) == expect, (p.rankings, trace)
                 outcomes.add(None if expect is None else expect.split()[0])
@@ -285,7 +289,9 @@ def test_balance_check_resolves_the_smallest_unit():
         shares = p.per_voter(trace.consumption)
         assert fraction_row_sums(shares) == (elapsed,) * n
         assert fraction_column_sums(shares) == (Fraction(1),) * m
-        den = math.lcm(*(v.denominator for row in trace.consumption for v in row))
+        # the run's one denominator is that of its cells
+        den, _ = int_rows(trace.consumption)
+        assert trace.den == den
         unit = Fraction(1, den)
         # ballot type t alone loses one unit of column c
         t, c = rng.randrange(len(trace.consumption)), rng.randrange(m)
@@ -294,7 +300,7 @@ def test_balance_check_resolves_the_smallest_unit():
         short[c] -= unit
         rows = trace.consumption[:t] + (tuple(short),) + trace.consumption[t + 1:]
         with pytest.raises(ValueError, match=f"voter {p.voters_of([t])[0]} consumption does not"):
-            EatingTrace(trace.events, rows, trace.survivors, elapsed).validate(p)
+            EatingTrace(trace.events, *int_rows(rows), trace.survivors, elapsed).validate(p)
         # the same unit moved inside type t's row to a column that is full:
         # the rows balance, and the lower of the two columns is off by the
         # unit once per voter of type t
@@ -307,4 +313,4 @@ def test_balance_check_resolves_the_smallest_unit():
         first = min(c, d)
         with pytest.raises(ValueError, match=f"eliminated candidate {first} absorbed "
                                              f"{columns[first]}, not 1"):
-            EatingTrace(trace.events, rows, trace.survivors, elapsed).validate(p)
+            EatingTrace(trace.events, *int_rows(rows), trace.survivors, elapsed).validate(p)

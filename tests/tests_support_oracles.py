@@ -4,13 +4,15 @@ the checkers it is compared with; the clone oracles run the plurality rules
 on the cloned profile, one clone at a time.  ``voter_groups`` groups the
 ballot types by a candidate set given per type, the reference for the
 groups a profile keeps.  ``voter_flow_shares`` and ``share_refusal`` read
-a solved network and a share matrix voter by voter, in Fractions.
+a solved network and a share matrix voter by voter, in Fractions, and
+``int_rows`` puts Fraction share rows in an eating trace's int form.
 ``parse_profile_reference`` is the profile reader in its earlier form,
 which matched and split every line again, kept verbatim as the
 differential reference for ``parse_profile``."""
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -91,6 +93,13 @@ def fractional_matching_rows(
     voter i's weights, or None if there is none."""
     _, flow = build_domination_graph(p, c).solve()
     return None if flow.cut()[0] else voter_flow_shares(p, flow)
+
+
+def int_rows(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Share rows of Fractions or ints as an ``EatingTrace``'s ``(den, rows)``:
+    int numerators over the lcm of the cells' denominators."""
+    den = math.lcm(*(Fraction(v).denominator for row in rows for v in row))
+    return den, tuple(tuple(int(v * den) for v in row) for row in rows)
 
 
 def fraction_row_sums(shares) -> tuple[Fraction, ...]:
