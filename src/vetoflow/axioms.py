@@ -9,11 +9,11 @@ fast checker, and one witness serves both: a Hall witness (N', D) is the
 veto of N' with everything outside D as the blocking set.  The core itself
 first asks the solid coalitions: voters who share a top set T veto
 everything outside T once T is large enough for their number, and only
-the candidates no such coalition vetoes go to a min cut.  Weak PSC scans
-the same coalitions first, then reads each uncommitted candidate's
-minimal min cut; ``FlowNetwork.cut`` reads both kinds.  The brute-force
-checkers here evaluate the quantifiers directly and keep the fast paths
-honest.
+the candidates no such coalition vetoes go to a min cut.  Weak PSC walks
+each ballot's top k, which hold every prefix a violation can use, asks
+their solid coalitions, then reads each uncommitted candidate's minimal
+min cut; ``FlowNetwork.cut`` reads both kinds.  The brute-force checkers
+evaluate the quantifiers directly and keep the fast paths honest.
 
 All threshold comparisons are exact; the strict inequalities are
 cross-multiplied into integer arithmetic, never approximated.
@@ -33,7 +33,7 @@ from .matching import (
     has_fractional_perfect_matching,
     max_bipartite_matching,
 )
-from .profiles import PreferenceProfile, reverse_profile, solid_coalitions
+from .profiles import PreferenceProfile, VoterGroup, reverse_profile, solid_coalitions
 from .profile_io import serialize_profile
 
 
@@ -177,42 +177,49 @@ def weak_psc_satisfied(p: PreferenceProfile, committee: Iterable[int]) -> PscVer
 
     The committee names k distinct candidates.  A violation is a voter set
     N' and a candidate x outside the committee with |N'| (k+1) > |C'| n,
-    where C' is the union of N's weak prefixes down to x.  For each x this
-    is a Hall-type question, with voter supply k+1 and candidate capacity
-    n, whose witness is the minimal min cut.  As in ``veto_core``, the
-    solid coalitions of ``solid_coalitions(p)`` are asked first: the voters
-    whose top |T| candidates are T rank every x in T within their top |T|,
-    so with an uncommitted x in T and |N'| (k+1) > |T| n they violate with
-    C' inside T.  The first such coalition, with its least uncommitted
-    candidate, is the witness: the scan stays because it chooses which
-    violation is reported.  Otherwise each uncommitted x, ascending, gets
-    its network's ``FlowNetwork.cut``.
+    where C' is the union of N's weak prefixes down to x; as |N'| <= n,
+    |C'| <= k, so only the ``_prefixes`` of at most k candidates matter.
+    Their solid coalitions T are asked first, as in ``veto_core``: the
+    first with an uncommitted x and |N'| (k+1) > |T| n, with its least
+    such x, is the witness (C' lies inside T), so the scan stays.
     """
     W = _committee(p, committee)
-    k = len(W)
-    # C' lies inside T, so clearing the threshold on |T| clears it on |C'|
-    for g in solid_coalitions(p):
-        outside = g.candidates - W
-        if outside and g.size * (k + 1) > len(g.candidates) * p.n:
-            x = min(outside)
-            rankings = [p.ballot_types()[t].ranking for t in g.types]
+    solid, ends = _prefixes(p, W)
+    for types, size, prefix in solid.values():
+        if size * (len(W) + 1) > len(prefix) * p.n and not W.issuperset(prefix):
+            x = min(set(prefix) - W)
+            rankings = [p.ballot_types()[t].ranking for t in types]
             union = frozenset().union(*(r[: r.index(x) + 1] for r in rankings))
-            return _violation(p, W, union, g.types, x)
-    return _psc_by_cuts(p, W)
+            return _violation(p, W, union, types, x)
+    return _psc_by_cuts(p, W, ends)
 
 
-def _psc_by_cuts(p: PreferenceProfile, W: frozenset[int]) -> PscVerdict:
+def _prefixes(p: PreferenceProfile, W: frozenset[int]) -> tuple[dict, dict]:
+    """Each type's prefixes of at most k = |W| candidates as [types, voters,
+    prefix] by int mask, walked once per distinct top k: ``solid`` in
+    ``solid_coalitions``' order, ``ends[x]`` those ending at uncommitted x."""
+    heads: dict[tuple[int, ...], list[int]] = {}  # top k -> types
+    for t, (r, _) in enumerate(p.ballot_types()):
+        heads.setdefault(r[: len(W)], []).append(t)
+    solid, ends = {}, {}  # prefix mask -> group; x -> prefix mask -> group
+    for head, types in heads.items():
+        mask, count = 0, sum(p.ballot_types()[t].count for t in types)
+        for j, x in enumerate(head, 1):
+            mask |= 1 << x
+            for groups in (solid,) if x in W else (solid, ends.get(x) or ends.setdefault(x, {})):
+                g = groups.get(mask) or groups.setdefault(mask, [[], 0, head[:j]])
+                g[0] += types
+                g[1] += count
+    return solid, ends
+
+
+def _psc_by_cuts(p: PreferenceProfile, W: frozenset[int], ends: dict | None = None) -> PscVerdict:
     """The violation of the first uncommitted x, ascending, whose minimal
-    min cut is not empty."""
-    everyone = frozenset(range(p.m))
-    for x in range(p.m):
-        if x in W:
-            continue
-        # the weak prefix down to x is x and all not below it
-        groups = tuple(g._replace(candidates=everyone - g.candidates | {x})
-                       for g in p.groups_below(x))
-        net = FlowNetwork(p.m, groups, left_supply=len(W) + 1, right_cap=p.n)
-        cut, union = net.cut()
+    min cut is not empty; only x's ``ends`` fit in a C' of at most k."""
+    for x, found in sorted((_prefixes(p, W)[1] if ends is None else ends).items()):
+        groups = tuple(VoterGroup(frozenset(prefix), tuple(sorted(types)), size)
+                       for types, size, prefix in found.values())
+        cut, union = FlowNetwork(p.m, groups, left_supply=len(W) + 1, right_cap=p.n).cut()
         if cut:
             return _violation(p, W, union, cut, x)
     return PscVerdict(None)
@@ -232,7 +239,7 @@ def weak_psc_bruteforce(p: PreferenceProfile, committee: Iterable[int]) -> bool:
     W = _committee(p, committee)
     k = len(W)
     prefix_masks = {
-        x: p.per_voter([_mask(r[: r.index(x) + 1]) for r, _ in p.ballot_types()])
+        x: p.per_voter([sum(1 << c for c in r[: r.index(x) + 1]) for r, _ in p.ballot_types()])
         for x in range(p.m) if x not in W
     }
     for sub in range(1, 1 << p.n):
@@ -245,13 +252,6 @@ def weak_psc_bruteforce(p: PreferenceProfile, committee: Iterable[int]) -> bool:
             if size * (k + 1) > union.bit_count() * p.n:
                 return False
     return True
-
-
-def _mask(cs: Iterable[int]) -> int:
-    out = 0
-    for c in cs:
-        out |= 1 << c
-    return out
 
 
 def pareto_matching_criterion(
@@ -310,8 +310,8 @@ def equivalence_audit(instances: Iterable[PreferenceProfile]) -> AuditReport:
     agree: fractional-matching existence, brute-force core membership (for
     n <= 12 and m <= 6 only), and weak proportionality of the committee of
     all other candidates in the reversed profile.  That weak PSC reads c's
-    domination graph by ``FlowNetwork.cut``, by subset sums up to m =
-    ``SCAN_MAX_RIGHT``, so the flow meets a second algorithm at every n.
+    domination graph less the types ranking c first, the same cut, by subset
+    sums up to m = ``SCAN_MAX_RIGHT``: the flow meets a second algorithm at any n.
 
     For square instances (n = m) agreement with the Pareto-matching
     criterion is also demanded; for others, criterion-vs-membership

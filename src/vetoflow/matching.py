@@ -9,8 +9,8 @@ iff the max flow is n*m.  The domination graph is built as that network
 directly: ``FlowNetwork`` is the one network type, and it checks its own
 edge endpoints.  Voters with the same edge set are interchangeable, so they
 share one network node carrying their joint supply.  A network's left side
-is ``VoterGroup``s: the checkers take the profile's kept ``groups_below(c)``
-and keep or rewrite each group's candidates as its edge set.  Solving
+is ``VoterGroup``s: the profile's kept ``groups_below(c)``, each group's
+candidates kept or trimmed, or weak PSC's prefix groups.  Solving
 a network and reading back its cut or the units each group sent works on
 ballot types; only a matching spells its voters out, from the profile.
 

@@ -132,23 +132,23 @@ def _parse_count_lines(lines: list[tuple[int, str, re.Match[str] | None]]) -> Pr
             raise ValueError(f"cannot parse line {ln!r}, line {no}")
         try:
             count = int(match[1])
-            ids = [int(tok) for tok in match[2].split(",")]
+            ids = tuple(map(int, match[2].split(",")))
         except ValueError:
             raise ValueError(f"cannot parse line {ln!r}, line {no}") from None
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate candidate, line {no}")
-        # every line must rank the full slate 1..m
-        if sorted(ids) != list(range(1, len(ids) + 1)):
-            raise ValueError(f"ranking is not a permutation of 1..{len(ids)}, line {no}")
-        if width is None:
+        if width is None:  # the first line fixes the slate 1..m that every line ranks
             width = len(ids)
-        elif len(ids) != width:
+            slate, shift = list(range(1, width + 1)), range(-1, width).__getitem__
+        if sorted(ids) != slate:  # name the first check the line fails
+            if len(set(ids)) != len(ids):
+                raise ValueError(f"duplicate candidate, line {no}")
+            if sorted(ids) != list(range(1, len(ids) + 1)):
+                raise ValueError(f"ranking is not a permutation of 1..{len(ids)}, line {no}")
             raise ValueError(f"expected {width} candidates, got {len(ids)}, line {no}")
         n += count
         if n > MAX_VOTERS:
             raise ProfileSizeError(f"more than {MAX_VOTERS} voters, line {no}")
         if count:
-            runs.append((tuple(c - 1 for c in ids), count))
+            runs.append((tuple(map(shift, ids)), count))
     if not runs or width is None:
         raise ValueError("no ballot data found")
     for k, (_, no) in names_by_id.items():

@@ -14,8 +14,8 @@ as ``rankings`` and ``positions()`` do on first use.
 
 A voter group ties a candidate set to ballot types.  The profile keeps
 two groupings, built on first use: ``groups_below(c)`` merges types that
-rank the same candidates below c, for the flow networks, and
-``solid_coalitions`` merges types with equal prefixes by int mask.
+rank the same candidates below c, for the domination and Pareto networks,
+and ``solid_coalitions`` merges types with equal prefixes by int mask.
 """
 
 from __future__ import annotations

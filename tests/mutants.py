@@ -36,6 +36,7 @@ factor of the row's integer cells and its denominator.
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -126,14 +127,21 @@ MUTANTS = (
            ("tests/test_matching.py::test_cut_witness_validation",
             "tests/test_type_validators.py::test_forged_witnesses_are_refused",
             "tests/test_type_validators.py::test_per_type_validators_agree_with_per_voter_references")),
-    # PSC's prescan over solid_coalitions: voters, not types, clear the
-    # threshold, and the witness names the least uncommitted candidate
+    # PSC's prescan over the solid coalitions of at most k candidates:
+    # voters, not types, clear the threshold, and the witness names the
+    # least uncommitted candidate
     Mutant("psc-prescan", "axioms.py",
-           "g.size * (k + 1)", "len(g.types) * (k + 1)",
+           "if size * (len(W) + 1) > len(prefix) * p.n",
+           "if len(types) * (len(W) + 1) > len(prefix) * p.n",
            ("tests/test_ballot_types.py::test_psc_prescan_matches_a_full_solid_coalition_scan",)),
     Mutant("psc-prescan-x", "axioms.py",
-           "x = min(outside)", "x = max(outside)",
+           "x = min(set(prefix) - W)", "x = max(set(prefix) - W)",
            ("tests/test_axioms.py::test_psc_prescan_names_the_least_uncommitted_candidate",)),
+    # PSC walks each ballot type's top k: a violation's C' may hold all k
+    Mutant("psc-depth", "axioms.py",
+           "heads.setdefault(r[: len(W)], [])", "heads.setdefault(r[: len(W) - 1], [])",
+           ("tests/test_axioms.py::test_a_violation_may_need_all_k_candidates_of_its_prefixes",
+            "tests/test_ballot_types.py::test_psc_and_pareto_networks_match_a_per_type_build")),
     # the core's solid-coalition scan: a strict bound, and it must fire
     Mutant("core-scan-bound", "axioms.py",
            "(m - len(g.candidates)) * n < m * g.size", "(m - len(g.candidates)) * n <= m * g.size",
@@ -196,10 +204,11 @@ MUTANTS = (
     Mutant("shape-sign", "eating.py",
            "if min(cells, default=0) < 0:", "if sum(cells) < 0:",
            ("tests/test_eating.py::test_balance_checks_refuse_malformed_matrices",)),
-    # PSC's networks: each voter supplies k + 1 to its weak prefix, read by
-    # the scan and by the flow alike
+    # PSC's networks: each voter whose weak prefix down to x holds at most
+    # k candidates supplies k + 1 to it, read by the scan and the flow alike
     Mutant("psc-flow", "axioms.py",
-           "left_supply=len(W) + 1, right_cap=p.n", "left_supply=len(W), right_cap=p.n",
+           "FlowNetwork(p.m, groups, left_supply=len(W) + 1, right_cap=p.n)",
+           "FlowNetwork(p.m, groups, left_supply=len(W), right_cap=p.n)",
            ("tests/test_axioms.py::test_the_psc_scan_gives_the_flows_cuts_and_verdicts_on_every_committee",
             "tests/test_ballot_types.py::test_psc_and_pareto_networks_match_a_per_type_build")),
     # FlowNetwork.cut by subset sums up to its bound: every bit of the zeta
@@ -265,14 +274,26 @@ MUTANTS = (
 )
 
 
+# the address space each pytest run may map: the unchanged copy runs every
+# named test in under 64 MiB, and a mutant whose loop runs away hits the
+# cap and fails its tests with MemoryError instead of filling the machine
+MEMORY_CAP = 512 * 2**20
+
+
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
 def _pytest(root: Path, tests: tuple[str, ...], timeout: float = 900) -> int | None:
-    """pytest's exit code on ``tests`` in the copy at ``root``: 0 all passed,
-    1 some failed, anything else could not run them; None on a timeout."""
+    """pytest's exit code on ``tests`` in the copy at ``root``, run under
+    ``MEMORY_CAP``: 0 all passed, 1 some failed, anything else could not
+    run them; None on a timeout."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(root / "src")}
     try:
         return subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-            cwd=root, env=env, capture_output=True, timeout=timeout).returncode
+            cwd=root, env=env, capture_output=True, timeout=timeout,
+            preexec_fn=_cap_memory).returncode
     except subprocess.TimeoutExpired:
         return None
 

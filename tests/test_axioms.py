@@ -241,6 +241,14 @@ def test_psc_prescan_names_the_least_uncommitted_candidate():
     assert violation == PscViolation(frozenset({0, 3, 5}), frozenset({0, 1, 2, 3}), 3)
 
 
+def test_a_violation_may_need_all_k_candidates_of_its_prefixes():
+    # no solid coalition and no single candidate clears the threshold: the
+    # three voters' prefixes down to 0 make up C' = {0, 1}, all k = 2
+    p = PreferenceProfile.of([(1, 2, 0), (1, 0, 2), (1, 0, 2), (0, 2, 1)])
+    violation = weak_psc_satisfied(p, {1, 2}).violation
+    assert violation == PscViolation(frozenset({0, 1}), frozenset({1, 2, 3}), 0)
+
+
 def test_full_committee_always_satisfies(fix_t):
     assert weak_psc_satisfied(fix_t, {0, 1, 2}).satisfied
 
@@ -334,6 +342,29 @@ def test_the_psc_scan_gives_the_flows_cuts_and_verdicts_on_every_committee(monke
                 assert [axioms._psc_by_cuts(p, W) for W in committees] == scans, p.rankings
             violated += sum(not verdict.satisfied for verdict in scans)
     assert violated > 1000
+
+
+def test_psc_networks_keep_only_the_prefixes_of_at_most_k_candidates():
+    # a violation's C' has at most k candidates, since |N'| <= n, so x's
+    # network needs only the types that rank x within their top k: with
+    # the others left out it has the full per-type network's cut, by the
+    # scan and by the flow, and an empty cut when no type is left
+    violated = emptied = 0
+    for m in range(1, matching.SCAN_MAX_RIGHT + 2):
+        for p in profiles_of_m(m, 8 if m < 6 else 3, seed=390 + m):
+            for W in (frozenset(W) for k in range(m) for W in itertools.combinations(range(m), k)):
+                k = len(W)
+                for x in set(range(m)) - W:
+                    full = [frozenset(r[: r.index(x) + 1]) for r, _ in p.ballot_types()]
+                    pruned = [cs if len(cs) <= k else None for cs in full]
+                    cuts = {*scan_and_flow_cuts(p, full, k + 1), *scan_and_flow_cuts(p, pruned, k + 1)}
+                    assert len(cuts) == 1, (p.rankings, W, x)
+                    emptied += not any(pruned)
+                violation = weak_psc_satisfied(p, W).violation
+                if violation is not None:
+                    assert len(violation.prefix_set) <= k, (p.rankings, W)
+                    violated += 1
+    assert violated > 500 and emptied > 500
 
 
 def test_the_core_and_psc_decide_by_the_scan_up_to_its_bound_and_by_flows_above(monkeypatch):

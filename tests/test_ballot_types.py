@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from vetoflow import axioms
 from vetoflow.axioms import (
+    PscViolation,
     pareto_matching_criterion,
     veto_core,
     veto_core_member,
@@ -239,8 +240,9 @@ def test_the_profile_keeps_its_grouped_views():
 
 
 def test_psc_and_pareto_networks_match_a_per_type_build(monkeypatch):
-    # the checkers build their networks from the kept groups; each must be
-    # the network grouped from every ballot type's own edge set
+    # each network the checkers build must be the one grouped from each
+    # ballot type's own edge set: for PSC, every type whose weak prefix down
+    # to x has at most k candidates, for each x that ends one such prefix
     built, matched = [], []
 
     def record_network(*args, **kwargs):
@@ -258,10 +260,11 @@ def test_psc_and_pareto_networks_match_a_per_type_build(monkeypatch):
     for p in [*random_profiles(150, seed=1313, nmax=10), *repeated_profiles(150, seed=1414)]:
         for _ in range(3):
             committee = frozenset(rng.sample(range(p.m), rng.randint(0, p.m - 1)))
-            expect = [FlowNetwork(p.m, voter_groups(p, [frozenset(r[: r.index(x) + 1])
-                                                         for r, _ in p.ballot_types()]),
-                                  len(committee) + 1, p.n)
-                      for x in range(p.m) if x not in committee]
+            k = len(committee)
+            prefixes = {x: [frozenset(r[: r.index(x) + 1]) if r.index(x) < k else None
+                            for r, _ in p.ballot_types()] for x in range(p.m)}
+            expect = [FlowNetwork(p.m, voter_groups(p, sets), k + 1, p.n)
+                      for x, sets in prefixes.items() if x not in committee and any(sets)]
             built.clear()
             verdict = axioms._psc_by_cuts(p, committee)
             # the networks are read in candidate order, up to the first violation
@@ -290,6 +293,29 @@ def test_a_cloned_domination_graph_groups_only_its_candidate():
         tracemalloc.stop()
     assert ce.expanded.m == 1000 and net.num_left == 1000
     assert peak < 8 * 2**20, peak
+
+
+def test_weak_psc_on_wide_ballots_walks_only_the_top_k():
+    # two ballot types over 2000 candidates and a committee of one: only
+    # each type's first candidate can end a violation's prefix, so the
+    # checker builds one network of one group, not one of every type per x
+    m = 2000
+    names = tuple(f"c{j}" for j in range(m))
+    up, down = tuple(range(m)), tuple(reversed(range(m)))
+    p = PreferenceProfile(((up, 3), (down, 2)), names)
+    tracemalloc.start()
+    try:
+        verdict = weak_psc_satisfied(p, {0})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 2 voters ranking m - 1 first fall short of 2 (k + 1) > n = 5
+    assert verdict.satisfied
+    assert peak < 2**20, peak
+    # 3 of them clear it
+    p = PreferenceProfile(((up, 2), (down, 3)), names)
+    assert weak_psc_satisfied(p, {0}).violation == PscViolation(
+        frozenset({m - 1}), frozenset({2, 3, 4}), m - 1)
 
 
 def psc_prescan_reference(p: PreferenceProfile, committee: frozenset[int]):

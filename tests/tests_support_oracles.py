@@ -25,12 +25,15 @@ from vetoflow.profiles import (
     PreferenceProfile, ProfileSizeError, VoterGroup, clone_expand)
 
 
-def voter_groups(p: PreferenceProfile, sets: Sequence[frozenset[int]]) -> tuple[VoterGroup, ...]:
+def voter_groups(p: PreferenceProfile,
+                 sets: Sequence[frozenset[int] | None]) -> tuple[VoterGroup, ...]:
     """The voters of p as voter groups, ballot type t's voters under
-    ``sets[t]``, equal sets merged in order of first appearance."""
+    ``sets[t]``, equal sets merged in order of first appearance; a type
+    whose set is None is left out."""
     merged: dict[frozenset[int], list[int]] = {}
     for cs, t in zip(sets, range(len(p.ballot_types())), strict=True):
-        merged.setdefault(cs, []).append(t)
+        if cs is not None:
+            merged.setdefault(cs, []).append(t)
     types = p.ballot_types()
     return tuple(VoterGroup(cs, tuple(ts), sum(types[t].count for t in ts))
                  for cs, ts in merged.items())
