@@ -52,7 +52,6 @@ from .profiles import (
     dominated_set,
     plurality_scores,
     reverse_profile,
-    solid_coalitions,
 )
 from .profile_io import (
     DistanceMatrix,
@@ -116,7 +115,6 @@ __all__ = [
     "run_eating",
     "serial_dictatorship",
     "serialize_profile",
-    "solid_coalitions",
     "verify_certificate",
     "veto_by_consumption_winners",
     "veto_core",

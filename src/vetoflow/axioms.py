@@ -6,13 +6,14 @@ vetoed when some coalition jointly ranks at least m - v(N') candidates above
 c; c is a core member when no coalition vetoes it.  This is exactly the
 failure of the Hall condition on the domination graph of c, which gives the
 fast checker, and one witness serves both: a Hall witness (N', D) is the
-veto of N' with everything outside D as the blocking set.  The core itself
-first asks the solid coalitions: voters who share a top set T veto
+veto of N' with everything outside D as the blocking set.  Both
+whole-profile checkers first ask the solid coalitions of one prefix walk
+on int masks.  For the core, voters who share a top set T veto
 everything outside T once T is large enough for their number, and only
 the candidates no such coalition vetoes go to a min cut.  Weak PSC walks
-each ballot's top k, which hold every prefix a violation can use, asks
-their solid coalitions, then reads each uncommitted candidate's minimal
-min cut; ``FlowNetwork.cut`` reads both kinds.  The brute-force checkers
+each ballot's top k, which hold every prefix a violation can use, then
+reads each uncommitted candidate's minimal min cut over the same tops;
+``FlowNetwork.cut`` reads both kinds.  The brute-force checkers
 evaluate the quantifiers directly and keep the fast paths honest.
 
 All threshold comparisons are exact; the strict inequalities are
@@ -33,7 +34,7 @@ from .matching import (
     has_fractional_perfect_matching,
     max_bipartite_matching,
 )
-from .profiles import PreferenceProfile, VoterGroup, reverse_profile, solid_coalitions
+from .profiles import PreferenceProfile, VoterGroup, reverse_profile
 from .profile_io import serialize_profile
 
 
@@ -73,20 +74,43 @@ def veto_core(p: PreferenceProfile) -> frozenset[int]:
     candidates are the set T rank all of T above every other candidate, so
     with T as the blocking set they veto every candidate outside T once
     |T| >= m - v(N').  As m - |T| is an integer, that is m - |T| <
-    m |N'| / n, or (m - |T|) n < m |N'| cross-multiplied.  A candidate the
-    scan marks is vetoed and needs no cut; the min cut of
-    ``veto_core_member`` decides each other candidate, so the set is the
-    one a cut per candidate gives.  The scan stays: its one
-    ``solid_coalitions`` pass costs less on IC 3000x5 elections than the
-    ``groups_below`` of the candidates it decides.
+    m |N'| / n, or (m - |T|) n < m |N'| cross-multiplied; the vetoed set
+    is one int, the union of those T's complements.  A candidate the scan
+    marks needs no cut; the min cut of ``veto_core_member`` decides each
+    other candidate, so the set is the one a cut per candidate gives.  The
+    scan stays: its ``solid_coalitions`` walk, at depth m, costs less on
+    IC 3000x5 elections than the ``groups_below`` of the candidates it
+    decides.
     """
     m, n = p.m, p.n
-    everyone = frozenset(range(m))
-    vetoed: set[int] = set()
-    for g in solid_coalitions(p):
-        if (m - len(g.candidates)) * n < m * g.size:
-            vetoed |= everyone - g.candidates
-    return frozenset(c for c in range(m) if c not in vetoed and veto_core_member(p, c).member)
+    vetoed = 0
+    for mask, (_, size) in solid_coalitions(p, m)[1].items():
+        if (m - mask.bit_count()) * n < m * size:
+            vetoed |= ~mask
+    return frozenset(c for c in range(m) if not vetoed >> c & 1 and veto_core_member(p, c).member)
+
+
+def solid_coalitions(p: PreferenceProfile, depth: int) -> tuple[dict, dict]:
+    """The solid coalitions of at most ``depth`` candidates, walked once per
+    distinct top ``depth`` (head) in order of first ballot type: ``heads``
+    maps each head to [types, voters], ``groups`` each prefix's int mask to
+    [the heads reaching it, voters], by first head and then length.  A
+    prefix is the first ``mask.bit_count()`` candidates of any of its heads.
+    """
+    heads: dict[tuple[int, ...], list] = {}  # head -> [types, voters]
+    for t, (r, count) in enumerate(p.ballot_types()):
+        h = heads.setdefault(r[:depth], [[], 0])
+        h[0].append(t)
+        h[1] += count
+    groups: dict[int, list] = {}  # prefix mask -> [heads, voters]
+    for head, (_, size) in heads.items():
+        mask = 0
+        for c in head:
+            mask |= 1 << c
+            g = groups.get(mask) or groups.setdefault(mask, [[], 0])
+            g[0].append(head)
+            g[1] += size
+    return heads, groups
 
 
 def veto_core_member_bruteforce(p: PreferenceProfile, c: int) -> bool:
@@ -178,47 +202,41 @@ def weak_psc_satisfied(p: PreferenceProfile, committee: Iterable[int]) -> PscVer
     The committee names k distinct candidates.  A violation is a voter set
     N' and a candidate x outside the committee with |N'| (k+1) > |C'| n,
     where C' is the union of N's weak prefixes down to x; as |N'| <= n,
-    |C'| <= k, so only the ``_prefixes`` of at most k candidates matter.
-    Their solid coalitions T are asked first, as in ``veto_core``: the
-    first with an uncommitted x and |N'| (k+1) > |T| n, with its least
-    such x, is the witness (C' lies inside T), so the scan stays.
+    |C'| <= k, so only the ``solid_coalitions`` of depth k matter.  Their
+    prefixes T are asked first, as in ``veto_core``: the first with an
+    uncommitted x and |N'| (k+1) > |T| n, with its least such x, is the
+    witness (C' lies inside T), so the scan stays.
     """
     W = _committee(p, committee)
-    solid, ends = _prefixes(p, W)
-    for types, size, prefix in solid.values():
-        if size * (len(W) + 1) > len(prefix) * p.n and not W.issuperset(prefix):
-            x = min(set(prefix) - W)
-            rankings = [p.ballot_types()[t].ranking for t in types]
-            union = frozenset().union(*(r[: r.index(x) + 1] for r in rankings))
-            return _violation(p, W, union, types, x)
-    return _psc_by_cuts(p, W, ends)
+    k, taken = len(W), sum(1 << c for c in W)
+    heads, groups = solid_coalitions(p, k)
+    for mask, (reach, size) in groups.items():
+        y = mask & ~taken
+        if y and size * (k + 1) > mask.bit_count() * p.n:
+            x = (y & -y).bit_length() - 1  # the lowest bit
+            union = frozenset().union(*(h[: h.index(x) + 1] for h in reach))
+            return _violation(p, W, union, (t for h in reach for t in heads[h][0]), x)
+    return _psc_by_cuts(p, W, heads)
 
 
-def _prefixes(p: PreferenceProfile, W: frozenset[int]) -> tuple[dict, dict]:
-    """Each type's prefixes of at most k = |W| candidates as [types, voters,
-    prefix] by int mask, walked once per distinct top k: ``solid`` in
-    ``solid_coalitions``' order, ``ends[x]`` those ending at uncommitted x."""
-    heads: dict[tuple[int, ...], list[int]] = {}  # top k -> types
-    for t, (r, _) in enumerate(p.ballot_types()):
-        heads.setdefault(r[: len(W)], []).append(t)
-    solid, ends = {}, {}  # prefix mask -> group; x -> prefix mask -> group
-    for head, types in heads.items():
-        mask, count = 0, sum(p.ballot_types()[t].count for t in types)
-        for j, x in enumerate(head, 1):
-            mask |= 1 << x
-            for groups in (solid,) if x in W else (solid, ends.get(x) or ends.setdefault(x, {})):
-                g = groups.get(mask) or groups.setdefault(mask, [[], 0, head[:j]])
-                g[0] += types
-                g[1] += count
-    return solid, ends
-
-
-def _psc_by_cuts(p: PreferenceProfile, W: frozenset[int], ends: dict | None = None) -> PscVerdict:
+def _psc_by_cuts(p: PreferenceProfile, W: frozenset[int], heads: dict | None = None) -> PscVerdict:
     """The violation of the first uncommitted x, ascending, whose minimal
-    min cut is not empty; only x's ``ends`` fit in a C' of at most k."""
-    for x, found in sorted((_prefixes(p, W)[1] if ends is None else ends).items()):
-        groups = tuple(VoterGroup(frozenset(prefix), tuple(sorted(types)), size)
-                       for types, size, prefix in found.values())
+    min cut is not empty; x's network groups the ``heads`` of depth k
+    holding x, head by head, by their prefix down to x."""
+    if heads is None:
+        heads = solid_coalitions(p, len(W))[0]
+    ends: dict[int, dict] = {}  # x -> prefix mask -> [head, types, voters]
+    for head, (types, size) in heads.items():
+        mask = 0
+        for x in head:
+            mask |= 1 << x
+            if x not in W:
+                g = ends.setdefault(x, {}).setdefault(mask, [head, [], 0])
+                g[1] += types
+                g[2] += size
+    for x, found in sorted(ends.items()):
+        groups = tuple(VoterGroup(frozenset(h[: h.index(x) + 1]), tuple(sorted(ts)), size)
+                       for h, ts, size in found.values())
         cut, union = FlowNetwork(p.m, groups, left_supply=len(W) + 1, right_cap=p.n).cut()
         if cut:
             return _violation(p, W, union, cut, x)

@@ -13,9 +13,9 @@ lists the voters of some types, and ``per_voter`` spreads per-type values,
 as ``rankings`` and ``positions()`` do on first use.
 
 A voter group ties a candidate set to ballot types.  The profile keeps
-two groupings, built on first use: ``groups_below(c)`` merges types that
-rank the same candidates below c, for the domination and Pareto networks,
-and ``solid_coalitions`` merges types with equal prefixes by int mask.
+one grouping, built for each candidate on first use: ``groups_below(c)``
+merges types that rank the same candidates below c, for the domination
+and Pareto networks.
 """
 
 from __future__ import annotations
@@ -286,34 +286,11 @@ def dominated_set(p: PreferenceProfile, c: int, types: Iterable[int]) -> frozens
 
 class VoterGroup(NamedTuple):
     """The ``size`` voters of ballot types ``types``, tied to one candidate
-    set: a flow network's edge set, or a solid coalition's common prefix."""
+    set: the edge set they share in a flow network."""
 
     candidates: frozenset[int]
     types: tuple[int, ...]
     size: int
-
-
-def solid_coalitions(p: PreferenceProfile) -> tuple[VoterGroup, ...]:
-    """Every candidate prefix with its maximal supporter group, ballot type
-    by ballot type and prefix length ascending, equal prefixes merged;
-    built on the first call and then kept by the profile.
-
-    One pass over the ballot types keys each prefix by its int mask and
-    builds its frozenset once, where it first appears."""
-    if "_solid_coalitions" in p.__dict__:
-        return p.__dict__["_solid_coalitions"]
-    groups: dict[int, list] = {}  # mask -> [prefix, types, size]
-    for t, (r, count) in enumerate(p.ballot_types()):
-        mask = 0
-        for k, c in enumerate(r, 1):
-            mask |= 1 << c
-            g = groups.get(mask)
-            if g is None:
-                groups[mask] = g = [frozenset(r[:k]), [], 0]
-            g[1].append(t)
-            g[2] += count
-    kept = tuple(VoterGroup(cs, tuple(ts), size) for cs, ts, size in groups.values())
-    return p.__dict__.setdefault("_solid_coalitions", kept)
 
 
 def all_profiles(n: int, m: int, candidate_names: Sequence[str] | None = None) -> Iterable[PreferenceProfile]:

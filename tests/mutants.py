@@ -90,9 +90,9 @@ MUTANTS = (
     Mutant("permutation-int", "profiles.py",
            "if set(map(type, order)) - {int} or sorted(order)", "if sorted(order)",
            ("tests/test_rules.py::test_orders_refuse_entries_that_are_not_ints",)),
-    # solid coalitions in one pass on prefix masks, sized by type counts
-    Mutant("solid-weights", "profiles.py",
-           "g[2] += count", "g[2] += 1",
+    # solid coalitions in one walk on prefix masks, sized by type counts
+    Mutant("solid-weights", "axioms.py",
+           "g[1] += size", "g[1] += 1",
            ("tests/test_ballot_types.py::test_solid_coalitions_match_a_per_voter_grouping",)),
     # the count-line reader
     Mutant("reader-runs", "profile_io.py",
@@ -131,27 +131,33 @@ MUTANTS = (
     # voters, not types, clear the threshold, and the witness names the
     # least uncommitted candidate
     Mutant("psc-prescan", "axioms.py",
-           "if size * (len(W) + 1) > len(prefix) * p.n",
-           "if len(types) * (len(W) + 1) > len(prefix) * p.n",
+           "size * (k + 1) > mask.bit_count() * p.n",
+           "len(reach) * (k + 1) > mask.bit_count() * p.n",
            ("tests/test_ballot_types.py::test_psc_prescan_matches_a_full_solid_coalition_scan",)),
     Mutant("psc-prescan-x", "axioms.py",
-           "x = min(set(prefix) - W)", "x = max(set(prefix) - W)",
+           "x = (y & -y).bit_length() - 1", "x = y.bit_length() - 1",
            ("tests/test_axioms.py::test_psc_prescan_names_the_least_uncommitted_candidate",)),
     # PSC walks each ballot type's top k: a violation's C' may hold all k
     Mutant("psc-depth", "axioms.py",
-           "heads.setdefault(r[: len(W)], [])", "heads.setdefault(r[: len(W) - 1], [])",
+           "heads, groups = solid_coalitions(p, k)", "heads, groups = solid_coalitions(p, k - 1)",
            ("tests/test_axioms.py::test_a_violation_may_need_all_k_candidates_of_its_prefixes",
-            "tests/test_ballot_types.py::test_psc_and_pareto_networks_match_a_per_type_build")),
-    # the core's solid-coalition scan: a strict bound, and it must fire
+            "tests/test_ballot_types.py::test_psc_prescan_matches_a_full_solid_coalition_scan")),
+    # the core's solid-coalition scan: a strict bound, it must fire, and it
+    # vetoes the candidates outside the prefix
     Mutant("core-scan-bound", "axioms.py",
-           "(m - len(g.candidates)) * n < m * g.size", "(m - len(g.candidates)) * n <= m * g.size",
+           "(m - mask.bit_count()) * n < m * size", "(m - mask.bit_count()) * n <= m * size",
            ("tests/test_axioms.py::test_the_solid_coalition_scan_bound_is_strict",
             "tests/test_axioms.py::test_veto_core_scan_changes_no_core")),
     Mutant("core-scan-off", "axioms.py",
-           "vetoed |= everyone - g.candidates", "pass",
+           "vetoed |= ~mask", "pass",
            ("tests/test_axioms.py::test_flows_run_only_for_core_members_on_a_large_ic_election",
             "tests/test_ballot_types.py::"
             "test_a_core_whose_non_members_solid_coalitions_veto_allocates_nothing_per_voter")),
+    Mutant("core-scan-prefix", "axioms.py",
+           "vetoed |= ~mask", "vetoed |= mask",
+           ("tests/test_axioms.py::test_the_solid_coalition_scan_bound_is_strict",
+            "tests/test_axioms.py::test_veto_core_scan_changes_no_core",
+            "tests/test_ballot_types.py::test_the_core_on_wide_ballots_walks_int_masks")),
     # interval eating: each cell is one difference of the run's times
     Mutant("eating-cells", "eating.py",
            "rows[b][c] = at[e] - at[s]", "rows[b][c] = at[e] - at[max(s - 1, 0)]",

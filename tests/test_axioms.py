@@ -144,12 +144,18 @@ def assert_core_by_flow(p: PreferenceProfile, monkeypatch) -> tuple[int, int]:
 
 
 def test_veto_core_scan_changes_no_core(monkeypatch):
-    scanned = flowed = 0
-    for p in [*all_profiles(3, 3), *repeated_profiles(200, seed=1717)]:
+    # few ballot types, whose solid coalitions veto often, also over 8 to
+    # 12 candidates, masks wider than the subset-sum cut's, so Dinic cuts
+    scanned = flowed = wide_scanned = wide_flowed = 0
+    for p in [*all_profiles(3, 3), *repeated_profiles(200, seed=1717),
+              *repeated_profiles(60, seed=1818, mmin=8, mmax=12)]:
         s, f = assert_core_by_flow(p, monkeypatch)
         scanned, flowed = scanned + s, flowed + f
-    # both routes must decide non-members often
+        if p.m > matching.SCAN_MAX_RIGHT:
+            wide_scanned, wide_flowed = wide_scanned + s, wide_flowed + f
+    # both routes must decide non-members often, on wide masks too
     assert scanned > 400 and flowed > 20
+    assert wide_scanned > 200 and wide_flowed > 20
 
 
 @given(profiles_strategy)

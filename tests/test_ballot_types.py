@@ -31,10 +31,10 @@ from vetoflow.profiles import (
     VoterGroup,
     all_profiles,
     clone_expand,
-    solid_coalitions,
 )
 from vetoflow.profile_io import gen_impartial_culture, parse_profile
-from tests_support_oracles import fractional_matching_rows, voter_flow_shares, voter_groups
+from tests_support_oracles import (
+    fractional_matching_rows, solid_groups, voter_flow_shares, voter_groups)
 from tests_support_random import (
     distinct_ballots,
     profiles_strategy,
@@ -187,16 +187,17 @@ def test_grouping_matches_a_per_voter_reference(runs, data):
     assert all(any(r is bt.ranking for bt in q.ballot_types()) for q in three for r, _ in q.runs)
 
 
-def solid_coalitions_per_voter(p: PreferenceProfile):
-    """Each prefix with its supporters, voter by voter, ordered by the
-    ballot type of its first supporter and then by length: the order in
-    which the PSC scan meets them, and so picks its witness."""
+def solid_coalitions_per_voter(p: PreferenceProfile, depth: int | None = None):
+    """Each prefix of at most ``depth`` candidates (default m) with its
+    supporters, voter by voter, ordered by the ballot type of its first
+    supporter and then by length: the order in which the PSC scan meets
+    them, and so picks its witness."""
     type_of: dict[tuple[int, ...], int] = {}
     supporters: dict[frozenset[int], list[int]] = {}
     key: dict[frozenset[int], tuple[int, int]] = {}
     for i, r in enumerate(p.rankings):
         type_of.setdefault(r, len(type_of))
-        for length in range(1, p.m + 1):
+        for length in range(1, (p.m if depth is None else depth) + 1):
             prefix = frozenset(r[:length])
             supporters.setdefault(prefix, []).append(i)
             key.setdefault(prefix, (type_of[r], length))
@@ -204,12 +205,16 @@ def solid_coalitions_per_voter(p: PreferenceProfile):
 
 
 def test_solid_coalitions_match_a_per_voter_grouping():
+    # at depth m and at a random smaller depth, where several ballot types
+    # share one head
+    rng = random.Random(1010)
     merged = 0
     for p in [*random_profiles(300, seed=808, nmax=8), *repeated_profiles(150, seed=909)]:
-        got = solid_coalitions(p)
-        got_voters = [(g.candidates, p.voters_of(g.types)) for g in got]
-        assert got_voters == solid_coalitions_per_voter(p)
-        assert all(g.size == len(vs) for g, (_, vs) in zip(got, got_voters))
+        for depth in (rng.randint(0, p.m - 1), p.m):
+            got = solid_groups(p, depth)
+            got_voters = [(g.candidates, p.voters_of(g.types)) for g in got]
+            assert got_voters == solid_coalitions_per_voter(p, depth)
+            assert all(g.size == len(vs) for g, (_, vs) in zip(got, got_voters))
         merged += any(len(g.types) > 1 and len(g.candidates) < p.m for g in got)
     # proper prefixes shared by several ballot types must be common, not rare
     assert merged > 100
@@ -226,7 +231,6 @@ def test_groups_below_match_a_per_type_grouping():
 
 def test_the_profile_keeps_its_grouped_views():
     p = PreferenceProfile.of([(0, 1, 2), (2, 1, 0), (0, 1, 2), (1, 0, 2)])
-    assert solid_coalitions(p) is solid_coalitions(p)
     assert all(p.groups_below(c) is p.groups_below(c) for c in range(p.m))
     # each candidate keeps its own groups, asked for in any order
     assert p.groups_below(2) == (VoterGroup(frozenset({2}), (0, 2), 3),
@@ -316,6 +320,25 @@ def test_weak_psc_on_wide_ballots_walks_only_the_top_k():
     p = PreferenceProfile(((up, 2), (down, 3)), names)
     assert weak_psc_satisfied(p, {0}).violation == PscViolation(
         frozenset({m - 1}), frozenset({2, 3, 4}), m - 1)
+
+
+def test_the_core_on_wide_ballots_walks_int_masks():
+    # the same two types: the 3 voters ranking 0 first veto every candidate
+    # outside their top 801, the 2 ranking m - 1 first every candidate
+    # outside their top 1201, so only 799 and 800 go to a min cut, and both
+    # are members; the walk keeps an int mask per prefix, not its candidates
+    m = 2000
+    names = tuple(f"c{j}" for j in range(m))
+    up, down = tuple(range(m)), tuple(reversed(range(m)))
+    p = PreferenceProfile(((up, 3), (down, 2)), names)
+    tracemalloc.start()
+    try:
+        core = veto_core(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert core == {799, 800}
+    assert peak < 4 * 2**20, peak
 
 
 def psc_prescan_reference(p: PreferenceProfile, committee: frozenset[int]):

@@ -7,6 +7,7 @@ import pytest
 from vetoflow import cli, profiles
 from vetoflow.matching import FlowNetwork
 from vetoflow.profile_io import gen_euclidean, parse_metric, parse_profile
+from tests_support_oracles import solid_groups
 
 T = "3 3\na b c\na>b>c\nb>a>c\nc>b>a\n"
 S = "2 2\na b\na>b\nb>a\n"
@@ -115,7 +116,7 @@ FLOW_VETO = ("# ALTERNATIVE NAME 1: a\n# ALTERNATIVE NAME 2: b\n"
 def test_veto_core_prints_the_voters_of_a_flow_witness(prof, capsys):
     p = parse_profile(FLOW_VETO)
     assert not any((p.m - len(g.candidates)) * p.n < p.m * g.size and 2 not in g.candidates
-                   for g in profiles.solid_coalitions(p))
+                   for g in solid_groups(p, p.m))
     argv = ["check", "--check", "veto-core", "--profile", prof(FLOW_VETO), "--candidate", "c"]
     code, out, _ = run(capsys, argv)
     assert code == 1

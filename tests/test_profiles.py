@@ -12,9 +12,8 @@ from vetoflow.profiles import (
     dominated_set,
     plurality_scores,
     reverse_profile,
-    solid_coalitions,
 )
-from tests_support_oracles import voter_groups
+from tests_support_oracles import solid_groups, voter_groups
 from tests_support_random import profiles_strategy
 
 
@@ -169,24 +168,31 @@ def test_dominated_set(fix_p, fix_t):
 
 
 def test_solid_coalitions(fix_p):
-    got = {sc.candidates: frozenset(fix_p.voters_of(sc.types)) for sc in solid_coalitions(fix_p)}
+    got = {sc.candidates: frozenset(fix_p.voters_of(sc.types)) for sc in solid_groups(fix_p, 3)}
     assert got[frozenset({0})] == frozenset({0, 1})
     assert got[frozenset({2})] == frozenset({2, 3})
     assert got[frozenset({0, 1})] == frozenset({0, 1})
     assert got[frozenset({1, 2})] == frozenset({2, 3})
     assert got[frozenset({0, 1, 2})] == frozenset({0, 1, 2, 3})
     assert len(got) == 5
+    # a shallower walk keeps only the prefixes of at most that many candidates
+    assert [sc.candidates for sc in solid_groups(fix_p, 1)] == [frozenset({0}), frozenset({2})]
+    assert solid_groups(fix_p, 0) == ()
 
 
 @given(profiles_strategy)
 def test_solid_coalition_supporters_are_maximal(p):
-    for sc in solid_coalitions(p):
-        r = len(sc.candidates)
-        expect = frozenset(
-            i for i in range(p.n) if frozenset(p.rankings[i][:r]) == sc.candidates
-        )
-        assert frozenset(p.voters_of(sc.types)) == expect and expect
-        assert sc.size == len(expect)
+    for depth in range(p.m + 1):
+        got = solid_groups(p, depth)
+        for sc in got:
+            r = len(sc.candidates)
+            expect = frozenset(
+                i for i in range(p.n) if frozenset(p.rankings[i][:r]) == sc.candidates
+            )
+            assert frozenset(p.voters_of(sc.types)) == expect and expect and r <= depth
+            assert sc.size == len(expect)
+        # every prefix of at most depth candidates is one group
+        assert len(got) == len({frozenset(r[:j]) for r in p.rankings for j in range(1, depth + 1)})
 
 
 # a profile of up to 30 voters casting rankings of 3 candidates, so that

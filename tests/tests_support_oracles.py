@@ -3,7 +3,8 @@ definition directly, voter by voter, without the grouping, flows or LPs of
 the checkers it is compared with; the clone oracles run the plurality rules
 on the cloned profile, one clone at a time.  ``voter_groups`` groups the
 ballot types by a candidate set given per type, the reference for the
-groups a profile keeps.  ``voter_flow_shares`` and ``share_refusal`` read
+groups a profile keeps; ``solid_groups`` reads the prefix walk back as
+voter groups.  ``voter_flow_shares`` and ``share_refusal`` read
 a solved network and a share matrix voter by voter, in Fractions, and
 ``int_rows`` puts Fraction share rows in an eating trace's int form.
 ``parse_profile_reference`` is the profile reader in its earlier form,
@@ -18,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Sequence
 
-from vetoflow.axioms import veto_power
+from vetoflow.axioms import solid_coalitions, veto_power
 from vetoflow.matching import FlowResult, build_domination_graph, has_fractional_perfect_matching
 from vetoflow.profile_io import MAX_VOTERS, DistanceMatrix
 from vetoflow.profiles import (
@@ -37,6 +38,26 @@ def voter_groups(p: PreferenceProfile,
     types = p.ballot_types()
     return tuple(VoterGroup(cs, tuple(ts), sum(types[t].count for t in ts))
                  for cs, ts in merged.items())
+
+
+def solid_groups(p: PreferenceProfile, depth: int) -> tuple[VoterGroup, ...]:
+    """``solid_coalitions(p, depth)`` as voter groups, in its order.  Each
+    head must be the top ``depth`` of its types and hold their voters, in
+    order of first type; each prefix's candidates are its mask's bits,
+    which must be the top ``mask.bit_count()`` of every head that reaches
+    it, and its types those of these heads, ascending."""
+    heads, groups = solid_coalitions(p, depth)
+    types = p.ballot_types()
+    assert list(heads) == list(dict.fromkeys(r[:depth] for r, _ in types))
+    for head, (ts, size) in heads.items():
+        assert ts == [t for t, (r, _) in enumerate(types) if r[:depth] == head]
+        assert size == sum(types[t].count for t in ts)
+    out = []
+    for mask, (reach, size) in groups.items():
+        prefix = frozenset(c for c in range(p.m) if mask >> c & 1)
+        assert all(frozenset(h[:len(prefix)]) == prefix for h in reach)
+        out.append(VoterGroup(prefix, tuple(sorted(t for h in reach for t in heads[h][0])), size))
+    return tuple(out)
 
 
 def hall_check_bruteforce(p: PreferenceProfile, c: int) -> bool:
