@@ -161,13 +161,36 @@ def build_lp(p: PreferenceProfile, c: int, cref: int) -> LinearProgram:
     return LinearProgram(tuple(objective), (normalization,), _Quadrangles(p))
 
 
+def closure_metric(p: PreferenceProfile, c: int, cref: int) -> DistanceMatrix | None:
+    """The closed form of c against cref (see ``distortion_of_candidate``),
+    or None when the closure reaches c: for s > 0 a certificate of value
+    2n/s - 1, for s = 0 a ray."""
+    types = p.ballot_types()
+    fans = [r.index(cref) < r.index(c) for r, _ in types]
+    rankings = [r for (r, _), fan in zip(types, fans) if fan]
+    zone = {cref}
+    size = 0
+    while size < len(zone):
+        size = len(zone)
+        for ranking in rankings:
+            zone.update(ranking[:max(map(ranking.index, zone))])
+        if c in zone:
+            return None
+    s = sum(count for (_, count), fan in zip(types, fans) if not fan)
+    # with s = 0 every voter is in F and the rows scale to 0 and 1
+    far = Fraction(2, s) if s else Fraction(1)
+    fan_row = tuple(Fraction(0) if a in zone else far for a in range(p.m))
+    return DistanceMatrix(p.per_voter([fan_row if fan else (far / 2,) * p.m for fan in fans]))
+
+
 def distortion_of_candidate(
     p: PreferenceProfile, c: int, size_cap: int = 100
 ) -> DistortionResult:
     """Maximize over reference candidates; m = 1 has distortion 1 by
-    convention (the ratio space is empty).  The result is that of solving
-    every reference in index order, keeping the first largest value and
-    returning at the first unbounded LP; two rules leave most LPs unsolved.
+    convention (the ratio space is empty).  The value and reference are
+    those of solving every reference in index order, keeping the first
+    largest value and returning at the first unbounded LP; two rules leave
+    most references unsolved, and a closed form decides most of the rest.
 
     Dominance.  A reference r' is skipped when some reference r < r',
     r != c, is ranked above r' by every voter.  Then d(i, r) <= d(i, r') in
@@ -191,15 +214,32 @@ def distortion_of_candidate(
     index order, then by descending B_r, ties by index.  The first
     unbounded reference in index order has s = 0 and no dominator before
     it (that one would be unbounded too, with s = 0 and a smaller index),
-    so it is still the first unbounded LP solved, and its ray is returned.
+    so it is still the first reference found unbounded, and its ray is
+    returned.
     Once an incumbent exists, a reference with B_r < best.value, or
     B_r == best.value and r > best.reference, cannot replace it; every
     later reference has a smaller B_r, or an equal B_r and a larger index,
     so the loop stops there.  An incumbent is replaced by a larger value,
     or an equal one at a smaller reference, so the first maximizing
-    reference of the index loop is reported.  Each LP is solved from
-    scratch, so certificates and rays are those of the index loop.  A
-    solved value above B_r or below 1 raises ``RuntimeError``."""
+    reference of the index loop is reported.  A solved value above B_r or
+    below 1 raises ``RuntimeError``.
+
+    Closure.  Before its LP, a reference is tried in closed form.  Let F
+    be the voters who rank r above c, so s = n - |F|, and Z the least set
+    that holds r and every candidate some voter of F ranks above a member
+    of Z.  If c is not in Z, d(i, a) = 0 for i in F and a in Z, 2/s for i
+    in F and a not in Z, and 1/s for i outside F is a consistent metric.
+    A row of F is 0 on a set closed upwards in its ballot.  In a
+    quadrangle d(i, a) <= d(i, b) + d(j, b) + d(j, a), either j is outside
+    F and d(j, b) + d(j, a) = 2/s is the largest cell, or i and j are both
+    in F and d(j, a) = d(i, a), or i is outside F and d(i, b) = d(i, a).
+    The metric costs 1 at r and 2(n - s)/s + 1 = B_r at c, so it meets
+    the bound: the LP's value is B_r and none is solved.  For s = 0 the
+    same matrix with 1 in place of 2/s costs 0 at r and n at c, so the LP
+    is unbounded and the matrix is its ray.  The LP still solves every
+    reference the closure leaves open, so values and references are those
+    of the index loop; certificates and rays are the closed form's
+    wherever it decides the reported reference, else the LP's."""
     p.check_candidate(c)
     if p.m == 1:
         return DistortionResult(c, Fraction(1), None, None, None)
@@ -217,6 +257,13 @@ def distortion_of_candidate(
         ):
             break
         if any(r != c and all(pos[r] < pos[cref] for pos in positions) for r in range(cref)):
+            continue
+        closed = closure_metric(p, c, cref)
+        if closed is not None:
+            if bound is None:
+                return DistortionResult(c, INFINITE, cref, None, sum(closed.values, ()))
+            # value B_r, which the early stop above let through: it beats best
+            best = DistortionResult(c, bound, cref, closed, None)
             continue
         sol = solve_lp(build_lp(p, c, cref))
         if sol.status == "unbounded":

@@ -268,6 +268,23 @@ MUTANTS = (
            "bound <= best.value",
            ("tests/test_distortion.py::test_bound_skipping_changes_no_result",
             "tests/test_distortion.py::test_results_are_pinned")),
+    # distortion: the closure metric that decides a reference before its LP;
+    # one skips a ballot type of F, one swaps its 1/s and 2/s levels, one
+    # fires although the closure reaches the candidate
+    Mutant("closure-fans", "distortion.py",
+           "for ranking in rankings:", "for ranking in rankings[1:]:",
+           ("tests/test_distortion.py::test_the_closure_metric_attains_the_bound",)),
+    Mutant("closure-levels", "distortion.py",
+           "else far for a in range(p.m))\n"
+           "    return DistanceMatrix(p.per_voter([fan_row if fan else (far / 2,) * p.m",
+           "else far / 2 for a in range(p.m))\n"
+           "    return DistanceMatrix(p.per_voter([fan_row if fan else (far,) * p.m",
+           ("tests/test_distortion.py::test_the_closure_metric_attains_the_bound",
+            "tests/test_distortion.py::test_results_are_pinned")),
+    Mutant("closure-reach", "distortion.py",
+           "        if c in zone:\n            return None\n", "",
+           ("tests/test_distortion.py::test_the_closure_metric_attains_the_bound",
+            "tests/test_distortion.py::test_separated_lp_matches_the_materialized_lp")),
     # distortion: the O(m) pair walk of the quadrangle separation
     Mutant("pair-walk", "distortion.py",
            "if va < vb or va == vb and a < b:", "if va < vb:",

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from vetoflow import cli, profiles
+from vetoflow.distortion import closure_metric
 from vetoflow.matching import FlowNetwork
 from vetoflow.profile_io import gen_euclidean, parse_metric, parse_profile
 from tests_support_oracles import solid_groups
@@ -236,6 +237,21 @@ def test_distortion_value_and_certificate(prof, capsys, tmp_path):
     assert code == 0
     assert out == f"3/1\ncertificate written to {cert}\n"
     assert (tmp_path / "cert.txt").read_text() == "1/1 1/1\n2/1 0/1\n"
+
+
+def test_closure_certificate_parses_back_and_costs_the_value(prof, capsys, tmp_path):
+    # candidate b's value 2 against reference a meets that reference's
+    # bound 2n/s - 1 with s = 2 of 3 voters, so the closure metric, not an
+    # LP, certifies it; the file reads back and costs 1 at a and 2 at b
+    cert = tmp_path / "cert.txt"
+    code, out, _ = run(capsys, [
+        "distortion", "--profile", prof(T), "--candidate", "b", "--certificate", str(cert),
+    ])
+    assert code == 0 and out == f"2/1\ncertificate written to {cert}\n"
+    p = parse_profile(T)
+    dm = parse_metric(cert.read_text(), p)
+    assert dm == closure_metric(p, 1, 0)
+    assert (dm.cost(0), dm.cost(1)) == (1, 2)
 
 
 def test_distortion_infinite(prof, capsys):
