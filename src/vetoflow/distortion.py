@@ -165,9 +165,8 @@ def closure_metric(p: PreferenceProfile, c: int, cref: int) -> DistanceMatrix | 
     """The closed form of c against cref (see ``distortion_of_candidate``),
     or None when the closure reaches c: for s > 0 a certificate of value
     2n/s - 1, for s = 0 a ray."""
-    types = p.ballot_types()
-    fans = [r.index(cref) < r.index(c) for r, _ in types]
-    rankings = [r for (r, _), fan in zip(types, fans) if fan]
+    fans = [pos[cref] < pos[c] for pos in p.positions()]
+    rankings = {r for r, fan in zip(p.rankings, fans) if fan}
     zone = {cref}
     size = 0
     while size < len(zone):
@@ -176,11 +175,12 @@ def closure_metric(p: PreferenceProfile, c: int, cref: int) -> DistanceMatrix | 
             zone.update(ranking[:max(map(ranking.index, zone))])
         if c in zone:
             return None
-    s = sum(count for (_, count), fan in zip(types, fans) if not fan)
+    s = fans.count(False)
     # with s = 0 every voter is in F and the rows scale to 0 and 1
     far = Fraction(2, s) if s else Fraction(1)
     fan_row = tuple(Fraction(0) if a in zone else far for a in range(p.m))
-    return DistanceMatrix(p.per_voter([fan_row if fan else (far / 2,) * p.m for fan in fans]))
+    near_row = (far / 2,) * p.m
+    return DistanceMatrix(tuple(fan_row if fan else near_row for fan in fans))
 
 
 def distortion_of_candidate(
@@ -214,15 +214,16 @@ def distortion_of_candidate(
     index order, then by descending B_r, ties by index.  The first
     unbounded reference in index order has s = 0 and no dominator before
     it (that one would be unbounded too, with s = 0 and a smaller index),
-    so it is still the first reference found unbounded, and its ray is
-    returned.
+    so it is still the first reference found unbounded, and the closure
+    returns its ray (see Closure).
     Once an incumbent exists, a reference with B_r < best.value, or
     B_r == best.value and r > best.reference, cannot replace it; every
     later reference has a smaller B_r, or an equal B_r and a larger index,
     so the loop stops there.  An incumbent is replaced by a larger value,
     or an equal one at a smaller reference, so the first maximizing
-    reference of the index loop is reported.  A solved value above B_r or
-    below 1 raises ``RuntimeError``.
+    reference of the index loop is reported.  A solved LP that is
+    unbounded, or whose value is above B_r or below 1, raises
+    ``RuntimeError``.
 
     Closure.  Before its LP, a reference is tried in closed form.  Let F
     be the voters who rank r above c, so s = n - |F|, and Z the least set
@@ -236,10 +237,15 @@ def distortion_of_candidate(
     The metric costs 1 at r and 2(n - s)/s + 1 = B_r at c, so it meets
     the bound: the LP's value is B_r and none is solved.  For s = 0 the
     same matrix with 1 in place of 2/s costs 0 at r and n at c, so the LP
-    is unbounded and the matrix is its ray.  The LP still solves every
-    reference the closure leaves open, so values and references are those
-    of the index loop; certificates and rays are the closed form's
-    wherever it decides the reported reference, else the LP's."""
+    is unbounded and the matrix is its ray.  Conversely, for s = 0 and c in
+    Z the LP is bounded: a ray costs 0 at r, so d(i, r) = 0 for every i,
+    and a voter of F who ranks b above a zero column a has d(i, b) = 0, so
+    d(j, b) <= d(j, a) + d(i, a) + d(i, b) = 0 for every j; the columns of
+    Z are all 0 and the ray costs 0 at c too.  So rays come only from the
+    closure.  The LP still solves every reference the closure leaves open,
+    so values and references are those of the index loop; certificates
+    are the closed form's wherever it decides the reported reference, else
+    the LP's."""
     p.check_candidate(c)
     if p.m == 1:
         return DistortionResult(c, Fraction(1), None, None, None)
@@ -266,9 +272,11 @@ def distortion_of_candidate(
             best = DistortionResult(c, bound, cref, closed, None)
             continue
         sol = solve_lp(build_lp(p, c, cref))
-        if sol.status == "unbounded":
-            ray = tuple(v for row in _distances(sol.ray, p) for v in row)
-            return DistortionResult(c, INFINITE, cref, None, ray)
+        if sol.status != "optimal":
+            raise RuntimeError(
+                f"LP against reference {cref} is {sol.status}; 2n/s - 1 bounds "
+                f"it, or for s = 0 the closure of {{{cref}}} reaching candidate {c}"
+            )
         if sol.value < 1:
             raise RuntimeError(
                 f"LP value {sol.value} against reference {cref} is below 1, "

@@ -269,22 +269,26 @@ MUTANTS = (
            ("tests/test_distortion.py::test_bound_skipping_changes_no_result",
             "tests/test_distortion.py::test_results_are_pinned")),
     # distortion: the closure metric that decides a reference before its LP;
-    # one skips a ballot type of F, one swaps its 1/s and 2/s levels, one
-    # fires although the closure reaches the candidate
+    # one skips the first voter's ballot when that voter is in F, one swaps
+    # its 1/s and 2/s levels, one fires although the closure reaches the
+    # candidate
     Mutant("closure-fans", "distortion.py",
-           "for ranking in rankings:", "for ranking in rankings[1:]:",
+           "zip(p.rankings, fans) if fan}", "zip(p.rankings, fans) if fan} - {p.rankings[0]}",
            ("tests/test_distortion.py::test_the_closure_metric_attains_the_bound",)),
     Mutant("closure-levels", "distortion.py",
-           "else far for a in range(p.m))\n"
-           "    return DistanceMatrix(p.per_voter([fan_row if fan else (far / 2,) * p.m",
-           "else far / 2 for a in range(p.m))\n"
-           "    return DistanceMatrix(p.per_voter([fan_row if fan else (far,) * p.m",
+           "else far for a in range(p.m))\n    near_row = (far / 2,) * p.m",
+           "else far / 2 for a in range(p.m))\n    near_row = (far,) * p.m",
            ("tests/test_distortion.py::test_the_closure_metric_attains_the_bound",
             "tests/test_distortion.py::test_results_are_pinned")),
     Mutant("closure-reach", "distortion.py",
            "        if c in zone:\n            return None\n", "",
            ("tests/test_distortion.py::test_the_closure_metric_attains_the_bound",
             "tests/test_distortion.py::test_separated_lp_matches_the_materialized_lp")),
+    # distortion: an LP the closure leaves open is bounded, so an unbounded
+    # one is refused
+    Mutant("lp-unbounded", "distortion.py",
+           'if sol.status != "optimal":', 'if sol.status == "infeasible":',
+           ("tests/test_distortion.py::test_an_unbounded_lp_is_refused",)),
     # distortion: the O(m) pair walk of the quadrangle separation
     Mutant("pair-walk", "distortion.py",
            "if va < vb or va == vb and a < b:", "if va < vb:",

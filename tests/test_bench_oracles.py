@@ -28,8 +28,10 @@ def open_inputs(vf, workloads) -> dict[str, list]:
     """One input per distortion workload whose reported reference takes an
     LP: at tiny size the closure metric decides every reference LP of
     distortion-sweep's elections, which would leave the LP layers without
-    spans.  Candidate 0 of this election has value 3 against reference 1,
-    below that reference's bound 2n/s - 1 = 5."""
+    spans.  The benchmark's own tiny sets have no such input, so the
+    traced seed-3 run of ``bench/selftest.py`` fails its span check until
+    they gain one.  Candidate 0 of this election has value 3 against
+    reference 1, below that reference's bound 2n/s - 1 = 5."""
     p = vf.profiles.PreferenceProfile.of([(0, 1, 2), (1, 0, 2), (2, 1, 0)])
     assert vf.distortion.closure_metric(p, 0, 1) is None
     assert 0 in vf.rules.plurality_matching_winners(p)

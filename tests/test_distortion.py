@@ -20,7 +20,7 @@ from vetoflow.distortion import (
     extend_to_full_pseudometric,
     verify_certificate,
 )
-from vetoflow.lp import LinearConstraint, LinearProgram, solve_lp
+from vetoflow.lp import LinearConstraint, LinearProgram, LpSolution, solve_lp
 from vetoflow.profile_io import DistanceMatrix, gen_impartial_culture, serialize_profile
 from vetoflow.profiles import PreferenceProfile
 from tests_support_lp import ListedRows, excess
@@ -429,15 +429,25 @@ def assert_matches_the_index_loop(p: PreferenceProfile, r: DistortionResult) -> 
 
 
 def test_separated_lp_matches_the_materialized_lp(exhaustive_results):
-    decided = [assert_matches_the_index_loop(p, r) for p, r in exhaustive_results]
+    # every reference LP of these profiles has the same status, vertex and
+    # ray whether its quadrangle rows are stored or separated, whatever the
+    # closure decides: the solver takes the same rows in the same order
+    results = list(exhaustive_results)
     rng = random.Random(3)
     for p in random_profiles(60, seed=606, nmax=4, mmax=4):
-        if p.m == 1:
-            continue
-        r = distortion_of_candidate(p, rng.randrange(p.m))
-        decided.append(assert_matches_the_index_loop(p, r))
+        if p.m > 1:
+            results.append((p, distortion_of_candidate(p, rng.randrange(p.m))))
+    lps = 0
+    for p, r in results:
+        for ref in range(p.m):
+            if ref != r.candidate:
+                separated = solve_lp(build_lp(p, r.candidate, ref))
+                stored = solve_lp(materialized_lp(p, r.candidate, ref))
+                assert separated == stored, (p.rankings, r.candidate, ref)
+                lps += 1
+    decided = [assert_matches_the_index_loop(p, r) for p, r in results]
     # the closure decides the reported reference of 559 of the 700 results
-    assert 0 < sum(decided) < len(decided)
+    assert 0 < sum(decided) < len(decided) and lps > 2 * len(results)
 
 
 def solved_references(monkeypatch) -> list[list]:
@@ -568,6 +578,26 @@ def test_a_value_outside_its_bounds_is_refused(monkeypatch, value, message):
     monkeypatch.setattr("vetoflow.distortion.solve_lp", misreported_solve)
     with pytest.raises(RuntimeError, match=message):
         distortion_of_candidate(p, 0)
+
+
+@pytest.mark.parametrize("rankings, c", [
+    ([(0, 1, 2), (1, 0, 2), (2, 1, 0)], 0),  # reference 1, s = 1
+    ([(0, 1, 2, 3), (1, 2, 3, 0)], 3),  # reference 1, s = 0
+])
+def test_an_unbounded_lp_is_refused(monkeypatch, rankings, c):
+    # the closure of {1} reaches c, so the LP against 1 runs; it is bounded
+    # by B_r for s > 0 and by the closure for s = 0, so rays come only from
+    # the closure and an unbounded LP is an error
+    p = PreferenceProfile.of(rankings)
+    assert closure_metric(p, c, 1) is None
+    assert solve_lp(build_lp(p, c, 1)).status == "optimal"
+
+    def misreported_solve(lp):
+        return LpSolution("unbounded", None, None, (F(0),) * lp.num_vars)
+
+    monkeypatch.setattr("vetoflow.distortion.solve_lp", misreported_solve)
+    with pytest.raises(RuntimeError, match="LP against reference 1 is unbounded"):
+        distortion_of_candidate(p, c)
 
 
 def test_every_reference_lp_is_within_its_bound(exhaustive_results):
